@@ -1,9 +1,9 @@
 """Catalog of adversarial strategies for both circular protocols.
 
-Every attack is expressed as a combination of channel-leg interceptors and
-dishonest-party behavior overrides, with the adversary's acquired knowledge
-tracked explicitly so that attack payoff can be scored against the honest
-parties' actual bits.
+Every attack is one ``CATALOG`` entry: a combination of channel-leg
+interceptors and dishonest-party behavior overrides, with the adversary's
+acquired knowledge tracked explicitly so that attack payoff can be scored
+against the honest parties' actual bits.
 
 Attack identifiers are stable strings used in configs and on the CLI:
 
@@ -17,6 +17,7 @@ Attack identifiers are stable strings used in configs and on the CLI:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -31,7 +32,7 @@ from .qstate import (
     measure_qubit,
     zstate,
 )
-from .runtime import Choice, Leg, LEG_ORDER
+from .runtime import Choice, Leg, LEG_ORDER, SimulationError
 
 
 class UnsupportedAttackError(ValueError):
@@ -84,44 +85,22 @@ class AttackSpec:
     def __post_init__(self):
         if self.protocol not in ("A", "B"):
             raise UnsupportedAttackError(f"unknown protocol {self.protocol!r}")
-        if self.kind == "none":
-            return
-        if self.kind == "em":
+        attack_id = self.attack_id
+        if attack_id == f"{self.protocol.lower()}.em":
             if self.pair is None or self.pair.protocol != self.protocol:
                 raise UnsupportedAttackError("entangle-measure spec needs a matching UnitaryPair")
             if self.actor not in (None, "bob", "charlie", "eve"):
                 raise UnsupportedAttackError(f"bad actor {self.actor!r}")
-            return
-        if self.kind not in ("mr", "ir"):
-            raise UnsupportedAttackError(f"unknown attack kind {self.kind!r}")
-        if self.actor == "eve":
-            if self.variant not in (1, 2, 3):
-                raise UnsupportedAttackError("eve attacks take a leg number 1..3")
-            return
-        if self.protocol == "A":
-            if self.kind == "mr":
-                if self.actor not in ("bob", "charlie") or self.variant not in (1, 2):
-                    raise UnsupportedAttackError(
-                        f"protocol A measure-resend: bad ({self.actor}, {self.variant})")
-            else:
-                if self.actor == "bob" and self.variant is None:
-                    return
-                if self.actor == "charlie" and self.variant in (1, 2):
-                    return
-                raise UnsupportedAttackError(
-                    f"protocol A intercept-resend: bad ({self.actor}, {self.variant})")
-        else:
-            if self.actor not in ("bob", "charlie") or self.variant is not None:
-                raise UnsupportedAttackError(
-                    f"protocol B {self.kind}: bad ({self.actor}, {self.variant})")
+        elif self.pair is not None:
+            raise UnsupportedAttackError(f"{attack_id} takes no UnitaryPair")
+        elif attack_id not in CATALOG and attack_id != f"{self.protocol.lower()}.none":
+            raise UnsupportedAttackError(f"no catalog attack {attack_id!r}")
 
     @property
     def attack_id(self) -> str:
-        if self.kind == "none":
-            return f"{self.protocol.lower()}.none"
-        if self.kind == "em":
-            return f"{self.protocol.lower()}.em"
-        parts = [self.protocol.lower(), self.kind, self.actor]
+        if self.kind in ("none", "em"):
+            return f"{self.protocol.lower()}.{self.kind}"
+        parts = [self.protocol.lower(), self.kind, str(self.actor)]
         if self.variant is not None:
             parts.append(str(self.variant))
         return ".".join(parts)
@@ -143,16 +122,9 @@ def parse_attack_id(attack_id: str) -> AttackSpec:
 
 def catalog_ids(protocol: Optional[str] = None) -> list[str]:
     """All measure-resend / intercept-resend attack ids, optionally per protocol."""
-    ids_a = (["a.mr.bob.1", "a.mr.bob.2", "a.mr.charlie.1", "a.mr.charlie.2",
-              "a.ir.bob", "a.ir.charlie.1", "a.ir.charlie.2"]
-             + [f"a.mr.eve.{k}" for k in (1, 2, 3)]
-             + [f"a.ir.eve.{k}" for k in (1, 2, 3)])
-    ids_b = (["b.mr.bob", "b.mr.charlie", "b.ir.bob", "b.ir.charlie"]
-             + [f"b.mr.eve.{k}" for k in (1, 2, 3)]
-             + [f"b.ir.eve.{k}" for k in (1, 2, 3)])
-    if protocol is None:
-        return ids_a + ids_b
-    return ids_a if protocol.upper() == "A" else ids_b
+    return [aid for aid in CATALOG if protocol is None or aid[0] == protocol.lower()]
+
+
 
 
 # Sources an adversary may legitimately learn bits from.  Anything outside
@@ -171,7 +143,8 @@ class AdversaryKnowledge:
     provenance: dict = field(default_factory=dict)  # position -> source tag
 
     def record(self, pos: int, bit: int, source: str) -> None:
-        assert source in ALLOWED_SOURCES, source
+        if source not in ALLOWED_SOURCES:
+            raise SimulationError(f"bit at position {pos} has unaudited source {source!r}")
         self.recorded[pos] = bit
         self.provenance[pos] = source
 
@@ -190,6 +163,18 @@ class AdversaryKnowledge:
             bit, _ = measure(state, Basis.Z, rng)
         self.record(pos, bit, "retained-measurement")
         return bit
+
+    def guess_bit(self, source: str, pos: int, rng: np.random.Generator) -> Optional[int]:
+        """The attacker's bit for ``pos`` from a catalog guess source, or None.
+
+        "recorded" is a bit it measured, "fake" the bit of a fake it sent, and
+        "retained" a Z measurement of the genuine particle it kept back.
+        """
+        if source == "recorded":
+            return self.recorded.get(pos)
+        if source == "fake":
+            return self.fake_bits.get(pos)
+        return self.measure_retained(pos, rng) if pos in self.retained else None
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +223,15 @@ def _random_subset(total: int, size: int, rng: np.random.Generator) -> set[int]:
     return set(int(i) for i in rng.choice(total, size=size, replace=False))
 
 
+class _Insider:
+    """Mixin for a dishonest party: the honest party's constructor plus the
+    adversary knowledge it shares with the attack's interceptors."""
+
+    def __init__(self, role: str, size: int, knowledge: AdversaryKnowledge):
+        super().__init__(role, size)
+        self.knowledge = knowledge
+
+
 class HonestPartyA:
     """Classical party for protocol A: MEASURE a random N-subset, REFLECT the rest."""
 
@@ -262,13 +256,9 @@ class HonestPartyA:
         return _get_result(record, self.role)
 
 
-class MeasureAllPartyA(HonestPartyA):
+class MeasureAllPartyA(_Insider, HonestPartyA):
     """Measure-resend insider: Z-measure every particle at its own step, then
     fabricate a MEASURE/REFLECT announcement of the honest sizes."""
-
-    def __init__(self, role, n_measure, knowledge: AdversaryKnowledge):
-        super().__init__(role, n_measure)
-        self.knowledge = knowledge
 
     def act(self, records, rng):
         for r in records:
@@ -284,36 +274,22 @@ class MeasureAllPartyA(HonestPartyA):
                            else Choice.REFLECT)
 
 
-class ReflectAllPartyA(HonestPartyA):
+class ReflectAllPartyA(MeasureAllPartyA):
     """Charlie's first measure-resend variant: Z-measure in transit before Bob
     (done by an interceptor), REFLECT everything at her own step, fabricate the
     announcement, and report the transit bits when asked for results."""
-
-    def __init__(self, role, n_measure, knowledge: AdversaryKnowledge):
-        super().__init__(role, n_measure)
-        self.knowledge = knowledge
 
     def act(self, records, rng):
         for r in records:
             _set_choice(r, self.role, Choice.REFLECT)
 
-    def announce(self, records, rng):
-        fake_measure = _random_subset(len(records), self.n_measure, rng)
-        for r in records:
-            _set_announced(r, self.role, Choice.MEASURE if r.index in fake_measure
-                           else Choice.REFLECT)
-
     def reported_result(self, record) -> int:
         return self.knowledge.recorded[record.index]
 
 
-class SwapBackPartyA(HonestPartyA):
+class SwapBackPartyA(_Insider, HonestPartyA):
     """Charlie's second intercept-resend choice: run her step on the retained
     genuine particles instead of the ones arriving from Bob."""
-
-    def __init__(self, role, n_measure, knowledge: AdversaryKnowledge):
-        super().__init__(role, n_measure)
-        self.knowledge = knowledge
 
     def act(self, records, rng):
         for r in records:
@@ -328,15 +304,15 @@ class SwapBackPartyA(HonestPartyA):
 # Interceptors
 
 
-def measure_all_interceptor(knowledge: AdversaryKnowledge, source: str):
+def measure_all_interceptor(knowledge: AdversaryKnowledge):
     def intercept(batch, leg, rng):
         for pos, p in enumerate(batch):
             if hasattr(p, "in_flight"):
                 bit = _measure_in_flight(p, Basis.Z, rng)
-                knowledge.record(p.index, bit, source)
+                knowledge.record(p.index, bit, "intercept-measurement")
             else:
                 bit = _z_collapse_particle(p, rng)
-                knowledge.record(pos, bit, source)
+                knowledge.record(pos, bit, "intercept-measurement")
         return batch
     return intercept
 
@@ -374,10 +350,13 @@ def replace_with_fakes_interceptor(knowledge: AdversaryKnowledge,
                 p.state = zstate(bit)
                 p.tag = "FAKE"
                 p.origin = None
-                p.hidden_bit = None
             knowledge.note_fake(key, bit)
         return batch
     return intercept
+
+
+def _bob_measured_bit(record, pos):
+    return record.bob_result if record.bob_choice is Choice.MEASURE else None
 
 
 def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
@@ -424,7 +403,7 @@ class HonestPartyB:
         from .protocol_b import TaggedParticle
         self.prepared_bits = [int(b) for b in rng.integers(2, size=self.n)]
         tag = self.SIFT_TAG[self.role]
-        return [TaggedParticle(state=zstate(b), tag=tag, origin=j, hidden_bit=b)
+        return [TaggedParticle(state=zstate(b), tag=tag, origin=j)
                 for j, b in enumerate(self.prepared_bits)]
 
     def process(self, incoming, rng):
@@ -442,13 +421,9 @@ class HonestPartyB:
         return self.prepared_bits[origin]
 
 
-class MeasureResendPartyB(HonestPartyB):
+class MeasureResendPartyB(_Insider, HonestPartyB):
     """Protocol B Charlie measure-resend: Z-measure every incoming particle,
     resend the found states, then run the honest step."""
-
-    def __init__(self, role, n, knowledge: AdversaryKnowledge):
-        super().__init__(role, n)
-        self.knowledge = knowledge
 
     def process(self, incoming, rng):
         for pos, p in enumerate(incoming):
@@ -457,14 +432,10 @@ class MeasureResendPartyB(HonestPartyB):
         return super().process(incoming, rng)
 
 
-class InterceptResendPartyB(HonestPartyB):
+class InterceptResendPartyB(_Insider, HonestPartyB):
     """Protocol B Charlie intercept-resend: keep the incoming batch, send a full
     complement of fresh Z-basis fakes under a fabricated order, and lie about
     her own TEST particles using the fake bits."""
-
-    def __init__(self, role, n, knowledge: AdversaryKnowledge):
-        super().__init__(role, n)
-        self.knowledge = knowledge
 
     def process(self, incoming, rng):
         from .protocol_b import TaggedParticle
@@ -477,8 +448,7 @@ class InterceptResendPartyB(HonestPartyB):
         for pos in range(total):
             bit = int(rng.integers(2))
             self.knowledge.note_fake(pos, bit)
-            fakes.append(TaggedParticle(state=zstate(bit), tag="FAKE", origin=None,
-                                        hidden_bit=None))
+            fakes.append(TaggedParticle(state=zstate(bit), tag="FAKE", origin=None))
         perm = [int(i) for i in rng.permutation(total)]
         self.order = [("incoming", i) if i < n_in else ("sift", i - n_in) for i in perm]
         return fakes
@@ -487,18 +457,98 @@ class InterceptResendPartyB(HonestPartyB):
         return self.knowledge.fake_bits[final_pos]
 
 
-class LyingRevealPartyB(HonestPartyB):
+class LyingRevealPartyB(_Insider, HonestPartyB):
     """Protocol B Bob intercept-resend: the honest insertion step, but TEST
     reveals quote the fake bits substituted on the return leg."""
-
-    def __init__(self, role, n, knowledge: AdversaryKnowledge):
-        super().__init__(role, n)
-        self.knowledge = knowledge
 
     def reveal_prepared(self, final_pos: int, origin: int) -> int:
         if final_pos in self.knowledge.fake_bits:
             return self.knowledge.fake_bits[final_pos]
         return super().reveal_prepared(final_pos, origin)
+
+
+# ---------------------------------------------------------------------------
+# The catalog
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """How the simulator realizes one catalog attack.
+
+    ``legs`` maps a channel leg to the interceptor factory placed on it,
+    ``parties`` maps a role to the party class that replaces the honest one,
+    and ``guess`` maps each targeted key ("k_b", "k_c") to the source of the
+    attacker's guesses (see ``AdversaryKnowledge.guess_bit``), or to None
+    when the attack learns nothing about it.
+    """
+
+    legs: dict = field(default_factory=dict)
+    parties: dict = field(default_factory=dict)
+    guess: dict = field(default_factory=dict)
+
+    @property
+    def target(self) -> Optional[str]:
+        """Which key string the attack is after: k_b, k_c, or both (Eve)."""
+        if not self.guess:
+            return None
+        return "both" if len(self.guess) == 2 else next(iter(self.guess))
+
+
+A2B, B2C, C2A = LEG_ORDER
+_MEASURE, _FAKES = measure_all_interceptor, replace_with_fakes_interceptor
+# Protocol A fakes that repeat Bob's own result where he measured.
+_BOB_INFORMED_FAKES = partial(replace_with_fakes_interceptor, informed_bit=_bob_measured_bit)
+_BOTH_RECORDED = {"k_b": "recorded", "k_c": "recorded"}
+_BOTH_RETAINED = {"k_b": "retained", "k_c": "retained"}
+_NOTHING = {"k_b": None, "k_c": None}
+
+# In order: the CLI, the benchmark and the oracle tests iterate over it.
+CATALOG: dict[str, CatalogEntry] = {
+    # Protocol A.  Insiders after the other party's key-case bits.
+    "a.mr.bob.1": CatalogEntry(parties={"bob": MeasureAllPartyA},
+                               guess={"k_c": "recorded"}),
+    "a.mr.bob.2": CatalogEntry(legs={C2A: _MEASURE}, guess={"k_c": "recorded"}),
+    "a.mr.charlie.1": CatalogEntry(legs={A2B: _MEASURE},
+                                   parties={"charlie": ReflectAllPartyA},
+                                   guess={"k_b": "recorded"}),
+    "a.mr.charlie.2": CatalogEntry(parties={"charlie": MeasureAllPartyA},
+                                   guess={"k_b": "recorded"}),
+    # Retained particles at Case 3 positions are Charlie's collapsed states.
+    "a.ir.bob": CatalogEntry(legs={C2A: _BOB_INFORMED_FAKES}, guess={"k_c": "retained"}),
+    # Bob measured Charlie's fakes, so his bits equal the fake bits.
+    "a.ir.charlie.1": CatalogEntry(legs={A2B: _FAKES}, guess={"k_b": "fake"}),
+    "a.ir.charlie.2": CatalogEntry(legs={A2B: _FAKES},
+                                   parties={"charlie": SwapBackPartyA},
+                                   guess={"k_b": "fake"}),
+    # Protocol A outsider on leg 1, 2 or 3.
+    "a.mr.eve.1": CatalogEntry(legs={A2B: _MEASURE}, guess=_BOTH_RECORDED),
+    "a.mr.eve.2": CatalogEntry(legs={B2C: _MEASURE}, guess=_BOTH_RECORDED),
+    "a.mr.eve.3": CatalogEntry(legs={C2A: _MEASURE}, guess=_BOTH_RECORDED),
+    "a.ir.eve.1": CatalogEntry(legs={A2B: _FAKES}, guess={"k_b": "fake", "k_c": "fake"}),
+    # Bob acted on the genuine particle, Charlie on the fake.
+    "a.ir.eve.2": CatalogEntry(legs={B2C: _FAKES},
+                               guess={"k_b": "retained", "k_c": "fake"}),
+    "a.ir.eve.3": CatalogEntry(legs={C2A: _FAKES}, guess=_BOTH_RETAINED),
+    # Protocol B insiders.
+    "b.mr.bob": CatalogEntry(legs={C2A: _MEASURE}, guess={"k_c": "recorded"}),
+    "b.mr.charlie": CatalogEntry(parties={"charlie": MeasureResendPartyB},
+                                 guess={"k_b": "recorded"}),
+    "b.ir.bob": CatalogEntry(legs={C2A: _FAKES}, parties={"bob": LyingRevealPartyB},
+                             guess={"k_c": "retained"}),
+    "b.ir.charlie": CatalogEntry(parties={"charlie": InterceptResendPartyB},
+                                 guess={"k_b": "retained"}),
+    # Protocol B outsider.  Leg 1 carries only CTRL particles, leg 2 adds
+    # Bob's key carriers, leg 3 Charlie's.
+    "b.mr.eve.1": CatalogEntry(legs={A2B: _MEASURE}, guess=_NOTHING),
+    "b.mr.eve.2": CatalogEntry(legs={B2C: _MEASURE}, guess={"k_b": "recorded", "k_c": None}),
+    "b.mr.eve.3": CatalogEntry(legs={C2A: _MEASURE}, guess=_BOTH_RECORDED),
+    "b.ir.eve.1": CatalogEntry(legs={A2B: _FAKES}, guess=_NOTHING),
+    "b.ir.eve.2": CatalogEntry(legs={B2C: _FAKES}, guess={"k_b": "retained", "k_c": None}),
+    "b.ir.eve.3": CatalogEntry(legs={C2A: _FAKES}, guess=_BOTH_RETAINED),
+}
+
+_NO_ATTACK = CatalogEntry()
+_SIFT_KEY = {"SIFT_B": "k_b", "SIFT_C": "k_c"}
 
 
 # ---------------------------------------------------------------------------
@@ -511,97 +561,19 @@ class AttackPlan:
     def __init__(self, spec: AttackSpec):
         self.spec = spec
         self.knowledge = AdversaryKnowledge()
-        self.interceptors: dict[Leg, object] = {}
-        self._build()
-
-    # -- construction -------------------------------------------------------
-
-    def _build(self):
-        spec = self.spec
-        if spec.kind == "none":
-            return
-        if spec.kind == "em":
+        self.entry = CATALOG.get(spec.attack_id, _NO_ATTACK)
+        if spec.pair is not None:
             self.interceptors = entangle_measure_interceptors(spec.pair)
-            return
-        builder = getattr(self, f"_build_{spec.protocol.lower()}_{spec.kind}")
-        builder()
+        else:
+            self.interceptors = {leg: make(self.knowledge)
+                                 for leg, make in self.entry.legs.items()}
 
-    def _eve_leg(self) -> Leg:
-        return LEG_ORDER[self.spec.variant - 1]
-
-    def _build_a_mr(self):
-        spec = self.spec
-        if spec.actor == "eve":
-            self.interceptors[self._eve_leg()] = measure_all_interceptor(
-                self.knowledge, "intercept-measurement")
-        elif (spec.actor, spec.variant) == ("bob", 2):
-            self.interceptors[Leg.CHARLIE_TO_ALICE] = measure_all_interceptor(
-                self.knowledge, "intercept-measurement")
-        elif (spec.actor, spec.variant) == ("charlie", 1):
-            self.interceptors[Leg.ALICE_TO_BOB] = measure_all_interceptor(
-                self.knowledge, "intercept-measurement")
-        # bob.1 and charlie.2 are pure party overrides, handled in party_a()
-
-    def _build_a_ir(self):
-        spec = self.spec
-        if spec.actor == "bob":
-            def informed(record, pos):
-                if record.bob_choice is Choice.MEASURE:
-                    return record.bob_result
-                return None
-            self.interceptors[Leg.CHARLIE_TO_ALICE] = replace_with_fakes_interceptor(
-                self.knowledge, informed)
-        elif spec.actor == "charlie":
-            self.interceptors[Leg.ALICE_TO_BOB] = replace_with_fakes_interceptor(
-                self.knowledge)
-        else:  # eve
-            self.interceptors[self._eve_leg()] = replace_with_fakes_interceptor(
-                self.knowledge)
-
-    def _build_b_mr(self):
-        spec = self.spec
-        if spec.actor == "bob":
-            self.interceptors[Leg.CHARLIE_TO_ALICE] = measure_all_interceptor(
-                self.knowledge, "intercept-measurement")
-        elif spec.actor == "eve":
-            self.interceptors[self._eve_leg()] = measure_all_interceptor(
-                self.knowledge, "intercept-measurement")
-        # charlie's variant is a party override
-
-    def _build_b_ir(self):
-        spec = self.spec
-        if spec.actor == "bob":
-            self.interceptors[Leg.CHARLIE_TO_ALICE] = replace_with_fakes_interceptor(
-                self.knowledge)
-        elif spec.actor == "eve":
-            self.interceptors[self._eve_leg()] = replace_with_fakes_interceptor(
-                self.knowledge)
-        # charlie's variant is a party override
-
-    # -- parties ------------------------------------------------------------
-
-    def party_a(self, role: str, n_measure: int) -> HonestPartyA:
-        spec = self.spec
-        if spec.protocol == "A" and spec.actor == role:
-            if spec.kind == "mr":
-                if (role, spec.variant) in (("bob", 1), ("charlie", 2)):
-                    return MeasureAllPartyA(role, n_measure, self.knowledge)
-                if (role, spec.variant) == ("charlie", 1):
-                    return ReflectAllPartyA(role, n_measure, self.knowledge)
-            elif spec.kind == "ir" and (role, spec.variant) == ("charlie", 2):
-                return SwapBackPartyA(role, n_measure, self.knowledge)
-        return HonestPartyA(role, n_measure)
-
-    def party_b(self, role: str, n: int) -> HonestPartyB:
-        spec = self.spec
-        if spec.protocol == "B" and spec.actor == role:
-            if spec.kind == "mr" and role == "charlie":
-                return MeasureResendPartyB(role, n, self.knowledge)
-            if spec.kind == "ir" and role == "charlie":
-                return InterceptResendPartyB(role, n, self.knowledge)
-            if spec.kind == "ir" and role == "bob":
-                return LyingRevealPartyB(role, n, self.knowledge)
-        return HonestPartyB(role, n)
+    def party(self, role: str, size: int):
+        """The party playing ``role``: the entry's override, else the honest one."""
+        override = self.entry.parties.get(role)
+        if override is not None:
+            return override(role, size, self.knowledge)
+        return (HonestPartyA if self.spec.protocol == "A" else HonestPartyB)(role, size)
 
     def interceptor(self, leg: Leg):
         return self.interceptors.get(leg)
@@ -609,11 +581,19 @@ class AttackPlan:
     @property
     def target(self) -> Optional[str]:
         """Which key string the attack is after: k_b, k_c, or both (Eve)."""
-        if self.spec.kind in ("none", "em") or self.spec.actor is None:
-            return None
-        return {"bob": "k_c", "charlie": "k_b", "eve": "both"}[self.spec.actor]
+        return self.entry.target
 
     # -- key guessing -------------------------------------------------------
+
+    def _guesses(self, carriers, rng):
+        """(key, label, bit) for each (position, key, label) carrier whose key
+        the entry has a guess source for, in carrier order."""
+        for pos, key, label in carriers:
+            source = self.entry.guess.get(key)
+            if source is not None:
+                bit = self.knowledge.guess_bit(source, pos, rng)
+                if bit is not None:
+                    yield key, label, bit
 
     def guess_a(self, context, rng: np.random.Generator) -> dict[int, int]:
         """Best guess of the targeted key-case bits, from knowledge alone.
@@ -621,47 +601,9 @@ class AttackPlan:
         ``context`` carries the key-relevant particle indices per case
         (``k_b_positions`` for Case 2, ``k_c_positions`` for Case 3).
         """
-        spec = self.spec
-        if spec.kind in ("none", "em"):
-            return {}
-        guesses: dict[int, int] = {}
-        positions = []
-        if self.target in ("k_b", "both"):
-            positions += context.k_b_positions
-        if self.target in ("k_c", "both"):
-            positions += context.k_c_positions
-        for idx in positions:
-            bit = self._guess_bit_a(idx, idx in context.k_b_positions, rng)
-            if bit is not None:
-                guesses[idx] = bit
-        return guesses
-
-    def _guess_bit_a(self, idx, is_k_b: bool, rng) -> Optional[int]:
-        spec = self.spec
-        kn = self.knowledge
-        if spec.kind == "mr":
-            return kn.recorded.get(idx)
-        # intercept-resend
-        if spec.actor == "bob":
-            # retained particles at Case 3 positions are Charlie's collapsed states
-            if idx in kn.retained:
-                return kn.measure_retained(idx, rng)
-            return None
-        if spec.actor == "charlie":
-            # Bob measured her fakes, so his bits equal the fake bits
-            return kn.fake_bits.get(idx)
-        # eve intercept-resend: depends on which leg she replaced
-        leg = self._eve_leg()
-        if leg is Leg.ALICE_TO_BOB:
-            return kn.fake_bits.get(idx)
-        if leg is Leg.BOB_TO_CHARLIE:
-            # Bob acted on the genuine particle, Charlie on the fake
-            if is_k_b:
-                return kn.measure_retained(idx, rng) if idx in kn.retained else None
-            return kn.fake_bits.get(idx)
-        if idx in kn.retained:
-            return kn.measure_retained(idx, rng)
-        return None
+        carriers = ([(idx, "k_b", idx) for idx in context.k_b_positions]
+                    + [(idx, "k_c", idx) for idx in context.k_c_positions])
+        return {idx: bit for _, idx, bit in self._guesses(carriers, rng)}
 
     def guess_b(self, context, rng: np.random.Generator) -> dict:
         """Guess the targeted parties' prepared SIFT bits.
@@ -669,53 +611,18 @@ class AttackPlan:
         Returns ``{"k_b": {origin: bit}, "k_c": {origin: bit}}``; ``context``
         carries both published orders and the resolved final positions.
         """
-        spec = self.spec
+        if C2A in self.entry.legs:
+            # Seen on the return leg: positions are Alice's final ones.
+            carriers = [(pos, _SIFT_KEY.get(tag), origin)
+                        for pos, (tag, origin) in context.resolved.items()]
+        else:
+            # Seen before Charlie's step: positions follow Bob's published order.
+            carriers = [(q, "k_b", j) for q, (what, j) in enumerate(context.bob_pub)
+                        if what == "sift"]
         out = {"k_b": {}, "k_c": {}}
-        if spec.kind in ("none", "em"):
-            return out
-        kn = self.knowledge
-        if spec.attack_id == "b.mr.bob":
-            for pos, (tag, origin) in context.resolved.items():
-                if tag == "SIFT_C" and pos in kn.recorded:
-                    out["k_c"][origin] = kn.recorded[pos]
-        elif spec.attack_id == "b.mr.charlie":
-            for q, (what, j) in enumerate(context.bob_pub):
-                if what == "sift" and q in kn.recorded:
-                    out["k_b"][j] = kn.recorded[q]
-        elif spec.attack_id == "b.ir.bob":
-            for pos, (tag, origin) in context.resolved.items():
-                if tag == "SIFT_C" and pos in kn.retained:
-                    out["k_c"][origin] = kn.measure_retained(pos, rng)
-        elif spec.attack_id == "b.ir.charlie":
-            for q, (what, j) in enumerate(context.bob_pub):
-                if what == "sift" and q in kn.retained:
-                    out["k_b"][j] = kn.measure_retained(q, rng)
-        elif spec.actor == "eve":
-            self._guess_b_eve(context, rng, out)
+        for key, origin, bit in self._guesses(carriers, rng):
+            out[key][origin] = bit
         return out
-
-    def _guess_b_eve(self, context, rng, out):
-        kn = self.knowledge
-        leg = self._eve_leg()
-        if leg is Leg.ALICE_TO_BOB:
-            return  # only CTRL particles travel there; no key information
-        if leg is Leg.BOB_TO_CHARLIE:
-            for q, (what, j) in enumerate(context.bob_pub):
-                if what != "sift":
-                    continue
-                if self.spec.kind == "mr" and q in kn.recorded:
-                    out["k_b"][j] = kn.recorded[q]
-                elif self.spec.kind == "ir" and q in kn.retained:
-                    out["k_b"][j] = kn.measure_retained(q, rng)
-            return
-        for pos, (tag, origin) in context.resolved.items():
-            key = {"SIFT_B": "k_b", "SIFT_C": "k_c"}.get(tag)
-            if key is None:
-                continue
-            if self.spec.kind == "mr" and pos in kn.recorded:
-                out[key][origin] = kn.recorded[pos]
-            elif self.spec.kind == "ir" and pos in kn.retained:
-                out[key][origin] = kn.measure_retained(pos, rng)
 
 
 def build_attack_plan(spec: Optional[AttackSpec], protocol: str) -> AttackPlan:

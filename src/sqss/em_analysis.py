@@ -108,20 +108,29 @@ class FinalProbeTable:
         return max(self.leakage.values())
 
 
-def final_probe_table(pair: UnitaryPair) -> FinalProbeTable:
+def _measured_branches(pair: UnitaryPair) -> dict:
+    """``(s, x) -> (eps, phi)``: the probe branch eps that travels with a
+    measured |x> after the first unitary acts on preparation s, and phi, the
+    second unitary applied to |x> (x) eps.  Ordered by s, then x."""
     table = branch_decompose(pair.first, pair.probe_dim)
-    d = pair.probe_dim
-    finals = {}
-    leakage = {}
+    out = {}
     for s in PREPS:
         for x in (0, 1):
             eps = table.branch(s, x)
             qubit = np.zeros(2, dtype=complex)
             qubit[x] = 1.0
-            phi = pair.second @ _embed(qubit, eps)
-            b = _blocks(phi, d)
-            finals[(s, x)] = b[x]
-            leakage[(s, x)] = float(np.linalg.norm(b[1 - x]))
+            out[(s, x)] = (eps, pair.second @ _embed(qubit, eps))
+    return out
+
+
+def final_probe_table(pair: UnitaryPair) -> FinalProbeTable:
+    d = pair.probe_dim
+    finals = {}
+    leakage = {}
+    for (s, x), (_, phi) in _measured_branches(pair).items():
+        b = _blocks(phi, d)
+        finals[(s, x)] = b[x]
+        leakage[(s, x)] = float(np.linalg.norm(b[1 - x]))
     return FinalProbeTable(probe_dim=d, finals=finals, leakage=leakage)
 
 
@@ -149,17 +158,24 @@ def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile
 def _measured_chain_error(pair: UnitaryPair) -> float:
     """P(Alice's Z outcome differs from the classical party's measured bit),
     averaged over the four uniform preparations and the Born-rule branch."""
-    table = branch_decompose(pair.first, pair.probe_dim)
     d = pair.probe_dim
     total = 0.0
-    for s in PREPS:
-        for x in (0, 1):
-            eps = table.branch(s, x)
-            qubit = np.zeros(2, dtype=complex)
-            qubit[x] = 1.0
-            phi = pair.second @ _embed(qubit, eps)
-            wrong = _blocks(phi, d)[1 - x]
-            total += float(np.sum(np.abs(wrong) ** 2))
+    for (_, x), (_, phi) in _measured_branches(pair).items():
+        wrong = _blocks(phi, d)[1 - x]
+        total += float(np.sum(np.abs(wrong) ** 2))
+    return total / len(PREPS)
+
+
+def _prep_basis_error(finals, d: int) -> float:
+    """Mean probability that a preparation-basis measurement of the qubit in
+    ``finals[i]`` (the final joint state of preparation ``PREPS[i]``) does
+    not return the prepared state."""
+    total = 0.0
+    for s, psi in zip(PREPS, finals):
+        sv = prepare(s).vector()
+        b0, b1 = _blocks(psi, d)
+        kept = sv[0].conjugate() * b0 + sv[1].conjugate() * b1
+        total += 1.0 - float(np.sum(np.abs(kept) ** 2))
     return total / len(PREPS)
 
 
@@ -171,13 +187,8 @@ def _error_profile_a(pair: UnitaryPair) -> ErrorProfile:
     measured = _measured_chain_error(pair)
     # Case 4: both parties reflect, the return unitary acts on the full
     # superposition, and Alice measures in the preparation basis.
-    case4 = 0.0
-    for s in PREPS:
-        psi = pair.second @ (pair.first @ _prep_probe_vec(s, d))
-        sv = prepare(s).vector()
-        kept = sv[0].conjugate() * _blocks(psi, d)[0] + sv[1].conjugate() * _blocks(psi, d)[1]
-        case4 += 1.0 - float(np.sum(np.abs(kept) ** 2))
-    case4 /= len(PREPS)
+    case4 = _prep_basis_error(
+        [pair.second @ (pair.first @ _prep_probe_vec(s, d)) for s in PREPS], d)
     return ErrorProfile(mode="A", rates={
         "case1": measured, "case2": measured, "case3": measured, "case4": case4,
     })
@@ -186,13 +197,7 @@ def _error_profile_a(pair: UnitaryPair) -> ErrorProfile:
 def _error_profile_b(pair: UnitaryPair) -> ErrorProfile:
     d = pair.probe_dim
     u_both = pair.second @ pair.first
-    ctrl = 0.0
-    for s in PREPS:
-        psi = u_both @ _prep_probe_vec(s, d)
-        sv = prepare(s).vector()
-        kept = sv[0].conjugate() * _blocks(psi, d)[0] + sv[1].conjugate() * _blocks(psi, d)[1]
-        ctrl += 1.0 - float(np.sum(np.abs(kept) ** 2))
-    ctrl /= len(PREPS)
+    ctrl = _prep_basis_error([u_both @ _prep_probe_vec(s, d) for s in PREPS], d)
     test_b = 0.0
     for r, s in enumerate(Z_PREPS):
         psi = u_both @ _prep_probe_vec(s, d)
@@ -226,17 +231,14 @@ def _distinguishability_a(pair: UnitaryPair) -> float:
     # Conditioning on Bob's result (Case 2 key bits) and on Charlie's (Case 3)
     # produces the same ensemble: either way the return unitary sees |x> and
     # the x branch of the probe.
-    table = branch_decompose(pair.first, pair.probe_dim)
+    branches = _measured_branches(pair)
     d = pair.probe_dim
     rhos = []
     for x in (0, 1):
         acc = np.zeros((d, d), dtype=complex)
         weight = 0.0
         for s in PREPS:
-            eps = table.branch(s, x)
-            qubit = np.zeros(2, dtype=complex)
-            qubit[x] = 1.0
-            phi = pair.second @ _embed(qubit, eps)
+            eps, phi = branches[(s, x)]
             acc += _probe_outer(phi, d) / len(PREPS)
             weight += float(np.sum(np.abs(eps) ** 2)) / len(PREPS)
         rhos.append((weight, acc))

@@ -11,12 +11,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
 from .adversary import AttackSpec, parse_attack_id
-from .oracle import detection_oracle
 from .protocol_a import CHECKS_A, ProtocolAConfig, run_protocol_a
 from .protocol_b import CHECKS_B, ProtocolBConfig, run_protocol_b
 from .runtime import RunReport, SimulationError
@@ -58,8 +56,14 @@ class ExperimentConfig:
         expected = ProtocolAConfig if self.protocol == "A" else ProtocolBConfig
         if not isinstance(self.protocol_config, expected):
             raise ConfigError(f"protocol {self.protocol} needs a {expected.__name__}")
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.attack is not None and self.attack.protocol != self.protocol:
             raise ConfigError(f"attack {self.attack.attack_id} does not match "
                               f"protocol {self.protocol}")
@@ -72,18 +76,16 @@ class ExperimentConfig:
         cfg = self.protocol_config
         if self.protocol == "A":
             params = {"n": cfg.n, "m": cfg.m, "check_fraction": cfg.check_fraction,
-                      "thresholds": dict(cfg.thresholds),
-                      "announcement_order": cfg.announcement_order}
+                      "thresholds": dict(cfg.thresholds)}
         else:
             params = {"n": cfg.n, "test_fraction": cfg.test_fraction,
-                      "thresholds": dict(cfg.thresholds),
-                      "publication_order": cfg.publication_order}
+                      "thresholds": dict(cfg.thresholds)}
         return {"protocol": self.protocol, "attack": self.attack_id,
                 "trials": self.trials, "seed": self.seed, "params": params}
 
 
-_A_PARAM_KEYS = {"n", "m", "check_fraction", "thresholds", "announcement_order"}
-_B_PARAM_KEYS = {"n", "test_fraction", "thresholds", "publication_order"}
+_A_PARAM_KEYS = {"n", "m", "check_fraction", "thresholds"}
+_B_PARAM_KEYS = {"n", "test_fraction", "thresholds"}
 _TOP_KEYS = {"protocol", "trials", "seed", "attack", "params", "output"}
 
 
@@ -98,12 +100,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        protocol = str(data["protocol"]).upper()
-        trials = int(data.get("trials", 1))
-        seed = int(data.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad top-level config value: {exc}") from exc
+    if "protocol" not in data:
+        raise ConfigError("config needs a protocol")
+    protocol = str(data["protocol"]).upper()
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
@@ -125,8 +124,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"bad attack id {attack_id!r}: {exc}") from exc
         if attack.kind == "none":
             attack = None
-    return ExperimentConfig(protocol=protocol, protocol_config=pconfig,
-                            attack=attack, trials=trials, seed=seed)
+    return ExperimentConfig(protocol=protocol, protocol_config=pconfig, attack=attack,
+                            trials=data.get("trials", 1), seed=data.get("seed", 0))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -274,9 +273,3 @@ def write_report(config: ExperimentConfig, stats: DetectionStats,
                                      _sig12(s.rate), _sig12(s.ci_low), _sig12(s.ci_high)])
     except OSError as exc:
         raise ConfigError(f"cannot write report to {path}: {exc}") from exc
-
-
-def oracle_table(protocol: str, attack_id: Optional[str]) -> dict[str, Fraction]:
-    """Exact per-check probabilities (thin wrapper kept here so experiment
-    code has a single entry point for both simulation and enumeration)."""
-    return detection_oracle(protocol, attack_id)

@@ -33,8 +33,11 @@ from .runtime import (
     Leg,
     ParticleRecord,
     RunReport,
+    abort_reason,
+    check_thresholds,
     derive_keys,
     evaluate_check,
+    score_payoff,
     transcript_digest,
     transmit,
 )
@@ -79,9 +82,6 @@ class ProtocolAConfig:
     m: int
     check_fraction: float = 0.5
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
-    # Announcement ordering only matters to adaptive announcement strategies,
-    # none of which are in the catalog; kept configurable for experiments.
-    announcement_order: str = "bob_first"
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,11 +90,7 @@ class ProtocolAConfig:
             raise ValueError("m must exceed n")
         if not 0.0 < self.check_fraction <= 1.0:
             raise ValueError("check_fraction must be in (0, 1]")
-        for check in CHECKS_A:
-            if check not in self.thresholds:
-                raise ValueError(f"missing threshold for {check}")
-        if self.announcement_order not in ("bob_first", "charlie_first", "simultaneous"):
-            raise ValueError(f"bad announcement_order {self.announcement_order!r}")
+        check_thresholds(self.thresholds, CHECKS_A)
 
     @property
     def total(self) -> int:
@@ -129,8 +125,8 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     records = [ParticleRecord(index=i, prepared=s, in_flight=prepare(s))
                for i, s in enumerate(preps)]
 
-    bob = plan.party_a("bob", config.n)
-    charlie = plan.party_a("charlie", config.n)
+    bob = plan.party("bob", config.n)
+    charlie = plan.party("charlie", config.n)
 
     records = transmit(records, Leg.ALICE_TO_BOB, plan.interceptor(Leg.ALICE_TO_BOB), rng)
     bob.act(records, rng)
@@ -138,10 +134,8 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     charlie.act(records, rng)
     records = transmit(records, Leg.CHARLIE_TO_ALICE, plan.interceptor(Leg.CHARLIE_TO_ALICE), rng)
 
-    first, second = ((bob, charlie) if config.announcement_order != "charlie_first"
-                     else (charlie, bob))
-    first.announce(records, rng)
-    second.announce(records, rng)
+    bob.announce(records, rng)
+    charlie.announce(records, rng)
 
     by_case: dict[CaseLabel, list[ParticleRecord]] = {c: [] for c in CaseLabel}
     for r in records:
@@ -175,21 +169,14 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     mism4 = sum(1 for r in c4 if r.alice_final[1] != expected_outcome(r.prepared))
     checks.append(evaluate_check("case4", len(c4), mism4, config.thresholds["case4"]))
 
-    aborted = False
-    abort_reason = None
-    for c in checks:
-        if c.inconclusive:
-            aborted, abort_reason = True, f"inconclusive check {c.check_id}"
-            break
-        if not c.passed:
-            aborted, abort_reason = True, f"check {c.check_id} failed ({c.error_rate:.4f})"
-            break
+    reason = abort_reason(checks)
+    aborted = reason is not None
 
     keys: Optional[KeyMaterial] = None
     if not aborted:
         if not withheld2 or not withheld3:
             aborted = True
-            abort_reason = "no undisclosed key particles remain"
+            reason = "no undisclosed key particles remain"
         else:
             keys = derive_keys([by_index[i].alice_final[1] for i in withheld2],
                                [by_index[i].alice_final[1] for i in withheld3])
@@ -211,7 +198,7 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     })
 
     return RunReport(protocol="A", seed=seed, checks=tuple(checks), aborted=aborted,
-                     abort_reason=abort_reason, keys=keys, payoff=payoff,
+                     abort_reason=reason, keys=keys, payoff=payoff,
                      transcript_digest=digest)
 
 
@@ -219,20 +206,11 @@ def _score_payoff(plan, context, by_index, rng) -> Optional[dict]:
     """Fraction of the targeted party's key-case bits the adversary guesses right."""
     if plan.target is None:
         return None
-    guesses = plan.guess_a(context, rng)
-    scored = 0
-    correct = 0
-    for idx, bit in guesses.items():
+    scored = []
+    for idx, bit in plan.guess_a(context, rng).items():
         record = by_index[idx]
         truth = (record.bob_result if idx in context.k_b_positions
                  else record.charlie_result)
-        if truth is None:
-            continue
-        scored += 1
-        correct += int(truth == bit)
-    return {
-        "target": plan.target,
-        "guessed": scored,
-        "correct": correct,
-        "fraction": (correct / scored) if scored else 0.0,
-    }
+        if truth is not None:
+            scored.append((bit, truth))
+    return score_payoff(plan.target, scored)

@@ -32,8 +32,11 @@ from .runtime import (
     KeyMaterial,
     Leg,
     RunReport,
+    abort_reason,
+    check_thresholds,
     derive_keys,
     evaluate_check,
+    score_payoff,
     transcript_digest,
     transmit,
 )
@@ -59,8 +62,6 @@ class TaggedParticle:
     state: Union[PureState, CompositeState]
     tag: str                        # "CTRL" | "SIFT_B" | "SIFT_C" | "FAKE"
     origin: Optional[int]
-    hidden_bit: Optional[int] = None
-    index: Optional[int] = None     # unused; interceptors key by position
 
 
 @dataclass(frozen=True)
@@ -68,20 +69,13 @@ class ProtocolBConfig:
     n: int
     test_fraction: float = 0.5
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
-    # Both orders are published at the same time by default; sequential modes
-    # exist for experimenting with adaptive announcements.
-    publication_order: str = "simultaneous"
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        for check in CHECKS_B:
-            if check not in self.thresholds:
-                raise ValueError(f"missing threshold for {check}")
-        if self.publication_order not in ("simultaneous", "bob_first", "charlie_first"):
-            raise ValueError(f"bad publication_order {self.publication_order!r}")
+        check_thresholds(self.thresholds, CHECKS_B)
 
 
 def resolve_orders(bob_pub, charlie_pub, n: int) -> Optional[dict[int, tuple[str, int]]]:
@@ -151,8 +145,8 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     batch = [TaggedParticle(state=prepare(s), tag="CTRL", origin=i)
              for i, s in enumerate(preps)]
 
-    bob = plan.party_b("bob", n)
-    charlie = plan.party_b("charlie", n)
+    bob = plan.party("bob", n)
+    charlie = plan.party("charlie", n)
 
     batch = transmit(batch, Leg.ALICE_TO_BOB, plan.interceptor(Leg.ALICE_TO_BOB), rng)
     batch = bob.process(batch, rng)
@@ -201,21 +195,14 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     untested_b = run_test("SIFT_B", bob, "test_b")
     untested_c = run_test("SIFT_C", charlie, "test_c")
 
-    aborted = False
-    abort_reason = None
-    for c in checks:
-        if c.inconclusive:
-            aborted, abort_reason = True, f"inconclusive check {c.check_id}"
-            break
-        if not c.passed:
-            aborted, abort_reason = True, f"check {c.check_id} failed ({c.error_rate:.4f})"
-            break
+    reason = abort_reason(checks)
+    aborted = reason is not None
 
     keys: Optional[KeyMaterial] = None
     if not aborted:
         if not untested_b or not untested_c:
             aborted = True
-            abort_reason = "no untested key particles remain"
+            reason = "no untested key particles remain"
         else:
             bits_b = [outcomes[pos] for pos, _ in sorted(untested_b, key=lambda t: t[1])]
             bits_c = [outcomes[pos] for pos, _ in sorted(untested_c, key=lambda t: t[1])]
@@ -240,7 +227,7 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     })
 
     return RunReport(protocol="B", seed=seed, checks=tuple(checks), aborted=aborted,
-                     abort_reason=abort_reason, keys=keys, payoff=payoff,
+                     abort_reason=reason, keys=keys, payoff=payoff,
                      transcript_digest=digest)
 
 
@@ -249,20 +236,8 @@ def _score_payoff(plan, context, bob, charlie, rng) -> Optional[dict]:
     if plan.target is None:
         return None
     guesses = plan.guess_b(context, rng)
-    scored = 0
-    correct = 0
-    for key, party, untested in (("k_b", bob, context.untested_b),
-                                 ("k_c", charlie, context.untested_c)):
-        if plan.target not in (key, "both"):
-            continue
-        for origin in untested:
-            if origin not in guesses[key]:
-                continue
-            scored += 1
-            correct += int(guesses[key][origin] == party.prepared_bits[origin])
-    return {
-        "target": plan.target,
-        "guessed": scored,
-        "correct": correct,
-        "fraction": (correct / scored) if scored else 0.0,
-    }
+    return score_payoff(plan.target, [
+        (guesses[key][origin], party.prepared_bits[origin])
+        for key, party, untested in (("k_b", bob, context.untested_b),
+                                     ("k_c", charlie, context.untested_c))
+        for origin in untested if origin in guesses[key]])

@@ -93,6 +93,42 @@ def evaluate_check(check_id: str, compared: int, mismatches: int,
     return CheckVerdict(check_id, compared, mismatches, rate, passed=rate <= threshold)
 
 
+def check_thresholds(thresholds, checks) -> None:
+    """Thresholds must name exactly ``checks``, each a rate in [0, 1]."""
+    if not isinstance(thresholds, dict) or set(thresholds) != set(checks):
+        raise ValueError(f"thresholds must have exactly the keys {list(checks)}, "
+                         f"got {thresholds!r}")
+    for check, value in thresholds.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0.0 <= value <= 1.0):
+            raise ValueError(f"threshold for {check} must be in [0, 1], got {value!r}")
+
+
+def abort_reason(checks) -> Optional[str]:
+    """Why the first failing or inconclusive check aborts a run, else None."""
+    for c in checks:
+        if c.inconclusive:
+            return f"inconclusive check {c.check_id}"
+        if not c.passed:
+            return f"check {c.check_id} failed ({c.error_rate:.4f})"
+    return None
+
+
+def score_payoff(target: str, guesses_and_truths) -> dict:
+    """How many of an attack's scored guesses match the true bits."""
+    scored = 0
+    correct = 0
+    for guess, truth in guesses_and_truths:
+        scored += 1
+        correct += int(guess == truth)
+    return {
+        "target": target,
+        "guessed": scored,
+        "correct": correct,
+        "fraction": (correct / scored) if scored else 0.0,
+    }
+
+
 @dataclass(frozen=True)
 class KeyMaterial:
     """Equal-length shared key strings with k_a = k_b XOR k_c."""

@@ -5,6 +5,7 @@ import pytest
 
 from sqss.adversary import (
     ALLOWED_SOURCES,
+    AdversaryKnowledge,
     AttackSpec,
     UnitaryPair,
     UnsupportedAttackError,
@@ -15,7 +16,7 @@ from sqss.adversary import (
 from sqss.protocol_a import ProtocolAConfig, default_thresholds, run_protocol_a
 from sqss.protocol_b import ProtocolBConfig, run_protocol_b
 from sqss.protocol_b import default_thresholds as default_thresholds_b
-from sqss.runtime import Leg
+from sqss.runtime import Leg, SimulationError
 
 
 def test_catalog_ids_round_trip():
@@ -43,6 +44,9 @@ def test_invalid_combinations_rejected():
         parse_attack_id("a.zz.bob")
     with pytest.raises(UnsupportedAttackError):
         AttackSpec("A", "em", pair=None)
+    eye = UnitaryPair(first=np.eye(4), second=np.eye(4), probe_dim=2, protocol="A")
+    with pytest.raises(UnsupportedAttackError):
+        AttackSpec("A", "mr", "bob", 1, pair=eye)  # a pair only configures "em"
 
 
 def test_unitary_pair_validation_and_legs():
@@ -97,6 +101,13 @@ def test_knowledge_provenance_is_audited(monkeypatch):
         assert plan.knowledge.provenance  # the attack actually learned something
         for source in plan.knowledge.provenance.values():
             assert source in ALLOWED_SOURCES
+
+
+def test_unaudited_source_is_rejected():
+    knowledge = AdversaryKnowledge()
+    with pytest.raises(SimulationError):
+        knowledge.record(0, 1, "peeked-at-alice")
+    assert not knowledge.recorded
 
 
 def test_eve_leg_mapping():

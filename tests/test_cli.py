@@ -41,6 +41,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol, params", [
+    ("a", {"n": 6, "m": 14, "announcement_order": "bob_first"}),
+    ("b", {"n": 8, "publication_order": "simultaneous"}),
+])
+def test_removed_order_knobs_exit_2(tmp_path, capsys, protocol, params):
+    config = _write_config(tmp_path, {"protocol": protocol, "params": params})
+    assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
+    assert "unknown params keys" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = cli.main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == cli.EXIT_CONFIG

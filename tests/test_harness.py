@@ -11,14 +11,14 @@ from sqss.harness import (
     config_from_dict,
     load_config,
     monte_carlo,
-    oracle_table,
     run_one,
     stats_to_dict,
     wilson_interval,
     write_report,
 )
-from sqss.protocol_a import ProtocolAConfig
-from sqss.protocol_b import ProtocolBConfig
+from sqss.oracle import detection_oracle
+from sqss.protocol_a import CHECKS_A, ProtocolAConfig
+from sqss.protocol_b import CHECKS_B, ProtocolBConfig
 
 
 def test_wilson_interval_basics():
@@ -58,6 +58,28 @@ def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         # threshold spelled wrong must not be silently dropped
         config_from_dict({"protocol": "B", "params": {"n": 8, "treshold": {}}})
+
+
+@pytest.mark.parametrize("top", [{"trials": 2.9}, {"trials": True}, {"seed": -1}],
+                         ids=["float-trials", "bool-trials", "negative-seed"])
+def test_config_from_dict_rejects_inexact_top_level_ints(top):
+    with pytest.raises(ConfigError):
+        config_from_dict({"protocol": "A", "params": {"n": 5, "m": 12}, **top})
+
+
+@pytest.mark.parametrize("protocol, checks, params", [
+    ("A", CHECKS_A, {"n": 5, "m": 12}),
+    ("B", CHECKS_B, {"n": 8}),
+], ids=["A", "B"])
+@pytest.mark.parametrize("key, value", [("bogus", 0.05), (None, float("nan")),
+                                        (None, -0.01), (None, 1.5)],
+                         ids=["unknown-key", "nan", "negative", "above-one"])
+def test_config_from_dict_rejects_bad_thresholds(protocol, checks, params, key, value):
+    thresholds = dict.fromkeys(checks, 0.05)
+    thresholds[key or checks[0]] = value
+    with pytest.raises(ConfigError):
+        config_from_dict({"protocol": protocol,
+                          "params": {**params, "thresholds": thresholds}})
 
 
 def test_config_from_dict_rejects_mismatched_attack():
@@ -134,7 +156,7 @@ def test_monte_carlo_attack_rate_matches_exact_probability():
                                "params": {"n": 20, "thresholds": {
                                    "ctrl": 1.0, "test_b": 1.0, "test_c": 1.0}}})
     stats, _ = monte_carlo(config)
-    exact = oracle_table("B", "b.mr.charlie")
+    exact = detection_oracle("B", "b.mr.charlie")
     assert exact["ctrl"] == Fraction(1, 4)
     s = stats.check("ctrl")
     assert s.ci_low <= 0.25 <= s.ci_high

@@ -94,9 +94,3 @@ def test_attack_payoff_scored_when_run_survives():
     assert report.payoff["guessed"] > 0
     assert report.payoff["fraction"] == pytest.approx(1.0)
 
-
-def test_announcement_order_variants_run():
-    for order in ("bob_first", "charlie_first", "simultaneous"):
-        config = ProtocolAConfig(n=8, m=20, announcement_order=order)
-        report = run_protocol_a(config, None, 1)
-        assert not report.aborted
