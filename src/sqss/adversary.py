@@ -25,9 +25,8 @@ import numpy as np
 from .qstate import (
     Basis,
     CompositeState,
-    PureState,
+    apply_unitary_batch,
     check_unitary,
-    lift,
     measure,
     measure_qubit,
     zstate,
@@ -362,20 +361,13 @@ def _bob_measured_bit(record, pos):
 def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
     """Apply the pair's first unitary on its outbound leg and the second on the
     return leg; each particle carries its own probe, initially |e0>."""
-    d = pair.probe_dim
-
-    def attach_and_apply(state, u):
-        if isinstance(state, PureState):
-            state = lift(state, d)
-        return CompositeState(u @ state.amps, state.dim_probe)
-
     def make(u):
         def intercept(batch, leg, rng):
-            for p in batch:
-                if hasattr(p, "in_flight"):
-                    p.in_flight = attach_and_apply(p.in_flight, u)
-                else:
-                    p.state = attach_and_apply(p.state, u)
+            attr = "in_flight" if batch and hasattr(batch[0], "in_flight") else "state"
+            states = apply_unitary_batch([getattr(p, attr) for p in batch], u,
+                                         pair.probe_dim)
+            for p, state in zip(batch, states):
+                setattr(p, attr, state)
             return batch
         return intercept
 

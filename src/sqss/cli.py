@@ -1,7 +1,7 @@
 """Command-line interface for experiments, sweeps, and exact probabilities.
 
-Exit codes: 0 success, 1 an experiment aborted with a fatal simulator error,
-2 configuration error.
+Exit codes: 0 success, 1 an experiment aborted because a trial raised an
+error (the message names the trial and its derived seed), 2 configuration error.
 """
 
 from __future__ import annotations

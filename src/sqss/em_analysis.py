@@ -124,10 +124,13 @@ def _measured_branches(pair: UnitaryPair) -> dict:
 
 
 def final_probe_table(pair: UnitaryPair) -> FinalProbeTable:
-    d = pair.probe_dim
+    return _final_probe_table(_measured_branches(pair), pair.probe_dim)
+
+
+def _final_probe_table(branches: dict, d: int) -> FinalProbeTable:
     finals = {}
     leakage = {}
-    for (s, x), (_, phi) in _measured_branches(pair).items():
+    for (s, x), (_, phi) in branches.items():
         b = _blocks(phi, d)
         finals[(s, x)] = b[x]
         leakage[(s, x)] = float(np.linalg.norm(b[1 - x]))
@@ -146,21 +149,24 @@ class ErrorProfile:
         return max(self.rates.values())
 
 
-def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile:
+def _mode_of(pair: UnitaryPair, mode: Optional[str]) -> str:
     mode = mode or pair.protocol
     if mode != pair.protocol:
         raise ValueError(f"pair is for protocol {pair.protocol}, not {mode}")
-    if mode == "A":
-        return _error_profile_a(pair)
+    return mode
+
+
+def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile:
+    if _mode_of(pair, mode) == "A":
+        return _error_profile_a(pair, _measured_branches(pair))
     return _error_profile_b(pair)
 
 
-def _measured_chain_error(pair: UnitaryPair) -> float:
+def _measured_chain_error(branches: dict, d: int) -> float:
     """P(Alice's Z outcome differs from the classical party's measured bit),
     averaged over the four uniform preparations and the Born-rule branch."""
-    d = pair.probe_dim
     total = 0.0
-    for (_, x), (_, phi) in _measured_branches(pair).items():
+    for (_, x), (_, phi) in branches.items():
         wrong = _blocks(phi, d)[1 - x]
         total += float(np.sum(np.abs(wrong) ** 2))
     return total / len(PREPS)
@@ -179,12 +185,12 @@ def _prep_basis_error(finals, d: int) -> float:
     return total / len(PREPS)
 
 
-def _error_profile_a(pair: UnitaryPair) -> ErrorProfile:
+def _error_profile_a(pair: UnitaryPair, branches: dict) -> ErrorProfile:
     d = pair.probe_dim
     # Cases 1-3 share the same physical chain: some classical party holds a
     # Z result x, the return unitary acts on |x> and its probe branch, and a
     # mismatch means Alice's Z outcome flips away from x.
-    measured = _measured_chain_error(pair)
+    measured = _measured_chain_error(branches, d)
     # Case 4: both parties reflect, the return unitary acts on the full
     # superposition, and Alice measures in the preparation basis.
     case4 = _prep_basis_error(
@@ -219,20 +225,15 @@ def _density(mat: np.ndarray) -> DensityMatrix:
 def probe_distinguishability(pair: UnitaryPair, mode: Optional[str] = None) -> float:
     """Maximum trace distance between the attacker's final probe states
     conditioned on the two values of a key bit."""
-    mode = mode or pair.protocol
-    if mode != pair.protocol:
-        raise ValueError(f"pair is for protocol {pair.protocol}, not {mode}")
-    if mode == "A":
-        return _distinguishability_a(pair)
+    if _mode_of(pair, mode) == "A":
+        return _distinguishability_a(_measured_branches(pair), pair.probe_dim)
     return _distinguishability_b(pair)
 
 
-def _distinguishability_a(pair: UnitaryPair) -> float:
+def _distinguishability_a(branches: dict, d: int) -> float:
     # Conditioning on Bob's result (Case 2 key bits) and on Charlie's (Case 3)
     # produces the same ensemble: either way the return unitary sees |x> and
     # the x branch of the probe.
-    branches = _measured_branches(pair)
-    d = pair.probe_dim
     rhos = []
     for x in (0, 1):
         acc = np.zeros((d, d), dtype=complex)
@@ -282,28 +283,34 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None,
     """If the pair induces no check error (within err_tol), verify that the
     probe carries no key information and that the structural identities the
     zero-error condition forces all hold within tolerance."""
-    mode = mode or pair.protocol
-    profile = error_profile(pair, mode)
+    mode = _mode_of(pair, mode)
+    # Mode A decomposes the first unitary once and shares it.
+    branches = _measured_branches(pair) if mode == "A" else None
+    profile = _error_profile_a(pair, branches) if mode == "A" else _error_profile_b(pair)
     zero_error = profile.max_rate <= err_tol
     if not zero_error:
         return TheoremVerdict(mode=mode, max_error=profile.max_rate, zero_error=False,
                               distinguishability=None, residuals={}, holds=None)
-    info = probe_distinguishability(pair, mode)
-    residuals = (_residuals_a(pair) if mode == "A" else _residuals_b(pair))
+    if mode == "A":
+        info = _distinguishability_a(branches, pair.probe_dim)
+        residuals = _residuals_a(branches, pair.probe_dim)
+    else:
+        info = _distinguishability_b(pair)
+        residuals = _residuals_b(pair)
     holds = info <= info_tol and max(residuals.values()) <= residual_tol
     return TheoremVerdict(mode=mode, max_error=profile.max_rate, zero_error=True,
                           distinguishability=info, residuals=residuals, holds=holds)
 
 
-def _residuals_a(pair: UnitaryPair) -> dict:
-    table = branch_decompose(pair.first, pair.probe_dim)
-    fpt = final_probe_table(pair)
+def _residuals_a(branches: dict, d: int) -> dict:
+    fpt = _final_probe_table(branches, d)
     f = fpt.finals
     Z0, Z1, P, M = PrepState.ZERO, PrepState.ONE, PrepState.PLUS, PrepState.MINUS
     nrm = np.linalg.norm
     return {
         "final_qubit_leakage": fpt.max_leakage,
-        "cross_branch_initial": max(nrm(table.branch(Z0, 1)), nrm(table.branch(Z1, 0))),
+        # The first unitary's probe branches (eps), before the second acts.
+        "cross_branch_initial": max(nrm(branches[(Z0, 1)][0]), nrm(branches[(Z1, 0)][0])),
         "cross_branch_final": max(nrm(f[(Z0, 1)]), nrm(f[(Z1, 0)])),
         "plus_branch_match": nrm(f[(P, 0)] - f[(P, 1)]),
         "minus_branch_antimatch": nrm(f[(M, 0)] + f[(M, 1)]),

@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .adversary import AttackSpec, parse_attack_id
 from .protocol_a import CHECKS_A, ProtocolAConfig, run_protocol_a
 from .protocol_b import CHECKS_B, ProtocolBConfig, run_protocol_b
-from .runtime import RunReport, SimulationError
+from .runtime import RunReport
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
@@ -164,16 +164,24 @@ class DetectionStats:
 
 
 class ExperimentAborted(RuntimeError):
-    """A trial raised a fatal simulator error; carries the trial index."""
+    """A trial raised an error; carries the trial index and its derived seed,
+    so the trial can be replayed alone."""
 
-    def __init__(self, trial: int, cause: Exception):
-        super().__init__(f"trial {trial} failed: {cause}")
+    def __init__(self, trial: int, seed: tuple[int, int], cause: Exception):
+        super().__init__(f"trial {trial} (seed {seed}) failed: "
+                         f"{type(cause).__name__}: {cause}")
         self.trial = trial
+        self.seed = seed
         self.cause = cause
 
 
+def trial_seed(config: ExperimentConfig, trial: int) -> tuple[int, int]:
+    """The derived seed trial ``trial`` of ``config`` runs with."""
+    return (config.seed, trial)
+
+
 def run_one(config: ExperimentConfig, trial: int) -> RunReport:
-    seed = (config.seed, trial)
+    seed = trial_seed(config, trial)
     if config.protocol == "A":
         return run_protocol_a(config.protocol_config, config.attack, seed)
     return run_protocol_b(config.protocol_config, config.attack, seed)
@@ -192,8 +200,8 @@ def monte_carlo(config: ExperimentConfig) -> tuple[DetectionStats, list[str]]:
     for trial in range(config.trials):
         try:
             report = run_one(config, trial)
-        except SimulationError as exc:
-            raise ExperimentAborted(trial, exc) from exc
+        except Exception as exc:
+            raise ExperimentAborted(trial, trial_seed(config, trial), exc) from exc
         digests.append(report.transcript_digest)
         for c in report.checks:
             compared[c.check_id] += c.compared

@@ -34,6 +34,8 @@ from .runtime import (
     ParticleRecord,
     RunReport,
     abort_reason,
+    check_int,
+    check_real,
     check_thresholds,
     derive_keys,
     evaluate_check,
@@ -84,6 +86,9 @@ class ProtocolAConfig:
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
 
     def __post_init__(self):
+        check_int("n", self.n)
+        check_int("m", self.m)
+        check_real("check_fraction", self.check_fraction)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.m <= self.n:

@@ -33,6 +33,8 @@ from .runtime import (
     Leg,
     RunReport,
     abort_reason,
+    check_int,
+    check_real,
     check_thresholds,
     derive_keys,
     evaluate_check,
@@ -71,6 +73,8 @@ class ProtocolBConfig:
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
 
     def __post_init__(self):
+        check_int("n", self.n)
+        check_real("test_fraction", self.test_fraction)
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 0.0 < self.test_fraction < 1.0:

@@ -7,6 +7,7 @@ floating-point rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -88,6 +89,11 @@ def basis_state(basis: Basis, bit: int) -> PureState:
     return zstate(bit) if basis is Basis.Z else xstate(bit)
 
 
+def _weight(v: np.ndarray) -> float:
+    """Squared norm of a complex vector."""
+    return float(np.vdot(v, v).real)
+
+
 def _draw(p0: float, rng: np.random.Generator) -> int:
     """Draw a bit with P(0) = p0, never selecting a branch below MIN_BRANCH_PROB."""
     if p0 < MIN_BRANCH_PROB:
@@ -122,12 +128,20 @@ class CompositeState:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2 * self.dim_probe,):
             raise ValueError(f"expected {2 * self.dim_probe} amplitudes, got {amps.shape}")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = _weight(amps)
         if abs(norm_sq - 1.0) > 1e-9:
             raise ValueError(f"composite state not normalized: |amp|^2 = {norm_sq!r}")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def _checked(cls, amps: np.ndarray, dim_probe: int) -> CompositeState:
+        """Wrap read-only amplitudes whose shape and norm the caller has checked."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amps", amps)
+        object.__setattr__(state, "dim_probe", dim_probe)
+        return state
 
     def qubit_block(self, bit: int) -> np.ndarray:
         d = self.dim_probe
@@ -161,40 +175,76 @@ def apply_unitary(state: CompositeState, u: np.ndarray) -> CompositeState:
     return CompositeState(u @ state.amps, state.dim_probe)
 
 
-def _x_branch(state: CompositeState, bit: int) -> np.ndarray:
-    """Unnormalized probe vector of the |+> (bit 0) or |-> (bit 1) qubit branch."""
+def apply_unitary_batch(states: list, u: np.ndarray,
+                        dim_probe: int) -> list[CompositeState]:
+    """``apply_unitary(lift(s, dim_probe), u)`` for every bare qubit ``s`` and
+    ``apply_unitary(s, u)`` for every composite one, as one matrix product.
+
+    ``u`` is trusted to be unitary (callers validate it once, up front); each
+    output row is still checked to be normalized.
+    """
+    d = dim_probe
+    rows = np.zeros((len(states), 2 * d), dtype=complex)
+    for i, s in enumerate(states):
+        if isinstance(s, PureState):
+            rows[i, 0] = s.amp0
+            rows[i, d] = s.amp1
+        elif s.dim_probe == d:
+            rows[i] = s.amps
+        else:
+            raise ValueError(f"state has probe dimension {s.dim_probe}, expected {d}")
+    out = rows @ np.asarray(u, dtype=complex).T
+    norm_sq = np.einsum("ij,ij->i", out.conj(), out).real
+    bad = np.flatnonzero(np.abs(norm_sq - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"composite state not normalized: "
+                         f"|amp|^2 = {float(norm_sq[bad[0]])!r}")
+    out.setflags(write=False)
+    return [CompositeState._checked(row, d) for row in out]
+
+
+def _branch(state: CompositeState, basis: Basis, bit: int) -> np.ndarray:
+    """Unnormalized probe vector that travels with qubit outcome ``bit``."""
+    if basis is Basis.Z:
+        return state.qubit_block(bit)
+    # |+> (bit 0) or |-> (bit 1) branch.
     sign = -1.0 if bit else 1.0
     return (state.qubit_block(0) + sign * state.qubit_block(1)) * _INV_SQRT2
 
 
 def branch_probability(state: CompositeState, basis: Basis, bit: int) -> float:
+    return _weight(_branch(state, basis, bit))
+
+
+def _project(probe: np.ndarray, weight: float, basis: Basis, bit: int,
+             d: int) -> CompositeState:
+    """The joint state after the qubit is found in (basis, bit), given that
+    branch's probe vector and its weight."""
+    probe = probe / math.sqrt(weight)
+    amps = np.zeros(2 * d, dtype=complex)
     if basis is Basis.Z:
-        return float(np.sum(np.abs(state.qubit_block(bit)) ** 2))
-    return float(np.sum(np.abs(_x_branch(state, bit)) ** 2))
+        amps[bit * d:(bit + 1) * d] = probe
+    else:
+        amps[0:d] = _INV_SQRT2 * probe
+        amps[d:2 * d] = (-_INV_SQRT2 if bit else _INV_SQRT2) * probe
+    return CompositeState(amps, d)
 
 
 def _collapse(state: CompositeState, basis: Basis, bit: int) -> CompositeState:
-    d = state.dim_probe
-    amps = np.zeros(2 * d, dtype=complex)
-    if basis is Basis.Z:
-        probe = state.qubit_block(bit)
-        norm = np.linalg.norm(probe)
-        amps[bit * d:(bit + 1) * d] = probe / norm
-    else:
-        probe = _x_branch(state, bit)
-        probe = probe / np.linalg.norm(probe)
-        qubit = xstate(bit).vector()
-        amps[0:d] = qubit[0] * probe
-        amps[d:2 * d] = qubit[1] * probe
-    return CompositeState(amps, d)
+    probe = _branch(state, basis, bit)
+    return _project(probe, _weight(probe), basis, bit, state.dim_probe)
 
 
 def measure_qubit(state: CompositeState, basis: Basis,
                   rng: np.random.Generator) -> tuple[int, CompositeState]:
     """Measure the qubit factor, projecting and renormalizing the joint state."""
-    p0 = branch_probability(state, basis, 0)
+    probe = _branch(state, basis, 0)
+    p0 = _weight(probe)
     outcome = _draw(p0, rng)
-    return outcome, _collapse(state, basis, outcome)
+    if outcome == 0:
+        return 0, _project(probe, p0, basis, 0, state.dim_probe)
+    probe = _branch(state, basis, 1)
+    return 1, _project(probe, _weight(probe), basis, 1, state.dim_probe)
 
 
 @dataclass(frozen=True)

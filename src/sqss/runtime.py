@@ -72,7 +72,7 @@ def transmit(batch: list, leg: Leg, interceptor: Optional[Interceptor],
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckVerdict:
     """Outcome of one security check."""
 
@@ -93,14 +93,28 @@ def evaluate_check(check_id: str, compared: int, mismatches: int,
     return CheckVerdict(check_id, compared, mismatches, rate, passed=rate <= threshold)
 
 
+def _is_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
+def check_int(name: str, value) -> None:
+    """A count parameter must be a genuine int: no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def check_thresholds(thresholds, checks) -> None:
     """Thresholds must name exactly ``checks``, each a rate in [0, 1]."""
     if not isinstance(thresholds, dict) or set(thresholds) != set(checks):
         raise ValueError(f"thresholds must have exactly the keys {list(checks)}, "
                          f"got {thresholds!r}")
     for check, value in thresholds.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0.0 <= value <= 1.0):
+        if not _is_real(value) or not 0.0 <= value <= 1.0:
             raise ValueError(f"threshold for {check} must be in [0, 1], got {value!r}")
 
 
@@ -129,7 +143,7 @@ def score_payoff(target: str, guesses_and_truths) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyMaterial:
     """Equal-length shared key strings with k_a = k_b XOR k_c."""
 

@@ -65,7 +65,7 @@ def test_fatal_simulator_error_exits_1(tmp_path, monkeypatch, capsys):
     config = _write_config(tmp_path, {"protocol": "a", "params": {"n": 6, "m": 14}})
 
     def boom(cfg):
-        raise ExperimentAborted(0, RuntimeError("lost a particle"))
+        raise ExperimentAborted(0, (0, 0), RuntimeError("lost a particle"))
 
     monkeypatch.setattr(cli, "monte_carlo", boom)
     assert cli.main(["run", "--config", config]) == cli.EXIT_ABORTED

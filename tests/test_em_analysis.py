@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from sqss import em_analysis
 from sqss.adversary import UnitaryPair
 from sqss.em_analysis import (
     bit_copy_pair,
     branch_decompose,
     constrained_search,
     error_profile,
+    final_probe_table,
     identity_pair,
     pair_from_params,
     params_dim,
@@ -81,6 +83,26 @@ def test_theorem_check_verdicts():
     assert not noisy.zero_error
     assert noisy.holds is None
     assert noisy.max_error == pytest.approx(0.25)
+
+
+def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
+    rng = np.random.default_rng(19)
+    pair = random_zero_error_pair("A", 2, rng)
+    calls = []
+    decompose = em_analysis.branch_decompose
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(em_analysis, "branch_decompose", counting)
+    verdict = theorem_check(pair)
+    assert verdict.zero_error and verdict.holds
+    assert len(calls) == 1
+    # Sharing the decomposition changes no value.
+    assert verdict.max_error == error_profile(pair).max_rate
+    assert verdict.distinguishability == probe_distinguishability(pair)
+    assert verdict.residuals["final_qubit_leakage"] == final_probe_table(pair).max_leakage
 
 
 def test_zero_error_family_satisfies_structure_mode_a():

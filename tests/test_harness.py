@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from sqss import harness
 from sqss.harness import (
     ConfigError,
+    ExperimentAborted,
     ExperimentConfig,
     config_from_dict,
     load_config,
@@ -80,6 +82,44 @@ def test_config_from_dict_rejects_bad_thresholds(protocol, checks, params, key, 
     with pytest.raises(ConfigError):
         config_from_dict({"protocol": protocol,
                           "params": {**params, "thresholds": thresholds}})
+
+
+@pytest.mark.parametrize("protocol, params, field", [
+    ("A", {"n": "3", "m": 12}, "n"),
+    ("A", {"n": True, "m": 12}, "n"),
+    ("A", {"n": 3.5, "m": 12}, "n"),
+    ("A", {"n": 5, "m": 12.0}, "m"),
+    ("A", {"n": 5, "m": 12, "check_fraction": True}, "check_fraction"),
+    ("A", {"n": 5, "m": 12, "check_fraction": "0.5"}, "check_fraction"),
+    ("B", {"n": "3"}, "n"),
+    ("B", {"n": True}, "n"),
+    ("B", {"n": 3.5}, "n"),
+    ("B", {"n": 8, "test_fraction": True}, "test_fraction"),
+], ids=["a-str-n", "a-bool-n", "a-float-n", "a-float-m", "a-bool-fraction",
+        "a-str-fraction", "b-str-n", "b-bool-n", "b-float-n", "b-bool-fraction"])
+def test_config_from_dict_rejects_mistyped_protocol_params(protocol, params, field):
+    with pytest.raises(ConfigError, match=f"^bad protocol params: {field} must be "
+                                          f"(an integer|a real number), got"):
+        config_from_dict({"protocol": protocol, "params": params})
+
+
+def test_monte_carlo_failure_names_trial_and_seed(monkeypatch):
+    config = config_from_dict({"protocol": "A", "trials": 4, "seed": 7,
+                               "params": {"n": 6, "m": 14}})
+    real_run_one = harness.run_one
+
+    def flaky(cfg, trial):
+        if trial == 2:
+            raise ZeroDivisionError("division by zero")
+        return real_run_one(cfg, trial)
+
+    monkeypatch.setattr(harness, "run_one", flaky)
+    with pytest.raises(ExperimentAborted) as info:
+        monte_carlo(config)
+    exc = info.value
+    assert (exc.trial, exc.seed) == (2, (7, 2))
+    assert "trial 2 (seed (7, 2))" in str(exc) and "ZeroDivisionError" in str(exc)
+    assert isinstance(exc.__cause__, ZeroDivisionError)
 
 
 def test_config_from_dict_rejects_mismatched_attack():

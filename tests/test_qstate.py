@@ -9,8 +9,12 @@ from sqss.qstate import (
     DensityMatrix,
     PrepState,
     PureState,
+    _collapse,
+    _draw,
     apply_unitary,
+    apply_unitary_batch,
     basis_of,
+    branch_probability,
     check_unitary,
     expected_outcome,
     lift,
@@ -166,3 +170,66 @@ def test_trace_distance_properties():
 def test_zstate_helper():
     assert zstate(0).vector() == pytest.approx([1, 0])
     assert zstate(1).vector() == pytest.approx([0, 1])
+
+
+def _random_unitary(m, rng):
+    z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_amps(size, rng):
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batch_unitary_matches_per_state_apply(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(10):
+        u = _random_unitary(2 * d, rng)
+        states = [PureState(*_random_amps(2, rng)) if rng.random() < 0.5
+                  else CompositeState(_random_amps(2 * d, rng), d) for _ in range(12)]
+        out = apply_unitary_batch(states, u, d)
+        assert len(out) == len(states)
+        for s, got in zip(states, out):
+            want = apply_unitary(lift(s, d) if isinstance(s, PureState) else s, u)
+            assert isinstance(got, CompositeState) and got.dim_probe == d
+            assert not got.amps.flags.writeable
+            assert np.abs(got.amps - want.amps).max() < 1e-12
+
+
+def test_batch_unitary_rejects_one_unnormalized_row():
+    # Stretches the |1>|e0> direction; only the |1> qubit has weight there.
+    u = np.diag([1.0, 1.5])
+    assert len(apply_unitary_batch([zstate(0), zstate(0)], u, 1)) == 2
+    with pytest.raises(ValueError, match="not normalized"):
+        apply_unitary_batch([zstate(0), zstate(1), zstate(0)], u, 1)
+
+
+def test_batch_unitary_rejects_a_mismatched_probe():
+    with pytest.raises(ValueError, match="probe dimension"):
+        apply_unitary_batch([lift(zstate(0), 3)], np.eye(4), 2)
+
+
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+def test_measure_qubit_matches_branch_probability_and_collapse(basis):
+    rng = np.random.default_rng(50)
+    projectors = {Basis.Z: (zstate(0).vector(), zstate(1).vector()),
+                  Basis.X: (prepare(PrepState.PLUS).vector(),
+                            prepare(PrepState.MINUS).vector())}
+    for seed in range(40):
+        d = 1 + seed % 3
+        state = CompositeState(_random_amps(2 * d, rng), d)
+        ref_rng = np.random.default_rng(seed)
+        want_bit = _draw(branch_probability(state, basis, 0), ref_rng)
+        want = _collapse(state, basis, want_bit)
+        meas_rng = np.random.default_rng(seed)
+        bit, got = measure_qubit(state, basis, meas_rng)
+        assert bit == want_bit
+        assert np.array_equal(got.amps, want.amps)
+        assert meas_rng.random() == ref_rng.random()
+        # Independent reference: (|b><b| (x) I) psi, renormalized.
+        b = projectors[basis][bit]
+        proj = np.kron(np.outer(b, b.conj()), np.eye(d)) @ state.amps
+        assert np.abs(got.amps - proj / np.linalg.norm(proj)).max() < 1e-12
