@@ -53,7 +53,7 @@ from .runtime import (
     Choice,
     KeyMaterial,
     Leg,
-    ParticleRecord,
+    ParticleBatch,
     RunReport,
     transmit,
     xor_keys,

@@ -22,16 +22,20 @@ from typing import Optional
 
 import numpy as np
 
-from .qstate import (
-    Basis,
-    CompositeState,
-    apply_unitary_batch,
-    check_unitary,
-    measure,
-    measure_qubit,
-    zstate,
+from .qstate import BASES, BB84_STATES, Basis, apply_unitary_batch, check_unitary
+from .runtime import (
+    FAKE,
+    LEG_ORDER,
+    PROBED,
+    SIFT_B,
+    SIFT_C,
+    TAGS,
+    Leg,
+    ParticleBatch,
+    SimulationError,
 )
-from .runtime import Choice, Leg, LEG_ORDER, SimulationError
+
+_Z = BASES.index(Basis.Z)  # measurement bases are indices into qstate.BASES
 
 
 class UnsupportedAttackError(ValueError):
@@ -132,94 +136,89 @@ ALLOWED_SOURCES = frozenset({"own-measurement", "intercept-measurement",
                              "own-fake", "retained-measurement"})
 
 
+def _written(column: Optional[np.ndarray], positions, values) -> np.ndarray:
+    """``column`` with ``values`` at ``positions``; a new column reaches the
+    last position and reads -1 (unknown) everywhere else."""
+    positions = np.asarray(positions)
+    if column is None:
+        column = np.full(int(positions.max(initial=-1)) + 1, -1, dtype=np.int8)
+    column[positions] = values
+    return column
+
+
+def _read(column: Optional[np.ndarray], positions: np.ndarray) -> np.ndarray:
+    if column is None:
+        return np.full(len(positions), -1, dtype=np.int8)
+    return column[positions]
+
+
 @dataclass
 class AdversaryKnowledge:
-    """Bits and particles an attacker has legitimately acquired during one run."""
+    """Bits and particles an attacker has legitimately acquired during one run.
 
-    recorded: dict = field(default_factory=dict)    # position -> bit
-    fake_bits: dict = field(default_factory=dict)   # position -> bit of the fake sent
-    retained: dict = field(default_factory=dict)    # position -> genuine state kept back
+    Bits are kept per batch position, -1 where the attacker has none.
+    """
+
+    recorded: Optional[np.ndarray] = None      # bit it measured
+    fake_bits: Optional[np.ndarray] = None     # bit of the fake it sent
+    retained: Optional[ParticleBatch] = None   # genuine particles kept back
     provenance: dict = field(default_factory=dict)  # position -> source tag
 
-    def record(self, pos: int, bit: int, source: str) -> None:
+    def record(self, positions, bits, source: str) -> None:
         if source not in ALLOWED_SOURCES:
-            raise SimulationError(f"bit at position {pos} has unaudited source {source!r}")
-        self.recorded[pos] = bit
-        self.provenance[pos] = source
+            raise SimulationError(f"bits at positions {positions} have unaudited "
+                                  f"source {source!r}")
+        self.recorded = _written(self.recorded, positions, bits)
+        self.provenance.update(dict.fromkeys(np.asarray(positions).tolist(), source))
 
-    def note_fake(self, pos: int, bit: int) -> None:
-        self.fake_bits[pos] = bit
-        self.provenance.setdefault(pos, "own-fake")
+    def note_fake(self, positions, bits) -> None:
+        self.fake_bits = _written(self.fake_bits, positions, bits)
+        self.provenance = {**dict.fromkeys(np.asarray(positions).tolist(), "own-fake"),
+                           **self.provenance}
 
-    def keep(self, pos: int, state) -> None:
-        self.retained[pos] = state
+    def keep(self, batch: ParticleBatch) -> None:
+        self.retained = batch.states()
 
-    def measure_retained(self, pos: int, rng: np.random.Generator) -> int:
-        state = self.retained[pos]
-        if isinstance(state, CompositeState):
-            bit, _ = measure_qubit(state, Basis.Z, rng)
-        else:
-            bit, _ = measure(state, Basis.Z, rng)
-        self.record(pos, bit, "retained-measurement")
-        return bit
+    def guess_bits(self, source: str, positions: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+        """The attacker's bits at ``positions`` from a catalog guess source.
 
-    def guess_bit(self, source: str, pos: int, rng: np.random.Generator) -> Optional[int]:
-        """The attacker's bit for ``pos`` from a catalog guess source, or None.
-
-        "recorded" is a bit it measured, "fake" the bit of a fake it sent, and
-        "retained" a Z measurement of the genuine particle it kept back.
+        "recorded" are bits it measured, "fake" the bits of fakes it sent, and
+        "retained" Z measurements of the genuine particles it kept back, made
+        now in position order.
         """
         if source == "recorded":
-            return self.recorded.get(pos)
+            return _read(self.recorded, positions)
         if source == "fake":
-            return self.fake_bits.get(pos)
-        return self.measure_retained(pos, rng) if pos in self.retained else None
+            return _read(self.fake_bits, positions)
+        if self.retained is None:
+            return _read(None, positions)
+        bits = self.retained.measure(positions, _Z, rng)
+        self.record(positions, bits, "retained-measurement")
+        return bits
 
 
 # ---------------------------------------------------------------------------
 # Protocol A parties
 
 
-def _get_choice(record, role):
-    return record.bob_choice if role == "bob" else record.charlie_choice
+def _random_subset(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A mask of ``size`` positions out of ``total``, drawn uniformly."""
+    chosen = np.zeros(total, dtype=bool)
+    chosen[rng.choice(total, size=size, replace=False)] = True
+    return chosen
 
 
-def _set_choice(record, role, choice):
-    if role == "bob":
-        record.bob_choice = choice
-    else:
-        record.charlie_choice = choice
-
-
-def _get_result(record, role):
-    return record.bob_result if role == "bob" else record.charlie_result
-
-
-def _set_result(record, role, bit):
-    if role == "bob":
-        record.bob_result = bit
-    else:
-        record.charlie_result = bit
-
-
-def _set_announced(record, role, choice):
-    if role == "bob":
-        record.announced_bob_choice = choice
-    else:
-        record.announced_charlie_choice = choice
-
-
-def _measure_in_flight(record, basis, rng):
-    if isinstance(record.in_flight, CompositeState):
-        bit, collapsed = measure_qubit(record.in_flight, basis, rng)
-    else:
-        bit, collapsed = measure(record.in_flight, basis, rng)
-    record.in_flight = collapsed
-    return bit
-
-
-def _random_subset(total: int, size: int, rng: np.random.Generator) -> set[int]:
-    return set(int(i) for i in rng.choice(total, size=size, replace=False))
+def _measure_step(batch: ParticleBatch, role: str, measured: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Z-measure the particles ``measured`` marks and note ``role``'s choices
+    and results (-1 where it reflected) on the batch."""
+    result = np.full(len(batch), -1, dtype=np.int8)
+    positions = np.flatnonzero(measured)
+    result[positions] = batch.measure(positions, _Z, rng)
+    batch.measured[role] = measured
+    batch.result[role] = result
+    return result
 
 
 class _Insider:
@@ -238,39 +237,26 @@ class HonestPartyA:
         self.role = role
         self.n_measure = n_measure
 
-    def act(self, records, rng):
-        chosen = _random_subset(len(records), self.n_measure, rng)
-        for r in records:
-            if r.index in chosen:
-                _set_choice(r, self.role, Choice.MEASURE)
-                _set_result(r, self.role, _measure_in_flight(r, Basis.Z, rng))
-            else:
-                _set_choice(r, self.role, Choice.REFLECT)
+    def act(self, batch: ParticleBatch, rng):
+        _measure_step(batch, self.role, _random_subset(len(batch), self.n_measure, rng), rng)
 
-    def announce(self, records, rng):
-        for r in records:
-            _set_announced(r, self.role, _get_choice(r, self.role))
+    def announce(self, batch: ParticleBatch, rng):
+        batch.announced[self.role] = batch.measured[self.role]
 
-    def reported_result(self, record) -> int:
-        return _get_result(record, self.role)
+    def reported_results(self, batch: ParticleBatch, positions: np.ndarray) -> np.ndarray:
+        return batch.result[self.role][positions]
 
 
 class MeasureAllPartyA(_Insider, HonestPartyA):
     """Measure-resend insider: Z-measure every particle at its own step, then
     fabricate a MEASURE/REFLECT announcement of the honest sizes."""
 
-    def act(self, records, rng):
-        for r in records:
-            _set_choice(r, self.role, Choice.MEASURE)
-            bit = _measure_in_flight(r, Basis.Z, rng)
-            _set_result(r, self.role, bit)
-            self.knowledge.record(r.index, bit, "own-measurement")
+    def act(self, batch, rng):
+        bits = _measure_step(batch, self.role, np.ones(len(batch), dtype=bool), rng)
+        self.knowledge.record(np.arange(len(batch)), bits, "own-measurement")
 
-    def announce(self, records, rng):
-        fake_measure = _random_subset(len(records), self.n_measure, rng)
-        for r in records:
-            _set_announced(r, self.role, Choice.MEASURE if r.index in fake_measure
-                           else Choice.REFLECT)
+    def announce(self, batch, rng):
+        batch.announced[self.role] = _random_subset(len(batch), self.n_measure, rng)
 
 
 class ReflectAllPartyA(MeasureAllPartyA):
@@ -278,25 +264,22 @@ class ReflectAllPartyA(MeasureAllPartyA):
     (done by an interceptor), REFLECT everything at her own step, fabricate the
     announcement, and report the transit bits when asked for results."""
 
-    def act(self, records, rng):
-        for r in records:
-            _set_choice(r, self.role, Choice.REFLECT)
+    def act(self, batch, rng):
+        _measure_step(batch, self.role, np.zeros(len(batch), dtype=bool), rng)
 
-    def reported_result(self, record) -> int:
-        return self.knowledge.recorded[record.index]
+    def reported_results(self, batch, positions):
+        return self.knowledge.recorded[positions]
 
 
 class SwapBackPartyA(_Insider, HonestPartyA):
     """Charlie's second intercept-resend choice: run her step on the retained
     genuine particles instead of the ones arriving from Bob."""
 
-    def act(self, records, rng):
-        for r in records:
-            # Bob's outgoing particle stays in her hand; the genuine one goes on.
-            genuine = self.knowledge.retained.pop(r.index)
-            self.knowledge.keep(r.index, r.in_flight)
-            r.in_flight = genuine
-        super().act(records, rng)
+    def act(self, batch, rng):
+        # Bob's outgoing particles stay in her hand; the genuine ones go on.
+        genuine, self.knowledge.retained = self.knowledge.retained, batch.states()
+        batch.code, batch.probe = genuine.code, genuine.probe
+        super().act(batch, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -305,57 +288,38 @@ class SwapBackPartyA(_Insider, HonestPartyA):
 
 def measure_all_interceptor(knowledge: AdversaryKnowledge):
     def intercept(batch, leg, rng):
-        for pos, p in enumerate(batch):
-            if hasattr(p, "in_flight"):
-                bit = _measure_in_flight(p, Basis.Z, rng)
-                knowledge.record(p.index, bit, "intercept-measurement")
-            else:
-                bit = _z_collapse_particle(p, rng)
-                knowledge.record(pos, bit, "intercept-measurement")
+        positions = np.arange(len(batch))
+        knowledge.record(positions, batch.measure(positions, _Z, rng),
+                         "intercept-measurement")
         return batch
     return intercept
 
 
-def _z_collapse_particle(particle, rng):
-    """Z-measure a protocol B particle in flight."""
-    if isinstance(particle.state, CompositeState):
-        bit, collapsed = measure_qubit(particle.state, Basis.Z, rng)
-    else:
-        bit, collapsed = measure(particle.state, Basis.Z, rng)
-    particle.state = collapsed
-    return bit
-
-
 def replace_with_fakes_interceptor(knowledge: AdversaryKnowledge,
-                                   informed_bit=None):
+                                   informed_bits=None):
     """Retain the genuine batch and substitute fresh Z-basis fakes.
 
-    ``informed_bit(item, pos)`` may supply a known bit for a position (the
+    ``informed_bits(batch)`` may supply known bits, -1 elsewhere (the
     intercept-resend attacker reuses its own measurement results there);
     elsewhere the fake is a uniformly random Z state.
     """
     def intercept(batch, leg, rng):
-        for pos, p in enumerate(batch):
-            is_record = hasattr(p, "in_flight")
-            key = p.index if is_record else pos
-            bit = informed_bit(p, pos) if informed_bit is not None else None
-            if bit is None:
-                bit = int(rng.integers(2))
-            if is_record:
-                knowledge.keep(key, p.in_flight)
-                p.in_flight = zstate(bit)
-            else:
-                knowledge.keep(key, p.state)
-                p.state = zstate(bit)
-                p.tag = "FAKE"
-                p.origin = None
-            knowledge.note_fake(key, bit)
+        bits = (np.full(len(batch), -1, dtype=np.int8) if informed_bits is None
+                else informed_bits(batch))
+        unknown = bits < 0
+        k = int(np.count_nonzero(unknown))
+        if k:
+            bits[unknown] = rng.integers(2, size=k)
+        knowledge.keep(batch)
+        batch.fake(bits)
+        knowledge.note_fake(np.arange(len(batch)), bits)
         return batch
     return intercept
 
 
-def _bob_measured_bit(record, pos):
-    return record.bob_result if record.bob_choice is Choice.MEASURE else None
+def _bob_measured_bits(batch):
+    """Bob's results, -1 where he reflected."""
+    return batch.result["bob"].copy()
 
 
 def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
@@ -363,11 +327,11 @@ def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
     return leg; each particle carries its own probe, initially |e0>."""
     def make(u):
         def intercept(batch, leg, rng):
-            attr = "in_flight" if batch and hasattr(batch[0], "in_flight") else "state"
-            states = apply_unitary_batch([getattr(p, attr) for p in batch], u,
-                                         pair.probe_dim)
-            for p, state in zip(batch, states):
-                setattr(p, attr, state)
+            states = [BB84_STATES[c] if c != PROBED else p
+                      for c, p in zip(batch.code.tolist(), batch.probe)]
+            batch.probe = np.empty(len(batch), dtype=object)
+            batch.probe[:] = apply_unitary_batch(states, u, pair.probe_dim)
+            batch.code[:] = PROBED
             return batch
         return intercept
 
@@ -383,34 +347,38 @@ class HonestPartyB:
     """Protocol B classical party: insert n fresh Z-basis particles and apply a
     uniformly random shuffle; the order is withheld until publication."""
 
-    SIFT_TAG = {"bob": "SIFT_B", "charlie": "SIFT_C"}
+    SIFT_TAG = {"bob": SIFT_B, "charlie": SIFT_C}
 
     def __init__(self, role: str, n: int):
         self.role = role
         self.n = n
-        self.prepared_bits: list[int] = []
-        self.order: list[tuple[str, int]] = []
+        self.prepared_bits = np.zeros(0, dtype=np.int8)
+        self._order = (0, np.zeros(0, dtype=np.intp))  # (incoming count, shuffle)
 
-    def fresh_particles(self, rng):
-        from .protocol_b import TaggedParticle
-        self.prepared_bits = [int(b) for b in rng.integers(2, size=self.n)]
-        tag = self.SIFT_TAG[self.role]
-        return [TaggedParticle(state=zstate(b), tag=tag, origin=j)
-                for j, b in enumerate(self.prepared_bits)]
+    def fresh_particles(self, rng) -> ParticleBatch:
+        """n fresh |bit> particles; a Z-basis state's BB84 code is its bit."""
+        self.prepared_bits = rng.integers(2, size=self.n).astype(np.int8)
+        return ParticleBatch(self.prepared_bits,
+                             tag=np.full(self.n, self.SIFT_TAG[self.role], dtype=np.int8),
+                             origin=np.arange(self.n))
+
+    def _shuffle(self, n_incoming: int, total: int, rng) -> np.ndarray:
+        """Draw the secret order of ``total`` particles, ``n_incoming`` of
+        them received and the rest inserted."""
+        perm = rng.permutation(total)
+        self._order = (n_incoming, perm)
+        return perm
 
     def process(self, incoming, rng):
-        combined = list(incoming) + self.fresh_particles(rng)
-        n_in = len(incoming)
-        perm = [int(i) for i in rng.permutation(len(combined))]
-        outgoing = [combined[i] for i in perm]
-        self.order = [("incoming", i) if i < n_in else ("sift", i - n_in) for i in perm]
-        return outgoing
+        combined = ParticleBatch.concat(incoming, self.fresh_particles(rng))
+        return combined[self._shuffle(len(incoming), len(combined), rng)]
 
     def published_order(self):
-        return list(self.order)
+        n_in, perm = self._order
+        return [("incoming", i) if i < n_in else ("sift", i - n_in) for i in perm.tolist()]
 
-    def reveal_prepared(self, final_pos: int, origin: int) -> int:
-        return self.prepared_bits[origin]
+    def reveal_prepared(self, final_positions: np.ndarray, origins: np.ndarray) -> np.ndarray:
+        return self.prepared_bits[origins]
 
 
 class MeasureResendPartyB(_Insider, HonestPartyB):
@@ -418,9 +386,9 @@ class MeasureResendPartyB(_Insider, HonestPartyB):
     resend the found states, then run the honest step."""
 
     def process(self, incoming, rng):
-        for pos, p in enumerate(incoming):
-            bit = _z_collapse_particle(p, rng)
-            self.knowledge.record(pos, bit, "own-measurement")
+        positions = np.arange(len(incoming))
+        self.knowledge.record(positions, incoming.measure(positions, _Z, rng),
+                              "own-measurement")
         return super().process(incoming, rng)
 
 
@@ -430,33 +398,27 @@ class InterceptResendPartyB(_Insider, HonestPartyB):
     her own TEST particles using the fake bits."""
 
     def process(self, incoming, rng):
-        from .protocol_b import TaggedParticle
-        n_in = len(incoming)
-        for pos, p in enumerate(incoming):
-            self.knowledge.keep(pos, p.state)
-        self.prepared_bits = [int(b) for b in rng.integers(2, size=self.n)]
-        total = n_in + self.n
-        fakes = []
-        for pos in range(total):
-            bit = int(rng.integers(2))
-            self.knowledge.note_fake(pos, bit)
-            fakes.append(TaggedParticle(state=zstate(bit), tag="FAKE", origin=None))
-        perm = [int(i) for i in rng.permutation(total)]
-        self.order = [("incoming", i) if i < n_in else ("sift", i - n_in) for i in perm]
+        self.knowledge.keep(incoming)
+        self.prepared_bits = rng.integers(2, size=self.n).astype(np.int8)
+        total = len(incoming) + self.n
+        bits = rng.integers(2, size=total)
+        fakes = ParticleBatch(bits, tag=np.full(total, FAKE, dtype=np.int8),
+                              origin=np.full(total, -1))
+        self.knowledge.note_fake(np.arange(total), bits)
+        self._shuffle(len(incoming), total, rng)
         return fakes
 
-    def reveal_prepared(self, final_pos: int, origin: int) -> int:
-        return self.knowledge.fake_bits[final_pos]
+    def reveal_prepared(self, final_positions, origins):
+        return self.knowledge.fake_bits[final_positions]
 
 
 class LyingRevealPartyB(_Insider, HonestPartyB):
     """Protocol B Bob intercept-resend: the honest insertion step, but TEST
     reveals quote the fake bits substituted on the return leg."""
 
-    def reveal_prepared(self, final_pos: int, origin: int) -> int:
-        if final_pos in self.knowledge.fake_bits:
-            return self.knowledge.fake_bits[final_pos]
-        return super().reveal_prepared(final_pos, origin)
+    def reveal_prepared(self, final_positions, origins):
+        fake = _read(self.knowledge.fake_bits, final_positions)
+        return np.where(fake >= 0, fake, super().reveal_prepared(final_positions, origins))
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +451,7 @@ class CatalogEntry:
 A2B, B2C, C2A = LEG_ORDER
 _MEASURE, _FAKES = measure_all_interceptor, replace_with_fakes_interceptor
 # Protocol A fakes that repeat Bob's own result where he measured.
-_BOB_INFORMED_FAKES = partial(replace_with_fakes_interceptor, informed_bit=_bob_measured_bit)
+_BOB_INFORMED_FAKES = partial(replace_with_fakes_interceptor, informed_bits=_bob_measured_bits)
 _BOTH_RECORDED = {"k_b": "recorded", "k_c": "recorded"}
 _BOTH_RETAINED = {"k_b": "retained", "k_c": "retained"}
 _NOTHING = {"k_b": None, "k_c": None}
@@ -540,7 +502,10 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 _NO_ATTACK = CatalogEntry()
-_SIFT_KEY = {"SIFT_B": "k_b", "SIFT_C": "k_c"}
+# The key strings by index, and the key each protocol B tag carries (-1: none).
+_KEYS = ("k_b", "k_c")
+_KEY_OF_TAG = np.full(len(TAGS), -1, dtype=np.int8)
+_KEY_OF_TAG[[SIFT_B, SIFT_C]] = [_KEYS.index("k_b"), _KEYS.index("k_c")]
 
 
 # ---------------------------------------------------------------------------
@@ -577,43 +542,54 @@ class AttackPlan:
 
     # -- key guessing -------------------------------------------------------
 
-    def _guesses(self, carriers, rng):
-        """(key, label, bit) for each (position, key, label) carrier whose key
-        the entry has a guess source for, in carrier order."""
-        for pos, key, label in carriers:
-            source = self.entry.guess.get(key)
+    def _guesses(self, positions: np.ndarray, keys: np.ndarray, rng) -> np.ndarray:
+        """The attacker's bit for each carrier (its position and the index
+        of the key it carries), -1 where it has none.  Carriers whose keys
+        share a guess source are guessed together, in carrier order."""
+        bits = np.full(len(positions), -1, dtype=np.int8)
+        by_source: dict[str, list[int]] = {}
+        for key, source in self.entry.guess.items():
             if source is not None:
-                bit = self.knowledge.guess_bit(source, pos, rng)
-                if bit is not None:
-                    yield key, label, bit
+                by_source.setdefault(source, []).append(_KEYS.index(key))
+        for source, key_ids in by_source.items():
+            mine = np.isin(keys, key_ids)
+            bits[mine] = self.knowledge.guess_bits(source, positions[mine], rng)
+        return bits
 
-    def guess_a(self, context, rng: np.random.Generator) -> dict[int, int]:
+    def guess_a(self, context, rng: np.random.Generator) -> np.ndarray:
         """Best guess of the targeted key-case bits, from knowledge alone.
 
-        ``context`` carries the key-relevant particle indices per case
-        (``k_b_positions`` for Case 2, ``k_c_positions`` for Case 3).
+        ``context`` carries the key-relevant particle positions per case
+        (``k_b_positions`` for Case 2, ``k_c_positions`` for Case 3); the
+        guesses follow them in that order, -1 where there is none.
         """
-        carriers = ([(idx, "k_b", idx) for idx in context.k_b_positions]
-                    + [(idx, "k_c", idx) for idx in context.k_c_positions])
-        return {idx: bit for _, idx, bit in self._guesses(carriers, rng)}
+        positions = np.concatenate([context.k_b_positions, context.k_c_positions])
+        keys = np.repeat([0, 1], [len(context.k_b_positions), len(context.k_c_positions)])
+        return self._guesses(positions, keys, rng)
 
     def guess_b(self, context, rng: np.random.Generator) -> dict:
         """Guess the targeted parties' prepared SIFT bits.
 
-        Returns ``{"k_b": {origin: bit}, "k_c": {origin: bit}}``; ``context``
-        carries both published orders and the resolved final positions.
+        Returns ``{"k_b": bits, "k_c": bits}``, each indexed by origin (-1
+        where there is no guess); ``context`` carries Bob's published order,
+        the resolved final ``tags`` and ``origins`` and the batch size ``n``.
         """
         if C2A in self.entry.legs:
             # Seen on the return leg: positions are Alice's final ones.
-            carriers = [(pos, _SIFT_KEY.get(tag), origin)
-                        for pos, (tag, origin) in context.resolved.items()]
+            positions = np.arange(len(context.tags))
+            keys = _KEY_OF_TAG[context.tags]
+            origins = context.origins
         else:
             # Seen before Charlie's step: positions follow Bob's published order.
-            carriers = [(q, "k_b", j) for q, (what, j) in enumerate(context.bob_pub)
-                        if what == "sift"]
-        out = {"k_b": {}, "k_c": {}}
-        for key, origin, bit in self._guesses(carriers, rng):
-            out[key][origin] = bit
+            sift = [(q, j) for q, (what, j) in enumerate(context.bob_pub) if what == "sift"]
+            positions, origins = np.array(sift, dtype=np.intp).reshape(-1, 2).T
+            keys = np.zeros(len(positions), dtype=np.int8)
+        bits = self._guesses(positions, keys, rng)
+        out = {}
+        for k, key in enumerate(_KEYS):
+            out[key] = np.full(context.n, -1, dtype=np.int8)
+            mine = keys == k
+            out[key][origins[mine]] = bits[mine]
         return out
 
 

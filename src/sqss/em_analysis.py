@@ -25,6 +25,7 @@ from .qstate import (
     prepare,
     trace_distance,
 )
+from .runtime import check_int
 
 PREPS = (PrepState.ZERO, PrepState.ONE, PrepState.PLUS, PrepState.MINUS)
 Z_PREPS = (PrepState.ZERO, PrepState.ONE)
@@ -415,9 +416,17 @@ def identity_pair(mode: str, probe_dim: int) -> UnitaryPair:
     return UnitaryPair(first=eye, second=eye, probe_dim=probe_dim, protocol=mode)
 
 
+def _check_probe_dim(probe_dim: int, minimum: int) -> None:
+    check_int("probe_dim", probe_dim)
+    if probe_dim < minimum:
+        raise ValueError(f"probe_dim must be at least {minimum}, got {probe_dim}")
+
+
 def bit_copy_pair(mode: str, probe_dim: int) -> UnitaryPair:
     """The canonical maximally informative attack at error 1/4: the first
-    unitary copies the transit Z bit into the probe, the second does nothing."""
+    unitary copies the transit Z bit into the probe, the second does nothing.
+    It needs two probe levels."""
+    _check_probe_dim(probe_dim, 2)
     m = 2 * probe_dim
     u = np.eye(m)
     # flip probe levels 0 and 1 when the qubit is 1
@@ -490,6 +499,8 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
         raise ValueError("epsilon must be in [0, 0.5]")
     if restarts < 1 or iters < 1:
         raise ValueError("budgets must be positive")
+    # The bit-copy start swaps probe levels 0 and 1.
+    _check_probe_dim(probe_dim, 2 if include_bit_copy else 1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     npar = params_dim(probe_dim)
 

@@ -8,6 +8,7 @@ be replayed independently of the rest.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -177,7 +178,14 @@ class ExperimentAborted(RuntimeError):
 
 def trial_seed(config: ExperimentConfig, trial: int) -> tuple[int, int]:
     """The derived seed trial ``trial`` of ``config`` runs with."""
-    return (config.seed, trial)
+    return _derived_seed(config.seed, trial)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _derived_seed(seed: int, trial: int) -> tuple[int, int]:
+    # One tuple per derived seed: a sweep runs trial i under every config,
+    # and the reports it keeps then share their seed.
+    return (seed, trial)
 
 
 def run_one(config: ExperimentConfig, trial: int) -> RunReport:

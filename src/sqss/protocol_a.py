@@ -17,21 +17,21 @@ import numpy as np
 
 from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
+    BASES,
+    BB84,
+    BB84_VALUE,
+    EXPECTED_OF_CODE,
     Basis,
-    CompositeState,
     PrepState,
     basis_of,
-    expected_outcome,
-    measure,
-    measure_qubit,
-    prepare,
+    measure_qubit,  # noqa: F401 -- a module binding for call-site tracing (perfbench)
 )
 from .runtime import (
     CheckVerdict,
     Choice,
     KeyMaterial,
     Leg,
-    ParticleRecord,
+    ParticleBatch,
     RunReport,
     abort_reason,
     check_int,
@@ -60,15 +60,17 @@ class CaseLabel(Enum):
     CASE4 = 4
 
 
+_CASES = {
+    (Choice.MEASURE, Choice.MEASURE): CaseLabel.CASE1,
+    (Choice.MEASURE, Choice.REFLECT): CaseLabel.CASE2,
+    (Choice.REFLECT, Choice.MEASURE): CaseLabel.CASE3,
+    (Choice.REFLECT, Choice.REFLECT): CaseLabel.CASE4,
+}
+
+
 def classify_case(bob: Choice, charlie: Choice) -> CaseLabel:
     """Map announced (Bob, Charlie) choices onto the four protocol cases."""
-    table = {
-        (Choice.MEASURE, Choice.MEASURE): CaseLabel.CASE1,
-        (Choice.MEASURE, Choice.REFLECT): CaseLabel.CASE2,
-        (Choice.REFLECT, Choice.MEASURE): CaseLabel.CASE3,
-        (Choice.REFLECT, Choice.REFLECT): CaseLabel.CASE4,
-    }
-    return table[(bob, charlie)]
+    return _CASES[(bob, charlie)]
 
 
 def alice_basis(case: CaseLabel, prepared: PrepState) -> Basis:
@@ -76,6 +78,17 @@ def alice_basis(case: CaseLabel, prepared: PrepState) -> Basis:
     if case is CaseLabel.CASE4:
         return basis_of(prepared)
     return Basis.Z
+
+
+# The same two rules as arrays: an announcement is True for MEASURE, a case
+# is its index in CaseLabel, a basis its index in BASES.
+_CHOICES = (Choice.REFLECT, Choice.MEASURE)
+_CASE_OF = np.array([[list(CaseLabel).index(classify_case(b, c)) for c in _CHOICES]
+                     for b in _CHOICES], dtype=np.intp)
+_ALICE_BASIS = np.array([[BASES.index(alice_basis(case, s)) for s in BB84]
+                         for case in CaseLabel], dtype=np.int8)
+_CHOICE_VALUE = np.array([c.value for c in _CHOICES])
+_BASIS_VALUE = np.array([b.value for b in BASES])
 
 
 @dataclass(frozen=True)
@@ -102,22 +115,13 @@ class ProtocolAConfig:
         return self.n + self.m
 
 
-def _alice_measure(record: ParticleRecord, basis: Basis, rng) -> int:
-    if isinstance(record.in_flight, CompositeState):
-        bit, collapsed = measure_qubit(record.in_flight, basis, rng)
-    else:
-        bit, collapsed = measure(record.in_flight, basis, rng)
-    record.in_flight = collapsed
-    record.alice_final = (basis, bit)
-    return bit
-
-
-def _disclose(indices: list[int], fraction: float, rng) -> tuple[list[int], list[int]]:
-    k = math.ceil(fraction * len(indices))
-    chosen = set(int(i) for i in rng.choice(len(indices), size=k, replace=False)) if k else set()
-    disclosed = [idx for pos, idx in enumerate(indices) if pos in chosen]
-    withheld = [idx for pos, idx in enumerate(indices) if pos not in chosen]
-    return disclosed, withheld
+def _disclose(members: np.ndarray, fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Split a case's positions into a disclosed random share and the rest."""
+    k = math.ceil(fraction * len(members))
+    chosen = np.zeros(len(members), dtype=bool)
+    if k:
+        chosen[rng.choice(len(members), size=k, replace=False)] = True
+    return members[chosen], members[~chosen]
 
 
 def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
@@ -126,96 +130,80 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     plan = build_attack_plan(attack, "A")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    preps = [list(PrepState)[int(i)] for i in rng.integers(4, size=config.total)]
-    records = [ParticleRecord(index=i, prepared=s, in_flight=prepare(s))
-               for i, s in enumerate(preps)]
+    preps = rng.integers(4, size=config.total)
+    batch = ParticleBatch(preps)
 
     bob = plan.party("bob", config.n)
     charlie = plan.party("charlie", config.n)
 
-    records = transmit(records, Leg.ALICE_TO_BOB, plan.interceptor(Leg.ALICE_TO_BOB), rng)
-    bob.act(records, rng)
-    records = transmit(records, Leg.BOB_TO_CHARLIE, plan.interceptor(Leg.BOB_TO_CHARLIE), rng)
-    charlie.act(records, rng)
-    records = transmit(records, Leg.CHARLIE_TO_ALICE, plan.interceptor(Leg.CHARLIE_TO_ALICE), rng)
+    batch = transmit(batch, Leg.ALICE_TO_BOB, plan.interceptor(Leg.ALICE_TO_BOB), rng)
+    bob.act(batch, rng)
+    batch = transmit(batch, Leg.BOB_TO_CHARLIE, plan.interceptor(Leg.BOB_TO_CHARLIE), rng)
+    charlie.act(batch, rng)
+    batch = transmit(batch, Leg.CHARLIE_TO_ALICE, plan.interceptor(Leg.CHARLIE_TO_ALICE), rng)
 
-    bob.announce(records, rng)
-    charlie.announce(records, rng)
+    bob.announce(batch, rng)
+    charlie.announce(batch, rng)
+    announced_b = batch.announced["bob"].astype(np.intp)
+    announced_c = batch.announced["charlie"].astype(np.intp)
+    case = _CASE_OF[announced_b, announced_c]
 
-    by_case: dict[CaseLabel, list[ParticleRecord]] = {c: [] for c in CaseLabel}
-    for r in records:
-        by_case[classify_case(r.announced_bob_choice, r.announced_charlie_choice)].append(r)
+    # Alice measures case by case, each case in position order.
+    c1, c2, c3, c4 = members = [np.flatnonzero(case == i) for i in range(len(CaseLabel))]
+    basis = _ALICE_BASIS[case, preps]
+    order = np.concatenate(members)
+    alice = np.empty(len(batch), dtype=np.int8)
+    alice[order] = batch.measure(order, basis[order], rng)
 
-    for case, members in by_case.items():
-        for r in members:
-            _alice_measure(r, alice_basis(case, r.prepared), rng)
+    disclosed2, withheld2 = _disclose(c2, config.check_fraction, rng)
+    disclosed3, withheld3 = _disclose(c3, config.check_fraction, rng)
 
-    disclosed2, withheld2 = _disclose([r.index for r in by_case[CaseLabel.CASE2]],
-                                      config.check_fraction, rng)
-    disclosed3, withheld3 = _disclose([r.index for r in by_case[CaseLabel.CASE3]],
-                                      config.check_fraction, rng)
-    by_index = {r.index: r for r in records}
+    def check(check_id, positions, mismatched) -> CheckVerdict:
+        return evaluate_check(check_id, len(positions), int(np.count_nonzero(mismatched)),
+                              config.thresholds[check_id])
 
-    checks: list[CheckVerdict] = []
-    c1 = by_case[CaseLabel.CASE1]
-    mism1 = sum(1 for r in c1
-                if not (r.alice_final[1] == bob.reported_result(r) == charlie.reported_result(r)))
-    checks.append(evaluate_check("case1", len(c1), mism1, config.thresholds["case1"]))
-
-    mism2 = sum(1 for idx in disclosed2
-                if by_index[idx].alice_final[1] != bob.reported_result(by_index[idx]))
-    checks.append(evaluate_check("case2", len(disclosed2), mism2, config.thresholds["case2"]))
-
-    mism3 = sum(1 for idx in disclosed3
-                if by_index[idx].alice_final[1] != charlie.reported_result(by_index[idx]))
-    checks.append(evaluate_check("case3", len(disclosed3), mism3, config.thresholds["case3"]))
-
-    c4 = by_case[CaseLabel.CASE4]
-    mism4 = sum(1 for r in c4 if r.alice_final[1] != expected_outcome(r.prepared))
-    checks.append(evaluate_check("case4", len(c4), mism4, config.thresholds["case4"]))
+    checks = [
+        check("case1", c1, (alice[c1] != bob.reported_results(batch, c1))
+              | (alice[c1] != charlie.reported_results(batch, c1))),
+        check("case2", disclosed2,
+              alice[disclosed2] != bob.reported_results(batch, disclosed2)),
+        check("case3", disclosed3,
+              alice[disclosed3] != charlie.reported_results(batch, disclosed3)),
+        check("case4", c4, alice[c4] != EXPECTED_OF_CODE[preps[c4]]),
+    ]
 
     reason = abort_reason(checks)
     aborted = reason is not None
 
     keys: Optional[KeyMaterial] = None
     if not aborted:
-        if not withheld2 or not withheld3:
+        if not len(withheld2) or not len(withheld3):
             aborted = True
             reason = "no undisclosed key particles remain"
         else:
-            keys = derive_keys([by_index[i].alice_final[1] for i in withheld2],
-                               [by_index[i].alice_final[1] for i in withheld3])
+            keys = derive_keys(alice[withheld2].tolist(), alice[withheld3].tolist())
 
-    context = SimpleNamespace(k_b_positions=withheld2, k_c_positions=withheld3,
-                              records=records)
-    payoff = _score_payoff(plan, context, by_index, rng)
+    payoff = None
+    if not aborted and plan.target is not None:
+        # The attacker guesses the key-case bits; the truth is what the
+        # party holding each share measured.
+        context = SimpleNamespace(k_b_positions=withheld2, k_c_positions=withheld3)
+        truths = np.concatenate([batch.result["bob"][withheld2],
+                                 batch.result["charlie"][withheld3]])
+        payoff = score_payoff(plan.target, plan.guess_a(context, rng), truths)
 
     digest = transcript_digest({
         "protocol": "A",
         "seed": seed,
         "attack": plan.spec.attack_id,
-        "prepared": [s.value for s in preps],
-        "announced": [[r.announced_bob_choice.value, r.announced_charlie_choice.value]
-                      for r in records],
-        "alice": [[r.alice_final[0].value, r.alice_final[1]] for r in records],
+        "prepared": BB84_VALUE[preps].tolist(),
+        "announced": [list(pair) for pair in zip(_CHOICE_VALUE[announced_b].tolist(),
+                                                 _CHOICE_VALUE[announced_c].tolist())],
+        "alice": [list(pair) for pair in zip(_BASIS_VALUE[basis].tolist(), alice.tolist())],
         "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
         "aborted": aborted,
     })
 
-    return RunReport(protocol="A", seed=seed, checks=tuple(checks), aborted=aborted,
+    return RunReport(protocol="A", seed=seed, checks=checks, aborted=aborted,
                      abort_reason=reason, keys=keys, payoff=payoff,
-                     transcript_digest=digest)
-
-
-def _score_payoff(plan, context, by_index, rng) -> Optional[dict]:
-    """Fraction of the targeted party's key-case bits the adversary guesses right."""
-    if plan.target is None:
-        return None
-    scored = []
-    for idx, bit in plan.guess_a(context, rng).items():
-        record = by_index[idx]
-        truth = (record.bob_result if idx in context.k_b_positions
-                 else record.charlie_result)
-        if truth is not None:
-            scored.append((bit, truth))
-    return score_payoff(plan.target, scored)
+                     digest=digest)

@@ -11,26 +11,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
-    Basis,
-    CompositeState,
-    PrepState,
-    PureState,
-    basis_of,
-    expected_outcome,
-    measure,
-    measure_qubit,
-    prepare,
+    BASIS_OF_CODE,
+    BB84_VALUE,
+    EXPECTED_OF_CODE,
+    measure_qubit,  # noqa: F401 -- a module binding for call-site tracing (perfbench)
 )
 from .runtime import (
+    CTRL,
+    TAGS,
     CheckVerdict,
     KeyMaterial,
     Leg,
+    ParticleBatch,
     RunReport,
     abort_reason,
     check_int,
@@ -50,20 +48,6 @@ DEFAULT_THRESHOLD = 0.05
 
 def default_thresholds(value: float = DEFAULT_THRESHOLD) -> dict[str, float]:
     return {check: value for check in CHECKS_B}
-
-
-@dataclass
-class TaggedParticle:
-    """A particle in flight: its quantum state plus originator bookkeeping.
-
-    The tag/origin fields are ground truth for tests and adversaries that
-    physically hold the particle; Alice only learns positions from the
-    published order announcements.
-    """
-
-    state: Union[PureState, CompositeState]
-    tag: str                        # "CTRL" | "SIFT_B" | "SIFT_C" | "FAKE"
-    origin: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -121,21 +105,20 @@ def _is_valid_order(pub, n_incoming: int, n_sift: int) -> bool:
     return incoming == set(range(n_incoming)) and sift == set(range(n_sift))
 
 
-def _measure_particle(p: TaggedParticle, basis: Basis, rng) -> int:
-    if isinstance(p.state, CompositeState):
-        bit, collapsed = measure_qubit(p.state, basis, rng)
-    else:
-        bit, collapsed = measure(p.state, basis, rng)
-    p.state = collapsed
-    return bit
+def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
+               n: int) -> list[int]:
+    """The outcomes at ``positions`` in the order of their particles' origins."""
+    by_origin = np.full(n, -1, dtype=np.int8)
+    by_origin[origins[positions]] = outcomes[positions]
+    return by_origin[by_origin >= 0].tolist()
 
 
 def _abort_report(config, plan, seed, reason, checks=()) -> RunReport:
     digest = transcript_digest({"protocol": "B", "seed": seed,
                                 "attack": plan.spec.attack_id, "abort": reason})
-    return RunReport(protocol="B", seed=seed, checks=tuple(checks), aborted=True,
+    return RunReport(protocol="B", seed=seed, checks=checks, aborted=True,
                      abort_reason=reason, keys=None, payoff=None,
-                     transcript_digest=digest)
+                     digest=digest)
 
 
 def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
@@ -145,9 +128,8 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = config.n
 
-    preps = [list(PrepState)[int(i)] for i in rng.integers(4, size=n)]
-    batch = [TaggedParticle(state=prepare(s), tag="CTRL", origin=i)
-             for i, s in enumerate(preps)]
+    preps = rng.integers(4, size=n)
+    batch = ParticleBatch(preps, tag=np.full(n, CTRL, dtype=np.int8), origin=np.arange(n))
 
     bob = plan.party("bob", n)
     charlie = plan.party("charlie", n)
@@ -164,37 +146,33 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     resolved = resolve_orders(bob_pub, charlie_pub, n)
     if resolved is None or len(batch) != 3 * n:
         return _abort_report(config, plan, seed, "malformed announcement")
+    tags = np.fromiter((TAGS.index(tag) for tag, _ in resolved.values()),
+                       dtype=np.int8, count=3 * n)
+    origins = np.fromiter((origin for _, origin in resolved.values()),
+                          dtype=np.intp, count=3 * n)
 
     # Alice measures: CTRL in its preparation basis, SIFT particles in Z.
-    outcomes: dict[int, int] = {}
-    for pos in range(3 * n):
-        tag, origin = resolved[pos]
-        basis = basis_of(preps[origin]) if tag == "CTRL" else Basis.Z
-        outcomes[pos] = _measure_particle(batch[pos], basis, rng)
+    ctrl = np.flatnonzero(tags == CTRL)
+    bases = np.zeros(3 * n, dtype=np.int8)
+    bases[ctrl] = BASIS_OF_CODE[preps[origins[ctrl]]]
+    outcomes = batch.measure(np.arange(3 * n), bases, rng)
 
-    positions = {"CTRL": [], "SIFT_B": [], "SIFT_C": []}
-    for pos in range(3 * n):
-        tag, origin = resolved[pos]
-        positions[tag].append((pos, origin))
-
-    checks: list[CheckVerdict] = []
-    mism_ctrl = sum(1 for pos, origin in positions["CTRL"]
-                    if outcomes[pos] != expected_outcome(preps[origin]))
-    checks.append(evaluate_check("ctrl", n, mism_ctrl, config.thresholds["ctrl"]))
+    mism_ctrl = np.count_nonzero(outcomes[ctrl] != EXPECTED_OF_CODE[preps[origins[ctrl]]])
+    checks: list[CheckVerdict] = [
+        evaluate_check("ctrl", n, int(mism_ctrl), config.thresholds["ctrl"])]
 
     test_counts = math.ceil(config.test_fraction * n)
 
-    def run_test(tag: str, party, check_id: str):
-        members = positions[tag]
-        chosen = set(int(i) for i in rng.choice(len(members), size=test_counts,
-                                                replace=False))
-        tested = [members[i] for i in sorted(chosen)]
-        untested = [members[i] for i in range(len(members)) if i not in chosen]
-        mism = sum(1 for pos, origin in tested
-                   if outcomes[pos] != party.reveal_prepared(pos, origin))
-        checks.append(evaluate_check(check_id, len(tested), mism,
+    def run_test(tag: str, party, check_id: str) -> np.ndarray:
+        members = np.flatnonzero(tags == TAGS.index(tag))
+        chosen = np.zeros(len(members), dtype=bool)
+        chosen[rng.choice(len(members), size=test_counts, replace=False)] = True
+        tested = members[chosen]
+        mism = np.count_nonzero(outcomes[tested]
+                                != party.reveal_prepared(tested, origins[tested]))
+        checks.append(evaluate_check(check_id, len(tested), int(mism),
                                      config.thresholds[check_id]))
-        return untested
+        return members[~chosen]
 
     untested_b = run_test("SIFT_B", bob, "test_b")
     untested_c = run_test("SIFT_C", charlie, "test_c")
@@ -204,44 +182,36 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
 
     keys: Optional[KeyMaterial] = None
     if not aborted:
-        if not untested_b or not untested_c:
+        if not len(untested_b) or not len(untested_c):
             aborted = True
             reason = "no untested key particles remain"
         else:
-            bits_b = [outcomes[pos] for pos, _ in sorted(untested_b, key=lambda t: t[1])]
-            bits_c = [outcomes[pos] for pos, _ in sorted(untested_c, key=lambda t: t[1])]
-            keys = derive_keys(bits_b, bits_c)
+            keys = derive_keys(_by_origin(outcomes, untested_b, origins, n),
+                               _by_origin(outcomes, untested_c, origins, n))
 
-    context = SimpleNamespace(bob_pub=bob_pub, charlie_pub=charlie_pub,
-                              resolved=resolved,
-                              untested_b=[origin for _, origin in untested_b],
-                              untested_c=[origin for _, origin in untested_c])
-    payoff = _score_payoff(plan, context, bob, charlie, rng)
+    payoff = None
+    if not aborted and plan.target is not None:
+        # The attacker guesses the untested SIFT bits each party prepared.
+        origins_b, origins_c = origins[untested_b], origins[untested_c]
+        context = SimpleNamespace(bob_pub=bob_pub, tags=tags, origins=origins, n=n)
+        guesses = plan.guess_b(context, rng)
+        payoff = score_payoff(
+            plan.target,
+            np.concatenate([guesses["k_b"][origins_b], guesses["k_c"][origins_c]]),
+            np.concatenate([bob.prepared_bits[origins_b], charlie.prepared_bits[origins_c]]))
 
     digest = transcript_digest({
         "protocol": "B",
         "seed": seed,
         "attack": plan.spec.attack_id,
-        "prepared": [s.value for s in preps],
+        "prepared": BB84_VALUE[preps].tolist(),
         "bob_pub": bob_pub,
         "charlie_pub": charlie_pub,
-        "outcomes": [outcomes[pos] for pos in range(3 * n)],
+        "outcomes": outcomes.tolist(),
         "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
         "aborted": aborted,
     })
 
-    return RunReport(protocol="B", seed=seed, checks=tuple(checks), aborted=aborted,
+    return RunReport(protocol="B", seed=seed, checks=checks, aborted=aborted,
                      abort_reason=reason, keys=keys, payoff=payoff,
-                     transcript_digest=digest)
-
-
-def _score_payoff(plan, context, bob, charlie, rng) -> Optional[dict]:
-    """Score the adversary's guesses against the honest parties' prepared bits."""
-    if plan.target is None:
-        return None
-    guesses = plan.guess_b(context, rng)
-    return score_payoff(plan.target, [
-        (guesses[key][origin], party.prepared_bits[origin])
-        for key, party, untested in (("k_b", bob, context.untested_b),
-                                     ("k_c", charlie, context.untested_c))
-        for origin in untested if origin in guesses[key]])
+                     digest=digest)

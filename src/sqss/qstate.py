@@ -103,15 +103,53 @@ def _draw(p0: float, rng: np.random.Generator) -> int:
     return 0 if rng.random() < p0 else 1
 
 
-def measure(state: PureState, basis: Basis, rng: np.random.Generator) -> tuple[int, PureState]:
-    """Born-rule measurement with collapse onto the outcome's basis state."""
+def _bare_p0(state: PureState, basis: Basis) -> float:
+    """Probability of outcome 0 when a bare qubit is measured in ``basis``."""
     v = state.vector()
     if basis is Basis.Z:
-        p0 = abs(v[0]) ** 2
-    else:
-        p0 = abs((v[0] + v[1]) * _INV_SQRT2) ** 2
-    outcome = _draw(p0, rng)
+        return abs(v[0]) ** 2
+    return abs((v[0] + v[1]) * _INV_SQRT2) ** 2
+
+
+def measure(state: PureState, basis: Basis, rng: np.random.Generator) -> tuple[int, PureState]:
+    """Born-rule measurement with collapse onto the outcome's basis state."""
+    outcome = _draw(_bare_p0(state, basis), rng)
     return outcome, basis_state(basis, outcome)
+
+
+# Layers of bare protocol states as arrays.  A particle's state is its BB84
+# code, the index of its PrepState (0: |0>, 1: |1>, 2: |+>, 3: |->); a basis
+# is 0 for Z and 1 for X.
+BB84 = tuple(PrepState)
+BASES = (Basis.Z, Basis.X)
+BASIS_OF_CODE = np.array([BASES.index(basis_of(s)) for s in BB84], dtype=np.int8)
+EXPECTED_OF_CODE = np.array([expected_outcome(s) for s in BB84], dtype=np.int8)
+BB84_STATES = tuple(prepare(s) for s in BB84)
+BB84_VALUE = np.array([s.value for s in BB84])
+# P(0) per (code, basis) from measure's own formula, so the draws compare
+# against the same floats; the outcome where _draw's thresholds make it
+# certain, else -1; and the code each (basis, outcome) collapses onto.
+_CODE_P0 = np.array([[_bare_p0(s, b) for b in BASES] for s in BB84_STATES])
+_CODE_CERTAIN = np.where(_CODE_P0 < MIN_BRANCH_PROB, 1,
+                         np.where(1.0 - _CODE_P0 < MIN_BRANCH_PROB, 0, -1)).astype(np.int8)
+_COLLAPSED_CODE = np.array([[BB84_STATES.index(basis_state(b, bit)) for bit in (0, 1)]
+                            for b in BASES], dtype=np.int8)
+
+
+def measure_codes(codes: np.ndarray, bases: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``measure`` on a layer of bare qubits given by BB84 codes, in order.
+
+    Qubits whose outcome is certain draw nothing; the others share one
+    ``rng.random(k)`` call, which yields the k numbers k ``_draw`` calls would.
+    Returns the outcome bits and the collapsed codes.
+    """
+    bits = _CODE_CERTAIN[codes, bases]
+    uncertain = bits < 0
+    k = int(np.count_nonzero(uncertain))
+    if k:
+        bits[uncertain] = rng.random(k) >= _CODE_P0[codes[uncertain], bases[uncertain]]
+    return bits, _COLLAPSED_CODE[bases, bits]
 
 
 @dataclass(frozen=True)

@@ -104,3 +104,11 @@ def test_tradeoff_subcommand(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert rows[0]["epsilon"] == 0.25
     assert rows[0]["info"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("probe_dim", ["0", "1"])
+def test_tradeoff_rejects_a_probe_too_small_for_bit_copy(capsys, probe_dim):
+    code = cli.main(["tradeoff", "--mode", "a", "--epsilons", "0.25", "--restarts", "2",
+                     "--iters", "1", "--probe-dim", probe_dim])
+    assert code == cli.EXIT_CONFIG
+    assert "probe_dim must be at least 2" in capsys.readouterr().err

@@ -24,6 +24,7 @@ from sqss.em_analysis import (
     theorem_check,
     unitary_from_params,
 )
+from sqss.oracle import detection_oracle
 from sqss.qstate import PrepState
 
 
@@ -178,3 +179,29 @@ def test_insert_reorder_checks_blind_to_undone_controlled_rotation():
     assert verdict.zero_error
     assert verdict.distinguishability == pytest.approx(1.0)
     assert not verdict.holds
+
+
+def test_bit_copy_needs_two_probe_levels():
+    for probe_dim in (0, 1, 2.0):
+        with pytest.raises(ValueError, match="probe_dim"):
+            bit_copy_pair("A", probe_dim)
+    with pytest.raises(ValueError, match="probe_dim must be at least 2"):
+        constrained_search("B", 0.1, probe_dim=1, restarts=1, iters=1)
+    with pytest.raises(ValueError, match="probe_dim must be at least 1"):
+        constrained_search("B", 0.1, probe_dim=0, restarts=1, iters=1,
+                           include_bit_copy=False)
+    point = constrained_search("B", 0.1, probe_dim=1, restarts=1, iters=1,
+                               include_bit_copy=False)
+    assert point.probe_dim == 1
+
+
+@pytest.mark.parametrize("mode, attack_id", [("A", "a.mr.eve.1"), ("B", "b.mr.eve.2")])
+def test_bit_copy_pair_matches_the_oracle_outsider_measure_resend(mode, attack_id):
+    """Copying the Z bit into a probe on the pair's first leg is Eve's
+    measure-resend attack on that leg: the closed-form error rates equal the
+    exact oracle's."""
+    rates = error_profile(bit_copy_pair(mode, 2), mode).rates
+    exact = detection_oracle(mode, attack_id)
+    assert rates.keys() == exact.keys()
+    for check, p in exact.items():
+        assert rates[check] == pytest.approx(float(p), abs=1e-12)

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sqss import harness
@@ -18,9 +19,11 @@ from sqss.harness import (
     wilson_interval,
     write_report,
 )
+from sqss.adversary import AttackSpec, parse_attack_id
+from sqss.em_analysis import random_pair
 from sqss.oracle import detection_oracle
-from sqss.protocol_a import CHECKS_A, ProtocolAConfig
-from sqss.protocol_b import CHECKS_B, ProtocolBConfig
+from sqss.protocol_a import CHECKS_A, ProtocolAConfig, run_protocol_a
+from sqss.protocol_b import CHECKS_B, ProtocolBConfig, run_protocol_b
 
 
 def test_wilson_interval_basics():
@@ -227,3 +230,53 @@ def test_write_report_csv(tmp_path):
     assert len(lines) == 4  # header + one row per check
     with pytest.raises(ConfigError):
         write_report(config, stats, digests, "xml", tmp_path / "out.xml")
+
+
+# Transcript digests and payoffs of one trial per attack, pinned from the
+# per-particle engine the array engine replaced: the two must make the same
+# RNG draws in the same order.  Thresholds of 1.0 let every run score its payoff.
+PINNED_RUNS = [
+    ("a.none", "9afa32acab3637a57de6e0c54cb5ca59cc05e7037c882e2b26d0c9612b01d3aa", None),
+    ("a.ir.bob", "1d1ccef13688fd4f7397ece187103f809f208615685333053a6b046848b4442b",
+     {"target": "k_c", "guessed": 6, "correct": 6, "fraction": 1.0}),
+    ("a.mr.charlie.1", "2ff0e33cd2c9612299104a358bdf03ed2cb7a0391394cb44ed579091931fef26",
+     {"target": "k_b", "guessed": 6, "correct": 6, "fraction": 1.0}),
+    ("b.none", "79a0b7a132c07732c6583b76c23a32d733046a3c89036ce501426c7ba6afeadc", None),
+    ("b.ir.charlie", "5611610f84a5830b7b1dfee4a79f1c1675b7926ae592e039987f85747ddf84fa",
+     {"target": "k_b", "guessed": 8, "correct": 8, "fraction": 1.0}),
+    ("b.mr.eve.3", "7c916b333d273951aa1210a9e67f693b678ac959ec9552b13852ea0a63e83da7",
+     {"target": "both", "guessed": 16, "correct": 16, "fraction": 1.0}),
+    ("a.em", "1bdde2d2e9cfc0bc51dc2ee74dfea93cf5993fd6eae7f11e28048aee4071806d", None),
+    ("b.em", "d6b722f36e6aef880e2481c655f87882157da0f693405eb75470cb36c35b2b66", None),
+]
+
+
+@pytest.mark.parametrize("attack_id, digest, payoff", PINNED_RUNS)
+def test_pinned_transcripts(attack_id, digest, payoff):
+    mode = attack_id[0].upper()
+    if attack_id.endswith(".em"):
+        spec = AttackSpec(mode, "em", pair=random_pair(mode, 2, np.random.default_rng(5)))
+    else:
+        spec = None if attack_id.endswith(".none") else parse_attack_id(attack_id)
+    if mode == "A":
+        config = ProtocolAConfig(n=20, m=45, thresholds=dict.fromkeys(CHECKS_A, 1.0))
+        report = run_protocol_a(config, spec, (3, 1))
+    else:
+        config = ProtocolBConfig(n=16, thresholds=dict.fromkeys(CHECKS_B, 1.0))
+        report = run_protocol_b(config, spec, (3, 1))
+    assert report.transcript_digest == digest
+    assert report.payoff == payoff
+
+
+@pytest.mark.parametrize("protocol, attack_id, params, reason", [
+    ("A", "a.mr.bob.1", {"n": 20, "m": 45}, "check case4 failed"),
+    ("B", "b.mr.charlie", {"n": 40}, "check ctrl failed"),
+])
+def test_aborted_runs_score_no_payoff(protocol, attack_id, params, reason):
+    """An aborted run derives no key, so there is nothing to guess."""
+    config = config_from_dict({"protocol": protocol, "trials": 5, "seed": 2,
+                               "attack": attack_id, "params": params})
+    for trial in range(config.trials):
+        report = run_one(config, trial)
+        assert report.aborted and report.payoff is None
+        assert report.abort_reason == reason

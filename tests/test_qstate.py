@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from sqss.qstate import (
+    BASES,
+    BB84,
+    BB84_STATES,
     Basis,
     CompositeState,
     DensityMatrix,
@@ -19,6 +22,7 @@ from sqss.qstate import (
     expected_outcome,
     lift,
     measure,
+    measure_codes,
     measure_qubit,
     prepare,
     probe_density,
@@ -233,3 +237,31 @@ def test_measure_qubit_matches_branch_probability_and_collapse(basis):
         b = projectors[basis][bit]
         proj = np.kron(np.outer(b, b.conj()), np.eye(d)) @ state.amps
         assert np.abs(got.amps - proj / np.linalg.norm(proj)).max() < 1e-12
+
+
+def test_measure_codes_matches_measure_draw_for_draw():
+    """Every code x basis, in a shuffled layer: the same outcomes, collapsed
+    states and final RNG state as calling measure on each qubit in turn."""
+    layout = np.random.default_rng(60)
+    codes = layout.integers(len(BB84), size=400).astype(np.int8)
+    bases = layout.integers(len(BASES), size=400).astype(np.int8)
+    assert {(c, b) for c, b in zip(codes.tolist(), bases.tolist())} == {
+        (c, b) for c in range(4) for b in range(2)}
+    for seed in range(5):
+        ref_rng = np.random.default_rng(seed)
+        want = [measure(BB84_STATES[c], BASES[b], ref_rng)
+                for c, b in zip(codes.tolist(), bases.tolist())]
+        rng = np.random.default_rng(seed)
+        bits, collapsed = measure_codes(codes, bases, rng)
+        assert bits.tolist() == [bit for bit, _ in want]
+        assert [BB84_STATES[c] for c in collapsed.tolist()] == [state for _, state in want]
+        assert rng.random() == ref_rng.random()
+
+
+def test_measure_codes_draws_nothing_for_certain_outcomes():
+    rng = np.random.default_rng(61)
+    state = rng.bit_generator.state
+    bits, collapsed = measure_codes(np.array([0, 1, 2, 3], dtype=np.int8),
+                                    np.array([0, 0, 1, 1], dtype=np.int8), rng)
+    assert bits.tolist() == [0, 1, 0, 1] and collapsed.tolist() == [0, 1, 2, 3]
+    assert rng.bit_generator.state == state

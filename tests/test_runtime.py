@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from sqss.qstate import PrepState, prepare
+from sqss.qstate import BASES, BB84_STATES, CompositeState, lift, measure, measure_qubit
 from sqss.runtime import (
+    PROBED,
     Leg,
+    ParticleBatch,
     ParticleConservationError,
-    ParticleRecord,
     SimulationError,
     derive_keys,
     evaluate_check,
@@ -18,8 +19,7 @@ from sqss.runtime import (
 
 
 def _batch(n=5):
-    return [ParticleRecord(index=i, prepared=PrepState.ZERO,
-                           in_flight=prepare(PrepState.ZERO)) for i in range(n)]
+    return ParticleBatch(np.zeros(n, dtype=np.int8))
 
 
 def test_transmit_identity_without_interceptor():
@@ -93,3 +93,50 @@ def test_transcript_digest_is_order_insensitive_and_stable():
     b = transcript_digest({"y": [1, 2], "x": 1})
     assert a == b
     assert a != transcript_digest({"x": 2, "y": [1, 2]})
+
+
+def test_batch_measure_mixed_layer_matches_one_at_a_time():
+    """Bare and probed particles interleaved, measured in a scrambled order:
+    the same outcomes, collapsed states and final RNG state as measure /
+    measure_qubit on each particle in turn."""
+    layout = np.random.default_rng(70)
+    n, d = 60, 2
+    codes = layout.integers(4, size=n).astype(np.int8)
+    probed = layout.random(n) < 0.4
+    probes = {}
+    for i in np.flatnonzero(probed).tolist():
+        amps = layout.normal(size=2 * d) + 1j * layout.normal(size=2 * d)
+        probes[i] = CompositeState(amps / np.linalg.norm(amps), d)
+    positions = layout.permutation(n)[:45]
+    bases = layout.integers(2, size=len(positions)).astype(np.int8)
+    for seed in range(4):
+        batch = ParticleBatch(np.where(probed, PROBED, codes))
+        for i, state in probes.items():
+            batch.probe[i] = state
+        rng = np.random.default_rng(seed)
+        bits = batch.measure(positions, bases, rng)
+
+        ref_rng = np.random.default_rng(seed)
+        states = {i: probes.get(i, BB84_STATES[c]) for i, c in enumerate(codes.tolist())}
+        want = []
+        for pos, b in zip(positions.tolist(), bases.tolist()):
+            step = measure_qubit if pos in probes else measure
+            bit, states[pos] = step(states[pos], BASES[b], ref_rng)
+            want.append(bit)
+        assert bits.tolist() == want
+        assert rng.random() == ref_rng.random()
+        for i, state in states.items():
+            if i in probes:
+                assert batch.code[i] == PROBED
+                assert np.array_equal(batch.probe[i].amps, state.amps)
+            else:
+                assert BB84_STATES[batch.code[i]] == state
+
+
+def test_batch_indexing_keeps_columns_aligned():
+    batch = ParticleBatch([0, 1, 2, 3], tag=np.arange(4), origin=np.arange(4) * 10)
+    batch.probe[2] = lift(BB84_STATES[2], 2)
+    picked = batch[np.array([2, 0])]
+    assert picked.code.tolist() == [2, 0] and picked.origin.tolist() == [20, 0]
+    assert picked.probe[0] is batch.probe[2] and picked.probe[1] is None
+    assert len(batch[1:]) == 3
