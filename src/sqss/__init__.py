@@ -45,7 +45,6 @@ from .qstate import (
     measure,
     measure_qubit,
     prepare,
-    probe_density,
     trace_distance,
 )
 from .runtime import (

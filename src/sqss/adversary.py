@@ -24,12 +24,11 @@ import numpy as np
 
 from .qstate import BASES, BB84_STATES, Basis, apply_unitary_batch, check_unitary
 from .runtime import (
-    FAKE,
+    CTRL,
     LEG_ORDER,
     PROBED,
     SIFT_B,
     SIFT_C,
-    TAGS,
     Leg,
     ParticleBatch,
     SimulationError,
@@ -110,6 +109,8 @@ class AttackSpec:
 
 
 def parse_attack_id(attack_id: str) -> AttackSpec:
+    """The spec an attack id names; the id must be that spec's canonical
+    ``attack_id``, so ``a.none.bob`` or ``a.mr.eve.01`` are rejected."""
     parts = attack_id.split(".")
     if len(parts) < 2 or parts[0] not in ("a", "b"):
         raise UnsupportedAttackError(f"malformed attack id {attack_id!r}")
@@ -120,7 +121,11 @@ def parse_attack_id(attack_id: str) -> AttackSpec:
         raise UnsupportedAttackError(f"malformed attack id {attack_id!r}")
     kind, actor = parts[1], parts[2]
     variant = int(parts[3]) if len(parts) == 4 else None
-    return AttackSpec(protocol, kind, actor, variant)
+    spec = AttackSpec(protocol, kind, actor, variant)
+    if spec.attack_id != attack_id:
+        raise UnsupportedAttackError(
+            f"attack id {attack_id!r} is not canonical; did you mean {spec.attack_id!r}?")
+    return spec
 
 
 def catalog_ids(protocol: Optional[str] = None) -> list[str]:
@@ -345,37 +350,31 @@ def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
 
 class HonestPartyB:
     """Protocol B classical party: insert n fresh Z-basis particles and apply a
-    uniformly random shuffle; the order is withheld until publication."""
+    uniformly random shuffle; the order is withheld until publication.
 
-    SIFT_TAG = {"bob": SIFT_B, "charlie": SIFT_C}
+    The order is a permutation array: output position q carries combined
+    particle ``order[q]``, where the received particles come first and the
+    inserted ones follow.
+    """
 
     def __init__(self, role: str, n: int):
         self.role = role
         self.n = n
         self.prepared_bits = np.zeros(0, dtype=np.int8)
-        self._order = (0, np.zeros(0, dtype=np.intp))  # (incoming count, shuffle)
+        self.order = np.zeros(0, dtype=np.intp)
 
     def fresh_particles(self, rng) -> ParticleBatch:
         """n fresh |bit> particles; a Z-basis state's BB84 code is its bit."""
         self.prepared_bits = rng.integers(2, size=self.n).astype(np.int8)
-        return ParticleBatch(self.prepared_bits,
-                             tag=np.full(self.n, self.SIFT_TAG[self.role], dtype=np.int8),
-                             origin=np.arange(self.n))
-
-    def _shuffle(self, n_incoming: int, total: int, rng) -> np.ndarray:
-        """Draw the secret order of ``total`` particles, ``n_incoming`` of
-        them received and the rest inserted."""
-        perm = rng.permutation(total)
-        self._order = (n_incoming, perm)
-        return perm
+        return ParticleBatch(self.prepared_bits)
 
     def process(self, incoming, rng):
         combined = ParticleBatch.concat(incoming, self.fresh_particles(rng))
-        return combined[self._shuffle(len(incoming), len(combined), rng)]
+        self.order = rng.permutation(len(combined))
+        return combined[self.order]
 
-    def published_order(self):
-        n_in, perm = self._order
-        return [("incoming", i) if i < n_in else ("sift", i - n_in) for i in perm.tolist()]
+    def published_order(self) -> np.ndarray:
+        return self.order
 
     def reveal_prepared(self, final_positions: np.ndarray, origins: np.ndarray) -> np.ndarray:
         return self.prepared_bits[origins]
@@ -402,11 +401,9 @@ class InterceptResendPartyB(_Insider, HonestPartyB):
         self.prepared_bits = rng.integers(2, size=self.n).astype(np.int8)
         total = len(incoming) + self.n
         bits = rng.integers(2, size=total)
-        fakes = ParticleBatch(bits, tag=np.full(total, FAKE, dtype=np.int8),
-                              origin=np.full(total, -1))
         self.knowledge.note_fake(np.arange(total), bits)
-        self._shuffle(len(incoming), total, rng)
-        return fakes
+        self.order = rng.permutation(total)
+        return ParticleBatch(bits)
 
     def reveal_prepared(self, final_positions, origins):
         return self.knowledge.fake_bits[final_positions]
@@ -502,10 +499,10 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 _NO_ATTACK = CatalogEntry()
-# The key strings by index, and the key each protocol B tag carries (-1: none).
+# The key strings by index, and the key each protocol B class carries (-1: none).
 _KEYS = ("k_b", "k_c")
-_KEY_OF_TAG = np.full(len(TAGS), -1, dtype=np.int8)
-_KEY_OF_TAG[[SIFT_B, SIFT_C]] = [_KEYS.index("k_b"), _KEYS.index("k_c")]
+_KEY_OF_CLASS = np.empty(3, dtype=np.int8)
+_KEY_OF_CLASS[[CTRL, SIFT_B, SIFT_C]] = [-1, _KEYS.index("k_b"), _KEYS.index("k_c")]
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +568,20 @@ class AttackPlan:
         """Guess the targeted parties' prepared SIFT bits.
 
         Returns ``{"k_b": bits, "k_c": bits}``, each indexed by origin (-1
-        where there is no guess); ``context`` carries Bob's published order,
-        the resolved final ``tags`` and ``origins`` and the batch size ``n``.
+        where there is no guess); ``context`` carries Bob's published
+        ``bob_order``, the resolved final ``classes`` and ``origins`` and the
+        batch size ``n``.
         """
         if C2A in self.entry.legs:
             # Seen on the return leg: positions are Alice's final ones.
-            positions = np.arange(len(context.tags))
-            keys = _KEY_OF_TAG[context.tags]
+            positions = np.arange(len(context.classes))
+            keys = _KEY_OF_CLASS[context.classes]
             origins = context.origins
         else:
-            # Seen before Charlie's step: positions follow Bob's published order.
-            sift = [(q, j) for q, (what, j) in enumerate(context.bob_pub) if what == "sift"]
-            positions, origins = np.array(sift, dtype=np.intp).reshape(-1, 2).T
+            # Seen before Charlie's step: positions follow Bob's published
+            # order, in which his insertions follow the n received particles.
+            positions = np.flatnonzero(context.bob_order >= context.n)
+            origins = context.bob_order[positions] - context.n
             keys = np.zeros(len(positions), dtype=np.int8)
         bits = self._guesses(positions, keys, rng)
         out = {}

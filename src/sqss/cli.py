@@ -24,8 +24,6 @@ from .harness import (
     write_report,
 )
 from .oracle import detection_oracle
-from .protocol_a import ProtocolAConfig
-from .protocol_b import ProtocolBConfig
 
 EXIT_OK = 0
 EXIT_ABORTED = 1

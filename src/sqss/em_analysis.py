@@ -9,7 +9,7 @@ search over the error-vs-information tradeoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,7 +17,6 @@ from scipy.linalg import expm
 
 from .adversary import UnitaryPair
 from .qstate import (
-    CompositeState,
     DensityMatrix,
     PrepState,
     check_unitary,
@@ -278,17 +277,22 @@ class TheoremVerdict:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def theorem_check(pair: UnitaryPair, mode: Optional[str] = None,
-                  err_tol: float = 1e-12, info_tol: float = 1e-8,
-                  residual_tol: float = 1e-8) -> TheoremVerdict:
-    """If the pair induces no check error (within err_tol), verify that the
+# Tolerances of theorem_check: a check error rate up to ERR_TOL counts as
+# zero; the information and every residual must then be within their own.
+ERR_TOL = 1e-12
+INFO_TOL = 1e-8
+RESIDUAL_TOL = 1e-8
+
+
+def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdict:
+    """If the pair induces no check error (within ERR_TOL), verify that the
     probe carries no key information and that the structural identities the
     zero-error condition forces all hold within tolerance."""
     mode = _mode_of(pair, mode)
     # Mode A decomposes the first unitary once and shares it.
     branches = _measured_branches(pair) if mode == "A" else None
     profile = _error_profile_a(pair, branches) if mode == "A" else _error_profile_b(pair)
-    zero_error = profile.max_rate <= err_tol
+    zero_error = profile.max_rate <= ERR_TOL
     if not zero_error:
         return TheoremVerdict(mode=mode, max_error=profile.max_rate, zero_error=False,
                               distinguishability=None, residuals={}, holds=None)
@@ -298,7 +302,7 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None,
     else:
         info = _distinguishability_b(pair)
         residuals = _residuals_b(pair)
-    holds = info <= info_tol and max(residuals.values()) <= residual_tol
+    holds = info <= INFO_TOL and max(residuals.values()) <= RESIDUAL_TOL
     return TheoremVerdict(mode=mode, max_error=profile.max_rate, zero_error=True,
                           distinguishability=info, residuals=residuals, holds=holds)
 
@@ -416,17 +420,18 @@ def identity_pair(mode: str, probe_dim: int) -> UnitaryPair:
     return UnitaryPair(first=eye, second=eye, probe_dim=probe_dim, protocol=mode)
 
 
-def _check_probe_dim(probe_dim: int, minimum: int) -> None:
+def _check_probe_dim(probe_dim: int) -> None:
+    """The bit-copy attack swaps probe levels 0 and 1, so it needs both."""
     check_int("probe_dim", probe_dim)
-    if probe_dim < minimum:
-        raise ValueError(f"probe_dim must be at least {minimum}, got {probe_dim}")
+    if probe_dim < 2:
+        raise ValueError(f"probe_dim must be at least 2, got {probe_dim}")
 
 
 def bit_copy_pair(mode: str, probe_dim: int) -> UnitaryPair:
     """The canonical maximally informative attack at error 1/4: the first
     unitary copies the transit Z bit into the probe, the second does nothing.
     It needs two probe levels."""
-    _check_probe_dim(probe_dim, 2)
+    _check_probe_dim(probe_dim)
     m = 2 * probe_dim
     u = np.eye(m)
     # flip probe levels 0 and 1 when the qubit is 1
@@ -489,8 +494,7 @@ FEASIBILITY_TOL = 1e-9
 
 
 def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
-                       restarts: int = 6, iters: int = 40, seed: int = 0,
-                       include_bit_copy: bool = True) -> TradeoffPoint:
+                       restarts: int = 6, iters: int = 40, seed: int = 0) -> TradeoffPoint:
     """Maximize probe distinguishability subject to every check error staying
     within the budget, by restarted finite-difference ascent on a penalized
     objective.  Deliberately simple: used for inequalities with slack only.
@@ -499,8 +503,7 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
         raise ValueError("epsilon must be in [0, 0.5]")
     if restarts < 1 or iters < 1:
         raise ValueError("budgets must be positive")
-    # The bit-copy start swaps probe levels 0 and 1.
-    _check_probe_dim(probe_dim, 2 if include_bit_copy else 1)
+    _check_probe_dim(probe_dim)  # for the bit-copy start
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     npar = params_dim(probe_dim)
 
@@ -509,19 +512,12 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     # O(sqrt(error)) growth of distinguishability around the identity.
     lam = 1e7 if epsilon < 1e-6 else 1e3
 
-    def split(theta):
-        return theta[:npar], theta[npar:]
-
-    def evaluate(theta):
-        p1, p2 = split(theta)
-        pair = pair_from_params(mode, probe_dim, p1, p2)
+    def evaluate(theta) -> tuple[float, float, float]:
+        """The penalized objective, the information and the max error at theta."""
+        pair = pair_from_params(mode, probe_dim, theta[:npar], theta[npar:])
         err = error_profile(pair, mode).max_rate
         info = probe_distinguishability(pair, mode)
-        return info, err
-
-    def objective(theta):
-        info, err = evaluate(theta)
-        return info - lam * max(err - epsilon, 0.0)
+        return info - lam * max(err - epsilon, 0.0), info, err
 
     # Rank feasible points by the penalized objective, not raw information:
     # within the feasibility tolerance the information of a near-identity
@@ -530,33 +526,29 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     best = {"info": 0.0, "err": 0.0, "obj": 0.0,
             "theta": np.zeros(2 * npar), "fallback": True}
 
-    def consider(theta, info, err):
-        obj = info - lam * max(err - epsilon, 0.0)
+    def consider(theta, obj, info, err):
         if err <= epsilon + FEASIBILITY_TOL and obj > best["obj"]:
             best.update(info=info, err=err, obj=obj, theta=theta.copy(),
                         fallback=False)
 
-    starts = [np.zeros(2 * npar)]
-    if include_bit_copy:
-        bc = bit_copy_pair(mode, probe_dim)
-        starts.append(np.concatenate([params_from_unitary(bc.first),
-                                      params_from_unitary(bc.second)]))
+    bc = bit_copy_pair(mode, probe_dim)
+    starts = [np.zeros(2 * npar),
+              np.concatenate([params_from_unitary(bc.first), params_from_unitary(bc.second)])]
     while len(starts) < restarts:
         starts.append(rng.normal(scale=0.5, size=2 * npar))
 
     h = 1e-5
     for theta in starts[:restarts]:
         theta = theta.astype(float).copy()
-        f = objective(theta)
-        info, err = evaluate(theta)
-        consider(theta, info, err)
+        f, info, err = evaluate(theta)
+        consider(theta, f, info, err)
         step = 0.25
         for _ in range(iters):
             grad = np.zeros_like(theta)
             for k in range(theta.size):
                 bump = np.zeros_like(theta)
                 bump[k] = h
-                grad[k] = (objective(theta + bump) - objective(theta - bump)) / (2 * h)
+                grad[k] = (evaluate(theta + bump)[0] - evaluate(theta - bump)[0]) / (2 * h)
             gnorm = np.linalg.norm(grad)
             if gnorm < 1e-12:
                 break
@@ -565,11 +557,10 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
             trial_step = step
             while trial_step > 1e-7:
                 cand = theta + trial_step * direction
-                fc = objective(cand)
+                fc, info, err = evaluate(cand)
                 if fc > f:
                     theta, f = cand, fc
-                    info, err = evaluate(theta)
-                    consider(theta, info, err)
+                    consider(theta, f, info, err)
                     step = min(trial_step * 2.0, 0.5)
                     improved = True
                     break
@@ -577,7 +568,7 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
             if not improved:
                 break
 
-    p1, p2 = split(best["theta"])
+    p1, p2 = best["theta"][:npar], best["theta"][npar:]
     return TradeoffPoint(mode=mode, epsilon=epsilon, info=best["info"],
                          max_error=best["err"], probe_dim=probe_dim,
                          params=(tuple(p1), tuple(p2)), restarts=restarts,

@@ -11,7 +11,7 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -103,7 +103,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "protocol" not in data:
         raise ConfigError("config needs a protocol")
-    protocol = str(data["protocol"]).upper()
+    protocol = data["protocol"]
+    if not isinstance(protocol, str) or protocol.upper() not in ("A", "B"):
+        raise ConfigError(f"unknown protocol {protocol!r}")
+    protocol = protocol.upper()
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")

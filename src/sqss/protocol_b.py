@@ -24,7 +24,8 @@ from .qstate import (
 )
 from .runtime import (
     CTRL,
-    TAGS,
+    SIFT_B,
+    SIFT_C,
     CheckVerdict,
     KeyMaterial,
     Leg,
@@ -66,43 +67,34 @@ class ProtocolBConfig:
         check_thresholds(self.thresholds, CHECKS_B)
 
 
-def resolve_orders(bob_pub, charlie_pub, n: int) -> Optional[dict[int, tuple[str, int]]]:
-    """Compose the two published orders into final position -> (tag, origin).
+def resolve_orders(bob_order, charlie_order, n: int
+                   ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Compose the two published orders into the class (``CTRL``,
+    ``SIFT_B`` or ``SIFT_C``) and the origin (index within its class) of
+    the particle at each final position.
 
-    Returns None when either announcement is malformed (wrong size or not a
-    bijection over the expected tags).
+    Returns None when either order is malformed: not an integer array that
+    permutes range(2n) for Bob or range(3n) for Charlie.
     """
-    if len(bob_pub) != 2 * n or len(charlie_pub) != 3 * n:
+    if not (_is_permutation(bob_order, 2 * n) and _is_permutation(charlie_order, 3 * n)):
         return None
-    if not _is_valid_order(bob_pub, n_incoming=n, n_sift=n):
-        return None
-    if not _is_valid_order(charlie_pub, n_incoming=2 * n, n_sift=n):
-        return None
-    resolved = {}
-    for pos, (what, j) in enumerate(charlie_pub):
-        if what == "sift":
-            resolved[pos] = ("SIFT_C", j)
-        else:
-            inner_what, inner_j = bob_pub[j]
-            resolved[pos] = (("SIFT_B", inner_j) if inner_what == "sift"
-                            else ("CTRL", inner_j))
-    return resolved
+    # Number the particles CTRL 0..n-1, SIFT_B n..2n-1, SIFT_C 2n..3n-1:
+    # Bob's order numbers his outputs so already, and Charlie's insertions
+    # follow them.
+    combined = np.concatenate([bob_order, np.arange(2 * n, 3 * n)])[charlie_order]
+    return np.divmod(combined, n)
 
 
-def _is_valid_order(pub, n_incoming: int, n_sift: int) -> bool:
-    incoming = set()
-    sift = set()
-    for entry in pub:
-        if len(entry) != 2:
-            return False
-        what, j = entry
-        if what == "incoming":
-            incoming.add(j)
-        elif what == "sift":
-            sift.add(j)
-        else:
-            return False
-    return incoming == set(range(n_incoming)) and sift == set(range(n_sift))
+def _is_permutation(order, size: int) -> bool:
+    return (isinstance(order, np.ndarray) and order.dtype.kind in "iu"
+            and order.shape == (size,) and np.array_equal(np.sort(order), np.arange(size)))
+
+
+def _announcement(order: np.ndarray, n_incoming: int) -> list:
+    """A published order as the transcript records it: ["incoming", i] for
+    received particle i, ["sift", j] for inserted particle j."""
+    return [["incoming", i] if i < n_incoming else ["sift", i - n_incoming]
+            for i in order.tolist()]
 
 
 def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
@@ -113,10 +105,10 @@ def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
     return by_origin[by_origin >= 0].tolist()
 
 
-def _abort_report(config, plan, seed, reason, checks=()) -> RunReport:
+def _abort_report(plan, seed, reason) -> RunReport:
     digest = transcript_digest({"protocol": "B", "seed": seed,
                                 "attack": plan.spec.attack_id, "abort": reason})
-    return RunReport(protocol="B", seed=seed, checks=checks, aborted=True,
+    return RunReport(protocol="B", seed=seed, checks=(), aborted=True,
                      abort_reason=reason, keys=None, payoff=None,
                      digest=digest)
 
@@ -129,7 +121,7 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     n = config.n
 
     preps = rng.integers(4, size=n)
-    batch = ParticleBatch(preps, tag=np.full(n, CTRL, dtype=np.int8), origin=np.arange(n))
+    batch = ParticleBatch(preps)
 
     bob = plan.party("bob", n)
     charlie = plan.party("charlie", n)
@@ -140,19 +132,16 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     batch = charlie.process(batch, rng)
     batch = transmit(batch, Leg.CHARLIE_TO_ALICE, plan.interceptor(Leg.CHARLIE_TO_ALICE), rng)
 
-    bob_pub = bob.published_order()
-    charlie_pub = charlie.published_order()
+    bob_order = bob.published_order()
+    charlie_order = charlie.published_order()
 
-    resolved = resolve_orders(bob_pub, charlie_pub, n)
+    resolved = resolve_orders(bob_order, charlie_order, n)
     if resolved is None or len(batch) != 3 * n:
-        return _abort_report(config, plan, seed, "malformed announcement")
-    tags = np.fromiter((TAGS.index(tag) for tag, _ in resolved.values()),
-                       dtype=np.int8, count=3 * n)
-    origins = np.fromiter((origin for _, origin in resolved.values()),
-                          dtype=np.intp, count=3 * n)
+        return _abort_report(plan, seed, "malformed announcement")
+    classes, origins = resolved
 
     # Alice measures: CTRL in its preparation basis, SIFT particles in Z.
-    ctrl = np.flatnonzero(tags == CTRL)
+    ctrl = np.flatnonzero(classes == CTRL)
     bases = np.zeros(3 * n, dtype=np.int8)
     bases[ctrl] = BASIS_OF_CODE[preps[origins[ctrl]]]
     outcomes = batch.measure(np.arange(3 * n), bases, rng)
@@ -163,8 +152,8 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
 
     test_counts = math.ceil(config.test_fraction * n)
 
-    def run_test(tag: str, party, check_id: str) -> np.ndarray:
-        members = np.flatnonzero(tags == TAGS.index(tag))
+    def run_test(cls: int, party, check_id: str) -> np.ndarray:
+        members = np.flatnonzero(classes == cls)
         chosen = np.zeros(len(members), dtype=bool)
         chosen[rng.choice(len(members), size=test_counts, replace=False)] = True
         tested = members[chosen]
@@ -174,8 +163,8 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
                                      config.thresholds[check_id]))
         return members[~chosen]
 
-    untested_b = run_test("SIFT_B", bob, "test_b")
-    untested_c = run_test("SIFT_C", charlie, "test_c")
+    untested_b = run_test(SIFT_B, bob, "test_b")
+    untested_c = run_test(SIFT_C, charlie, "test_c")
 
     reason = abort_reason(checks)
     aborted = reason is not None
@@ -193,7 +182,7 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     if not aborted and plan.target is not None:
         # The attacker guesses the untested SIFT bits each party prepared.
         origins_b, origins_c = origins[untested_b], origins[untested_c]
-        context = SimpleNamespace(bob_pub=bob_pub, tags=tags, origins=origins, n=n)
+        context = SimpleNamespace(bob_order=bob_order, classes=classes, origins=origins, n=n)
         guesses = plan.guess_b(context, rng)
         payoff = score_payoff(
             plan.target,
@@ -205,8 +194,8 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
         "seed": seed,
         "attack": plan.spec.attack_id,
         "prepared": BB84_VALUE[preps].tolist(),
-        "bob_pub": bob_pub,
-        "charlie_pub": charlie_pub,
+        "bob_pub": _announcement(bob_order, n),
+        "charlie_pub": _announcement(charlie_order, 2 * n),
         "outcomes": outcomes.tolist(),
         "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
         "aborted": aborted,

@@ -17,7 +17,6 @@ NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 DENSITY_ATOL = 1e-10
 MIN_BRANCH_PROB = 1e-15
-BRANCH_COND_ATOL = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -186,11 +185,11 @@ class CompositeState:
         return self.amps[bit * d:(bit + 1) * d]
 
 
-def lift(state: PureState, dim_probe: int, probe_index: int = 0) -> CompositeState:
-    """Tensor a bare qubit with a probe basis state |e_probe_index>."""
+def lift(state: PureState, dim_probe: int) -> CompositeState:
+    """Tensor a bare qubit with the probe's initial state |e_0>."""
     amps = np.zeros(2 * dim_probe, dtype=complex)
-    amps[0 * dim_probe + probe_index] = state.amp0
-    amps[1 * dim_probe + probe_index] = state.amp1
+    amps[0] = state.amp0
+    amps[dim_probe] = state.amp1
     return CompositeState(amps, dim_probe)
 
 
@@ -308,27 +307,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", m.shape[0])
-
-
-def probe_density(state: CompositeState,
-                  condition: tuple[Basis, int] | None = None) -> DensityMatrix:
-    """Reduced probe state, optionally conditioned on a qubit outcome.
-
-    Conditioning projects the qubit onto the given (basis, bit) branch first
-    and renormalizes; a branch with probability below BRANCH_COND_ATOL is an
-    error rather than a silently garbage state.
-    """
-    if condition is not None:
-        basis, bit = condition
-        p = branch_probability(state, basis, bit)
-        if p < BRANCH_COND_ATOL:
-            raise ValueError(
-                f"conditioning on branch ({basis.value}, {bit}) with probability {p:.3e}")
-        state = _collapse(state, basis, bit)
-    b0 = state.qubit_block(0)
-    b1 = state.qubit_block(1)
-    rho = np.outer(b0, b0.conj()) + np.outer(b1, b1.conj())
-    return DensityMatrix(rho)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

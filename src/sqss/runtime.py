@@ -38,9 +38,10 @@ class ParticleConservationError(SimulationError):
 
 # Code of a particle whose joint qubit-probe state is held in ``probe``.
 PROBED = -1
-# Protocol B tags, by code.
-TAGS = ("CTRL", "SIFT_B", "SIFT_C", "FAKE")
-CTRL, SIFT_B, SIFT_C, FAKE = range(len(TAGS))
+# Protocol B particle classes, in the order of the combined index
+# ``resolve_orders`` composes: Alice's CTRL particles, then Bob's and
+# Charlie's insertions.
+CTRL, SIFT_B, SIFT_C = range(3)
 
 
 class ParticleBatch:
@@ -51,17 +52,14 @@ class ParticleBatch:
     and its joint qubit-probe ``CompositeState`` in ``probe``, which is used
     nowhere else.  Protocol A runs fill the per-role ``measured``,
     ``result`` (-1 where not measured) and ``announced`` (True for MEASURE)
-    columns; protocol B batches carry each particle's ``tag`` and ``origin``
-    (-1 for a fake), the ground truth the published orders describe.
+    columns.
     """
 
-    __slots__ = ("code", "probe", "tag", "origin", "measured", "result", "announced")
+    __slots__ = ("code", "probe", "measured", "result", "announced")
 
-    def __init__(self, code, probe=None, tag=None, origin=None):
+    def __init__(self, code, probe=None):
         self.code = np.array(code, dtype=np.int8)
         self.probe = np.empty(len(self.code), dtype=object) if probe is None else probe
-        self.tag = tag
-        self.origin = origin
         self.measured: dict[str, np.ndarray] = {}
         self.result: dict[str, np.ndarray] = {}
         self.announced: dict[str, np.ndarray] = {}
@@ -71,30 +69,23 @@ class ParticleBatch:
 
     def __getitem__(self, index) -> ParticleBatch:
         """The particles at ``index`` (a slice, mask or position array), in
-        its order: their states, tags and origins."""
-        return ParticleBatch(self.code[index], self.probe[index],
-                             None if self.tag is None else self.tag[index],
-                             None if self.origin is None else self.origin[index])
+        its order."""
+        return ParticleBatch(self.code[index], self.probe[index])
 
     @staticmethod
     def concat(first: ParticleBatch, second: ParticleBatch) -> ParticleBatch:
-        """``first`` followed by ``second`` (quantum state, tag and origin)."""
+        """``first`` followed by ``second``."""
         return ParticleBatch(np.concatenate([first.code, second.code]),
-                             np.concatenate([first.probe, second.probe]),
-                             np.concatenate([first.tag, second.tag]),
-                             np.concatenate([first.origin, second.origin]))
+                             np.concatenate([first.probe, second.probe]))
 
     def states(self) -> ParticleBatch:
         """A copy of the particles' quantum states alone."""
         return ParticleBatch(self.code, self.probe.copy())
 
     def fake(self, bits) -> None:
-        """Replace every particle by a fresh |bit> Z-basis state marked as a fake."""
+        """Replace every particle by a fresh |bit> Z-basis state."""
         self.code = np.array(bits, dtype=np.int8)
         self.probe = np.empty(len(self.code), dtype=object)
-        if self.tag is not None:
-            self.tag = np.full(len(self.code), FAKE, dtype=np.int8)
-            self.origin = np.full(len(self.code), -1)
 
     def measure(self, positions, bases, rng: np.random.Generator) -> np.ndarray:
         """Measure the particles at ``positions``, in that order, in ``bases``

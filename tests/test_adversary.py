@@ -49,6 +49,16 @@ def test_invalid_combinations_rejected():
         AttackSpec("A", "mr", "bob", 1, pair=eye)  # a pair only configures "em"
 
 
+NON_CANONICAL_IDS = ["a.none.bob", "b.none.x.3", "a.mr.eve.01", "a.mr.eve. 1",
+                     "a.mr.eve.+1"]
+
+
+@pytest.mark.parametrize("attack_id", NON_CANONICAL_IDS)
+def test_non_canonical_ids_rejected(attack_id):
+    with pytest.raises(UnsupportedAttackError, match="not canonical"):
+        parse_attack_id(attack_id)
+
+
 def test_unitary_pair_validation_and_legs():
     eye = np.eye(4)
     pair_a = UnitaryPair(first=eye, second=eye, probe_dim=2, protocol="A")

@@ -85,6 +85,18 @@ def test_oracle_subcommand_rejects_mismatch(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", [
+    ["oracle", "--protocol", "a", "--attack", "a.none.bob"],
+    ["oracle", "--protocol", "a", "--attack", "a.mr.eve.01"],
+    ["sweep", "--protocol", "b", "--attacks", "b.none.x.3", "--sizes", "8",
+     "--trials", "1"],
+], ids=["oracle-none-with-actor", "oracle-padded-leg", "sweep-none-with-variant"])
+def test_non_canonical_attack_ids_exit_2(capsys, command):
+    assert cli.main(command) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "not canonical" in captured.err and not captured.out
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep.json"
     code = cli.main(["sweep", "--protocol", "a", "--attacks", "a.mr.bob.1",

@@ -187,12 +187,6 @@ def test_bit_copy_needs_two_probe_levels():
             bit_copy_pair("A", probe_dim)
     with pytest.raises(ValueError, match="probe_dim must be at least 2"):
         constrained_search("B", 0.1, probe_dim=1, restarts=1, iters=1)
-    with pytest.raises(ValueError, match="probe_dim must be at least 1"):
-        constrained_search("B", 0.1, probe_dim=0, restarts=1, iters=1,
-                           include_bit_copy=False)
-    point = constrained_search("B", 0.1, probe_dim=1, restarts=1, iters=1,
-                               include_bit_copy=False)
-    assert point.probe_dim == 1
 
 
 @pytest.mark.parametrize("mode, attack_id", [("A", "a.mr.eve.1"), ("B", "b.mr.eve.2")])

@@ -106,6 +106,21 @@ def test_config_from_dict_rejects_mistyped_protocol_params(protocol, params, fie
         config_from_dict({"protocol": protocol, "params": params})
 
 
+@pytest.mark.parametrize("data", [{"protocol": None},
+                                  {"protocol": "c", "params": {"n": 5, "m": 10}}],
+                         ids=["null", "unknown-with-a-params"])
+def test_config_from_dict_rejects_unknown_protocol_first(data):
+    with pytest.raises(ConfigError, match="^unknown protocol"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("attack_id", ["a.none.bob", "a.mr.eve.01", "a.mr.eve.+1"])
+def test_config_from_dict_rejects_non_canonical_attack_ids(attack_id):
+    with pytest.raises(ConfigError, match="not canonical"):
+        config_from_dict({"protocol": "A", "attack": attack_id,
+                          "params": {"n": 5, "m": 12}})
+
+
 def test_monte_carlo_failure_names_trial_and_seed(monkeypatch):
     config = config_from_dict({"protocol": "A", "trials": 4, "seed": 7,
                                "params": {"n": 6, "m": 14}})

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from sqss.adversary import parse_attack_id
+from sqss.adversary import HonestPartyB, parse_attack_id
 from sqss.protocol_b import (
     ProtocolBConfig,
     default_thresholds,
     resolve_orders,
     run_protocol_b,
 )
-from sqss.runtime import xor_keys
+from sqss.runtime import CTRL, SIFT_B, SIFT_C, xor_keys
 
 
 def test_config_validation():
@@ -23,31 +23,84 @@ def test_config_validation():
 
 
 def test_resolve_orders_small_instance():
-    bob = [("sift", 0), ("incoming", 0)]
-    charlie = [("incoming", 1), ("sift", 0), ("incoming", 0)]
-    resolved = resolve_orders(bob, charlie, 1)
-    assert resolved == {0: ("CTRL", 0), 1: ("SIFT_C", 0), 2: ("SIFT_B", 0)}
+    # Bob (n=2): output q carries combined particle bob[q]; 0-1 are received
+    # CTRL particles, 2-3 his insertions.  Charlie: 0-3 are Bob's outputs,
+    # 4-5 her insertions.
+    bob = np.array([3, 0, 2, 1])
+    charlie = np.array([5, 0, 4, 3, 1, 2])
+    classes, origins = resolve_orders(bob, charlie, 2)
+    assert classes.tolist() == [SIFT_C, SIFT_B, SIFT_C, CTRL, CTRL, SIFT_B]
+    assert origins.tolist() == [1, 1, 0, 1, 0, 0]
 
 
 def test_resolve_orders_rejects_malformed():
-    bob = [("sift", 0), ("incoming", 0)]
-    assert resolve_orders(bob, [("sift", 0)] * 3, 1) is None
-    assert resolve_orders([("sift", 0)] * 2, None or [], 1) is None
-    assert resolve_orders(bob, [("incoming", 0), ("incoming", 1), ("bogus", 0)], 1) is None
+    bob, charlie = [1, 0], [1, 2, 0]
+    assert resolve_orders(np.array(bob), np.array(charlie), 1) is not None
+    for bad_bob, bad_charlie in [
+        (bob, [1, 2]),                     # Charlie's order too short
+        ([1, 0, 2], charlie),              # Bob's order too long
+        ([1, 1], charlie),                 # duplicate entry
+        (bob, [1, 2, 2]),
+        (bob, [1, 3, 0]),                  # out of range
+        ([-1, 0], charlie),
+        ([1.0, 0.0], charlie),             # not integers
+        ([[1, 0]], charlie),               # not one-dimensional
+        ([("sift", 0), ("incoming", 0)], charlie),
+    ]:
+        assert resolve_orders(np.array(bad_bob), np.array(bad_charlie), 1) is None
+    assert resolve_orders(bob, np.array(charlie), 1) is None  # a list, not an array
 
 
-def test_resolved_tags_balanced_on_random_instances():
+def test_resolved_classes_balanced_on_random_instances():
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(2, 8))
-        bob_perm = rng.permutation(2 * n)
-        bob = [("incoming", int(i)) if i < n else ("sift", int(i - n)) for i in bob_perm]
-        ch_perm = rng.permutation(3 * n)
-        charlie = [("incoming", int(i)) if i < 2 * n else ("sift", int(i - 2 * n))
-                   for i in ch_perm]
-        resolved = resolve_orders(bob, charlie, n)
-        tags = [tag for tag, _ in resolved.values()]
-        assert tags.count("CTRL") == tags.count("SIFT_B") == tags.count("SIFT_C") == n
+        bob, charlie = rng.permutation(2 * n), rng.permutation(3 * n)
+        classes, origins = resolve_orders(bob, charlie, n)
+        for cls in (CTRL, SIFT_B, SIFT_C):
+            assert sorted(origins[classes == cls].tolist()) == list(range(n))
+        # Final position p: Charlie's insertion, else whatever Bob put there.
+        for p, c in enumerate(charlie.tolist()):
+            want = ((SIFT_C, c - 2 * n) if c >= 2 * n
+                    else (SIFT_B, bob[c] - n) if bob[c] >= n else (CTRL, bob[c]))
+            assert (classes[p], origins[p]) == want
+
+
+def _tamper(monkeypatch, method: str, role: str, change) -> None:
+    """Make the honest ``role`` party pass its ``method`` result through ``change``."""
+    honest = getattr(HonestPartyB, method)
+
+    def tampered(self, *args):
+        out = honest(self, *args)
+        return change(out) if self.role == role else out
+    monkeypatch.setattr(HonestPartyB, method, tampered)
+
+
+def _assert_malformed_aborts(seed: int) -> None:
+    # Thresholds of 1.0: only the malformed announcement can stop the run
+    # before the attack's payoff is scored.
+    config = ProtocolBConfig(n=8, thresholds=default_thresholds(1.0))
+    attack = parse_attack_id("b.mr.eve.3")
+    first, again = (run_protocol_b(config, attack, seed) for _ in range(2))
+    assert first.aborted and first.abort_reason == "malformed announcement"
+    assert first.payoff is None and first.keys is None
+    assert first.digest == again.digest
+
+
+@pytest.mark.parametrize("role, change", [
+    ("bob", lambda order: order[:-1]),
+    ("charlie", lambda order: np.concatenate([order, [len(order)]])),
+    ("charlie", lambda order: np.where(order == 0, 1, order)),
+    ("bob", lambda order: order.astype(float)),
+], ids=["bob-short", "charlie-long", "charlie-duplicate", "bob-float"])
+def test_malformed_order_aborts_the_run(monkeypatch, role, change):
+    _tamper(monkeypatch, "published_order", role, change)
+    _assert_malformed_aborts(seed=3)
+
+
+def test_wrong_particle_count_aborts_the_run(monkeypatch):
+    _tamper(monkeypatch, "process", "charlie", lambda batch: batch[1:])
+    _assert_malformed_aborts(seed=3)
 
 
 def test_honest_run_zero_mismatches_and_key_relation():

@@ -25,7 +25,6 @@ from sqss.qstate import (
     measure_codes,
     measure_qubit,
     prepare,
-    probe_density,
     trace_distance,
     zstate,
 )
@@ -136,20 +135,6 @@ def test_measure_qubit_product_state_deterministic():
     bit, collapsed = measure_qubit(state, Basis.Z, rng)
     assert bit == 1
     assert collapsed.amps == pytest.approx(state.amps)
-
-
-def test_probe_density_partial_trace():
-    state = CompositeState(np.array([RT2, 0, 0, RT2]), 2)
-    rho = probe_density(state)
-    assert rho.entries == pytest.approx(np.eye(2) / 2)
-    conditioned = probe_density(state, condition=(Basis.Z, 1))
-    assert conditioned.entries == pytest.approx(np.outer([0, 1], [0, 1]))
-
-
-def test_probe_density_zero_branch_rejected():
-    state = CompositeState(np.array([1.0, 0, 0, 0]), 2)
-    with pytest.raises(ValueError, match="branch"):
-        probe_density(state, condition=(Basis.Z, 1))
 
 
 def test_trace_distance_properties():
