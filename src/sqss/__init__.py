@@ -10,12 +10,9 @@ from .adversary import (
     parse_attack_id,
 )
 from .em_analysis import (
-    BranchTable,
     ErrorProfile,
-    FinalProbeTable,
     TheoremVerdict,
     TradeoffPoint,
-    branch_decompose,
     constrained_search,
     error_profile,
     probe_distinguishability,

@@ -33,20 +33,22 @@ EXIT_CONFIG = 2
 def _emit(data: dict, path: str | None) -> None:
     blob = json.dumps(data, sort_keys=True, indent=2)
     if path:
-        Path(path).write_text(blob + "\n")
+        try:
+            Path(path).write_text(blob + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output to {path}: {exc}") from exc
     else:
         print(blob)
 
 
 def _cmd_run(args) -> int:
+    if args.format != "json" and not args.output:
+        raise ConfigError("csv output requires --output")
     config = load_config(args.config)
     stats, digests = monte_carlo(config)
-    fmt = args.format
     if args.output:
-        write_report(config, stats, digests, fmt, args.output)
+        write_report(config, stats, digests, args.format, args.output)
     else:
-        if fmt != "json":
-            raise ConfigError("csv output requires --output")
         _emit(stats_to_dict(config, stats, digests), None)
     return EXIT_OK
 

@@ -62,79 +62,31 @@ def _phase_free_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
-@dataclass(frozen=True)
-class BranchTable:
-    """Per-preparation decomposition of the first unitary's output into the
-    qubit-0 and qubit-1 branches (unnormalized probe vectors)."""
-
-    probe_dim: int
-    branches: dict  # PrepState -> (probe_vec_for_qubit0, probe_vec_for_qubit1)
-
-    def branch(self, s: PrepState, x: int) -> np.ndarray:
-        return self.branches[s][x]
-
-
-def branch_decompose(u_first: np.ndarray, probe_dim: int) -> BranchTable:
-    """Decompose u_first(|s> (x) |e0>) into qubit-bit branches for all four
-    preparations (the initial probe state is |e0>)."""
-    check_unitary(u_first)
-    d = probe_dim
-    if np.asarray(u_first).shape != (2 * d, 2 * d):
-        raise ValueError(f"unitary shape {np.asarray(u_first).shape} does not match "
-                         f"probe dimension {d}")
-    branches = {}
-    for s in PREPS:
-        psi = np.asarray(u_first, dtype=complex) @ _prep_probe_vec(s, d)
-        branches[s] = _blocks(psi, d)
-    return BranchTable(probe_dim=d, branches=branches)
-
-
-@dataclass(frozen=True)
-class FinalProbeTable:
-    """Probe vectors after the second unitary acts on each collapsed branch.
-
-    ``finals[(s, x)]`` is the probe component that travels with qubit state
-    |x>, and ``leakage[(s, x)]`` the norm of the amplitude the second unitary
-    moved onto the opposite qubit state (zero when the second unitary cannot
-    change a measured qubit).
-    """
-
-    probe_dim: int
-    finals: dict
-    leakage: dict
-
-    @property
-    def max_leakage(self) -> float:
-        return max(self.leakage.values())
-
-
 def _measured_branches(pair: UnitaryPair) -> dict:
-    """``(s, x) -> (eps, phi)``: the probe branch eps that travels with a
-    measured |x> after the first unitary acts on preparation s, and phi, the
-    second unitary applied to |x> (x) eps.  Ordered by s, then x."""
-    table = branch_decompose(pair.first, pair.probe_dim)
+    """Mode A's branch table.  ``(s, x) -> (eps, phi)``: the probe branch eps
+    that travels with a measured |x> after the first unitary acts on
+    preparation s (the initial probe state is |e0>), and phi, the second
+    unitary applied to |x> (x) eps.  Ordered by s, then x."""
+    d = pair.probe_dim
     out = {}
     for s in PREPS:
+        psi = pair.first @ _prep_probe_vec(s, d)
         for x in (0, 1):
-            eps = table.branch(s, x)
+            eps = _blocks(psi, d)[x]
             qubit = np.zeros(2, dtype=complex)
             qubit[x] = 1.0
             out[(s, x)] = (eps, pair.second @ _embed(qubit, eps))
     return out
 
 
-def final_probe_table(pair: UnitaryPair) -> FinalProbeTable:
-    return _final_probe_table(_measured_branches(pair), pair.probe_dim)
-
-
-def _final_probe_table(branches: dict, d: int) -> FinalProbeTable:
-    finals = {}
-    leakage = {}
-    for (s, x), (_, phi) in branches.items():
-        b = _blocks(phi, d)
-        finals[(s, x)] = b[x]
-        leakage[(s, x)] = float(np.linalg.norm(b[1 - x]))
-    return FinalProbeTable(probe_dim=d, finals=finals, leakage=leakage)
+def _chain_states_b(pair: UnitaryPair) -> tuple[dict, dict]:
+    """Mode B's state table: the joint state of each preparation after the
+    full chain ``second @ first`` (all four preparations), and after the
+    return unitary alone (the two Z preparations)."""
+    d = pair.probe_dim
+    u_both = pair.second @ pair.first
+    return ({s: u_both @ _prep_probe_vec(s, d) for s in PREPS},
+            {s: pair.second @ _prep_probe_vec(s, d) for s in Z_PREPS})
 
 
 @dataclass(frozen=True)
@@ -159,7 +111,7 @@ def _mode_of(pair: UnitaryPair, mode: Optional[str]) -> str:
 def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile:
     if _mode_of(pair, mode) == "A":
         return _error_profile_a(pair, _measured_branches(pair))
-    return _error_profile_b(pair)
+    return _error_profile_b(pair, _chain_states_b(pair))
 
 
 def _measured_chain_error(branches: dict, d: int) -> float:
@@ -172,12 +124,12 @@ def _measured_chain_error(branches: dict, d: int) -> float:
     return total / len(PREPS)
 
 
-def _prep_basis_error(finals, d: int) -> float:
+def _prep_basis_error(finals: dict, d: int) -> float:
     """Mean probability that a preparation-basis measurement of the qubit in
-    ``finals[i]`` (the final joint state of preparation ``PREPS[i]``) does
-    not return the prepared state."""
+    ``finals[s]`` (the final joint state of preparation ``s``, for each of
+    ``PREPS``) does not return the prepared state."""
     total = 0.0
-    for s, psi in zip(PREPS, finals):
+    for s, psi in finals.items():
         sv = prepare(s).vector()
         b0, b1 = _blocks(psi, d)
         kept = sv[0].conjugate() * b0 + sv[1].conjugate() * b1
@@ -194,25 +146,23 @@ def _error_profile_a(pair: UnitaryPair, branches: dict) -> ErrorProfile:
     # Case 4: both parties reflect, the return unitary acts on the full
     # superposition, and Alice measures in the preparation basis.
     case4 = _prep_basis_error(
-        [pair.second @ (pair.first @ _prep_probe_vec(s, d)) for s in PREPS], d)
+        {s: pair.second @ (pair.first @ _prep_probe_vec(s, d)) for s in PREPS}, d)
     return ErrorProfile(mode="A", rates={
         "case1": measured, "case2": measured, "case3": measured, "case4": case4,
     })
 
 
-def _error_profile_b(pair: UnitaryPair) -> ErrorProfile:
+def _error_profile_b(pair: UnitaryPair, states: tuple[dict, dict]) -> ErrorProfile:
     d = pair.probe_dim
-    u_both = pair.second @ pair.first
-    ctrl = _prep_basis_error([u_both @ _prep_probe_vec(s, d) for s in PREPS], d)
+    full, ret = states
+    ctrl = _prep_basis_error(full, d)
     test_b = 0.0
     for r, s in enumerate(Z_PREPS):
-        psi = u_both @ _prep_probe_vec(s, d)
-        test_b += float(np.sum(np.abs(_blocks(psi, d)[1 - r]) ** 2))
+        test_b += float(np.sum(np.abs(_blocks(full[s], d)[1 - r]) ** 2))
     test_b /= 2.0
     test_c = 0.0
     for q, s in enumerate(Z_PREPS):
-        chi = pair.second @ _prep_probe_vec(s, d)
-        test_c += float(np.sum(np.abs(_blocks(chi, d)[1 - q]) ** 2))
+        test_c += float(np.sum(np.abs(_blocks(ret[s], d)[1 - q]) ** 2))
     test_c /= 2.0
     return ErrorProfile(mode="B", rates={"ctrl": ctrl, "test_b": test_b, "test_c": test_c})
 
@@ -226,14 +176,15 @@ def probe_distinguishability(pair: UnitaryPair, mode: Optional[str] = None) -> f
     """Maximum trace distance between the attacker's final probe states
     conditioned on the two values of a key bit."""
     if _mode_of(pair, mode) == "A":
-        return _distinguishability_a(_measured_branches(pair), pair.probe_dim)
-    return _distinguishability_b(pair)
+        return _distinguishability_a(pair, _measured_branches(pair))
+    return _distinguishability_b(pair, _chain_states_b(pair))
 
 
-def _distinguishability_a(branches: dict, d: int) -> float:
+def _distinguishability_a(pair: UnitaryPair, branches: dict) -> float:
     # Conditioning on Bob's result (Case 2 key bits) and on Charlie's (Case 3)
     # produces the same ensemble: either way the return unitary sees |x> and
     # the x branch of the probe.
+    d = pair.probe_dim
     rhos = []
     for x in (0, 1):
         acc = np.zeros((d, d), dtype=complex)
@@ -248,15 +199,13 @@ def _distinguishability_a(branches: dict, d: int) -> float:
     return trace_distance(_density(rhos[0][1]), _density(rhos[1][1]))
 
 
-def _distinguishability_b(pair: UnitaryPair) -> float:
+def _distinguishability_b(pair: UnitaryPair, states: tuple[dict, dict]) -> float:
     d = pair.probe_dim
-    u_both = pair.second @ pair.first
     dists = []
-    for u in (u_both, pair.second):
+    for vecs in states:
         rhos = []
         for s in Z_PREPS:
-            psi = u @ _prep_probe_vec(s, d)
-            rhos.append(_density(_probe_outer(psi, d)))
+            rhos.append(_density(_probe_outer(vecs[s], d)))
         dists.append(trace_distance(rhos[0], rhos[1]))
     return max(dists)
 
@@ -289,31 +238,41 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
     probe carries no key information and that the structural identities the
     zero-error condition forces all hold within tolerance."""
     mode = _mode_of(pair, mode)
-    # Mode A decomposes the first unitary once and shares it.
-    branches = _measured_branches(pair) if mode == "A" else None
-    profile = _error_profile_a(pair, branches) if mode == "A" else _error_profile_b(pair)
+    # The mode's table is built once and every check reads it.
+    if mode == "A":
+        table = _measured_branches(pair)
+        profile_of, info_of, residuals_of = (
+            _error_profile_a, _distinguishability_a, _residuals_a)
+    else:
+        table = _chain_states_b(pair)
+        profile_of, info_of, residuals_of = (
+            _error_profile_b, _distinguishability_b, _residuals_b)
+    profile = profile_of(pair, table)
     zero_error = profile.max_rate <= ERR_TOL
     if not zero_error:
         return TheoremVerdict(mode=mode, max_error=profile.max_rate, zero_error=False,
                               distinguishability=None, residuals={}, holds=None)
-    if mode == "A":
-        info = _distinguishability_a(branches, pair.probe_dim)
-        residuals = _residuals_a(branches, pair.probe_dim)
-    else:
-        info = _distinguishability_b(pair)
-        residuals = _residuals_b(pair)
+    info = info_of(pair, table)
+    residuals = residuals_of(pair, table)
     holds = info <= INFO_TOL and max(residuals.values()) <= RESIDUAL_TOL
     return TheoremVerdict(mode=mode, max_error=profile.max_rate, zero_error=True,
                           distinguishability=info, residuals=residuals, holds=holds)
 
 
-def _residuals_a(branches: dict, d: int) -> dict:
-    fpt = _final_probe_table(branches, d)
-    f = fpt.finals
+def _residuals_a(pair: UnitaryPair, branches: dict) -> dict:
+    d = pair.probe_dim
+    # f[(s, x)] is the final probe component that travels with |x>; the rest
+    # of phi is amplitude the second unitary moved onto the other qubit state.
+    f = {}
+    leakage = 0.0
+    for (s, x), (_, phi) in branches.items():
+        b = _blocks(phi, d)
+        f[(s, x)] = b[x]
+        leakage = max(leakage, float(np.linalg.norm(b[1 - x])))
     Z0, Z1, P, M = PrepState.ZERO, PrepState.ONE, PrepState.PLUS, PrepState.MINUS
     nrm = np.linalg.norm
     return {
-        "final_qubit_leakage": fpt.max_leakage,
+        "final_qubit_leakage": leakage,
         # The first unitary's probe branches (eps), before the second acts.
         "cross_branch_initial": max(nrm(branches[(Z0, 1)][0]), nrm(branches[(Z1, 0)][0])),
         "cross_branch_final": max(nrm(f[(Z0, 1)]), nrm(f[(Z1, 0)])),
@@ -326,30 +285,27 @@ def _residuals_a(branches: dict, d: int) -> dict:
     }
 
 
-def _residuals_b(pair: UnitaryPair) -> dict:
+def _residuals_b(pair: UnitaryPair, states: tuple[dict, dict]) -> dict:
     d = pair.probe_dim
-    u_both = pair.second @ pair.first
+    full, ret = states
     # Probe vectors traveling with each Z state after the full chain.
     h = []
     leak = 0.0
     for r, s in enumerate(Z_PREPS):
-        psi = u_both @ _prep_probe_vec(s, d)
-        blocks = _blocks(psi, d)
+        blocks = _blocks(full[s], d)
         h.append(blocks[r])
         leak = max(leak, float(np.linalg.norm(blocks[1 - r])))
     h_bar = (h[0] + h[1]) / 2.0
     # X-prepared control particles must factorize against the same probe.
     ctrl_resid = 0.0
     for s in (PrepState.PLUS, PrepState.MINUS):
-        psi = u_both @ _prep_probe_vec(s, d)
         target = _embed(prepare(s).vector(), h_bar)
-        ctrl_resid = max(ctrl_resid, float(np.linalg.norm(psi - target)))
+        ctrl_resid = max(ctrl_resid, float(np.linalg.norm(full[s] - target)))
     # Return-leg-only particles: the probe must not depend on the carried bit.
     g = []
     g_leak = 0.0
     for q, s in enumerate(Z_PREPS):
-        chi = pair.second @ _prep_probe_vec(s, d)
-        blocks = _blocks(chi, d)
+        blocks = _blocks(ret[s], d)
         g.append(blocks[q])
         g_leak = max(g_leak, float(np.linalg.norm(blocks[1 - q])))
     return {

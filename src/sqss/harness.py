@@ -87,7 +87,7 @@ class ExperimentConfig:
 
 _A_PARAM_KEYS = {"n", "m", "check_fraction", "thresholds"}
 _B_PARAM_KEYS = {"n", "test_fraction", "thresholds"}
-_TOP_KEYS = {"protocol", "trials", "seed", "attack", "params", "output"}
+_TOP_KEYS = {"protocol", "trials", "seed", "attack", "params"}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -206,7 +206,6 @@ def monte_carlo(config: ExperimentConfig) -> tuple[DetectionStats, list[str]]:
     aborted = 0
     guessed = 0
     correct = 0
-    surviving_with_payoff = 0
     digests = []
     for trial in range(config.trials):
         try:
@@ -220,7 +219,6 @@ def monte_carlo(config: ExperimentConfig) -> tuple[DetectionStats, list[str]]:
         if report.aborted:
             aborted += 1
         elif report.payoff is not None:
-            surviving_with_payoff += 1
             guessed += report.payoff["guessed"]
             correct += report.payoff["correct"]
     per_check = {}

@@ -13,7 +13,6 @@ from enum import Enum
 
 import numpy as np
 
-NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
 DENSITY_ATOL = 1e-10
 MIN_BRANCH_PROB = 1e-15

@@ -67,6 +67,8 @@ def test_unitary_pair_validation_and_legs():
     assert pair_b.legs == (Leg.BOB_TO_CHARLIE, Leg.CHARLIE_TO_ALICE)
     with pytest.raises(ValueError):
         UnitaryPair(first=2 * eye, second=eye, probe_dim=2, protocol="A")
+    with pytest.raises(ValueError, match="shape"):
+        UnitaryPair(first=eye, second=eye, probe_dim=3, protocol="A")
 
 
 def test_mismatched_protocol_rejected_by_plan():

@@ -56,9 +56,27 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
-def test_csv_to_stdout_rejected(tmp_path):
+def test_csv_to_stdout_rejected(tmp_path, monkeypatch, capsys):
+    """Rejected before the first trial, not after the whole experiment."""
     config = _write_config(tmp_path, {"protocol": "b", "params": {"n": 8}})
+
+    def never(cfg):
+        raise AssertionError("the experiment ran before the output check")
+
+    monkeypatch.setattr(cli, "monte_carlo", never)
     assert cli.main(["run", "--config", config, "--format", "csv"]) == cli.EXIT_CONFIG
+    assert "csv output requires --output" in capsys.readouterr().err
+
+
+def test_output_config_key_exits_2(tmp_path, monkeypatch, capsys):
+    """A config-file ``output`` key was once accepted and ignored; the report
+    goes where --output says, so the key is now unknown."""
+    monkeypatch.chdir(tmp_path)
+    config = _write_config(tmp_path, {"protocol": "a", "params": {"n": 6, "m": 14},
+                                      "output": "r.json"})
+    assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
+    assert "unknown config keys: ['output']" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_fatal_simulator_error_exits_1(tmp_path, monkeypatch, capsys):
@@ -116,6 +134,19 @@ def test_tradeoff_subcommand(tmp_path):
     rows = json.loads(out.read_text())["rows"]
     assert rows[0]["epsilon"] == 0.25
     assert rows[0]["info"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("command", [
+    ["oracle", "--protocol", "a", "--attack", "a.mr.bob.1"],
+    ["tradeoff", "--mode", "a", "--epsilons", "0.25", "--restarts", "1",
+     "--iters", "1"],
+], ids=["oracle", "tradeoff"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(command + ["--output", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"cannot write output to {out}" in captured.err and not captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("probe_dim", ["0", "1"])

@@ -8,10 +8,8 @@ from sqss import em_analysis
 from sqss.adversary import UnitaryPair
 from sqss.em_analysis import (
     bit_copy_pair,
-    branch_decompose,
     constrained_search,
     error_profile,
-    final_probe_table,
     identity_pair,
     pair_from_params,
     params_dim,
@@ -29,19 +27,12 @@ from sqss.qstate import PrepState
 
 
 def test_branch_decompose_identity():
-    table = branch_decompose(np.eye(4), 2)
-    z0 = table.branch(PrepState.ZERO, 0)
+    branches = em_analysis._measured_branches(identity_pair("A", 2))
+    z0 = branches[(PrepState.ZERO, 0)][0]
     assert np.allclose(z0, [1, 0])
-    assert np.allclose(table.branch(PrepState.ZERO, 1), 0)
-    plus0 = table.branch(PrepState.PLUS, 0)
+    assert np.allclose(branches[(PrepState.ZERO, 1)][0], 0)
+    plus0 = branches[(PrepState.PLUS, 0)][0]
     assert np.linalg.norm(plus0) == pytest.approx(1 / np.sqrt(2))
-
-
-def test_branch_decompose_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        branch_decompose(np.eye(4), 3)
-    with pytest.raises(ValueError):
-        branch_decompose(np.eye(4) * 2, 2)
 
 
 def test_identity_pair_induces_no_error_or_information():
@@ -87,23 +78,25 @@ def test_theorem_check_verdicts():
 
 
 def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
+    """Each mode builds its table once per theorem_check and every check
+    reads it: the branch table in mode A, the chain states in mode B."""
     rng = np.random.default_rng(19)
-    pair = random_zero_error_pair("A", 2, rng)
-    calls = []
-    decompose = em_analysis.branch_decompose
+    for mode, table_fn in (("A", "_measured_branches"), ("B", "_chain_states_b")):
+        pair = random_zero_error_pair(mode, 2, rng)
+        calls = []
+        build = getattr(em_analysis, table_fn)
 
-    def counting(*args):
-        calls.append(args)
-        return decompose(*args)
+        def counting(*args, build=build, calls=calls):
+            calls.append(args)
+            return build(*args)
 
-    monkeypatch.setattr(em_analysis, "branch_decompose", counting)
-    verdict = theorem_check(pair)
-    assert verdict.zero_error and verdict.holds
-    assert len(calls) == 1
-    # Sharing the decomposition changes no value.
-    assert verdict.max_error == error_profile(pair).max_rate
-    assert verdict.distinguishability == probe_distinguishability(pair)
-    assert verdict.residuals["final_qubit_leakage"] == final_probe_table(pair).max_leakage
+        monkeypatch.setattr(em_analysis, table_fn, counting)
+        verdict = theorem_check(pair)
+        assert verdict.zero_error and verdict.holds
+        assert len(calls) == 1
+        # Sharing the table changes no value.
+        assert verdict.max_error == error_profile(pair).max_rate
+        assert verdict.distinguishability == probe_distinguishability(pair)
 
 
 def test_zero_error_family_satisfies_structure_mode_a():
