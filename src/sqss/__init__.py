@@ -1,6 +1,9 @@
 """Deterministic simulator and security-analysis toolkit for two circular
 semi-quantum secret-sharing protocols."""
 
+# Set before the submodules load: reports record it (see harness).
+__version__ = "1.0.0"
+
 from .adversary import (
     AttackSpec,
     UnitaryPair,
@@ -54,5 +57,3 @@ from .runtime import (
     transmit,
     xor_keys,
 )
-
-__version__ = "1.0.0"

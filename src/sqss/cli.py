@@ -41,6 +41,18 @@ def _emit(data: dict, path: str | None) -> None:
         print(blob)
 
 
+def _check_output_path(path: str | None) -> None:
+    """Reject, before any work runs, an output path that names a directory or
+    lies in a missing one."""
+    if not path:
+        return
+    if Path(path).is_dir():
+        raise ConfigError(f"cannot write output to {path}: it is a directory")
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"cannot write output to {path}: "
+                          f"no directory {Path(path).parent}")
+
+
 def _cmd_run(args) -> int:
     if args.format != "json" and not args.output:
         raise ConfigError("csv output requires --output")
@@ -174,6 +186,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_path(args.output)
         return args.func(args)
     except (ConfigError, UnsupportedAttackError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
+from . import __version__
 from .adversary import AttackSpec, parse_attack_id
 from .protocol_a import CHECKS_A, ProtocolAConfig, run_protocol_a
 from .protocol_b import CHECKS_B, ProtocolBConfig, run_protocol_b
@@ -248,6 +249,11 @@ def _sig12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
+# Version of the report layout below.  2: the reports name their schema and
+# the sqss version, and the digests hash v2 transcripts (keys and payoff).
+REPORT_SCHEMA = 2
+
+
 def stats_to_dict(config: ExperimentConfig, stats: DetectionStats,
                   digests: list[str]) -> dict:
     payoff = None
@@ -255,6 +261,8 @@ def stats_to_dict(config: ExperimentConfig, stats: DetectionStats,
         payoff = dict(stats.payoff)
         payoff["fraction"] = _sig12(payoff["fraction"])
     return {
+        "report_schema": REPORT_SCHEMA,
+        "sqss_version": __version__,
         "config": config.describe(),
         "per_check": [
             {"check_id": s.check_id, "compared": s.compared,

@@ -19,7 +19,7 @@ from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
     BASES,
     BB84,
-    BB84_VALUE,
+    BB84_SYMBOL,
     EXPECTED_OF_CODE,
     Basis,
     PrepState,
@@ -27,6 +27,8 @@ from .qstate import (
     measure_qubit,  # noqa: F401 -- a module binding for call-site tracing (perfbench)
 )
 from .runtime import (
+    BIT_SYMBOL,
+    TRANSCRIPT_SCHEMA,
     CheckVerdict,
     Choice,
     KeyMaterial,
@@ -40,6 +42,7 @@ from .runtime import (
     derive_keys,
     evaluate_check,
     score_payoff,
+    symbol_string,
     transcript_digest,
     transmit,
 )
@@ -87,8 +90,9 @@ _CASE_OF = np.array([[list(CaseLabel).index(classify_case(b, c)) for c in _CHOIC
                      for b in _CHOICES], dtype=np.intp)
 _ALICE_BASIS = np.array([[BASES.index(alice_basis(case, s)) for s in BB84]
                          for case in CaseLabel], dtype=np.int8)
-_CHOICE_VALUE = np.array([c.value for c in _CHOICES])
-_BASIS_VALUE = np.array([b.value for b in BASES])
+# Transcript symbols: an announcement's initial ("R" or "M") and a basis.
+_CHOICE_SYMBOL = np.array([c.value[0] for c in _CHOICES], dtype="S1")
+_BASIS_SYMBOL = np.array([b.value for b in BASES], dtype="S1")
 
 
 @dataclass(frozen=True)
@@ -193,15 +197,18 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
         payoff = score_payoff(plan.target, plan.guess_a(context, rng), truths)
 
     digest = transcript_digest({
+        "schema": TRANSCRIPT_SCHEMA,
         "protocol": "A",
         "seed": seed,
         "attack": plan.spec.attack_id,
-        "prepared": BB84_VALUE[preps].tolist(),
-        "announced": [list(pair) for pair in zip(_CHOICE_VALUE[announced_b].tolist(),
-                                                 _CHOICE_VALUE[announced_c].tolist())],
-        "alice": [list(pair) for pair in zip(_BASIS_VALUE[basis].tolist(), alice.tolist())],
+        "prepared": symbol_string(BB84_SYMBOL, preps),
+        "announced": [symbol_string(_CHOICE_SYMBOL, announced_b),
+                      symbol_string(_CHOICE_SYMBOL, announced_c)],
+        "alice": [symbol_string(_BASIS_SYMBOL, basis), symbol_string(BIT_SYMBOL, alice)],
         "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
         "aborted": aborted,
+        "keys": None if keys is None else [keys.k_b, keys.k_c],
+        "payoff": payoff,
     })
 
     return RunReport(protocol="A", seed=seed, checks=checks, aborted=aborted,

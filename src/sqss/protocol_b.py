@@ -18,14 +18,16 @@ import numpy as np
 from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
     BASIS_OF_CODE,
-    BB84_VALUE,
+    BB84_SYMBOL,
     EXPECTED_OF_CODE,
     measure_qubit,  # noqa: F401 -- a module binding for call-site tracing (perfbench)
 )
 from .runtime import (
+    BIT_SYMBOL,
     CTRL,
     SIFT_B,
     SIFT_C,
+    TRANSCRIPT_SCHEMA,
     CheckVerdict,
     KeyMaterial,
     Leg,
@@ -38,6 +40,7 @@ from .runtime import (
     derive_keys,
     evaluate_check,
     score_payoff,
+    symbol_string,
     transcript_digest,
     transmit,
 )
@@ -90,13 +93,6 @@ def _is_permutation(order, size: int) -> bool:
             and order.shape == (size,) and np.array_equal(np.sort(order), np.arange(size)))
 
 
-def _announcement(order: np.ndarray, n_incoming: int) -> list:
-    """A published order as the transcript records it: ["incoming", i] for
-    received particle i, ["sift", j] for inserted particle j."""
-    return [["incoming", i] if i < n_incoming else ["sift", i - n_incoming]
-            for i in order.tolist()]
-
-
 def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
                n: int) -> list[int]:
     """The outcomes at ``positions`` in the order of their particles' origins."""
@@ -106,8 +102,9 @@ def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
 
 
 def _abort_report(plan, seed, reason) -> RunReport:
-    digest = transcript_digest({"protocol": "B", "seed": seed,
-                                "attack": plan.spec.attack_id, "abort": reason})
+    digest = transcript_digest({"schema": TRANSCRIPT_SCHEMA, "protocol": "B",
+                                "seed": seed, "attack": plan.spec.attack_id,
+                                "abort": reason})
     return RunReport(protocol="B", seed=seed, checks=(), aborted=True,
                      abort_reason=reason, keys=None, payoff=None,
                      digest=digest)
@@ -190,15 +187,18 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
             np.concatenate([bob.prepared_bits[origins_b], charlie.prepared_bits[origins_c]]))
 
     digest = transcript_digest({
+        "schema": TRANSCRIPT_SCHEMA,
         "protocol": "B",
         "seed": seed,
         "attack": plan.spec.attack_id,
-        "prepared": BB84_VALUE[preps].tolist(),
-        "bob_pub": _announcement(bob_order, n),
-        "charlie_pub": _announcement(charlie_order, 2 * n),
-        "outcomes": outcomes.tolist(),
+        "prepared": symbol_string(BB84_SYMBOL, preps),
+        "bob_pub": bob_order.tolist(),
+        "charlie_pub": charlie_order.tolist(),
+        "outcomes": symbol_string(BIT_SYMBOL, outcomes),
         "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
         "aborted": aborted,
+        "keys": None if keys is None else [keys.k_b, keys.k_c],
+        "payoff": payoff,
     })
 
     return RunReport(protocol="B", seed=seed, checks=checks, aborted=aborted,

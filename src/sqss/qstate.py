@@ -123,7 +123,8 @@ BASES = (Basis.Z, Basis.X)
 BASIS_OF_CODE = np.array([BASES.index(basis_of(s)) for s in BB84], dtype=np.int8)
 EXPECTED_OF_CODE = np.array([expected_outcome(s) for s in BB84], dtype=np.int8)
 BB84_STATES = tuple(prepare(s) for s in BB84)
-BB84_VALUE = np.array([s.value for s in BB84])
+# Each code's symbol in a transcript: its PrepState value as one byte.
+BB84_SYMBOL = np.array([s.value for s in BB84], dtype="S1")
 # P(0) per (code, basis) from measure's own formula, so the draws compare
 # against the same floats; the outcome where _draw's thresholds make it
 # certain, else -1; and the code each (basis, outcome) collapses onto.

@@ -307,7 +307,23 @@ class RunReport(_FieldView):
         raise KeyError(check_id)
 
 
+# Version of the transcript layout the runners hash; it is in every payload.
+TRANSCRIPT_SCHEMA = 2
+# A bit's symbol in a transcript.
+BIT_SYMBOL = np.array(["0", "1"], dtype="S1")
+
+
+def symbol_string(table: np.ndarray, codes: np.ndarray) -> str:
+    """``codes`` spelled as one string, code ``i`` as the byte ``table[i]``
+    (an ``"S1"`` array): the compact form transcripts record layers in."""
+    return table[codes].tobytes().decode()
+
+
 def transcript_digest(payload: dict) -> bytes:
-    """Stable SHA-256 of a run transcript (used for determinism checks)."""
+    """Stable SHA-256 of a run transcript (used for determinism checks).
+
+    ``payload`` is plain JSON data: the runners pass strings, numbers,
+    lists and dicts only.
+    """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).digest()

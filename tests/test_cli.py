@@ -140,13 +140,28 @@ def test_tradeoff_subcommand(tmp_path):
     ["oracle", "--protocol", "a", "--attack", "a.mr.bob.1"],
     ["tradeoff", "--mode", "a", "--epsilons", "0.25", "--restarts", "1",
      "--iters", "1"],
-], ids=["oracle", "tradeoff"])
-def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    ["run", "--config", "config.json"],
+    ["sweep", "--protocol", "a", "--sizes", "8", "--trials", "1"],
+    ["attack-bench", "--protocol", "b", "--size", "8", "--trials", "1"],
+], ids=["oracle", "tradeoff", "run", "sweep", "attack-bench"])
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, command):
+    """A missing output directory is rejected before any work starts."""
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, {"protocol": "b", "params": {"n": 8}})
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the output check")
+
+    for name in ("monte_carlo", "constrained_search", "detection_oracle"):
+        monkeypatch.setattr(cli, name, never)
     out = tmp_path / "missing" / "x.json"
     assert cli.main(command + ["--output", str(out)]) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert f"cannot write output to {out}" in captured.err and not captured.out
     assert not out.exists()
+    # An output path naming an existing directory is rejected the same way.
+    assert cli.main(command + ["--output", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert f"cannot write output to {tmp_path}: it is a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("probe_dim", ["0", "1"])

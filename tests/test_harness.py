@@ -3,10 +3,10 @@
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from sqss import harness
+import sqss
+from sqss import harness, protocol_a, protocol_b
 from sqss.harness import (
     ConfigError,
     ExperimentAborted,
@@ -19,11 +19,11 @@ from sqss.harness import (
     wilson_interval,
     write_report,
 )
-from sqss.adversary import AttackSpec, parse_attack_id
-from sqss.em_analysis import random_pair
 from sqss.oracle import detection_oracle
-from sqss.protocol_a import CHECKS_A, ProtocolAConfig, run_protocol_a
-from sqss.protocol_b import CHECKS_B, ProtocolBConfig, run_protocol_b
+from sqss.protocol_a import CHECKS_A, ProtocolAConfig
+from sqss.protocol_b import CHECKS_B, ProtocolBConfig
+
+from pin_transcripts import PINNED_RUNS, pinned_run, v1_digest
 
 
 def test_wilson_interval_basics():
@@ -234,6 +234,20 @@ def test_write_report_json_is_byte_stable(tmp_path):
     assert len(data["digests"]) == 4
 
 
+def test_json_report_names_its_schema_and_version(tmp_path):
+    """Two runs of one config write byte-identical reports that say which
+    report layout and which sqss wrote them, and no wall-clock time."""
+    config = config_from_dict({"protocol": "B", "trials": 3, "seed": 4,
+                               "attack": "b.ir.charlie", "params": {"n": 8}})
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        write_report(config, *monte_carlo(config), "json", path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    data = json.loads(paths[0].read_text())
+    assert data["report_schema"] == harness.REPORT_SCHEMA == 2
+    assert data["sqss_version"] == sqss.__version__
+
+
 def test_write_report_csv(tmp_path):
     config = config_from_dict({"protocol": "B", "trials": 2,
                                "params": {"n": 8}})
@@ -247,40 +261,48 @@ def test_write_report_csv(tmp_path):
         write_report(config, stats, digests, "xml", tmp_path / "out.xml")
 
 
-# Transcript digests and payoffs of one trial per attack, pinned from the
-# per-particle engine the array engine replaced: the two must make the same
-# RNG draws in the same order.  Thresholds of 1.0 let every run score its payoff.
-PINNED_RUNS = [
-    ("a.none", "9afa32acab3637a57de6e0c54cb5ca59cc05e7037c882e2b26d0c9612b01d3aa", None),
-    ("a.ir.bob", "1d1ccef13688fd4f7397ece187103f809f208615685333053a6b046848b4442b",
-     {"target": "k_c", "guessed": 6, "correct": 6, "fraction": 1.0}),
-    ("a.mr.charlie.1", "2ff0e33cd2c9612299104a358bdf03ed2cb7a0391394cb44ed579091931fef26",
-     {"target": "k_b", "guessed": 6, "correct": 6, "fraction": 1.0}),
-    ("b.none", "79a0b7a132c07732c6583b76c23a32d733046a3c89036ce501426c7ba6afeadc", None),
-    ("b.ir.charlie", "5611610f84a5830b7b1dfee4a79f1c1675b7926ae592e039987f85747ddf84fa",
-     {"target": "k_b", "guessed": 8, "correct": 8, "fraction": 1.0}),
-    ("b.mr.eve.3", "7c916b333d273951aa1210a9e67f693b678ac959ec9552b13852ea0a63e83da7",
-     {"target": "both", "guessed": 16, "correct": 16, "fraction": 1.0}),
-    ("a.em", "1bdde2d2e9cfc0bc51dc2ee74dfea93cf5993fd6eae7f11e28048aee4071806d", None),
-    ("b.em", "d6b722f36e6aef880e2481c655f87882157da0f693405eb75470cb36c35b2b66", None),
-]
+# Each pinned run's digest in the current (v2) transcript layout, as printed
+# by tests/pin_transcripts.py.
+PINNED_V2 = {
+    "a.none": "53e3b0df9b3ad292d4f7d7ebc6b3d42461fd07f7465617affbeb0b5ce177bbc2",
+    "a.ir.bob": "d7a33ecb88490a5d1de625e55e35ca069358eb7311b842cfb811b6c30516a784",
+    "a.mr.charlie.1": "fe847267fe0c58120f65ef0706d49c0fb7e94a20a3a01aae938e35fd60b5ce0c",
+    "b.none": "ea6302d3c084d04fed1b9b409e0688cead4ddf50ab94add378bbef71153c5f3e",
+    "b.ir.charlie": "db7ba68cc3dff6b14ab6d2007a57c0123d06788ce9c78188508ae24b13adbdb9",
+    "b.mr.eve.3": "f88a14fae8a7e07d77cd9034fb9c9743baa7df2a6cee464b323ca843d12fb5ae",
+    "a.em": "c41ee61a1733ad20165009add27c246239f8b5ad5bed04a55ad61e40db1be4cb",
+    "b.em": "846d860853bd3194e1eb4607565018e1e8d8800b380e26704c3c0239f72e78f7",
+}
 
 
 @pytest.mark.parametrize("attack_id, digest, payoff", PINNED_RUNS)
 def test_pinned_transcripts(attack_id, digest, payoff):
-    mode = attack_id[0].upper()
-    if attack_id.endswith(".em"):
-        spec = AttackSpec(mode, "em", pair=random_pair(mode, 2, np.random.default_rng(5)))
-    else:
-        spec = None if attack_id.endswith(".none") else parse_attack_id(attack_id)
-    if mode == "A":
-        config = ProtocolAConfig(n=20, m=45, thresholds=dict.fromkeys(CHECKS_A, 1.0))
-        report = run_protocol_a(config, spec, (3, 1))
-    else:
-        config = ProtocolBConfig(n=16, thresholds=dict.fromkeys(CHECKS_B, 1.0))
-        report = run_protocol_b(config, spec, (3, 1))
-    assert report.transcript_digest == digest
+    """``digest`` is the run's v1 digest, pinned from the per-particle engine
+    the array engine replaced: the two must make the same RNG draws in the
+    same order.  The v2 digest also covers the keys and the payoff."""
+    report, payload = pinned_run(attack_id)
+    assert v1_digest(payload) == digest
+    assert report.transcript_digest == PINNED_V2[attack_id]
     assert report.payoff == payoff
+
+
+@pytest.mark.parametrize("attack_id", ["a.ir.bob", "b.ir.charlie"])
+@pytest.mark.parametrize("binding", ["score_payoff", "derive_keys"])
+def test_digest_covers_keys_and_payoff(monkeypatch, attack_id, binding):
+    """A run whose payoff alone, or keys alone, differ hashes differently."""
+    module = protocol_a if attack_id.startswith("a.") else protocol_b
+    before, _ = pinned_run(attack_id)
+    assert before.keys is not None and before.payoff is not None
+    real = getattr(module, binding)
+    altered = {
+        "score_payoff": lambda *args: {**real(*args), "correct": -1},
+        "derive_keys": lambda bits_b, bits_c: real([1 - b for b in bits_b], bits_c),
+    }[binding]
+    monkeypatch.setattr(module, binding, altered)
+    after, _ = pinned_run(attack_id)
+    assert (after.payoff != before.payoff) == (binding == "score_payoff")
+    assert (after.keys != before.keys) == (binding == "derive_keys")
+    assert after.digest != before.digest
 
 
 @pytest.mark.parametrize("protocol, attack_id, params, reason", [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sqss import protocol_b
 from sqss.adversary import HonestPartyB, parse_attack_id
 from sqss.protocol_b import (
     ProtocolBConfig,
@@ -101,6 +102,22 @@ def test_malformed_order_aborts_the_run(monkeypatch, role, change):
 def test_wrong_particle_count_aborts_the_run(monkeypatch):
     _tamper(monkeypatch, "process", "charlie", lambda batch: batch[1:])
     _assert_malformed_aborts(seed=3)
+
+
+def test_transcript_records_the_published_orders(monkeypatch):
+    orders, payloads = [], []
+    honest = HonestPartyB.published_order
+    monkeypatch.setattr(HonestPartyB, "published_order",
+                        lambda self: orders.append(honest(self)) or orders[-1])
+    encode = protocol_b.transcript_digest
+    monkeypatch.setattr(protocol_b, "transcript_digest",
+                        lambda payload: payloads.append(payload) or encode(payload))
+    run_protocol_b(ProtocolBConfig(n=8), None, 4)
+    (payload,) = payloads
+    bob, charlie = orders
+    assert payload["schema"] == 2
+    assert payload["bob_pub"] == bob.tolist()
+    assert payload["charlie_pub"] == charlie.tolist()
 
 
 def test_honest_run_zero_mismatches_and_key_relation():
