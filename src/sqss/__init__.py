@@ -40,7 +40,6 @@ from .qstate import (
     CompositeState,
     DensityMatrix,
     PrepState,
-    PureState,
     apply_unitary,
     measure,
     measure_qubit,

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qstate import BASES, BB84_STATES, Basis, apply_unitary_batch, check_unitary
+from .qstate import BASES, Basis, apply_unitary_batch, check_unitary
 from .runtime import (
     CTRL,
     LEG_ORDER,
@@ -32,6 +32,7 @@ from .runtime import (
     Leg,
     ParticleBatch,
     SimulationError,
+    check_int,
 )
 
 _Z = BASES.index(Basis.Z)  # measurement bases are indices into qstate.BASES
@@ -55,6 +56,9 @@ class UnitaryPair:
     protocol: str  # "A" | "B"
 
     def __post_init__(self):
+        check_int("probe_dim", self.probe_dim)
+        if self.probe_dim < 1:
+            raise ValueError(f"probe_dim must be at least 1, got {self.probe_dim}")
         for name, u in (("first", self.first), ("second", self.second)):
             u = np.asarray(u, dtype=complex)
             if u.shape != (2 * self.probe_dim, 2 * self.probe_dim):
@@ -332,10 +336,7 @@ def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
     return leg; each particle carries its own probe, initially |e0>."""
     def make(u):
         def intercept(batch, leg, rng):
-            states = [BB84_STATES[c] if c != PROBED else p
-                      for c, p in zip(batch.code.tolist(), batch.probe)]
-            batch.probe = np.empty(len(batch), dtype=object)
-            batch.probe[:] = apply_unitary_batch(states, u, pair.probe_dim)
+            batch.probe = apply_unitary_batch(batch.amplitudes(pair.probe_dim), u)
             batch.code[:] = PROBED
             return batch
         return intercept

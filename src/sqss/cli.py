@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .adversary import UnsupportedAttackError, catalog_ids
-from .em_analysis import constrained_search
+from .em_analysis import check_search_args, constrained_search
 from .harness import (
     ConfigError,
     ExperimentAborted,
@@ -77,25 +77,26 @@ def _cmd_sweep(args) -> int:
     attacks = (catalog_ids(args.protocol) if args.attacks == "all"
                else args.attacks.split(","))
     sizes = [int(s) for s in args.sizes.split(",")]
+    configs = [(attack, size, _basic_config(args.protocol, attack, size, args.trials, args.seed))
+               for attack in attacks for size in sizes]
     rows = []
-    for attack in attacks:
-        for size in sizes:
-            config = _basic_config(args.protocol, attack, size, args.trials, args.seed)
-            stats, _ = monte_carlo(config)
-            for s in stats.per_check.values():
-                rows.append({"attack": attack, "size": size, "check": s.check_id,
-                             "compared": s.compared, "rate": s.rate,
-                             "abort_fraction": stats.abort_fraction})
+    for attack, size, config in configs:
+        stats, _ = monte_carlo(config)
+        for s in stats.per_check.values():
+            rows.append({"attack": attack, "size": size, "check": s.check_id,
+                         "compared": s.compared, "rate": s.rate,
+                         "abort_fraction": stats.abort_fraction})
     _emit({"protocol": args.protocol.upper(), "rows": rows}, args.output)
     return EXIT_OK
 
 
 def _cmd_attack_bench(args) -> int:
+    configs = {attack: _basic_config(attack[0].upper(), attack, args.size, args.trials,
+                                     args.seed)
+               for attack in catalog_ids(args.protocol)}
     rows = []
-    for attack in catalog_ids(args.protocol):
-        protocol = attack[0].upper()
-        oracle = detection_oracle(protocol, attack)
-        config = _basic_config(protocol, attack, args.size, args.trials, args.seed)
+    for attack, config in configs.items():
+        oracle = detection_oracle(attack[0].upper(), attack)
         stats, _ = monte_carlo(config)
         for check, exact in oracle.items():
             s = stats.check(check)
@@ -110,8 +111,11 @@ def _cmd_attack_bench(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
+    epsilons = [float(e) for e in args.epsilons.split(",")]
+    for eps in epsilons:
+        check_search_args(eps, args.probe_dim, args.restarts, args.iters)
     rows = []
-    for eps in (float(e) for e in args.epsilons.split(",")):
+    for eps in epsilons:
         point = constrained_search(args.mode.upper(), eps, probe_dim=args.probe_dim,
                                    restarts=args.restarts, iters=args.iters,
                                    seed=args.seed)

@@ -130,7 +130,7 @@ def _prep_basis_error(finals: dict, d: int) -> float:
     ``PREPS``) does not return the prepared state."""
     total = 0.0
     for s, psi in finals.items():
-        sv = prepare(s).vector()
+        sv = prepare(s)
         b0, b1 = _blocks(psi, d)
         kept = sv[0].conjugate() * b0 + sv[1].conjugate() * b1
         total += 1.0 - float(np.sum(np.abs(kept) ** 2))
@@ -299,7 +299,7 @@ def _residuals_b(pair: UnitaryPair, states: tuple[dict, dict]) -> dict:
     # X-prepared control particles must factorize against the same probe.
     ctrl_resid = 0.0
     for s in (PrepState.PLUS, PrepState.MINUS):
-        target = _embed(prepare(s).vector(), h_bar)
+        target = _embed(prepare(s), h_bar)
         ctrl_resid = max(ctrl_resid, float(np.linalg.norm(full[s] - target)))
     # Return-leg-only particles: the probe must not depend on the carried bit.
     g = []
@@ -449,17 +449,22 @@ class TradeoffPoint:
 FEASIBILITY_TOL = 1e-9
 
 
+def check_search_args(epsilon: float, probe_dim: int, restarts: int, iters: int) -> None:
+    """Reject ``constrained_search`` arguments before any evaluation runs."""
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValueError("epsilon must be in [0, 0.5]")
+    if restarts < 1 or iters < 1:
+        raise ValueError("budgets must be positive")
+    _check_probe_dim(probe_dim)  # for the bit-copy start
+
+
 def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
                        restarts: int = 6, iters: int = 40, seed: int = 0) -> TradeoffPoint:
     """Maximize probe distinguishability subject to every check error staying
     within the budget, by restarted finite-difference ascent on a penalized
     objective.  Deliberately simple: used for inequalities with slack only.
     """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError("epsilon must be in [0, 0.5]")
-    if restarts < 1 or iters < 1:
-        raise ValueError("budgets must be positive")
-    _check_probe_dim(probe_dim)  # for the bit-copy start
+    check_search_args(epsilon, probe_dim, restarts, iters)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     npar = params_dim(probe_dim)
 

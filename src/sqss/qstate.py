@@ -45,46 +45,27 @@ def expected_outcome(s: PrepState) -> int:
     return 0 if s in (PrepState.ZERO, PrepState.PLUS) else 1
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Single-qubit state (amp0, amp1) in the computational basis."""
-
-    amp0: complex
-    amp1: complex
-
-    def __post_init__(self):
-        norm_sq = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise ValueError(f"state not normalized: |amp|^2 = {norm_sq!r}")
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.amp0, self.amp1], dtype=complex)
+# Amplitudes (amp0, amp1) of each PrepState, row i for its BB84 code i (see
+# BB84 below); read-only.
+BB84_AMPS = np.array([[1.0, 0.0], [0.0, 1.0],
+                      [_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
+BB84_AMPS.setflags(write=False)
+_AMPS_OF = dict(zip(PrepState, BB84_AMPS))
 
 
-_PREP_AMPS = {
-    PrepState.ZERO: (1.0 + 0j, 0.0 + 0j),
-    PrepState.ONE: (0.0 + 0j, 1.0 + 0j),
-    PrepState.PLUS: (_INV_SQRT2 + 0j, _INV_SQRT2 + 0j),
-    PrepState.MINUS: (_INV_SQRT2 + 0j, -_INV_SQRT2 + 0j),
-}
+def prepare(s: PrepState) -> np.ndarray:
+    """Canonical (read-only) amplitude vector for one of the four protocol states."""
+    return _AMPS_OF[s]
 
 
-def prepare(s: PrepState) -> PureState:
-    """Canonical amplitude vector for one of the four protocol states."""
-    a0, a1 = _PREP_AMPS[s]
-    return PureState(a0, a1)
-
-
-def zstate(bit: int) -> PureState:
+def zstate(bit: int) -> np.ndarray:
     return prepare(PrepState.ONE if bit else PrepState.ZERO)
 
 
-def xstate(bit: int) -> PureState:
+def basis_state(basis: Basis, bit: int) -> np.ndarray:
+    if basis is Basis.Z:
+        return zstate(bit)
     return prepare(PrepState.MINUS if bit else PrepState.PLUS)
-
-
-def basis_state(basis: Basis, bit: int) -> PureState:
-    return zstate(bit) if basis is Basis.Z else xstate(bit)
 
 
 def _weight(v: np.ndarray) -> float:
@@ -101,15 +82,15 @@ def _draw(p0: float, rng: np.random.Generator) -> int:
     return 0 if rng.random() < p0 else 1
 
 
-def _bare_p0(state: PureState, basis: Basis) -> float:
+def _bare_p0(v: np.ndarray, basis: Basis) -> float:
     """Probability of outcome 0 when a bare qubit is measured in ``basis``."""
-    v = state.vector()
     if basis is Basis.Z:
         return abs(v[0]) ** 2
     return abs((v[0] + v[1]) * _INV_SQRT2) ** 2
 
 
-def measure(state: PureState, basis: Basis, rng: np.random.Generator) -> tuple[int, PureState]:
+def measure(state: np.ndarray, basis: Basis,
+            rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Born-rule measurement with collapse onto the outcome's basis state."""
     outcome = _draw(_bare_p0(state, basis), rng)
     return outcome, basis_state(basis, outcome)
@@ -122,17 +103,15 @@ BB84 = tuple(PrepState)
 BASES = (Basis.Z, Basis.X)
 BASIS_OF_CODE = np.array([BASES.index(basis_of(s)) for s in BB84], dtype=np.int8)
 EXPECTED_OF_CODE = np.array([expected_outcome(s) for s in BB84], dtype=np.int8)
-BB84_STATES = tuple(prepare(s) for s in BB84)
 # Each code's symbol in a transcript: its PrepState value as one byte.
 BB84_SYMBOL = np.array([s.value for s in BB84], dtype="S1")
 # P(0) per (code, basis) from measure's own formula, so the draws compare
 # against the same floats; the outcome where _draw's thresholds make it
 # certain, else -1; and the code each (basis, outcome) collapses onto.
-_CODE_P0 = np.array([[_bare_p0(s, b) for b in BASES] for s in BB84_STATES])
+_CODE_P0 = np.array([[_bare_p0(v, b) for b in BASES] for v in BB84_AMPS])
 _CODE_CERTAIN = np.where(_CODE_P0 < MIN_BRANCH_PROB, 1,
                          np.where(1.0 - _CODE_P0 < MIN_BRANCH_PROB, 0, -1)).astype(np.int8)
-_COLLAPSED_CODE = np.array([[BB84_STATES.index(basis_state(b, bit)) for bit in (0, 1)]
-                            for b in BASES], dtype=np.int8)
+_COLLAPSED_CODE = np.array([[0, 1], [2, 3]], dtype=np.int8)  # Z: |0>, |1>; X: |+>, |->
 
 
 def measure_codes(codes: np.ndarray, bases: np.ndarray,
@@ -174,7 +153,7 @@ class CompositeState:
 
     @classmethod
     def _checked(cls, amps: np.ndarray, dim_probe: int) -> CompositeState:
-        """Wrap read-only amplitudes whose shape and norm the caller has checked."""
+        """Wrap amplitudes (not copied) whose shape and norm the caller has checked."""
         state = object.__new__(cls)
         object.__setattr__(state, "amps", amps)
         object.__setattr__(state, "dim_probe", dim_probe)
@@ -185,11 +164,10 @@ class CompositeState:
         return self.amps[bit * d:(bit + 1) * d]
 
 
-def lift(state: PureState, dim_probe: int) -> CompositeState:
-    """Tensor a bare qubit with the probe's initial state |e_0>."""
+def lift(state: np.ndarray, dim_probe: int) -> CompositeState:
+    """Tensor a bare qubit's amplitudes with the probe's initial state |e_0>."""
     amps = np.zeros(2 * dim_probe, dtype=complex)
-    amps[0] = state.amp0
-    amps[dim_probe] = state.amp1
+    amps[[0, dim_probe]] = state
     return CompositeState(amps, dim_probe)
 
 
@@ -212,32 +190,20 @@ def apply_unitary(state: CompositeState, u: np.ndarray) -> CompositeState:
     return CompositeState(u @ state.amps, state.dim_probe)
 
 
-def apply_unitary_batch(states: list, u: np.ndarray,
-                        dim_probe: int) -> list[CompositeState]:
-    """``apply_unitary(lift(s, dim_probe), u)`` for every bare qubit ``s`` and
-    ``apply_unitary(s, u)`` for every composite one, as one matrix product.
+def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``apply_unitary`` on every row of an ``(N, 2d)`` array of joint
+    amplitudes, as one matrix product.
 
     ``u`` is trusted to be unitary (callers validate it once, up front); each
     output row is still checked to be normalized.
     """
-    d = dim_probe
-    rows = np.zeros((len(states), 2 * d), dtype=complex)
-    for i, s in enumerate(states):
-        if isinstance(s, PureState):
-            rows[i, 0] = s.amp0
-            rows[i, d] = s.amp1
-        elif s.dim_probe == d:
-            rows[i] = s.amps
-        else:
-            raise ValueError(f"state has probe dimension {s.dim_probe}, expected {d}")
     out = rows @ np.asarray(u, dtype=complex).T
     norm_sq = np.einsum("ij,ij->i", out.conj(), out).real
     bad = np.flatnonzero(np.abs(norm_sq - 1.0) > 1e-9)
     if bad.size:
         raise ValueError(f"composite state not normalized: "
                          f"|amp|^2 = {float(norm_sq[bad[0]])!r}")
-    out.setflags(write=False)
-    return [CompositeState._checked(row, d) for row in out]
+    return out
 
 
 def _branch(state: CompositeState, basis: Basis, bit: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .qstate import BASES, measure_codes, measure_qubit
+from .qstate import BASES, BB84_AMPS, CompositeState, measure_codes, measure_qubit
 
 
 class Leg(Enum):
@@ -36,7 +36,7 @@ class ParticleConservationError(SimulationError):
     """An interceptor changed the number of particles in flight."""
 
 
-# Code of a particle whose joint qubit-probe state is held in ``probe``.
+# Code of a particle whose joint qubit-probe amplitudes are its ``probe`` row.
 PROBED = -1
 # Protocol B particle classes, in the order of the combined index
 # ``resolve_orders`` composes: Alice's CTRL particles, then Bob's and
@@ -48,18 +48,19 @@ class ParticleBatch:
     """Particles in flight as parallel arrays; entry ``i`` is position ``i``.
 
     ``code`` holds each bare particle's state as a BB84 code (see
-    ``qstate.BB84``).  A particle with a probe attached has code ``PROBED``
-    and its joint qubit-probe ``CompositeState`` in ``probe``, which is used
-    nowhere else.  Protocol A runs fill the per-role ``measured``,
-    ``result`` (-1 where not measured) and ``announced`` (True for MEASURE)
-    columns.
+    ``qstate.BB84``).  ``probe`` is None until an entangle-measure leg writes
+    it: then it is an ``(N, 2d)`` complex array, and a particle with code
+    ``PROBED`` has its joint qubit-probe amplitudes (see
+    ``qstate.CompositeState``) in its row.  The rows of bare particles are
+    ignored.  Protocol A runs fill the per-role ``measured``, ``result`` (-1
+    where not measured) and ``announced`` (True for MEASURE) columns.
     """
 
     __slots__ = ("code", "probe", "measured", "result", "announced")
 
-    def __init__(self, code, probe=None):
+    def __init__(self, code, probe: Optional[np.ndarray] = None):
         self.code = np.array(code, dtype=np.int8)
-        self.probe = np.empty(len(self.code), dtype=object) if probe is None else probe
+        self.probe = probe
         self.measured: dict[str, np.ndarray] = {}
         self.result: dict[str, np.ndarray] = {}
         self.announced: dict[str, np.ndarray] = {}
@@ -70,22 +71,42 @@ class ParticleBatch:
     def __getitem__(self, index) -> ParticleBatch:
         """The particles at ``index`` (a slice, mask or position array), in
         its order."""
-        return ParticleBatch(self.code[index], self.probe[index])
+        return ParticleBatch(self.code[index],
+                             None if self.probe is None else self.probe[index])
 
     @staticmethod
     def concat(first: ParticleBatch, second: ParticleBatch) -> ParticleBatch:
-        """``first`` followed by ``second``."""
-        return ParticleBatch(np.concatenate([first.code, second.code]),
-                             np.concatenate([first.probe, second.probe]))
+        """``first`` followed by ``second``; a side without probes gets zero rows."""
+        code = np.concatenate([first.code, second.code])
+        if first.probe is None and second.probe is None:
+            return ParticleBatch(code)
+        width = (second.probe if first.probe is None else first.probe).shape[1]
+        return ParticleBatch(code, np.concatenate(
+            [np.zeros((len(b), width), dtype=complex) if b.probe is None else b.probe
+             for b in (first, second)]))
 
     def states(self) -> ParticleBatch:
         """A copy of the particles' quantum states alone."""
-        return ParticleBatch(self.code, self.probe.copy())
+        return ParticleBatch(self.code, None if self.probe is None else self.probe.copy())
 
     def fake(self, bits) -> None:
         """Replace every particle by a fresh |bit> Z-basis state."""
         self.code = np.array(bits, dtype=np.int8)
-        self.probe = np.empty(len(self.code), dtype=object)
+        self.probe = None
+
+    def amplitudes(self, dim_probe: int) -> np.ndarray:
+        """Every particle's joint qubit-probe amplitudes as an ``(N, 2d)``
+        array, ``d = dim_probe``; a bare particle's probe is in |e_0>."""
+        d = dim_probe
+        if self.probe is not None and self.probe.shape[1] != 2 * d:
+            raise ValueError(f"batch has probe dimension {self.probe.shape[1] // 2}, "
+                             f"expected {d}")
+        bare = self.code != PROBED
+        rows = np.zeros((len(self), 2 * d), dtype=complex)
+        if self.probe is not None:
+            rows[~bare] = self.probe[~bare]
+        rows[np.ix_(bare, (0, d))] = BB84_AMPS[self.code[bare]]
+        return rows
 
     def measure(self, positions, bases, rng: np.random.Generator) -> np.ndarray:
         """Measure the particles at ``positions``, in that order, in ``bases``
@@ -93,7 +114,8 @@ class ParticleBatch:
 
         Runs of bare particles go through ``measure_codes`` and each probed
         particle through ``measure_qubit``, in position order, so the RNG
-        draws are those of measuring the particles one at a time.
+        draws are those of measuring the particles one at a time.  A probed
+        particle's collapsed amplitudes are written back to its row.
         """
         positions = np.asarray(positions)
         bases = np.broadcast_to(np.asarray(bases, dtype=np.int8), positions.shape)
@@ -105,8 +127,10 @@ class ParticleBatch:
                 run = slice(start, k)
                 bits[run], self.code[positions[run]] = measure_codes(codes[run], bases[run], rng)
             if k < len(positions):
-                pos = positions[k]
-                bits[k], self.probe[pos] = measure_qubit(self.probe[pos], BASES[bases[k]], rng)
+                row = self.probe[positions[k]]
+                state = CompositeState._checked(row, len(row) // 2)
+                bits[k], state = measure_qubit(state, BASES[bases[k]], rng)
+                row[:] = state.amps
             start = k + 1
         return bits
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sqss.adversary import AttackSpec, catalog_ids, parse_attack_id
+from sqss.adversary import AttackSpec
 from sqss.em_analysis import (
     constrained_search,
     error_profile,

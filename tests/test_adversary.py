@@ -69,6 +69,11 @@ def test_unitary_pair_validation_and_legs():
         UnitaryPair(first=2 * eye, second=eye, probe_dim=2, protocol="A")
     with pytest.raises(ValueError, match="shape"):
         UnitaryPair(first=eye, second=eye, probe_dim=3, protocol="A")
+    # A 0x0 matrix passes check_unitary, and True and 1.0 size a 2x2 one.
+    for probe_dim in (0, True, 1.0):
+        square = np.eye(2 * int(probe_dim))
+        with pytest.raises(ValueError, match="probe_dim"):
+            UnitaryPair(first=square, second=square, probe_dim=probe_dim, protocol="A")
 
 
 def test_mismatched_protocol_rejected_by_plan():

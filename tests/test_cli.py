@@ -164,6 +164,24 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, command):
     assert f"cannot write output to {tmp_path}: it is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--protocol", "b", "--sizes", "40,1"],
+    ["sweep", "--protocol", "a", "--attacks", "a.mr.bob.1,a.bogus"],
+    ["tradeoff", "--mode", "a", "--epsilons", "0.1,0.9"],
+    ["attack-bench", "--size", "1"],
+], ids=["sweep-size", "sweep-attack", "tradeoff-epsilon", "attack-bench-size"])
+def test_bad_input_exits_2_before_any_work(monkeypatch, capsys, command):
+    """A bad value late in a list is rejected before the first item runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the input check")
+
+    for name in ("monte_carlo", "constrained_search", "detection_oracle"):
+        monkeypatch.setattr(cli, name, never)
+    assert cli.main(command) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("probe_dim", ["0", "1"])
 def test_tradeoff_rejects_a_probe_too_small_for_bit_copy(capsys, probe_dim):
     code = cli.main(["tradeoff", "--mode", "a", "--epsilons", "0.25", "--restarts", "2",

@@ -1,9 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses.
 
 No linter ships with the project, so this is the one import check: a name
 bound by ``import``/``from ... import`` must appear somewhere else in the
-module, unless its line carries ``# noqa: F401``.  ``__init__.py`` is
-exempt, since it imports to re-export.
+module, unless its line carries ``# noqa: F401``.  The package's
+``__init__.py`` is exempt, since it imports to re-export.
 """
 
 import ast
@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sqss"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+# Package modules by file name, test modules by their path under the root.
+MODULES = {p.name: p for p in sorted((ROOT / "src" / "sqss").glob("*.py"))
+           if p.name != "__init__.py"}
+MODULES.update({f"tests/{p.name}": p for p in sorted((ROOT / "tests").glob("*.py"))})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,4 +41,4 @@ def test_the_check_sees_unused_and_noqa_imports():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(MODULES[module].read_text()) == []

@@ -6,12 +6,11 @@ import pytest
 from sqss.qstate import (
     BASES,
     BB84,
-    BB84_STATES,
+    BB84_AMPS,
     Basis,
     CompositeState,
     DensityMatrix,
     PrepState,
-    PureState,
     _collapse,
     _draw,
     apply_unitary,
@@ -28,15 +27,19 @@ from sqss.qstate import (
     trace_distance,
     zstate,
 )
+from sqss.runtime import PROBED, ParticleBatch
 
 RT2 = 1.0 / np.sqrt(2.0)
 
 
 def test_prepare_canonical_vectors():
-    assert prepare(PrepState.ZERO).vector() == pytest.approx([1, 0])
-    assert prepare(PrepState.ONE).vector() == pytest.approx([0, 1])
-    assert prepare(PrepState.PLUS).vector() == pytest.approx([RT2, RT2])
-    assert prepare(PrepState.MINUS).vector() == pytest.approx([RT2, -RT2])
+    assert prepare(PrepState.ZERO) == pytest.approx([1, 0])
+    assert prepare(PrepState.ONE) == pytest.approx([0, 1])
+    assert prepare(PrepState.PLUS) == pytest.approx([RT2, RT2])
+    assert prepare(PrepState.MINUS) == pytest.approx([RT2, -RT2])
+    for code, s in enumerate(BB84):
+        assert np.array_equal(prepare(s), BB84_AMPS[code])
+        assert not prepare(s).flags.writeable
 
 
 def test_basis_classification():
@@ -49,8 +52,9 @@ def test_basis_classification():
 
 
 def test_normalization_enforced():
-    with pytest.raises(ValueError):
-        PureState(1.0, 1.0)
+    for d in (1, 2):
+        with pytest.raises(ValueError, match="not normalized"):
+            lift(np.array([1.0, 1.0]), d)
 
 
 def test_eigenstate_measurement_is_deterministic():
@@ -58,7 +62,7 @@ def test_eigenstate_measurement_is_deterministic():
     for _ in range(50):
         bit, collapsed = measure(prepare(PrepState.ONE), Basis.Z, rng)
         assert bit == 1
-        assert collapsed.vector() == pytest.approx([0, 1])
+        assert collapsed == pytest.approx([0, 1])
 
 
 def test_repeated_measurement_same_basis_stable():
@@ -85,7 +89,7 @@ def test_x_outcome_encoding():
     rng = np.random.default_rng(3)
     bit, collapsed = measure(prepare(PrepState.PLUS), Basis.X, rng)
     assert bit == 0
-    assert collapsed.vector() == pytest.approx([RT2, RT2])
+    assert collapsed == pytest.approx([RT2, RT2])
     bit, _ = measure(prepare(PrepState.MINUS), Basis.X, rng)
     assert bit == 1
 
@@ -157,8 +161,8 @@ def test_trace_distance_properties():
 
 
 def test_zstate_helper():
-    assert zstate(0).vector() == pytest.approx([1, 0])
-    assert zstate(1).vector() == pytest.approx([0, 1])
+    assert zstate(0) == pytest.approx([1, 0])
+    assert zstate(1) == pytest.approx([0, 1])
 
 
 def _random_unitary(m, rng):
@@ -174,39 +178,44 @@ def _random_amps(size, rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_batch_unitary_matches_per_state_apply(d):
+    """Rows of lifted bare qubits and of joint states: each output row is
+    ``apply_unitary`` of its input row."""
     rng = np.random.default_rng(40 + d)
     for _ in range(10):
         u = _random_unitary(2 * d, rng)
-        states = [PureState(*_random_amps(2, rng)) if rng.random() < 0.5
-                  else CompositeState(_random_amps(2 * d, rng), d) for _ in range(12)]
-        out = apply_unitary_batch(states, u, d)
-        assert len(out) == len(states)
-        for s, got in zip(states, out):
-            want = apply_unitary(lift(s, d) if isinstance(s, PureState) else s, u)
-            assert isinstance(got, CompositeState) and got.dim_probe == d
-            assert not got.amps.flags.writeable
-            assert np.abs(got.amps - want.amps).max() < 1e-12
+        bare = rng.random(12) < 0.5
+        qubits = [_random_amps(2, rng) for _ in range(12)]
+        rows = np.array([lift(v, d).amps if b else _random_amps(2 * d, rng)
+                         for v, b in zip(qubits, bare)])
+        before = rows.copy()
+        out = apply_unitary_batch(rows, u)
+        assert out.shape == rows.shape and np.array_equal(rows, before)
+        for v, b, row, got in zip(qubits, bare, rows, out):
+            want = apply_unitary(lift(v, d) if b else CompositeState(row, d), u)
+            assert np.abs(got - want.amps).max() < 1e-12
 
 
 def test_batch_unitary_rejects_one_unnormalized_row():
     # Stretches the |1>|e0> direction; only the |1> qubit has weight there.
     u = np.diag([1.0, 1.5])
-    assert len(apply_unitary_batch([zstate(0), zstate(0)], u, 1)) == 2
+    assert len(apply_unitary_batch(np.array([zstate(0), zstate(0)]), u)) == 2
     with pytest.raises(ValueError, match="not normalized"):
-        apply_unitary_batch([zstate(0), zstate(1), zstate(0)], u, 1)
+        apply_unitary_batch(np.array([zstate(0), zstate(1), zstate(0)]), u)
 
 
 def test_batch_unitary_rejects_a_mismatched_probe():
-    with pytest.raises(ValueError, match="probe dimension"):
-        apply_unitary_batch([lift(zstate(0), 3)], np.eye(4), 2)
+    rows = lift(zstate(0), 3).amps[None]
+    with pytest.raises(ValueError):
+        apply_unitary_batch(rows, np.eye(4))
+    with pytest.raises(ValueError, match="probe dimension 3, expected 2"):
+        ParticleBatch([PROBED], rows.copy()).amplitudes(2)
 
 
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
 def test_measure_qubit_matches_branch_probability_and_collapse(basis):
     rng = np.random.default_rng(50)
-    projectors = {Basis.Z: (zstate(0).vector(), zstate(1).vector()),
-                  Basis.X: (prepare(PrepState.PLUS).vector(),
-                            prepare(PrepState.MINUS).vector())}
+    projectors = {Basis.Z: (zstate(0), zstate(1)),
+                  Basis.X: (prepare(PrepState.PLUS), prepare(PrepState.MINUS))}
     for seed in range(40):
         d = 1 + seed % 3
         state = CompositeState(_random_amps(2 * d, rng), d)
@@ -234,12 +243,12 @@ def test_measure_codes_matches_measure_draw_for_draw():
         (c, b) for c in range(4) for b in range(2)}
     for seed in range(5):
         ref_rng = np.random.default_rng(seed)
-        want = [measure(BB84_STATES[c], BASES[b], ref_rng)
+        want = [measure(BB84_AMPS[c], BASES[b], ref_rng)
                 for c, b in zip(codes.tolist(), bases.tolist())]
         rng = np.random.default_rng(seed)
         bits, collapsed = measure_codes(codes, bases, rng)
         assert bits.tolist() == [bit for bit, _ in want]
-        assert [BB84_STATES[c] for c in collapsed.tolist()] == [state for _, state in want]
+        assert np.array_equal(BB84_AMPS[collapsed], [state for _, state in want])
         assert rng.random() == ref_rng.random()
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqss.qstate import BASES, BB84_STATES, CompositeState, lift, measure, measure_qubit
+from sqss.qstate import BASES, BB84_AMPS, CompositeState, lift, measure, measure_qubit
 from sqss.runtime import (
     PROBED,
     Leg,
@@ -95,6 +95,11 @@ def test_transcript_digest_is_order_insensitive_and_stable():
     assert a != transcript_digest({"x": 2, "y": [1, 2]})
 
 
+def _random_amps(size, rng):
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return amps / np.linalg.norm(amps)
+
+
 def test_batch_measure_mixed_layer_matches_one_at_a_time():
     """Bare and probed particles interleaved, measured in a scrambled order:
     the same outcomes, collapsed states and final RNG state as measure /
@@ -103,40 +108,86 @@ def test_batch_measure_mixed_layer_matches_one_at_a_time():
     n, d = 60, 2
     codes = layout.integers(4, size=n).astype(np.int8)
     probed = layout.random(n) < 0.4
-    probes = {}
+    # Bare rows hold junk: only the probed rows are read.
+    rows = layout.normal(size=(n, 2 * d)) + 0j
     for i in np.flatnonzero(probed).tolist():
-        amps = layout.normal(size=2 * d) + 1j * layout.normal(size=2 * d)
-        probes[i] = CompositeState(amps / np.linalg.norm(amps), d)
+        rows[i] = _random_amps(2 * d, layout)
     positions = layout.permutation(n)[:45]
     bases = layout.integers(2, size=len(positions)).astype(np.int8)
     for seed in range(4):
-        batch = ParticleBatch(np.where(probed, PROBED, codes))
-        for i, state in probes.items():
-            batch.probe[i] = state
+        batch = ParticleBatch(np.where(probed, PROBED, codes), rows.copy())
         rng = np.random.default_rng(seed)
         bits = batch.measure(positions, bases, rng)
 
         ref_rng = np.random.default_rng(seed)
-        states = {i: probes.get(i, BB84_STATES[c]) for i, c in enumerate(codes.tolist())}
+        states = {i: CompositeState(rows[i], d) if probed[i] else BB84_AMPS[c]
+                  for i, c in enumerate(codes.tolist())}
         want = []
         for pos, b in zip(positions.tolist(), bases.tolist()):
-            step = measure_qubit if pos in probes else measure
+            step = measure_qubit if probed[pos] else measure
             bit, states[pos] = step(states[pos], BASES[b], ref_rng)
             want.append(bit)
         assert bits.tolist() == want
         assert rng.random() == ref_rng.random()
         for i, state in states.items():
-            if i in probes:
+            if probed[i]:
                 assert batch.code[i] == PROBED
-                assert np.array_equal(batch.probe[i].amps, state.amps)
+                assert np.array_equal(batch.probe[i], state.amps)
             else:
-                assert BB84_STATES[batch.code[i]] == state
+                assert np.array_equal(BB84_AMPS[batch.code[i]], state)
+                assert np.array_equal(batch.probe[i], rows[i])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batch_amplitudes_lift_bare_rows_and_keep_probed_ones(d):
+    rng = np.random.default_rng(80 + d)
+    codes = np.array([0, 1, 2, 3, 2, 0], dtype=np.int8)
+    assert np.array_equal(ParticleBatch(codes).amplitudes(d),
+                          [lift(BB84_AMPS[c], d).amps for c in codes])
+    probed = np.array([False, True, False, True, True, False])
+    rows = rng.normal(size=(len(codes), 2 * d)) + 0j
+    batch = ParticleBatch(np.where(probed, PROBED, codes), rows.copy())
+    got = batch.amplitudes(d)
+    for i, c in enumerate(codes.tolist()):
+        want = rows[i] if probed[i] else lift(BB84_AMPS[c], d).amps
+        assert np.array_equal(got[i], want)
+    got[:] = 0
+    assert np.array_equal(batch.probe, rows)
+    with pytest.raises(ValueError, match=f"probe dimension {d}, expected {d + 1}"):
+        batch.amplitudes(d + 1)
 
 
 def test_batch_indexing_keeps_columns_aligned():
     batch = ParticleBatch([0, 1, 2, 3])
-    batch.probe[2] = lift(BB84_STATES[2], 2)
     picked = batch[np.array([2, 0])]
-    assert picked.code.tolist() == [2, 0]
-    assert picked.probe[0] is batch.probe[2] and picked.probe[1] is None
+    assert picked.code.tolist() == [2, 0] and picked.probe is None
     assert len(batch[1:]) == 3
+
+    rng = np.random.default_rng(90)
+    rows = np.zeros((4, 4), dtype=complex)
+    rows[2] = lift(BB84_AMPS[2], 2).amps
+    rows[3] = _random_amps(4, rng)
+    probed = ParticleBatch([0, 1, PROBED, PROBED], rows.copy())
+    order = np.array([3, 0, 2, 1])
+    picked = probed[order]
+    assert picked.code.tolist() == [PROBED, 0, PROBED, 1]
+    assert np.array_equal(picked.probe, rows[order])
+    assert picked.probe.shape == (4, 4)
+
+    # A side without probes is padded with zero rows, on either side.
+    joined = ParticleBatch.concat(probed, ParticleBatch([1, 3]))
+    assert joined.code.tolist() == [0, 1, PROBED, PROBED, 1, 3]
+    assert np.array_equal(joined.probe, np.concatenate([rows, np.zeros((2, 4))]))
+    joined = ParticleBatch.concat(ParticleBatch([1]), probed)
+    assert np.array_equal(joined.probe, np.concatenate([np.zeros((1, 4)), rows]))
+    assert ParticleBatch.concat(batch, batch).probe is None
+
+    # states() copies both columns.
+    copy = probed.states()
+    copy.code[2] = 0
+    copy.probe[3] = 0
+    assert probed.code.tolist() == [0, 1, PROBED, PROBED]
+    assert np.array_equal(probed.probe, rows)
+
+    probed.fake([1, 0, 1, 1])
+    assert probed.code.tolist() == [1, 0, 1, 1] and probed.probe is None
