@@ -11,6 +11,7 @@ from .adversary import (
     build_attack_plan,
     catalog_ids,
     parse_attack_id,
+    resolve_attack,
 )
 from .em_analysis import (
     ErrorProfile,

@@ -5,13 +5,8 @@ interceptors and dishonest-party behavior overrides, with the adversary's
 acquired knowledge tracked explicitly so that attack payoff can be scored
 against the honest parties' actual bits.
 
-Attack identifiers are stable strings used in configs and on the CLI:
-
-    a.mr.bob.1     a.mr.bob.2     a.mr.charlie.1   a.mr.charlie.2
-    a.ir.bob       a.ir.charlie.1 a.ir.charlie.2
-    a.mr.eve.<leg> a.ir.eve.<leg>           (leg in 1..3)
-    b.mr.bob       b.mr.charlie   b.ir.bob         b.ir.charlie
-    b.mr.eve.<leg> b.ir.eve.<leg>
+Attack ids, as configs and the CLI write them, are the ``CATALOG`` keys and
+``<p>.none`` for no attack; ``resolve_attack`` reads them.
 """
 
 from __future__ import annotations
@@ -33,6 +28,7 @@ from .runtime import (
     ParticleBatch,
     SimulationError,
     check_int,
+    random_subset,
 )
 
 _Z = BASES.index(Basis.Z)  # measurement bases are indices into qstate.BASES
@@ -80,10 +76,10 @@ class UnitaryPair:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """One entry of the attack catalog (or an entangle-measure parameterization)."""
+    """A catalog attack or an entangle-measure pair; no attack is None."""
 
     protocol: str                       # "A" | "B"
-    kind: str                           # "none" | "mr" | "ir" | "em"
+    kind: str                           # "mr" | "ir" | "em"
     actor: Optional[str] = None         # "bob" | "charlie" | "eve"
     variant: Optional[int] = None
     pair: Optional[UnitaryPair] = None
@@ -91,52 +87,62 @@ class AttackSpec:
     def __post_init__(self):
         if self.protocol not in ("A", "B"):
             raise UnsupportedAttackError(f"unknown protocol {self.protocol!r}")
-        attack_id = self.attack_id
-        if attack_id == f"{self.protocol.lower()}.em":
+        if self.kind == "em":
             if self.pair is None or self.pair.protocol != self.protocol:
                 raise UnsupportedAttackError("entangle-measure spec needs a matching UnitaryPair")
-            if self.actor not in (None, "bob", "charlie", "eve"):
-                raise UnsupportedAttackError(f"bad actor {self.actor!r}")
+            if self.actor is not None or self.variant is not None:
+                raise UnsupportedAttackError("entangle-measure spec takes no actor or variant")
         elif self.pair is not None:
-            raise UnsupportedAttackError(f"{attack_id} takes no UnitaryPair")
-        elif attack_id not in CATALOG and attack_id != f"{self.protocol.lower()}.none":
-            raise UnsupportedAttackError(f"no catalog attack {attack_id!r}")
+            raise UnsupportedAttackError(f"{self.attack_id} takes no UnitaryPair")
+        elif self.attack_id not in CATALOG:
+            raise UnsupportedAttackError(f"no catalog attack {self.attack_id!r}")
 
     @property
     def attack_id(self) -> str:
-        if self.kind in ("none", "em"):
-            return f"{self.protocol.lower()}.{self.kind}"
-        parts = [self.protocol.lower(), self.kind, str(self.actor)]
-        if self.variant is not None:
-            parts.append(str(self.variant))
-        return ".".join(parts)
+        parts = (self.protocol.lower(), self.kind, self.actor, self.variant)
+        return ".".join(str(part) for part in parts if part is not None)
+
+
+def attack_id_of(spec: Optional[AttackSpec], protocol: str) -> str:
+    """The id a run of ``protocol`` under ``spec`` records, ``<p>.none`` if None."""
+    return f"{protocol.lower()}.none" if spec is None else spec.attack_id
 
 
 def parse_attack_id(attack_id: str) -> AttackSpec:
-    """The spec an attack id names; the id must be that spec's canonical
-    ``attack_id``, so ``a.none.bob`` or ``a.mr.eve.01`` are rejected."""
+    """The catalog spec an attack id names; the id must be that spec's
+    canonical ``attack_id``, so ``a.none.bob`` or ``a.mr.eve.01`` are rejected."""
     parts = attack_id.split(".")
-    if len(parts) < 2 or parts[0] not in ("a", "b"):
+    if len(parts) not in (3, 4) or parts[0] not in ("a", "b"):
         raise UnsupportedAttackError(f"malformed attack id {attack_id!r}")
-    protocol = parts[0].upper()
-    if parts[1] == "none" and len(parts) == 2:
-        return AttackSpec(protocol, "none")
-    if len(parts) not in (3, 4):
-        raise UnsupportedAttackError(f"malformed attack id {attack_id!r}")
-    kind, actor = parts[1], parts[2]
+    if parts[1] == "none":
+        raise UnsupportedAttackError(f"attack id {attack_id!r} is not canonical; "
+                                     f"did you mean {parts[0] + '.none'!r}?")
     variant = int(parts[3]) if len(parts) == 4 else None
-    spec = AttackSpec(protocol, kind, actor, variant)
+    spec = AttackSpec(parts[0].upper(), parts[1], parts[2], variant)
     if spec.attack_id != attack_id:
         raise UnsupportedAttackError(
             f"attack id {attack_id!r} is not canonical; did you mean {spec.attack_id!r}?")
     return spec
 
 
+def resolve_attack(protocol: str, attack_id: Optional[str]) -> Optional[AttackSpec]:
+    """The attack ``attack_id`` names against ``protocol``, None for no attack
+    (no id, ``"none"`` or ``"<p>.none"``).  An id of the other protocol is an
+    error, ``"<q>.none"`` included."""
+    if protocol not in ("A", "B"):
+        raise UnsupportedAttackError(f"unknown protocol {protocol!r}")
+    if attack_id in (None, "none", attack_id_of(None, protocol)):
+        return None
+    if not isinstance(attack_id, str):
+        raise UnsupportedAttackError(f"malformed attack id {attack_id!r}")
+    if attack_id.startswith(("a.", "b.")) and attack_id[0] != protocol.lower():
+        raise UnsupportedAttackError(f"attack {attack_id} does not apply to protocol {protocol}")
+    return parse_attack_id(attack_id)
+
+
 def catalog_ids(protocol: Optional[str] = None) -> list[str]:
     """All measure-resend / intercept-resend attack ids, optionally per protocol."""
     return [aid for aid in CATALOG if protocol is None or aid[0] == protocol.lower()]
-
-
 
 
 # Sources an adversary may legitimately learn bits from.  Anything outside
@@ -211,13 +217,6 @@ class AdversaryKnowledge:
 # Protocol A parties
 
 
-def _random_subset(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """A mask of ``size`` positions out of ``total``, drawn uniformly."""
-    chosen = np.zeros(total, dtype=bool)
-    chosen[rng.choice(total, size=size, replace=False)] = True
-    return chosen
-
-
 def _measure_step(batch: ParticleBatch, role: str, measured: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Z-measure the particles ``measured`` marks and note ``role``'s choices
@@ -247,7 +246,7 @@ class HonestPartyA:
         self.n_measure = n_measure
 
     def act(self, batch: ParticleBatch, rng):
-        _measure_step(batch, self.role, _random_subset(len(batch), self.n_measure, rng), rng)
+        _measure_step(batch, self.role, random_subset(len(batch), self.n_measure, rng), rng)
 
     def announce(self, batch: ParticleBatch, rng):
         batch.announced[self.role] = batch.measured[self.role]
@@ -265,7 +264,7 @@ class MeasureAllPartyA(_Insider, HonestPartyA):
         self.knowledge.record(np.arange(len(batch)), bits, "own-measurement")
 
     def announce(self, batch, rng):
-        batch.announced[self.role] = _random_subset(len(batch), self.n_measure, rng)
+        batch.announced[self.role] = random_subset(len(batch), self.n_measure, rng)
 
 
 class ReflectAllPartyA(MeasureAllPartyA):
@@ -511,13 +510,15 @@ _KEY_OF_CLASS[[CTRL, SIFT_B, SIFT_C]] = [-1, _KEYS.index("k_b"), _KEYS.index("k_
 
 
 class AttackPlan:
-    """Everything a protocol run needs to realize one AttackSpec."""
+    """Everything a run of ``protocol`` needs to realize ``spec``, None for
+    no attack; ``attack_id`` is the id its transcript records."""
 
-    def __init__(self, spec: AttackSpec):
-        self.spec = spec
+    def __init__(self, spec: Optional[AttackSpec], protocol: str):
+        self.protocol = protocol
+        self.attack_id = attack_id_of(spec, protocol)
         self.knowledge = AdversaryKnowledge()
-        self.entry = CATALOG.get(spec.attack_id, _NO_ATTACK)
-        if spec.pair is not None:
+        self.entry = CATALOG.get(self.attack_id, _NO_ATTACK)
+        if spec is not None and spec.pair is not None:
             self.interceptors = entangle_measure_interceptors(spec.pair)
         else:
             self.interceptors = {leg: make(self.knowledge)
@@ -528,7 +529,7 @@ class AttackPlan:
         override = self.entry.parties.get(role)
         if override is not None:
             return override(role, size, self.knowledge)
-        return (HonestPartyA if self.spec.protocol == "A" else HonestPartyB)(role, size)
+        return (HonestPartyA if self.protocol == "A" else HonestPartyB)(role, size)
 
     def interceptor(self, leg: Leg):
         return self.interceptors.get(leg)
@@ -594,9 +595,7 @@ class AttackPlan:
 
 
 def build_attack_plan(spec: Optional[AttackSpec], protocol: str) -> AttackPlan:
-    if spec is None:
-        spec = AttackSpec(protocol, "none")
-    if spec.protocol != protocol:
+    if spec is not None and spec.protocol != protocol:
         raise UnsupportedAttackError(
             f"attack {spec.attack_id} targets protocol {spec.protocol}, not {protocol}")
-    return AttackPlan(spec)
+    return AttackPlan(spec, protocol)

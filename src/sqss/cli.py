@@ -14,6 +14,7 @@ from pathlib import Path
 from .adversary import UnsupportedAttackError, catalog_ids
 from .em_analysis import check_search_args, constrained_search
 from .harness import (
+    PROTOCOLS,
     ConfigError,
     ExperimentAborted,
     ExperimentConfig,
@@ -67,10 +68,9 @@ def _cmd_run(args) -> int:
 
 def _basic_config(protocol: str, attack: str | None, size: int, trials: int,
                   seed: int) -> ExperimentConfig:
-    data = {"protocol": protocol, "trials": trials, "seed": seed, "attack": attack,
-            "params": ({"n": size, "m": 2 * size} if protocol.upper() == "A"
-                       else {"n": size})}
-    return config_from_dict(data)
+    params = {"n": size, "m": 2 * size} if protocol == "A" else {"n": size}
+    return config_from_dict({"protocol": protocol, "trials": trials, "seed": seed,
+                             "attack": attack, "params": params})
 
 
 def _cmd_sweep(args) -> int:
@@ -86,7 +86,7 @@ def _cmd_sweep(args) -> int:
             rows.append({"attack": attack, "size": size, "check": s.check_id,
                          "compared": s.compared, "rate": s.rate,
                          "abort_fraction": stats.abort_fraction})
-    _emit({"protocol": args.protocol.upper(), "rows": rows}, args.output)
+    _emit({"protocol": args.protocol, "rows": rows}, args.output)
     return EXIT_OK
 
 
@@ -96,7 +96,7 @@ def _cmd_attack_bench(args) -> int:
                for attack in catalog_ids(args.protocol)}
     rows = []
     for attack, config in configs.items():
-        oracle = detection_oracle(attack[0].upper(), attack)
+        oracle = detection_oracle(config.protocol, attack)
         stats, _ = monte_carlo(config)
         for check, exact in oracle.items():
             s = stats.check(check)
@@ -113,10 +113,10 @@ def _cmd_attack_bench(args) -> int:
 def _cmd_tradeoff(args) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",")]
     for eps in epsilons:
-        check_search_args(eps, args.probe_dim, args.restarts, args.iters)
+        check_search_args(eps, args.probe_dim, args.restarts, args.iters, args.seed)
     rows = []
     for eps in epsilons:
-        point = constrained_search(args.mode.upper(), eps, probe_dim=args.probe_dim,
+        point = constrained_search(args.mode, eps, probe_dim=args.probe_dim,
                                    restarts=args.restarts, iters=args.iters,
                                    seed=args.seed)
         rows.append({"mode": point.mode, "epsilon": point.epsilon,
@@ -128,7 +128,7 @@ def _cmd_tradeoff(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    table = detection_oracle(args.protocol.upper(), args.attack)
+    table = detection_oracle(args.protocol, args.attack)
     _emit({"attack": args.attack,
            "checks": {check: f"{p.numerator}/{p.denominator}"
                       for check, p in table.items()}}, args.output)
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="cross-product of attacks x batch sizes")
-    p.add_argument("--protocol", choices=("a", "b", "A", "B"), required=True)
+    p.add_argument("--protocol", type=str.upper, choices=PROTOCOLS, required=True)
     p.add_argument("--attacks", default="all",
                    help="comma-separated attack ids, or 'all'")
     p.add_argument("--sizes", default="50,100", help="comma-separated n values")
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack-bench",
                        help="compare the whole catalog against exact probabilities")
-    p.add_argument("--protocol", choices=("a", "b", "A", "B"), default=None)
+    p.add_argument("--protocol", type=str.upper, choices=PROTOCOLS, default=None)
     p.add_argument("--size", type=int, default=100)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_attack_bench)
 
     p = sub.add_parser("tradeoff", help="error-budget vs probe-information sweep")
-    p.add_argument("--mode", choices=("a", "b", "A", "B"), required=True)
+    p.add_argument("--mode", type=str.upper, choices=PROTOCOLS, required=True)
     p.add_argument("--epsilons", default="0,0.05,0.1,0.25")
     p.add_argument("--probe-dim", type=int, default=2)
     p.add_argument("--restarts", type=int, default=6)
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tradeoff)
 
     p = sub.add_parser("oracle", help="print exact per-check probabilities")
-    p.add_argument("--protocol", choices=("a", "b", "A", "B"), required=True)
+    p.add_argument("--protocol", type=str.upper, choices=PROTOCOLS, required=True)
     p.add_argument("--attack", required=True)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_oracle)

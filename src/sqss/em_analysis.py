@@ -24,7 +24,7 @@ from .qstate import (
     prepare,
     trace_distance,
 )
-from .runtime import check_int
+from .runtime import check_int, check_real
 
 PREPS = (PrepState.ZERO, PrepState.ONE, PrepState.PLUS, PrepState.MINUS)
 Z_PREPS = (PrepState.ZERO, PrepState.ONE)
@@ -449,12 +449,18 @@ class TradeoffPoint:
 FEASIBILITY_TOL = 1e-9
 
 
-def check_search_args(epsilon: float, probe_dim: int, restarts: int, iters: int) -> None:
+def check_search_args(epsilon: float, probe_dim: int, restarts: int, iters: int,
+                      seed: int) -> None:
     """Reject ``constrained_search`` arguments before any evaluation runs."""
+    check_real("epsilon", epsilon)
+    for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
+        check_int(name, value)
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError("epsilon must be in [0, 0.5]")
     if restarts < 1 or iters < 1:
         raise ValueError("budgets must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     _check_probe_dim(probe_dim)  # for the bit-copy start
 
 
@@ -464,7 +470,7 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     within the budget, by restarted finite-difference ascent on a penalized
     objective.  Deliberately simple: used for inequalities with slack only.
     """
-    check_search_args(epsilon, probe_dim, restarts, iters)
+    check_search_args(epsilon, probe_dim, restarts, iters, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     npar = params_dim(probe_dim)
 

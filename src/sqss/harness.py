@@ -8,15 +8,16 @@ be replayed independently of the rest.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import __version__
-from .adversary import AttackSpec, parse_attack_id
+from .adversary import AttackSpec, attack_id_of, resolve_attack
 from .protocol_a import CHECKS_A, ProtocolAConfig, run_protocol_a
 from .protocol_b import CHECKS_B, ProtocolBConfig, run_protocol_b
 from .runtime import RunReport
@@ -42,52 +43,58 @@ class ConfigError(ValueError):
     """A structurally invalid experiment configuration."""
 
 
+class _Protocol(NamedTuple):
+    """What the harness needs of one protocol."""
+
+    config: type                        # its params dataclass
+    run: Callable[..., RunReport]       # run(params, attack, seed)
+    checks: tuple[str, ...]
+
+
+# Each protocol's config class, runner and checks.  The runners look up
+# their module binding per call, so a tracer that rebinds it sees the call.
+PROTOCOLS = {
+    "A": _Protocol(ProtocolAConfig, lambda *args: run_protocol_a(*args), CHECKS_A),
+    "B": _Protocol(ProtocolBConfig, lambda *args: run_protocol_b(*args), CHECKS_B),
+}
+_PROTOCOL_OF = {entry.config: name for name, entry in PROTOCOLS.items()}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment: a protocol config, an attack, and a budget."""
+    """One Monte Carlo experiment: a protocol config (whose type names the
+    protocol), an attack, and a budget."""
 
-    protocol: str
     protocol_config: Union[ProtocolAConfig, ProtocolBConfig]
     attack: Optional[AttackSpec]
     trials: int
     seed: int
 
     def __post_init__(self):
-        if self.protocol not in ("A", "B"):
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
-        expected = ProtocolAConfig if self.protocol == "A" else ProtocolBConfig
-        if not isinstance(self.protocol_config, expected):
-            raise ConfigError(f"protocol {self.protocol} needs a {expected.__name__}")
-        for name in ("trials", "seed"):
+        if type(self.protocol_config) not in _PROTOCOL_OF:
+            raise ConfigError(f"not a protocol config: {self.protocol_config!r}")
+        for name, least in (("trials", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.attack is not None and self.attack.protocol != self.protocol:
             raise ConfigError(f"attack {self.attack.attack_id} does not match "
                               f"protocol {self.protocol}")
 
     @property
+    def protocol(self) -> str:
+        return _PROTOCOL_OF[type(self.protocol_config)]
+
+    @property
     def attack_id(self) -> str:
-        return self.attack.attack_id if self.attack else f"{self.protocol.lower()}.none"
+        return attack_id_of(self.attack, self.protocol)
 
     def describe(self) -> dict:
-        cfg = self.protocol_config
-        if self.protocol == "A":
-            params = {"n": cfg.n, "m": cfg.m, "check_fraction": cfg.check_fraction,
-                      "thresholds": dict(cfg.thresholds)}
-        else:
-            params = {"n": cfg.n, "test_fraction": cfg.test_fraction,
-                      "thresholds": dict(cfg.thresholds)}
         return {"protocol": self.protocol, "attack": self.attack_id,
-                "trials": self.trials, "seed": self.seed, "params": params}
+                "trials": self.trials, "seed": self.seed,
+                "params": dataclasses.asdict(self.protocol_config)}
 
 
-_A_PARAM_KEYS = {"n", "m", "check_fraction", "thresholds"}
-_B_PARAM_KEYS = {"n", "test_fraction", "thresholds"}
 _TOP_KEYS = {"protocol", "trials", "seed", "attack", "params"}
 
 
@@ -95,7 +102,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from parsed config-file data.
 
     Unknown keys are errors: silently ignoring a misspelled threshold key
-    would change what an experiment measures.
+    would change what an experiment measures.  The allowed params are the
+    fields of the protocol's config class.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
@@ -105,32 +113,27 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "protocol" not in data:
         raise ConfigError("config needs a protocol")
     protocol = data["protocol"]
-    if not isinstance(protocol, str) or protocol.upper() not in ("A", "B"):
+    if not isinstance(protocol, str) or protocol.upper() not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}")
     protocol = protocol.upper()
+    config_class = PROTOCOLS[protocol].config
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    allowed = _A_PARAM_KEYS if protocol == "A" else _B_PARAM_KEYS
-    unknown = set(params) - allowed
+    unknown = set(params) - {f.name for f in dataclasses.fields(config_class)}
     if unknown:
         raise ConfigError(f"unknown params keys for protocol {protocol}: {sorted(unknown)}")
     try:
-        pconfig = (ProtocolAConfig(**params) if protocol == "A"
-                   else ProtocolBConfig(**params))
+        pconfig = config_class(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad protocol params: {exc}") from exc
     attack_id = data.get("attack")
-    attack = None
-    if attack_id not in (None, "none"):
-        try:
-            attack = parse_attack_id(str(attack_id))
-        except ValueError as exc:
-            raise ConfigError(f"bad attack id {attack_id!r}: {exc}") from exc
-        if attack.kind == "none":
-            attack = None
-    return ExperimentConfig(protocol=protocol, protocol_config=pconfig, attack=attack,
-                            trials=data.get("trials", 1), seed=data.get("seed", 0))
+    try:
+        attack = resolve_attack(protocol, attack_id)
+    except ValueError as exc:
+        raise ConfigError(f"bad attack id {attack_id!r}: {exc}") from exc
+    return ExperimentConfig(pconfig, attack, trials=data.get("trials", 1),
+                            seed=data.get("seed", 0))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -157,9 +160,6 @@ class CheckStats:
 class DetectionStats:
     """Aggregated results of one experiment."""
 
-    protocol: str
-    attack_id: str
-    trials: int
     per_check: dict[str, CheckStats]
     abort_fraction: float
     payoff: Optional[dict]
@@ -193,15 +193,13 @@ def _derived_seed(seed: int, trial: int) -> tuple[int, int]:
 
 
 def run_one(config: ExperimentConfig, trial: int) -> RunReport:
-    seed = trial_seed(config, trial)
-    if config.protocol == "A":
-        return run_protocol_a(config.protocol_config, config.attack, seed)
-    return run_protocol_b(config.protocol_config, config.attack, seed)
+    return PROTOCOLS[config.protocol].run(config.protocol_config, config.attack,
+                                          trial_seed(config, trial))
 
 
 def monte_carlo(config: ExperimentConfig) -> tuple[DetectionStats, list[str]]:
     """Execute all trials and aggregate exactly; deterministic per config."""
-    checks = CHECKS_A if config.protocol == "A" else CHECKS_B
+    checks = PROTOCOLS[config.protocol].checks
     compared = {c: 0 for c in checks}
     mismatches = {c: 0 for c in checks}
     aborted = 0
@@ -231,13 +229,12 @@ def monte_carlo(config: ExperimentConfig) -> tuple[DetectionStats, list[str]]:
         else:
             per_check[c] = CheckStats(c, 0, 0, 0.0, 0.0, 1.0)
     payoff = None
-    if config.attack is not None and config.attack.kind not in ("none", "em"):
+    if config.attack is not None and config.attack.kind != "em":
         payoff = {"surviving_runs": config.trials - aborted,
                   "guessed": guessed, "correct": correct,
                   "fraction": (correct / guessed) if guessed else 0.0}
-    stats = DetectionStats(protocol=config.protocol, attack_id=config.attack_id,
-                           trials=config.trials, per_check=per_check,
-                           abort_fraction=aborted / config.trials, payoff=payoff)
+    stats = DetectionStats(per_check=per_check, abort_fraction=aborted / config.trials,
+                           payoff=payoff)
     return stats, digests
 
 

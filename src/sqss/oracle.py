@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .adversary import AttackSpec, UnsupportedAttackError, parse_attack_id
+from .adversary import AttackSpec, UnsupportedAttackError, resolve_attack
 from .protocol_a import CHECKS_A
 from .protocol_b import CHECKS_B
 from .qstate import Basis, PrepState, basis_of, expected_outcome
@@ -99,10 +99,11 @@ def _enumerate(initial: PrepState, steps) -> list:
     return branches
 
 
-def _mismatch_probability(initial_dist, steps, final_basis_fn, mismatch) -> Fraction:
-    """Expected mismatch over preparation x steps x final measurement."""
+def _mismatch_probability(steps, final_basis_fn, mismatch, initial_dist=None) -> Fraction:
+    """Expected mismatch over preparation (uniform over PREPS unless
+    ``initial_dist`` says otherwise) x steps x final measurement."""
     total = Fraction(0)
-    for prep, w in initial_dist:
+    for prep, w in initial_dist or _uniform_preps():
         for state, env, p in _enumerate(prep, steps):
             basis = final_basis_fn(prep)
             for a, q in measurement_distribution(state, basis).items():
@@ -242,9 +243,9 @@ def _b_checks(attack: AttackSpec) -> dict:
 
     def programs(ctrl_steps, test_b=honest, test_c=honest):
         return {
-            "ctrl": (_uniform_preps(), ctrl_steps, _prep_basis, _vs_prep),
-            "test_b": (_uniform_z(), test_b[0], _z_basis, _wrap_reveal(test_b[1])),
-            "test_c": (_uniform_z(), test_c[0], _z_basis, _wrap_reveal(test_c[1])),
+            "ctrl": (ctrl_steps, _prep_basis, _vs_prep),
+            "test_b": (test_b[0], _z_basis, _wrap_reveal(test_b[1]), _uniform_z()),
+            "test_c": (test_c[0], _z_basis, _wrap_reveal(test_c[1]), _uniform_z()),
         }
 
     if kind == "mr" and actor == "bob":
@@ -282,30 +283,20 @@ def _wrap_reveal(base_mismatch):
     return mismatch
 
 
+# Each protocol's checks and the per-check programs of a catalog attack.
+_PROGRAMS = {"A": (CHECKS_A, _a_cases), "B": (CHECKS_B, _b_checks)}
+
+
 def detection_oracle(protocol: str, attack_id: Optional[str]) -> dict[str, Fraction]:
-    """Exact per-check mismatch probabilities for a catalog attack.
+    """Exact per-check mismatch probabilities for a catalog attack, or zeros
+    for no attack (see ``resolve_attack``).
 
     Entangle-measure attacks are continuous-parameter and handled by the
     numeric analysis module instead.
     """
-    if protocol not in ("A", "B"):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    checks = CHECKS_A if protocol == "A" else CHECKS_B
-    if attack_id in (None, "none"):
+    spec = resolve_attack(protocol, attack_id)
+    checks, programs = _PROGRAMS[protocol]
+    if spec is None:
         return {check: Fraction(0) for check in checks}
-    spec = parse_attack_id(attack_id)
-    if spec.kind == "none":
-        return {check: Fraction(0) for check in checks}
-    if spec.protocol != protocol:
-        raise UnsupportedAttackError(
-            f"attack {attack_id} does not apply to protocol {protocol}")
-    if spec.kind == "em":
-        raise UnsupportedAttackError(
-            "entangle-measure probabilities are continuous; use the numeric "
-            "error-profile analysis")
-    if protocol == "A":
-        cases = _a_cases(spec)
-        return {check: _mismatch_probability(_uniform_preps(), *cases[check])
-                for check in checks}
-    programs = _b_checks(spec)
-    return {check: _mismatch_probability(*programs[check]) for check in checks}
+    return {check: _mismatch_probability(*program)
+            for check, program in programs(spec).items()}

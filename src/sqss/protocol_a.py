@@ -41,6 +41,7 @@ from .runtime import (
     check_thresholds,
     derive_keys,
     evaluate_check,
+    random_subset,
     score_payoff,
     symbol_string,
     transcript_digest,
@@ -121,10 +122,7 @@ class ProtocolAConfig:
 
 def _disclose(members: np.ndarray, fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Split a case's positions into a disclosed random share and the rest."""
-    k = math.ceil(fraction * len(members))
-    chosen = np.zeros(len(members), dtype=bool)
-    if k:
-        chosen[rng.choice(len(members), size=k, replace=False)] = True
+    chosen = random_subset(len(members), math.ceil(fraction * len(members)), rng)
     return members[chosen], members[~chosen]
 
 
@@ -200,7 +198,7 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
         "schema": TRANSCRIPT_SCHEMA,
         "protocol": "A",
         "seed": seed,
-        "attack": plan.spec.attack_id,
+        "attack": plan.attack_id,
         "prepared": symbol_string(BB84_SYMBOL, preps),
         "announced": [symbol_string(_CHOICE_SYMBOL, announced_b),
                       symbol_string(_CHOICE_SYMBOL, announced_c)],

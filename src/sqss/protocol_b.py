@@ -39,6 +39,7 @@ from .runtime import (
     check_thresholds,
     derive_keys,
     evaluate_check,
+    random_subset,
     score_payoff,
     symbol_string,
     transcript_digest,
@@ -103,7 +104,7 @@ def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
 
 def _abort_report(plan, seed, reason) -> RunReport:
     digest = transcript_digest({"schema": TRANSCRIPT_SCHEMA, "protocol": "B",
-                                "seed": seed, "attack": plan.spec.attack_id,
+                                "seed": seed, "attack": plan.attack_id,
                                 "abort": reason})
     return RunReport(protocol="B", seed=seed, checks=(), aborted=True,
                      abort_reason=reason, keys=None, payoff=None,
@@ -151,8 +152,7 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
 
     def run_test(cls: int, party, check_id: str) -> np.ndarray:
         members = np.flatnonzero(classes == cls)
-        chosen = np.zeros(len(members), dtype=bool)
-        chosen[rng.choice(len(members), size=test_counts, replace=False)] = True
+        chosen = random_subset(len(members), test_counts, rng)
         tested = members[chosen]
         mism = np.count_nonzero(outcomes[tested]
                                 != party.reveal_prepared(tested, origins[tested]))
@@ -190,7 +190,7 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
         "schema": TRANSCRIPT_SCHEMA,
         "protocol": "B",
         "seed": seed,
-        "attack": plan.spec.attack_id,
+        "attack": plan.attack_id,
         "prepared": symbol_string(BB84_SYMBOL, preps),
         "bob_pub": bob_order.tolist(),
         "charlie_pub": charlie_order.tolist(),

@@ -135,6 +135,13 @@ class ParticleBatch:
         return bits
 
 
+def random_subset(total: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A mask of ``size`` positions out of ``total``, drawn uniformly."""
+    chosen = np.zeros(total, dtype=bool)
+    chosen[rng.choice(total, size=size, replace=False)] = True
+    return chosen
+
+
 # An interceptor acts on the whole batch for one leg and must conserve it.
 Interceptor = Callable[[ParticleBatch, Leg, np.random.Generator], Optional[ParticleBatch]]
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from sqss import protocol_a, protocol_b
-from sqss.adversary import AttackSpec, parse_attack_id
+from sqss.adversary import AttackSpec, resolve_attack
 from sqss.em_analysis import random_pair
 from sqss.runtime import RunReport, transcript_digest
 
@@ -47,7 +47,7 @@ def pinned_run(attack_id: str) -> tuple[RunReport, dict]:
     if attack_id.endswith(".em"):
         spec = AttackSpec(mode, "em", pair=random_pair(mode, 2, np.random.default_rng(5)))
     else:
-        spec = None if attack_id.endswith(".none") else parse_attack_id(attack_id)
+        spec = resolve_attack(mode, attack_id)
     if mode == "A":
         module = protocol_a
         config = protocol_a.ProtocolAConfig(

@@ -12,6 +12,7 @@ from sqss.adversary import (
     build_attack_plan,
     catalog_ids,
     parse_attack_id,
+    resolve_attack,
 )
 from sqss.protocol_a import ProtocolAConfig, default_thresholds, run_protocol_a
 from sqss.protocol_b import ProtocolBConfig, run_protocol_b
@@ -74,6 +75,36 @@ def test_unitary_pair_validation_and_legs():
         square = np.eye(2 * int(probe_dim))
         with pytest.raises(ValueError, match="probe_dim"):
             UnitaryPair(first=square, second=square, probe_dim=probe_dim, protocol="A")
+
+
+@pytest.mark.parametrize("args", [("A", "em", "bob"), ("A", "em", None, 7)],
+                         ids=["actor", "variant"])
+def test_em_spec_takes_no_actor_or_variant(args):
+    eye = UnitaryPair(first=np.eye(4), second=np.eye(4), probe_dim=2, protocol="A")
+    with pytest.raises(UnsupportedAttackError, match="no actor or variant"):
+        AttackSpec(*args, pair=eye)
+
+
+@pytest.mark.parametrize("args", [("A", "none"), ("B", "none"), ("A", "none", "bob", 3)])
+def test_no_attack_is_not_a_spec(args):
+    with pytest.raises(UnsupportedAttackError, match="no catalog attack"):
+        AttackSpec(*args)
+
+
+@pytest.mark.parametrize("protocol", ["A", "B"])
+def test_resolve_attack_maps_every_spelling_of_no_attack_to_none(protocol):
+    for attack_id in (None, "none", f"{protocol.lower()}.none"):
+        assert resolve_attack(protocol, attack_id) is None
+    catalog = catalog_ids(protocol)[0]
+    assert resolve_attack(protocol, catalog) == parse_attack_id(catalog)
+
+
+@pytest.mark.parametrize("protocol, attack_id", [
+    ("A", "b.none"), ("B", "a.none"), ("A", "b.mr.bob"), ("B", "a.ir.bob"),
+])
+def test_resolve_attack_rejects_the_other_protocols_ids(protocol, attack_id):
+    with pytest.raises(UnsupportedAttackError, match=f"does not apply to protocol {protocol}"):
+        resolve_attack(protocol, attack_id)
 
 
 def test_mismatched_protocol_rejected_by_plan():

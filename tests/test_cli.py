@@ -115,6 +115,23 @@ def test_non_canonical_attack_ids_exit_2(capsys, command):
     assert "not canonical" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("command", [
+    ["oracle", "--protocol", "a", "--attack", "b.none"],
+    ["oracle", "--protocol", "b", "--attack", "a.none"],
+    ["sweep", "--protocol", "a", "--attacks", "a.mr.bob.1,b.none", "--sizes", "8"],
+    ["sweep", "--protocol", "b", "--attacks", "a.none", "--sizes", "8"],
+], ids=["oracle-a", "oracle-b", "sweep-a", "sweep-b"])
+def test_other_protocols_none_exits_2_before_any_work(monkeypatch, capsys, command):
+    """``<q>.none`` is not the honest run of protocol p: it is rejected."""
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the attack check")
+
+    monkeypatch.setattr(cli, "monte_carlo", never)
+    assert cli.main(command) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "does not apply to protocol" in captured.err and not captured.out
+
+
 def test_sweep_subcommand(tmp_path):
     out = tmp_path / "sweep.json"
     code = cli.main(["sweep", "--protocol", "a", "--attacks", "a.mr.bob.1",

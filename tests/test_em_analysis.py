@@ -143,6 +143,23 @@ def test_search_rejects_bad_budgets():
         constrained_search("A", 0.1, restarts=0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"iters": 2.5}, "iters must be an integer"),
+    ({"restarts": True, "iters": True}, "restarts must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"epsilon": "0.1"}, "epsilon must be a real number"),
+], ids=["float-iters", "bool-budgets", "float-seed", "negative-seed", "str-epsilon"])
+def test_search_rejects_mistyped_args_before_evaluating(monkeypatch, bad, message):
+    def never(*args, **kwargs):
+        raise AssertionError("the search evaluated a point before checking its args")
+
+    monkeypatch.setattr(em_analysis, "error_profile", never)
+    args = {"epsilon": 0.1, "restarts": 1, "iters": 1, "seed": 0, **bad}
+    with pytest.raises(ValueError, match=message):
+        constrained_search("A", **args)
+
+
 def test_search_zero_budget_mode_a_finds_nothing():
     point = constrained_search("A", 0.0, restarts=2, iters=5, seed=0)
     assert point.max_error <= 1e-9

@@ -121,6 +121,33 @@ def test_config_from_dict_rejects_non_canonical_attack_ids(attack_id):
                           "params": {"n": 5, "m": 12}})
 
 
+@pytest.mark.parametrize("protocol, params, attack_id", [
+    ("A", {"n": 5, "m": 12}, "b.none"),
+    ("B", {"n": 8}, "a.none"),
+])
+def test_config_from_dict_rejects_the_other_protocols_none(protocol, params, attack_id):
+    with pytest.raises(ConfigError, match=f"does not apply to protocol {protocol}"):
+        config_from_dict({"protocol": protocol, "attack": attack_id, "params": params})
+
+
+def test_describe_reads_the_config_fields():
+    a = config_from_dict({"protocol": "a", "trials": 2, "seed": 9, "attack": "a.ir.bob",
+                          "params": {"n": 5, "m": 12, "check_fraction": 0.25,
+                                     "thresholds": {"case1": 0.1, "case2": 0.2,
+                                                    "case3": 0.3, "case4": 0.4}}})
+    assert a.describe() == {
+        "protocol": "A", "attack": "a.ir.bob", "trials": 2, "seed": 9,
+        "params": {"n": 5, "m": 12, "check_fraction": 0.25,
+                   "thresholds": {"case1": 0.1, "case2": 0.2, "case3": 0.3, "case4": 0.4}}}
+    b = config_from_dict({"protocol": "B", "params": {
+        "n": 8, "test_fraction": 0.75,
+        "thresholds": {"ctrl": 0.0, "test_b": 0.5, "test_c": 1.0}}})
+    assert b.describe() == {
+        "protocol": "B", "attack": "b.none", "trials": 1, "seed": 0,
+        "params": {"n": 8, "test_fraction": 0.75,
+                   "thresholds": {"ctrl": 0.0, "test_b": 0.5, "test_c": 1.0}}}
+
+
 def test_monte_carlo_failure_names_trial_and_seed(monkeypatch):
     config = config_from_dict({"protocol": "A", "trials": 4, "seed": 7,
                                "params": {"n": 6, "m": 14}})
@@ -150,12 +177,12 @@ def test_config_from_dict_rejects_mismatched_attack():
 
 
 def test_experiment_config_validation():
+    """The protocol is the config's type, so only a non-config can mismatch."""
+    assert ExperimentConfig(ProtocolBConfig(n=8), None, 5, 0).protocol == "B"
+    with pytest.raises(ConfigError, match="not a protocol config"):
+        ExperimentConfig(protocol_config={"n": 8}, attack=None, trials=5, seed=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(protocol="A", protocol_config=ProtocolBConfig(n=8),
-                         attack=None, trials=5, seed=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(protocol="A",
-                         protocol_config=ProtocolAConfig(n=5, m=12),
+        ExperimentConfig(protocol_config=ProtocolAConfig(n=5, m=12),
                          attack=None, trials=0, seed=0)
 
 
