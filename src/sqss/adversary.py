@@ -87,6 +87,8 @@ class AttackSpec:
     def __post_init__(self):
         if self.protocol not in ("A", "B"):
             raise UnsupportedAttackError(f"unknown protocol {self.protocol!r}")
+        if self.variant is not None:
+            check_int("variant", self.variant)
         if self.kind == "em":
             if self.pair is None or self.pair.protocol != self.protocol:
                 raise UnsupportedAttackError("entangle-measure spec needs a matching UnitaryPair")
@@ -117,7 +119,10 @@ def parse_attack_id(attack_id: str) -> AttackSpec:
     if parts[1] == "none":
         raise UnsupportedAttackError(f"attack id {attack_id!r} is not canonical; "
                                      f"did you mean {parts[0] + '.none'!r}?")
-    variant = int(parts[3]) if len(parts) == 4 else None
+    try:
+        variant = int(parts[3]) if len(parts) == 4 else None
+    except ValueError:
+        raise UnsupportedAttackError(f"malformed attack id {attack_id!r}") from None
     spec = AttackSpec(parts[0].upper(), parts[1], parts[2], variant)
     if spec.attack_id != attack_id:
         raise UnsupportedAttackError(

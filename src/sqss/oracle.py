@@ -1,9 +1,12 @@
 """Exact per-particle detection probabilities for catalog attacks.
 
 Every value is computed by exhaustively enumerating the finite branch tree of
-a single particle's journey (uniform preparation x attacker measurement
-branches x final measurement branches) in exact rational arithmetic, so
-figures like 1/4 come out exact rather than floating-point approximate.
+a single particle's journey (preparation x attacker measurement branches x
+final measurement branches).  Every branch weight is a power of 1/2, so a
+branch carries its number of halvings k, a check sums the integers
+``2**(depth - k)`` over its mismatching leaves, and only the total becomes a
+``Fraction``: figures like 1/4 come out exact rather than floating-point
+approximate.
 """
 
 from __future__ import annotations
@@ -11,12 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .adversary import AttackSpec, UnsupportedAttackError, resolve_attack
+from .adversary import resolve_attack
 from .protocol_a import CHECKS_A
 from .protocol_b import CHECKS_B
-from .qstate import Basis, PrepState, basis_of, expected_outcome
-
-PREPS = (PrepState.ZERO, PrepState.ONE, PrepState.PLUS, PrepState.MINUS)
+from .qstate import BASIS_OF_CODE, EXPECTED_OF_CODE, Basis, PrepState, basis_of, expected_outcome
 
 HALF = Fraction(1, 2)
 
@@ -56,235 +57,165 @@ def chained_measurement_distribution(prep: PrepState, bases) -> dict[int, Fracti
 # ---------------------------------------------------------------------------
 # Branch-tree enumeration machinery.
 #
-# A particle's journey is a list of steps, each expanding one (state, env)
-# branch into weighted successors.  env carries recorded bits (the attacker's
-# measurement records, fake-state bits, honest parties' results) so mismatch
-# predicates can correlate them exactly.
+# A particle is its BB84 code (see qstate.BB84; a basis is 0 for Z, 1 for X,
+# and a Z-basis state's code is its bit).  A branch is (code, env, k): env
+# carries recorded bits (the attacker's measurement records, fake-state bits,
+# honest parties' results) so mismatch predicates can correlate them exactly,
+# and the branch has weight 2**-k.  A step expands one (code, env) into
+# successors (code, env, halvings added).
 
-Step = Callable[[PrepState, dict], list]
+_BASIS = BASIS_OF_CODE.tolist()
+_EXPECTED = EXPECTED_OF_CODE.tolist()
+
+# Uniform preparation distributions as (codes, halvings of each code's
+# weight): over the four states, or over the two Z states.
+UNIFORM = ((0, 1, 2, 3), 2)
+UNIFORM_Z = ((0, 1), 1)
+
+Step = Callable[[int, dict], tuple]
 
 
 def measure_z(key: str) -> Step:
     """Someone measures the particle in Z, recording the bit under key."""
-    def step(state, env):
-        return [(collapsed_state(Basis.Z, b), {**env, key: b}, p)
-                for b, p in measurement_distribution(state, Basis.Z).items()]
+    def step(code, env):
+        if _BASIS[code] == 0:
+            bit = _EXPECTED[code]
+            return ((bit, {**env, key: bit}, 0),)
+        return ((0, {**env, key: 0}, 1), (1, {**env, key: 1}, 1))
     return step
 
 
 def substitute_fake(key: Optional[str] = None, source: Optional[str] = None) -> Step:
     """Replace the particle with a Z-basis fake: either a fresh uniform bit
     recorded under key, or the bit previously recorded under source."""
-    def step(state, env):
-        if source is not None:
-            return [(collapsed_state(Basis.Z, env[source]), env, Fraction(1))]
-        return [(collapsed_state(Basis.Z, b), {**env, key: b}, HALF)
-                for b in (0, 1)]
-    return step
+    if source is not None:
+        return lambda code, env: ((env[source], env, 0),)
+    return lambda code, env: ((0, {**env, key: 0}, 1), (1, {**env, key: 1}, 1))
 
 
 def coin(key: str) -> Step:
     """A uniform bit recorded off to the side (does not touch the particle)."""
-    def step(state, env):
-        return [(state, {**env, key: b}, HALF) for b in (0, 1)]
-    return step
+    return lambda code, env: ((code, {**env, key: 0}, 1), (code, {**env, key: 1}, 1))
 
 
-def _enumerate(initial: PrepState, steps) -> list:
-    branches = [(initial, {}, Fraction(1))]
-    for step in steps:
-        branches = [(s2, e2, p * q)
-                    for s, e, p in branches
-                    for s2, e2, q in step(s, e)]
-    return branches
+# A check's final measurement basis and its mismatch predicate; prep is the
+# prepared code and a the outcome of Alice's final measurement.
+
+def z_basis(_prep):
+    return 0
 
 
-def _mismatch_probability(steps, final_basis_fn, mismatch, initial_dist=None) -> Fraction:
-    """Expected mismatch over preparation (uniform over PREPS unless
-    ``initial_dist`` says otherwise) x steps x final measurement."""
-    total = Fraction(0)
-    for prep, w in initial_dist or _uniform_preps():
-        for state, env, p in _enumerate(prep, steps):
-            basis = final_basis_fn(prep)
-            for a, q in measurement_distribution(state, basis).items():
-                if mismatch(prep, env, a):
-                    total += w * p * q
-    return total
+def prep_basis(prep):
+    return _BASIS[prep]
 
 
-def _uniform_preps():
-    return [(s, Fraction(1, 4)) for s in PREPS]
+def vs_prep(prep, _env, a):
+    return a != _EXPECTED[prep]
 
 
-def _uniform_z():
-    return [(PrepState.ZERO, HALF), (PrepState.ONE, HALF)]
-
-
-def _z_basis(_prep):
-    return Basis.Z
-
-
-def _prep_basis(prep):
-    return basis_of(prep)
-
-
-def _vs_prep(prep, _env, a):
-    return a != expected_outcome(prep)
-
-
-def _vs(key):
+def vs(key):
     return lambda _prep, env, a: a != env[key]
 
 
-def _triple(b_key, c_key):
+def triple(b_key, c_key):
     return lambda _prep, env, a: not (a == env[b_key] == env[c_key])
 
 
-# ---------------------------------------------------------------------------
-# First protocol: per-case step programs for each catalog attack.
-#
-# Each case entry is (steps, final_basis_fn, mismatch_fn).  The steps describe
-# the particle's journey through the three legs for particles that end up in
-# that announced-choice case, including any attacker interference.
-
-def _a_cases(attack: AttackSpec) -> dict:
-    m, f, c = measure_z, substitute_fake, coin
-    kind, actor, var = attack.kind, attack.actor, attack.variant
-    if kind == "mr" and actor == "bob" and var == 1:
-        # Bob measures everything on arrival and fabricates his announcement.
-        return {
-            "case1": ([m("b"), m("c")], _z_basis, _triple("b", "c")),
-            "case2": ([m("b")], _z_basis, _vs("b")),
-            "case3": ([m("b"), m("c")], _z_basis, _vs("c")),
-            "case4": ([m("b")], _prep_basis, _vs_prep),
-        }
-    if kind == "mr" and actor == "bob" and var == 2:
-        # Honest choices, plus a Z measurement of the whole return leg.
-        return {
-            "case1": ([m("b"), m("c"), m("e")], _z_basis, _triple("b", "c")),
-            "case2": ([m("b"), m("e")], _z_basis, _vs("b")),
-            "case3": ([m("c"), m("e")], _z_basis, _vs("c")),
-            "case4": ([m("e")], _prep_basis, _vs_prep),
-        }
-    if kind == "mr" and actor == "charlie" and var == 1:
-        # Charlie Z-measures the first leg, reflects everything later, and
-        # reports her first-leg records where asked.
-        return {
-            "case1": ([m("e"), m("b")], _z_basis, _triple("b", "e")),
-            "case2": ([m("e"), m("b")], _z_basis, _vs("b")),
-            "case3": ([m("e")], _z_basis, _vs("e")),
-            "case4": ([m("e")], _prep_basis, _vs_prep),
-        }
-    if kind == "mr" and actor == "charlie" and var == 2:
-        # Charlie measures everything she relays and fabricates her announcement.
-        return {
-            "case1": ([m("b"), m("c")], _z_basis, _triple("b", "c")),
-            "case2": ([m("b"), m("c")], _z_basis, _vs("b")),
-            "case3": ([m("c")], _z_basis, _vs("c")),
-            "case4": ([m("c")], _prep_basis, _vs_prep),
-        }
-    if kind == "ir" and actor == "bob":
-        # Bob swaps the return leg for fakes; at his MEASURE positions the
-        # fake carries his result, elsewhere a fresh uniform Z state.
-        return {
-            "case1": ([m("b"), m("c"), f(source="b")], _z_basis, _triple("b", "c")),
-            "case2": ([m("b"), f(source="b")], _z_basis, _vs("b")),
-            "case3": ([m("c"), f(key="x")], _z_basis, _vs("c")),
-            "case4": ([f(key="x")], _prep_basis, _vs_prep),
-        }
-    if kind == "ir" and actor == "charlie" and var == 1:
-        # Charlie feeds Bob fakes and then behaves honestly toward them.
-        return {
-            "case1": ([f(key="x"), m("b"), m("c")], _z_basis, _triple("b", "c")),
-            "case2": ([f(key="x"), m("b")], _z_basis, _vs("b")),
-            "case3": ([f(key="x"), m("c")], _z_basis, _vs("c")),
-            "case4": ([f(key="x")], _prep_basis, _vs_prep),
-        }
-    if kind == "ir" and actor == "charlie" and var == 2:
-        # Charlie swaps the genuine particles back in for her own step, so the
-        # particle reaching Alice never saw Bob; Bob's reports came from fakes.
-        return {
-            "case1": ([c("x"), m("c")], _z_basis, _triple("x", "c")),
-            "case2": ([c("x")], _z_basis, _vs("x")),
-            "case3": ([m("c")], _z_basis, _vs("c")),
-            "case4": ([], _prep_basis, _vs_prep),
-        }
-    if actor == "eve":
-        where = var - 1  # leg index the outsider taps
-        def journey(parties):
-            # parties: which honest measurements happen, as (slot, step) with
-            # slot 0 = Bob at the end of leg 1 and slot 1 = Charlie at the end
-            # of leg 2; the outsider's tap on leg k precedes slot k's party.
-            tap = m("e") if kind == "mr" else f(key="e")
-            steps = []
-            for leg in range(3):
-                if leg == where:
-                    steps.append(tap)
-                steps.extend(s for slot, s in parties if slot == leg)
-            return steps
-        bob_m, charlie_m = (0, m("b")), (1, m("c"))
-        return {
-            "case1": (journey([bob_m, charlie_m]), _z_basis, _triple("b", "c")),
-            "case2": (journey([bob_m]), _z_basis, _vs("b")),
-            "case3": (journey([charlie_m]), _z_basis, _vs("c")),
-            "case4": (journey([]), _prep_basis, _vs_prep),
-        }
-    raise UnsupportedAttackError(f"no oracle program for {attack.attack_id}")
+def mismatch_probability(steps, final_basis, mismatch, preps) -> Fraction:
+    """Exact probability that the final measurement, in ``final_basis(prep)``,
+    gives an outcome ``mismatch(prep, env, outcome)`` flags, over ``preps`` x
+    ``steps`` x that measurement."""
+    codes, k0 = preps
+    # At most one halving per step and one for the final measurement.
+    depth = k0 + len(steps) + 1
+    total = 0
+    for prep in codes:
+        branches = [(prep, {}, k0)]
+        for step in steps:
+            branches = [(c, e, k + dk) for code, env, k in branches for c, e, dk in step(code, env)]
+        basis = final_basis(prep)
+        for code, env, k in branches:
+            if _BASIS[code] == basis:
+                if mismatch(prep, env, _EXPECTED[code]):
+                    total += 1 << (depth - k)
+            else:  # the other basis: each outcome takes one more halving
+                total += (mismatch(prep, env, 0) + mismatch(prep, env, 1)) << (depth - k - 1)
+    return Fraction(total, 1 << depth)
 
 
 # ---------------------------------------------------------------------------
-# Second protocol: per-check programs keyed by the particle class the check
-# inspects (CTRL from Alice, Z key carriers from each classical party).
+# Per-check programs (steps, final_basis, mismatch, preps) of every catalog
+# attack, built once and keyed by attack id.  The steps describe the journey
+# through the three legs, attacker interference included, of the particles a
+# check inspects.
 
-def _b_checks(attack: AttackSpec) -> dict:
-    m, f = measure_z, substitute_fake
-    kind, actor, var = attack.kind, attack.actor, attack.variant
-    honest = ([], _vs("r"))
-
-    def programs(ctrl_steps, test_b=honest, test_c=honest):
-        return {
-            "ctrl": (ctrl_steps, _prep_basis, _vs_prep),
-            "test_b": (test_b[0], _z_basis, _wrap_reveal(test_b[1]), _uniform_z()),
-            "test_c": (test_c[0], _z_basis, _wrap_reveal(test_c[1]), _uniform_z()),
-        }
-
-    if kind == "mr" and actor == "bob":
-        return programs([m("e")], test_b=honest, test_c=honest)
-    if kind == "mr" and actor == "charlie":
-        return programs([m("e")], test_b=([m("e")], _vs("r")), test_c=honest)
-    if kind == "ir" and actor == "bob":
-        # Return leg swapped for fakes; Bob reveals his fake's bit, so only
-        # checks against other parties' true preparations can fire.
-        return programs([f(key="x")],
-                        test_b=([f(key="x")], _vs("x")),
-                        test_c=([f(key="x")], _vs("r")))
-    if kind == "ir" and actor == "charlie":
-        return programs([f(key="x")],
-                        test_b=([f(key="x")], _vs("r")),
-                        test_c=([f(key="x")], _vs("x")))
-    if actor == "eve":
-        tap = m("e") if kind == "mr" else f(key="x")
-        touched = ([tap], _vs("r"))
-        # Leg 1 carries only CTRL particles; key carriers join on legs 2 and 3.
-        if var == 1:
-            return programs([tap])
-        if var == 2:
-            return programs([tap], test_b=touched)
-        return programs([tap], test_b=touched, test_c=touched)
-    raise UnsupportedAttackError(f"no oracle program for {attack.attack_id}")
+_MB, _MC, _ME = measure_z("b"), measure_z("c"), measure_z("e")
+_FAKE_X = substitute_fake(key="x")
 
 
-def _wrap_reveal(base_mismatch):
-    # Z key carriers compare Alice's outcome to the revealed bit; "r" is the
-    # originator's true preparation, recorded before any steps run.
-    def mismatch(prep, env, a):
-        env = {**env, "r": expected_outcome(prep)}
-        return base_mismatch(prep, env, a)
-    return mismatch
+def _a(case1, case2, case3, case4, bob="b", charlie="c"):
+    """First protocol: Alice checks cases 1-3 in Z against the bits Bob and
+    Charlie announce (recorded under ``bob`` and ``charlie``), and case 4 in
+    her preparation basis against her preparation."""
+    return dict(zip(CHECKS_A, ((case1, z_basis, triple(bob, charlie), UNIFORM),
+                               (case2, z_basis, vs(bob), UNIFORM),
+                               (case3, z_basis, vs(charlie), UNIFORM),
+                               (case4, prep_basis, vs_prep, UNIFORM))))
 
 
-# Each protocol's checks and the per-check programs of a catalog attack.
-_PROGRAMS = {"A": (CHECKS_A, _a_cases), "B": (CHECKS_B, _b_checks)}
+def _a_eve(tap, leg):
+    """An outsider's tap on leg 1, 2 or 3: before Bob's measurement at the end
+    of leg 1, before Charlie's at the end of leg 2, or after both."""
+    def journey(bob, charlie):
+        steps = [bob, charlie]
+        steps.insert(leg - 1, tap)
+        return [s for s in steps if s is not None]
+    return _a(journey(_MB, _MC), journey(_MB, None), journey(None, _MC), journey(None, None))
+
+
+def _b(ctrl, test_b=((), vs_prep), test_c=((), vs_prep)):
+    """Second protocol: Alice checks her CTRL particles in their preparation
+    basis; test_b/test_c are (steps, mismatch) of the Z key carriers from Bob
+    and Charlie, compared with the bit their originator reveals."""
+    return dict(zip(CHECKS_B, ((ctrl, prep_basis, vs_prep, UNIFORM),
+                               (test_b[0], z_basis, test_b[1], UNIFORM_Z),
+                               (test_c[0], z_basis, test_c[1], UNIFORM_Z))))
+
+
+PROGRAMS = {
+    # Bob measures everything on arrival and fabricates his announcement.
+    "a.mr.bob.1": _a([_MB, _MC], [_MB], [_MB, _MC], [_MB]),
+    # Honest choices, plus a Z measurement of the whole return leg.
+    "a.mr.bob.2": _a([_MB, _MC, _ME], [_MB, _ME], [_MC, _ME], [_ME]),
+    # Charlie Z-measures the first leg, reflects everything later, and
+    # reports her first-leg records where asked.
+    "a.mr.charlie.1": _a([_ME, _MB], [_ME, _MB], [_ME], [_ME], charlie="e"),
+    # Charlie measures everything she relays and fabricates her announcement.
+    "a.mr.charlie.2": _a([_MB, _MC], [_MB, _MC], [_MC], [_MC]),
+    # Bob swaps the return leg for fakes; at his MEASURE positions the fake
+    # carries his result, elsewhere a fresh uniform Z state.
+    "a.ir.bob": _a([_MB, _MC, substitute_fake(source="b")],
+                   [_MB, substitute_fake(source="b")], [_MC, _FAKE_X], [_FAKE_X]),
+    # Charlie feeds Bob fakes and then behaves honestly toward them.
+    "a.ir.charlie.1": _a([_FAKE_X, _MB, _MC], [_FAKE_X, _MB], [_FAKE_X, _MC], [_FAKE_X]),
+    # Charlie swaps the genuine particles back in for her own step, so the
+    # particle reaching Alice never saw Bob; Bob's reports came from fakes.
+    "a.ir.charlie.2": _a([coin("x"), _MC], [coin("x")], [_MC], [], bob="x"),
+    **{f"a.{kind}.eve.{leg}": _a_eve(tap, leg)
+       for kind, tap in (("mr", _ME), ("ir", substitute_fake(key="e"))) for leg in (1, 2, 3)},
+    # A measure-resend insider measures the CTRL particles; Charlie also
+    # measures Bob's key carriers, which pass through her.
+    "b.mr.bob": _b([_ME]),
+    "b.mr.charlie": _b([_ME], test_b=([_ME], vs_prep)),
+    # Return leg swapped for fakes; the attacker reveals the fake's bit, so
+    # only checks against other parties' true preparations can fire.
+    "b.ir.bob": _b([_FAKE_X], test_b=([_FAKE_X], vs("x")), test_c=([_FAKE_X], vs_prep)),
+    "b.ir.charlie": _b([_FAKE_X], test_b=([_FAKE_X], vs_prep), test_c=([_FAKE_X], vs("x"))),
+    # Leg 1 carries only CTRL particles; Bob's key carriers join on leg 2 and
+    # Charlie's on leg 3, so a tap there touches those too.
+    **{f"b.{kind}.eve.{leg}": _b([tap], *[([tap], vs_prep)] * (leg - 1))
+       for kind, tap in (("mr", _ME), ("ir", _FAKE_X)) for leg in (1, 2, 3)},
+}
 
 
 def detection_oracle(protocol: str, attack_id: Optional[str]) -> dict[str, Fraction]:
@@ -295,8 +226,7 @@ def detection_oracle(protocol: str, attack_id: Optional[str]) -> dict[str, Fract
     numeric analysis module instead.
     """
     spec = resolve_attack(protocol, attack_id)
-    checks, programs = _PROGRAMS[protocol]
     if spec is None:
-        return {check: Fraction(0) for check in checks}
-    return {check: _mismatch_probability(*program)
-            for check, program in programs(spec).items()}
+        return dict.fromkeys(CHECKS_A if protocol == "A" else CHECKS_B, Fraction(0))
+    return {check: mismatch_probability(*program)
+            for check, program in PROGRAMS[spec.attack_id].items()}

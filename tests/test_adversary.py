@@ -50,6 +50,19 @@ def test_invalid_combinations_rejected():
         AttackSpec("A", "mr", "bob", 1, pair=eye)  # a pair only configures "em"
 
 
+@pytest.mark.parametrize("variant", ["1", 1.0, True])
+def test_variant_must_be_an_int(variant):
+    # "1" would otherwise pass: its id string a.mr.eve.1 is in the catalog.
+    with pytest.raises(ValueError, match="variant must be an integer"):
+        AttackSpec("A", "mr", "eve", variant)
+
+
+@pytest.mark.parametrize("attack_id", ["a.mr.eve.x", "b.mr.eve.", "a.mr.eve.1e0"])
+def test_non_integer_variant_is_a_malformed_id(attack_id):
+    with pytest.raises(UnsupportedAttackError, match="malformed attack id"):
+        parse_attack_id(attack_id)
+
+
 NON_CANONICAL_IDS = ["a.none.bob", "b.none.x.3", "a.mr.eve.01", "a.mr.eve. 1",
                      "a.mr.eve.+1"]
 

@@ -115,6 +115,12 @@ def test_non_canonical_attack_ids_exit_2(capsys, command):
     assert "not canonical" in captured.err and not captured.out
 
 
+def test_non_integer_variant_exits_2_as_a_malformed_id(capsys):
+    assert cli.main(["oracle", "--protocol", "a", "--attack", "a.mr.eve.x"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "malformed attack id 'a.mr.eve.x'" in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("command", [
     ["oracle", "--protocol", "a", "--attack", "b.none"],
     ["oracle", "--protocol", "b", "--attack", "a.none"],

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sqss import oracle
 from sqss.adversary import UnsupportedAttackError, catalog_ids
 from sqss.oracle import (
     chained_measurement_distribution,
@@ -104,6 +105,42 @@ def test_unsupported_requests_rejected():
         detection_oracle("A", "a.em")
     with pytest.raises(ValueError):
         detection_oracle("C", "a.mr.bob.1")
+
+
+def test_program_table_covers_exactly_the_catalog():
+    # One catalog feeds both engines: every simulated attack has an exact
+    # program, and no other id has one.
+    assert set(oracle.PROGRAMS) == set(catalog_ids("A")) | set(catalog_ids("B"))
+
+
+@pytest.mark.parametrize("attack_id", catalog_ids() + ["a.none", "b.none"])
+def test_every_id_returns_its_protocols_checks_in_order(attack_id):
+    protocol = attack_id[0].upper()
+    checks = CHECKS_A if protocol == "A" else CHECKS_B
+    assert list(detection_oracle(protocol, attack_id)) == list(checks)
+
+
+@pytest.mark.parametrize("protocol, attack_id",
+                         [("A", "a.em"), ("B", "b.em")]
+                         + [("A", aid) for aid in catalog_ids("B")]
+                         + [("B", aid) for aid in catalog_ids("A")])
+def test_non_catalog_ids_rejected(protocol, attack_id):
+    with pytest.raises(UnsupportedAttackError):
+        detection_oracle(protocol, attack_id)
+
+
+def test_every_call_enumerates_into_a_fresh_dict(monkeypatch):
+    calls, enumerate_program = [], oracle.mismatch_probability
+
+    def counted(*program):
+        calls.append(program)
+        return enumerate_program(*program)
+
+    monkeypatch.setattr(oracle, "mismatch_probability", counted)
+    first = detection_oracle("A", "a.ir.bob")
+    first["case3"] = Q(7)
+    assert detection_oracle("A", "a.ir.bob")["case3"] == HALF
+    assert len(calls) == 2 * len(CHECKS_A)
 
 
 def test_results_are_fractions_not_floats():
