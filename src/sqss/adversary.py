@@ -12,7 +12,6 @@ Attack ids, as configs and the CLI write them, are the ``CATALOG`` keys and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -150,51 +149,33 @@ def catalog_ids(protocol: Optional[str] = None) -> list[str]:
     return [aid for aid in CATALOG if protocol is None or aid[0] == protocol.lower()]
 
 
-# Sources an adversary may legitimately learn bits from.  Anything outside
-# this set would mean the attack peeked at another party's private state.
-ALLOWED_SOURCES = frozenset({"own-measurement", "intercept-measurement",
-                             "own-fake", "retained-measurement"})
+# Sources an adversary may legitimately learn bits from, in the order that
+# ``AdversaryKnowledge.source`` indexes.  Anything else would mean the attack
+# peeked at another party's private state.
+ALLOWED_SOURCES = ("own-measurement", "intercept-measurement", "retained-measurement")
 
 
-def _written(column: Optional[np.ndarray], positions, values) -> np.ndarray:
-    """``column`` with ``values`` at ``positions``; a new column reaches the
-    last position and reads -1 (unknown) everywhere else."""
-    positions = np.asarray(positions)
-    if column is None:
-        column = np.full(int(positions.max(initial=-1)) + 1, -1, dtype=np.int8)
-    column[positions] = values
-    return column
-
-
-def _read(column: Optional[np.ndarray], positions: np.ndarray) -> np.ndarray:
-    if column is None:
-        return np.full(len(positions), -1, dtype=np.int8)
-    return column[positions]
-
-
-@dataclass
 class AdversaryKnowledge:
     """Bits and particles an attacker has legitimately acquired during one run.
 
-    Bits are kept per batch position, -1 where the attacker has none.
+    Bits are kept per batch position in int8 columns as long as the run's
+    largest batch, -1 where the attacker has none: ``recorded`` holds bits
+    it measured, ``source`` the index in ``ALLOWED_SOURCES`` of how it
+    learned each, and ``fake_bits`` the bits of the fakes it sent.
     """
 
-    recorded: Optional[np.ndarray] = None      # bit it measured
-    fake_bits: Optional[np.ndarray] = None     # bit of the fake it sent
-    retained: Optional[ParticleBatch] = None   # genuine particles kept back
-    provenance: dict = field(default_factory=dict)  # position -> source tag
+    def __init__(self, size: int):
+        self.recorded = np.full(size, -1, dtype=np.int8)
+        self.source = np.full(size, -1, dtype=np.int8)
+        self.fake_bits = np.full(size, -1, dtype=np.int8)
+        self.retained: Optional[ParticleBatch] = None   # genuine particles kept back
 
     def record(self, positions, bits, source: str) -> None:
         if source not in ALLOWED_SOURCES:
             raise SimulationError(f"bits at positions {positions} have unaudited "
                                   f"source {source!r}")
-        self.recorded = _written(self.recorded, positions, bits)
-        self.provenance.update(dict.fromkeys(np.asarray(positions).tolist(), source))
-
-    def note_fake(self, positions, bits) -> None:
-        self.fake_bits = _written(self.fake_bits, positions, bits)
-        self.provenance = {**dict.fromkeys(np.asarray(positions).tolist(), "own-fake"),
-                           **self.provenance}
+        self.recorded[positions] = bits
+        self.source[positions] = ALLOWED_SOURCES.index(source)
 
     def keep(self, batch: ParticleBatch) -> None:
         self.retained = batch.states()
@@ -208,11 +189,11 @@ class AdversaryKnowledge:
         now in position order.
         """
         if source == "recorded":
-            return _read(self.recorded, positions)
+            return self.recorded[positions]
         if source == "fake":
-            return _read(self.fake_bits, positions)
+            return self.fake_bits[positions]
         if self.retained is None:
-            return _read(None, positions)
+            return np.full(len(positions), -1, dtype=np.int8)
         bits = self.retained.measure(positions, _Z, rng)
         self.record(positions, bits, "retained-measurement")
         return bits
@@ -220,18 +201,6 @@ class AdversaryKnowledge:
 
 # ---------------------------------------------------------------------------
 # Protocol A parties
-
-
-def _measure_step(batch: ParticleBatch, role: str, measured: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Z-measure the particles ``measured`` marks and note ``role``'s choices
-    and results (-1 where it reflected) on the batch."""
-    result = np.full(len(batch), -1, dtype=np.int8)
-    positions = np.flatnonzero(measured)
-    result[positions] = batch.measure(positions, _Z, rng)
-    batch.measured[role] = measured
-    batch.result[role] = result
-    return result
 
 
 class _Insider:
@@ -244,20 +213,46 @@ class _Insider:
 
 
 class HonestPartyA:
-    """Classical party for protocol A: MEASURE a random N-subset, REFLECT the rest."""
+    """Classical party for protocol A: MEASURE a random N-subset, REFLECT the rest.
+
+    After its step the party holds its choices ``measured``, its ``result``
+    per position (-1 where it reflected) and, once it announces,
+    ``announced`` (True for MEASURE).
+    """
 
     def __init__(self, role: str, n_measure: int):
         self.role = role
         self.n_measure = n_measure
+        self.measured = self.announced = np.zeros(0, dtype=bool)
+        self.result = np.zeros(0, dtype=np.int8)
+
+    def _measure_step(self, batch: ParticleBatch, measured: np.ndarray, rng) -> np.ndarray:
+        """Z-measure the particles ``measured`` marks, in position order;
+        returns their positions."""
+        positions = np.flatnonzero(measured)
+        self.measured = measured
+        self.result = np.full(len(batch), -1, dtype=np.int8)
+        self.result[positions] = batch.measure(positions, _Z, rng)
+        return positions
 
     def act(self, batch: ParticleBatch, rng):
-        _measure_step(batch, self.role, random_subset(len(batch), self.n_measure, rng), rng)
+        self._measure_step(batch, random_subset(len(batch), self.n_measure, rng), rng)
 
-    def announce(self, batch: ParticleBatch, rng):
-        batch.announced[self.role] = batch.measured[self.role]
+    def announce(self, rng):
+        self.announced = self.measured
 
-    def reported_results(self, batch: ParticleBatch, positions: np.ndarray) -> np.ndarray:
-        return batch.result[self.role][positions]
+    def reported_results(self, positions: np.ndarray) -> np.ndarray:
+        return self.result[positions]
+
+
+class RecordingPartyA(_Insider, HonestPartyA):
+    """Bob's intercept-resend step: the honest one, with every result also
+    kept as his own measurement, which his return-leg fakes repeat."""
+
+    def act(self, batch, rng):
+        super().act(batch, rng)
+        positions = np.flatnonzero(self.measured)
+        self.knowledge.record(positions, self.result[positions], "own-measurement")
 
 
 class MeasureAllPartyA(_Insider, HonestPartyA):
@@ -265,11 +260,11 @@ class MeasureAllPartyA(_Insider, HonestPartyA):
     fabricate a MEASURE/REFLECT announcement of the honest sizes."""
 
     def act(self, batch, rng):
-        bits = _measure_step(batch, self.role, np.ones(len(batch), dtype=bool), rng)
-        self.knowledge.record(np.arange(len(batch)), bits, "own-measurement")
+        positions = self._measure_step(batch, np.ones(len(batch), dtype=bool), rng)
+        self.knowledge.record(positions, self.result, "own-measurement")
 
-    def announce(self, batch, rng):
-        batch.announced[self.role] = random_subset(len(batch), self.n_measure, rng)
+    def announce(self, rng):
+        self.announced = random_subset(len(self.measured), self.n_measure, rng)
 
 
 class ReflectAllPartyA(MeasureAllPartyA):
@@ -278,9 +273,9 @@ class ReflectAllPartyA(MeasureAllPartyA):
     announcement, and report the transit bits when asked for results."""
 
     def act(self, batch, rng):
-        _measure_step(batch, self.role, np.zeros(len(batch), dtype=bool), rng)
+        self._measure_step(batch, np.zeros(len(batch), dtype=bool), rng)
 
-    def reported_results(self, batch, positions):
+    def reported_results(self, positions):
         return self.knowledge.recorded[positions]
 
 
@@ -308,31 +303,24 @@ def measure_all_interceptor(knowledge: AdversaryKnowledge):
     return intercept
 
 
-def replace_with_fakes_interceptor(knowledge: AdversaryKnowledge,
-                                   informed_bits=None):
+def replace_with_fakes_interceptor(knowledge: AdversaryKnowledge):
     """Retain the genuine batch and substitute fresh Z-basis fakes.
 
-    ``informed_bits(batch)`` may supply known bits, -1 elsewhere (the
-    intercept-resend attacker reuses its own measurement results there);
-    elsewhere the fake is a uniformly random Z state.
+    A fake repeats the bit the attacker recorded at its position, if any
+    (protocol A's intercept-resend Bob reuses his own results); elsewhere it
+    is a uniformly random Z state.
     """
     def intercept(batch, leg, rng):
-        bits = (np.full(len(batch), -1, dtype=np.int8) if informed_bits is None
-                else informed_bits(batch))
+        bits = knowledge.recorded[:len(batch)].copy()
         unknown = bits < 0
         k = int(np.count_nonzero(unknown))
         if k:
             bits[unknown] = rng.integers(2, size=k)
         knowledge.keep(batch)
         batch.fake(bits)
-        knowledge.note_fake(np.arange(len(batch)), bits)
+        knowledge.fake_bits[:len(batch)] = bits
         return batch
     return intercept
-
-
-def _bob_measured_bits(batch):
-    """Bob's results, -1 where he reflected."""
-    return batch.result["bob"].copy()
 
 
 def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
@@ -406,7 +394,7 @@ class InterceptResendPartyB(_Insider, HonestPartyB):
         self.prepared_bits = rng.integers(2, size=self.n).astype(np.int8)
         total = len(incoming) + self.n
         bits = rng.integers(2, size=total)
-        self.knowledge.note_fake(np.arange(total), bits)
+        self.knowledge.fake_bits[:total] = bits
         self.order = rng.permutation(total)
         return ParticleBatch(bits)
 
@@ -419,7 +407,7 @@ class LyingRevealPartyB(_Insider, HonestPartyB):
     reveals quote the fake bits substituted on the return leg."""
 
     def reveal_prepared(self, final_positions, origins):
-        fake = _read(self.knowledge.fake_bits, final_positions)
+        fake = self.knowledge.fake_bits[final_positions]
         return np.where(fake >= 0, fake, super().reveal_prepared(final_positions, origins))
 
 
@@ -434,8 +422,12 @@ class CatalogEntry:
     ``legs`` maps a channel leg to the interceptor factory placed on it,
     ``parties`` maps a role to the party class that replaces the honest one,
     and ``guess`` maps each targeted key ("k_b", "k_c") to the source of the
-    attacker's guesses (see ``AdversaryKnowledge.guess_bit``), or to None
+    attacker's guesses (see ``AdversaryKnowledge.guess_bits``), or to None
     when the attack learns nothing about it.
+
+    Knowledge positions are those of the batch on the leg the attacker acts
+    on.  In protocol B they change from leg to leg, as parties insert and
+    reorder particles, and no entry records on two legs.
     """
 
     legs: dict = field(default_factory=dict)
@@ -452,8 +444,6 @@ class CatalogEntry:
 
 A2B, B2C, C2A = LEG_ORDER
 _MEASURE, _FAKES = measure_all_interceptor, replace_with_fakes_interceptor
-# Protocol A fakes that repeat Bob's own result where he measured.
-_BOB_INFORMED_FAKES = partial(replace_with_fakes_interceptor, informed_bits=_bob_measured_bits)
 _BOTH_RECORDED = {"k_b": "recorded", "k_c": "recorded"}
 _BOTH_RETAINED = {"k_b": "retained", "k_c": "retained"}
 _NOTHING = {"k_b": None, "k_c": None}
@@ -470,7 +460,9 @@ CATALOG: dict[str, CatalogEntry] = {
     "a.mr.charlie.2": CatalogEntry(parties={"charlie": MeasureAllPartyA},
                                    guess={"k_b": "recorded"}),
     # Retained particles at Case 3 positions are Charlie's collapsed states.
-    "a.ir.bob": CatalogEntry(legs={C2A: _BOB_INFORMED_FAKES}, guess={"k_c": "retained"}),
+    # Bob's return-leg fakes repeat his own result where he measured.
+    "a.ir.bob": CatalogEntry(legs={C2A: _FAKES}, parties={"bob": RecordingPartyA},
+                             guess={"k_c": "retained"}),
     # Bob measured Charlie's fakes, so his bits equal the fake bits.
     "a.ir.charlie.1": CatalogEntry(legs={A2B: _FAKES}, guess={"k_b": "fake"}),
     "a.ir.charlie.2": CatalogEntry(legs={A2B: _FAKES},
@@ -516,12 +508,13 @@ _KEY_OF_CLASS[[CTRL, SIFT_B, SIFT_C]] = [-1, _KEYS.index("k_b"), _KEYS.index("k_
 
 class AttackPlan:
     """Everything a run of ``protocol`` needs to realize ``spec``, None for
-    no attack; ``attack_id`` is the id its transcript records."""
+    no attack; ``attack_id`` is the id its transcript records and ``size``
+    the length of its knowledge columns."""
 
-    def __init__(self, spec: Optional[AttackSpec], protocol: str):
+    def __init__(self, spec: Optional[AttackSpec], protocol: str, size: int):
         self.protocol = protocol
         self.attack_id = attack_id_of(spec, protocol)
-        self.knowledge = AdversaryKnowledge()
+        self.knowledge = AdversaryKnowledge(size)
         self.entry = CATALOG.get(self.attack_id, _NO_ATTACK)
         if spec is not None and spec.pair is not None:
             self.interceptors = entangle_measure_interceptors(spec.pair)
@@ -560,47 +553,45 @@ class AttackPlan:
             bits[mine] = self.knowledge.guess_bits(source, positions[mine], rng)
         return bits
 
-    def guess_a(self, context, rng: np.random.Generator) -> np.ndarray:
-        """Best guess of the targeted key-case bits, from knowledge alone.
-
-        ``context`` carries the key-relevant particle positions per case
-        (``k_b_positions`` for Case 2, ``k_c_positions`` for Case 3); the
-        guesses follow them in that order, -1 where there is none.
-        """
-        positions = np.concatenate([context.k_b_positions, context.k_c_positions])
-        keys = np.repeat([0, 1], [len(context.k_b_positions), len(context.k_c_positions)])
+    def guess_a(self, k_b_positions: np.ndarray, k_c_positions: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+        """Best guess of the targeted key-case bits, from knowledge alone:
+        the bits at the Case 2 positions that carry k_b, then at the Case 3
+        positions that carry k_c, -1 where there is none."""
+        positions = np.concatenate([k_b_positions, k_c_positions])
+        keys = np.repeat([0, 1], [len(k_b_positions), len(k_c_positions)])
         return self._guesses(positions, keys, rng)
 
-    def guess_b(self, context, rng: np.random.Generator) -> dict:
-        """Guess the targeted parties' prepared SIFT bits.
+    def guess_b(self, bob_order: np.ndarray, classes: np.ndarray, origins: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+        """Guess the targeted parties' prepared SIFT bits from Bob's published
+        order and the resolved final ``classes`` and ``origins``.
 
-        Returns ``{"k_b": bits, "k_c": bits}``, each indexed by origin (-1
-        where there is no guess); ``context`` carries Bob's published
-        ``bob_order``, the resolved final ``classes`` and ``origins`` and the
-        batch size ``n``.
+        Returns a ``(2, n)`` array: row 0 holds Bob's bits and row 1
+        Charlie's, each indexed by origin, -1 where there is no guess.
         """
+        n = len(classes) // 3
         if C2A in self.entry.legs:
             # Seen on the return leg: positions are Alice's final ones.
-            positions = np.arange(len(context.classes))
-            keys = _KEY_OF_CLASS[context.classes]
-            origins = context.origins
+            positions = np.arange(len(classes))
+            keys = _KEY_OF_CLASS[classes]
         else:
             # Seen before Charlie's step: positions follow Bob's published
             # order, in which his insertions follow the n received particles.
-            positions = np.flatnonzero(context.bob_order >= context.n)
-            origins = context.bob_order[positions] - context.n
+            positions = np.flatnonzero(bob_order >= n)
+            origins = bob_order[positions] - n
             keys = np.zeros(len(positions), dtype=np.int8)
         bits = self._guesses(positions, keys, rng)
-        out = {}
-        for k, key in enumerate(_KEYS):
-            out[key] = np.full(context.n, -1, dtype=np.int8)
-            mine = keys == k
-            out[key][origins[mine]] = bits[mine]
+        out = np.full((len(_KEYS), n), -1, dtype=np.int8)
+        carriers = keys >= 0
+        out[keys[carriers], origins[carriers]] = bits[carriers]
         return out
 
 
-def build_attack_plan(spec: Optional[AttackSpec], protocol: str) -> AttackPlan:
+def build_attack_plan(spec: Optional[AttackSpec], protocol: str, size: int) -> AttackPlan:
+    """The plan for a run of ``protocol`` whose largest batch holds ``size``
+    particles."""
     if spec is not None and spec.protocol != protocol:
         raise UnsupportedAttackError(
             f"attack {spec.attack_id} targets protocol {spec.protocol}, not {protocol}")
-    return AttackPlan(spec, protocol)
+    return AttackPlan(spec, protocol, size)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -129,7 +128,7 @@ def _disclose(members: np.ndarray, fraction: float, rng) -> tuple[np.ndarray, np
 def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
                    seed: int) -> RunReport:
     """Execute one full run and return its report (pure in (config, attack, seed))."""
-    plan = build_attack_plan(attack, "A")
+    plan = build_attack_plan(attack, "A", config.total)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     preps = rng.integers(4, size=config.total)
@@ -144,10 +143,10 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     charlie.act(batch, rng)
     batch = transmit(batch, Leg.CHARLIE_TO_ALICE, plan.interceptor(Leg.CHARLIE_TO_ALICE), rng)
 
-    bob.announce(batch, rng)
-    charlie.announce(batch, rng)
-    announced_b = batch.announced["bob"].astype(np.intp)
-    announced_c = batch.announced["charlie"].astype(np.intp)
+    bob.announce(rng)
+    charlie.announce(rng)
+    announced_b = bob.announced.astype(np.intp)
+    announced_c = charlie.announced.astype(np.intp)
     case = _CASE_OF[announced_b, announced_c]
 
     # Alice measures case by case, each case in position order.
@@ -165,12 +164,11 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
                               config.thresholds[check_id])
 
     checks = [
-        check("case1", c1, (alice[c1] != bob.reported_results(batch, c1))
-              | (alice[c1] != charlie.reported_results(batch, c1))),
-        check("case2", disclosed2,
-              alice[disclosed2] != bob.reported_results(batch, disclosed2)),
+        check("case1", c1, (alice[c1] != bob.reported_results(c1))
+              | (alice[c1] != charlie.reported_results(c1))),
+        check("case2", disclosed2, alice[disclosed2] != bob.reported_results(disclosed2)),
         check("case3", disclosed3,
-              alice[disclosed3] != charlie.reported_results(batch, disclosed3)),
+              alice[disclosed3] != charlie.reported_results(disclosed3)),
         check("case4", c4, alice[c4] != EXPECTED_OF_CODE[preps[c4]]),
     ]
 
@@ -189,10 +187,8 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     if not aborted and plan.target is not None:
         # The attacker guesses the key-case bits; the truth is what the
         # party holding each share measured.
-        context = SimpleNamespace(k_b_positions=withheld2, k_c_positions=withheld3)
-        truths = np.concatenate([batch.result["bob"][withheld2],
-                                 batch.result["charlie"][withheld3]])
-        payoff = score_payoff(plan.target, plan.guess_a(context, rng), truths)
+        truths = np.concatenate([bob.result[withheld2], charlie.result[withheld3]])
+        payoff = score_payoff(plan.target, plan.guess_a(withheld2, withheld3, rng), truths)
 
     digest = transcript_digest({
         "schema": TRANSCRIPT_SCHEMA,

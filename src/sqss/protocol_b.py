@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -114,7 +113,7 @@ def _abort_report(plan, seed, reason) -> RunReport:
 def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
                    seed: int) -> RunReport:
     """Execute one full run and return its report (pure in (config, attack, seed))."""
-    plan = build_attack_plan(attack, "B")
+    plan = build_attack_plan(attack, "B", 3 * config.n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = config.n
 
@@ -179,11 +178,9 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     if not aborted and plan.target is not None:
         # The attacker guesses the untested SIFT bits each party prepared.
         origins_b, origins_c = origins[untested_b], origins[untested_c]
-        context = SimpleNamespace(bob_order=bob_order, classes=classes, origins=origins, n=n)
-        guesses = plan.guess_b(context, rng)
+        guess_b, guess_c = plan.guess_b(bob_order, classes, origins, rng)
         payoff = score_payoff(
-            plan.target,
-            np.concatenate([guesses["k_b"][origins_b], guesses["k_c"][origins_c]]),
+            plan.target, np.concatenate([guess_b[origins_b], guess_c[origins_c]]),
             np.concatenate([bob.prepared_bits[origins_b], charlie.prepared_bits[origins_c]]))
 
     digest = transcript_digest({

@@ -52,18 +52,15 @@ class ParticleBatch:
     it: then it is an ``(N, 2d)`` complex array, and a particle with code
     ``PROBED`` has its joint qubit-probe amplitudes (see
     ``qstate.CompositeState``) in its row.  The rows of bare particles are
-    ignored.  Protocol A runs fill the per-role ``measured``, ``result`` (-1
-    where not measured) and ``announced`` (True for MEASURE) columns.
+    ignored.  What parties and attackers did to the particles is kept by
+    those parties and attackers, not here.
     """
 
-    __slots__ = ("code", "probe", "measured", "result", "announced")
+    __slots__ = ("code", "probe")
 
     def __init__(self, code, probe: Optional[np.ndarray] = None):
         self.code = np.array(code, dtype=np.int8)
         self.probe = probe
-        self.measured: dict[str, np.ndarray] = {}
-        self.result: dict[str, np.ndarray] = {}
-        self.announced: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.code)

@@ -123,24 +123,24 @@ def test_resolve_attack_rejects_the_other_protocols_ids(protocol, attack_id):
 def test_mismatched_protocol_rejected_by_plan():
     spec = parse_attack_id("a.mr.bob.1")
     with pytest.raises(UnsupportedAttackError):
-        build_attack_plan(spec, "B")
+        build_attack_plan(spec, "B", 6)
 
 
 def test_none_plan_has_no_interceptors_or_target():
-    plan = build_attack_plan(None, "A")
+    plan = build_attack_plan(None, "A", 6)
     assert all(plan.interceptor(leg) is None for leg in Leg)
     assert plan.target is None
 
 
-def test_knowledge_provenance_is_audited(monkeypatch):
-    """Every recorded bit must come from something the actor legitimately did."""
+def _surviving_knowledge(monkeypatch) -> dict:
+    """Each catalog attack's knowledge after one run that passes its checks."""
     import sqss.protocol_a as pa
     import sqss.protocol_b as pb
 
     captured = []
 
-    def capture(spec, protocol):
-        plan = build_attack_plan(spec, protocol)
+    def capture(*args):
+        plan = build_attack_plan(*args)
         captured.append(plan)
         return plan
 
@@ -158,32 +158,84 @@ def test_knowledge_provenance_is_audited(monkeypatch):
         assert not report.aborted
 
     assert len(captured) == len(catalog_ids())
-    for plan in captured:
-        assert plan.knowledge.provenance  # the attack actually learned something
-        for source in plan.knowledge.provenance.values():
-            assert source in ALLOWED_SOURCES
+    return {plan.attack_id: plan.knowledge for plan in captured}
+
+
+def _sources(knowledge) -> set:
+    counts = np.bincount(knowledge.source[knowledge.source >= 0],
+                         minlength=len(ALLOWED_SOURCES))
+    return {ALLOWED_SOURCES[i] for i in np.flatnonzero(counts)}
+
+
+def test_knowledge_provenance_is_audited(monkeypatch):
+    """Every recorded bit must come from something the actor legitimately did."""
+    for knowledge in _surviving_knowledge(monkeypatch).values():
+        recorded = knowledge.recorded >= 0
+        # The attack actually learned something: bits it measured or faked.
+        assert recorded.any() or (knowledge.fake_bits >= 0).any()
+        # Every recorded bit, and only those, names an allowed source.
+        assert np.array_equal(knowledge.source >= 0, recorded)
+        assert knowledge.source.max() < len(ALLOWED_SOURCES)
+
+
+OWN, INTERCEPT, RETAINED = ALLOWED_SOURCES
+# attack id -> (sources of its recorded bits, whether it sent fakes).
+KNOWLEDGE_SOURCES = {
+    "a.mr.bob.1": ({OWN}, False),
+    "a.mr.bob.2": ({INTERCEPT}, False),
+    "a.mr.charlie.1": ({INTERCEPT}, False),
+    "a.mr.charlie.2": ({OWN}, False),
+    "a.ir.bob": ({OWN, RETAINED}, True),
+    "a.ir.charlie.1": (set(), True),
+    "a.ir.charlie.2": (set(), True),
+    "a.mr.eve.1": ({INTERCEPT}, False),
+    "a.mr.eve.2": ({INTERCEPT}, False),
+    "a.mr.eve.3": ({INTERCEPT}, False),
+    "a.ir.eve.1": (set(), True),
+    "a.ir.eve.2": ({RETAINED}, True),
+    "a.ir.eve.3": ({RETAINED}, True),
+    "b.mr.bob": ({INTERCEPT}, False),
+    "b.mr.charlie": ({OWN}, False),
+    "b.ir.bob": ({RETAINED}, True),
+    "b.ir.charlie": ({RETAINED}, True),
+    "b.mr.eve.1": ({INTERCEPT}, False),
+    "b.mr.eve.2": ({INTERCEPT}, False),
+    "b.mr.eve.3": ({INTERCEPT}, False),
+    "b.ir.eve.1": (set(), True),
+    "b.ir.eve.2": ({RETAINED}, True),
+    "b.ir.eve.3": ({RETAINED}, True),
+}
+
+
+def test_knowledge_sources_per_attack(monkeypatch):
+    """How each attack learns its bits: measure-resend attacks only measure,
+    intercept-resend attacks send fakes, and those that keep the genuine
+    particles measure them when they guess."""
+    found = {attack_id: (_sources(knowledge), bool((knowledge.fake_bits >= 0).any()))
+             for attack_id, knowledge in _surviving_knowledge(monkeypatch).items()}
+    assert found == KNOWLEDGE_SOURCES
 
 
 def test_unaudited_source_is_rejected():
-    knowledge = AdversaryKnowledge()
+    knowledge = AdversaryKnowledge(4)
     with pytest.raises(SimulationError):
         knowledge.record(0, 1, "peeked-at-alice")
-    assert not knowledge.recorded
+    assert (knowledge.recorded == -1).all() and (knowledge.source == -1).all()
 
 
 def test_eve_leg_mapping():
     for variant, leg in ((1, Leg.ALICE_TO_BOB), (2, Leg.BOB_TO_CHARLIE),
                          (3, Leg.CHARLIE_TO_ALICE)):
-        plan = build_attack_plan(parse_attack_id(f"a.mr.eve.{variant}"), "A")
+        plan = build_attack_plan(parse_attack_id(f"a.mr.eve.{variant}"), "A", 6)
         assert plan.interceptor(leg) is not None
         others = [l for l in Leg if l is not leg]
         assert all(plan.interceptor(l) is None for l in others)
 
 
 def test_targets_match_actor():
-    assert build_attack_plan(parse_attack_id("a.ir.bob"), "A").target == "k_c"
-    assert build_attack_plan(parse_attack_id("a.ir.charlie.1"), "A").target == "k_b"
-    assert build_attack_plan(parse_attack_id("b.mr.eve.3"), "B").target == "both"
+    assert build_attack_plan(parse_attack_id("a.ir.bob"), "A", 6).target == "k_c"
+    assert build_attack_plan(parse_attack_id("a.ir.charlie.1"), "A", 6).target == "k_b"
+    assert build_attack_plan(parse_attack_id("b.mr.eve.3"), "B", 6).target == "both"
 
 
 def test_insider_guesses_are_exact_on_surviving_runs():

@@ -2,10 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
 from sqss import em_analysis
-from sqss.adversary import UnitaryPair
+from sqss.adversary import UnitaryPair, parse_attack_id
 from sqss.em_analysis import (
     bit_copy_pair,
     constrained_search,
@@ -181,7 +180,9 @@ def test_insert_reorder_checks_blind_to_undone_controlled_rotation():
     This is a genuine structural weakness of checks that never measure the
     middle party's inserted particles in the conjugate basis."""
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    u_h = block_diag(np.eye(2), flip)
+    zero = np.zeros((2, 2))
+    u_h = np.block([[np.eye(2), zero], [zero, flip]])
+    assert np.array_equal(u_h, np.eye(4)[[0, 1, 3, 2]])
     u_g = u_h.conj().T
     pair = UnitaryPair(first=u_g, second=u_h, probe_dim=2, protocol="B")
     assert error_profile(pair).max_rate <= 1e-12
@@ -199,12 +200,19 @@ def test_bit_copy_needs_two_probe_levels():
         constrained_search("B", 0.1, probe_dim=1, restarts=1, iters=1)
 
 
-@pytest.mark.parametrize("mode, attack_id", [("A", "a.mr.eve.1"), ("B", "b.mr.eve.2")])
+@pytest.mark.parametrize("mode, attack_id", [("A", "a.mr.eve.1"), ("B", "b.mr.eve.2"),
+                                            ("A", "a.mr.eve.3"), ("B", "b.mr.eve.3")])
 def test_bit_copy_pair_matches_the_oracle_outsider_measure_resend(mode, attack_id):
-    """Copying the Z bit into a probe on the pair's first leg is Eve's
+    """Copying the Z bit into a probe on one leg of the pair is Eve's
     measure-resend attack on that leg: the closed-form error rates equal the
-    exact oracle's."""
-    rates = error_profile(bit_copy_pair(mode, 2), mode).rates
+    exact oracle's.  Eve's variant is the leg she taps, and leg 3 is the
+    pair's return leg in both modes; a copy there alone is the pair
+    (identity, bit copy).  ``a.mr.eve.2`` and ``b.mr.eve.1`` tap a leg that
+    the mode's pair never acts on, so they have no case here."""
+    copy = bit_copy_pair(mode, 2)
+    if parse_attack_id(attack_id).variant == 3:
+        copy = UnitaryPair(first=np.eye(4), second=copy.first, probe_dim=2, protocol=mode)
+    rates = error_profile(copy, mode).rates
     exact = detection_oracle(mode, attack_id)
     assert rates.keys() == exact.keys()
     for check, p in exact.items():
