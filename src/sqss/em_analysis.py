@@ -325,24 +325,30 @@ def params_dim(probe_dim: int) -> int:
     return (2 * probe_dim) ** 2
 
 
-def unitary_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
-    """Map a real vector onto U(2d) via the exponential of i times a Hermitian
-    matrix assembled from the vector."""
+def unitaries_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
+    """Stacked ``unitary_from_params``: row ``r`` of ``params``, shape
+    ``(n, (2d)^2)``, maps onto ``out[r]`` in U(2d), all in one ``expm`` call.
+    The Hermitian matrix takes its diagonal from the first 2d entries of a row
+    and the real and imaginary parts of its upper triangle, row by row, from
+    the rest."""
     m = 2 * probe_dim
     params = np.asarray(params, dtype=float)
-    if params.size != m * m:
-        raise ValueError(f"expected {m * m} parameters, got {params.size}")
-    herm = np.zeros((m, m), dtype=complex)
-    diag = params[:m]
-    off = params[m:]
-    herm[np.diag_indices(m)] = diag
-    k = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            herm[i, j] = off[k] + 1j * off[k + 1]
-            herm[j, i] = off[k] - 1j * off[k + 1]
-            k += 2
+    if params.ndim != 2 or params.shape[1] != m * m:
+        raise ValueError(f"expected rows of {m * m} parameters, got shape {params.shape}")
+    diag = np.arange(m)
+    rows, cols = np.triu_indices(m, 1)
+    re, im = params[:, m::2], params[:, m + 1::2]
+    herm = np.zeros((len(params), m, m), dtype=complex)
+    herm[:, diag, diag] = params[:, :m]
+    herm[:, rows, cols] = re + 1j * im
+    herm[:, cols, rows] = re - 1j * im
     return expm(1j * herm)
+
+
+def unitary_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
+    """Map a real vector onto U(2d) via the exponential of i times a Hermitian
+    matrix assembled from the vector: row 0 of ``unitaries_from_params``."""
+    return unitaries_from_params(np.reshape(params, (1, -1)), probe_dim)[0]
 
 
 def params_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -464,6 +470,60 @@ def check_search_args(epsilon: float, probe_dim: int, restarts: int, iters: int,
     _check_probe_dim(probe_dim)  # for the bit-copy start
 
 
+def _search_objective(mode: str, epsilon: float):
+    """The search's objective as a function of a pair.  It returns the
+    penalized objective, the information and the max error, and builds the
+    mode's table once for both, as ``theorem_check`` does."""
+    # A stiff penalty keeps the ascent from trading a sliver of feasibility
+    # violation for information; near epsilon = 0 it must dominate the
+    # O(sqrt(error)) growth of distinguishability around the identity.
+    lam = 1e7 if epsilon < 1e-6 else 1e3
+    if mode == "A":
+        table_of, profile_of, info_of = (
+            _measured_branches, _error_profile_a, _distinguishability_a)
+    else:
+        table_of, profile_of, info_of = (
+            _chain_states_b, _error_profile_b, _distinguishability_b)
+
+    def objective(pair: UnitaryPair) -> tuple[float, float, float]:
+        table = table_of(pair)
+        err = profile_of(pair, table).max_rate
+        info = info_of(pair, table)
+        return info - lam * max(err - epsilon, 0.0), info, err
+
+    return objective
+
+
+def _stencil_pairs(mode: str, probe_dim: int, theta: np.ndarray, h: float):
+    """The central-difference stencil around ``theta``: for each parameter k in
+    order, the pairs at ``theta + h e_k`` and ``theta - h e_k``.
+
+    A stencil point moves one parameter of one unitary, so each half's
+    unperturbed unitary (row 0) and its perturbed ones come from one stacked
+    call, and each pair takes the other half's row 0.  Row 0 is bit for bit
+    the half ``theta ± 0.0`` would give, as long as theta holds no -0.0: the
+    search's starts hold none, and its steps cannot make one.
+    """
+    npar = params_dim(probe_dim)
+    bumps = h * np.eye(npar)
+    stacks = []
+    for part in (theta[:npar], theta[npar:]):
+        rows = np.empty((2 * npar + 1, npar))
+        rows[0] = part
+        rows[1::2] = part + bumps
+        rows[2::2] = part - bumps
+        stacks.append(unitaries_from_params(rows, probe_dim))
+    first, second = stacks
+
+    def pair(u1, u2):
+        return UnitaryPair(first=u1, second=u2, probe_dim=probe_dim, protocol=mode)
+
+    for k in range(npar):
+        yield pair(first[2 * k + 1], second[0]), pair(first[2 * k + 2], second[0])
+    for k in range(npar):
+        yield pair(first[0], second[2 * k + 1]), pair(first[0], second[2 * k + 2])
+
+
 def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
                        restarts: int = 6, iters: int = 40, seed: int = 0) -> TradeoffPoint:
     """Maximize probe distinguishability subject to every check error staying
@@ -473,18 +533,11 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     check_search_args(epsilon, probe_dim, restarts, iters, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     npar = params_dim(probe_dim)
-
-    # A stiff penalty keeps the ascent from trading a sliver of feasibility
-    # violation for information; near epsilon = 0 it must dominate the
-    # O(sqrt(error)) growth of distinguishability around the identity.
-    lam = 1e7 if epsilon < 1e-6 else 1e3
+    objective = _search_objective(mode, epsilon)
 
     def evaluate(theta) -> tuple[float, float, float]:
         """The penalized objective, the information and the max error at theta."""
-        pair = pair_from_params(mode, probe_dim, theta[:npar], theta[npar:])
-        err = error_profile(pair, mode).max_rate
-        info = probe_distinguishability(pair, mode)
-        return info - lam * max(err - epsilon, 0.0), info, err
+        return objective(pair_from_params(mode, probe_dim, theta[:npar], theta[npar:]))
 
     # Rank feasible points by the penalized objective, not raw information:
     # within the feasibility tolerance the information of a near-identity
@@ -511,11 +564,8 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
         consider(theta, f, info, err)
         step = 0.25
         for _ in range(iters):
-            grad = np.zeros_like(theta)
-            for k in range(theta.size):
-                bump = np.zeros_like(theta)
-                bump[k] = h
-                grad[k] = (evaluate(theta + bump)[0] - evaluate(theta - bump)[0]) / (2 * h)
+            grad = np.array([(objective(plus)[0] - objective(minus)[0]) / (2 * h)
+                             for plus, minus in _stencil_pairs(mode, probe_dim, theta, h)])
             gnorm = np.linalg.norm(grad)
             if gnorm < 1e-12:
                 break

@@ -217,3 +217,92 @@ def test_bit_copy_pair_matches_the_oracle_outsider_measure_resend(mode, attack_i
     assert rates.keys() == exact.keys()
     for check, p in exact.items():
         assert rates[check] == pytest.approx(float(p), abs=1e-12)
+
+
+def test_stacked_unitaries_equal_unitary_from_params_row_by_row():
+    """``unitary_from_params`` is row 0 of the stacked builder, so a stack
+    row and the single build of that row are the same matrix, bit for bit."""
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 3):
+        rows = rng.normal(scale=0.7, size=(5, params_dim(d)))
+        stack = em_analysis.unitaries_from_params(rows, d)
+        assert stack.shape == (5, 2 * d, 2 * d)
+        for row, u in zip(rows, stack):
+            assert np.array_equal(u, unitary_from_params(row, d))
+    with pytest.raises(ValueError, match="rows of 16 parameters"):
+        em_analysis.unitaries_from_params(np.zeros(16), 2)
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_stencil_objectives_equal_public_path_evaluations(mode, d):
+    """Every stencil point's pair and objective equal those of building the
+    point with ``pair_from_params`` and reading ``error_profile`` and
+    ``probe_distinguishability``, compared with ``==``."""
+    rng = np.random.default_rng((31, d, ord(mode)))
+    npar, h = params_dim(d), 1e-5
+    theta = rng.normal(scale=0.5, size=2 * npar)
+    stencil = list(em_analysis._stencil_pairs(mode, d, theta, h))
+    assert len(stencil) == 2 * npar
+    objectives = {eps: em_analysis._search_objective(mode, eps) for eps in (0.0, 0.1)}
+    for k, pairs in enumerate(stencil):
+        bump = np.zeros(2 * npar)
+        bump[k] = h
+        for pair, point in zip(pairs, (theta + bump, theta - bump)):
+            public = pair_from_params(mode, d, point[:npar], point[npar:])
+            assert np.array_equal(pair.first, public.first)
+            assert np.array_equal(pair.second, public.second)
+            err = error_profile(public).max_rate
+            info = probe_distinguishability(public)
+            for eps, objective in objectives.items():
+                lam = 1e7 if eps < 1e-6 else 1e3
+                assert objective(pair) == (info - lam * max(err - eps, 0.0), info, err)
+
+
+def test_search_builds_one_table_per_evaluation(monkeypatch):
+    """Each evaluation of the search builds its mode's table once and reads
+    the error and the information from it; each gradient step builds each
+    half's stencil unitaries in one stacked call.  With ``iters=1`` every
+    start takes exactly one gradient step."""
+    npar = params_dim(2)
+    for mode, table_fn in (("A", "_measured_branches"), ("B", "_chain_states_b")):
+        expected = constrained_search(mode, 0.1, restarts=2, iters=1)
+        calls = {name: [] for name in (table_fn, "pair_from_params",
+                                       "unitaries_from_params", "error_profile",
+                                       "probe_distinguishability")}
+        for name, log in calls.items():
+            def counting(*args, fn=getattr(em_analysis, name), log=log):
+                log.append(args)
+                return fn(*args)
+
+            monkeypatch.setattr(em_analysis, name, counting)
+        point = constrained_search(mode, 0.1, restarts=2, iters=1)
+        monkeypatch.undo()
+        assert point == expected
+        steps = 2
+        stacked = [args[0].shape for args in calls["unitaries_from_params"]
+                   if len(args[0]) > 1]
+        assert stacked == [(2 * npar + 1, npar)] * (2 * steps)
+        # The other stacked-builder calls are single rows, two per built pair.
+        assert len(calls["unitaries_from_params"]) - len(stacked) == (
+            2 * len(calls["pair_from_params"]))
+        evaluations = len(calls["pair_from_params"]) + steps * 4 * npar
+        assert len(calls[table_fn]) == evaluations
+        assert calls["error_profile"] == calls["probe_distinguishability"] == []
+
+
+@pytest.mark.parametrize("bad", [{"iters": 2.5}, {"seed": -1}, {"epsilon": "0.1"}],
+                         ids=["float-iters", "negative-seed", "str-epsilon"])
+def test_search_checks_args_before_building_a_unitary(monkeypatch, bad):
+    """The search reads neither the public ``error_profile`` nor
+    ``probe_distinguishability``; no unitary or table is built before its
+    arguments are checked."""
+    def never(*args, **kwargs):
+        raise AssertionError("the search built a unitary before checking its args")
+
+    for name in ("unitaries_from_params", "_measured_branches", "_chain_states_b"):
+        monkeypatch.setattr(em_analysis, name, never)
+    args = {"epsilon": 0.1, "restarts": 1, "iters": 1, "seed": 0, **bad}
+    for mode in ("A", "B"):
+        with pytest.raises(ValueError):
+            constrained_search(mode, **args)
