@@ -113,7 +113,7 @@ def _cmd_attack_bench(args) -> int:
 def _cmd_tradeoff(args) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",")]
     for eps in epsilons:
-        check_search_args(eps, args.probe_dim, args.restarts, args.iters, args.seed)
+        check_search_args(args.mode, eps, args.probe_dim, args.restarts, args.iters, args.seed)
     rows = []
     for eps in epsilons:
         point = constrained_search(args.mode, eps, probe_dim=args.probe_dim,

@@ -10,17 +10,18 @@ search over the error-vs-information tradeoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
 
 from .adversary import UnitaryPair
 from .qstate import (
+    BB84_AMPS,
     DensityMatrix,
     PrepState,
     check_unitary,
-    lift,
     prepare,
     trace_distance,
 )
@@ -34,21 +35,28 @@ BRANCH_SKIP_PROB = 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _embed(qubit_vec: np.ndarray, probe_vec: np.ndarray) -> np.ndarray:
-    return np.kron(qubit_vec, probe_vec)
+@lru_cache(maxsize=16)
+def _prep_rows(d: int) -> np.ndarray:
+    """Row i is preparation ``PREPS[i]`` (BB84 code i) tensored with the
+    probe's initial state |e0>; read-only."""
+    rows = np.zeros((len(BB84_AMPS), 2 * d), dtype=complex)
+    rows[:, [0, d]] = BB84_AMPS
+    rows.setflags(write=False)
+    return rows
 
 
-def _prep_probe_vec(s: PrepState, d: int) -> np.ndarray:
-    return lift(prepare(s), d).amps.copy()
+def _blocks(vec: np.ndarray) -> np.ndarray:
+    """The probe blocks of a joint vector: row x travels with qubit |x>."""
+    return vec.reshape(2, -1)
 
 
-def _blocks(vec: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    return vec[:d], vec[d:]
+def _sq_norm(vec: np.ndarray) -> float:
+    return float(np.sum(np.abs(vec) ** 2))
 
 
-def _probe_outer(vec: np.ndarray, d: int) -> np.ndarray:
+def _probe_outer(vec: np.ndarray) -> np.ndarray:
     """Partial trace over the qubit of |vec><vec| (vec may be unnormalized)."""
-    b0, b1 = _blocks(vec, d)
+    b0, b1 = _blocks(vec)
     return np.outer(b0, b0.conj()) + np.outer(b1, b1.conj())
 
 
@@ -62,31 +70,38 @@ def _phase_free_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
-def _measured_branches(pair: UnitaryPair) -> dict:
-    """Mode A's branch table.  ``(s, x) -> (eps, phi)``: the probe branch eps
-    that travels with a measured |x> after the first unitary acts on
-    preparation s (the initial probe state is |e0>), and phi, the second
-    unitary applied to |x> (x) eps.  Ordered by s, then x."""
-    d = pair.probe_dim
-    out = {}
-    for s in PREPS:
-        psi = pair.first @ _prep_probe_vec(s, d)
+def _measured_branches(pair: UnitaryPair) -> tuple[dict, dict]:
+    """Mode A's table ``(branches, reflected)``.  ``branches[(s, x)]`` is
+    ``(eps, phi)``: the probe branch eps that travels with a measured |x>
+    after the first unitary acts on preparation s (the initial probe state is
+    |e0>), and phi, the second unitary applied to |x> (x) eps; ordered by s,
+    then x.  ``reflected[s]`` is the second unitary applied to the whole state
+    the first left, as when both classical parties reflect."""
+    branches, reflected = {}, {}
+    for s, row in zip(PREPS, _prep_rows(pair.probe_dim)):
+        psi = pair.first @ row
+        reflected[s] = pair.second @ psi
         for x in (0, 1):
-            eps = _blocks(psi, d)[x]
-            qubit = np.zeros(2, dtype=complex)
-            qubit[x] = 1.0
-            out[(s, x)] = (eps, pair.second @ _embed(qubit, eps))
-    return out
+            eps = _blocks(psi)[x]
+            branches[(s, x)] = (eps, pair.second @ np.kron(BB84_AMPS[x], eps))
+    return branches, reflected
 
 
 def _chain_states_b(pair: UnitaryPair) -> tuple[dict, dict]:
     """Mode B's state table: the joint state of each preparation after the
     full chain ``second @ first`` (all four preparations), and after the
     return unitary alone (the two Z preparations)."""
-    d = pair.probe_dim
     u_both = pair.second @ pair.first
-    return ({s: u_both @ _prep_probe_vec(s, d) for s in PREPS},
-            {s: pair.second @ _prep_probe_vec(s, d) for s in Z_PREPS})
+    rows = _prep_rows(pair.probe_dim)
+    return ({s: u_both @ row for s, row in zip(PREPS, rows)},
+            {s: pair.second @ row for s, row in zip(Z_PREPS, rows)})
+
+
+def _z_blocks(states: dict) -> tuple[list, list]:
+    """For each Z preparation |r>, in order: the probe block of its state in
+    ``states`` that travels with |r>, and the block moved onto |1-r>."""
+    blocks = [_blocks(states[s]) for s in Z_PREPS]
+    return [b[r] for r, b in enumerate(blocks)], [b[1 - r] for r, b in enumerate(blocks)]
 
 
 @dataclass(frozen=True)
@@ -109,62 +124,43 @@ def _mode_of(pair: UnitaryPair, mode: Optional[str]) -> str:
 
 
 def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile:
-    if _mode_of(pair, mode) == "A":
-        return _error_profile_a(pair, _measured_branches(pair))
-    return _error_profile_b(pair, _chain_states_b(pair))
+    mode = _mode_of(pair, mode)
+    analysis = _MODES[mode]
+    return ErrorProfile(mode=mode, rates=analysis.profile(analysis.table(pair)))
 
 
-def _measured_chain_error(branches: dict, d: int) -> float:
-    """P(Alice's Z outcome differs from the classical party's measured bit),
-    averaged over the four uniform preparations and the Born-rule branch."""
-    total = 0.0
-    for (_, x), (_, phi) in branches.items():
-        wrong = _blocks(phi, d)[1 - x]
-        total += float(np.sum(np.abs(wrong) ** 2))
-    return total / len(PREPS)
-
-
-def _prep_basis_error(finals: dict, d: int) -> float:
+def _prep_basis_error(finals: dict) -> float:
     """Mean probability that a preparation-basis measurement of the qubit in
     ``finals[s]`` (the final joint state of preparation ``s``, for each of
     ``PREPS``) does not return the prepared state."""
     total = 0.0
     for s, psi in finals.items():
         sv = prepare(s)
-        b0, b1 = _blocks(psi, d)
+        b0, b1 = _blocks(psi)
         kept = sv[0].conjugate() * b0 + sv[1].conjugate() * b1
-        total += 1.0 - float(np.sum(np.abs(kept) ** 2))
+        total += 1.0 - _sq_norm(kept)
     return total / len(PREPS)
 
 
-def _error_profile_a(pair: UnitaryPair, branches: dict) -> ErrorProfile:
-    d = pair.probe_dim
+def _rates_a(table: tuple[dict, dict]) -> dict:
+    branches, reflected = table
     # Cases 1-3 share the same physical chain: some classical party holds a
     # Z result x, the return unitary acts on |x> and its probe branch, and a
-    # mismatch means Alice's Z outcome flips away from x.
-    measured = _measured_chain_error(branches, d)
+    # mismatch means Alice's Z outcome flips away from x.  Averaged over the
+    # four uniform preparations and the Born-rule branch.
+    measured = sum(_sq_norm(_blocks(phi)[1 - x])
+                   for (_, x), (_, phi) in branches.items()) / len(PREPS)
     # Case 4: both parties reflect, the return unitary acts on the full
     # superposition, and Alice measures in the preparation basis.
-    case4 = _prep_basis_error(
-        {s: pair.second @ (pair.first @ _prep_probe_vec(s, d)) for s in PREPS}, d)
-    return ErrorProfile(mode="A", rates={
-        "case1": measured, "case2": measured, "case3": measured, "case4": case4,
-    })
+    return {"case1": measured, "case2": measured, "case3": measured,
+            "case4": _prep_basis_error(reflected)}
 
 
-def _error_profile_b(pair: UnitaryPair, states: tuple[dict, dict]) -> ErrorProfile:
-    d = pair.probe_dim
-    full, ret = states
-    ctrl = _prep_basis_error(full, d)
-    test_b = 0.0
-    for r, s in enumerate(Z_PREPS):
-        test_b += float(np.sum(np.abs(_blocks(full[s], d)[1 - r]) ** 2))
-    test_b /= 2.0
-    test_c = 0.0
-    for q, s in enumerate(Z_PREPS):
-        test_c += float(np.sum(np.abs(_blocks(ret[s], d)[1 - q]) ** 2))
-    test_c /= 2.0
-    return ErrorProfile(mode="B", rates={"ctrl": ctrl, "test_b": test_b, "test_c": test_c})
+def _rates_b(table: tuple[dict, dict]) -> dict:
+    full, ret = table
+    return {"ctrl": _prep_basis_error(full),
+            "test_b": sum(_sq_norm(b) for b in _z_blocks(full)[1]) / 2.0,
+            "test_c": sum(_sq_norm(b) for b in _z_blocks(ret)[1]) / 2.0}
 
 
 def _density(mat: np.ndarray) -> DensityMatrix:
@@ -175,39 +171,27 @@ def _density(mat: np.ndarray) -> DensityMatrix:
 def probe_distinguishability(pair: UnitaryPair, mode: Optional[str] = None) -> float:
     """Maximum trace distance between the attacker's final probe states
     conditioned on the two values of a key bit."""
-    if _mode_of(pair, mode) == "A":
-        return _distinguishability_a(pair, _measured_branches(pair))
-    return _distinguishability_b(pair, _chain_states_b(pair))
+    analysis = _MODES[_mode_of(pair, mode)]
+    return analysis.info(analysis.table(pair))
 
 
-def _distinguishability_a(pair: UnitaryPair, branches: dict) -> float:
+def _info_a(table: tuple[dict, dict]) -> float:
     # Conditioning on Bob's result (Case 2 key bits) and on Charlie's (Case 3)
     # produces the same ensemble: either way the return unitary sees |x> and
     # the x branch of the probe.
-    d = pair.probe_dim
-    rhos = []
+    branches, _ = table
+    weights, rhos = [], []
     for x in (0, 1):
-        acc = np.zeros((d, d), dtype=complex)
-        weight = 0.0
-        for s in PREPS:
-            eps, phi = branches[(s, x)]
-            acc += _probe_outer(phi, d) / len(PREPS)
-            weight += float(np.sum(np.abs(eps) ** 2)) / len(PREPS)
-        rhos.append((weight, acc))
-    if any(w < BRANCH_SKIP_PROB for w, _ in rhos):
+        weights.append(sum(_sq_norm(branches[(s, x)][0]) / len(PREPS) for s in PREPS))
+        rhos.append(sum(_probe_outer(branches[(s, x)][1]) / len(PREPS) for s in PREPS))
+    if any(w < BRANCH_SKIP_PROB for w in weights):
         return 0.0
-    return trace_distance(_density(rhos[0][1]), _density(rhos[1][1]))
+    return trace_distance(_density(rhos[0]), _density(rhos[1]))
 
 
-def _distinguishability_b(pair: UnitaryPair, states: tuple[dict, dict]) -> float:
-    d = pair.probe_dim
-    dists = []
-    for vecs in states:
-        rhos = []
-        for s in Z_PREPS:
-            rhos.append(_density(_probe_outer(vecs[s], d)))
-        dists.append(trace_distance(rhos[0], rhos[1]))
-    return max(dists)
+def _info_b(table: tuple[dict, dict]) -> float:
+    return max(trace_distance(*(_density(_probe_outer(states[s])) for s in Z_PREPS))
+               for states in table)
 
 
 @dataclass(frozen=True)
@@ -238,35 +222,29 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
     probe carries no key information and that the structural identities the
     zero-error condition forces all hold within tolerance."""
     mode = _mode_of(pair, mode)
+    analysis = _MODES[mode]
     # The mode's table is built once and every check reads it.
-    if mode == "A":
-        table = _measured_branches(pair)
-        profile_of, info_of, residuals_of = (
-            _error_profile_a, _distinguishability_a, _residuals_a)
-    else:
-        table = _chain_states_b(pair)
-        profile_of, info_of, residuals_of = (
-            _error_profile_b, _distinguishability_b, _residuals_b)
-    profile = profile_of(pair, table)
-    zero_error = profile.max_rate <= ERR_TOL
+    table = analysis.table(pair)
+    max_error = max(analysis.profile(table).values())
+    zero_error = max_error <= ERR_TOL
     if not zero_error:
-        return TheoremVerdict(mode=mode, max_error=profile.max_rate, zero_error=False,
+        return TheoremVerdict(mode=mode, max_error=max_error, zero_error=False,
                               distinguishability=None, residuals={}, holds=None)
-    info = info_of(pair, table)
-    residuals = residuals_of(pair, table)
+    info = analysis.info(table)
+    residuals = analysis.residuals(table)
     holds = info <= INFO_TOL and max(residuals.values()) <= RESIDUAL_TOL
-    return TheoremVerdict(mode=mode, max_error=profile.max_rate, zero_error=True,
+    return TheoremVerdict(mode=mode, max_error=max_error, zero_error=True,
                           distinguishability=info, residuals=residuals, holds=holds)
 
 
-def _residuals_a(pair: UnitaryPair, branches: dict) -> dict:
-    d = pair.probe_dim
+def _residuals_a(table: tuple[dict, dict]) -> dict:
+    branches, _ = table
     # f[(s, x)] is the final probe component that travels with |x>; the rest
     # of phi is amplitude the second unitary moved onto the other qubit state.
     f = {}
     leakage = 0.0
     for (s, x), (_, phi) in branches.items():
-        b = _blocks(phi, d)
+        b = _blocks(phi)
         f[(s, x)] = b[x]
         leakage = max(leakage, float(np.linalg.norm(b[1 - x])))
     Z0, Z1, P, M = PrepState.ZERO, PrepState.ONE, PrepState.PLUS, PrepState.MINUS
@@ -285,36 +263,39 @@ def _residuals_a(pair: UnitaryPair, branches: dict) -> dict:
     }
 
 
-def _residuals_b(pair: UnitaryPair, states: tuple[dict, dict]) -> dict:
-    d = pair.probe_dim
-    full, ret = states
+def _residuals_b(table: tuple[dict, dict]) -> dict:
+    full, ret = table
     # Probe vectors traveling with each Z state after the full chain.
-    h = []
-    leak = 0.0
-    for r, s in enumerate(Z_PREPS):
-        blocks = _blocks(full[s], d)
-        h.append(blocks[r])
-        leak = max(leak, float(np.linalg.norm(blocks[1 - r])))
+    h, h_moved = _z_blocks(full)
     h_bar = (h[0] + h[1]) / 2.0
     # X-prepared control particles must factorize against the same probe.
-    ctrl_resid = 0.0
-    for s in (PrepState.PLUS, PrepState.MINUS):
-        target = _embed(prepare(s), h_bar)
-        ctrl_resid = max(ctrl_resid, float(np.linalg.norm(full[s] - target)))
+    ctrl_resid = max(float(np.linalg.norm(full[s] - np.kron(prepare(s), h_bar)))
+                     for s in (PrepState.PLUS, PrepState.MINUS))
     # Return-leg-only particles: the probe must not depend on the carried bit.
-    g = []
-    g_leak = 0.0
-    for q, s in enumerate(Z_PREPS):
-        blocks = _blocks(ret[s], d)
-        g.append(blocks[q])
-        g_leak = max(g_leak, float(np.linalg.norm(blocks[1 - q])))
+    g, g_moved = _z_blocks(ret)
     return {
-        "sift_qubit_leakage": leak,
+        "sift_qubit_leakage": max(float(np.linalg.norm(b)) for b in h_moved),
         "probe_state_match": float(np.linalg.norm(h[0] - h[1])),
         "ctrl_factorization": ctrl_resid,
-        "return_leg_leakage": g_leak,
+        "return_leg_leakage": max(float(np.linalg.norm(b)) for b in g_moved),
         "return_leg_probe_match": _phase_free_dist(g[0], g[1]),
     }
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One mode's analysis: ``table(pair)`` builds what every reader reads,
+    and ``profile``, ``info`` and ``residuals`` map a table onto the check
+    error rates, the probe distinguishability and the zero-error residuals."""
+
+    table: Callable[[UnitaryPair], tuple]
+    profile: Callable[[tuple], dict]
+    info: Callable[[tuple], float]
+    residuals: Callable[[tuple], dict]
+
+
+_MODES = {"A": _Mode(_measured_branches, _rates_a, _info_a, _residuals_a),
+          "B": _Mode(_chain_states_b, _rates_b, _info_b, _residuals_b)}
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +353,9 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
 
 def pair_from_params(mode: str, probe_dim: int, params_first: np.ndarray,
                      params_second: np.ndarray) -> UnitaryPair:
-    return UnitaryPair(first=unitary_from_params(params_first, probe_dim),
-                       second=unitary_from_params(params_second, probe_dim),
-                       probe_dim=probe_dim, protocol=mode)
+    """The pair of two parameter vectors, built in one stacked call."""
+    first, second = unitaries_from_params(np.stack([params_first, params_second]), probe_dim)
+    return UnitaryPair(first=first, second=second, probe_dim=probe_dim, protocol=mode)
 
 
 def identity_pair(mode: str, probe_dim: int) -> UnitaryPair:
@@ -455,9 +436,11 @@ class TradeoffPoint:
 FEASIBILITY_TOL = 1e-9
 
 
-def check_search_args(epsilon: float, probe_dim: int, restarts: int, iters: int,
-                      seed: int) -> None:
+def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
+                      iters: int, seed: int) -> None:
     """Reject ``constrained_search`` arguments before any evaluation runs."""
+    if mode not in ("A", "B"):
+        raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     check_real("epsilon", epsilon)
     for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
         check_int(name, value)
@@ -470,74 +453,56 @@ def check_search_args(epsilon: float, probe_dim: int, restarts: int, iters: int,
     _check_probe_dim(probe_dim)  # for the bit-copy start
 
 
-def _search_objective(mode: str, epsilon: float):
-    """The search's objective as a function of a pair.  It returns the
-    penalized objective, the information and the max error, and builds the
-    mode's table once for both, as ``theorem_check`` does."""
-    # A stiff penalty keeps the ascent from trading a sliver of feasibility
-    # violation for information; near epsilon = 0 it must dominate the
-    # O(sqrt(error)) growth of distinguishability around the identity.
-    lam = 1e7 if epsilon < 1e-6 else 1e3
-    if mode == "A":
-        table_of, profile_of, info_of = (
-            _measured_branches, _error_profile_a, _distinguishability_a)
-    else:
-        table_of, profile_of, info_of = (
-            _chain_states_b, _error_profile_b, _distinguishability_b)
-
-    def objective(pair: UnitaryPair) -> tuple[float, float, float]:
-        table = table_of(pair)
-        err = profile_of(pair, table).max_rate
-        info = info_of(pair, table)
-        return info - lam * max(err - epsilon, 0.0), info, err
-
-    return objective
-
-
-def _stencil_pairs(mode: str, probe_dim: int, theta: np.ndarray, h: float):
-    """The central-difference stencil around ``theta``: for each parameter k in
-    order, the pairs at ``theta + h e_k`` and ``theta - h e_k``.
-
-    A stencil point moves one parameter of one unitary, so each half's
-    unperturbed unitary (row 0) and its perturbed ones come from one stacked
-    call, and each pair takes the other half's row 0.  Row 0 is bit for bit
-    the half ``theta ± 0.0`` would give, as long as theta holds no -0.0: the
-    search's starts hold none, and its steps cannot make one.
-    """
-    npar = params_dim(probe_dim)
-    bumps = h * np.eye(npar)
-    stacks = []
-    for part in (theta[:npar], theta[npar:]):
-        rows = np.empty((2 * npar + 1, npar))
-        rows[0] = part
-        rows[1::2] = part + bumps
-        rows[2::2] = part - bumps
-        stacks.append(unitaries_from_params(rows, probe_dim))
-    first, second = stacks
-
-    def pair(u1, u2):
-        return UnitaryPair(first=u1, second=u2, probe_dim=probe_dim, protocol=mode)
-
-    for k in range(npar):
-        yield pair(first[2 * k + 1], second[0]), pair(first[2 * k + 2], second[0])
-    for k in range(npar):
-        yield pair(first[0], second[2 * k + 1]), pair(first[0], second[2 * k + 2])
-
-
 def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
                        restarts: int = 6, iters: int = 40, seed: int = 0) -> TradeoffPoint:
     """Maximize probe distinguishability subject to every check error staying
     within the budget, by restarted finite-difference ascent on a penalized
     objective.  Deliberately simple: used for inequalities with slack only.
     """
-    check_search_args(epsilon, probe_dim, restarts, iters, seed)
+    check_search_args(mode, epsilon, probe_dim, restarts, iters, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     npar = params_dim(probe_dim)
-    objective = _search_objective(mode, epsilon)
+    analysis = _MODES[mode]
+    # A stiff penalty keeps the ascent from trading a sliver of feasibility
+    # violation for information; near epsilon = 0 it must dominate the
+    # O(sqrt(error)) growth of distinguishability around the identity.
+    lam = 1e7 if epsilon < 1e-6 else 1e3
+
+    def objective(pair: UnitaryPair) -> tuple[float, float, float]:
+        """The penalized objective, the information and the max error of a
+        pair, read from one build of the mode's table, as in ``theorem_check``."""
+        table = analysis.table(pair)
+        err = max(analysis.profile(table).values())
+        info = analysis.info(table)
+        return info - lam * max(err - epsilon, 0.0), info, err
 
     def evaluate(theta) -> tuple[float, float, float]:
-        """The penalized objective, the information and the max error at theta."""
         return objective(pair_from_params(mode, probe_dim, theta[:npar], theta[npar:]))
+
+    def pair(first: np.ndarray, second: np.ndarray) -> UnitaryPair:
+        return UnitaryPair(first=first, second=second, probe_dim=probe_dim, protocol=mode)
+
+    h = 1e-5
+    bumps = h * np.eye(npar)
+
+    def gradient(theta) -> np.ndarray:
+        """The central-difference gradient of the objective at theta.
+
+        A stencil point moves one parameter of one unitary, so each half's
+        unperturbed unitary (row 0) and its perturbed ones come from one
+        stacked call, and each pair takes the other half's row 0.  Row 0 is
+        bit for bit the half ``theta ± 0.0`` would give, as long as theta holds
+        no -0.0: the starts hold none, and the steps cannot make one.
+        """
+        first, second = (unitaries_from_params(np.vstack([part, part + bumps, part - bumps]),
+                                               probe_dim)
+                         for part in (theta[:npar], theta[npar:]))
+        stencil = ([(pair(first[k], second[0]), pair(first[npar + k], second[0]))
+                    for k in range(1, npar + 1)]
+                   + [(pair(first[0], second[k]), pair(first[0], second[npar + k]))
+                      for k in range(1, npar + 1)])
+        return np.array([(objective(plus)[0] - objective(minus)[0]) / (2 * h)
+                         for plus, minus in stencil])
 
     # Rank feasible points by the penalized objective, not raw information:
     # within the feasibility tolerance the information of a near-identity
@@ -557,15 +522,13 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     while len(starts) < restarts:
         starts.append(rng.normal(scale=0.5, size=2 * npar))
 
-    h = 1e-5
     for theta in starts[:restarts]:
         theta = theta.astype(float).copy()
         f, info, err = evaluate(theta)
         consider(theta, f, info, err)
         step = 0.25
         for _ in range(iters):
-            grad = np.array([(objective(plus)[0] - objective(minus)[0]) / (2 * h)
-                             for plus, minus in _stencil_pairs(mode, probe_dim, theta, h)])
+            grad = gradient(theta)
             gnorm = np.linalg.norm(grad)
             if gnorm < 1e-12:
                 break

@@ -110,8 +110,8 @@ class ProtocolAConfig:
             raise ValueError("n must be at least 1")
         if self.m <= self.n:
             raise ValueError("m must exceed n")
-        if not 0.0 < self.check_fraction <= 1.0:
-            raise ValueError("check_fraction must be in (0, 1]")
+        if not 0.0 < self.check_fraction < 1.0:
+            raise ValueError("check_fraction must be in (0, 1)")
         check_thresholds(self.thresholds, CHECKS_A)
 
     @property
@@ -173,18 +173,16 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     ]
 
     reason = abort_reason(checks)
-    aborted = reason is not None
 
     keys: Optional[KeyMaterial] = None
-    if not aborted:
+    if reason is None:
         if not len(withheld2) or not len(withheld3):
-            aborted = True
             reason = "no undisclosed key particles remain"
         else:
             keys = derive_keys(alice[withheld2].tolist(), alice[withheld3].tolist())
 
     payoff = None
-    if not aborted and plan.target is not None:
+    if reason is None and plan.target is not None:
         # The attacker guesses the key-case bits; the truth is what the
         # party holding each share measured.
         truths = np.concatenate([bob.result[withheld2], charlie.result[withheld3]])
@@ -200,11 +198,10 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
                       symbol_string(_CHOICE_SYMBOL, announced_c)],
         "alice": [symbol_string(_BASIS_SYMBOL, basis), symbol_string(BIT_SYMBOL, alice)],
         "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
-        "aborted": aborted,
+        "aborted": reason is not None,
         "keys": None if keys is None else [keys.k_b, keys.k_c],
         "payoff": payoff,
     })
 
-    return RunReport(protocol="A", seed=seed, checks=checks, aborted=aborted,
-                     abort_reason=reason, keys=keys, payoff=payoff,
-                     digest=digest)
+    return RunReport(protocol="A", seed=seed, checks=checks, abort_reason=reason,
+                     keys=keys, payoff=payoff, digest=digest)

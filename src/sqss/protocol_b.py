@@ -105,9 +105,8 @@ def _abort_report(plan, seed, reason) -> RunReport:
     digest = transcript_digest({"schema": TRANSCRIPT_SCHEMA, "protocol": "B",
                                 "seed": seed, "attack": plan.attack_id,
                                 "abort": reason})
-    return RunReport(protocol="B", seed=seed, checks=(), aborted=True,
-                     abort_reason=reason, keys=None, payoff=None,
-                     digest=digest)
+    return RunReport(protocol="B", seed=seed, checks=(), abort_reason=reason,
+                     keys=None, payoff=None, digest=digest)
 
 
 def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
@@ -163,19 +162,17 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     untested_c = run_test(SIFT_C, charlie, "test_c")
 
     reason = abort_reason(checks)
-    aborted = reason is not None
 
     keys: Optional[KeyMaterial] = None
-    if not aborted:
+    if reason is None:
         if not len(untested_b) or not len(untested_c):
-            aborted = True
             reason = "no untested key particles remain"
         else:
             keys = derive_keys(_by_origin(outcomes, untested_b, origins, n),
                                _by_origin(outcomes, untested_c, origins, n))
 
     payoff = None
-    if not aborted and plan.target is not None:
+    if reason is None and plan.target is not None:
         # The attacker guesses the untested SIFT bits each party prepared.
         origins_b, origins_c = origins[untested_b], origins[untested_c]
         guess_b, guess_c = plan.guess_b(bob_order, classes, origins, rng)
@@ -193,11 +190,10 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
         "charlie_pub": charlie_order.tolist(),
         "outcomes": symbol_string(BIT_SYMBOL, outcomes),
         "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
-        "aborted": aborted,
+        "aborted": reason is not None,
         "keys": None if keys is None else [keys.k_b, keys.k_c],
         "payoff": payoff,
     })
 
-    return RunReport(protocol="B", seed=seed, checks=checks, aborted=aborted,
-                     abort_reason=reason, keys=keys, payoff=payoff,
-                     digest=digest)
+    return RunReport(protocol="B", seed=seed, checks=checks, abort_reason=reason,
+                     keys=keys, payoff=payoff, digest=digest)

@@ -315,7 +315,6 @@ class RunReport(_FieldView):
     protocol: str
     seed: int
     checks: tuple[CheckVerdict, ...]
-    aborted: bool
     abort_reason: Optional[str]
     keys: Optional[KeyMaterial]
     payoff: Optional[dict]
@@ -323,6 +322,10 @@ class RunReport(_FieldView):
 
     def __post_init__(self):
         object.__setattr__(self, "checks", _shared_checks(tuple(self.checks)))
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     @property
     def transcript_digest(self) -> str:

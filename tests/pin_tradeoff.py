@@ -1,28 +1,55 @@
-"""Print a digest of the tradeoff points of a fixed set of searches.
+"""Print digests of a fixed set of searches and of pair evaluations.
 
     PYTHONPATH=src python3 tests/pin_tradeoff.py
 
-Each line is one ``constrained_search`` call and the sha256 of ``repr`` of
-its ``TradeoffPoint``; the last line is the sha256 of the ``repr`` of all the
-points in order.  A change that should leave the search bit for bit as it
-was must print the same digests as its parent on the same machine.  The
-float bits depend on the BLAS and LAPACK builds, so the digests are compared
-between two checkouts on one machine and are not pinned in a test.
+Each search line is one ``constrained_search`` call and the sha256 of
+``repr`` of its ``TradeoffPoint``; the ``all`` line is the sha256 of the
+``repr`` of all the points in order.  The ``pairs`` line is the sha256 of the
+``repr`` of ``error_profile`` (with and without the mode),
+``probe_distinguishability`` and ``theorem_check`` on a fixed set of pairs:
+per mode and probe dimension 1-3, 16 seeded random pairs, 16 seeded
+zero-error pairs, the identity pair and, from dimension 2, the bit-copy pair.
+A change that should leave the analysis bit for bit as it was must print the
+same digests as its parent on the same machine.  The float bits depend on the
+BLAS and LAPACK builds, so the digests are compared between two checkouts on
+one machine and are not pinned in a test.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from sqss.em_analysis import constrained_search
+import numpy as np
+
+from sqss.em_analysis import (
+    bit_copy_pair,
+    constrained_search,
+    error_profile,
+    identity_pair,
+    probe_distinguishability,
+    random_pair,
+    random_zero_error_pair,
+    theorem_check,
+)
 
 # (mode, epsilon, restarts, iters, seed) at probe dimension 2.
 SEARCHES = ([(mode, eps, 2, 1, 0) for mode in ("A", "B") for eps in (0.0, 0.05, 0.1, 0.25)]
             + [("A", 0.1, 3, 6, 1), ("B", 0.0, 3, 6, 1), ("B", 0.1, 3, 6, 1)])
+PAIRS_PER_KIND = 16
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pairs(mode: str, d: int) -> list:
+    rng = np.random.default_rng((7, ord(mode), d))
+    out = [random_pair(mode, d, rng) for _ in range(PAIRS_PER_KIND)]
+    out += [random_zero_error_pair(mode, d, rng) for _ in range(PAIRS_PER_KIND)]
+    out.append(identity_pair(mode, d))
+    if d >= 2:
+        out.append(bit_copy_pair(mode, d))
+    return out
 
 
 def main() -> None:
@@ -33,6 +60,10 @@ def main() -> None:
         print(f"{mode} eps={eps} restarts={restarts} iters={iters} seed={seed}: "
               f"{sha256(repr(point))}")
     print(f"all: {sha256(repr(points))}")
+    evaluations = [(error_profile(p), error_profile(p, mode), probe_distinguishability(p),
+                    theorem_check(p))
+                   for mode in ("A", "B") for d in (1, 2, 3) for p in pairs(mode, d)]
+    print(f"pairs: {sha256(repr(evaluations))}")
 
 
 if __name__ == "__main__":

@@ -68,6 +68,20 @@ def test_csv_to_stdout_rejected(tmp_path, monkeypatch, capsys):
     assert "csv output requires --output" in capsys.readouterr().err
 
 
+def test_check_fraction_of_one_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
+    """``check_fraction`` 1.0 discloses every case-2/3 particle, so every run
+    would abort with no key; it is rejected before the first trial runs."""
+    config = _write_config(tmp_path, {"protocol": "a", "trials": 20,
+                                      "params": {"n": 6, "m": 14, "check_fraction": 1.0}})
+
+    def never(cfg):
+        raise AssertionError("the experiment ran before the config check")
+
+    monkeypatch.setattr(cli, "monte_carlo", never)
+    assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
+    assert "check_fraction must be in (0, 1)" in capsys.readouterr().err
+
+
 def test_output_config_key_exits_2(tmp_path, monkeypatch, capsys):
     """A config-file ``output`` key was once accepted and ignored; the report
     goes where --output says, so the key is now unknown."""

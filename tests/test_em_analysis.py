@@ -1,5 +1,7 @@
 """Tests for the two-unitary probe attack analysis and tradeoff search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,16 +24,34 @@ from sqss.em_analysis import (
     unitary_from_params,
 )
 from sqss.oracle import detection_oracle
-from sqss.qstate import PrepState
+from sqss.qstate import PrepState, lift, prepare
 
 
 def test_branch_decompose_identity():
-    branches = em_analysis._measured_branches(identity_pair("A", 2))
+    branches, reflected = em_analysis._measured_branches(identity_pair("A", 2))
     z0 = branches[(PrepState.ZERO, 0)][0]
     assert np.allclose(z0, [1, 0])
     assert np.allclose(branches[(PrepState.ZERO, 1)][0], 0)
     plus0 = branches[(PrepState.PLUS, 0)][0]
     assert np.linalg.norm(plus0) == pytest.approx(1 / np.sqrt(2))
+    # Both parties reflecting leaves every preparation as it was.
+    for s, row in zip(em_analysis.PREPS, em_analysis._prep_rows(2)):
+        assert np.array_equal(reflected[s], row)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_prep_rows_equal_lifted_preparations(d):
+    """The analysis's preparation rows are the lifted BB84 states, bit for
+    bit, in ``PREPS`` order, and they cannot be written."""
+    rows = em_analysis._prep_rows(d)
+    assert em_analysis.PREPS == tuple(PrepState)
+    assert rows.shape == (len(PrepState), 2 * d)
+    for s, row in zip(PrepState, rows):
+        assert np.array_equal(row, lift(prepare(s), d).amps)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+    assert em_analysis._prep_rows(d) is rows
 
 
 def test_identity_pair_induces_no_error_or_information():
@@ -76,23 +96,30 @@ def test_theorem_check_verdicts():
     assert noisy.max_error == pytest.approx(0.25)
 
 
+def _record_tables(monkeypatch, mode):
+    """Patch mode's entry in ``_MODES`` so its table builder logs each pair
+    it is given; returns the log."""
+    entry = em_analysis._MODES[mode]
+    pairs = []
+
+    def recording(pair):
+        pairs.append(pair)
+        return entry.table(pair)
+
+    monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=recording))
+    return pairs
+
+
 def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
     """Each mode builds its table once per theorem_check and every check
     reads it: the branch table in mode A, the chain states in mode B."""
     rng = np.random.default_rng(19)
-    for mode, table_fn in (("A", "_measured_branches"), ("B", "_chain_states_b")):
+    for mode in ("A", "B"):
         pair = random_zero_error_pair(mode, 2, rng)
-        calls = []
-        build = getattr(em_analysis, table_fn)
-
-        def counting(*args, build=build, calls=calls):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(em_analysis, table_fn, counting)
+        calls = _record_tables(monkeypatch, mode)
         verdict = theorem_check(pair)
         assert verdict.zero_error and verdict.holds
-        assert len(calls) == 1
+        assert calls == [pair]
         # Sharing the table changes no value.
         assert verdict.max_error == error_profile(pair).max_rate
         assert verdict.distinguishability == probe_distinguishability(pair)
@@ -233,42 +260,96 @@ def test_stacked_unitaries_equal_unitary_from_params_row_by_row():
         em_analysis.unitaries_from_params(np.zeros(16), 2)
 
 
+def _record_search(monkeypatch, mode):
+    """Log, in order, each stacked unitary build (``("stack", rows)``) and
+    each evaluation (``("eval", pair, rates, info)``) the search makes."""
+    entry = em_analysis._MODES[mode]
+    events = []
+    build = em_analysis.unitaries_from_params
+
+    def stacking(params, probe_dim):
+        events.append(("stack", np.array(params)))
+        return build(params, probe_dim)
+
+    def evaluating(pair):
+        table = entry.table(pair)
+        events.append(("eval", pair, entry.profile(table), entry.info(table)))
+        return table
+
+    monkeypatch.setattr(em_analysis, "unitaries_from_params", stacking)
+    monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=evaluating))
+    return events
+
+
+def _stencils(events, npar):
+    """Each gradient step's theta, its 4·npar stencil evaluations and the
+    event after them: two stacked builds of 2·npar + 1 rows, then the
+    evaluations they feed."""
+    out = []
+    for i, event in enumerate(events):
+        if event[0] == "stack" and len(event[1]) == 2 * npar + 1:
+            if events[i + 1][0] == "stack":
+                theta = np.concatenate([event[1][0], events[i + 1][1][0]])
+                end = i + 2 + 4 * npar
+                out.append((theta, events[i + 2:end], events[end] if end < len(events) else None))
+    return out
+
+
 @pytest.mark.parametrize("mode", ["A", "B"])
 @pytest.mark.parametrize("d", [2, 3])
-def test_stencil_objectives_equal_public_path_evaluations(mode, d):
-    """Every stencil point's pair and objective equal those of building the
-    point with ``pair_from_params`` and reading ``error_profile`` and
-    ``probe_distinguishability``, compared with ``==``."""
-    rng = np.random.default_rng((31, d, ord(mode)))
+def test_stencil_objectives_equal_public_path_evaluations(monkeypatch, mode, d):
+    """Every stencil point the search evaluates is the pair of building the
+    point with ``pair_from_params``, and its table reads the same rates and
+    information as ``error_profile`` and ``probe_distinguishability`` do,
+    compared with ``==``.  The penalized objectives of those readings, at
+    both penalty weights, give the gradient whose unit step is the first
+    line-search point, bit for bit.  Three starts give three steps: the
+    identity, the bit copy and a seeded random theta."""
     npar, h = params_dim(d), 1e-5
-    theta = rng.normal(scale=0.5, size=2 * npar)
-    stencil = list(em_analysis._stencil_pairs(mode, d, theta, h))
-    assert len(stencil) == 2 * npar
-    objectives = {eps: em_analysis._search_objective(mode, eps) for eps in (0.0, 0.1)}
-    for k, pairs in enumerate(stencil):
-        bump = np.zeros(2 * npar)
-        bump[k] = h
-        for pair, point in zip(pairs, (theta + bump, theta - bump)):
-            public = pair_from_params(mode, d, point[:npar], point[npar:])
-            assert np.array_equal(pair.first, public.first)
-            assert np.array_equal(pair.second, public.second)
-            err = error_profile(public).max_rate
-            info = probe_distinguishability(public)
-            for eps, objective in objectives.items():
-                lam = 1e7 if eps < 1e-6 else 1e3
-                assert objective(pair) == (info - lam * max(err - eps, 0.0), info, err)
+    events = _record_search(monkeypatch, mode)
+    for eps in (0.0, 0.1):
+        events.clear()
+        constrained_search(mode, eps, probe_dim=d, restarts=3, iters=1, seed=31)
+        stencils = _stencils(events, npar)
+        assert len(stencils) == 3
+        lam = 1e7 if eps < 1e-6 else 1e3
+        line_searches = 0
+        for theta, evaluations, after in stencils:
+            assert [e[0] for e in evaluations] == ["eval"] * (4 * npar)
+            objectives = []
+            for k in range(2 * npar):
+                bump = np.zeros(2 * npar)
+                bump[k] = h
+                for event, point in zip(evaluations[2 * k:2 * k + 2],
+                                        (theta + bump, theta - bump)):
+                    _, pair, rates, info = event
+                    public = pair_from_params(mode, d, point[:npar], point[npar:])
+                    assert np.array_equal(pair.first, public.first)
+                    assert np.array_equal(pair.second, public.second)
+                    assert rates == error_profile(public).rates
+                    assert info == probe_distinguishability(public)
+                    objectives.append(info - lam * max(max(rates.values()) - eps, 0.0))
+            grad = np.array([(objectives[2 * k] - objectives[2 * k + 1]) / (2 * h)
+                             for k in range(2 * npar)])
+            gnorm = np.linalg.norm(grad)
+            if gnorm >= 1e-12:
+                # The search leaves a start only on a vanishing gradient.
+                line_searches += 1
+                assert after[0] == "stack" and after[1].shape == (2, npar)
+                assert np.array_equal(after[1].ravel(), theta + 0.25 * (grad / gnorm))
+        assert line_searches >= 1
 
 
 def test_search_builds_one_table_per_evaluation(monkeypatch):
     """Each evaluation of the search builds its mode's table once and reads
-    the error and the information from it; each gradient step builds each
-    half's stencil unitaries in one stacked call.  With ``iters=1`` every
-    start takes exactly one gradient step."""
+    the error and the information from it; a point's pair comes from one
+    2-row stacked call, and each gradient step builds each half's stencil
+    unitaries in one stacked call.  With ``iters=1`` every start takes exactly
+    one gradient step."""
     npar = params_dim(2)
-    for mode, table_fn in (("A", "_measured_branches"), ("B", "_chain_states_b")):
+    for mode in ("A", "B"):
         expected = constrained_search(mode, 0.1, restarts=2, iters=1)
-        calls = {name: [] for name in (table_fn, "pair_from_params",
-                                       "unitaries_from_params", "error_profile",
+        calls = {name: [] for name in ("unitary_from_params", "error_profile",
                                        "probe_distinguishability")}
         for name, log in calls.items():
             def counting(*args, fn=getattr(em_analysis, name), log=log):
@@ -276,19 +357,29 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
                 return fn(*args)
 
             monkeypatch.setattr(em_analysis, name, counting)
+        events = _record_search(monkeypatch, mode)
         point = constrained_search(mode, 0.1, restarts=2, iters=1)
         monkeypatch.undo()
         assert point == expected
         steps = 2
-        stacked = [args[0].shape for args in calls["unitaries_from_params"]
-                   if len(args[0]) > 1]
+        shapes = [event[1].shape for event in events if event[0] == "stack"]
+        stacked = [shape for shape in shapes if shape != (2, npar)]
         assert stacked == [(2 * npar + 1, npar)] * (2 * steps)
-        # The other stacked-builder calls are single rows, two per built pair.
-        assert len(calls["unitaries_from_params"]) - len(stacked) == (
-            2 * len(calls["pair_from_params"]))
-        evaluations = len(calls["pair_from_params"]) + steps * 4 * npar
-        assert len(calls[table_fn]) == evaluations
-        assert calls["error_profile"] == calls["probe_distinguishability"] == []
+        points = len(shapes) - len(stacked)
+        evaluations = [event for event in events if event[0] == "eval"]
+        assert len(evaluations) == points + steps * 4 * npar
+        assert calls == {"unitary_from_params": [], "error_profile": [],
+                         "probe_distinguishability": []}
+
+
+def _never_build(monkeypatch):
+    """Make every unitary or table build fail."""
+    def never(*args, **kwargs):
+        raise AssertionError("the search built a unitary before checking its args")
+
+    monkeypatch.setattr(em_analysis, "unitaries_from_params", never)
+    for mode, entry in list(em_analysis._MODES.items()):
+        monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=never))
 
 
 @pytest.mark.parametrize("bad", [{"iters": 2.5}, {"seed": -1}, {"epsilon": "0.1"}],
@@ -297,12 +388,20 @@ def test_search_checks_args_before_building_a_unitary(monkeypatch, bad):
     """The search reads neither the public ``error_profile`` nor
     ``probe_distinguishability``; no unitary or table is built before its
     arguments are checked."""
-    def never(*args, **kwargs):
-        raise AssertionError("the search built a unitary before checking its args")
-
-    for name in ("unitaries_from_params", "_measured_branches", "_chain_states_b"):
-        monkeypatch.setattr(em_analysis, name, never)
+    _never_build(monkeypatch)
     args = {"epsilon": 0.1, "restarts": 1, "iters": 1, "seed": 0, **bad}
     for mode in ("A", "B"):
         with pytest.raises(ValueError):
             constrained_search(mode, **args)
+
+
+@pytest.mark.parametrize("mode", ["C", "a"])
+def test_search_rejects_an_unknown_mode_up_front(monkeypatch, mode):
+    """A mode other than "A" or "B" is rejected by name before any unitary
+    or table is built, by the search and by its argument check alike."""
+    _never_build(monkeypatch)
+    message = f"mode must be 'A' or 'B', got '{mode}'"
+    with pytest.raises(ValueError, match=message):
+        constrained_search(mode, 0.1, restarts=1, iters=1)
+    with pytest.raises(ValueError, match=message):
+        em_analysis.check_search_args(mode, 0.1, 2, 1, 1, 0)

@@ -106,6 +106,19 @@ def test_config_from_dict_rejects_mistyped_protocol_params(protocol, params, fie
         config_from_dict({"protocol": protocol, "params": params})
 
 
+@pytest.mark.parametrize("protocol, params, field", [
+    ("A", {"n": 5, "m": 12, "check_fraction": 1.0}, "check_fraction"),
+    ("A", {"n": 5, "m": 12, "check_fraction": 0.0}, "check_fraction"),
+    ("B", {"n": 8, "test_fraction": 1.0}, "test_fraction"),
+], ids=["a-every-particle", "a-none", "b-every-particle"])
+def test_config_from_dict_rejects_fractions_outside_the_open_unit_interval(
+        protocol, params, field):
+    """A fraction of 1.0 tests every key particle, so every run would abort
+    with no key; it is a config error like 0.0."""
+    with pytest.raises(ConfigError, match=rf"^bad protocol params: {field} must be in \(0, 1\)$"):
+        config_from_dict({"protocol": protocol, "params": params})
+
+
 @pytest.mark.parametrize("data", [{"protocol": None},
                                   {"protocol": "c", "params": {"n": 5, "m": 10}}],
                          ids=["null", "unknown-with-a-params"])

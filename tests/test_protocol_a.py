@@ -36,6 +36,9 @@ def test_config_validation():
         ProtocolAConfig(n=0, m=5)
     with pytest.raises(ValueError):
         ProtocolAConfig(n=5, m=10, check_fraction=0.0)
+    # Disclosing every case-2/3 particle leaves no key, so every run would abort.
+    with pytest.raises(ValueError, match=r"check_fraction must be in \(0, 1\)"):
+        ProtocolAConfig(n=5, m=10, check_fraction=1.0)
     with pytest.raises(ValueError):
         ProtocolAConfig(n=5, m=10, thresholds={"case1": 0.05})
 
