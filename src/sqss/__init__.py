@@ -34,7 +34,7 @@ from .harness import (
     write_report,
 )
 from .oracle import detection_oracle
-from .protocol_a import CaseLabel, ProtocolAConfig, classify_case, run_protocol_a
+from .protocol_a import ProtocolAConfig, run_protocol_a
 from .protocol_b import ProtocolBConfig, resolve_orders, run_protocol_b
 from .qstate import (
     Basis,
@@ -49,7 +49,6 @@ from .qstate import (
 )
 from .runtime import (
     CheckVerdict,
-    Choice,
     KeyMaterial,
     Leg,
     ParticleBatch,

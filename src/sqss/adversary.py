@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qstate import BASES, Basis, apply_unitary_batch, check_unitary
+from .qstate import Basis, apply_unitary_batch, check_unitary
 from .runtime import (
     CTRL,
     LEG_ORDER,
@@ -29,8 +29,6 @@ from .runtime import (
     check_int,
     random_subset,
 )
-
-_Z = BASES.index(Basis.Z)  # measurement bases are indices into qstate.BASES
 
 
 class UnsupportedAttackError(ValueError):
@@ -194,7 +192,7 @@ class AdversaryKnowledge:
             return self.fake_bits[positions]
         if self.retained is None:
             return np.full(len(positions), -1, dtype=np.int8)
-        bits = self.retained.measure(positions, _Z, rng)
+        bits = self.retained.measure(positions, Basis.Z, rng)
         self.record(positions, bits, "retained-measurement")
         return bits
 
@@ -232,7 +230,7 @@ class HonestPartyA:
         positions = np.flatnonzero(measured)
         self.measured = measured
         self.result = np.full(len(batch), -1, dtype=np.int8)
-        self.result[positions] = batch.measure(positions, _Z, rng)
+        self.result[positions] = batch.measure(positions, Basis.Z, rng)
         return positions
 
     def act(self, batch: ParticleBatch, rng):
@@ -297,7 +295,7 @@ class SwapBackPartyA(_Insider, HonestPartyA):
 def measure_all_interceptor(knowledge: AdversaryKnowledge):
     def intercept(batch, leg, rng):
         positions = np.arange(len(batch))
-        knowledge.record(positions, batch.measure(positions, _Z, rng),
+        knowledge.record(positions, batch.measure(positions, Basis.Z, rng),
                          "intercept-measurement")
         return batch
     return intercept
@@ -379,7 +377,7 @@ class MeasureResendPartyB(_Insider, HonestPartyB):
 
     def process(self, incoming, rng):
         positions = np.arange(len(incoming))
-        self.knowledge.record(positions, incoming.measure(positions, _Z, rng),
+        self.knowledge.record(positions, incoming.measure(positions, Basis.Z, rng),
                               "own-measurement")
         return super().process(incoming, rng)
 

@@ -17,51 +17,16 @@ from typing import Callable, Optional
 from .adversary import resolve_attack
 from .protocol_a import CHECKS_A
 from .protocol_b import CHECKS_B
-from .qstate import BASIS_OF_CODE, EXPECTED_OF_CODE, Basis, PrepState, basis_of, expected_outcome
-
-HALF = Fraction(1, 2)
-
-_Z_STATE = {0: PrepState.ZERO, 1: PrepState.ONE}
-_X_STATE = {0: PrepState.PLUS, 1: PrepState.MINUS}
-
-
-def measurement_distribution(state: PrepState, basis: Basis) -> dict[int, Fraction]:
-    """Exact outcome distribution for measuring one of the four states."""
-    if basis_of(state) is basis:
-        return {expected_outcome(state): Fraction(1)}
-    return {0: HALF, 1: HALF}
-
-
-def collapsed_state(basis: Basis, outcome: int) -> PrepState:
-    return (_Z_STATE if basis is Basis.Z else _X_STATE)[outcome]
-
-
-def chained_measurement_distribution(prep: PrepState, bases) -> dict[int, Fraction]:
-    """Distribution of the final outcome after measuring in each basis in turn
-    (each measurement collapses the state)."""
-    dist = {prep: Fraction(1)}
-    final: dict[int, Fraction] = {}
-    for i, basis in enumerate(bases):
-        nxt: dict[PrepState, Fraction] = {}
-        for state, p in dist.items():
-            for outcome, q in measurement_distribution(state, basis).items():
-                if i == len(bases) - 1:
-                    final[outcome] = final.get(outcome, Fraction(0)) + p * q
-                else:
-                    c = collapsed_state(basis, outcome)
-                    nxt[c] = nxt.get(c, Fraction(0)) + p * q
-        dist = nxt
-    return final
-
+from .qstate import BASIS_OF_CODE, EXPECTED_OF_CODE
 
 # ---------------------------------------------------------------------------
 # Branch-tree enumeration machinery.
 #
-# A particle is its BB84 code (see qstate.BB84; a basis is 0 for Z, 1 for X,
-# and a Z-basis state's code is its bit).  A branch is (code, env, k): env
-# carries recorded bits (the attacker's measurement records, fake-state bits,
-# honest parties' results) so mismatch predicates can correlate them exactly,
-# and the branch has weight 2**-k.  A step expands one (code, env) into
+# A particle is its BB84 code (a qstate.PrepState's value; a basis is 0 for
+# Z, 1 for X, and a Z-basis state's code is its bit).  A branch is
+# (code, env, k): env carries recorded bits (the attacker's measurement
+# records, fake-state bits, honest parties' results) so mismatch predicates
+# can correlate them exactly, and the branch has weight 2**-k.  A step expands one (code, env) into
 # successors (code, env, halvings added).
 
 _BASIS = BASIS_OF_CODE.tolist()

@@ -9,27 +9,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
-    BASES,
-    BB84,
     BB84_SYMBOL,
     EXPECTED_OF_CODE,
-    Basis,
-    PrepState,
-    basis_of,
     measure_qubit,  # noqa: F401 -- a module binding for call-site tracing (perfbench)
 )
 from .runtime import (
     BIT_SYMBOL,
     TRANSCRIPT_SCHEMA,
     CheckVerdict,
-    Choice,
     KeyMaterial,
     Leg,
     ParticleBatch,
@@ -56,43 +49,17 @@ def default_thresholds(value: float = DEFAULT_THRESHOLD) -> dict[str, float]:
     return {check: value for check in CHECKS_A}
 
 
-class CaseLabel(Enum):
-    CASE1 = 1
-    CASE2 = 2
-    CASE3 = 3
-    CASE4 = 4
-
-
-_CASES = {
-    (Choice.MEASURE, Choice.MEASURE): CaseLabel.CASE1,
-    (Choice.MEASURE, Choice.REFLECT): CaseLabel.CASE2,
-    (Choice.REFLECT, Choice.MEASURE): CaseLabel.CASE3,
-    (Choice.REFLECT, Choice.REFLECT): CaseLabel.CASE4,
-}
-
-
-def classify_case(bob: Choice, charlie: Choice) -> CaseLabel:
-    """Map announced (Bob, Charlie) choices onto the four protocol cases."""
-    return _CASES[(bob, charlie)]
-
-
-def alice_basis(case: CaseLabel, prepared: PrepState) -> Basis:
-    """Cases 1-3 are measured in Z; case 4 in the particle's preparation basis."""
-    if case is CaseLabel.CASE4:
-        return basis_of(prepared)
-    return Basis.Z
-
-
-# The same two rules as arrays: an announcement is True for MEASURE, a case
-# is its index in CaseLabel, a basis its index in BASES.
-_CHOICES = (Choice.REFLECT, Choice.MEASURE)
-_CASE_OF = np.array([[list(CaseLabel).index(classify_case(b, c)) for c in _CHOICES]
-                     for b in _CHOICES], dtype=np.intp)
-_ALICE_BASIS = np.array([[BASES.index(alice_basis(case, s)) for s in BB84]
-                         for case in CaseLabel], dtype=np.int8)
-# Transcript symbols: an announcement's initial ("R" or "M") and a basis.
-_CHOICE_SYMBOL = np.array([c.value[0] for c in _CHOICES], dtype="S1")
-_BASIS_SYMBOL = np.array([b.value for b in BASES], dtype="S1")
+# An announcement is 1 for MEASURE and 0 for REFLECT, and a case is its
+# index: case 1 is (MEASURE, MEASURE), case 2 (MEASURE, REFLECT), case 3
+# (REFLECT, MEASURE) and case 4 (REFLECT, REFLECT), by (Bob, Charlie).
+_CASE_OF = np.array([[3, 2], [1, 0]], dtype=np.intp)
+# Alice's basis per (case, BB84 code): Z in cases 1-3; in case 4, the
+# particle's preparation basis (qstate.BASIS_OF_CODE).
+_ALICE_BASIS = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]],
+                        dtype=np.int8)
+# Transcript symbols: an announcement's initial and a basis.
+_CHOICE_SYMBOL = np.frombuffer(b"RM", dtype="S1")
+_BASIS_SYMBOL = np.frombuffer(b"ZX", dtype="S1")
 
 
 @dataclass(frozen=True)
@@ -150,7 +117,7 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     case = _CASE_OF[announced_b, announced_c]
 
     # Alice measures case by case, each case in position order.
-    c1, c2, c3, c4 = members = [np.flatnonzero(case == i) for i in range(len(CaseLabel))]
+    c1, c2, c3, c4 = members = [np.flatnonzero(case == i) for i in range(4)]
     basis = _ALICE_BASIS[case, preps]
     order = np.concatenate(members)
     alice = np.empty(len(batch), dtype=np.int8)

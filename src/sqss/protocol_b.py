@@ -67,6 +67,10 @@ class ProtocolBConfig:
             raise ValueError("n must be at least 2")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
+        # Each party's n key carriers lose ceil(test_fraction * n) to the test.
+        if math.ceil(self.test_fraction * self.n) >= self.n:
+            raise ValueError(f"test_fraction must leave a key particle untested, but "
+                             f"ceil({self.test_fraction!r} * {self.n}) tests all {self.n}")
         check_thresholds(self.thresholds, CHECKS_B)
 
 
@@ -165,11 +169,9 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
 
     keys: Optional[KeyMaterial] = None
     if reason is None:
-        if not len(untested_b) or not len(untested_c):
-            reason = "no untested key particles remain"
-        else:
-            keys = derive_keys(_by_origin(outcomes, untested_b, origins, n),
-                               _by_origin(outcomes, untested_c, origins, n))
+        # The config leaves each party's untested carriers non-empty.
+        keys = derive_keys(_by_origin(outcomes, untested_b, origins, n),
+                           _by_origin(outcomes, untested_c, origins, n))
 
     payoff = None
     if reason is None and plan.target is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -20,42 +20,34 @@ MIN_BRANCH_PROB = 1e-15
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-class Basis(Enum):
-    Z = "Z"
-    X = "X"
+class Basis(IntEnum):
+    """A measurement basis; its value is the basis index, 0 for Z, 1 for X."""
+
+    Z = 0
+    X = 1
 
 
-class PrepState(Enum):
-    ZERO = "0"
-    ONE = "1"
-    PLUS = "+"
-    MINUS = "-"
+class PrepState(IntEnum):
+    """One of the four BB84 states; its value is the state's BB84 code, the
+    code a particle is stored as (0: |0>, 1: |1>, 2: |+>, 3: |->)."""
+
+    ZERO = 0
+    ONE = 1
+    PLUS = 2
+    MINUS = 3
 
 
-def basis_of(s: PrepState) -> Basis:
-    """Preparation basis of one of the four protocol states."""
-    return Basis.Z if s in (PrepState.ZERO, PrepState.ONE) else Basis.X
-
-
-def expected_outcome(s: PrepState) -> int:
-    """Measurement outcome bit an undisturbed state yields in its own basis.
-
-    X-basis outcomes use the global convention 0 = plus, 1 = minus.
-    """
-    return 0 if s in (PrepState.ZERO, PrepState.PLUS) else 1
-
-
-# Amplitudes (amp0, amp1) of each PrepState, row i for its BB84 code i (see
-# BB84 below); read-only.
+# Amplitudes (amp0, amp1) of each BB84 code's state, row i for code i;
+# read-only.
 BB84_AMPS = np.array([[1.0, 0.0], [0.0, 1.0],
                       [_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex)
 BB84_AMPS.setflags(write=False)
-_AMPS_OF = dict(zip(PrepState, BB84_AMPS))
 
 
 def prepare(s: PrepState) -> np.ndarray:
-    """Canonical (read-only) amplitude vector for one of the four protocol states."""
-    return _AMPS_OF[s]
+    """Canonical (read-only) amplitude vector for one of the four protocol
+    states; ``s`` is a ``PrepState`` or its code, and any other value raises."""
+    return BB84_AMPS[PrepState(s)]
 
 
 def zstate(bit: int) -> np.ndarray:
@@ -63,7 +55,7 @@ def zstate(bit: int) -> np.ndarray:
 
 
 def basis_state(basis: Basis, bit: int) -> np.ndarray:
-    if basis is Basis.Z:
+    if basis == Basis.Z:
         return zstate(bit)
     return prepare(PrepState.MINUS if bit else PrepState.PLUS)
 
@@ -84,7 +76,7 @@ def _draw(p0: float, rng: np.random.Generator) -> int:
 
 def _bare_p0(v: np.ndarray, basis: Basis) -> float:
     """Probability of outcome 0 when a bare qubit is measured in ``basis``."""
-    if basis is Basis.Z:
+    if basis == Basis.Z:
         return abs(v[0]) ** 2
     return abs((v[0] + v[1]) * _INV_SQRT2) ** 2
 
@@ -96,19 +88,18 @@ def measure(state: np.ndarray, basis: Basis,
     return outcome, basis_state(basis, outcome)
 
 
-# Layers of bare protocol states as arrays.  A particle's state is its BB84
-# code, the index of its PrepState (0: |0>, 1: |1>, 2: |+>, 3: |->); a basis
-# is 0 for Z and 1 for X.
-BB84 = tuple(PrepState)
-BASES = (Basis.Z, Basis.X)
-BASIS_OF_CODE = np.array([BASES.index(basis_of(s)) for s in BB84], dtype=np.int8)
-EXPECTED_OF_CODE = np.array([expected_outcome(s) for s in BB84], dtype=np.int8)
-# Each code's symbol in a transcript: its PrepState value as one byte.
-BB84_SYMBOL = np.array([s.value for s in BB84], dtype="S1")
+# Layers of bare protocol states as arrays: a particle is its BB84 code
+# (a PrepState's value) and a basis its index (a Basis's value).
+# |0> and |1> are Z states, |+> and |-> X states; an undisturbed state
+# measured in its own basis gives 0 for |0> and |+>, 1 for |1> and |->.
+BASIS_OF_CODE = np.array([0, 0, 1, 1], dtype=np.int8)
+EXPECTED_OF_CODE = np.array([0, 1, 0, 1], dtype=np.int8)
+# Each code's symbol in a transcript, one byte per state.
+BB84_SYMBOL = np.frombuffer(b"01+-", dtype="S1")
 # P(0) per (code, basis) from measure's own formula, so the draws compare
 # against the same floats; the outcome where _draw's thresholds make it
 # certain, else -1; and the code each (basis, outcome) collapses onto.
-_CODE_P0 = np.array([[_bare_p0(v, b) for b in BASES] for v in BB84_AMPS])
+_CODE_P0 = np.array([[_bare_p0(v, b) for b in Basis] for v in BB84_AMPS])
 _CODE_CERTAIN = np.where(_CODE_P0 < MIN_BRANCH_PROB, 1,
                          np.where(1.0 - _CODE_P0 < MIN_BRANCH_PROB, 0, -1)).astype(np.int8)
 _COLLAPSED_CODE = np.array([[0, 1], [2, 3]], dtype=np.int8)  # Z: |0>, |1>; X: |+>, |->
@@ -208,7 +199,7 @@ def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _branch(state: CompositeState, basis: Basis, bit: int) -> np.ndarray:
     """Unnormalized probe vector that travels with qubit outcome ``bit``."""
-    if basis is Basis.Z:
+    if basis == Basis.Z:
         return state.qubit_block(bit)
     # |+> (bit 0) or |-> (bit 1) branch.
     sign = -1.0 if bit else 1.0
@@ -225,7 +216,7 @@ def _project(probe: np.ndarray, weight: float, basis: Basis, bit: int,
     branch's probe vector and its weight."""
     probe = probe / math.sqrt(weight)
     amps = np.zeros(2 * d, dtype=complex)
-    if basis is Basis.Z:
+    if basis == Basis.Z:
         amps[bit * d:(bit + 1) * d] = probe
     else:
         amps[0:d] = _INV_SQRT2 * probe
@@ -240,7 +231,10 @@ def _collapse(state: CompositeState, basis: Basis, bit: int) -> CompositeState:
 
 def measure_qubit(state: CompositeState, basis: Basis,
                   rng: np.random.Generator) -> tuple[int, CompositeState]:
-    """Measure the qubit factor, projecting and renormalizing the joint state."""
+    """Measure the qubit factor, projecting and renormalizing the joint state.
+
+    ``basis`` is a ``Basis`` or its index (0 = Z, 1 = X).
+    """
     probe = _branch(state, basis, 0)
     p0 = _weight(probe)
     outcome = _draw(p0, rng)

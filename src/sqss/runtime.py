@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .qstate import BASES, BB84_AMPS, CompositeState, measure_codes, measure_qubit
+from .qstate import BB84_AMPS, CompositeState, measure_codes, measure_qubit
 
 
 class Leg(Enum):
@@ -21,11 +21,6 @@ class Leg(Enum):
 
 
 LEG_ORDER = (Leg.ALICE_TO_BOB, Leg.BOB_TO_CHARLIE, Leg.CHARLIE_TO_ALICE)
-
-
-class Choice(Enum):
-    MEASURE = "MEASURE"
-    REFLECT = "REFLECT"
 
 
 class SimulationError(RuntimeError):
@@ -47,8 +42,9 @@ CTRL, SIFT_B, SIFT_C = range(3)
 class ParticleBatch:
     """Particles in flight as parallel arrays; entry ``i`` is position ``i``.
 
-    ``code`` holds each bare particle's state as a BB84 code (see
-    ``qstate.BB84``).  ``probe`` is None until an entangle-measure leg writes
+    ``code`` holds each bare particle's state as its BB84 code: a
+    ``qstate.PrepState`` is its code, so ``PrepState.PLUS`` is 2 and
+    ``qstate.BB84_AMPS[code]`` its amplitudes.  ``probe`` is None until an entangle-measure leg writes
     it: then it is an ``(N, 2d)`` complex array, and a particle with code
     ``PROBED`` has its joint qubit-probe amplitudes (see
     ``qstate.CompositeState``) in its row.  The rows of bare particles are
@@ -107,7 +103,8 @@ class ParticleBatch:
 
     def measure(self, positions, bases, rng: np.random.Generator) -> np.ndarray:
         """Measure the particles at ``positions``, in that order, in ``bases``
-        (0 = Z, 1 = X; one per position, or one for all) and collapse them.
+        (basis indices, 0 = Z and 1 = X, as a ``qstate.Basis`` is; one per
+        position, or one for all) and collapse them.
 
         Runs of bare particles go through ``measure_codes`` and each probed
         particle through ``measure_qubit``, in position order, so the RNG
@@ -126,7 +123,7 @@ class ParticleBatch:
             if k < len(positions):
                 row = self.probe[positions[k]]
                 state = CompositeState._checked(row, len(row) // 2)
-                bits[k], state = measure_qubit(state, BASES[bases[k]], rng)
+                bits[k], state = measure_qubit(state, int(bases[k]), rng)
                 row[:] = state.amps
             start = k + 1
         return bits

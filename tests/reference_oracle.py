@@ -5,16 +5,60 @@ dyadic weights: every branch carries its probability as a ``Fraction`` and
 every particle is a ``PrepState``.  It offers the names the oracle's engine
 does (steps, final bases, mismatch predicates, preparation distributions and
 ``mismatch_probability``), so a test can build one step program on each
-module and compare the two results exactly.
+module and compare the two results exactly.  It also holds the exact
+single-particle measurement distributions the enumeration is built from.
 """
 
 from fractions import Fraction
 from typing import Optional
 
-from sqss.oracle import collapsed_state, measurement_distribution
-from sqss.qstate import Basis, PrepState, basis_of, expected_outcome
+from sqss.qstate import Basis, PrepState
 
 HALF = Fraction(1, 2)
+
+# The state each (basis, outcome) collapses onto; X outcomes are 0 = plus,
+# 1 = minus.
+_Z_STATE = {0: PrepState.ZERO, 1: PrepState.ONE}
+_X_STATE = {0: PrepState.PLUS, 1: PrepState.MINUS}
+
+
+def basis_of(s: PrepState) -> Basis:
+    """Preparation basis of one of the four protocol states."""
+    return Basis.Z if s in _Z_STATE.values() else Basis.X
+
+
+def expected_outcome(s: PrepState) -> int:
+    """Outcome an undisturbed state yields in its own basis."""
+    return 0 if s in (PrepState.ZERO, PrepState.PLUS) else 1
+
+
+def measurement_distribution(state: PrepState, basis: Basis) -> dict[int, Fraction]:
+    """Exact outcome distribution for measuring one of the four states."""
+    if basis_of(state) == basis:
+        return {expected_outcome(state): Fraction(1)}
+    return {0: HALF, 1: HALF}
+
+
+def collapsed_state(basis: Basis, outcome: int) -> PrepState:
+    return (_Z_STATE if basis == Basis.Z else _X_STATE)[outcome]
+
+
+def chained_measurement_distribution(prep: PrepState, bases) -> dict[int, Fraction]:
+    """Distribution of the final outcome after measuring in each basis in turn
+    (each measurement collapses the state)."""
+    dist = {prep: Fraction(1)}
+    final: dict[int, Fraction] = {}
+    for i, basis in enumerate(bases):
+        nxt: dict[PrepState, Fraction] = {}
+        for state, p in dist.items():
+            for outcome, q in measurement_distribution(state, basis).items():
+                if i == len(bases) - 1:
+                    final[outcome] = final.get(outcome, Fraction(0)) + p * q
+                else:
+                    c = collapsed_state(basis, outcome)
+                    nxt[c] = nxt.get(c, Fraction(0)) + p * q
+        dist = nxt
+    return final
 
 UNIFORM = [(s, Fraction(1, 4)) for s in PrepState]
 UNIFORM_Z = [(PrepState.ZERO, HALF), (PrepState.ONE, HALF)]

@@ -21,13 +21,15 @@ from sqss.em_analysis import (
     theorem_check,
 )
 from sqss.harness import monte_carlo, config_from_dict, wilson_interval
-from sqss.oracle import chained_measurement_distribution, detection_oracle
+from sqss.oracle import detection_oracle
 from sqss.protocol_a import ProtocolAConfig, run_protocol_a
 from sqss.protocol_a import default_thresholds as thresholds_a
 from sqss.protocol_b import ProtocolBConfig, run_protocol_b
 from sqss.protocol_b import default_thresholds as thresholds_b
 from sqss.qstate import Basis, PrepState
 from sqss.runtime import xor_keys
+
+from reference_oracle import chained_measurement_distribution
 
 Z4 = 4.0  # all statistical acceptance checks run at four sigma
 

@@ -106,16 +106,22 @@ def test_config_from_dict_rejects_mistyped_protocol_params(protocol, params, fie
         config_from_dict({"protocol": protocol, "params": params})
 
 
-@pytest.mark.parametrize("protocol, params, field", [
-    ("A", {"n": 5, "m": 12, "check_fraction": 1.0}, "check_fraction"),
-    ("A", {"n": 5, "m": 12, "check_fraction": 0.0}, "check_fraction"),
-    ("B", {"n": 8, "test_fraction": 1.0}, "test_fraction"),
-], ids=["a-every-particle", "a-none", "b-every-particle"])
+_OPEN_UNIT = r"be in \(0, 1\)"
+
+
+@pytest.mark.parametrize("protocol, params, field, rule", [
+    ("A", {"n": 5, "m": 12, "check_fraction": 1.0}, "check_fraction", _OPEN_UNIT),
+    ("A", {"n": 5, "m": 12, "check_fraction": 0.0}, "check_fraction", _OPEN_UNIT),
+    ("B", {"n": 8, "test_fraction": 1.0}, "test_fraction", _OPEN_UNIT),
+    ("B", {"n": 8, "test_fraction": 0.9}, "test_fraction",
+     r"leave a key particle untested, but ceil\(0\.9 \* 8\) tests all 8"),
+], ids=["a-every-particle", "a-none", "b-every-particle", "b-ceiling-every-particle"])
 def test_config_from_dict_rejects_fractions_outside_the_open_unit_interval(
-        protocol, params, field):
+        protocol, params, field, rule):
     """A fraction of 1.0 tests every key particle, so every run would abort
-    with no key; it is a config error like 0.0."""
-    with pytest.raises(ConfigError, match=rf"^bad protocol params: {field} must be in \(0, 1\)$"):
+    with no key; it is a config error like 0.0.  So is a protocol B fraction
+    below 1 whose ceiling still tests all n key particles."""
+    with pytest.raises(ConfigError, match=rf"^bad protocol params: {field} must {rule}$"):
         config_from_dict({"protocol": protocol, "params": params})
 
 

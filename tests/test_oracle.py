@@ -6,14 +6,12 @@ import pytest
 
 from sqss import oracle
 from sqss.adversary import UnsupportedAttackError, catalog_ids
-from sqss.oracle import (
-    chained_measurement_distribution,
-    detection_oracle,
-    measurement_distribution,
-)
+from sqss.oracle import detection_oracle
 from sqss.protocol_a import CHECKS_A
 from sqss.protocol_b import CHECKS_B
 from sqss.qstate import Basis, PrepState
+
+from reference_oracle import chained_measurement_distribution, measurement_distribution
 
 Q = Fraction
 ZERO, QUARTER, HALF = Q(0), Q(1, 4), Q(1, 2)

@@ -4,29 +4,32 @@ import pytest
 
 from sqss.adversary import parse_attack_id
 from sqss.protocol_a import (
-    CaseLabel,
+    _ALICE_BASIS,
+    _CASE_OF,
     ProtocolAConfig,
-    alice_basis,
-    classify_case,
     default_thresholds,
     run_protocol_a,
 )
 from sqss.qstate import Basis, PrepState
-from sqss.runtime import Choice, xor_keys
+from sqss.runtime import xor_keys
+
+# An announcement is 1 for MEASURE, 0 for REFLECT; case k has index k - 1.
+MEASURE, REFLECT = 1, 0
+CASE1, CASE2, CASE3, CASE4 = range(4)
 
 
 def test_case_classification_table():
-    assert classify_case(Choice.MEASURE, Choice.MEASURE) is CaseLabel.CASE1
-    assert classify_case(Choice.MEASURE, Choice.REFLECT) is CaseLabel.CASE2
-    assert classify_case(Choice.REFLECT, Choice.MEASURE) is CaseLabel.CASE3
-    assert classify_case(Choice.REFLECT, Choice.REFLECT) is CaseLabel.CASE4
+    assert _CASE_OF[MEASURE, MEASURE] == CASE1
+    assert _CASE_OF[MEASURE, REFLECT] == CASE2
+    assert _CASE_OF[REFLECT, MEASURE] == CASE3
+    assert _CASE_OF[REFLECT, REFLECT] == CASE4
 
 
 def test_final_basis_policy():
-    assert alice_basis(CaseLabel.CASE1, PrepState.MINUS) is Basis.Z
-    assert alice_basis(CaseLabel.CASE3, PrepState.PLUS) is Basis.Z
-    assert alice_basis(CaseLabel.CASE4, PrepState.MINUS) is Basis.X
-    assert alice_basis(CaseLabel.CASE4, PrepState.ZERO) is Basis.Z
+    assert _ALICE_BASIS[CASE1, PrepState.MINUS] == Basis.Z
+    assert _ALICE_BASIS[CASE3, PrepState.PLUS] == Basis.Z
+    assert _ALICE_BASIS[CASE4, PrepState.MINUS] == Basis.X
+    assert _ALICE_BASIS[CASE4, PrepState.ZERO] == Basis.Z
 
 
 def test_config_validation():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from sqss.protocol_a import _ALICE_BASIS
 from sqss.qstate import (
-    BASES,
-    BB84,
+    _COLLAPSED_CODE,
+    BASIS_OF_CODE,
     BB84_AMPS,
+    EXPECTED_OF_CODE,
     Basis,
     CompositeState,
     DensityMatrix,
@@ -15,10 +17,8 @@ from sqss.qstate import (
     _draw,
     apply_unitary,
     apply_unitary_batch,
-    basis_of,
     branch_probability,
     check_unitary,
-    expected_outcome,
     lift,
     measure,
     measure_codes,
@@ -37,18 +37,37 @@ def test_prepare_canonical_vectors():
     assert prepare(PrepState.ONE) == pytest.approx([0, 1])
     assert prepare(PrepState.PLUS) == pytest.approx([RT2, RT2])
     assert prepare(PrepState.MINUS) == pytest.approx([RT2, -RT2])
-    for code, s in enumerate(BB84):
+    for code, s in enumerate(PrepState):
+        assert s == code
         assert np.array_equal(prepare(s), BB84_AMPS[code])
         assert not prepare(s).flags.writeable
+    for bad in (-1, 4, "+"):
+        with pytest.raises(ValueError):
+            prepare(bad)
 
 
 def test_basis_classification():
-    assert basis_of(PrepState.ZERO) is Basis.Z
-    assert basis_of(PrepState.ONE) is Basis.Z
-    assert basis_of(PrepState.PLUS) is Basis.X
-    assert basis_of(PrepState.MINUS) is Basis.X
-    assert expected_outcome(PrepState.PLUS) == 0
-    assert expected_outcome(PrepState.MINUS) == 1
+    assert BASIS_OF_CODE[PrepState.ZERO] == Basis.Z
+    assert BASIS_OF_CODE[PrepState.ONE] == Basis.Z
+    assert BASIS_OF_CODE[PrepState.PLUS] == Basis.X
+    assert BASIS_OF_CODE[PrepState.MINUS] == Basis.X
+    assert EXPECTED_OF_CODE[PrepState.PLUS] == 0
+    assert EXPECTED_OF_CODE[PrepState.MINUS] == 1
+    # The literal tables against the amplitudes: each code's state is an
+    # eigenvector of exactly one basis, that basis and the eigenvector's
+    # index are its basis and expected bit, and measuring that outcome in
+    # that basis collapses onto the code itself.
+    eigenvectors = {Basis.Z: np.eye(2), Basis.X: np.array([[1, 1], [1, -1]]) * RT2}
+    for code, amps in enumerate(BB84_AMPS):
+        [(basis, bit)] = [(b, k) for b, vecs in eigenvectors.items()
+                          for k, vec in enumerate(vecs)
+                          if abs(abs(np.vdot(vec, amps)) - 1.0) < 1e-12]
+        assert BASIS_OF_CODE[code] == basis
+        assert EXPECTED_OF_CODE[code] == bit
+        assert _COLLAPSED_CODE[basis, bit] == code
+    # Alice measures cases 1-3 in Z and case 4 in the preparation basis.
+    assert np.array_equal(_ALICE_BASIS[3], BASIS_OF_CODE)
+    assert (_ALICE_BASIS[:3] == Basis.Z).all()
 
 
 def test_normalization_enforced():
@@ -211,7 +230,7 @@ def test_batch_unitary_rejects_a_mismatched_probe():
         ParticleBatch([PROBED], rows.copy()).amplitudes(2)
 
 
-@pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X], ids=["Basis.Z", "Basis.X"])
 def test_measure_qubit_matches_branch_probability_and_collapse(basis):
     rng = np.random.default_rng(50)
     projectors = {Basis.Z: (zstate(0), zstate(1)),
@@ -237,13 +256,13 @@ def test_measure_codes_matches_measure_draw_for_draw():
     """Every code x basis, in a shuffled layer: the same outcomes, collapsed
     states and final RNG state as calling measure on each qubit in turn."""
     layout = np.random.default_rng(60)
-    codes = layout.integers(len(BB84), size=400).astype(np.int8)
-    bases = layout.integers(len(BASES), size=400).astype(np.int8)
+    codes = layout.integers(len(PrepState), size=400).astype(np.int8)
+    bases = layout.integers(len(Basis), size=400).astype(np.int8)
     assert {(c, b) for c, b in zip(codes.tolist(), bases.tolist())} == {
         (c, b) for c in range(4) for b in range(2)}
     for seed in range(5):
         ref_rng = np.random.default_rng(seed)
-        want = [measure(BB84_AMPS[c], BASES[b], ref_rng)
+        want = [measure(BB84_AMPS[c], Basis(b), ref_rng)
                 for c, b in zip(codes.tolist(), bases.tolist())]
         rng = np.random.default_rng(seed)
         bits, collapsed = measure_codes(codes, bases, rng)

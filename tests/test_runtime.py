@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqss.qstate import BASES, BB84_AMPS, CompositeState, lift, measure, measure_qubit
+from sqss.qstate import BB84_AMPS, Basis, CompositeState, lift, measure, measure_qubit
 from sqss.runtime import (
     PROBED,
     Leg,
@@ -125,7 +125,7 @@ def test_batch_measure_mixed_layer_matches_one_at_a_time():
         want = []
         for pos, b in zip(positions.tolist(), bases.tolist()):
             step = measure_qubit if probed[pos] else measure
-            bit, states[pos] = step(states[pos], BASES[b], ref_rng)
+            bit, states[pos] = step(states[pos], Basis(b), ref_rng)
             want.append(bit)
         assert bits.tolist() == want
         assert rng.random() == ref_rng.random()
