@@ -8,7 +8,6 @@ from .adversary import (
     AttackSpec,
     UnitaryPair,
     UnsupportedAttackError,
-    build_attack_plan,
     catalog_ids,
     parse_attack_id,
     resolve_attack,
@@ -35,24 +34,4 @@ from .harness import (
 )
 from .oracle import detection_oracle
 from .protocol_a import ProtocolAConfig, run_protocol_a
-from .protocol_b import ProtocolBConfig, resolve_orders, run_protocol_b
-from .qstate import (
-    Basis,
-    CompositeState,
-    DensityMatrix,
-    PrepState,
-    apply_unitary,
-    measure,
-    measure_qubit,
-    prepare,
-    trace_distance,
-)
-from .runtime import (
-    CheckVerdict,
-    KeyMaterial,
-    Leg,
-    ParticleBatch,
-    RunReport,
-    transmit,
-    xor_keys,
-)
+from .protocol_b import ProtocolBConfig, run_protocol_b

@@ -27,9 +27,6 @@ from .qstate import (
 )
 from .runtime import check_int, check_real
 
-PREPS = (PrepState.ZERO, PrepState.ONE, PrepState.PLUS, PrepState.MINUS)
-Z_PREPS = (PrepState.ZERO, PrepState.ONE)
-
 BRANCH_SKIP_PROB = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -37,7 +34,7 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 @lru_cache(maxsize=16)
 def _prep_rows(d: int) -> np.ndarray:
-    """Row i is preparation ``PREPS[i]`` (BB84 code i) tensored with the
+    """Row i is preparation ``PrepState(i)`` (BB84 code i) tensored with the
     probe's initial state |e0>; read-only."""
     rows = np.zeros((len(BB84_AMPS), 2 * d), dtype=complex)
     rows[:, [0, d]] = BB84_AMPS
@@ -78,7 +75,7 @@ def _measured_branches(pair: UnitaryPair) -> tuple[dict, dict]:
     then x.  ``reflected[s]`` is the second unitary applied to the whole state
     the first left, as when both classical parties reflect."""
     branches, reflected = {}, {}
-    for s, row in zip(PREPS, _prep_rows(pair.probe_dim)):
+    for s, row in zip(PrepState, _prep_rows(pair.probe_dim)):
         psi = pair.first @ row
         reflected[s] = pair.second @ psi
         for x in (0, 1):
@@ -93,14 +90,14 @@ def _chain_states_b(pair: UnitaryPair) -> tuple[dict, dict]:
     return unitary alone (the two Z preparations)."""
     u_both = pair.second @ pair.first
     rows = _prep_rows(pair.probe_dim)
-    return ({s: u_both @ row for s, row in zip(PREPS, rows)},
-            {s: pair.second @ row for s, row in zip(Z_PREPS, rows)})
+    return ({s: u_both @ row for s, row in zip(PrepState, rows)},
+            {s: pair.second @ row for s, row in zip(PrepState, rows[:2])})
 
 
 def _z_blocks(states: dict) -> tuple[list, list]:
     """For each Z preparation |r>, in order: the probe block of its state in
     ``states`` that travels with |r>, and the block moved onto |1-r>."""
-    blocks = [_blocks(states[s]) for s in Z_PREPS]
+    blocks = [_blocks(states[s]) for s in (PrepState.ZERO, PrepState.ONE)]
     return [b[r] for r, b in enumerate(blocks)], [b[1 - r] for r, b in enumerate(blocks)]
 
 
@@ -132,14 +129,14 @@ def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile
 def _prep_basis_error(finals: dict) -> float:
     """Mean probability that a preparation-basis measurement of the qubit in
     ``finals[s]`` (the final joint state of preparation ``s``, for each of
-    ``PREPS``) does not return the prepared state."""
+    ``PrepState``) does not return the prepared state."""
     total = 0.0
     for s, psi in finals.items():
         sv = prepare(s)
         b0, b1 = _blocks(psi)
         kept = sv[0].conjugate() * b0 + sv[1].conjugate() * b1
         total += 1.0 - _sq_norm(kept)
-    return total / len(PREPS)
+    return total / len(PrepState)
 
 
 def _rates_a(table: tuple[dict, dict]) -> dict:
@@ -149,7 +146,7 @@ def _rates_a(table: tuple[dict, dict]) -> dict:
     # mismatch means Alice's Z outcome flips away from x.  Averaged over the
     # four uniform preparations and the Born-rule branch.
     measured = sum(_sq_norm(_blocks(phi)[1 - x])
-                   for (_, x), (_, phi) in branches.items()) / len(PREPS)
+                   for (_, x), (_, phi) in branches.items()) / len(PrepState)
     # Case 4: both parties reflect, the return unitary acts on the full
     # superposition, and Alice measures in the preparation basis.
     return {"case1": measured, "case2": measured, "case3": measured,
@@ -182,15 +179,16 @@ def _info_a(table: tuple[dict, dict]) -> float:
     branches, _ = table
     weights, rhos = [], []
     for x in (0, 1):
-        weights.append(sum(_sq_norm(branches[(s, x)][0]) / len(PREPS) for s in PREPS))
-        rhos.append(sum(_probe_outer(branches[(s, x)][1]) / len(PREPS) for s in PREPS))
+        weights.append(sum(_sq_norm(branches[(s, x)][0]) / len(PrepState) for s in PrepState))
+        rhos.append(sum(_probe_outer(branches[(s, x)][1]) / len(PrepState) for s in PrepState))
     if any(w < BRANCH_SKIP_PROB for w in weights):
         return 0.0
     return trace_distance(_density(rhos[0]), _density(rhos[1]))
 
 
 def _info_b(table: tuple[dict, dict]) -> float:
-    return max(trace_distance(*(_density(_probe_outer(states[s])) for s in Z_PREPS))
+    return max(trace_distance(*(_density(_probe_outer(states[s]))
+                                for s in (PrepState.ZERO, PrepState.ONE)))
                for states in table)
 
 
@@ -340,14 +338,10 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
     herm = v @ np.diag(np.angle(w)) @ np.linalg.inv(v)
     herm = (herm + herm.conj().T) / 2.0
     m = u.shape[0]
+    upper = herm[np.triu_indices(m, 1)]
     out = np.empty(m * m)
     out[:m] = herm.diagonal().real
-    k = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[k] = herm[i, j].real
-            out[k + 1] = herm[i, j].imag
-            k += 2
+    out[m::2], out[m + 1::2] = upper.real, upper.imag
     return out
 
 

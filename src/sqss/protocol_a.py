@@ -87,8 +87,14 @@ class ProtocolAConfig:
 
 
 def _disclose(members: np.ndarray, fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Split a case's positions into a disclosed random share and the rest."""
-    chosen = random_subset(len(members), math.ceil(fraction * len(members)), rng)
+    """Split a case's positions into a disclosed random share and the rest.
+
+    The share is ``ceil(fraction * len)`` positions, but a case of two or
+    more keeps at least one back for the key; for a fraction up to 1/2 the
+    cap never binds.
+    """
+    size = min(math.ceil(fraction * len(members)), max(len(members) - 1, 1))
+    chosen = random_subset(len(members), size, rng)
     return members[chosen], members[~chosen]
 
 
@@ -146,7 +152,7 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
         if not len(withheld2) or not len(withheld3):
             reason = "no undisclosed key particles remain"
         else:
-            keys = derive_keys(alice[withheld2].tolist(), alice[withheld3].tolist())
+            keys = derive_keys(alice[withheld2], alice[withheld3])
 
     payoff = None
     if reason is None and plan.target is not None:

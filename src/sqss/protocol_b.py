@@ -98,11 +98,11 @@ def _is_permutation(order, size: int) -> bool:
 
 
 def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
-               n: int) -> list[int]:
+               n: int) -> np.ndarray:
     """The outcomes at ``positions`` in the order of their particles' origins."""
     by_origin = np.full(n, -1, dtype=np.int8)
     by_origin[origins[positions]] = outcomes[positions]
-    return by_origin[by_origin >= 0].tolist()
+    return by_origin[by_origin >= 0]
 
 
 def _abort_report(plan, seed, reason) -> RunReport:

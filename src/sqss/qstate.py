@@ -142,18 +142,6 @@ class CompositeState:
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
-    @classmethod
-    def _checked(cls, amps: np.ndarray, dim_probe: int) -> CompositeState:
-        """Wrap amplitudes (not copied) whose shape and norm the caller has checked."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "amps", amps)
-        object.__setattr__(state, "dim_probe", dim_probe)
-        return state
-
-    def qubit_block(self, bit: int) -> np.ndarray:
-        d = self.dim_probe
-        return self.amps[bit * d:(bit + 1) * d]
-
 
 def lift(state: np.ndarray, dim_probe: int) -> CompositeState:
     """Tensor a bare qubit's amplitudes with the probe's initial state |e_0>."""
@@ -171,19 +159,9 @@ def check_unitary(u: np.ndarray) -> None:
         raise ValueError(f"matrix is not unitary: ||u^H u - I|| = {resid:.3e}")
 
 
-def apply_unitary(state: CompositeState, u: np.ndarray) -> CompositeState:
-    """Left-multiply the amplitude vector by a unitary on qubit (x) probe."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2 * state.dim_probe, 2 * state.dim_probe):
-        raise ValueError(
-            f"unitary shape {u.shape} does not match state dimension {2 * state.dim_probe}")
-    check_unitary(u)
-    return CompositeState(u @ state.amps, state.dim_probe)
-
-
 def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``apply_unitary`` on every row of an ``(N, 2d)`` array of joint
-    amplitudes, as one matrix product.
+    """Left-multiply every row of an ``(N, 2d)`` array of joint amplitudes by
+    a unitary on qubit (x) probe, as one matrix product.
 
     ``u`` is trusted to be unitary (callers validate it once, up front); each
     output row is still checked to be normalized.
@@ -197,51 +175,46 @@ def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _branch(state: CompositeState, basis: Basis, bit: int) -> np.ndarray:
-    """Unnormalized probe vector that travels with qubit outcome ``bit``."""
+def _branch(amps: np.ndarray, basis: Basis, bit: int) -> np.ndarray:
+    """Unnormalized probe vector that travels with qubit outcome ``bit`` in
+    the joint row ``amps``."""
+    d = len(amps) // 2
     if basis == Basis.Z:
-        return state.qubit_block(bit)
+        return amps[bit * d:(bit + 1) * d]
     # |+> (bit 0) or |-> (bit 1) branch.
     sign = -1.0 if bit else 1.0
-    return (state.qubit_block(0) + sign * state.qubit_block(1)) * _INV_SQRT2
+    return (amps[:d] + sign * amps[d:]) * _INV_SQRT2
 
 
-def branch_probability(state: CompositeState, basis: Basis, bit: int) -> float:
-    return _weight(_branch(state, basis, bit))
-
-
-def _project(probe: np.ndarray, weight: float, basis: Basis, bit: int,
-             d: int) -> CompositeState:
-    """The joint state after the qubit is found in (basis, bit), given that
+def _project(probe: np.ndarray, weight: float, basis: Basis, bit: int) -> np.ndarray:
+    """The joint row after the qubit is found in (basis, bit), given that
     branch's probe vector and its weight."""
     probe = probe / math.sqrt(weight)
+    d = len(probe)
     amps = np.zeros(2 * d, dtype=complex)
     if basis == Basis.Z:
         amps[bit * d:(bit + 1) * d] = probe
     else:
         amps[0:d] = _INV_SQRT2 * probe
         amps[d:2 * d] = (-_INV_SQRT2 if bit else _INV_SQRT2) * probe
-    return CompositeState(amps, d)
+    return amps
 
 
-def _collapse(state: CompositeState, basis: Basis, bit: int) -> CompositeState:
-    probe = _branch(state, basis, bit)
-    return _project(probe, _weight(probe), basis, bit, state.dim_probe)
-
-
-def measure_qubit(state: CompositeState, basis: Basis,
-                  rng: np.random.Generator) -> tuple[int, CompositeState]:
-    """Measure the qubit factor, projecting and renormalizing the joint state.
+def measure_qubit(amps: np.ndarray, basis: Basis,
+                  rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Measure the qubit of a joint qubit-probe row (length 2d, laid out as a
+    ``CompositeState``'s amplitudes) and return the outcome and the projected,
+    renormalized row.  ``amps`` is trusted to be normalized.
 
     ``basis`` is a ``Basis`` or its index (0 = Z, 1 = X).
     """
-    probe = _branch(state, basis, 0)
+    probe = _branch(amps, basis, 0)
     p0 = _weight(probe)
     outcome = _draw(p0, rng)
     if outcome == 0:
-        return 0, _project(probe, p0, basis, 0, state.dim_probe)
-    probe = _branch(state, basis, 1)
-    return 1, _project(probe, _weight(probe), basis, 1, state.dim_probe)
+        return 0, _project(probe, p0, basis, 0)
+    probe = _branch(amps, basis, 1)
+    return 1, _project(probe, _weight(probe), basis, 1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .qstate import BB84_AMPS, CompositeState, measure_codes, measure_qubit
+from .qstate import BB84_AMPS, measure_codes, measure_qubit
 
 
 class Leg(Enum):
@@ -44,12 +44,12 @@ class ParticleBatch:
 
     ``code`` holds each bare particle's state as its BB84 code: a
     ``qstate.PrepState`` is its code, so ``PrepState.PLUS`` is 2 and
-    ``qstate.BB84_AMPS[code]`` its amplitudes.  ``probe`` is None until an entangle-measure leg writes
-    it: then it is an ``(N, 2d)`` complex array, and a particle with code
-    ``PROBED`` has its joint qubit-probe amplitudes (see
-    ``qstate.CompositeState``) in its row.  The rows of bare particles are
-    ignored.  What parties and attackers did to the particles is kept by
-    those parties and attackers, not here.
+    ``qstate.BB84_AMPS[code]`` its amplitudes.  ``probe`` is None until an
+    entangle-measure leg writes it: then it is an ``(N, 2d)`` complex array,
+    and a particle with code ``PROBED`` has its joint qubit-probe amplitudes
+    in its row, entry ``x * d + j`` for qubit |x> and probe |j>.  The rows of
+    bare particles are ignored.  What parties and attackers did to the
+    particles is kept by those parties and attackers, not here.
     """
 
     __slots__ = ("code", "probe")
@@ -122,9 +122,7 @@ class ParticleBatch:
                 bits[run], self.code[positions[run]] = measure_codes(codes[run], bases[run], rng)
             if k < len(positions):
                 row = self.probe[positions[k]]
-                state = CompositeState._checked(row, len(row) // 2)
-                bits[k], state = measure_qubit(state, int(bases[k]), rng)
-                row[:] = state.amps
+                bits[k], row[:] = measure_qubit(row, int(bases[k]), rng)
             start = k + 1
         return bits
 
@@ -243,17 +241,18 @@ def score_payoff(target: str, guesses: np.ndarray, truths: np.ndarray) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class KeyMaterial:
-    """Equal-length shared key strings with k_a = k_b XOR k_c."""
+    """Equal-length shared key strings k_b and k_c; k_a is their XOR."""
 
-    k_a: str
     k_b: str
     k_c: str
 
     def __post_init__(self):
-        if not (len(self.k_a) == len(self.k_b) == len(self.k_c)):
+        if len(self.k_b) != len(self.k_c):
             raise ValueError("key strings must have equal length")
-        if self.k_a != xor_keys(self.k_b, self.k_c):
-            raise ValueError("k_a must equal k_b XOR k_c")
+
+    @property
+    def k_a(self) -> str:
+        return xor_keys(self.k_b, self.k_c)
 
 
 def xor_keys(k_b: str, k_c: str) -> str:
@@ -263,17 +262,12 @@ def xor_keys(k_b: str, k_c: str) -> str:
     return "".join("1" if a != b else "0" for a, b in zip(k_b, k_c))
 
 
-def bits_to_str(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
-
-
-def derive_keys(bits_b, bits_c) -> KeyMaterial:
-    """Truncate the longer string (trailing bits dropped) and XOR."""
-    k_b = bits_to_str(bits_b)
-    k_c = bits_to_str(bits_c)
-    n = min(len(k_b), len(k_c))
-    k_b, k_c = k_b[:n], k_c[:n]
-    return KeyMaterial(k_a=xor_keys(k_b, k_c), k_b=k_b, k_c=k_c)
+def derive_keys(bits_b: np.ndarray, bits_c: np.ndarray) -> KeyMaterial:
+    """The key shares of two int8 bit arrays, the longer truncated to the
+    shorter's length (trailing bits dropped)."""
+    n = min(len(bits_b), len(bits_c))
+    return KeyMaterial(k_b=symbol_string(BIT_SYMBOL, bits_b[:n]),
+                       k_c=symbol_string(BIT_SYMBOL, bits_c[:n]))
 
 
 class _FieldView:

@@ -35,16 +35,15 @@ def test_branch_decompose_identity():
     plus0 = branches[(PrepState.PLUS, 0)][0]
     assert np.linalg.norm(plus0) == pytest.approx(1 / np.sqrt(2))
     # Both parties reflecting leaves every preparation as it was.
-    for s, row in zip(em_analysis.PREPS, em_analysis._prep_rows(2)):
+    for s, row in zip(PrepState, em_analysis._prep_rows(2)):
         assert np.array_equal(reflected[s], row)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_prep_rows_equal_lifted_preparations(d):
     """The analysis's preparation rows are the lifted BB84 states, bit for
-    bit, in ``PREPS`` order, and they cannot be written."""
+    bit, in ``PrepState`` order, and they cannot be written."""
     rows = em_analysis._prep_rows(d)
-    assert em_analysis.PREPS == tuple(PrepState)
     assert rows.shape == (len(PrepState), 2 * d)
     for s, row in zip(PrepState, rows):
         assert np.array_equal(row, lift(prepare(s), d).amps)

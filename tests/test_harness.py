@@ -342,7 +342,7 @@ def test_digest_covers_keys_and_payoff(monkeypatch, attack_id, binding):
     real = getattr(module, binding)
     altered = {
         "score_payoff": lambda *args: {**real(*args), "correct": -1},
-        "derive_keys": lambda bits_b, bits_c: real([1 - b for b in bits_b], bits_c),
+        "derive_keys": lambda bits_b, bits_c: real(1 - bits_b, bits_c),
     }[binding]
     monkeypatch.setattr(module, binding, altered)
     after, _ = pinned_run(attack_id)

@@ -59,6 +59,18 @@ def test_honest_run_zero_mismatches_and_key_relation():
         assert report.payoff is None
 
 
+def test_high_check_fraction_still_derives_keys():
+    """A fraction whose ceiling covers a whole case still withholds one
+    particle of it, so honest runs keep a key."""
+    config = ProtocolAConfig(n=50, m=100, check_fraction=0.99)
+    for trial in range(20):
+        report = run_protocol_a(config, None, (0, trial))
+        assert not report.aborted, report.abort_reason
+        # Cases 2 and 3 each withhold exactly one particle: a one-bit key.
+        assert len(report.keys.k_b) == 1
+        assert report.keys.k_a == xor_keys(report.keys.k_b, report.keys.k_c)
+
+
 def test_case_counts_partition_batch():
     config = ProtocolAConfig(n=15, m=31)
     report = run_protocol_a(config, None, 3)
