@@ -7,7 +7,6 @@ floating-point rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -100,24 +99,38 @@ BB84_SYMBOL = np.frombuffer(b"01+-", dtype="S1")
 # against the same floats; the outcome where _draw's thresholds make it
 # certain, else -1; and the code each (basis, outcome) collapses onto.
 _CODE_P0 = np.array([[_bare_p0(v, b) for b in Basis] for v in BB84_AMPS])
-_CODE_CERTAIN = np.where(_CODE_P0 < MIN_BRANCH_PROB, 1,
-                         np.where(1.0 - _CODE_P0 < MIN_BRANCH_PROB, 0, -1)).astype(np.int8)
+
+
+def _certain(p0: np.ndarray) -> np.ndarray:
+    """Per P(0), the outcome ``_draw``'s thresholds make certain, else -1."""
+    return np.where(p0 < MIN_BRANCH_PROB, 1,
+                    np.where(1.0 - p0 < MIN_BRANCH_PROB, 0, -1)).astype(np.int8)
+
+
+_CODE_CERTAIN = _certain(_CODE_P0)
 _COLLAPSED_CODE = np.array([[0, 1], [2, 3]], dtype=np.int8)  # Z: |0>, |1>; X: |+>, |->
+
+
+def _draw_bits(bits: np.ndarray, p0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill the -1 entries of ``bits`` with outcomes drawn at P(0) = ``p0``.
+
+    They share one ``rng.random(k)`` call, which yields the k numbers k
+    ``_draw`` calls would, in order; certain outcomes draw nothing.
+    """
+    uncertain = bits < 0
+    k = int(np.count_nonzero(uncertain))
+    if k:
+        bits[uncertain] = rng.random(k) >= p0[uncertain]
+    return bits
 
 
 def measure_codes(codes: np.ndarray, bases: np.ndarray,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """``measure`` on a layer of bare qubits given by BB84 codes, in order.
 
-    Qubits whose outcome is certain draw nothing; the others share one
-    ``rng.random(k)`` call, which yields the k numbers k ``_draw`` calls would.
     Returns the outcome bits and the collapsed codes.
     """
-    bits = _CODE_CERTAIN[codes, bases]
-    uncertain = bits < 0
-    k = int(np.count_nonzero(uncertain))
-    if k:
-        bits[uncertain] = rng.random(k) >= _CODE_P0[codes[uncertain], bases[uncertain]]
+    bits = _draw_bits(_CODE_CERTAIN[codes, bases], _CODE_P0[codes, bases], rng)
     return bits, _COLLAPSED_CODE[bases, bits]
 
 
@@ -159,6 +172,11 @@ def check_unitary(u: np.ndarray) -> None:
         raise ValueError(f"matrix is not unitary: ||u^H u - I|| = {resid:.3e}")
 
 
+def _weights(v: np.ndarray) -> np.ndarray:
+    """Squared norm of each row."""
+    return np.einsum("ij,ij->i", v.conj(), v).real
+
+
 def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Left-multiply every row of an ``(N, 2d)`` array of joint amplitudes by
     a unitary on qubit (x) probe, as one matrix product.
@@ -167,7 +185,7 @@ def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     output row is still checked to be normalized.
     """
     out = rows @ np.asarray(u, dtype=complex).T
-    norm_sq = np.einsum("ij,ij->i", out.conj(), out).real
+    norm_sq = _weights(out)
     bad = np.flatnonzero(np.abs(norm_sq - 1.0) > 1e-9)
     if bad.size:
         raise ValueError(f"composite state not normalized: "
@@ -175,46 +193,52 @@ def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _branch(amps: np.ndarray, basis: Basis, bit: int) -> np.ndarray:
-    """Unnormalized probe vector that travels with qubit outcome ``bit`` in
-    the joint row ``amps``."""
-    d = len(amps) // 2
-    if basis == Basis.Z:
-        return amps[bit * d:(bit + 1) * d]
-    # |+> (bit 0) or |-> (bit 1) branch.
-    sign = -1.0 if bit else 1.0
-    return (amps[:d] + sign * amps[d:]) * _INV_SQRT2
+# Code of a particle that is a joint qubit-probe amplitude row, not a BB84 state.
+PROBED = -1
 
 
-def _project(probe: np.ndarray, weight: float, basis: Basis, bit: int) -> np.ndarray:
-    """The joint row after the qubit is found in (basis, bit), given that
-    branch's probe vector and its weight."""
-    probe = probe / math.sqrt(weight)
-    d = len(probe)
-    amps = np.zeros(2 * d, dtype=complex)
-    if basis == Basis.Z:
-        amps[bit * d:(bit + 1) * d] = probe
-    else:
-        amps[0:d] = _INV_SQRT2 * probe
-        amps[d:2 * d] = (-_INV_SQRT2 if bit else _INV_SQRT2) * probe
-    return amps
+# Per (basis, outcome bit): (c0, c1, scale) such that the probe vector
+# travelling with that outcome is (c0 * block_0 + c1 * block_1) * scale,
+# where block_x holds the probe amplitudes beside qubit |x>.
+_BRANCH = np.array([[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
+                    [[1.0, 1.0, _INV_SQRT2], [1.0, -1.0, _INV_SQRT2]]])
 
 
-def measure_qubit(amps: np.ndarray, basis: Basis,
-                  rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Measure the qubit of a joint qubit-probe row (length 2d, laid out as a
-    ``CompositeState``'s amplitudes) and return the outcome and the projected,
-    renormalized row.  ``amps`` is trusted to be normalized.
+def _branches(blocks: np.ndarray, bases: np.ndarray, bits) -> np.ndarray:
+    """Per row of ``blocks`` (shape ``(k, 2, d)``), the unnormalized probe
+    vector that travels with qubit outcome ``bits`` in ``bases``."""
+    c0, c1, scale = _BRANCH[bases, bits].T[:, :, None]
+    return (c0 * blocks[:, 0] + c1 * blocks[:, 1]) * scale
 
-    ``basis`` is a ``Basis`` or its index (0 = Z, 1 = X).
+
+def measure_qubit(codes: np.ndarray, rows: np.ndarray, bases: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure a layer of qubits in order, each in its basis (0 = Z, 1 = X).
+
+    ``codes`` gives each qubit's BB84 code, or ``PROBED`` for a qubit that
+    shares a joint row with its probe: the k ``PROBED`` entries take the k
+    rows of ``rows``, shape ``(k, 2d)`` (laid out as a ``CompositeState``'s
+    amplitudes, trusted to be normalized), in order.  The draws are those of
+    ``measure`` and a projective measurement of each qubit in turn: a
+    certain outcome draws nothing, and the rest share one ``rng.random``
+    call in layer order.  Returns the bits, the collapsed codes (``PROBED``
+    where probed) and the projected, renormalized rows.
     """
-    probe = _branch(amps, basis, 0)
-    p0 = _weight(probe)
-    outcome = _draw(p0, rng)
-    if outcome == 0:
-        return 0, _project(probe, p0, basis, 0)
-    probe = _branch(amps, basis, 1)
-    return 1, _project(probe, _weight(probe), basis, 1)
+    probed = codes == PROBED
+    blocks = rows.reshape(len(rows), 2, -1)
+    row_bases = bases[probed]
+    # A PROBED code indexes the tables' last row; those entries are replaced.
+    p0 = _CODE_P0[codes, bases]
+    p0[probed] = _weights(_branches(blocks, row_bases, 0))
+    bits = _draw_bits(_certain(p0), p0, rng)
+    collapsed = _COLLAPSED_CODE[bases, bits]
+    row_bits = bits[probed]
+    probe = _branches(blocks, row_bases, row_bits)
+    probe /= np.sqrt(_weights(probe))[:, None]
+    # The outcome state's amplitudes times the probe, block by block.
+    out = BB84_AMPS[collapsed[probed]][:, :, None] * probe[:, None, :]
+    collapsed[probed] = PROBED
+    return bits, collapsed, out.reshape(rows.shape)
 
 
 @dataclass(frozen=True)

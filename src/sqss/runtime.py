@@ -5,13 +5,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, fields
+import struct
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .qstate import BB84_AMPS, measure_codes, measure_qubit
+from .qstate import BB84_AMPS, PROBED, measure_codes, measure_qubit
 
 
 class Leg(Enum):
@@ -31,8 +32,6 @@ class ParticleConservationError(SimulationError):
     """An interceptor changed the number of particles in flight."""
 
 
-# Code of a particle whose joint qubit-probe amplitudes are its ``probe`` row.
-PROBED = -1
 # Protocol B particle classes, in the order of the combined index
 # ``resolve_orders`` composes: Alice's CTRL particles, then Bob's and
 # Charlie's insertions.
@@ -102,28 +101,27 @@ class ParticleBatch:
         return rows
 
     def measure(self, positions, bases, rng: np.random.Generator) -> np.ndarray:
-        """Measure the particles at ``positions``, in that order, in ``bases``
-        (basis indices, 0 = Z and 1 = X, as a ``qstate.Basis`` is; one per
-        position, or one for all) and collapse them.
+        """Measure the distinct particles at ``positions``, in that order, in
+        ``bases`` (basis indices, 0 = Z and 1 = X, as a ``qstate.Basis`` is;
+        one per position, or one for all) and collapse them.
 
-        Runs of bare particles go through ``measure_codes`` and each probed
-        particle through ``measure_qubit``, in position order, so the RNG
-        draws are those of measuring the particles one at a time.  A probed
-        particle's collapsed amplitudes are written back to its row.
+        The layer is one pass with one draw: the outcomes that are not
+        certain share one ``rng.random`` call in position order, so the
+        draws are those of measuring the particles one at a time.  A layer
+        of bare particles goes through ``measure_codes``; a layer that holds
+        probed particles goes through one ``measure_qubit`` call, which
+        writes their collapsed amplitudes back to their rows.
         """
         positions = np.asarray(positions)
         bases = np.broadcast_to(np.asarray(bases, dtype=np.int8), positions.shape)
         codes = self.code[positions]
-        bits = np.empty(len(positions), dtype=np.int8)
-        start = 0
-        for k in [*np.flatnonzero(codes == PROBED).tolist(), len(positions)]:
-            if k > start:
-                run = slice(start, k)
-                bits[run], self.code[positions[run]] = measure_codes(codes[run], bases[run], rng)
-            if k < len(positions):
-                row = self.probe[positions[k]]
-                bits[k], row[:] = measure_qubit(row, int(bases[k]), rng)
-            start = k + 1
+        probed = codes == PROBED
+        if not probed.any():
+            bits, self.code[positions] = measure_codes(codes, bases, rng)
+            return bits
+        rows = positions[probed]
+        bits, self.code[positions], self.probe[rows] = measure_qubit(
+            codes, self.probe[rows], bases, rng)
         return bits
 
 
@@ -171,13 +169,9 @@ class CheckVerdict:
         return self.mismatches / self.compared if self.compared else 0.0
 
 
-@functools.lru_cache(maxsize=4096)
 def evaluate_check(check_id: str, compared: int, mismatches: int,
                    threshold: float) -> CheckVerdict:
-    """A check with nothing to compare is inconclusive, never silently passed.
-
-    Verdicts are immutable, so equal ones are shared between reports.
-    """
+    """A check with nothing to compare is inconclusive, never silently passed."""
     if compared == 0:
         return CheckVerdict(check_id, 0, 0, passed=False, inconclusive=True)
     return CheckVerdict(check_id, compared, mismatches,
@@ -270,49 +264,116 @@ def derive_keys(bits_b: np.ndarray, bits_c: np.ndarray) -> KeyMaterial:
                        k_c=symbol_string(BIT_SYMBOL, bits_c[:n]))
 
 
-class _FieldView:
-    """A read-only ``__dict__`` (field name -> value) for a slotted
-    dataclass, so ``cls(**{**obj.__dict__, ...})`` keeps working."""
+# A report packs, in this order: the 32-byte digest; a key field (0 without
+# keys, else 1 + the key length); per check its compared and mismatches
+# counts and its flags (1: passed, 2: inconclusive); and the bits of k_b then
+# k_c, eight to a byte.  Counts and the key field are unsigned 32-bit.
+_DIGEST_SIZE = 32
+_KEY_FIELD = struct.Struct("<I")
+_VERDICT = struct.Struct("<IIB")
+_FIELD_MAX = (1 << 32) - 1
+_PASSED, _INCONCLUSIVE = 1, 2
+
+
+def _field(what: str, value: int) -> int:
+    if not 0 <= value <= _FIELD_MAX:
+        raise ValueError(f"{what} {value!r} does not fit a report's 32-bit field")
+    return value
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_ids(check_ids: tuple) -> tuple:
+    # One tuple per sequence of check ids, shared by every report that has it.
+    return check_ids
+
+
+def _pack(checks: tuple, keys: Optional[KeyMaterial], digest: bytes) -> bytes:
+    if len(digest) != _DIGEST_SIZE:
+        raise ValueError(f"digest must be {_DIGEST_SIZE} bytes, got {len(digest)}")
+    parts = [digest, _KEY_FIELD.pack(
+        0 if keys is None else _field("key length + 1", len(keys.k_b) + 1))]
+    for c in checks:
+        parts.append(_VERDICT.pack(_field("compared", c.compared),
+                                   _field("mismatches", c.mismatches),
+                                   _PASSED * bool(c.passed) | _INCONCLUSIVE * bool(c.inconclusive)))
+    if keys is not None:
+        bits = np.frombuffer((keys.k_b + keys.k_c).encode(), dtype=np.uint8) - ord("0")
+        if np.any(bits > 1):
+            raise ValueError(f"keys must be bit strings, got {keys!r}")
+        parts.append(np.packbits(bits).tobytes())
+    return b"".join(parts)
+
+
+class _ReportView:
+    """A report's ``__dict__`` maps its constructor's arguments to their
+    values, so ``RunReport(**{**report.__dict__, ...})`` builds a changed
+    copy.  (A slotted dataclass cannot define ``__dict__`` itself.)"""
 
     __slots__ = ()
 
     @property
     def __dict__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in
+                ("protocol", "seed", "checks", "abort_reason", "keys", "payoff", "digest")}
 
 
-# Check tuples already held by reports, so that equal ones are shared.
-_CHECK_TUPLES: dict[tuple, tuple] = {}
-_CHECK_TUPLES_MAX = 1 << 14
-
-
-def _shared_checks(checks: tuple) -> tuple:
-    if len(_CHECK_TUPLES) >= _CHECK_TUPLES_MAX:
-        _CHECK_TUPLES.clear()
-    return _CHECK_TUPLES.setdefault(checks, checks)
-
-
-@dataclass(frozen=True, slots=True)
-class RunReport(_FieldView):
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class RunReport(_ReportView):
     """Outcome of one protocol execution.
 
     ``payoff`` is None when the run aborted: no key was derived, so there is
     nothing to guess.  ``digest`` is the raw SHA-256 of the transcript and
     ``transcript_digest`` its hex form.  Reports are often kept by the
-    thousand, so they are small: equal check tuples are shared, as are the
-    verdicts in them.
+    thousand, so they are small: the digest, the check counts and flags and
+    the key bits are packed into one ``bytes`` beside a shared tuple of
+    check ids, and ``checks``, ``keys`` and ``digest`` are rebuilt from it
+    on access.  A count that does not fit its field raises ``ValueError``.
     """
 
     protocol: str
     seed: int
-    checks: tuple[CheckVerdict, ...]
     abort_reason: Optional[str]
-    keys: Optional[KeyMaterial]
     payoff: Optional[dict]
-    digest: bytes
+    _check_ids: tuple[str, ...]
+    _packed: bytes
 
-    def __post_init__(self):
-        object.__setattr__(self, "checks", _shared_checks(tuple(self.checks)))
+    def __init__(self, protocol: str, seed, checks, abort_reason: Optional[str],
+                 keys: Optional[KeyMaterial], payoff: Optional[dict], digest: bytes):
+        checks = tuple(checks)
+        for name, value in (("protocol", protocol), ("seed", seed),
+                            ("abort_reason", abort_reason), ("payoff", payoff),
+                            ("_check_ids", _shared_ids(tuple(c.check_id for c in checks))),
+                            ("_packed", _pack(checks, keys, digest))):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return f"RunReport({', '.join(f'{k}={v!r}' for k, v in self.__dict__.items())})"
+
+    def _keys_at(self) -> int:
+        return _DIGEST_SIZE + _KEY_FIELD.size + _VERDICT.size * len(self._check_ids)
+
+    @property
+    def digest(self) -> bytes:
+        return self._packed[:_DIGEST_SIZE]
+
+    @property
+    def checks(self) -> tuple[CheckVerdict, ...]:
+        verdicts = self._packed[_DIGEST_SIZE + _KEY_FIELD.size:self._keys_at()]
+        return tuple(CheckVerdict(check_id, compared, mismatches, bool(flags & _PASSED),
+                                  bool(flags & _INCONCLUSIVE))
+                     for check_id, (compared, mismatches, flags)
+                     in zip(self._check_ids, _VERDICT.iter_unpack(verdicts)))
+
+    @property
+    def keys(self) -> Optional[KeyMaterial]:
+        (field,) = _KEY_FIELD.unpack_from(self._packed, _DIGEST_SIZE)
+        if not field:
+            return None
+        n = field - 1
+        bits = np.unpackbits(np.frombuffer(self._packed, dtype=np.uint8,
+                                           offset=self._keys_at()), count=2 * n)
+        return KeyMaterial(k_b=symbol_string(BIT_SYMBOL, bits[:n]),
+                           k_c=symbol_string(BIT_SYMBOL, bits[n:]))
 
     @property
     def aborted(self) -> bool:

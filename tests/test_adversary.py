@@ -14,6 +14,8 @@ from sqss.adversary import (
     parse_attack_id,
     resolve_attack,
 )
+from sqss.em_analysis import error_profile, random_pair
+from sqss.harness import wilson_interval
 from sqss.protocol_a import ProtocolAConfig, default_thresholds, run_protocol_a
 from sqss.protocol_b import ProtocolBConfig, run_protocol_b
 from sqss.protocol_b import default_thresholds as default_thresholds_b
@@ -254,3 +256,32 @@ def test_insider_guesses_are_exact_on_surviving_runs():
         assert not report.aborted
         assert report.payoff["guessed"] > 0
         assert report.payoff["correct"] == report.payoff["guessed"]
+
+
+# Batch sizes that give every entangle-measure check about 250 comparisons or
+# more per run, so that 10 000 take about forty runs.
+EM_CONFIGS = {"A": ProtocolAConfig(n=999, m=1000, thresholds=default_thresholds(1.0)),
+              "B": ProtocolBConfig(n=500, thresholds=default_thresholds_b(1.0))}
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_em_monte_carlo_matches_error_profile(mode):
+    """A seeded probe attack: each check's Monte Carlo mismatch total, over at
+    least 10 000 compared particles, has the closed-form rate of
+    ``error_profile`` inside its four-sigma Wilson interval."""
+    pair = random_pair(mode, 2, np.random.default_rng(17))
+    rates = error_profile(pair, mode).rates
+    run = run_protocol_a if mode == "A" else run_protocol_b
+    attack = AttackSpec(mode, "em", pair=pair)
+    compared = dict.fromkeys(rates, 0)
+    mismatches = dict.fromkeys(rates, 0)
+    trial = 0
+    while min(compared.values()) < 10_000:
+        for c in run(EM_CONFIGS[mode], attack, (29, trial)).checks:
+            compared[c.check_id] += c.compared
+            mismatches[c.check_id] += c.mismatches
+        trial += 1
+    for check, rate in rates.items():
+        low, high = wilson_interval(mismatches[check], compared[check], z=4.0)
+        assert low <= rate <= high, (check, mismatches[check], compared[check], rate)
+    assert 0 < min(rates.values()) and max(rates.values()) < 1

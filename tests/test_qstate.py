@@ -136,27 +136,37 @@ def test_cnot_on_plus_entangles_probe():
     assert out.amps == pytest.approx([RT2, 0, 0, RT2])
 
 
+def _probed(k):
+    return np.full(k, PROBED, dtype=np.int8)
+
+
 def test_measure_qubit_collapse_branches():
-    # (|0>|e0> + |1>|e1>)/sqrt(2)
+    # (|0>|e0> + |1>|e1>)/sqrt(2), fifty copies measured as one layer.
     row = np.array([RT2, 0, 0, RT2], dtype=complex)
+    rows = np.tile(row, (50, 1))
     rng = np.random.default_rng(5)
-    seen = set()
-    for _ in range(50):
-        bit, collapsed = measure_qubit(row, Basis.Z, rng)
-        seen.add(bit)
+    bits, codes, collapsed = measure_qubit(_probed(50), rows, np.zeros(50, np.int8), rng)
+    assert set(bits.tolist()) == {0, 1}
+    assert codes.tolist() == [PROBED] * 50
+    assert collapsed.shape == rows.shape and np.array_equal(rows[0], row)
+    for bit, got in zip(bits.tolist(), collapsed):
         expected = np.zeros(4)
         expected[bit * 2 + bit] = 1.0
-        assert collapsed.shape == (4,)
-        assert collapsed == pytest.approx(expected)
-    assert seen == {0, 1}
+        assert got == pytest.approx(expected)
 
 
 def test_measure_qubit_product_state_deterministic():
-    state = lift(prepare(PrepState.ONE), 3)
+    """Product states measured in their own basis: certain outcomes, rows
+    unchanged, and no draw."""
+    d = 3
+    rows = np.array([lift(prepare(s), d).amps for s in PrepState])
+    bases = BASIS_OF_CODE.copy()
     rng = np.random.default_rng(6)
-    bit, collapsed = measure_qubit(state.amps, Basis.Z, rng)
-    assert bit == 1
-    assert collapsed == pytest.approx(state.amps)
+    state = rng.bit_generator.state
+    bits, _, collapsed = measure_qubit(_probed(len(rows)), rows, bases, rng)
+    assert bits.tolist() == EXPECTED_OF_CODE.tolist()
+    assert np.abs(collapsed - rows).max() < 1e-15
+    assert rng.bit_generator.state == state
 
 
 def test_trace_distance_properties():
@@ -231,26 +241,29 @@ def test_batch_unitary_rejects_a_mismatched_probe():
 
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X], ids=["Basis.Z", "Basis.X"])
 def test_measure_qubit_matches_branch_probability_and_collapse(basis):
-    """The row kernel against the projector reference: under a shared seed
-    the same outcome, amplitudes within 1e-12 and the same RNG state after;
-    the input row is left as it was."""
+    """A stack of rows against the projector reference on each row in turn:
+    under a shared seed the same outcomes, amplitudes within 1e-12 and the
+    same RNG state after; the input rows are left as they were."""
     rng = np.random.default_rng(50)
-    for seed in range(40):
-        d = 1 + seed % 3
-        state = CompositeState(_random_amps(2 * d, rng), d)
-        ref_rng = np.random.default_rng(seed)
-        want_bit, want = reference_measure_qubit(state, basis, ref_rng)
-        row = state.amps.copy()
-        meas_rng = np.random.default_rng(seed)
-        bit, got = measure_qubit(row, basis, meas_rng)
-        assert np.array_equal(row, state.amps)
-        assert bit == want_bit
-        assert got.shape == (2 * d,)
-        assert np.abs(got - want.amps).max() < 1e-12
-        assert meas_rng.random() == ref_rng.random()
+    for d in (1, 2, 3):
+        states = [CompositeState(_random_amps(2 * d, rng), d) for _ in range(15)]
+        rows = np.array([state.amps for state in states])
+        bases = np.full(len(rows), basis, dtype=np.int8)
+        for seed in range(3):
+            ref_rng = np.random.default_rng(seed)
+            want = [reference_measure_qubit(state, basis, ref_rng) for state in states]
+            meas_rng = np.random.default_rng(seed)
+            bits, codes, got = measure_qubit(_probed(len(rows)), rows, bases, meas_rng)
+            assert np.array_equal(rows, [state.amps for state in states])
+            assert bits.tolist() == [bit for bit, _ in want]
+            assert codes.tolist() == [PROBED] * len(rows)
+            assert got.shape == rows.shape
+            assert np.abs(got - [state.amps for _, state in want]).max() < 1e-12
+            assert meas_rng.bit_generator.state == ref_rng.bit_generator.state
         # The two branch weights are a probability distribution.
-        weights = [branch_probability(state, basis, b) for b in (0, 1)]
-        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        for state in states:
+            weights = [branch_probability(state, basis, bit) for bit in (0, 1)]
+            assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_codes_matches_measure_draw_for_draw():

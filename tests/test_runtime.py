@@ -1,16 +1,27 @@
 """Tests for shared protocol machinery: channel legs, checks, keys."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from reference_qstate import measure_qubit
 
-from sqss.qstate import BB84_AMPS, Basis, CompositeState, lift, measure
+from sqss import protocol_a, protocol_b
+from sqss.adversary import AttackSpec, resolve_attack
+from sqss.em_analysis import random_pair
+from sqss.protocol_a import ProtocolAConfig, run_protocol_a
+from sqss.protocol_a import default_thresholds as default_thresholds_a
+from sqss.protocol_b import ProtocolBConfig, run_protocol_b
+from sqss.protocol_b import default_thresholds as default_thresholds_b
+from sqss.qstate import BB84_AMPS, MIN_BRANCH_PROB, Basis, CompositeState, lift, measure
 from sqss.runtime import (
     PROBED,
+    CheckVerdict,
     KeyMaterial,
     Leg,
     ParticleBatch,
     ParticleConservationError,
+    RunReport,
     SimulationError,
     derive_keys,
     evaluate_check,
@@ -104,21 +115,46 @@ def _random_amps(size, rng):
     return amps / np.linalg.norm(amps)
 
 
+def _row_with_p0(p0, basis, d):
+    """A joint row whose qubit, measured in ``basis``, gives 0 with
+    probability ``p0``: probe |e_0> beside outcome 0 and |e_{d-1}> beside
+    outcome 1, so that no normalization rounds the weights."""
+    zero, one = np.zeros(d), np.zeros(d)
+    zero[0], one[-1] = np.sqrt(p0), np.sqrt(1.0 - p0)
+    if basis == Basis.Z:
+        return np.concatenate([zero, one])
+    return np.concatenate([zero + one, zero - one]) / np.sqrt(2.0)
+
+
+# P(0) at the edges of the draw: certain, and just inside or outside the
+# MIN_BRANCH_PROB margin at either end.  Near 1 the margins are wider than
+# a few ulps of 1, which rounding in building and reading a row can reach.
+EDGE_P0 = (0.0, 1.0, MIN_BRANCH_PROB / 3, 3 * MIN_BRANCH_PROB,
+           1.0 - 2.0 ** -52, 1.0 - 5 * MIN_BRANCH_PROB)
+
+
 def test_batch_measure_mixed_layer_matches_one_at_a_time():
     """Bare and probed particles interleaved, measured in a scrambled order:
     the same outcomes, collapsed states and final RNG state as measure on
     each bare particle and the projector reference on each probed one, in
-    turn.  Probed rows agree with the reference within 1e-12."""
+    turn.  Probed rows agree with the reference within 1e-12.  The layer
+    includes probed rows with every P(0) of ``EDGE_P0``, in both bases."""
     layout = np.random.default_rng(70)
     n, d = 60, 2
-    codes = layout.integers(4, size=n).astype(np.int8)
-    probed = layout.random(n) < 0.4
+    edges = [(p0, b) for b in Basis for p0 in EDGE_P0]
+    codes = layout.integers(4, size=n + len(edges)).astype(np.int8)
+    probed = np.concatenate([layout.random(n) < 0.4, np.ones(len(edges), dtype=bool)])
     # Bare rows hold junk: only the probed rows are read.
-    rows = layout.normal(size=(n, 2 * d)) + 0j
-    for i in np.flatnonzero(probed).tolist():
+    rows = layout.normal(size=(len(codes), 2 * d)) + 0j
+    for i in np.flatnonzero(probed[:n]).tolist():
         rows[i] = _random_amps(2 * d, layout)
-    positions = layout.permutation(n)[:45]
-    bases = layout.integers(2, size=len(positions)).astype(np.int8)
+    rows[n:] = [_row_with_p0(p0, b, d) for p0, b in edges]
+    # 45 random particles in random bases, and each edge row in the basis it
+    # was built for, in one scrambled order.
+    order = layout.permutation(45 + len(edges))
+    positions = np.concatenate([layout.permutation(n)[:45], n + np.arange(len(edges))])[order]
+    bases = np.concatenate([layout.integers(2, size=45),
+                            [b for _, b in edges]]).astype(np.int8)[order]
     for seed in range(4):
         batch = ParticleBatch(np.where(probed, PROBED, codes), rows.copy())
         rng = np.random.default_rng(seed)
@@ -133,7 +169,7 @@ def test_batch_measure_mixed_layer_matches_one_at_a_time():
             bit, states[pos] = step(states[pos], Basis(b), ref_rng)
             want.append(bit)
         assert bits.tolist() == want
-        assert rng.random() == ref_rng.random()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         for i, state in states.items():
             if probed[i]:
                 assert batch.code[i] == PROBED
@@ -141,6 +177,11 @@ def test_batch_measure_mixed_layer_matches_one_at_a_time():
             else:
                 assert np.array_equal(BB84_AMPS[batch.code[i]], state)
                 assert np.array_equal(batch.probe[i], rows[i])
+        # A certain outcome: P(0) = 0 gives 1, P(0) = 1 gives 0.
+        at = dict(zip(positions.tolist(), bits.tolist()))
+        for j, (p0, _) in enumerate(edges):
+            if p0 in (0.0, 1.0):
+                assert at[n + j] == int(p0 == 0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -196,3 +237,78 @@ def test_batch_indexing_keeps_columns_aligned():
 
     probed.fake([1, 0, 1, 1])
     assert probed.code.tolist() == [1, 0, 1, 1] and probed.probe is None
+
+
+def _report_cases():
+    pair = {mode: random_pair(mode, 2, np.random.default_rng(5)) for mode in "AB"}
+    return {
+        ("A", "honest"): (ProtocolAConfig(n=20, m=45), None),
+        ("A", "aborted"): (ProtocolAConfig(n=20, m=45), resolve_attack("A", "a.mr.bob.1")),
+        ("A", "em"): (ProtocolAConfig(n=20, m=45, thresholds=default_thresholds_a(1.0)),
+                      AttackSpec("A", "em", pair=pair["A"])),
+        ("B", "honest"): (ProtocolBConfig(n=40), None),
+        ("B", "aborted"): (ProtocolBConfig(n=40), resolve_attack("B", "b.mr.charlie")),
+        ("B", "em"): (ProtocolBConfig(n=16, thresholds=default_thresholds_b(1.0)),
+                      AttackSpec("B", "em", pair=pair["B"])),
+    }
+
+
+@pytest.mark.parametrize("protocol", ["A", "B"])
+@pytest.mark.parametrize("kind", ["honest", "aborted", "em"])
+def test_report_packing_round_trips(monkeypatch, protocol, kind):
+    """A report's checks, keys and digest, rebuilt from its packed bytes, are
+    what the runner put in its transcript; ``__dict__`` rebuilds an equal
+    report."""
+    config, attack = _report_cases()[(protocol, kind)]
+    module, run = {"A": (protocol_a, run_protocol_a), "B": (protocol_b, run_protocol_b)}[protocol]
+    payloads = []
+    real = module.transcript_digest
+    monkeypatch.setattr(module, "transcript_digest", lambda p: payloads.append(p) or real(p))
+    report = run(config, attack, (3, 1))
+    (payload,) = payloads
+    assert report.aborted == (kind == "aborted")
+    assert [[c.check_id, c.compared, c.mismatches] for c in report.checks] == payload["checks"]
+    assert report.checks == tuple(
+        evaluate_check(c.check_id, c.compared, c.mismatches, config.thresholds[c.check_id])
+        for c in report.checks)
+    assert report.keys == (None if payload["keys"] is None else KeyMaterial(*payload["keys"]))
+    assert report.digest == real(payload)
+    assert report.transcript_digest == real(payload).hex()
+    rebuilt = RunReport(**report.__dict__)
+    assert rebuilt == report and rebuilt.__dict__ == report.__dict__
+    assert hash(rebuilt) == hash(report)
+
+
+def test_report_rebuilds_with_a_replaced_verdict():
+    """A verdict built by position, with a truthy non-bool ``passed``, packs
+    as a bool and survives the ``__dict__`` rebuild."""
+    report = RunReport("A", (1, 2), [evaluate_check("case1", 8, 0, 0.05)], None,
+                       KeyMaterial("0110", "1100"), None, bytes(range(32)))
+    bad = CheckVerdict("case1", 10, 1, 0.1, True)
+    changed = RunReport(**{**report.__dict__, "checks": (bad,)})
+    assert changed.checks == (CheckVerdict("case1", 10, 1, True, True),)
+    assert changed.keys == report.keys and changed.digest == report.digest
+    assert changed != report
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        changed.seed = (1, 3)
+
+
+@pytest.mark.parametrize("checks, keys", [
+    ([CheckVerdict("c", 1 << 32, 0, True)], None),
+    ([CheckVerdict("c", 4, -1, True)], None),
+    ([], KeyMaterial("012", "110")),
+    ([], KeyMaterial("ab", "11")),
+])
+def test_report_packing_rejects_what_does_not_fit(checks, keys):
+    with pytest.raises(ValueError):
+        RunReport("A", 0, checks, None, keys, None, bytes(32))
+    with pytest.raises(ValueError, match="digest must be 32 bytes"):
+        RunReport("A", 0, [], None, None, None, bytes(31))
+
+
+def test_report_packs_the_largest_counts_and_empty_keys():
+    top = (1 << 32) - 1
+    report = RunReport("B", 0, [CheckVerdict("c", top, top, False, True)], None,
+                       KeyMaterial("", ""), None, bytes(32))
+    assert report.checks == (CheckVerdict("c", top, top, False, True),)
+    assert report.keys == KeyMaterial("", "") and report.digest == bytes(32)

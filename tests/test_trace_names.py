@@ -10,6 +10,10 @@ and ``import sqss`` still loads what the trace mode times.
 the package's own suite.  ROADMAP item 1 makes ``install`` skip absent names
 and report their metrics as 0, and lets the import time of a module that is
 not loaded read 0; that retires this module.
+
+The benchmark's self-test also requires ``qstate.measure_qubit`` calls on
+its entangle-measure workload, which it counts at ``runtime``'s binding; a
+test here checks that probed particles still reach that binding.
 """
 
 import importlib.util
@@ -18,7 +22,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sqss
+from sqss import runtime
+from sqss.adversary import AttackSpec
+from sqss.em_analysis import random_pair
+from sqss.protocol_a import ProtocolAConfig, default_thresholds, run_protocol_a
 
 INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
 
@@ -51,3 +61,33 @@ def test_package_import_loads_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["True"]
+
+
+def test_probed_layers_reach_the_traced_kernel_once(monkeypatch):
+    """The trace mode counts probed-particle measurements at
+    ``runtime.measure_qubit``: one call per measured layer that holds probed
+    particles, none on a layer of bare particles alone."""
+    layers = []  # per measured layer: (holds probed particles, kernel calls)
+    calls = []
+    measure, kernel = runtime.ParticleBatch.measure, runtime.measure_qubit
+
+    def counted_measure(batch, positions, bases, rng):
+        probed = bool(np.any(batch.code[np.asarray(positions)] == runtime.PROBED))
+        before = len(calls)
+        bits = measure(batch, positions, bases, rng)
+        layers.append((probed, len(calls) - before))
+        return bits
+
+    def counted_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(runtime.ParticleBatch, "measure", counted_measure)
+    monkeypatch.setattr(runtime, "measure_qubit", counted_kernel)
+    pair = random_pair("A", 2, np.random.default_rng(5))
+    config = ProtocolAConfig(n=20, m=45, thresholds=default_thresholds(1.0))
+    run_protocol_a(config, AttackSpec("A", "em", pair=pair), (3, 1))
+    # Bob's, Charlie's and Alice's measurements, all of probed particles.
+    assert layers == [(True, 1)] * 3
+    run_protocol_a(config, None, (3, 1))
+    assert layers[3:] == [(False, 0)] * 3
