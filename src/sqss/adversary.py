@@ -20,7 +20,6 @@ from .qstate import Basis, apply_unitary_batch, check_unitary
 from .runtime import (
     CTRL,
     LEG_ORDER,
-    PROBED,
     SIFT_B,
     SIFT_C,
     Leg,
@@ -327,7 +326,6 @@ def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
     def make(u):
         def intercept(batch, leg, rng):
             batch.probe = apply_unitary_batch(batch.amplitudes(pair.probe_dim), u)
-            batch.code[:] = PROBED
             return batch
         return intercept
 

@@ -193,10 +193,6 @@ def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-# Code of a particle that is a joint qubit-probe amplitude row, not a BB84 state.
-PROBED = -1
-
-
 # Per (basis, outcome bit): (c0, c1, scale) such that the probe vector
 # travelling with that outcome is (c0 * block_0 + c1 * block_1) * scale,
 # where block_x holds the probe amplitudes beside qubit |x>.
@@ -211,34 +207,26 @@ def _branches(blocks: np.ndarray, bases: np.ndarray, bits) -> np.ndarray:
     return (c0 * blocks[:, 0] + c1 * blocks[:, 1]) * scale
 
 
-def measure_qubit(codes: np.ndarray, rows: np.ndarray, bases: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measure a layer of qubits in order, each in its basis (0 = Z, 1 = X).
+def measure_qubit(rows: np.ndarray, bases: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the qubit of each joint qubit-probe row in order, each in its
+    basis (0 = Z, 1 = X).
 
-    ``codes`` gives each qubit's BB84 code, or ``PROBED`` for a qubit that
-    shares a joint row with its probe: the k ``PROBED`` entries take the k
-    rows of ``rows``, shape ``(k, 2d)`` (laid out as a ``CompositeState``'s
-    amplitudes, trusted to be normalized), in order.  The draws are those of
-    ``measure`` and a projective measurement of each qubit in turn: a
-    certain outcome draws nothing, and the rest share one ``rng.random``
-    call in layer order.  Returns the bits, the collapsed codes (``PROBED``
-    where probed) and the projected, renormalized rows.
+    ``rows`` has shape ``(k, 2d)``, each row laid out as a
+    ``CompositeState``'s amplitudes and trusted to be normalized.  The draws
+    are those of a projective measurement of each qubit in turn: a certain
+    outcome draws nothing, and the rest share one ``rng.random`` call in row
+    order.  Returns the bits and the projected, renormalized rows; ``rows``
+    is left as it was.
     """
-    probed = codes == PROBED
-    blocks = rows.reshape(len(rows), 2, -1)
-    row_bases = bases[probed]
-    # A PROBED code indexes the tables' last row; those entries are replaced.
-    p0 = _CODE_P0[codes, bases]
-    p0[probed] = _weights(_branches(blocks, row_bases, 0))
+    blocks = rows.reshape(len(rows), 2, rows.shape[1] // 2)
+    p0 = _weights(_branches(blocks, bases, 0))
     bits = _draw_bits(_certain(p0), p0, rng)
-    collapsed = _COLLAPSED_CODE[bases, bits]
-    row_bits = bits[probed]
-    probe = _branches(blocks, row_bases, row_bits)
+    probe = _branches(blocks, bases, bits)
     probe /= np.sqrt(_weights(probe))[:, None]
     # The outcome state's amplitudes times the probe, block by block.
-    out = BB84_AMPS[collapsed[probed]][:, :, None] * probe[:, None, :]
-    collapsed[probed] = PROBED
-    return bits, collapsed, out.reshape(rows.shape)
+    out = BB84_AMPS[_COLLAPSED_CODE[bases, bits]][:, :, None] * probe[:, None, :]
+    return bits, out.reshape(rows.shape)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .qstate import BB84_AMPS, PROBED, measure_codes, measure_qubit
+from .qstate import BB84_AMPS, measure_codes, measure_qubit
 
 
 class Leg(Enum):
@@ -41,13 +41,13 @@ CTRL, SIFT_B, SIFT_C = range(3)
 class ParticleBatch:
     """Particles in flight as parallel arrays; entry ``i`` is position ``i``.
 
-    ``code`` holds each bare particle's state as its BB84 code: a
-    ``qstate.PrepState`` is its code, so ``PrepState.PLUS`` is 2 and
-    ``qstate.BB84_AMPS[code]`` its amplitudes.  ``probe`` is None until an
-    entangle-measure leg writes it: then it is an ``(N, 2d)`` complex array,
-    and a particle with code ``PROBED`` has its joint qubit-probe amplitudes
-    in its row, entry ``x * d + j`` for qubit |x> and probe |j>.  The rows of
-    bare particles are ignored.  What parties and attackers did to the
+    A batch is bare or probed as a whole.  While ``probe`` is None every
+    particle is the BB84 state of its ``code``: a ``qstate.PrepState`` is its
+    code, so ``PrepState.PLUS`` is 2 and ``qstate.BB84_AMPS[code]`` its
+    amplitudes.  Once an entangle-measure leg writes ``probe``, it is an
+    ``(N, 2d)`` complex array holding every particle's joint qubit-probe
+    amplitudes, entry ``x * d + j`` for qubit |x> and probe |j>, and only
+    ``code``'s length is read.  What parties and attackers did to the
     particles is kept by those parties and attackers, not here.
     """
 
@@ -68,14 +68,13 @@ class ParticleBatch:
 
     @staticmethod
     def concat(first: ParticleBatch, second: ParticleBatch) -> ParticleBatch:
-        """``first`` followed by ``second``; a side without probes gets zero rows."""
+        """``first`` followed by ``second``; if either side is probed, both
+        join as rows, a bare particle's probe in |e_0>."""
         code = np.concatenate([first.code, second.code])
         if first.probe is None and second.probe is None:
             return ParticleBatch(code)
-        width = (second.probe if first.probe is None else first.probe).shape[1]
-        return ParticleBatch(code, np.concatenate(
-            [np.zeros((len(b), width), dtype=complex) if b.probe is None else b.probe
-             for b in (first, second)]))
+        d = (second.probe if first.probe is None else first.probe).shape[1] // 2
+        return ParticleBatch(code, np.concatenate([first.amplitudes(d), second.amplitudes(d)]))
 
     def states(self) -> ParticleBatch:
         """A copy of the particles' quantum states alone."""
@@ -88,16 +87,16 @@ class ParticleBatch:
 
     def amplitudes(self, dim_probe: int) -> np.ndarray:
         """Every particle's joint qubit-probe amplitudes as an ``(N, 2d)``
-        array, ``d = dim_probe``; a bare particle's probe is in |e_0>."""
+        array, ``d = dim_probe``: a probed batch's own rows (not a copy), or
+        a bare batch's states with the probe in |e_0>."""
         d = dim_probe
-        if self.probe is not None and self.probe.shape[1] != 2 * d:
-            raise ValueError(f"batch has probe dimension {self.probe.shape[1] // 2}, "
-                             f"expected {d}")
-        bare = self.code != PROBED
-        rows = np.zeros((len(self), 2 * d), dtype=complex)
         if self.probe is not None:
-            rows[~bare] = self.probe[~bare]
-        rows[np.ix_(bare, (0, d))] = BB84_AMPS[self.code[bare]]
+            if self.probe.shape[1] != 2 * d:
+                raise ValueError(f"batch has probe dimension {self.probe.shape[1] // 2}, "
+                                 f"expected {d}")
+            return self.probe
+        rows = np.zeros((len(self), 2 * d), dtype=complex)
+        rows[:, (0, d)] = BB84_AMPS[self.code]
         return rows
 
     def measure(self, positions, bases, rng: np.random.Generator) -> np.ndarray:
@@ -107,21 +106,16 @@ class ParticleBatch:
 
         The layer is one pass with one draw: the outcomes that are not
         certain share one ``rng.random`` call in position order, so the
-        draws are those of measuring the particles one at a time.  A layer
-        of bare particles goes through ``measure_codes``; a layer that holds
-        probed particles goes through one ``measure_qubit`` call, which
-        writes their collapsed amplitudes back to their rows.
+        draws are those of measuring the particles one at a time.  A bare
+        batch's layer goes through ``measure_codes``, a probed batch's
+        through one ``measure_qubit`` call on its rows.
         """
         positions = np.asarray(positions)
         bases = np.broadcast_to(np.asarray(bases, dtype=np.int8), positions.shape)
-        codes = self.code[positions]
-        probed = codes == PROBED
-        if not probed.any():
-            bits, self.code[positions] = measure_codes(codes, bases, rng)
-            return bits
-        rows = positions[probed]
-        bits, self.code[positions], self.probe[rows] = measure_qubit(
-            codes, self.probe[rows], bases, rng)
+        if self.probe is None:
+            bits, self.code[positions] = measure_codes(self.code[positions], bases, rng)
+        else:
+            bits, self.probe[positions] = measure_qubit(self.probe[positions], bases, rng)
         return bits
 
 

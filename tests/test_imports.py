@@ -1,9 +1,17 @@
-"""No module of the package or of its tests imports a name it never uses.
+"""No module of the package or of its tests imports a name it never uses,
+and the package defines no name that nothing uses.
 
-No linter ships with the project, so this is the one import check: a name
-bound by ``import``/``from ... import`` must appear somewhere else in the
-module, unless its line carries ``# noqa: F401``.  The package's
-``__init__.py`` is exempt, since it imports to re-export.
+No linter ships with the project, so these are the checks:
+- a name bound by ``import``/``from ... import`` must appear somewhere else
+  in the module, unless its line carries ``# noqa: F401``;
+- a top-level name a package module defines (a function, a class or an
+  assigned name) must appear somewhere under ``src/``, ``tests/`` or
+  ``perfbench/`` other than its own definition: read as an identifier, as
+  an attribute, or as a whole string constant (as ``getattr`` and the
+  benchmark's tracing name it).
+
+The package's ``__init__.py`` is exempt from both, since it imports to
+re-export.
 """
 
 import ast
@@ -33,6 +41,39 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def defined_names(source: str) -> list[str]:
+    """Top-level names a module defines, in order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def mentions(source: str) -> set[str]:
+    """Identifiers read, attribute names and string constants of a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def dead_names(defining: dict[str, str], sources: list[str]) -> list[str]:
+    """``module.name`` for each name a ``defining`` module defines that no
+    source mentions; ``sources`` include the defining modules."""
+    used = set().union(*map(mentions, sources))
+    return [f"{module}.{name}" for module, source in defining.items()
+            for name in defined_names(source) if name not in used]
+
+
 def test_the_check_sees_unused_and_noqa_imports():
     source = ("import os\nimport sys\nfrom json import dumps, loads\n"
               "from math import pi  # noqa: F401\nprint(sys.argv, loads)\n")
@@ -42,3 +83,17 @@ def test_the_check_sees_unused_and_noqa_imports():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports(MODULES[module].read_text()) == []
+
+
+def test_the_check_sees_dead_names():
+    module = ("LIVE = 1\nDEAD, (PAIR, LEFT) = 2, (3, 4)\nKEY: int = 5\n"
+              "def used():\n    return LIVE + PAIR\nclass Gone:\n    pass\n")
+    other = "import m\nm.used()\ngetattr(m, 'KEY')\n"
+    assert dead_names({"m": module}, [module, other]) == ["m.DEAD", "m.LEFT", "m.Gone"]
+
+
+def test_package_defines_no_dead_name():
+    sources = [p.read_text() for top in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / top).rglob("*.py"))]
+    package = {p.stem: p.read_text() for p in MODULES.values() if p.parent.name == "sqss"}
+    assert dead_names(package, sources) == []

@@ -11,6 +11,7 @@ from sqss.qstate import (
     BASIS_OF_CODE,
     BB84_AMPS,
     EXPECTED_OF_CODE,
+    MIN_BRANCH_PROB,
     Basis,
     CompositeState,
     DensityMatrix,
@@ -25,7 +26,7 @@ from sqss.qstate import (
     trace_distance,
     zstate,
 )
-from sqss.runtime import PROBED, ParticleBatch
+from sqss.runtime import ParticleBatch
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -136,18 +137,13 @@ def test_cnot_on_plus_entangles_probe():
     assert out.amps == pytest.approx([RT2, 0, 0, RT2])
 
 
-def _probed(k):
-    return np.full(k, PROBED, dtype=np.int8)
-
-
 def test_measure_qubit_collapse_branches():
     # (|0>|e0> + |1>|e1>)/sqrt(2), fifty copies measured as one layer.
     row = np.array([RT2, 0, 0, RT2], dtype=complex)
     rows = np.tile(row, (50, 1))
     rng = np.random.default_rng(5)
-    bits, codes, collapsed = measure_qubit(_probed(50), rows, np.zeros(50, np.int8), rng)
+    bits, collapsed = measure_qubit(rows, np.zeros(50, np.int8), rng)
     assert set(bits.tolist()) == {0, 1}
-    assert codes.tolist() == [PROBED] * 50
     assert collapsed.shape == rows.shape and np.array_equal(rows[0], row)
     for bit, got in zip(bits.tolist(), collapsed):
         expected = np.zeros(4)
@@ -163,7 +159,7 @@ def test_measure_qubit_product_state_deterministic():
     bases = BASIS_OF_CODE.copy()
     rng = np.random.default_rng(6)
     state = rng.bit_generator.state
-    bits, _, collapsed = measure_qubit(_probed(len(rows)), rows, bases, rng)
+    bits, collapsed = measure_qubit(rows, bases, rng)
     assert bits.tolist() == EXPECTED_OF_CODE.tolist()
     assert np.abs(collapsed - rows).max() < 1e-15
     assert rng.bit_generator.state == state
@@ -236,30 +232,53 @@ def test_batch_unitary_rejects_a_mismatched_probe():
     with pytest.raises(ValueError):
         apply_unitary_batch(rows, np.eye(4))
     with pytest.raises(ValueError, match="probe dimension 3, expected 2"):
-        ParticleBatch([PROBED], rows.copy()).amplitudes(2)
+        ParticleBatch([0], rows.copy()).amplitudes(2)
+
+
+def _row_with_p0(p0, basis, d):
+    """A joint row whose qubit, measured in ``basis``, gives 0 with
+    probability ``p0``: probe |e_0> beside outcome 0 and |e_{d-1}> beside
+    outcome 1, so that no normalization rounds the weights."""
+    zero, one = np.zeros(d), np.zeros(d)
+    zero[0], one[-1] = np.sqrt(p0), np.sqrt(1.0 - p0)
+    if basis == Basis.Z:
+        return np.concatenate([zero, one])
+    return np.concatenate([zero + one, zero - one]) / np.sqrt(2.0)
+
+
+# P(0) at the edges of the draw: certain, and just inside or outside the
+# MIN_BRANCH_PROB margin at either end.  Near 1 the margins are wider than
+# a few ulps of 1, which rounding in building and reading a row can reach.
+EDGE_P0 = (0.0, 1.0, MIN_BRANCH_PROB / 3, 3 * MIN_BRANCH_PROB,
+           1.0 - 2.0 ** -52, 1.0 - 5 * MIN_BRANCH_PROB)
 
 
 @pytest.mark.parametrize("basis", [Basis.Z, Basis.X], ids=["Basis.Z", "Basis.X"])
 def test_measure_qubit_matches_branch_probability_and_collapse(basis):
     """A stack of rows against the projector reference on each row in turn:
     under a shared seed the same outcomes, amplitudes within 1e-12 and the
-    same RNG state after; the input rows are left as they were."""
+    same RNG state after; the input rows are left as they were.  Each stack
+    holds, in a shuffled order, a row with every P(0) of ``EDGE_P0``."""
     rng = np.random.default_rng(50)
     for d in (1, 2, 3):
-        states = [CompositeState(_random_amps(2 * d, rng), d) for _ in range(15)]
-        rows = np.array([state.amps for state in states])
+        rows = np.array([_random_amps(2 * d, rng) for _ in range(15)]
+                        + [_row_with_p0(p0, basis, d) for p0 in EDGE_P0])
+        order = rng.permutation(len(rows))
+        rows, p0s = rows[order], np.concatenate([np.full(15, 0.5), EDGE_P0])[order]
+        states = [CompositeState(row, d) for row in rows]
         bases = np.full(len(rows), basis, dtype=np.int8)
-        for seed in range(3):
+        for seed in range(4):
             ref_rng = np.random.default_rng(seed)
             want = [reference_measure_qubit(state, basis, ref_rng) for state in states]
             meas_rng = np.random.default_rng(seed)
-            bits, codes, got = measure_qubit(_probed(len(rows)), rows, bases, meas_rng)
+            bits, got = measure_qubit(rows, bases, meas_rng)
             assert np.array_equal(rows, [state.amps for state in states])
             assert bits.tolist() == [bit for bit, _ in want]
-            assert codes.tolist() == [PROBED] * len(rows)
             assert got.shape == rows.shape
             assert np.abs(got - [state.amps for _, state in want]).max() < 1e-12
             assert meas_rng.bit_generator.state == ref_rng.bit_generator.state
+            # A certain outcome: P(0) = 0 gives 1, P(0) = 1 gives 0.
+            assert bits[p0s == 0.0].tolist() == [1] and bits[p0s == 1.0].tolist() == [0]
         # The two branch weights are a probability distribution.
         for state in states:
             weights = [branch_probability(state, basis, bit) for bit in (0, 1)]

@@ -13,9 +13,8 @@ from sqss.protocol_a import ProtocolAConfig, run_protocol_a
 from sqss.protocol_a import default_thresholds as default_thresholds_a
 from sqss.protocol_b import ProtocolBConfig, run_protocol_b
 from sqss.protocol_b import default_thresholds as default_thresholds_b
-from sqss.qstate import BB84_AMPS, MIN_BRANCH_PROB, Basis, CompositeState, lift, measure
+from sqss.qstate import BB84_AMPS, Basis, CompositeState, lift, measure
 from sqss.runtime import (
-    PROBED,
     CheckVerdict,
     KeyMaterial,
     Leg,
@@ -115,73 +114,58 @@ def _random_amps(size, rng):
     return amps / np.linalg.norm(amps)
 
 
-def _row_with_p0(p0, basis, d):
-    """A joint row whose qubit, measured in ``basis``, gives 0 with
-    probability ``p0``: probe |e_0> beside outcome 0 and |e_{d-1}> beside
-    outcome 1, so that no normalization rounds the weights."""
-    zero, one = np.zeros(d), np.zeros(d)
-    zero[0], one[-1] = np.sqrt(p0), np.sqrt(1.0 - p0)
-    if basis == Basis.Z:
-        return np.concatenate([zero, one])
-    return np.concatenate([zero + one, zero - one]) / np.sqrt(2.0)
-
-
-# P(0) at the edges of the draw: certain, and just inside or outside the
-# MIN_BRANCH_PROB margin at either end.  Near 1 the margins are wider than
-# a few ulps of 1, which rounding in building and reading a row can reach.
-EDGE_P0 = (0.0, 1.0, MIN_BRANCH_PROB / 3, 3 * MIN_BRANCH_PROB,
-           1.0 - 2.0 ** -52, 1.0 - 5 * MIN_BRANCH_PROB)
-
-
-def test_batch_measure_mixed_layer_matches_one_at_a_time():
-    """Bare and probed particles interleaved, measured in a scrambled order:
-    the same outcomes, collapsed states and final RNG state as measure on
-    each bare particle and the projector reference on each probed one, in
-    turn.  Probed rows agree with the reference within 1e-12.  The layer
-    includes probed rows with every P(0) of ``EDGE_P0``, in both bases."""
+@pytest.mark.parametrize("probed", [False, True], ids=["bare", "probed"])
+def test_batch_measure_matches_one_at_a_time(probed):
+    """A layer at scrambled positions, in random bases: the same outcomes,
+    collapsed states and final RNG state as measure on each bare particle,
+    or the projector reference on each probed row, in turn.  Probed rows
+    agree with the reference within 1e-12; unmeasured particles are left
+    as they were."""
     layout = np.random.default_rng(70)
     n, d = 60, 2
-    edges = [(p0, b) for b in Basis for p0 in EDGE_P0]
-    codes = layout.integers(4, size=n + len(edges)).astype(np.int8)
-    probed = np.concatenate([layout.random(n) < 0.4, np.ones(len(edges), dtype=bool)])
-    # Bare rows hold junk: only the probed rows are read.
-    rows = layout.normal(size=(len(codes), 2 * d)) + 0j
-    for i in np.flatnonzero(probed[:n]).tolist():
-        rows[i] = _random_amps(2 * d, layout)
-    rows[n:] = [_row_with_p0(p0, b, d) for p0, b in edges]
-    # 45 random particles in random bases, and each edge row in the basis it
-    # was built for, in one scrambled order.
-    order = layout.permutation(45 + len(edges))
-    positions = np.concatenate([layout.permutation(n)[:45], n + np.arange(len(edges))])[order]
-    bases = np.concatenate([layout.integers(2, size=45),
-                            [b for _, b in edges]]).astype(np.int8)[order]
+    codes = layout.integers(4, size=n).astype(np.int8)
+    rows = np.array([_random_amps(2 * d, layout) for _ in range(n)])
+    positions = layout.permutation(n)[:45]
+    bases = layout.integers(2, size=45).astype(np.int8)
     for seed in range(4):
-        batch = ParticleBatch(np.where(probed, PROBED, codes), rows.copy())
+        batch = ParticleBatch(codes, rows.copy() if probed else None)
         rng = np.random.default_rng(seed)
         bits = batch.measure(positions, bases, rng)
 
         ref_rng = np.random.default_rng(seed)
-        states = {i: CompositeState(rows[i], d) if probed[i] else BB84_AMPS[c]
+        states = {i: CompositeState(rows[i], d) if probed else BB84_AMPS[c]
                   for i, c in enumerate(codes.tolist())}
         want = []
         for pos, b in zip(positions.tolist(), bases.tolist()):
-            step = measure_qubit if probed[pos] else measure
+            step = measure_qubit if probed else measure
             bit, states[pos] = step(states[pos], Basis(b), ref_rng)
             want.append(bit)
         assert bits.tolist() == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         for i, state in states.items():
-            if probed[i]:
-                assert batch.code[i] == PROBED
+            if probed:
                 assert np.abs(batch.probe[i] - state.amps).max() < 1e-12
             else:
                 assert np.array_equal(BB84_AMPS[batch.code[i]], state)
-                assert np.array_equal(batch.probe[i], rows[i])
-        # A certain outcome: P(0) = 0 gives 1, P(0) = 1 gives 0.
-        at = dict(zip(positions.tolist(), bits.tolist()))
-        for j, (p0, _) in enumerate(edges):
-            if p0 in (0.0, 1.0):
-                assert at[n + j] == int(p0 == 0.0)
+        unmeasured = np.setdiff1d(np.arange(n), positions)
+        if probed:
+            assert np.array_equal(batch.probe[unmeasured], rows[unmeasured])
+        else:
+            assert np.array_equal(batch.code[unmeasured], codes[unmeasured])
+
+
+@pytest.mark.parametrize("probed", [False, True], ids=["bare", "probed"])
+def test_batch_measure_of_no_positions_draws_nothing(probed):
+    rows = np.array([lift(BB84_AMPS[c], 2).amps for c in range(4)])
+    batch = ParticleBatch([0, 1, 2, 3], rows.copy() if probed else None)
+    rng = np.random.default_rng(71)
+    state = rng.bit_generator.state
+    bits = batch.measure(np.zeros(0, dtype=np.intp), Basis.Z, rng)
+    assert bits.shape == (0,)
+    assert rng.bit_generator.state == state
+    assert batch.code.tolist() == [0, 1, 2, 3]
+    if probed:
+        assert np.array_equal(batch.probe, rows)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -190,15 +174,9 @@ def test_batch_amplitudes_lift_bare_rows_and_keep_probed_ones(d):
     codes = np.array([0, 1, 2, 3, 2, 0], dtype=np.int8)
     assert np.array_equal(ParticleBatch(codes).amplitudes(d),
                           [lift(BB84_AMPS[c], d).amps for c in codes])
-    probed = np.array([False, True, False, True, True, False])
-    rows = rng.normal(size=(len(codes), 2 * d)) + 0j
-    batch = ParticleBatch(np.where(probed, PROBED, codes), rows.copy())
-    got = batch.amplitudes(d)
-    for i, c in enumerate(codes.tolist()):
-        want = rows[i] if probed[i] else lift(BB84_AMPS[c], d).amps
-        assert np.array_equal(got[i], want)
-    got[:] = 0
-    assert np.array_equal(batch.probe, rows)
+    rows = np.array([_random_amps(2 * d, rng) for _ in codes])
+    batch = ParticleBatch(codes, rows)
+    assert batch.amplitudes(d) is rows
     with pytest.raises(ValueError, match=f"probe dimension {d}, expected {d + 1}"):
         batch.amplitudes(d + 1)
 
@@ -210,29 +188,31 @@ def test_batch_indexing_keeps_columns_aligned():
     assert len(batch[1:]) == 3
 
     rng = np.random.default_rng(90)
-    rows = np.zeros((4, 4), dtype=complex)
-    rows[2] = lift(BB84_AMPS[2], 2).amps
-    rows[3] = _random_amps(4, rng)
-    probed = ParticleBatch([0, 1, PROBED, PROBED], rows.copy())
+    rows = np.array([_random_amps(4, rng) for _ in range(4)])
+    probed = ParticleBatch([0, 1, 2, 3], rows.copy())
     order = np.array([3, 0, 2, 1])
     picked = probed[order]
-    assert picked.code.tolist() == [PROBED, 0, PROBED, 1]
     assert np.array_equal(picked.probe, rows[order])
-    assert picked.probe.shape == (4, 4)
+    assert len(picked) == 4 and picked.probe.shape == (4, 4)
 
-    # A side without probes is padded with zero rows, on either side.
+    # Beside a probed side, the bare side's particles join as lifted rows,
+    # on either side.
+    lifted = np.array([lift(BB84_AMPS[c], 2).amps for c in (1, 3)])
     joined = ParticleBatch.concat(probed, ParticleBatch([1, 3]))
-    assert joined.code.tolist() == [0, 1, PROBED, PROBED, 1, 3]
-    assert np.array_equal(joined.probe, np.concatenate([rows, np.zeros((2, 4))]))
-    joined = ParticleBatch.concat(ParticleBatch([1]), probed)
-    assert np.array_equal(joined.probe, np.concatenate([np.zeros((1, 4)), rows]))
+    assert len(joined) == 6
+    assert np.array_equal(joined.probe, np.concatenate([rows, lifted]))
+    joined = ParticleBatch.concat(ParticleBatch([1, 3]), probed)
+    assert np.array_equal(joined.probe, np.concatenate([lifted, rows]))
     assert ParticleBatch.concat(batch, batch).probe is None
+    wider = ParticleBatch([0], lift(BB84_AMPS[0], 3).amps[None])
+    with pytest.raises(ValueError, match="probe dimension 3, expected 2"):
+        ParticleBatch.concat(probed, wider)
 
     # states() copies both columns.
     copy = probed.states()
     copy.code[2] = 0
     copy.probe[3] = 0
-    assert probed.code.tolist() == [0, 1, PROBED, PROBED]
+    assert probed.code.tolist() == [0, 1, 2, 3]
     assert np.array_equal(probed.probe, rows)
 
     probed.fake([1, 0, 1, 1])

@@ -25,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 import sqss
-from sqss import runtime
+from sqss import protocol_a, protocol_b, runtime
 from sqss.adversary import AttackSpec
 from sqss.em_analysis import random_pair
-from sqss.protocol_a import ProtocolAConfig, default_thresholds, run_protocol_a
 
 INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
 
@@ -65,14 +64,16 @@ def test_package_import_loads_scipy_linalg():
 
 def test_probed_layers_reach_the_traced_kernel_once(monkeypatch):
     """The trace mode counts probed-particle measurements at
-    ``runtime.measure_qubit``: one call per measured layer that holds probed
-    particles, none on a layer of bare particles alone."""
-    layers = []  # per measured layer: (holds probed particles, kernel calls)
+    ``runtime.measure_qubit``: one call per measured layer of a probed
+    batch, none on a layer of a bare batch.  Protocol B's em run measures
+    one layer, after Charlie's bare insertions have joined the probed
+    particles."""
+    layers = []  # per measured layer: (the batch is probed, kernel calls)
     calls = []
     measure, kernel = runtime.ParticleBatch.measure, runtime.measure_qubit
 
     def counted_measure(batch, positions, bases, rng):
-        probed = bool(np.any(batch.code[np.asarray(positions)] == runtime.PROBED))
+        probed = batch.probe is not None
         before = len(calls)
         bits = measure(batch, positions, bases, rng)
         layers.append((probed, len(calls) - before))
@@ -84,10 +85,17 @@ def test_probed_layers_reach_the_traced_kernel_once(monkeypatch):
 
     monkeypatch.setattr(runtime.ParticleBatch, "measure", counted_measure)
     monkeypatch.setattr(runtime, "measure_qubit", counted_kernel)
-    pair = random_pair("A", 2, np.random.default_rng(5))
-    config = ProtocolAConfig(n=20, m=45, thresholds=default_thresholds(1.0))
-    run_protocol_a(config, AttackSpec("A", "em", pair=pair), (3, 1))
-    # Bob's, Charlie's and Alice's measurements, all of probed particles.
-    assert layers == [(True, 1)] * 3
-    run_protocol_a(config, None, (3, 1))
-    assert layers[3:] == [(False, 0)] * 3
+    config_a = protocol_a.ProtocolAConfig(n=20, m=45,
+                                          thresholds=protocol_a.default_thresholds(1.0))
+    config_b = protocol_b.ProtocolBConfig(n=16, thresholds=protocol_b.default_thresholds(1.0))
+    for run, config, mode, probed_layers in (
+            (protocol_a.run_protocol_a, config_a, "A", 3),
+            (protocol_b.run_protocol_b, config_b, "B", 1)):
+        pair = random_pair(mode, 2, np.random.default_rng(5))
+        layers.clear()
+        run(config, AttackSpec(mode, "em", pair=pair), (3, 1))
+        # In A: Bob's, Charlie's and Alice's measurements; in B: Alice's.
+        assert layers == [(True, 1)] * probed_layers
+        layers.clear()
+        run(config, None, (3, 1))
+        assert layers == [(False, 0)] * probed_layers
