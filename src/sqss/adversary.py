@@ -175,7 +175,7 @@ class AdversaryKnowledge:
         self.source[positions] = ALLOWED_SOURCES.index(source)
 
     def keep(self, batch: ParticleBatch) -> None:
-        self.retained = batch.states()
+        self.retained = batch.copy()
 
     def guess_bits(self, source: str, positions: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
@@ -282,8 +282,7 @@ class SwapBackPartyA(_Insider, HonestPartyA):
 
     def act(self, batch, rng):
         # Bob's outgoing particles stay in her hand; the genuine ones go on.
-        genuine, self.knowledge.retained = self.knowledge.retained, batch.states()
-        batch.code, batch.probe = genuine.code, genuine.probe
+        batch.states, self.knowledge.retained = self.knowledge.retained.states, batch.copy()
         super().act(batch, rng)
 
 
@@ -325,7 +324,7 @@ def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
     return leg; each particle carries its own probe, initially |e0>."""
     def make(u):
         def intercept(batch, leg, rng):
-            batch.probe = apply_unitary_batch(batch.amplitudes(pair.probe_dim), u)
+            batch.states = apply_unitary_batch(batch.amplitudes(pair.probe_dim), u)
             return batch
         return intercept
 

@@ -136,9 +136,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                             seed=data.get("seed", 0))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members; a repeated key is an error, not a last-wins."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config repeats the key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> ExperimentConfig:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -15,13 +15,11 @@ import numpy as np
 
 from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
-    BB84_SYMBOL,
     EXPECTED_OF_CODE,
     measure_qubit,  # noqa: F401 -- a module binding for call-site tracing (perfbench)
 )
 from .runtime import (
     BIT_SYMBOL,
-    TRANSCRIPT_SCHEMA,
     CheckVerdict,
     KeyMaterial,
     Leg,
@@ -33,10 +31,10 @@ from .runtime import (
     check_thresholds,
     derive_keys,
     evaluate_check,
+    finish_run,
     random_subset,
     score_payoff,
     symbol_string,
-    transcript_digest,
     transmit,
 )
 
@@ -161,20 +159,8 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
         truths = np.concatenate([bob.result[withheld2], charlie.result[withheld3]])
         payoff = score_payoff(plan.target, plan.guess_a(withheld2, withheld3, rng), truths)
 
-    digest = transcript_digest({
-        "schema": TRANSCRIPT_SCHEMA,
-        "protocol": "A",
-        "seed": seed,
-        "attack": plan.attack_id,
-        "prepared": symbol_string(BB84_SYMBOL, preps),
-        "announced": [symbol_string(_CHOICE_SYMBOL, announced_b),
-                      symbol_string(_CHOICE_SYMBOL, announced_c)],
-        "alice": [symbol_string(_BASIS_SYMBOL, basis), symbol_string(BIT_SYMBOL, alice)],
-        "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
-        "aborted": reason is not None,
-        "keys": None if keys is None else [keys.k_b, keys.k_c],
-        "payoff": payoff,
-    })
-
-    return RunReport(protocol="A", seed=seed, checks=checks, abort_reason=reason,
-                     keys=keys, payoff=payoff, digest=digest)
+    return finish_run("A", seed, plan.attack_id, preps, checks, reason, keys, payoff,
+                      announced=[symbol_string(_CHOICE_SYMBOL, announced_b),
+                                 symbol_string(_CHOICE_SYMBOL, announced_c)],
+                      alice=[symbol_string(_BASIS_SYMBOL, basis),
+                             symbol_string(BIT_SYMBOL, alice)])

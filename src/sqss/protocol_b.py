@@ -17,7 +17,6 @@ import numpy as np
 from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
     BASIS_OF_CODE,
-    BB84_SYMBOL,
     EXPECTED_OF_CODE,
     measure_qubit,  # noqa: F401 -- a module binding for call-site tracing (perfbench)
 )
@@ -26,22 +25,22 @@ from .runtime import (
     CTRL,
     SIFT_B,
     SIFT_C,
-    TRANSCRIPT_SCHEMA,
     CheckVerdict,
     KeyMaterial,
     Leg,
     ParticleBatch,
     RunReport,
     abort_reason,
+    abort_run,
     check_int,
     check_real,
     check_thresholds,
     derive_keys,
     evaluate_check,
+    finish_run,
     random_subset,
     score_payoff,
     symbol_string,
-    transcript_digest,
     transmit,
 )
 
@@ -105,14 +104,6 @@ def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
     return by_origin[by_origin >= 0]
 
 
-def _abort_report(plan, seed, reason) -> RunReport:
-    digest = transcript_digest({"schema": TRANSCRIPT_SCHEMA, "protocol": "B",
-                                "seed": seed, "attack": plan.attack_id,
-                                "abort": reason})
-    return RunReport(protocol="B", seed=seed, checks=(), abort_reason=reason,
-                     keys=None, payoff=None, digest=digest)
-
-
 def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
                    seed: int) -> RunReport:
     """Execute one full run and return its report (pure in (config, attack, seed))."""
@@ -137,7 +128,7 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
 
     resolved = resolve_orders(bob_order, charlie_order, n)
     if resolved is None or len(batch) != 3 * n:
-        return _abort_report(plan, seed, "malformed announcement")
+        return abort_run("B", seed, plan.attack_id, "malformed announcement")
     classes, origins = resolved
 
     # Alice measures: CTRL in its preparation basis, SIFT particles in Z.
@@ -182,20 +173,6 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
             plan.target, np.concatenate([guess_b[origins_b], guess_c[origins_c]]),
             np.concatenate([bob.prepared_bits[origins_b], charlie.prepared_bits[origins_c]]))
 
-    digest = transcript_digest({
-        "schema": TRANSCRIPT_SCHEMA,
-        "protocol": "B",
-        "seed": seed,
-        "attack": plan.attack_id,
-        "prepared": symbol_string(BB84_SYMBOL, preps),
-        "bob_pub": bob_order.tolist(),
-        "charlie_pub": charlie_order.tolist(),
-        "outcomes": symbol_string(BIT_SYMBOL, outcomes),
-        "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
-        "aborted": reason is not None,
-        "keys": None if keys is None else [keys.k_b, keys.k_c],
-        "payoff": payoff,
-    })
-
-    return RunReport(protocol="B", seed=seed, checks=checks, abort_reason=reason,
-                     keys=keys, payoff=payoff, digest=digest)
+    return finish_run("B", seed, plan.attack_id, preps, checks, reason, keys, payoff,
+                      bob_pub=bob_order.tolist(), charlie_pub=charlie_order.tolist(),
+                      outcomes=symbol_string(BIT_SYMBOL, outcomes))

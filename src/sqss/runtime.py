@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .qstate import BB84_AMPS, measure_codes, measure_qubit
+from .qstate import BB84_AMPS, BB84_SYMBOL, measure_codes, measure_qubit
 
 
 class Leg(Enum):
@@ -39,64 +39,65 @@ CTRL, SIFT_B, SIFT_C = range(3)
 
 
 class ParticleBatch:
-    """Particles in flight as parallel arrays; entry ``i`` is position ``i``.
+    """Particles in flight as one array, ``states``; entry ``i`` is position ``i``.
 
-    A batch is bare or probed as a whole.  While ``probe`` is None every
-    particle is the BB84 state of its ``code``: a ``qstate.PrepState`` is its
-    code, so ``PrepState.PLUS`` is 2 and ``qstate.BB84_AMPS[code]`` its
-    amplitudes.  Once an entangle-measure leg writes ``probe``, it is an
-    ``(N, 2d)`` complex array holding every particle's joint qubit-probe
-    amplitudes, entry ``x * d + j`` for qubit |x> and probe |j>, and only
-    ``code``'s length is read.  What parties and attackers did to the
-    particles is kept by those parties and attackers, not here.
+    A batch is bare or probed as a whole.  A bare batch's ``states`` is an
+    int8 array of BB84 codes: a ``qstate.PrepState`` is its code, so
+    ``PrepState.PLUS`` is 2 and ``qstate.BB84_AMPS[code]`` its amplitudes.
+    Once an entangle-measure leg writes them, ``states`` is an ``(N, 2d)``
+    complex array holding every particle's joint qubit-probe amplitudes,
+    entry ``x * d + j`` for qubit |x> and probe |j>.  What parties and
+    attackers did to the particles is kept by those parties and attackers,
+    not here.
     """
 
-    __slots__ = ("code", "probe")
+    __slots__ = ("states",)
 
-    def __init__(self, code, probe: Optional[np.ndarray] = None):
-        self.code = np.array(code, dtype=np.int8)
-        self.probe = probe
+    def __init__(self, states):
+        states = np.asarray(states)
+        self.states = states if states.ndim == 2 else states.astype(np.int8)
+
+    @property
+    def probed(self) -> bool:
+        return self.states.ndim == 2
 
     def __len__(self) -> int:
-        return len(self.code)
+        return len(self.states)
 
     def __getitem__(self, index) -> ParticleBatch:
         """The particles at ``index`` (a slice, mask or position array), in
         its order."""
-        return ParticleBatch(self.code[index],
-                             None if self.probe is None else self.probe[index])
+        return ParticleBatch(self.states[index])
 
     @staticmethod
     def concat(first: ParticleBatch, second: ParticleBatch) -> ParticleBatch:
         """``first`` followed by ``second``; if either side is probed, both
         join as rows, a bare particle's probe in |e_0>."""
-        code = np.concatenate([first.code, second.code])
-        if first.probe is None and second.probe is None:
-            return ParticleBatch(code)
-        d = (second.probe if first.probe is None else first.probe).shape[1] // 2
-        return ParticleBatch(code, np.concatenate([first.amplitudes(d), second.amplitudes(d)]))
+        if not (first.probed or second.probed):
+            return ParticleBatch(np.concatenate([first.states, second.states]))
+        d = (first if first.probed else second).states.shape[1] // 2
+        return ParticleBatch(np.concatenate([first.amplitudes(d), second.amplitudes(d)]))
 
-    def states(self) -> ParticleBatch:
-        """A copy of the particles' quantum states alone."""
-        return ParticleBatch(self.code, None if self.probe is None else self.probe.copy())
+    def copy(self) -> ParticleBatch:
+        """A batch of copies of the particles' states."""
+        return ParticleBatch(self.states.copy())
 
     def fake(self, bits) -> None:
         """Replace every particle by a fresh |bit> Z-basis state."""
-        self.code = np.array(bits, dtype=np.int8)
-        self.probe = None
+        self.states = np.array(bits, dtype=np.int8)
 
     def amplitudes(self, dim_probe: int) -> np.ndarray:
         """Every particle's joint qubit-probe amplitudes as an ``(N, 2d)``
         array, ``d = dim_probe``: a probed batch's own rows (not a copy), or
         a bare batch's states with the probe in |e_0>."""
         d = dim_probe
-        if self.probe is not None:
-            if self.probe.shape[1] != 2 * d:
-                raise ValueError(f"batch has probe dimension {self.probe.shape[1] // 2}, "
+        if self.probed:
+            if self.states.shape[1] != 2 * d:
+                raise ValueError(f"batch has probe dimension {self.states.shape[1] // 2}, "
                                  f"expected {d}")
-            return self.probe
+            return self.states
         rows = np.zeros((len(self), 2 * d), dtype=complex)
-        rows[:, (0, d)] = BB84_AMPS[self.code]
+        rows[:, (0, d)] = BB84_AMPS[self.states]
         return rows
 
     def measure(self, positions, bases, rng: np.random.Generator) -> np.ndarray:
@@ -112,10 +113,8 @@ class ParticleBatch:
         """
         positions = np.asarray(positions)
         bases = np.broadcast_to(np.asarray(bases, dtype=np.int8), positions.shape)
-        if self.probe is None:
-            bits, self.code[positions] = measure_codes(self.code[positions], bases, rng)
-        else:
-            bits, self.probe[positions] = measure_qubit(self.probe[positions], bases, rng)
+        kernel = measure_qubit if self.probed else measure_codes
+        bits, self.states[positions] = kernel(self.states[positions], bases, rng)
         return bits
 
 
@@ -384,7 +383,7 @@ class RunReport(_ReportView):
         raise KeyError(check_id)
 
 
-# Version of the transcript layout the runners hash; it is in every payload.
+# Version of the transcript layout; it is in every payload.
 TRANSCRIPT_SCHEMA = 2
 # A bit's symbol in a transcript.
 BIT_SYMBOL = np.array(["0", "1"], dtype="S1")
@@ -399,8 +398,31 @@ def symbol_string(table: np.ndarray, codes: np.ndarray) -> str:
 def transcript_digest(payload: dict) -> bytes:
     """Stable SHA-256 of a run transcript (used for determinism checks).
 
-    ``payload`` is plain JSON data: the runners pass strings, numbers,
-    lists and dicts only.
+    ``payload`` is plain JSON data: strings, numbers, lists and dicts only.
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).digest()
+
+
+def finish_run(protocol: str, seed, attack_id: str, preps: np.ndarray, checks,
+               reason: Optional[str], keys: Optional[KeyMaterial], payoff: Optional[dict],
+               **layers) -> RunReport:
+    """The report of a run that reached its checks, with the digest of its
+    transcript: the fields every protocol records, beside the protocol's
+    own ``layers`` (plain JSON data)."""
+    digest = transcript_digest({
+        "schema": TRANSCRIPT_SCHEMA, "protocol": protocol, "seed": seed, "attack": attack_id,
+        "prepared": symbol_string(BB84_SYMBOL, preps),
+        "checks": [[c.check_id, c.compared, c.mismatches] for c in checks],
+        "aborted": reason is not None,
+        "keys": None if keys is None else [keys.k_b, keys.k_c],
+        "payoff": payoff, **layers})
+    return RunReport(protocol, seed, checks, reason, keys, payoff, digest)
+
+
+def abort_run(protocol: str, seed, attack_id: str, reason: str) -> RunReport:
+    """The report of a run stopped before its checks; its transcript
+    records only why."""
+    digest = transcript_digest({"schema": TRANSCRIPT_SCHEMA, "protocol": protocol,
+                                "seed": seed, "attack": attack_id, "abort": reason})
+    return RunReport(protocol, seed, (), reason, None, None, digest)

@@ -4,7 +4,7 @@
 
 The v1 digests below were pinned from the per-particle engine, whose
 transcripts listed every particle.  Each pinned run is executed once with its
-runner's ``transcript_digest`` binding wrapped to capture the payload.  The
+``runtime.transcript_digest`` binding wrapped to capture the payload.  The
 payload is converted back to the v1 layout and hashed: a match shows that the
 run made the same preparations, announcements, measurements and checks, so
 no RNG draw moved.  The script then prints each run's digest in the current
@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from sqss import protocol_a, protocol_b
+from sqss import protocol_a, protocol_b, runtime
 from sqss.adversary import AttackSpec, resolve_attack
 from sqss.em_analysis import random_pair
 from sqss.runtime import RunReport, transcript_digest
@@ -49,27 +49,25 @@ def pinned_run(attack_id: str) -> tuple[RunReport, dict]:
     else:
         spec = resolve_attack(mode, attack_id)
     if mode == "A":
-        module = protocol_a
         config = protocol_a.ProtocolAConfig(
             n=20, m=45, thresholds=protocol_a.default_thresholds(1.0))
         run = protocol_a.run_protocol_a
     else:
-        module = protocol_b
         config = protocol_b.ProtocolBConfig(
             n=16, thresholds=protocol_b.default_thresholds(1.0))
         run = protocol_b.run_protocol_b
     payloads = []
-    encode = module.transcript_digest
+    encode = runtime.transcript_digest
 
     def capture(payload):
         payloads.append(payload)
         return encode(payload)
 
-    module.transcript_digest = capture
+    runtime.transcript_digest = capture
     try:
         report = run(config, spec, (3, 1))
     finally:
-        module.transcript_digest = encode
+        runtime.transcript_digest = encode
     (payload,) = payloads
     return report, payload
 

@@ -82,6 +82,24 @@ def test_check_fraction_of_one_exits_2_before_any_trial(tmp_path, monkeypatch, c
     assert "check_fraction must be in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"protocol": "a", "trials": 2, "trials": 3, "params": {"n": 6, "m": 12}}', "trials"),
+    ('{"protocol": "a", "params": {"n": 5, "n": 6, "m": 12}}', "n"),
+])
+def test_repeated_config_key_exits_2_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                       text, key):
+    """JSON keeps the last of two equal keys; a config names each once."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+
+    def never(cfg):
+        raise AssertionError("the experiment ran before the config check")
+
+    monkeypatch.setattr(cli, "monte_carlo", never)
+    assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"config repeats the key {key!r}" in capsys.readouterr().err
+
+
 def test_output_config_key_exits_2(tmp_path, monkeypatch, capsys):
     """A config-file ``output`` key was once accepted and ignored; the report
     goes where --output says, so the key is now unknown."""

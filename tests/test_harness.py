@@ -221,6 +221,19 @@ def test_load_config_round_trip(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"protocol": "B", "seed": 1, "seed": 1}', "seed"),
+    ('{"protocol": "B", "params": {"n": 10, "thresholds": '
+     '{"ctrl": 0.1, "test_b": 0.1, "test_c": 0.1, "ctrl": 0.2}}}', "ctrl"),
+    ('{"protocol": "B", "params": {"n": 10}, "params": {"n": 10}}', "params"),
+])
+def test_load_config_rejects_a_repeated_key_at_any_depth(tmp_path, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"config repeats the key '{key}'"):
+        load_config(path)
+
+
 def test_run_one_uses_derived_trial_seeds():
     config = config_from_dict({"protocol": "A", "seed": 4,
                                "params": {"n": 6, "m": 14}})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqss import protocol_b
+from sqss import runtime
 from sqss.adversary import HonestPartyB, parse_attack_id
 from sqss.protocol_b import (
     ProtocolBConfig,
@@ -109,8 +109,8 @@ def test_transcript_records_the_published_orders(monkeypatch):
     honest = HonestPartyB.published_order
     monkeypatch.setattr(HonestPartyB, "published_order",
                         lambda self: orders.append(honest(self)) or orders[-1])
-    encode = protocol_b.transcript_digest
-    monkeypatch.setattr(protocol_b, "transcript_digest",
+    encode = runtime.transcript_digest
+    monkeypatch.setattr(runtime, "transcript_digest",
                         lambda payload: payloads.append(payload) or encode(payload))
     run_protocol_b(ProtocolBConfig(n=8), None, 4)
     (payload,) = payloads

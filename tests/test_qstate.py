@@ -232,7 +232,7 @@ def test_batch_unitary_rejects_a_mismatched_probe():
     with pytest.raises(ValueError):
         apply_unitary_batch(rows, np.eye(4))
     with pytest.raises(ValueError, match="probe dimension 3, expected 2"):
-        ParticleBatch([0], rows.copy()).amplitudes(2)
+        ParticleBatch(rows.copy()).amplitudes(2)
 
 
 def _row_with_p0(p0, basis, d):

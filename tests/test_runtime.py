@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from reference_qstate import measure_qubit
 
-from sqss import protocol_a, protocol_b
+from sqss import runtime
 from sqss.adversary import AttackSpec, resolve_attack
 from sqss.em_analysis import random_pair
 from sqss.protocol_a import ProtocolAConfig, run_protocol_a
@@ -128,7 +128,8 @@ def test_batch_measure_matches_one_at_a_time(probed):
     positions = layout.permutation(n)[:45]
     bases = layout.integers(2, size=45).astype(np.int8)
     for seed in range(4):
-        batch = ParticleBatch(codes, rows.copy() if probed else None)
+        batch = ParticleBatch(rows.copy() if probed else codes)
+        assert batch.probed == probed and len(batch) == n
         rng = np.random.default_rng(seed)
         bits = batch.measure(positions, bases, rng)
 
@@ -144,28 +145,25 @@ def test_batch_measure_matches_one_at_a_time(probed):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         for i, state in states.items():
             if probed:
-                assert np.abs(batch.probe[i] - state.amps).max() < 1e-12
+                assert np.abs(batch.states[i] - state.amps).max() < 1e-12
             else:
-                assert np.array_equal(BB84_AMPS[batch.code[i]], state)
+                assert np.array_equal(BB84_AMPS[batch.states[i]], state)
         unmeasured = np.setdiff1d(np.arange(n), positions)
-        if probed:
-            assert np.array_equal(batch.probe[unmeasured], rows[unmeasured])
-        else:
-            assert np.array_equal(batch.code[unmeasured], codes[unmeasured])
+        before = rows if probed else codes
+        assert np.array_equal(batch.states[unmeasured], before[unmeasured])
 
 
 @pytest.mark.parametrize("probed", [False, True], ids=["bare", "probed"])
 def test_batch_measure_of_no_positions_draws_nothing(probed):
     rows = np.array([lift(BB84_AMPS[c], 2).amps for c in range(4)])
-    batch = ParticleBatch([0, 1, 2, 3], rows.copy() if probed else None)
+    before = rows if probed else np.arange(4)
+    batch = ParticleBatch(before.copy())
     rng = np.random.default_rng(71)
     state = rng.bit_generator.state
     bits = batch.measure(np.zeros(0, dtype=np.intp), Basis.Z, rng)
     assert bits.shape == (0,)
     assert rng.bit_generator.state == state
-    assert batch.code.tolist() == [0, 1, 2, 3]
-    if probed:
-        assert np.array_equal(batch.probe, rows)
+    assert np.array_equal(batch.states, before)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -175,7 +173,7 @@ def test_batch_amplitudes_lift_bare_rows_and_keep_probed_ones(d):
     assert np.array_equal(ParticleBatch(codes).amplitudes(d),
                           [lift(BB84_AMPS[c], d).amps for c in codes])
     rows = np.array([_random_amps(2 * d, rng) for _ in codes])
-    batch = ParticleBatch(codes, rows)
+    batch = ParticleBatch(rows)
     assert batch.amplitudes(d) is rows
     with pytest.raises(ValueError, match=f"probe dimension {d}, expected {d + 1}"):
         batch.amplitudes(d + 1)
@@ -184,39 +182,49 @@ def test_batch_amplitudes_lift_bare_rows_and_keep_probed_ones(d):
 def test_batch_indexing_keeps_columns_aligned():
     batch = ParticleBatch([0, 1, 2, 3])
     picked = batch[np.array([2, 0])]
-    assert picked.code.tolist() == [2, 0] and picked.probe is None
+    assert picked.states.tolist() == [2, 0] and picked.states.dtype == np.int8
+    assert not picked.probed
     assert len(batch[1:]) == 3
 
+    # A probed batch is its rows alone: indexing, joining and copying carry
+    # rows, and its length is their count.
     rng = np.random.default_rng(90)
-    rows = np.array([_random_amps(4, rng) for _ in range(4)])
-    probed = ParticleBatch([0, 1, 2, 3], rows.copy())
-    order = np.array([3, 0, 2, 1])
+    rows = np.array([_random_amps(4, rng) for _ in range(5)])
+    probed = ParticleBatch(rows.copy())
+    assert probed.probed and len(probed) == 5
+    order = np.array([3, 0, 4, 2, 1])
     picked = probed[order]
-    assert np.array_equal(picked.probe, rows[order])
-    assert len(picked) == 4 and picked.probe.shape == (4, 4)
+    assert picked.probed and np.array_equal(picked.states, rows[order])
+    assert len(picked) == 5 and picked.states.shape == (5, 4)
+    assert len(probed[1:3]) == 2 and len(probed[order[:0]]) == 0
 
     # Beside a probed side, the bare side's particles join as lifted rows,
     # on either side.
     lifted = np.array([lift(BB84_AMPS[c], 2).amps for c in (1, 3)])
     joined = ParticleBatch.concat(probed, ParticleBatch([1, 3]))
-    assert len(joined) == 6
-    assert np.array_equal(joined.probe, np.concatenate([rows, lifted]))
+    assert joined.probed and len(joined) == 7
+    assert np.array_equal(joined.states, np.concatenate([rows, lifted]))
     joined = ParticleBatch.concat(ParticleBatch([1, 3]), probed)
-    assert np.array_equal(joined.probe, np.concatenate([lifted, rows]))
-    assert ParticleBatch.concat(batch, batch).probe is None
-    wider = ParticleBatch([0], lift(BB84_AMPS[0], 3).amps[None])
+    assert np.array_equal(joined.states, np.concatenate([lifted, rows]))
+    joined = ParticleBatch.concat(probed, probed)
+    assert len(joined) == 10 and np.array_equal(joined.states, np.concatenate([rows, rows]))
+    bare = ParticleBatch.concat(batch, batch)
+    assert not bare.probed and bare.states.tolist() == [0, 1, 2, 3] * 2
+    wider = ParticleBatch(lift(BB84_AMPS[0], 3).amps[None])
     with pytest.raises(ValueError, match="probe dimension 3, expected 2"):
         ParticleBatch.concat(probed, wider)
 
-    # states() copies both columns.
-    copy = probed.states()
-    copy.code[2] = 0
-    copy.probe[3] = 0
-    assert probed.code.tolist() == [0, 1, 2, 3]
-    assert np.array_equal(probed.probe, rows)
+    # copy() copies the rows, or the codes.
+    copy = probed.copy()
+    assert copy.probed and len(copy) == 5
+    copy.states[3] = 0
+    assert np.array_equal(probed.states, rows)
+    copy = batch.copy()
+    copy.states[2] = 0
+    assert not copy.probed and batch.states.tolist() == [0, 1, 2, 3]
 
-    probed.fake([1, 0, 1, 1])
-    assert probed.code.tolist() == [1, 0, 1, 1] and probed.probe is None
+    probed.fake([1, 0, 1, 1, 0])
+    assert not probed.probed and probed.states.tolist() == [1, 0, 1, 1, 0]
 
 
 def _report_cases():
@@ -240,10 +248,10 @@ def test_report_packing_round_trips(monkeypatch, protocol, kind):
     what the runner put in its transcript; ``__dict__`` rebuilds an equal
     report."""
     config, attack = _report_cases()[(protocol, kind)]
-    module, run = {"A": (protocol_a, run_protocol_a), "B": (protocol_b, run_protocol_b)}[protocol]
+    run = {"A": run_protocol_a, "B": run_protocol_b}[protocol]
     payloads = []
-    real = module.transcript_digest
-    monkeypatch.setattr(module, "transcript_digest", lambda p: payloads.append(p) or real(p))
+    real = runtime.transcript_digest
+    monkeypatch.setattr(runtime, "transcript_digest", lambda p: payloads.append(p) or real(p))
     report = run(config, attack, (3, 1))
     (payload,) = payloads
     assert report.aborted == (kind == "aborted")

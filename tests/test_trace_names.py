@@ -73,7 +73,7 @@ def test_probed_layers_reach_the_traced_kernel_once(monkeypatch):
     measure, kernel = runtime.ParticleBatch.measure, runtime.measure_qubit
 
     def counted_measure(batch, positions, bases, rng):
-        probed = batch.probe is not None
+        probed = batch.probed
         before = len(calls)
         bits = measure(batch, positions, bases, rng)
         layers.append((probed, len(calls) - before))
