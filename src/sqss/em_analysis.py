@@ -71,16 +71,19 @@ def _measured_branches(pair: UnitaryPair) -> tuple[dict, dict]:
     """Mode A's table ``(branches, reflected)``.  ``branches[(s, x)]`` is
     ``(eps, phi)``: the probe branch eps that travels with a measured |x>
     after the first unitary acts on preparation s (the initial probe state is
-    |e0>), and phi, the second unitary applied to |x> (x) eps; ordered by s,
-    then x.  ``reflected[s]`` is the second unitary applied to the whole state
-    the first left, as when both classical parties reflect."""
+    |e0>), and phi, the second unitary applied to |x> (x) eps, which is eps
+    copied into block x beside a zero block; ordered by s, then x.
+    ``reflected[s]`` is the second unitary applied to the whole state the
+    first left, as when both classical parties reflect."""
     branches, reflected = {}, {}
     for s, row in zip(PrepState, _prep_rows(pair.probe_dim)):
         psi = pair.first @ row
         reflected[s] = pair.second @ psi
         for x in (0, 1):
             eps = _blocks(psi)[x]
-            branches[(s, x)] = (eps, pair.second @ np.kron(BB84_AMPS[x], eps))
+            embedded = np.zeros_like(psi)
+            _blocks(embedded)[x] = eps
+            branches[(s, x)] = (eps, pair.second @ embedded)
     return branches, reflected
 
 
@@ -101,7 +104,7 @@ def _z_blocks(states: dict) -> tuple[list, list]:
     return [b[r] for r, b in enumerate(blocks)], [b[1 - r] for r, b in enumerate(blocks)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorProfile:
     """Expected per-check error rates an attack pair induces (exact, no sampling)."""
 
@@ -192,7 +195,7 @@ def _info_b(table: tuple[dict, dict]) -> float:
                for states in table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TheoremVerdict:
     """Result of checking the zero-error security structure on one pair."""
 
@@ -267,7 +270,7 @@ def _residuals_b(table: tuple[dict, dict]) -> dict:
     h, h_moved = _z_blocks(full)
     h_bar = (h[0] + h[1]) / 2.0
     # X-prepared control particles must factorize against the same probe.
-    ctrl_resid = max(float(np.linalg.norm(full[s] - np.kron(prepare(s), h_bar)))
+    ctrl_resid = max(float(np.linalg.norm(full[s] - np.outer(prepare(s), h_bar).ravel()))
                      for s in (PrepState.PLUS, PrepState.MINUS))
     # Return-leg-only particles: the probe must not depend on the carried bit.
     g, g_moved = _z_blocks(ret)

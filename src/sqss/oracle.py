@@ -12,6 +12,7 @@ approximate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .adversary import resolve_attack
@@ -105,6 +106,13 @@ def mismatch_probability(steps, final_basis, mismatch, preps) -> Fraction:
                     total += 1 << (depth - k)
             else:  # the other basis: each outcome takes one more halving
                 total += (mismatch(prep, env, 0) + mismatch(prep, env, 1)) << (depth - k - 1)
+    return _dyadic(total, depth)
+
+
+@lru_cache(maxsize=64)
+def _dyadic(total: int, depth: int) -> Fraction:
+    """``total / 2**depth``, one shared ``Fraction`` per value: every call of
+    a check gives the same few, so callers that keep results keep one each."""
     return Fraction(total, 1 << depth)
 
 

@@ -9,6 +9,9 @@ Each search line is one ``constrained_search`` call and the sha256 of
 ``probe_distinguishability`` and ``theorem_check`` on a fixed set of pairs:
 per mode and probe dimension 1-3, 16 seeded random pairs, 16 seeded
 zero-error pairs, the identity pair and, from dimension 2, the bit-copy pair.
+The ``default`` lines come last, one search per mode at the ``sqss tradeoff``
+default budget (restarts 6, iters 40) and epsilon 0.1, so the lines before
+them stay comparable with a checkout that prints none.
 A change that should leave the analysis bit for bit as it was must print the
 same digests as its parent on the same machine.  The float bits depend on the
 BLAS and LAPACK builds, so the digests are compared between two checkouts on
@@ -35,6 +38,8 @@ from sqss.em_analysis import (
 # (mode, epsilon, restarts, iters, seed) at probe dimension 2.
 SEARCHES = ([(mode, eps, 2, 1, 0) for mode in ("A", "B") for eps in (0.0, 0.05, 0.1, 0.25)]
             + [("A", 0.1, 3, 6, 1), ("B", 0.0, 3, 6, 1), ("B", 0.1, 3, 6, 1)])
+# (mode, epsilon, restarts, iters) at the CLI default budget, printed last.
+DEFAULT_SEARCHES = (("A", 0.1, 6, 40), ("B", 0.1, 6, 40))
 PAIRS_PER_KIND = 16
 
 
@@ -64,6 +69,10 @@ def main() -> None:
                     theorem_check(p))
                    for mode in ("A", "B") for d in (1, 2, 3) for p in pairs(mode, d)]
     print(f"pairs: {sha256(repr(evaluations))}")
+    for mode, eps, restarts, iters in DEFAULT_SEARCHES:
+        point = constrained_search(mode, eps, restarts=restarts, iters=iters)
+        print(f"default {mode} eps={eps} restarts={restarts} iters={iters}: "
+              f"{sha256(repr(point))}")
 
 
 if __name__ == "__main__":

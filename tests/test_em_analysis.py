@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from pin_tradeoff import pairs as pin_pairs
 
 from sqss import em_analysis
 from sqss.adversary import UnitaryPair, parse_attack_id
@@ -24,7 +25,7 @@ from sqss.em_analysis import (
     unitary_from_params,
 )
 from sqss.oracle import detection_oracle
-from sqss.qstate import PrepState, lift, prepare
+from sqss.qstate import BB84_AMPS, PrepState, lift, prepare
 
 
 def test_branch_decompose_identity():
@@ -37,6 +38,19 @@ def test_branch_decompose_identity():
     # Both parties reflecting leaves every preparation as it was.
     for s, row in zip(PrepState, em_analysis._prep_rows(2)):
         assert np.array_equal(reflected[s], row)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_branch_embedding_is_the_kronecker_product(d):
+    """Mode A's table builds |x> (x) eps by copying eps into block x.  On the
+    ``tests/pin_tradeoff.py`` pair set (seeded random and zero-error pairs,
+    the identity and, from d = 2, the bit copy) every phi equals the second
+    unitary applied to ``np.kron(|x>, eps)``, compared with ``==``."""
+    for pair in pin_pairs("A", d):
+        branches, _ = em_analysis._measured_branches(pair)
+        assert len(branches) == 2 * len(PrepState)
+        for (_, x), (eps, phi) in branches.items():
+            assert np.array_equal(phi, pair.second @ np.kron(BB84_AMPS[x], eps))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -122,6 +136,15 @@ def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
         # Sharing the table changes no value.
         assert verdict.max_error == error_profile(pair).max_rate
         assert verdict.distinguishability == probe_distinguishability(pair)
+
+
+def test_profiles_and_verdicts_are_slotted_and_frozen():
+    """Results are kept by the thousand, so they carry no ``__dict__``."""
+    pair = random_zero_error_pair("A", 2, np.random.default_rng(43))
+    for result in (error_profile(pair), theorem_check(pair)):
+        assert not hasattr(result, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.mode = "B"
 
 
 def test_zero_error_family_satisfies_structure_mode_a():

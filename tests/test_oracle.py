@@ -141,6 +141,14 @@ def test_every_call_enumerates_into_a_fresh_dict(monkeypatch):
     assert len(calls) == 2 * len(CHECKS_A)
 
 
+def test_calls_share_their_fractions():
+    """Every call enumerates into a fresh dict, but equal values are one
+    shared ``Fraction``: results kept by the thousand keep each value once."""
+    first, second = detection_oracle("A", "a.ir.bob"), detection_oracle("A", "a.ir.bob")
+    assert first is not second and first == second
+    assert all(first[check] is second[check] for check in first)
+
+
 def test_results_are_fractions_not_floats():
     for value in detection_oracle("A", "a.mr.bob.1").values():
         assert isinstance(value, Fraction)
