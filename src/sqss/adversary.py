@@ -189,8 +189,6 @@ class AdversaryKnowledge:
             return self.recorded[positions]
         if source == "fake":
             return self.fake_bits[positions]
-        if self.retained is None:
-            return np.full(len(positions), -1, dtype=np.int8)
         bits = self.retained.measure(positions, Basis.Z, rng)
         self.record(positions, bits, "retained-measurement")
         return bits
@@ -295,7 +293,6 @@ def measure_all_interceptor(knowledge: AdversaryKnowledge):
         positions = np.arange(len(batch))
         knowledge.record(positions, batch.measure(positions, Basis.Z, rng),
                          "intercept-measurement")
-        return batch
     return intercept
 
 
@@ -315,7 +312,6 @@ def replace_with_fakes_interceptor(knowledge: AdversaryKnowledge):
         knowledge.keep(batch)
         batch.fake(bits)
         knowledge.fake_bits[:len(batch)] = bits
-        return batch
     return intercept
 
 
@@ -325,7 +321,6 @@ def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
     def make(u):
         def intercept(batch, leg, rng):
             batch.states = apply_unitary_batch(batch.amplitudes(pair.probe_dim), u)
-            return batch
         return intercept
 
     first_leg, second_leg = pair.legs
@@ -356,10 +351,10 @@ class HonestPartyB:
         self.prepared_bits = rng.integers(2, size=self.n).astype(np.int8)
         return ParticleBatch(self.prepared_bits)
 
-    def process(self, incoming, rng):
-        combined = ParticleBatch.concat(incoming, self.fresh_particles(rng))
+    def process(self, batch, rng):
+        combined = ParticleBatch.concat(batch, self.fresh_particles(rng))
         self.order = rng.permutation(len(combined))
-        return combined[self.order]
+        batch.states = combined.states[self.order]
 
     def published_order(self) -> np.ndarray:
         return self.order
@@ -372,11 +367,11 @@ class MeasureResendPartyB(_Insider, HonestPartyB):
     """Protocol B Charlie measure-resend: Z-measure every incoming particle,
     resend the found states, then run the honest step."""
 
-    def process(self, incoming, rng):
-        positions = np.arange(len(incoming))
-        self.knowledge.record(positions, incoming.measure(positions, Basis.Z, rng),
+    def process(self, batch, rng):
+        positions = np.arange(len(batch))
+        self.knowledge.record(positions, batch.measure(positions, Basis.Z, rng),
                               "own-measurement")
-        return super().process(incoming, rng)
+        super().process(batch, rng)
 
 
 class InterceptResendPartyB(_Insider, HonestPartyB):
@@ -384,14 +379,14 @@ class InterceptResendPartyB(_Insider, HonestPartyB):
     complement of fresh Z-basis fakes under a fabricated order, and lie about
     her own TEST particles using the fake bits."""
 
-    def process(self, incoming, rng):
-        self.knowledge.keep(incoming)
+    def process(self, batch, rng):
+        self.knowledge.keep(batch)
         self.prepared_bits = rng.integers(2, size=self.n).astype(np.int8)
-        total = len(incoming) + self.n
+        total = len(batch) + self.n
         bits = rng.integers(2, size=total)
         self.knowledge.fake_bits[:total] = bits
         self.order = rng.permutation(total)
-        return ParticleBatch(bits)
+        batch.fake(bits)
 
     def reveal_prepared(self, final_positions, origins):
         return self.knowledge.fake_bits[final_positions]

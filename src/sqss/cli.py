@@ -7,7 +7,6 @@ error (the message names the trial and its derived seed), 2 configuration error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .harness import (
     config_from_dict,
     load_config,
     monte_carlo,
-    stats_to_dict,
+    write_json,
     write_report,
 )
 from .oracle import detection_oracle
@@ -29,17 +28,6 @@ from .oracle import detection_oracle
 EXIT_OK = 0
 EXIT_ABORTED = 1
 EXIT_CONFIG = 2
-
-
-def _emit(data: dict, path: str | None) -> None:
-    blob = json.dumps(data, sort_keys=True, indent=2)
-    if path:
-        try:
-            Path(path).write_text(blob + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output to {path}: {exc}") from exc
-    else:
-        print(blob)
 
 
 def _check_output_path(path: str | None) -> None:
@@ -58,11 +46,7 @@ def _cmd_run(args) -> int:
     if args.format != "json" and not args.output:
         raise ConfigError("csv output requires --output")
     config = load_config(args.config)
-    stats, digests = monte_carlo(config)
-    if args.output:
-        write_report(config, stats, digests, args.format, args.output)
-    else:
-        _emit(stats_to_dict(config, stats, digests), None)
+    write_report(config, *monte_carlo(config), args.format, args.output)
     return EXIT_OK
 
 
@@ -86,7 +70,7 @@ def _cmd_sweep(args) -> int:
             rows.append({"attack": attack, "size": size, "check": s.check_id,
                          "compared": s.compared, "rate": s.rate,
                          "abort_fraction": stats.abort_fraction})
-    _emit({"protocol": args.protocol, "rows": rows}, args.output)
+    write_json({"protocol": args.protocol, "rows": rows}, args.output)
     return EXIT_OK
 
 
@@ -106,7 +90,7 @@ def _cmd_attack_bench(args) -> int:
                          "empirical": s.rate,
                          "within_ci": s.ci_low <= float(exact) <= s.ci_high
                                       if s.compared else None})
-    _emit({"rows": rows}, args.output)
+    write_json({"rows": rows}, args.output)
     return EXIT_OK
 
 
@@ -123,13 +107,13 @@ def _cmd_tradeoff(args) -> int:
                      "probe_dim": point.probe_dim, "info": point.info,
                      "max_error": point.max_error, "restarts": point.restarts,
                      "seed": args.seed, "fallback": point.fallback})
-    _emit({"rows": rows}, args.output)
+    write_json({"rows": rows}, args.output)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     table = detection_oracle(args.protocol, args.attack)
-    _emit({"attack": args.attack,
+    write_json({"attack": args.attack,
            "checks": {check: f"{p.numerator}/{p.denominator}"
                       for check, p in table.items()}}, args.output)
     return EXIT_OK

@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
@@ -284,24 +286,36 @@ def stats_to_dict(config: ExperimentConfig, stats: DetectionStats,
     }
 
 
+def write_json(data: dict, path=None) -> None:
+    """Write ``data`` as sorted JSON indented by 2, with a final newline, to
+    ``path`` or, without one, to stdout."""
+    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    if path:
+        _write_text(path, text)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {path}: {exc}") from exc
+
+
 def write_report(config: ExperimentConfig, stats: DetectionStats,
                  digests: list[str], fmt: str, path) -> None:
-    """Persist an experiment report; JSON output is byte-stable per config."""
-    if fmt not in ("json", "csv"):
+    """Persist an experiment report, as JSON to stdout when ``path`` is None;
+    JSON output is byte-stable per config."""
+    if fmt == "json":
+        write_json(stats_to_dict(config, stats, digests), path)
+        return
+    if fmt != "csv":
         raise ConfigError(f"unknown report format {fmt!r}")
-    path = Path(path)
-    try:
-        if fmt == "json":
-            blob = json.dumps(stats_to_dict(config, stats, digests),
-                              sort_keys=True, indent=2)
-            path.write_text(blob + "\n")
-        else:
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["check_id", "compared", "mismatches", "rate",
-                                 "ci_low", "ci_high"])
-                for s in stats.per_check.values():
-                    writer.writerow([s.check_id, s.compared, s.mismatches,
-                                     _sig12(s.rate), _sig12(s.ci_low), _sig12(s.ci_high)])
-    except OSError as exc:
-        raise ConfigError(f"cannot write report to {path}: {exc}") from exc
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["check_id", "compared", "mismatches", "rate", "ci_low", "ci_high"])
+    for s in stats.per_check.values():
+        writer.writerow([s.check_id, s.compared, s.mismatches,
+                         _sig12(s.rate), _sig12(s.ci_low), _sig12(s.ci_high)])
+    _write_text(path, out.getvalue())

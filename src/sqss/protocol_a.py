@@ -22,20 +22,19 @@ from .runtime import (
     BIT_SYMBOL,
     CheckVerdict,
     KeyMaterial,
-    Leg,
     ParticleBatch,
     RunReport,
     abort_reason,
     check_int,
     check_real,
     check_thresholds,
+    circulate,
     derive_keys,
     evaluate_check,
     finish_run,
     random_subset,
     score_payoff,
     symbol_string,
-    transmit,
 )
 
 CHECKS_A = ("case1", "case2", "case3", "case4")
@@ -108,11 +107,7 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     bob = plan.party("bob", config.n)
     charlie = plan.party("charlie", config.n)
 
-    batch = transmit(batch, Leg.ALICE_TO_BOB, plan.interceptor(Leg.ALICE_TO_BOB), rng)
-    bob.act(batch, rng)
-    batch = transmit(batch, Leg.BOB_TO_CHARLIE, plan.interceptor(Leg.BOB_TO_CHARLIE), rng)
-    charlie.act(batch, rng)
-    batch = transmit(batch, Leg.CHARLIE_TO_ALICE, plan.interceptor(Leg.CHARLIE_TO_ALICE), rng)
+    circulate(batch, plan, (bob.act, charlie.act), rng)
 
     bob.announce(rng)
     charlie.announce(rng)

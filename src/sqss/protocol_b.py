@@ -27,7 +27,6 @@ from .runtime import (
     SIFT_C,
     CheckVerdict,
     KeyMaterial,
-    Leg,
     ParticleBatch,
     RunReport,
     abort_reason,
@@ -35,13 +34,13 @@ from .runtime import (
     check_int,
     check_real,
     check_thresholds,
+    circulate,
     derive_keys,
     evaluate_check,
     finish_run,
     random_subset,
     score_payoff,
     symbol_string,
-    transmit,
 )
 
 CHECKS_B = ("ctrl", "test_b", "test_c")
@@ -117,11 +116,7 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     bob = plan.party("bob", n)
     charlie = plan.party("charlie", n)
 
-    batch = transmit(batch, Leg.ALICE_TO_BOB, plan.interceptor(Leg.ALICE_TO_BOB), rng)
-    batch = bob.process(batch, rng)
-    batch = transmit(batch, Leg.BOB_TO_CHARLIE, plan.interceptor(Leg.BOB_TO_CHARLIE), rng)
-    batch = charlie.process(batch, rng)
-    batch = transmit(batch, Leg.CHARLIE_TO_ALICE, plan.interceptor(Leg.CHARLIE_TO_ALICE), rng)
+    circulate(batch, plan, (bob.process, charlie.process), rng)
 
     bob_order = bob.published_order()
     charlie_order = charlie.published_order()

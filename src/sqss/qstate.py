@@ -148,8 +148,9 @@ class CompositeState:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2 * self.dim_probe,):
             raise ValueError(f"expected {2 * self.dim_probe} amplitudes, got {amps.shape}")
+        _check_finite("composite state", amps)
         norm_sq = _weight(amps)
-        if abs(norm_sq - 1.0) > 1e-9:
+        if not abs(norm_sq - 1.0) <= 1e-9:
             raise ValueError(f"composite state not normalized: |amp|^2 = {norm_sq!r}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -163,12 +164,20 @@ def lift(state: np.ndarray, dim_probe: int) -> CompositeState:
     return CompositeState(amps, dim_probe)
 
 
+def _check_finite(what: str, a: np.ndarray) -> None:
+    """Reject NaN and infinite entries, before any arithmetic could warn
+    about them or let them through a tolerance check."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a non-finite entry")
+
+
 def check_unitary(u: np.ndarray) -> None:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
+    _check_finite("unitary", u)
     resid = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if resid > UNITARY_ATOL:
+    if not resid <= UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: ||u^H u - I|| = {resid:.3e}")
 
 
@@ -181,12 +190,14 @@ def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Left-multiply every row of an ``(N, 2d)`` array of joint amplitudes by
     a unitary on qubit (x) probe, as one matrix product.
 
-    ``u`` is trusted to be unitary (callers validate it once, up front); each
-    output row is still checked to be normalized.
+    ``u`` is trusted to be unitary (callers validate it once, up front); the
+    rows must be finite, and each output row is still checked to be
+    normalized.
     """
+    _check_finite("composite state", rows)
     out = rows @ np.asarray(u, dtype=complex).T
     norm_sq = _weights(out)
-    bad = np.flatnonzero(np.abs(norm_sq - 1.0) > 1e-9)
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= 1e-9))
     if bad.size:
         raise ValueError(f"composite state not normalized: "
                          f"|amp|^2 = {float(norm_sq[bad[0]])!r}")
@@ -240,13 +251,14 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        if np.linalg.norm(m - m.conj().T) > DENSITY_ATOL:
+        _check_finite("density matrix", m)
+        if not np.linalg.norm(m - m.conj().T) <= DENSITY_ATOL:
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(m)
-        if abs(tr - 1.0) > DENSITY_ATOL:
+        if not abs(tr - 1.0) <= DENSITY_ATOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -DENSITY_ATOL:
+        if not eigs.min() >= -DENSITY_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
         m = m.copy()
         m.setflags(write=False)

@@ -8,7 +8,7 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,11 +63,6 @@ class ParticleBatch:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def __getitem__(self, index) -> ParticleBatch:
-        """The particles at ``index`` (a slice, mask or position array), in
-        its order."""
-        return ParticleBatch(self.states[index])
 
     @staticmethod
     def concat(first: ParticleBatch, second: ParticleBatch) -> ParticleBatch:
@@ -125,25 +120,29 @@ def random_subset(total: int, size: int, rng: np.random.Generator) -> np.ndarray
     return chosen
 
 
-# An interceptor acts on the whole batch for one leg and must conserve it.
-Interceptor = Callable[[ParticleBatch, Leg, np.random.Generator], Optional[ParticleBatch]]
-
-
-def transmit(batch: ParticleBatch, leg: Leg, interceptor: Optional[Interceptor],
-             rng: np.random.Generator) -> ParticleBatch:
-    """Pass a batch through one channel leg, applying the leg's interceptor."""
+def transmit(batch: ParticleBatch, leg: Leg, interceptor, rng: np.random.Generator) -> None:
+    """Pass a batch through one channel leg.  The leg's interceptor, if any,
+    is ``interceptor(batch, leg, rng)``: it changes the batch in place and
+    must keep its length."""
     if not batch:
         raise SimulationError("cannot transmit an empty batch")
-    if interceptor is None:
-        return batch
-    n_before = len(batch)
-    out = interceptor(batch, leg, rng)
-    if out is None:
-        out = batch
-    if len(out) != n_before:
-        raise ParticleConservationError(
-            f"interceptor on {leg.value} returned {len(out)} particles, expected {n_before}")
-    return out
+    if interceptor is not None:
+        n_before = len(batch)
+        interceptor(batch, leg, rng)
+        if len(batch) != n_before:
+            raise ParticleConservationError(
+                f"interceptor on {leg.value} left {len(batch)} particles, expected {n_before}")
+
+
+def circulate(batch: ParticleBatch, plan, steps, rng: np.random.Generator) -> None:
+    """Send ``batch`` once around the ring: every leg of ``LEG_ORDER`` through
+    ``plan.interceptor(leg)``, with Bob's and Charlie's ``steps`` after the
+    first and second legs.  A step is ``step(batch, rng)`` and changes the
+    batch in place."""
+    for leg, step in zip(LEG_ORDER, (*steps, None)):
+        transmit(batch, leg, plan.interceptor(leg), rng)
+        if step is not None:
+            step(batch, rng)
 
 
 @dataclass(frozen=True, slots=True)

@@ -320,6 +320,14 @@ def test_write_report_csv(tmp_path):
         write_report(config, stats, digests, "xml", tmp_path / "out.xml")
 
 
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unwritable_report_path_is_a_config_error(tmp_path, fmt):
+    config = config_from_dict({"protocol": "B", "trials": 1, "params": {"n": 4}})
+    path = tmp_path / "missing" / f"out.{fmt}"
+    with pytest.raises(ConfigError, match=f"cannot write output to {path}: "):
+        write_report(config, *monte_carlo(config), fmt, path)
+
 # Each pinned run's digest in the current (v2) transcript layout, as printed
 # by tests/pin_transcripts.py.
 PINNED_V2 = {

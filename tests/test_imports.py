@@ -5,10 +5,11 @@ No linter ships with the project, so these are the checks:
 - a name bound by ``import``/``from ... import`` must appear somewhere else
   in the module, unless its line carries ``# noqa: F401``;
 - a top-level name a package module defines (a function, a class or an
-  assigned name) must appear somewhere under ``src/``, ``tests/`` or
-  ``perfbench/`` other than its own definition: read as an identifier, as
-  an attribute, or as a whole string constant (as ``getattr`` and the
-  benchmark's tracing name it).
+  assigned name), and each non-dunder method or property of its classes,
+  must appear somewhere under ``src/``, ``tests/`` or ``perfbench/`` other
+  than its own definition: read as an identifier, as an attribute, or as a
+  whole string constant (as ``getattr`` and the benchmark's tracing name
+  it).
 
 The package's ``__init__.py`` is exempt from both, since it imports to
 re-export.
@@ -41,15 +42,26 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-def defined_names(source: str) -> list[str]:
-    """Top-level names a module defines, in order."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def defined_names(source: str) -> list[tuple[str, str]]:
+    """Top-level names a module defines, each with its classes' non-dunder
+    methods and properties labelled ``Class.name`` after it, in order, as
+    (label, name) pairs."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            names.append((node.name, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            names += [(n.id, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not _is_dunder(f.name)]
     return names
 
 
@@ -70,8 +82,8 @@ def dead_names(defining: dict[str, str], sources: list[str]) -> list[str]:
     """``module.name`` for each name a ``defining`` module defines that no
     source mentions; ``sources`` include the defining modules."""
     used = set().union(*map(mentions, sources))
-    return [f"{module}.{name}" for module, source in defining.items()
-            for name in defined_names(source) if name not in used]
+    return [f"{module}.{label}" for module, source in defining.items()
+            for label, name in defined_names(source) if name not in used]
 
 
 def test_the_check_sees_unused_and_noqa_imports():
@@ -90,6 +102,16 @@ def test_the_check_sees_dead_names():
               "def used():\n    return LIVE + PAIR\nclass Gone:\n    pass\n")
     other = "import m\nm.used()\ngetattr(m, 'KEY')\n"
     assert dead_names({"m": module}, [module, other]) == ["m.DEAD", "m.LEFT", "m.Gone"]
+
+
+def test_the_check_sees_dead_methods():
+    module = ("class Party:\n    def __init__(self):\n        self.step()\n"
+              "    def step(self):\n        pass\n    def left_behind(self):\n        pass\n"
+              "    @property\n    def size(self):\n        return 1\n"
+              "    @property\n    def unread(self):\n        return 2\n")
+    other = "from m import Party\nParty().size\n"
+    assert dead_names({"m": module}, [module, other]) == ["m.Party.left_behind",
+                                                          "m.Party.unread"]
 
 
 def test_package_defines_no_dead_name():

@@ -68,12 +68,19 @@ def test_resolved_classes_balanced_on_random_instances():
 
 
 def _tamper(monkeypatch, method: str, role: str, change) -> None:
-    """Make the honest ``role`` party pass its ``method`` result through ``change``."""
+    """Make the honest ``role`` party pass its ``method`` result through
+    ``change``.  A ``process`` step changes its batch in place, so there
+    ``change`` maps the batch's states after the step."""
     honest = getattr(HonestPartyB, method)
 
     def tampered(self, *args):
         out = honest(self, *args)
-        return change(out) if self.role == role else out
+        if self.role != role:
+            return out
+        if method != "process":
+            return change(out)
+        batch = args[0]
+        batch.states = change(batch.states)
     monkeypatch.setattr(HonestPartyB, method, tampered)
 
 
@@ -100,7 +107,7 @@ def test_malformed_order_aborts_the_run(monkeypatch, role, change):
 
 
 def test_wrong_particle_count_aborts_the_run(monkeypatch):
-    _tamper(monkeypatch, "process", "charlie", lambda batch: batch[1:])
+    _tamper(monkeypatch, "process", "charlie", lambda states: states[1:])
     _assert_malformed_aborts(seed=3)
 
 

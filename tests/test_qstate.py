@@ -5,6 +5,7 @@ import pytest
 from reference_qstate import apply_unitary, branch_probability
 from reference_qstate import measure_qubit as reference_measure_qubit
 
+from sqss.adversary import UnitaryPair
 from sqss.protocol_a import _ALICE_BASIS
 from sqss.qstate import (
     _COLLAPSED_CODE,
@@ -128,6 +129,31 @@ def test_unitary_round_trip_on_random_states():
 def test_non_unitary_rejected_with_magnitude():
     with pytest.raises(ValueError, match="unitary"):
         check_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def _eye_with(n, value, scale=1.0):
+    """``scale`` times the n x n identity, with ``value`` at row 1, last column."""
+    m = scale * np.eye(n, dtype=complex)
+    m[1, -1] = value
+    return m
+
+
+NON_FINITE_INPUTS = {
+    "check_unitary": lambda v: check_unitary(_eye_with(4, v)),
+    "UnitaryPair": lambda v: UnitaryPair(_eye_with(4, v), np.eye(4), 2, "A"),
+    "DensityMatrix": lambda v: DensityMatrix(_eye_with(2, v, 0.5)),
+    "CompositeState": lambda v: CompositeState(_eye_with(4, v)[1], 2),
+    "apply_unitary_batch": lambda v: apply_unitary_batch(_eye_with(4, v)[:2], np.eye(4)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)],
+                         ids=["nan", "inf", "-inf", "imag-inf"])
+@pytest.mark.parametrize("validator", NON_FINITE_INPUTS)
+def test_non_finite_entries_are_rejected(validator, value):
+    # Rejected before any arithmetic: a RuntimeWarning would fail the test.
+    with pytest.raises(ValueError, match="has a non-finite entry"):
+        NON_FINITE_INPUTS[validator](value)
 
 
 def test_cnot_on_plus_entangles_probe():

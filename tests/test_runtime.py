@@ -22,6 +22,7 @@ from sqss.runtime import (
     ParticleConservationError,
     RunReport,
     SimulationError,
+    circulate,
     derive_keys,
     evaluate_check,
     transcript_digest,
@@ -37,7 +38,9 @@ def _batch(n=5):
 def test_transmit_identity_without_interceptor():
     rng = np.random.default_rng(0)
     batch = _batch()
-    assert transmit(batch, Leg.ALICE_TO_BOB, None, rng) is batch
+    states = batch.states
+    assert transmit(batch, Leg.ALICE_TO_BOB, None, rng) is None
+    assert batch.states is states
 
 
 def test_transmit_empty_batch_rejected():
@@ -50,9 +53,9 @@ def test_transmit_detects_particle_loss():
     rng = np.random.default_rng(0)
 
     def dropper(batch, leg, rng):
-        return batch[:-1]
+        batch.states = batch.states[:-1]
 
-    with pytest.raises(ParticleConservationError):
+    with pytest.raises(ParticleConservationError, match="left 9 particles, expected 10"):
         transmit(_batch(10), Leg.BOB_TO_CHARLIE, dropper, rng)
 
 
@@ -60,14 +63,47 @@ def test_transmit_accepts_in_place_interceptor():
     rng = np.random.default_rng(0)
     seen = []
 
-    def observer(batch, leg, rng):
+    def faker(batch, leg, rng):
         seen.append(leg)
-        return None
+        batch.fake([1, 0, 1])
 
     batch = _batch(3)
-    out = transmit(batch, Leg.CHARLIE_TO_ALICE, observer, rng)
-    assert out is batch
+    transmit(batch, Leg.CHARLIE_TO_ALICE, faker, rng)
     assert seen == [Leg.CHARLIE_TO_ALICE]
+    assert batch.states.tolist() == [1, 0, 1]
+
+
+class _RingPlan:
+    """A plan whose interceptors log each leg and may change the count."""
+
+    def __init__(self, log, resize=None):
+        self.log, self.resize = log, resize
+
+    def interceptor(self, leg):
+        def intercept(batch, leg, rng):
+            self.log.append(leg.value)
+            if leg is self.resize:
+                batch.states = batch.states[1:]
+        return intercept
+
+
+def test_circulate_runs_the_legs_and_steps_in_ring_order():
+    rng = np.random.default_rng(0)
+    log = []
+
+    def step(role):
+        def grow(batch, rng):
+            log.append(role)
+            batch.states = np.concatenate([batch.states, batch.states])
+        return grow
+
+    batch = _batch(3)
+    assert circulate(batch, _RingPlan(log), (step("bob"), step("charlie")), rng) is None
+    assert log == ["alice_to_bob", "bob", "bob_to_charlie", "charlie", "charlie_to_alice"]
+    assert len(batch) == 12
+    with pytest.raises(ParticleConservationError, match="bob_to_charlie"):
+        circulate(_batch(3), _RingPlan([], Leg.BOB_TO_CHARLIE),
+                  (step("bob"), step("charlie")), rng)
 
 
 def test_xor_keys_truth_table():
@@ -179,24 +215,16 @@ def test_batch_amplitudes_lift_bare_rows_and_keep_probed_ones(d):
         batch.amplitudes(d + 1)
 
 
-def test_batch_indexing_keeps_columns_aligned():
+def test_batch_joins_copies_and_fakes_rows_or_codes():
     batch = ParticleBatch([0, 1, 2, 3])
-    picked = batch[np.array([2, 0])]
-    assert picked.states.tolist() == [2, 0] and picked.states.dtype == np.int8
-    assert not picked.probed
-    assert len(batch[1:]) == 3
+    assert not batch.probed and batch.states.dtype == np.int8
 
-    # A probed batch is its rows alone: indexing, joining and copying carry
-    # rows, and its length is their count.
+    # A probed batch is its rows alone: joining and copying carry rows, and
+    # its length is their count.
     rng = np.random.default_rng(90)
     rows = np.array([_random_amps(4, rng) for _ in range(5)])
     probed = ParticleBatch(rows.copy())
-    assert probed.probed and len(probed) == 5
-    order = np.array([3, 0, 4, 2, 1])
-    picked = probed[order]
-    assert picked.probed and np.array_equal(picked.states, rows[order])
-    assert len(picked) == 5 and picked.states.shape == (5, 4)
-    assert len(probed[1:3]) == 2 and len(probed[order[:0]]) == 0
+    assert probed.probed and len(probed) == 5 and probed.states.shape == (5, 4)
 
     # Beside a probed side, the bare side's particles join as lifted rows,
     # on either side.
