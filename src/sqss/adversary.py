@@ -31,7 +31,7 @@ from .runtime import (
 
 
 class UnsupportedAttackError(ValueError):
-    """The requested actor/variant/protocol pairing is not in the catalog."""
+    """The requested attack is not in the catalog or not for this protocol."""
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,22 @@ class UnitaryPair:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """A catalog attack or an entangle-measure pair; no attack is None."""
+    """A catalog attack or an entangle-measure pair; no attack is None.
+
+    ``name`` is the attack's id after its ``"<p>."`` prefix, such as
+    ``"mr.eve.1"``, or ``"em"`` for an entangle-measure ``pair``.
+    """
 
     protocol: str                       # "A" | "B"
-    kind: str                           # "mr" | "ir" | "em"
-    actor: Optional[str] = None         # "bob" | "charlie" | "eve"
-    variant: Optional[int] = None
+    name: str
     pair: Optional[UnitaryPair] = None
 
     def __post_init__(self):
         if self.protocol not in ("A", "B"):
             raise UnsupportedAttackError(f"unknown protocol {self.protocol!r}")
-        if self.variant is not None:
-            check_int("variant", self.variant)
-        if self.kind == "em":
+        if self.name == "em":
             if self.pair is None or self.pair.protocol != self.protocol:
                 raise UnsupportedAttackError("entangle-measure spec needs a matching UnitaryPair")
-            if self.actor is not None or self.variant is not None:
-                raise UnsupportedAttackError("entangle-measure spec takes no actor or variant")
         elif self.pair is not None:
             raise UnsupportedAttackError(f"{self.attack_id} takes no UnitaryPair")
         elif self.attack_id not in CATALOG:
@@ -97,8 +95,7 @@ class AttackSpec:
 
     @property
     def attack_id(self) -> str:
-        parts = (self.protocol.lower(), self.kind, self.actor, self.variant)
-        return ".".join(str(part) for part in parts if part is not None)
+        return f"{self.protocol.lower()}.{self.name}"
 
 
 def attack_id_of(spec: Optional[AttackSpec], protocol: str) -> str:
@@ -107,23 +104,11 @@ def attack_id_of(spec: Optional[AttackSpec], protocol: str) -> str:
 
 
 def parse_attack_id(attack_id: str) -> AttackSpec:
-    """The catalog spec an attack id names; the id must be that spec's
-    canonical ``attack_id``, so ``a.none.bob`` or ``a.mr.eve.01`` are rejected."""
-    parts = attack_id.split(".")
-    if len(parts) not in (3, 4) or parts[0] not in ("a", "b"):
-        raise UnsupportedAttackError(f"malformed attack id {attack_id!r}")
-    if parts[1] == "none":
-        raise UnsupportedAttackError(f"attack id {attack_id!r} is not canonical; "
-                                     f"did you mean {parts[0] + '.none'!r}?")
-    try:
-        variant = int(parts[3]) if len(parts) == 4 else None
-    except ValueError:
-        raise UnsupportedAttackError(f"malformed attack id {attack_id!r}") from None
-    spec = AttackSpec(parts[0].upper(), parts[1], parts[2], variant)
-    if spec.attack_id != attack_id:
-        raise UnsupportedAttackError(
-            f"attack id {attack_id!r} is not canonical; did you mean {spec.attack_id!r}?")
-    return spec
+    """The spec of the catalog attack ``attack_id``, which must be a
+    ``CATALOG`` key."""
+    if not isinstance(attack_id, str) or attack_id not in CATALOG:
+        raise UnsupportedAttackError(f"no catalog attack {attack_id!r}")
+    return AttackSpec(attack_id[0].upper(), attack_id[2:])
 
 
 def resolve_attack(protocol: str, attack_id: Optional[str]) -> Optional[AttackSpec]:
@@ -134,9 +119,8 @@ def resolve_attack(protocol: str, attack_id: Optional[str]) -> Optional[AttackSp
         raise UnsupportedAttackError(f"unknown protocol {protocol!r}")
     if attack_id in (None, "none", attack_id_of(None, protocol)):
         return None
-    if not isinstance(attack_id, str):
-        raise UnsupportedAttackError(f"malformed attack id {attack_id!r}")
-    if attack_id.startswith(("a.", "b.")) and attack_id[0] != protocol.lower():
+    if (isinstance(attack_id, str) and attack_id.startswith(("a.", "b."))
+            and attack_id[0] != protocol.lower()):
         raise UnsupportedAttackError(f"attack {attack_id} does not apply to protocol {protocol}")
     return parse_attack_id(attack_id)
 

@@ -43,8 +43,6 @@ def _check_output_path(path: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.format != "json" and not args.output:
-        raise ConfigError("csv output requires --output")
     config = load_config(args.config)
     write_report(config, *monte_carlo(config), args.format, args.output)
     return EXIT_OK
@@ -106,7 +104,8 @@ def _cmd_tradeoff(args) -> int:
         rows.append({"mode": point.mode, "epsilon": point.epsilon,
                      "probe_dim": point.probe_dim, "info": point.info,
                      "max_error": point.max_error, "restarts": point.restarts,
-                     "seed": args.seed, "fallback": point.fallback})
+                     "iters": point.iterations, "seed": args.seed,
+                     "fallback": point.fallback})
     write_json({"rows": rows}, args.output)
     return EXIT_OK
 
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one experiment from a JSON config file")
     p.add_argument("--config", required=True, help="path to a JSON experiment config")
-    p.add_argument("--output", help="report path (default: print JSON to stdout)")
+    p.add_argument("--output", help="report path (default: print to stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_run)
 

@@ -241,7 +241,7 @@ def monte_carlo(config: ExperimentConfig) -> tuple[DetectionStats, list[str]]:
         else:
             per_check[c] = CheckStats(c, 0, 0, 0.0, 0.0, 1.0)
     payoff = None
-    if config.attack is not None and config.attack.kind != "em":
+    if config.attack is not None and config.attack.pair is None:
         payoff = {"surviving_runs": config.trials - aborted,
                   "guessed": guessed, "correct": correct,
                   "fraction": (correct / guessed) if guessed else 0.0}
@@ -289,14 +289,14 @@ def stats_to_dict(config: ExperimentConfig, stats: DetectionStats,
 def write_json(data: dict, path=None) -> None:
     """Write ``data`` as sorted JSON indented by 2, with a final newline, to
     ``path`` or, without one, to stdout."""
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if path:
-        _write_text(path, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as is or, without one, to stdout."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
         Path(path).write_text(text, newline="")
     except OSError as exc:
@@ -305,8 +305,8 @@ def _write_text(path, text: str) -> None:
 
 def write_report(config: ExperimentConfig, stats: DetectionStats,
                  digests: list[str], fmt: str, path) -> None:
-    """Persist an experiment report, as JSON to stdout when ``path`` is None;
-    JSON output is byte-stable per config."""
+    """Persist an experiment report as ``fmt`` ("json" or "csv") to ``path``,
+    or to stdout when ``path`` is None; output is byte-stable per config."""
     if fmt == "json":
         write_json(stats_to_dict(config, stats, digests), path)
         return

@@ -5,7 +5,10 @@ import json
 import pytest
 
 import sqss.cli as cli
+from sqss.adversary import UnsupportedAttackError, resolve_attack
 from sqss.harness import ExperimentAborted
+
+from test_adversary import REJECTED_IDS
 
 
 def _write_config(tmp_path, data):
@@ -56,16 +59,32 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
-def test_csv_to_stdout_rejected(tmp_path, monkeypatch, capsys):
-    """Rejected before the first trial, not after the whole experiment."""
-    config = _write_config(tmp_path, {"protocol": "b", "params": {"n": 8}})
+def test_csv_to_stdout_matches_the_output_file(tmp_path, capsys):
+    config = _write_config(tmp_path, {"protocol": "b", "trials": 2, "params": {"n": 8}})
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "--config", config, "--format", "csv"]) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed.startswith("check_id,")
+    assert cli.main(["run", "--config", config, "--format", "csv",
+                     "--output", str(out)]) == cli.EXIT_OK
+    assert printed.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("attack", [["a.mr.bob.1"], 1, {"id": "a.mr.bob.1"}, True],
+                         ids=["list", "number", "object", "true"])
+def test_non_string_attack_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, attack):
+    config = _write_config(tmp_path, {"protocol": "a", "attack": attack,
+                                      "params": {"n": 6, "m": 14}})
 
     def never(cfg):
-        raise AssertionError("the experiment ran before the output check")
+        raise AssertionError("the experiment ran before the config check")
 
     monkeypatch.setattr(cli, "monte_carlo", never)
-    assert cli.main(["run", "--config", config, "--format", "csv"]) == cli.EXIT_CONFIG
-    assert "csv output requires --output" in capsys.readouterr().err
+    assert cli.main(["run", "--config", config]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: bad attack id" in captured.err and not captured.out
+    with pytest.raises(UnsupportedAttackError):
+        resolve_attack("A", attack)
 
 
 def test_check_fraction_of_one_exits_2_before_any_trial(tmp_path, monkeypatch, capsys):
@@ -135,22 +154,21 @@ def test_oracle_subcommand_rejects_mismatch(capsys):
     assert code == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("command", [
-    ["oracle", "--protocol", "a", "--attack", "a.none.bob"],
-    ["oracle", "--protocol", "a", "--attack", "a.mr.eve.01"],
-    ["sweep", "--protocol", "b", "--attacks", "b.none.x.3", "--sizes", "8",
-     "--trials", "1"],
-], ids=["oracle-none-with-actor", "oracle-padded-leg", "sweep-none-with-variant"])
-def test_non_canonical_attack_ids_exit_2(capsys, command):
-    assert cli.main(command) == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "not canonical" in captured.err and not captured.out
+@pytest.mark.parametrize("command, attack_id", [
+    (command, attack_id) for attack_id in REJECTED_IDS for command in ("oracle", "sweep")
+], ids=[f"{command}-{label}" for label in REJECTED_IDS.values()
+        for command in ("oracle", "sweep")])
+def test_non_canonical_attack_ids_exit_2(monkeypatch, capsys, command, attack_id):
+    """Rejected before any trial runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before the attack check")
 
-
-def test_non_integer_variant_exits_2_as_a_malformed_id(capsys):
-    assert cli.main(["oracle", "--protocol", "a", "--attack", "a.mr.eve.x"]) == cli.EXIT_CONFIG
+    monkeypatch.setattr(cli, "monte_carlo", never)
+    option = "--attack" if command == "oracle" else "--attacks"
+    argv = [command, "--protocol", attack_id[0], option, attack_id]
+    assert cli.main(argv) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "malformed attack id 'a.mr.eve.x'" in captured.err and not captured.out
+    assert f"no catalog attack {attack_id!r}" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("command", [

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: stats, config ingestion, reports."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from sqss.protocol_a import CHECKS_A, ProtocolAConfig
 from sqss.protocol_b import CHECKS_B, ProtocolBConfig
 
 from pin_transcripts import PINNED_RUNS, pinned_run, v1_digest
+from test_adversary import REJECTED_IDS
 
 
 def test_wilson_interval_basics():
@@ -133,11 +135,12 @@ def test_config_from_dict_rejects_unknown_protocol_first(data):
         config_from_dict(data)
 
 
-@pytest.mark.parametrize("attack_id", ["a.none.bob", "a.mr.eve.01", "a.mr.eve.+1"])
+@pytest.mark.parametrize("attack_id", REJECTED_IDS)
 def test_config_from_dict_rejects_non_canonical_attack_ids(attack_id):
-    with pytest.raises(ConfigError, match="not canonical"):
-        config_from_dict({"protocol": "A", "attack": attack_id,
-                          "params": {"n": 5, "m": 12}})
+    protocol = attack_id[0].upper()
+    params = {"n": 5, "m": 12} if protocol == "A" else {"n": 8}
+    with pytest.raises(ConfigError, match=re.escape(f"no catalog attack {attack_id!r}")):
+        config_from_dict({"protocol": protocol, "attack": attack_id, "params": params})
 
 
 @pytest.mark.parametrize("protocol, params, attack_id", [

@@ -5,11 +5,11 @@ No linter ships with the project, so these are the checks:
 - a name bound by ``import``/``from ... import`` must appear somewhere else
   in the module, unless its line carries ``# noqa: F401``;
 - a top-level name a package module defines (a function, a class or an
-  assigned name), and each non-dunder method or property of its classes,
-  must appear somewhere under ``src/``, ``tests/`` or ``perfbench/`` other
-  than its own definition: read as an identifier, as an attribute, or as a
-  whole string constant (as ``getattr`` and the benchmark's tracing name
-  it).
+  assigned name), and each non-dunder method, property or annotated field
+  (dataclass and NamedTuple fields) of its classes, must appear somewhere
+  under ``src/``, ``tests/`` or ``perfbench/`` other than its own
+  definition: read as an identifier, as an attribute, or as a whole string
+  constant (as ``getattr`` and the benchmark's tracing name it).
 
 The package's ``__init__.py`` is exempt from both, since it imports to
 re-export.
@@ -48,8 +48,8 @@ def _is_dunder(name: str) -> bool:
 
 def defined_names(source: str) -> list[tuple[str, str]]:
     """Top-level names a module defines, each with its classes' non-dunder
-    methods and properties labelled ``Class.name`` after it, in order, as
-    (label, name) pairs."""
+    methods, properties and annotated fields labelled ``Class.name`` after
+    it, in order, as (label, name) pairs."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -59,10 +59,19 @@ def defined_names(source: str) -> list[tuple[str, str]]:
             names += [(n.id, n.id) for t in targets for n in ast.walk(t)
                       if isinstance(n, ast.Name)]
         if isinstance(node, ast.ClassDef):
-            names += [(f"{node.name}.{f.name}", f.name) for f in node.body
-                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                      and not _is_dunder(f.name)]
+            names += [(f"{node.name}.{name}", name) for name in map(_member, node.body)
+                      if name and not _is_dunder(name)]
     return names
+
+
+def _member(node) -> str | None:
+    """The name a class-body statement defines as a method, property or
+    annotated field (a dataclass or NamedTuple field), else None."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
 
 
 def mentions(source: str) -> set[str]:
@@ -112,6 +121,14 @@ def test_the_check_sees_dead_methods():
     other = "from m import Party\nParty().size\n"
     assert dead_names({"m": module}, [module, other]) == ["m.Party.left_behind",
                                                           "m.Party.unread"]
+
+
+def test_the_check_sees_dead_fields():
+    module = ("from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+              "@dataclass\nclass Spec:\n    kept: int\n    unread: str = ''\n"
+              "class Row(NamedTuple):\n    x: int\n    y: int\n")
+    other = "from m import Row, Spec\nprint(Spec(1).kept, Row(1, 2).x)\n"
+    assert dead_names({"m": module}, [module, other]) == ["m.Spec.unread", "m.Row.y"]
 
 
 def test_package_defines_no_dead_name():
