@@ -48,9 +48,7 @@ class UnitaryPair:
     protocol: str  # "A" | "B"
 
     def __post_init__(self):
-        check_int("probe_dim", self.probe_dim)
-        if self.probe_dim < 1:
-            raise ValueError(f"probe_dim must be at least 1, got {self.probe_dim}")
+        check_int("probe_dim", self.probe_dim, 1)
         for name, u in (("first", self.first), ("second", self.second)):
             u = np.asarray(u, dtype=complex)
             if u.shape != (2 * self.probe_dim, 2 * self.probe_dim):
@@ -408,13 +406,6 @@ class CatalogEntry:
     parties: dict = field(default_factory=dict)
     guess: dict = field(default_factory=dict)
 
-    @property
-    def target(self) -> Optional[str]:
-        """Which key string the attack is after: k_b, k_c, or both (Eve)."""
-        if not self.guess:
-            return None
-        return "both" if len(self.guess) == 2 else next(iter(self.guess))
-
 
 A2B, B2C, C2A = LEG_ORDER
 _MEASURE, _FAKES = measure_all_interceptor, replace_with_fakes_interceptor
@@ -509,7 +500,12 @@ class AttackPlan:
     @property
     def target(self) -> Optional[str]:
         """Which key string the attack is after: k_b, k_c, or both (Eve)."""
-        return self.entry.target
+        guess = self.entry.guess
+        if not guess:
+            return None
+        if len(guess) == 2:
+            return "both"
+        return next(iter(guess))
 
     # -- key guessing -------------------------------------------------------
 
@@ -545,17 +541,12 @@ class AttackPlan:
         Charlie's, each indexed by origin, -1 where there is no guess.
         """
         n = len(classes) // 3
-        if C2A in self.entry.legs:
-            # Seen on the return leg: positions are Alice's final ones.
-            positions = np.arange(len(classes))
-            keys = _KEY_OF_CLASS[classes]
-        else:
-            # Seen before Charlie's step: positions follow Bob's published
-            # order, in which his insertions follow the n received particles.
-            positions = np.flatnonzero(bob_order >= n)
-            origins = bob_order[positions] - n
-            keys = np.zeros(len(positions), dtype=np.int8)
-        bits = self._guesses(positions, keys, rng)
+        if C2A not in self.entry.legs:
+            # Seen before Charlie's step: positions are Bob's output ones,
+            # which his order numbers as ``resolve_orders`` does.
+            classes, origins = np.divmod(bob_order, n)
+        keys = _KEY_OF_CLASS[classes]
+        bits = self._guesses(np.arange(len(keys)), keys, rng)
         out = np.full((len(_KEYS), n), -1, dtype=np.int8)
         carriers = keys >= 0
         out[keys[carriers], origins[carriers]] = bits[carriers]

@@ -360,18 +360,11 @@ def identity_pair(mode: str, probe_dim: int) -> UnitaryPair:
     return UnitaryPair(first=eye, second=eye, probe_dim=probe_dim, protocol=mode)
 
 
-def _check_probe_dim(probe_dim: int) -> None:
-    """The bit-copy attack swaps probe levels 0 and 1, so it needs both."""
-    check_int("probe_dim", probe_dim)
-    if probe_dim < 2:
-        raise ValueError(f"probe_dim must be at least 2, got {probe_dim}")
-
-
 def bit_copy_pair(mode: str, probe_dim: int) -> UnitaryPair:
     """The canonical maximally informative attack at error 1/4: the first
     unitary copies the transit Z bit into the probe, the second does nothing.
-    It needs two probe levels."""
-    _check_probe_dim(probe_dim)
+    Its copy swaps probe levels 0 and 1, so it needs both."""
+    check_int("probe_dim", probe_dim, 2)
     m = 2 * probe_dim
     u = np.eye(m)
     # flip probe levels 0 and 1 when the qubit is 1
@@ -439,15 +432,12 @@ def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
     if mode not in ("A", "B"):
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     check_real("epsilon", epsilon)
-    for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
-        check_int(name, value)
+    for name, value, least in (("restarts", restarts, 1), ("iters", iters, 1),
+                               ("seed", seed, 0)):
+        check_int(name, value, least)
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError("epsilon must be in [0, 0.5]")
-    if restarts < 1 or iters < 1:
-        raise ValueError("budgets must be positive")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    _check_probe_dim(probe_dim)  # for the bit-copy start
+    check_int("probe_dim", probe_dim, 2)  # for the bit-copy start
 
 
 def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,

@@ -22,7 +22,7 @@ from . import __version__
 from .adversary import AttackSpec, attack_id_of, resolve_attack
 from .protocol_a import CHECKS_A, ProtocolAConfig, run_protocol_a
 from .protocol_b import CHECKS_B, ProtocolBConfig, run_protocol_b
-from .runtime import RunReport
+from .runtime import RunReport, check_int
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054
@@ -75,10 +75,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if type(self.protocol_config) not in _PROTOCOL_OF:
             raise ConfigError(f"not a protocol config: {self.protocol_config!r}")
-        for name, least in (("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        try:
+            check_int("trials", self.trials, 1)
+            check_int("seed", self.seed, 0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.attack is not None and self.attack.protocol != self.protocol:
             raise ConfigError(f"attack {self.attack.attack_id} does not match "
                               f"protocol {self.protocol}")
@@ -192,21 +193,17 @@ class ExperimentAborted(RuntimeError):
         self.cause = cause
 
 
-def trial_seed(config: ExperimentConfig, trial: int) -> tuple[int, int]:
-    """The derived seed trial ``trial`` of ``config`` runs with."""
-    return _derived_seed(config.seed, trial)
-
-
 @functools.lru_cache(maxsize=256, typed=True)
-def _derived_seed(seed: int, trial: int) -> tuple[int, int]:
-    # One tuple per derived seed: a sweep runs trial i under every config,
-    # and the reports it keeps then share their seed.
+def trial_seed(seed: int, trial: int) -> tuple[int, int]:
+    """The derived seed trial ``trial`` of an experiment seeded ``seed`` runs
+    with.  It is one tuple per derived seed: a sweep runs trial i under
+    every config, and the reports it keeps then share their seed."""
     return (seed, trial)
 
 
 def run_one(config: ExperimentConfig, trial: int) -> RunReport:
     return PROTOCOLS[config.protocol].run(config.protocol_config, config.attack,
-                                          trial_seed(config, trial))
+                                          trial_seed(config.seed, trial))
 
 
 def monte_carlo(config: ExperimentConfig) -> tuple[DetectionStats, list[str]]:
@@ -222,7 +219,7 @@ def monte_carlo(config: ExperimentConfig) -> tuple[DetectionStats, list[str]]:
         try:
             report = run_one(config, trial)
         except Exception as exc:
-            raise ExperimentAborted(trial, trial_seed(config, trial), exc) from exc
+            raise ExperimentAborted(trial, trial_seed(config.seed, trial), exc) from exc
         digests.append(report.transcript_digest)
         for c in report.checks:
             compared[c.check_id] += c.compared
@@ -307,15 +304,14 @@ def write_report(config: ExperimentConfig, stats: DetectionStats,
                  digests: list[str], fmt: str, path) -> None:
     """Persist an experiment report as ``fmt`` ("json" or "csv") to ``path``,
     or to stdout when ``path`` is None; output is byte-stable per config."""
-    if fmt == "json":
-        write_json(stats_to_dict(config, stats, digests), path)
-        return
-    if fmt != "csv":
+    if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
+    data = stats_to_dict(config, stats, digests)
+    if fmt == "json":
+        write_json(data, path)
+        return
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["check_id", "compared", "mismatches", "rate", "ci_low", "ci_high"])
-    for s in stats.per_check.values():
-        writer.writerow([s.check_id, s.compared, s.mismatches,
-                         _sig12(s.rate), _sig12(s.ci_low), _sig12(s.ci_high)])
+    writer = csv.DictWriter(out, fieldnames=list(data["per_check"][0]))
+    writer.writeheader()
+    writer.writerows(data["per_check"])
     _write_text(path, out.getvalue())

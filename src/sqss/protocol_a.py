@@ -67,13 +67,11 @@ class ProtocolAConfig:
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
 
     def __post_init__(self):
-        check_int("n", self.n)
-        check_int("m", self.m)
+        # A key needs a case-1 particle and two in each of cases 2 and 3 (see
+        # ``_disclose``), and Bob measures n = |case 1| + |case 2| particles.
+        check_int("n", self.n, 3)
+        check_int("m", self.m, self.n + 1)
         check_real("check_fraction", self.check_fraction)
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.m <= self.n:
-            raise ValueError("m must exceed n")
         if not 0.0 < self.check_fraction < 1.0:
             raise ValueError("check_fraction must be in (0, 1)")
         check_thresholds(self.thresholds, CHECKS_A)

@@ -59,10 +59,8 @@ class ProtocolBConfig:
     thresholds: dict[str, float] = field(default_factory=default_thresholds)
 
     def __post_init__(self):
-        check_int("n", self.n)
+        check_int("n", self.n, 2)
         check_real("test_fraction", self.test_fraction)
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
         # Each party's n key carriers lose ceil(test_fraction * n) to the test.
@@ -95,12 +93,10 @@ def _is_permutation(order, size: int) -> bool:
             and order.shape == (size,) and np.array_equal(np.sort(order), np.arange(size)))
 
 
-def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray,
-               n: int) -> np.ndarray:
-    """The outcomes at ``positions`` in the order of their particles' origins."""
-    by_origin = np.full(n, -1, dtype=np.int8)
-    by_origin[origins[positions]] = outcomes[positions]
-    return by_origin[by_origin >= 0]
+def _by_origin(outcomes: np.ndarray, positions: np.ndarray, origins: np.ndarray) -> np.ndarray:
+    """The outcomes at ``positions`` in the order of their particles' origins,
+    which are distinct within a class."""
+    return outcomes[positions[np.argsort(origins[positions])]]
 
 
 def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
@@ -156,8 +152,8 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     keys: Optional[KeyMaterial] = None
     if reason is None:
         # The config leaves each party's untested carriers non-empty.
-        keys = derive_keys(_by_origin(outcomes, untested_b, origins, n),
-                           _by_origin(outcomes, untested_c, origins, n))
+        keys = derive_keys(_by_origin(outcomes, untested_b, origins),
+                           _by_origin(outcomes, untested_c, origins))
 
     payoff = None
     if reason is None and plan.target is not None:

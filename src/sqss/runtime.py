@@ -174,10 +174,10 @@ def _is_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float))
 
 
-def check_int(name: str, value) -> None:
-    """A count parameter must be a genuine int: no bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_int(name: str, value, least: int) -> None:
+    """A count must be a genuine int (no bool, float or string) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_real(name: str, value) -> None:

@@ -46,6 +46,8 @@ def test_invalid_combinations_rejected():
         AttackSpec("B", "em", pair=eye)  # the pair is protocol A's
     with pytest.raises(UnsupportedAttackError):
         AttackSpec("A", "mr.bob.1", pair=eye)  # a pair only configures "em"
+    with pytest.raises(UnsupportedAttackError, match="unknown protocol 'C'"):
+        AttackSpec("C", "mr.bob")
 
 
 # Ids that are not catalog keys, each with what is wrong with it.  Every
@@ -87,6 +89,8 @@ def test_unitary_pair_validation_and_legs():
         UnitaryPair(first=2 * eye, second=eye, probe_dim=2, protocol="A")
     with pytest.raises(ValueError, match="shape"):
         UnitaryPair(first=eye, second=eye, probe_dim=3, protocol="A")
+    with pytest.raises(ValueError, match="unknown protocol 'C'"):
+        UnitaryPair(first=eye, second=eye, probe_dim=2, protocol="C")
     # A 0x0 matrix passes check_unitary, and True and 1.0 size a 2x2 one.
     for probe_dim in (0, True, 1.0):
         square = np.eye(2 * int(probe_dim))

@@ -5,8 +5,9 @@ import json
 import pytest
 
 import sqss.cli as cli
-from sqss.adversary import UnsupportedAttackError, resolve_attack
-from sqss.harness import ExperimentAborted
+from sqss.adversary import UnsupportedAttackError, catalog_ids, resolve_attack
+from sqss.harness import PROTOCOLS, ExperimentAborted
+from sqss.oracle import detection_oracle
 
 from test_adversary import REJECTED_IDS
 
@@ -199,6 +200,28 @@ def test_sweep_subcommand(tmp_path):
         "case1", "case2", "case3", "case4"}
 
 
+@pytest.mark.parametrize("protocol", ["A", "B"])
+def test_attack_bench_subcommand(tmp_path, protocol):
+    outs = [tmp_path / "bench1.json", tmp_path / "bench2.json"]
+    for out in outs:
+        code = cli.main(["attack-bench", "--protocol", protocol, "--size", "6",
+                         "--trials", "3", "--output", str(out)])
+        assert code == cli.EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    rows = json.loads(outs[0].read_text())["rows"]
+    assert sorted((row["attack"], row["check"]) for row in rows) == sorted(
+        (attack, check) for attack in catalog_ids(protocol)
+        for check in PROTOCOLS[protocol].checks)
+    for row in rows:
+        exact = detection_oracle(protocol, row["attack"])[row["check"]]
+        assert row["oracle"] == f"{exact.numerator}/{exact.denominator}"
+        assert row["oracle_value"] == float(exact)
+        if row["compared"] > 0:
+            assert isinstance(row["within_ci"], bool)
+        else:
+            assert row["within_ci"] is None
+
+
 def test_tradeoff_subcommand(tmp_path):
     out = tmp_path / "tradeoff.json"
     code = cli.main(["tradeoff", "--mode", "a", "--epsilons", "0.25",
@@ -239,10 +262,14 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, command):
 
 @pytest.mark.parametrize("command", [
     ["sweep", "--protocol", "b", "--sizes", "40,1"],
+    ["sweep", "--protocol", "a", "--sizes", "40,1"],
+    ["sweep", "--protocol", "a", "--sizes", "40,2"],
     ["sweep", "--protocol", "a", "--attacks", "a.mr.bob.1,a.bogus"],
     ["tradeoff", "--mode", "a", "--epsilons", "0.1,0.9"],
     ["attack-bench", "--size", "1"],
-], ids=["sweep-size", "sweep-attack", "tradeoff-epsilon", "attack-bench-size"])
+    ["attack-bench", "--size", "2"],
+], ids=["sweep-size", "sweep-a-size-1", "sweep-a-size-2", "sweep-attack", "tradeoff-epsilon",
+        "attack-bench-size", "attack-bench-a-size-2"])
 def test_bad_input_exits_2_before_any_work(monkeypatch, capsys, command):
     """A bad value late in a list is rejected before the first item runs."""
     def never(*args, **kwargs):
@@ -260,4 +287,4 @@ def test_tradeoff_rejects_a_probe_too_small_for_bit_copy(capsys, probe_dim):
     code = cli.main(["tradeoff", "--mode", "a", "--epsilons", "0.25", "--restarts", "2",
                      "--iters", "1", "--probe-dim", probe_dim])
     assert code == cli.EXIT_CONFIG
-    assert "probe_dim must be at least 2" in capsys.readouterr().err
+    assert "probe_dim must be an integer >= 2, got" in capsys.readouterr().err

@@ -195,7 +195,7 @@ def test_search_rejects_bad_budgets():
     ({"iters": 2.5}, "iters must be an integer"),
     ({"restarts": True, "iters": True}, "restarts must be an integer"),
     ({"seed": 1.5}, "seed must be an integer"),
-    ({"seed": -1}, "seed must be non-negative"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"epsilon": "0.1"}, "epsilon must be a real number"),
 ], ids=["float-iters", "bool-budgets", "float-seed", "negative-seed", "str-epsilon"])
 def test_search_rejects_mistyped_args_before_evaluating(monkeypatch, bad, message):
@@ -222,6 +222,24 @@ def test_search_quarter_budget_reaches_full_information():
         assert not point.fallback
 
 
+@pytest.mark.parametrize("reader", [error_profile, probe_distinguishability, theorem_check])
+def test_readers_reject_a_mode_other_than_the_pairs_protocol(reader):
+    with pytest.raises(ValueError, match="^pair is for protocol A, not B$"):
+        reader(identity_pair("A", 2), "B")
+
+
+def test_mode_a_information_skips_a_branch_the_qubit_never_takes():
+    """At d = 2 the basis permutation 0 -> 2, 2 -> 3, 3 -> 0 (1 fixed) sends
+    every preparation's qubit to |1>: the x = 0 probe branch has no weight,
+    so mode A's information skips it and reads 0 rather than the trace
+    distance of an empty branch."""
+    first = np.eye(4)[:, [2, 1, 3, 0]]   # column j is the image of basis state j
+    pair = UnitaryPair(first=first, second=np.eye(4), probe_dim=2, protocol="A")
+    branches, _ = em_analysis._measured_branches(pair)
+    assert all(not np.any(eps) for (_, x), (eps, _) in branches.items() if x == 0)
+    assert probe_distinguishability(pair) == 0.0
+
+
 def test_insert_reorder_checks_blind_to_undone_controlled_rotation():
     """A controlled probe rotation applied on the middle leg and undone on the
     return leg passes every check of the insert-and-reorder protocol exactly,
@@ -245,7 +263,7 @@ def test_bit_copy_needs_two_probe_levels():
     for probe_dim in (0, 1, 2.0):
         with pytest.raises(ValueError, match="probe_dim"):
             bit_copy_pair("A", probe_dim)
-    with pytest.raises(ValueError, match="probe_dim must be at least 2"):
+    with pytest.raises(ValueError, match="probe_dim must be an integer >= 2, got 1"):
         constrained_search("B", 0.1, probe_dim=1, restarts=1, iters=1)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import sqss
 from sqss import harness, protocol_a, protocol_b
+from sqss.adversary import parse_attack_id
 from sqss.harness import (
     ConfigError,
     ExperimentAborted,
@@ -104,7 +105,17 @@ def test_config_from_dict_rejects_bad_thresholds(protocol, checks, params, key, 
         "a-str-fraction", "b-str-n", "b-bool-n", "b-float-n", "b-bool-fraction"])
 def test_config_from_dict_rejects_mistyped_protocol_params(protocol, params, field):
     with pytest.raises(ConfigError, match=f"^bad protocol params: {field} must be "
-                                          f"(an integer|a real number), got"):
+                                          f"(an integer >= \\d+|a real number), got"):
+        config_from_dict({"protocol": protocol, "params": params})
+
+
+@pytest.mark.parametrize("protocol, params, message", [
+    ("A", {"n": 2, "m": 12}, "n must be an integer >= 3, got 2"),
+    ("A", {"n": 5, "m": 5}, "m must be an integer >= 6, got 5"),
+    ("B", {"n": 1}, "n must be an integer >= 2, got 1"),
+], ids=["a-n", "a-m", "b-n"])
+def test_config_from_dict_rejects_counts_below_their_least(protocol, params, message):
+    with pytest.raises(ConfigError, match=f"^bad protocol params: {message}$"):
         config_from_dict({"protocol": protocol, "params": params})
 
 
@@ -125,6 +136,22 @@ def test_config_from_dict_rejects_fractions_outside_the_open_unit_interval(
     below 1 whose ceiling still tests all n key particles."""
     with pytest.raises(ConfigError, match=rf"^bad protocol params: {field} must {rule}$"):
         config_from_dict({"protocol": protocol, "params": params})
+
+
+@pytest.mark.parametrize("data, message", [
+    ([{"protocol": "A"}], "config root must be an object"),
+    ({"params": {"n": 5, "m": 12}}, "config needs a protocol"),
+    ({"protocol": "A", "params": [5, 12]}, "params must be an object"),
+], ids=["list-root", "no-protocol", "list-params"])
+def test_config_from_dict_rejects_a_malformed_layout(data, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict(data)
+
+
+def test_experiment_config_rejects_an_attack_of_the_other_protocol():
+    with pytest.raises(ConfigError, match=r"^attack b\.mr\.bob does not match protocol A$"):
+        ExperimentConfig(ProtocolAConfig(n=5, m=12), parse_attack_id("b.mr.bob"),
+                         trials=1, seed=0)
 
 
 @pytest.mark.parametrize("data", [{"protocol": None},
@@ -244,6 +271,16 @@ def test_run_one_uses_derived_trial_seeds():
     r1 = run_one(config, 1)
     assert r0.transcript_digest != r1.transcript_digest
     assert run_one(config, 0).transcript_digest == r0.transcript_digest
+
+
+def test_a_check_that_compared_nothing_reports_rate_0_and_the_whole_interval():
+    """Trial (1, 0) at n=3, m=4 has no case-1 particle: over the experiment
+    case 1 compares nothing, and its row reads rate 0 with the interval [0, 1]."""
+    config = config_from_dict({"protocol": "A", "trials": 1, "seed": 1,
+                               "params": {"n": 3, "m": 4}})
+    rows = stats_to_dict(config, *monte_carlo(config))["per_check"]
+    assert rows[0] == {"check_id": "case1", "compared": 0, "mismatches": 0,
+                       "rate": 0.0, "ci_low": 0.0, "ci_high": 1.0}
 
 
 def test_monte_carlo_honest_statistics():

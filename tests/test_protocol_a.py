@@ -37,6 +37,10 @@ def test_config_validation():
         ProtocolAConfig(n=10, m=10)
     with pytest.raises(ValueError):
         ProtocolAConfig(n=0, m=5)
+    # A key needs n >= 3: a case-1 particle and two in each of cases 2 and 3.
+    for n in (1, 2):
+        with pytest.raises(ValueError, match=f"n must be an integer >= 3, got {n}"):
+            ProtocolAConfig(n=n, m=9)
     with pytest.raises(ValueError):
         ProtocolAConfig(n=5, m=10, check_fraction=0.0)
     # Disclosing every case-2/3 particle leaves no key, so every run would abort.
@@ -44,6 +48,17 @@ def test_config_validation():
         ProtocolAConfig(n=5, m=10, check_fraction=1.0)
     with pytest.raises(ValueError):
         ProtocolAConfig(n=5, m=10, thresholds={"case1": 0.05})
+
+
+def test_a_run_with_no_undisclosed_key_particle_derives_no_key():
+    """At n=3, m=4 a key case can hold a single particle, which its check
+    discloses: the run passes every check and still ends without keys, and
+    the attack, which targets k_c, scores no payoff."""
+    config = ProtocolAConfig(n=3, m=4, thresholds=default_thresholds(1.0))
+    report = run_protocol_a(config, parse_attack_id("a.mr.bob.1"), 1)
+    assert all(c.passed for c in report.checks)
+    assert report.abort_reason == "no undisclosed key particles remain"
+    assert report.keys is None and report.payoff is None
 
 
 def test_honest_run_zero_mismatches_and_key_relation():

@@ -156,6 +156,31 @@ def test_non_finite_entries_are_rejected(validator, value):
         NON_FINITE_INPUTS[validator](value)
 
 
+MALFORMED_INPUTS = {
+    "non-square-unitary": (lambda: check_unitary(np.ones((2, 3))),
+                           r"unitary must be square, got shape \(2, 3\)"),
+    "short-composite": (lambda: CompositeState(np.array([1.0, 0.0, 0.0]), 2),
+                        r"expected 4 amplitudes, got \(3,\)"),
+    "non-square-density": (lambda: DensityMatrix(np.ones((2, 3)) / 2),
+                           r"density matrix must be square, got \(2, 3\)"),
+    "non-hermitian": (lambda: DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]])),
+                      "density matrix is not Hermitian"),
+    "trace-2": (lambda: DensityMatrix(np.eye(2)), "density matrix trace is"),
+    "negative-eigenvalue": (lambda: DensityMatrix(np.diag([1.5, -0.5])),
+                            "density matrix has negative eigenvalue -5.000e-01"),
+    "trace-distance-dims": (lambda: trace_distance(DensityMatrix(np.eye(2) / 2),
+                                                   DensityMatrix(np.eye(4) / 4)),
+                            "dimension mismatch: 2 vs 4"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_inputs_are_rejected(case):
+    build, message = MALFORMED_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_cnot_on_plus_entangles_probe():
     state = lift(prepare(PrepState.PLUS), 2)
     cnot = np.eye(4)[[0, 1, 3, 2]]
