@@ -12,11 +12,12 @@ Attack ids, as configs and the CLI write them, are the ``CATALOG`` keys and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .qstate import Basis, apply_unitary_batch, check_unitary
+from .qstate import Basis, PrepState, apply_unitary_batch, check_unitary
 from .runtime import (
     CTRL,
     LEG_ORDER,
@@ -66,6 +67,17 @@ class UnitaryPair:
         if self.protocol == "A":
             return (Leg.ALICE_TO_BOB, Leg.CHARLIE_TO_ALICE)
         return (Leg.BOB_TO_CHARLIE, Leg.CHARLIE_TO_ALICE)
+
+    @cached_property
+    def images(self) -> tuple[np.ndarray, np.ndarray]:
+        """What ``first`` and ``second`` make of the four BB84 states with the
+        probe in |e0>: read-only ``(4, 2d)`` arrays, row i for code i, built
+        on first use.  The unitaries are read-only, so they cannot go stale."""
+        lifted = ParticleBatch(np.arange(len(PrepState))).amplitudes(self.probe_dim)
+        images = tuple(apply_unitary_batch(lifted, u) for u in (self.first, self.second))
+        for rows in images:
+            rows.setflags(write=False)
+        return images
 
 
 @dataclass(frozen=True)
@@ -299,14 +311,20 @@ def replace_with_fakes_interceptor(knowledge: AdversaryKnowledge):
 
 def entangle_measure_interceptors(pair: UnitaryPair) -> dict:
     """Apply the pair's first unitary on its outbound leg and the second on the
-    return leg; each particle carries its own probe, initially |e0>."""
-    def make(u):
+    return leg; each particle carries its own probe, initially |e0>.  A bare
+    batch's rows are looked up in the pair's ``images``, a probed batch's
+    rows are multiplied."""
+    def make(which):
+        u = (pair.first, pair.second)[which]
+
         def intercept(batch, leg, rng):
-            batch.states = apply_unitary_batch(batch.amplitudes(pair.probe_dim), u)
+            if batch.probed:
+                batch.states = apply_unitary_batch(batch.amplitudes(pair.probe_dim), u)
+            else:
+                batch.states = pair.images[which][batch.states]
         return intercept
 
-    first_leg, second_leg = pair.legs
-    return {first_leg: make(pair.first), second_leg: make(pair.second)}
+    return {leg: make(which) for which, leg in enumerate(pair.legs)}
 
 
 # ---------------------------------------------------------------------------

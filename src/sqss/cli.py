@@ -42,6 +42,18 @@ def _check_output_path(path: str | None) -> None:
                           f"no directory {Path(path).parent}")
 
 
+def _parse_items(option: str, text: str, parse, kind: str) -> list:
+    """The comma-separated items of ``option``, each read by ``parse``; an
+    item it cannot read is a config error naming the option and the item."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(parse(item))
+        except ValueError:
+            raise ConfigError(f"{option} item {item!r} is not {kind}") from None
+    return items
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     write_report(config, *monte_carlo(config), args.format, args.output)
@@ -58,7 +70,7 @@ def _basic_config(protocol: str, attack: str | None, size: int, trials: int,
 def _cmd_sweep(args) -> int:
     attacks = (catalog_ids(args.protocol) if args.attacks == "all"
                else args.attacks.split(","))
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _parse_items("--sizes", args.sizes, int, "an integer")
     configs = [(attack, size, _basic_config(args.protocol, attack, size, args.trials, args.seed))
                for attack in attacks for size in sizes]
     rows = []
@@ -93,7 +105,7 @@ def _cmd_attack_bench(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
-    epsilons = [float(e) for e in args.epsilons.split(",")]
+    epsilons = _parse_items("--epsilons", args.epsilons, float, "a number")
     for eps in epsilons:
         check_search_args(args.mode, eps, args.probe_dim, args.restarts, args.iters, args.seed)
     rows = []

@@ -7,6 +7,7 @@ floating-point rounding.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -119,7 +120,9 @@ def _draw_bits(bits: np.ndarray, p0: np.ndarray, rng: np.random.Generator) -> np
     """
     uncertain = bits < 0
     k = int(np.count_nonzero(uncertain))
-    if k:
+    if k == len(bits):   # as in a generic probed layer: no masks to apply
+        bits[:] = rng.random(k) >= p0
+    elif k:
         bits[uncertain] = rng.random(k) >= p0[uncertain]
     return bits
 
@@ -204,18 +207,22 @@ def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-# Per (basis, outcome bit): (c0, c1, scale) such that the probe vector
-# travelling with that outcome is (c0 * block_0 + c1 * block_1) * scale,
-# where block_x holds the probe amplitudes beside qubit |x>.
-_BRANCH = np.array([[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]],
-                    [[1.0, 1.0, _INV_SQRT2], [1.0, -1.0, _INV_SQRT2]]])
+@functools.cache
+def _hadamard_rows(d: int) -> np.ndarray:
+    """The unscaled Hadamard on the qubit of ``(k, 2d)`` rows, as a right
+    factor: ``row @ it`` has blocks ``(b0 + b1, b0 - b1)`` where ``row`` has
+    ``(b0, b1)``; read-only."""
+    h = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(d)).astype(complex)
+    h.setflags(write=False)
+    return h
 
 
-def _branches(blocks: np.ndarray, bases: np.ndarray, bits) -> np.ndarray:
-    """Per row of ``blocks`` (shape ``(k, 2, d)``), the unnormalized probe
-    vector that travels with qubit outcome ``bits`` in ``bases``."""
-    c0, c1, scale = _BRANCH[bases, bits].T[:, :, None]
-    return (c0 * blocks[:, 0] + c1 * blocks[:, 1]) * scale
+def _x_frame(rows: np.ndarray, is_x: np.ndarray) -> np.ndarray:
+    """``rows`` with the blocks of each row ``is_x`` marks mixed into
+    ``((b0 + b1)/sqrt2, (b0 - b1)/sqrt2)``: the probe vectors beside |+> and
+    |-> from those beside |0> and |1>, and back, as the map is its own
+    inverse."""
+    return np.where(is_x, (rows @ _hadamard_rows(rows.shape[1] // 2)) * _INV_SQRT2, rows)
 
 
 def measure_qubit(rows: np.ndarray, bases: np.ndarray,
@@ -229,15 +236,28 @@ def measure_qubit(rows: np.ndarray, bases: np.ndarray,
     outcome draws nothing, and the rest share one ``rng.random`` call in row
     order.  Returns the bits and the projected, renormalized rows; ``rows``
     is left as it was.
+
+    X rows are mixed into their outcome frame first, so that in every row
+    block b is the probe vector that travels with outcome b; the collapsed
+    X rows are mixed back.
     """
-    blocks = rows.reshape(len(rows), 2, rows.shape[1] // 2)
-    p0 = _weights(_branches(blocks, bases, 0))
+    k, d = len(rows), rows.shape[1] // 2
+    mixed = bases.any()
+    if mixed:
+        is_x = bases[:, None] == Basis.X.value
+        rows = _x_frame(rows, is_x)
+    # Block b of row i is entry 2i + b; both weights of every row in one pass.
+    blocks = rows.reshape(2 * k, d)
+    weights = np.einsum("kd,kd->k", blocks.conj(), blocks).real
+    p0 = weights[::2]
     bits = _draw_bits(_certain(p0), p0, rng)
-    probe = _branches(blocks, bases, bits)
-    probe /= np.sqrt(_weights(probe))[:, None]
-    # The outcome state's amplitudes times the probe, block by block.
-    out = BB84_AMPS[_COLLAPSED_CODE[bases, bits]][:, :, None] * probe[:, None, :]
-    return bits, out.reshape(rows.shape)
+    kept = np.arange(0, 2 * k, 2) + bits   # the drawn block of each row
+    # One divisor per amplitude: a flat division costs less than a broadcast one.
+    branch = blocks.take(kept, axis=0).reshape(-1) / np.repeat(np.sqrt(weights[kept]), d)
+    out = np.zeros_like(blocks)
+    out[kept] = branch.reshape(k, d)
+    out = out.reshape(k, 2 * d)
+    return bits, (_x_frame(out, is_x) if mixed else out)
 
 
 @dataclass(frozen=True)

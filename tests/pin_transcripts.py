@@ -10,10 +10,19 @@ run made the same preparations, announcements, measurements and checks, so
 no RNG draw moved.  The script then prints each run's digest in the current
 layout, as the entries of ``test_harness.PINNED_V2``.  It exits 1 if a v1
 digest or a payoff does not match.
+
+Last come comment lines, one per protocol and probe dimension 1-3: the
+sha256 over the transcript digests of 40 seeded entangle-measure trials.
+Their probe rows carry floats whose last bits depend on the BLAS build, so
+they are compared between two checkouts on one machine, as those of
+``pin_tradeoff.py`` are, and not pinned in a test:
+
+    PYTHONPATH=<other checkout>/src python3 tests/pin_transcripts.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import numpy as np
@@ -41,21 +50,30 @@ PINNED_RUNS = [
 ]
 
 
+# Trials per protocol and probe dimension in the entangle-measure lines.
+EM_TRIALS = 40
+
+
+def _em_spec(mode: str, probe_dim: int) -> AttackSpec:
+    return AttackSpec(mode, "em",
+                      pair=random_pair(mode, probe_dim, np.random.default_rng(5)))
+
+
+def _runner(mode: str):
+    """The pinned runs' config of ``mode`` and its run function."""
+    if mode == "A":
+        return (protocol_a.ProtocolAConfig(
+            n=20, m=45, thresholds=protocol_a.default_thresholds(1.0)),
+            protocol_a.run_protocol_a)
+    return (protocol_b.ProtocolBConfig(n=16, thresholds=protocol_b.default_thresholds(1.0)),
+            protocol_b.run_protocol_b)
+
+
 def pinned_run(attack_id: str) -> tuple[RunReport, dict]:
     """Run one pinned trial; return its report and its transcript payload."""
     mode = attack_id[0].upper()
-    if attack_id.endswith(".em"):
-        spec = AttackSpec(mode, "em", pair=random_pair(mode, 2, np.random.default_rng(5)))
-    else:
-        spec = resolve_attack(mode, attack_id)
-    if mode == "A":
-        config = protocol_a.ProtocolAConfig(
-            n=20, m=45, thresholds=protocol_a.default_thresholds(1.0))
-        run = protocol_a.run_protocol_a
-    else:
-        config = protocol_b.ProtocolBConfig(
-            n=16, thresholds=protocol_b.default_thresholds(1.0))
-        run = protocol_b.run_protocol_b
+    spec = _em_spec(mode, 2) if attack_id.endswith(".em") else resolve_attack(mode, attack_id)
+    config, run = _runner(mode)
     payloads = []
     encode = runtime.transcript_digest
 
@@ -101,6 +119,17 @@ def v1_digest(payload: dict) -> str:
     return transcript_digest(v1_payload(payload)).hex()
 
 
+def em_trials_digest(mode: str, probe_dim: int) -> str:
+    """The sha256 over the transcript digests of trials (3, 0), (3, 1), ...
+    of the seeded entangle-measure attack at ``probe_dim``."""
+    spec = _em_spec(mode, probe_dim)
+    config, run = _runner(mode)
+    sha = hashlib.sha256()
+    for trial in range(EM_TRIALS):
+        sha.update(run(config, spec, (3, trial)).transcript_digest.encode())
+    return sha.hexdigest()
+
+
 def main() -> int:
     status = 0
     for attack_id, digest, payoff in PINNED_RUNS:
@@ -109,6 +138,10 @@ def main() -> int:
             print(f"{attack_id}: the v1 digest or the payoff changed", file=sys.stderr)
             status = 1
         print(f'    "{attack_id}": "{report.transcript_digest}",')
+    for mode in ("A", "B"):
+        for probe_dim in (1, 2, 3):
+            print(f"    # {mode.lower()}.em d={probe_dim}, {EM_TRIALS} trials: "
+                  f"{em_trials_digest(mode, probe_dim)}")
     return status
 
 

@@ -13,6 +13,7 @@ from sqss.adversary import (
     UnsupportedAttackError,
     build_attack_plan,
     catalog_ids,
+    entangle_measure_interceptors,
     parse_attack_id,
     resolve_attack,
 )
@@ -21,7 +22,8 @@ from sqss.harness import wilson_interval
 from sqss.protocol_a import ProtocolAConfig, default_thresholds, run_protocol_a
 from sqss.protocol_b import ProtocolBConfig, run_protocol_b
 from sqss.protocol_b import default_thresholds as default_thresholds_b
-from sqss.runtime import Leg, SimulationError
+from sqss.qstate import apply_unitary_batch
+from sqss.runtime import Leg, ParticleBatch, SimulationError
 
 
 def test_catalog_ids_round_trip():
@@ -290,3 +292,47 @@ def test_em_monte_carlo_matches_error_profile(mode):
         low, high = wilson_interval(mismatches[check], compared[check], z=4.0)
         assert low <= rate <= high, (check, mismatches[check], compared[check], rate)
     assert 0 < min(rates.values()) and max(rates.values()) < 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_entangle_measure_legs_look_up_bare_batches_and_multiply_probed_ones(
+        monkeypatch, mode, d):
+    """On both legs of a pair: a bare batch of every code gets the rows the
+    lifted batch times the leg's unitary has, looked up in the pair's
+    images; a probed batch is multiplied, and one of another width is
+    rejected.  The images are read-only unit rows, built once per pair."""
+    rng = np.random.default_rng(40 + d)
+    pair = random_pair(mode, d, rng)
+    error_profile(pair, mode)
+    assert "images" not in vars(pair)   # the analysis never builds them
+    legs = entangle_measure_interceptors(pair)
+    codes = np.array([0, 1, 2, 3, 3, 2, 1, 0], dtype=np.int8)
+    for leg, u, images in zip(pair.legs, (pair.first, pair.second), pair.images):
+        assert images.shape == (4, 2 * d) and not images.flags.writeable
+        assert np.allclose(np.linalg.norm(images, axis=1), 1.0, atol=1e-12)
+        batch = ParticleBatch(codes.copy())
+        legs[leg](batch, leg, rng)
+        assert batch.probed and batch.states.flags.writeable
+        want = apply_unitary_batch(ParticleBatch(codes).amplitudes(d), u)
+        assert np.abs(batch.states - want).max() <= 1e-15
+
+    calls = []
+
+    def counted(rows, u):
+        calls.append(len(rows))
+        return apply_unitary_batch(rows, u)
+
+    monkeypatch.setattr("sqss.adversary.apply_unitary_batch", counted)
+    first = pair.images
+    for leg, u in zip(pair.legs, (pair.first, pair.second)):
+        rows = rng.normal(size=(5, 2 * d)) + 1j * rng.normal(size=(5, 2 * d))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        batch = ParticleBatch(rows.copy())
+        legs[leg](batch, leg, rng)
+        assert np.array_equal(batch.states, rows @ u.T)
+        legs[leg](ParticleBatch(codes.copy()), leg, rng)
+        with pytest.raises(ValueError, match=f"probe dimension {d + 1}, expected {d}"):
+            legs[leg](ParticleBatch(np.zeros((2, 2 * d + 2), dtype=complex)), leg, rng)
+    assert calls == [5, 5]   # the probed batches only; bare ones are looked up
+    assert pair.images is first

@@ -260,18 +260,26 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, command):
     assert f"cannot write output to {tmp_path}: it is a directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["sweep", "--protocol", "b", "--sizes", "40,1"],
-    ["sweep", "--protocol", "a", "--sizes", "40,1"],
-    ["sweep", "--protocol", "a", "--sizes", "40,2"],
-    ["sweep", "--protocol", "a", "--attacks", "a.mr.bob.1,a.bogus"],
-    ["tradeoff", "--mode", "a", "--epsilons", "0.1,0.9"],
-    ["attack-bench", "--size", "1"],
-    ["attack-bench", "--size", "2"],
+@pytest.mark.parametrize("command, message", [
+    (["sweep", "--protocol", "b", "--sizes", "40,1"], "config error"),
+    (["sweep", "--protocol", "a", "--sizes", "40,1"], "config error"),
+    (["sweep", "--protocol", "a", "--sizes", "40,2"], "config error"),
+    (["sweep", "--protocol", "a", "--attacks", "a.mr.bob.1,a.bogus"], "config error"),
+    (["tradeoff", "--mode", "a", "--epsilons", "0.1,0.9"], "config error"),
+    (["attack-bench", "--size", "1"], "config error"),
+    (["attack-bench", "--size", "2"], "config error"),
+    (["sweep", "--protocol", "a", "--sizes", "40,x"],
+     "config error: --sizes item 'x' is not an integer"),
+    (["sweep", "--protocol", "a", "--sizes", ""],
+     "config error: --sizes item '' is not an integer"),
+    (["tradeoff", "--mode", "a", "--epsilons", "0.1,abc"],
+     "config error: --epsilons item 'abc' is not a number"),
 ], ids=["sweep-size", "sweep-a-size-1", "sweep-a-size-2", "sweep-attack", "tradeoff-epsilon",
-        "attack-bench-size", "attack-bench-a-size-2"])
-def test_bad_input_exits_2_before_any_work(monkeypatch, capsys, command):
-    """A bad value late in a list is rejected before the first item runs."""
+        "attack-bench-size", "attack-bench-a-size-2", "sweep-size-not-int",
+        "sweep-sizes-empty", "tradeoff-epsilon-not-number"])
+def test_bad_input_exits_2_before_any_work(monkeypatch, capsys, command, message):
+    """A bad value late in a list is rejected before the first item runs; a
+    list item that does not parse is named with its option."""
     def never(*args, **kwargs):
         raise AssertionError("the work ran before the input check")
 
@@ -279,7 +287,7 @@ def test_bad_input_exits_2_before_any_work(monkeypatch, capsys, command):
         monkeypatch.setattr(cli, name, never)
     assert cli.main(command) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "config error" in captured.err and not captured.out
+    assert message in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("probe_dim", ["0", "1"])

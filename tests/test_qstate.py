@@ -304,23 +304,30 @@ EDGE_P0 = (0.0, 1.0, MIN_BRANCH_PROB / 3, 3 * MIN_BRANCH_PROB,
            1.0 - 2.0 ** -52, 1.0 - 5 * MIN_BRANCH_PROB)
 
 
-@pytest.mark.parametrize("basis", [Basis.Z, Basis.X], ids=["Basis.Z", "Basis.X"])
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X, None],
+                         ids=["Basis.Z", "Basis.X", "mixed"])
 def test_measure_qubit_matches_branch_probability_and_collapse(basis):
     """A stack of rows against the projector reference on each row in turn:
     under a shared seed the same outcomes, amplitudes within 1e-12 and the
     same RNG state after; the input rows are left as they were.  Each stack
-    holds, in a shuffled order, a row with every P(0) of ``EDGE_P0``."""
+    holds, in a shuffled order, a row with every P(0) of ``EDGE_P0``.  A
+    mixed stack (``basis`` None) measures each row in a random basis, so X
+    rows are mixed beside Z rows that are not."""
     rng = np.random.default_rng(50)
     for d in (1, 2, 3):
+        n_rows = 15 + len(EDGE_P0)
+        bases = (np.full(n_rows, basis, dtype=np.int8) if basis is not None
+                 else rng.integers(2, size=n_rows).astype(np.int8))
         rows = np.array([_random_amps(2 * d, rng) for _ in range(15)]
-                        + [_row_with_p0(p0, basis, d) for p0 in EDGE_P0])
+                        + [_row_with_p0(p0, b, d) for p0, b in zip(EDGE_P0, bases[15:])])
         order = rng.permutation(len(rows))
-        rows, p0s = rows[order], np.concatenate([np.full(15, 0.5), EDGE_P0])[order]
+        rows, bases = rows[order], bases[order]
+        p0s = np.concatenate([np.full(15, 0.5), EDGE_P0])[order]
         states = [CompositeState(row, d) for row in rows]
-        bases = np.full(len(rows), basis, dtype=np.int8)
         for seed in range(4):
             ref_rng = np.random.default_rng(seed)
-            want = [reference_measure_qubit(state, basis, ref_rng) for state in states]
+            want = [reference_measure_qubit(state, b, ref_rng)
+                    for state, b in zip(states, bases)]
             meas_rng = np.random.default_rng(seed)
             bits, got = measure_qubit(rows, bases, meas_rng)
             assert np.array_equal(rows, [state.amps for state in states])
@@ -330,9 +337,11 @@ def test_measure_qubit_matches_branch_probability_and_collapse(basis):
             assert meas_rng.bit_generator.state == ref_rng.bit_generator.state
             # A certain outcome: P(0) = 0 gives 1, P(0) = 1 gives 0.
             assert bits[p0s == 0.0].tolist() == [1] and bits[p0s == 1.0].tolist() == [0]
+        if basis is None:
+            assert 0 < np.count_nonzero(bases) < n_rows
         # The two branch weights are a probability distribution.
-        for state in states:
-            weights = [branch_probability(state, basis, bit) for bit in (0, 1)]
+        for state, b in zip(states, bases):
+            weights = [branch_probability(state, b, bit) for bit in (0, 1)]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
