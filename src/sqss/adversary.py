@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qstate import Basis, PrepState, apply_unitary_batch, check_unitary
+from .qstate import Basis, apply_unitary_batch, bb84_rows, check_unitary
 from .runtime import (
     CTRL,
     LEG_ORDER,
@@ -73,8 +73,8 @@ class UnitaryPair:
         """What ``first`` and ``second`` make of the four BB84 states with the
         probe in |e0>: read-only ``(4, 2d)`` arrays, row i for code i, built
         on first use.  The unitaries are read-only, so they cannot go stale."""
-        lifted = ParticleBatch(np.arange(len(PrepState))).amplitudes(self.probe_dim)
-        images = tuple(apply_unitary_batch(lifted, u) for u in (self.first, self.second))
+        images = tuple(apply_unitary_batch(bb84_rows(self.probe_dim), u)
+                       for u in (self.first, self.second))
         for rows in images:
             rows.setflags(write=False)
         return images

@@ -10,7 +10,6 @@ search over the error-vs-information tradeoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,9 +17,9 @@ from scipy.linalg import expm
 
 from .adversary import UnitaryPair
 from .qstate import (
-    BB84_AMPS,
     DensityMatrix,
     PrepState,
+    bb84_rows,
     check_unitary,
     prepare,
     trace_distance,
@@ -30,16 +29,6 @@ from .runtime import check_int, check_real
 BRANCH_SKIP_PROB = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-@lru_cache(maxsize=16)
-def _prep_rows(d: int) -> np.ndarray:
-    """Row i is preparation ``PrepState(i)`` (BB84 code i) tensored with the
-    probe's initial state |e0>; read-only."""
-    rows = np.zeros((len(BB84_AMPS), 2 * d), dtype=complex)
-    rows[:, [0, d]] = BB84_AMPS
-    rows.setflags(write=False)
-    return rows
 
 
 def _blocks(vec: np.ndarray) -> np.ndarray:
@@ -76,7 +65,7 @@ def _measured_branches(pair: UnitaryPair) -> tuple[dict, dict]:
     ``reflected[s]`` is the second unitary applied to the whole state the
     first left, as when both classical parties reflect."""
     branches, reflected = {}, {}
-    for s, row in zip(PrepState, _prep_rows(pair.probe_dim)):
+    for s, row in zip(PrepState, bb84_rows(pair.probe_dim)):
         psi = pair.first @ row
         reflected[s] = pair.second @ psi
         for x in (0, 1):
@@ -92,7 +81,7 @@ def _chain_states_b(pair: UnitaryPair) -> tuple[dict, dict]:
     full chain ``second @ first`` (all four preparations), and after the
     return unitary alone (the two Z preparations)."""
     u_both = pair.second @ pair.first
-    rows = _prep_rows(pair.probe_dim)
+    rows = bb84_rows(pair.probe_dim)
     return ({s: u_both @ row for s, row in zip(PrepState, rows)},
             {s: pair.second @ row for s, row in zip(PrepState, rows[:2])})
 

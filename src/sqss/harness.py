@@ -151,8 +151,8 @@ def _unique_keys(pairs) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        data = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
-    except OSError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc

@@ -7,12 +7,14 @@ measurement basis; four security checks gate key derivation K_A = K_B XOR K_C.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import runtime
 from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
     EXPECTED_OF_CODE,
@@ -39,11 +41,7 @@ from .runtime import (
 
 CHECKS_A = ("case1", "case2", "case3", "case4")
 
-DEFAULT_THRESHOLD = 0.05
-
-
-def default_thresholds(value: float = DEFAULT_THRESHOLD) -> dict[str, float]:
-    return {check: value for check in CHECKS_A}
+default_thresholds = functools.partial(runtime.default_thresholds, CHECKS_A)
 
 
 # An announcement is 1 for MEASURE and 0 for REFLECT, and a case is its

@@ -8,12 +8,14 @@ Z; the CTRL check plus two TEST checks gate key derivation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import runtime
 from .adversary import AttackSpec, build_attack_plan
 from .qstate import (
     BASIS_OF_CODE,
@@ -45,11 +47,7 @@ from .runtime import (
 
 CHECKS_B = ("ctrl", "test_b", "test_c")
 
-DEFAULT_THRESHOLD = 0.05
-
-
-def default_thresholds(value: float = DEFAULT_THRESHOLD) -> dict[str, float]:
-    return {check: value for check in CHECKS_B}
+default_thresholds = functools.partial(runtime.default_thresholds, CHECKS_B)
 
 
 @dataclass(frozen=True)

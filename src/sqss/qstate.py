@@ -60,11 +60,6 @@ def basis_state(basis: Basis, bit: int) -> np.ndarray:
     return prepare(PrepState.MINUS if bit else PrepState.PLUS)
 
 
-def _weight(v: np.ndarray) -> float:
-    """Squared norm of a complex vector."""
-    return float(np.vdot(v, v).real)
-
-
 def _draw(p0: float, rng: np.random.Generator) -> int:
     """Draw a bit with P(0) = p0, never selecting a branch below MIN_BRANCH_PROB."""
     if p0 < MIN_BRANCH_PROB:
@@ -97,43 +92,31 @@ EXPECTED_OF_CODE = np.array([0, 1, 0, 1], dtype=np.int8)
 # Each code's symbol in a transcript, one byte per state.
 BB84_SYMBOL = np.frombuffer(b"01+-", dtype="S1")
 # P(0) per (code, basis) from measure's own formula, so the draws compare
-# against the same floats; the outcome where _draw's thresholds make it
-# certain, else -1; and the code each (basis, outcome) collapses onto.
+# against the same floats, and the code each (basis, outcome) collapses onto.
 _CODE_P0 = np.array([[_bare_p0(v, b) for b in Basis] for v in BB84_AMPS])
-
-
-def _certain(p0: np.ndarray) -> np.ndarray:
-    """Per P(0), the outcome ``_draw``'s thresholds make certain, else -1."""
-    return np.where(p0 < MIN_BRANCH_PROB, 1,
-                    np.where(1.0 - p0 < MIN_BRANCH_PROB, 0, -1)).astype(np.int8)
-
-
-_CODE_CERTAIN = _certain(_CODE_P0)
 _COLLAPSED_CODE = np.array([[0, 1], [2, 3]], dtype=np.int8)  # Z: |0>, |1>; X: |+>, |->
 
 
-def _draw_bits(bits: np.ndarray, p0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Fill the -1 entries of ``bits`` with outcomes drawn at P(0) = ``p0``.
-
-    They share one ``rng.random(k)`` call, which yields the k numbers k
-    ``_draw`` calls would, in order; certain outcomes draw nothing.
-    """
-    uncertain = bits < 0
-    k = int(np.count_nonzero(uncertain))
-    if k == len(bits):   # as in a generic probed layer: no masks to apply
-        bits[:] = rng.random(k) >= p0
-    elif k:
-        bits[uncertain] = rng.random(k) >= p0[uncertain]
+def _draw_bits(p0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Outcome bits (int8) drawn at P(0) = ``p0``, as ``_draw`` draws them
+    one at a time: an outcome its thresholds make certain draws nothing, and
+    the rest share one ``rng.random(k)`` call, which yields the k numbers k
+    ``_draw`` calls would, in order."""
+    one = p0 < MIN_BRANCH_PROB
+    uncertain = ~(one | (1.0 - p0 < MIN_BRANCH_PROB))
+    if uncertain.all():   # as in a generic probed layer: no masks to apply
+        return (rng.random(len(p0)) >= p0).astype(np.int8)
+    bits = one.astype(np.int8)
+    bits[uncertain] = rng.random(int(np.count_nonzero(uncertain))) >= p0[uncertain]
     return bits
 
 
-def measure_codes(codes: np.ndarray, bases: np.ndarray,
+def measure_codes(codes: np.ndarray, bases,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """``measure`` on a layer of bare qubits given by BB84 codes, in order.
-
-    Returns the outcome bits and the collapsed codes.
-    """
-    bits = _draw_bits(_CODE_CERTAIN[codes, bases], _CODE_P0[codes, bases], rng)
+    """``measure`` on a layer of bare qubits given by BB84 codes, in order, in
+    ``bases`` (one basis index per code, or one for the layer); returns the
+    outcome bits and the collapsed codes."""
+    bits = _draw_bits(_CODE_P0[codes, bases], rng)
     return bits, _COLLAPSED_CODE[bases, bits]
 
 
@@ -152,7 +135,7 @@ class CompositeState:
         if amps.shape != (2 * self.dim_probe,):
             raise ValueError(f"expected {2 * self.dim_probe} amplitudes, got {amps.shape}")
         _check_finite("composite state", amps)
-        norm_sq = _weight(amps)
+        norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= 1e-9:
             raise ValueError(f"composite state not normalized: |amp|^2 = {norm_sq!r}")
         amps = amps.copy()
@@ -165,6 +148,17 @@ def lift(state: np.ndarray, dim_probe: int) -> CompositeState:
     amps = np.zeros(2 * dim_probe, dtype=complex)
     amps[[0, dim_probe]] = state
     return CompositeState(amps, dim_probe)
+
+
+@functools.cache
+def bb84_rows(d: int) -> np.ndarray:
+    """Row i is BB84 code i's state with a d-dimensional probe in |e0>, laid
+    out as a ``CompositeState``'s amplitudes: a read-only ``(4, 2d)`` array,
+    one per d."""
+    rows = np.zeros((len(BB84_AMPS), 2 * d), dtype=complex)
+    rows[:, [0, d]] = BB84_AMPS
+    rows.setflags(write=False)
+    return rows
 
 
 def _check_finite(what: str, a: np.ndarray) -> None:
@@ -225,10 +219,10 @@ def _x_frame(rows: np.ndarray, is_x: np.ndarray) -> np.ndarray:
     return np.where(is_x, (rows @ _hadamard_rows(rows.shape[1] // 2)) * _INV_SQRT2, rows)
 
 
-def measure_qubit(rows: np.ndarray, bases: np.ndarray,
+def measure_qubit(rows: np.ndarray, bases,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the qubit of each joint qubit-probe row in order, each in its
-    basis (0 = Z, 1 = X).
+    """Measure the qubit of each joint qubit-probe row in order, in
+    ``bases`` (0 = Z, 1 = X): one basis index per row, or one for the layer.
 
     ``rows`` has shape ``(k, 2d)``, each row laid out as a
     ``CompositeState``'s amplitudes and trusted to be normalized.  The draws
@@ -242,15 +236,15 @@ def measure_qubit(rows: np.ndarray, bases: np.ndarray,
     X rows are mixed back.
     """
     k, d = len(rows), rows.shape[1] // 2
-    mixed = bases.any()
+    is_x = np.reshape(bases, (-1, 1)) == Basis.X.value
+    mixed = is_x.any()
     if mixed:
-        is_x = bases[:, None] == Basis.X.value
         rows = _x_frame(rows, is_x)
     # Block b of row i is entry 2i + b; both weights of every row in one pass.
     blocks = rows.reshape(2 * k, d)
     weights = np.einsum("kd,kd->k", blocks.conj(), blocks).real
     p0 = weights[::2]
-    bits = _draw_bits(_certain(p0), p0, rng)
+    bits = _draw_bits(p0, rng)
     kept = np.arange(0, 2 * k, 2) + bits   # the drawn block of each row
     # One divisor per amplitude: a flat division costs less than a broadcast one.
     branch = blocks.take(kept, axis=0).reshape(-1) / np.repeat(np.sqrt(weights[kept]), d)

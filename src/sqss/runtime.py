@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qstate import BB84_AMPS, BB84_SYMBOL, measure_codes, measure_qubit
+from .qstate import BB84_SYMBOL, bb84_rows, measure_codes, measure_qubit
 
 
 class Leg(Enum):
@@ -86,14 +86,12 @@ class ParticleBatch:
         array, ``d = dim_probe``: a probed batch's own rows (not a copy), or
         a bare batch's states with the probe in |e_0>."""
         d = dim_probe
-        if self.probed:
-            if self.states.shape[1] != 2 * d:
-                raise ValueError(f"batch has probe dimension {self.states.shape[1] // 2}, "
-                                 f"expected {d}")
-            return self.states
-        rows = np.zeros((len(self), 2 * d), dtype=complex)
-        rows[:, (0, d)] = BB84_AMPS[self.states]
-        return rows
+        if not self.probed:
+            return bb84_rows(d)[self.states]
+        if self.states.shape[1] != 2 * d:
+            raise ValueError(f"batch has probe dimension {self.states.shape[1] // 2}, "
+                             f"expected {d}")
+        return self.states
 
     def measure(self, positions, bases, rng: np.random.Generator) -> np.ndarray:
         """Measure the distinct particles at ``positions``, in that order, in
@@ -106,8 +104,6 @@ class ParticleBatch:
         batch's layer goes through ``measure_codes``, a probed batch's
         through one ``measure_qubit`` call on its rows.
         """
-        positions = np.asarray(positions)
-        bases = np.broadcast_to(np.asarray(bases, dtype=np.int8), positions.shape)
         kernel = measure_qubit if self.probed else measure_codes
         bits, self.states[positions] = kernel(self.states[positions], bases, rng)
         return bits
@@ -183,6 +179,14 @@ def check_int(name: str, value, least: int) -> None:
 def check_real(name: str, value) -> None:
     if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+DEFAULT_THRESHOLD = 0.05
+
+
+def default_thresholds(checks, value: float = DEFAULT_THRESHOLD) -> dict[str, float]:
+    """The same threshold for each of ``checks``."""
+    return {check: value for check in checks}
 
 
 def check_thresholds(thresholds, checks) -> None:

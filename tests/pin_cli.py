@@ -8,9 +8,10 @@ file.  ``run`` covers an A and a B config, each as JSON, as CSV on stdout and
 as CSV with ``--output``; ``sweep`` covers both protocols; ``attack-bench``,
 ``oracle`` and ``tradeoff`` (restarts 2, iters 2) follow.
 A change that should leave every CLI output as it was must print the same
-lines as its parent: copy this script into a checkout of the parent and run
-it there too.  The tradeoff lines depend on the BLAS and LAPACK builds, so
-the two checkouts are compared on one machine.
+lines as its parent: ``python3 tests/compare_pins.py <parent checkout>`` runs
+this script against both packages and prints every line that differs.  The
+tradeoff lines depend on the BLAS and LAPACK builds, so the two checkouts are
+compared on one machine.
 """
 
 from __future__ import annotations

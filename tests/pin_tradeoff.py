@@ -15,7 +15,9 @@ them stay comparable with a checkout that prints none.
 A change that should leave the analysis bit for bit as it was must print the
 same digests as its parent on the same machine.  The float bits depend on the
 BLAS and LAPACK builds, so the digests are compared between two checkouts on
-one machine and are not pinned in a test.
+one machine and are not pinned in a test:
+``python3 tests/compare_pins.py <other checkout>`` prints every line that
+differs.
 """
 
 from __future__ import annotations

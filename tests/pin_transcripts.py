@@ -15,9 +15,9 @@ Last come comment lines, one per protocol and probe dimension 1-3: the
 sha256 over the transcript digests of 40 seeded entangle-measure trials.
 Their probe rows carry floats whose last bits depend on the BLAS build, so
 they are compared between two checkouts on one machine, as those of
-``pin_tradeoff.py`` are, and not pinned in a test:
-
-    PYTHONPATH=<other checkout>/src python3 tests/pin_transcripts.py
+``pin_tradeoff.py`` are, and not pinned in a test.
+``python3 tests/compare_pins.py <other checkout>`` runs this script and the
+other pin scripts against both packages and prints every line that differs.
 """
 
 from __future__ import annotations

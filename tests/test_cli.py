@@ -274,15 +274,19 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, command):
      "config error: --sizes item '' is not an integer"),
     (["tradeoff", "--mode", "a", "--epsilons", "0.1,abc"],
      "config error: --epsilons item 'abc' is not a number"),
+    (["run", "--config", "utf16.json"], "config error: cannot read config utf16.json: "),
 ], ids=["sweep-size", "sweep-a-size-1", "sweep-a-size-2", "sweep-attack", "tradeoff-epsilon",
         "attack-bench-size", "attack-bench-a-size-2", "sweep-size-not-int",
-        "sweep-sizes-empty", "tradeoff-epsilon-not-number"])
-def test_bad_input_exits_2_before_any_work(monkeypatch, capsys, command, message):
+        "sweep-sizes-empty", "tradeoff-epsilon-not-number", "run-config-not-utf8"])
+def test_bad_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, message):
     """A bad value late in a list is rejected before the first item runs; a
-    list item that does not parse is named with its option."""
+    list item that does not parse is named with its option, and a config
+    file that is not UTF-8 with its path."""
     def never(*args, **kwargs):
         raise AssertionError("the work ran before the input check")
 
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
     for name in ("monte_carlo", "constrained_search", "detection_oracle"):
         monkeypatch.setattr(cli, name, never)
     assert cli.main(command) == cli.EXIT_CONFIG

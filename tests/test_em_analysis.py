@@ -25,7 +25,7 @@ from sqss.em_analysis import (
     unitary_from_params,
 )
 from sqss.oracle import detection_oracle
-from sqss.qstate import BB84_AMPS, PrepState, lift, prepare
+from sqss.qstate import BB84_AMPS, PrepState, bb84_rows
 
 
 def test_branch_decompose_identity():
@@ -36,7 +36,7 @@ def test_branch_decompose_identity():
     plus0 = branches[(PrepState.PLUS, 0)][0]
     assert np.linalg.norm(plus0) == pytest.approx(1 / np.sqrt(2))
     # Both parties reflecting leaves every preparation as it was.
-    for s, row in zip(PrepState, em_analysis._prep_rows(2)):
+    for s, row in zip(PrepState, bb84_rows(2)):
         assert np.array_equal(reflected[s], row)
 
 
@@ -51,20 +51,6 @@ def test_branch_embedding_is_the_kronecker_product(d):
         assert len(branches) == 2 * len(PrepState)
         for (_, x), (eps, phi) in branches.items():
             assert np.array_equal(phi, pair.second @ np.kron(BB84_AMPS[x], eps))
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_prep_rows_equal_lifted_preparations(d):
-    """The analysis's preparation rows are the lifted BB84 states, bit for
-    bit, in ``PrepState`` order, and they cannot be written."""
-    rows = em_analysis._prep_rows(d)
-    assert rows.shape == (len(PrepState), 2 * d)
-    for s, row in zip(PrepState, rows):
-        assert np.array_equal(row, lift(prepare(s), d).amps)
-    assert not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[0, 0] = 0.0
-    assert em_analysis._prep_rows(d) is rows
 
 
 def test_identity_pair_induces_no_error_or_information():

@@ -251,6 +251,13 @@ def test_load_config_round_trip(tmp_path):
         load_config(bad)
 
 
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(ConfigError, match=f"cannot read config {path}: 'utf-8' codec"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("text, key", [
     ('{"protocol": "B", "seed": 1, "seed": 1}', "seed"),
     ('{"protocol": "B", "params": {"n": 10, "thresholds": '

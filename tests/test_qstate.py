@@ -17,7 +17,10 @@ from sqss.qstate import (
     CompositeState,
     DensityMatrix,
     PrepState,
+    _draw,
+    _draw_bits,
     apply_unitary_batch,
+    bb84_rows,
     check_unitary,
     lift,
     measure,
@@ -74,6 +77,20 @@ def test_normalization_enforced():
     for d in (1, 2):
         with pytest.raises(ValueError, match="not normalized"):
             lift(np.array([1.0, 1.0]), d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bb84_rows_are_the_lifted_states(d):
+    """Row i is BB84 code i lifted beside the probe's |e0>, bit for bit; the
+    table cannot be written, and each d has one."""
+    rows = bb84_rows(d)
+    assert rows.shape == (len(PrepState), 2 * d)
+    for code, row in enumerate(rows):
+        assert np.array_equal(row, lift(BB84_AMPS[code], d).amps)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+    assert bb84_rows(d) is rows
 
 
 def test_eigenstate_measurement_is_deterministic():
@@ -362,6 +379,23 @@ def test_measure_codes_matches_measure_draw_for_draw():
         assert bits.tolist() == [bit for bit, _ in want]
         assert np.array_equal(BB84_AMPS[collapsed], [state for _, state in want])
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("p0", [
+    [0.0, 1e-16, MIN_BRANCH_PROB, 0.5, 1.0 - 1e-16, 1.0, 0.25, 1.0 - MIN_BRANCH_PROB],
+    [0.5, 0.25, 0.75],
+    [0.0, 1.0],
+], ids=["mixed", "none-certain", "all-certain"])
+def test_draw_bits_draws_as_draw_does(p0):
+    """A layer's bits, int8, and its final RNG state are those of ``_draw``
+    on each P(0) in turn, at and around both ``MIN_BRANCH_PROB``
+    thresholds."""
+    p0 = np.array(p0)
+    ref_rng, rng = np.random.default_rng(62), np.random.default_rng(62)
+    want = [_draw(p, ref_rng) for p in p0.tolist()]
+    bits = _draw_bits(p0, rng)
+    assert bits.dtype == np.int8 and bits.tolist() == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_measure_codes_draws_nothing_for_certain_outcomes():

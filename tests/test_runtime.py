@@ -202,6 +202,33 @@ def test_batch_measure_of_no_positions_draws_nothing(probed):
     assert np.array_equal(batch.states, before)
 
 
+@pytest.mark.parametrize("probed", [False, True], ids=["bare", "probed"])
+@pytest.mark.parametrize("basis", [Basis.Z, Basis.X], ids=["Z", "X"])
+def test_batch_measure_reads_one_basis_for_the_layer(probed, basis):
+    """One basis for the whole layer measures as that basis repeated per
+    position: the same bits, collapsed states and final RNG state, with
+    certain and uncertain outcomes in the layer.  An empty layer draws
+    nothing."""
+    layout = np.random.default_rng(72)
+    n, d = 30, 2
+    codes = layout.integers(4, size=n).astype(np.int8)
+    states = codes
+    if probed:   # half random rows, half lifted BB84 states
+        states = ParticleBatch(codes).amplitudes(d)
+        states[::2] = [_random_amps(2 * d, layout) for _ in range(0, n, 2)]
+    positions = layout.permutation(n)[:20]
+    for where in (positions, np.zeros(0, dtype=np.intp)):
+        got, want = ParticleBatch(states.copy()), ParticleBatch(states.copy())
+        rng, ref_rng = np.random.default_rng(73), np.random.default_rng(73)
+        before = rng.bit_generator.state
+        bits = got.measure(where, basis, rng)
+        want_bits = want.measure(where, np.full(len(where), basis, dtype=np.int8), ref_rng)
+        assert bits.dtype == want_bits.dtype and np.array_equal(bits, want_bits)
+        assert np.array_equal(got.states, want.states)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_batch_amplitudes_lift_bare_rows_and_keep_probed_ones(d):
     rng = np.random.default_rng(80 + d)
