@@ -9,7 +9,6 @@ from .adversary import (
     UnitaryPair,
     UnsupportedAttackError,
     catalog_ids,
-    parse_attack_id,
     resolve_attack,
 )
 from .em_analysis import (

@@ -26,7 +26,6 @@ from .runtime import (
     Leg,
     ParticleBatch,
     SimulationError,
-    check_int,
     random_subset,
 )
 
@@ -40,27 +39,29 @@ class UnitaryPair:
     """Two joint qubit-probe unitaries applied on an outbound and a return leg.
 
     Protocol A pairs act on legs (alice_to_bob, charlie_to_alice); protocol B
-    pairs act on legs (bob_to_charlie, charlie_to_alice).
+    pairs act on legs (bob_to_charlie, charlie_to_alice).  Both unitaries act
+    on qubit (x) probe, so they share one shape ``(2d, 2d)`` with d >= 1.
     """
 
     first: np.ndarray
     second: np.ndarray
-    probe_dim: int
     protocol: str  # "A" | "B"
 
     def __post_init__(self):
-        check_int("probe_dim", self.probe_dim, 1)
-        for name, u in (("first", self.first), ("second", self.second)):
-            u = np.asarray(u, dtype=complex)
-            if u.shape != (2 * self.probe_dim, 2 * self.probe_dim):
-                raise ValueError(f"{name} unitary has shape {u.shape}, "
-                                 f"expected {(2 * self.probe_dim,) * 2}")
+        for name in ("first", "second"):
+            u = np.array(getattr(self, name), dtype=complex)
             check_unitary(u)
-            u = u.copy()
             u.setflags(write=False)
             object.__setattr__(self, name, u)
+        if self.first.shape != self.second.shape or len(self.first) % 2 or not len(self.first):
+            raise ValueError(f"unitaries of shape {self.first.shape} and {self.second.shape}: "
+                             f"expected one shape (2d, 2d) with d >= 1")
         if self.protocol not in ("A", "B"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+
+    @property
+    def probe_dim(self) -> int:
+        return len(self.first) // 2
 
     @property
     def legs(self) -> tuple[Leg, Leg]:
@@ -113,18 +114,10 @@ def attack_id_of(spec: Optional[AttackSpec], protocol: str) -> str:
     return f"{protocol.lower()}.none" if spec is None else spec.attack_id
 
 
-def parse_attack_id(attack_id: str) -> AttackSpec:
-    """The spec of the catalog attack ``attack_id``, which must be a
-    ``CATALOG`` key."""
-    if not isinstance(attack_id, str) or attack_id not in CATALOG:
-        raise UnsupportedAttackError(f"no catalog attack {attack_id!r}")
-    return AttackSpec(attack_id[0].upper(), attack_id[2:])
-
-
 def resolve_attack(protocol: str, attack_id: Optional[str]) -> Optional[AttackSpec]:
     """The attack ``attack_id`` names against ``protocol``, None for no attack
-    (no id, ``"none"`` or ``"<p>.none"``).  An id of the other protocol is an
-    error, ``"<q>.none"`` included."""
+    (no id, ``"none"`` or ``"<p>.none"``); any other id must be a ``CATALOG``
+    key.  An id of the other protocol is an error, ``"<q>.none"`` included."""
     if protocol not in ("A", "B"):
         raise UnsupportedAttackError(f"unknown protocol {protocol!r}")
     if attack_id in (None, "none", attack_id_of(None, protocol)):
@@ -132,7 +125,9 @@ def resolve_attack(protocol: str, attack_id: Optional[str]) -> Optional[AttackSp
     if (isinstance(attack_id, str) and attack_id.startswith(("a.", "b."))
             and attack_id[0] != protocol.lower()):
         raise UnsupportedAttackError(f"attack {attack_id} does not apply to protocol {protocol}")
-    return parse_attack_id(attack_id)
+    if not isinstance(attack_id, str) or attack_id not in CATALOG:
+        raise UnsupportedAttackError(f"no catalog attack {attack_id!r}")
+    return AttackSpec(protocol, attack_id[2:])
 
 
 def catalog_ids(protocol: Optional[str] = None) -> list[str]:

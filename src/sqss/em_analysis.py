@@ -105,17 +105,19 @@ class ErrorProfile:
         return max(self.rates.values())
 
 
-def _mode_of(pair: UnitaryPair, mode: Optional[str]) -> str:
+def _table(pair: UnitaryPair, mode: Optional[str]) -> tuple[str, "_Mode", tuple]:
+    """The mode (the pair's protocol, which ``mode`` may only repeat), its
+    analysis, and the table of ``pair`` that every reader of that mode reads."""
     mode = mode or pair.protocol
     if mode != pair.protocol:
         raise ValueError(f"pair is for protocol {pair.protocol}, not {mode}")
-    return mode
+    analysis = _MODES[mode]
+    return mode, analysis, analysis.table(pair)
 
 
 def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile:
-    mode = _mode_of(pair, mode)
-    analysis = _MODES[mode]
-    return ErrorProfile(mode=mode, rates=analysis.profile(analysis.table(pair)))
+    mode, analysis, table = _table(pair, mode)
+    return ErrorProfile(mode=mode, rates=analysis.profile(table))
 
 
 def _prep_basis_error(finals: dict) -> float:
@@ -160,8 +162,8 @@ def _density(mat: np.ndarray) -> DensityMatrix:
 def probe_distinguishability(pair: UnitaryPair, mode: Optional[str] = None) -> float:
     """Maximum trace distance between the attacker's final probe states
     conditioned on the two values of a key bit."""
-    analysis = _MODES[_mode_of(pair, mode)]
-    return analysis.info(analysis.table(pair))
+    _, analysis, table = _table(pair, mode)
+    return analysis.info(table)
 
 
 def _info_a(table: tuple[dict, dict]) -> float:
@@ -211,10 +213,8 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
     """If the pair induces no check error (within ERR_TOL), verify that the
     probe carries no key information and that the structural identities the
     zero-error condition forces all hold within tolerance."""
-    mode = _mode_of(pair, mode)
-    analysis = _MODES[mode]
     # The mode's table is built once and every check reads it.
-    table = analysis.table(pair)
+    mode, analysis, table = _table(pair, mode)
     max_error = max(analysis.profile(table).values())
     zero_error = max_error <= ERR_TOL
     if not zero_error:
@@ -337,16 +337,9 @@ def params_from_unitary(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def pair_from_params(mode: str, probe_dim: int, params_first: np.ndarray,
-                     params_second: np.ndarray) -> UnitaryPair:
-    """The pair of two parameter vectors, built in one stacked call."""
-    first, second = unitaries_from_params(np.stack([params_first, params_second]), probe_dim)
-    return UnitaryPair(first=first, second=second, probe_dim=probe_dim, protocol=mode)
-
-
 def identity_pair(mode: str, probe_dim: int) -> UnitaryPair:
     eye = np.eye(2 * probe_dim)
-    return UnitaryPair(first=eye, second=eye, probe_dim=probe_dim, protocol=mode)
+    return UnitaryPair(first=eye, second=eye, protocol=mode)
 
 
 def bit_copy_pair(mode: str, probe_dim: int) -> UnitaryPair:
@@ -359,17 +352,16 @@ def bit_copy_pair(mode: str, probe_dim: int) -> UnitaryPair:
     # flip probe levels 0 and 1 when the qubit is 1
     i0, i1 = probe_dim + 0, probe_dim + 1
     u[[i0, i1]] = u[[i1, i0]]
-    return UnitaryPair(first=u, second=np.eye(m), probe_dim=probe_dim, protocol=mode)
+    return UnitaryPair(first=u, second=np.eye(m), protocol=mode)
 
 
-def probe_only_pair(mode: str, probe_dim: int, v: np.ndarray, w: np.ndarray,
+def probe_only_pair(mode: str, v: np.ndarray, w: np.ndarray,
                     phase_first: float = 0.0, phase_second: float = 0.0) -> UnitaryPair:
     """Zero-error family member: unitaries acting on the probe alone, times
     global phases."""
     eye = np.eye(2)
     return UnitaryPair(first=np.exp(1j * phase_first) * np.kron(eye, v),
-                       second=np.exp(1j * phase_second) * np.kron(eye, w),
-                       probe_dim=probe_dim, protocol=mode)
+                       second=np.exp(1j * phase_second) * np.kron(eye, w), protocol=mode)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -380,14 +372,12 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pair(mode: str, probe_dim: int, rng: np.random.Generator) -> UnitaryPair:
     m = 2 * probe_dim
-    return UnitaryPair(first=random_unitary(m, rng), second=random_unitary(m, rng),
-                       probe_dim=probe_dim, protocol=mode)
+    return UnitaryPair(first=random_unitary(m, rng), second=random_unitary(m, rng), protocol=mode)
 
 
 def random_zero_error_pair(mode: str, probe_dim: int,
                            rng: np.random.Generator) -> UnitaryPair:
-    return probe_only_pair(mode, probe_dim,
-                           random_unitary(probe_dim, rng),
+    return probe_only_pair(mode, random_unitary(probe_dim, rng),
                            random_unitary(probe_dim, rng),
                            phase_first=float(rng.uniform(0, 2 * np.pi)),
                            phase_second=float(rng.uniform(0, 2 * np.pi)))
@@ -418,7 +408,7 @@ FEASIBILITY_TOL = 1e-9
 def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
                       iters: int, seed: int) -> None:
     """Reject ``constrained_search`` arguments before any evaluation runs."""
-    if mode not in ("A", "B"):
+    if mode not in _MODES:
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     check_real("epsilon", epsilon)
     for name, value, least in (("restarts", restarts, 1), ("iters", iters, 1),
@@ -452,11 +442,11 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
         info = analysis.info(table)
         return info - lam * max(err - epsilon, 0.0), info, err
 
-    def evaluate(theta) -> tuple[float, float, float]:
-        return objective(pair_from_params(mode, probe_dim, theta[:npar], theta[npar:]))
-
     def pair(first: np.ndarray, second: np.ndarray) -> UnitaryPair:
-        return UnitaryPair(first=first, second=second, probe_dim=probe_dim, protocol=mode)
+        return UnitaryPair(first=first, second=second, protocol=mode)
+
+    def evaluate(theta) -> tuple[float, float, float]:
+        return objective(pair(*unitaries_from_params(theta.reshape(2, npar), probe_dim)))
 
     h = 1e-5
     bumps = h * np.eye(npar)

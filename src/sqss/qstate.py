@@ -54,21 +54,6 @@ def zstate(bit: int) -> np.ndarray:
     return prepare(PrepState.ONE if bit else PrepState.ZERO)
 
 
-def basis_state(basis: Basis, bit: int) -> np.ndarray:
-    if basis == Basis.Z:
-        return zstate(bit)
-    return prepare(PrepState.MINUS if bit else PrepState.PLUS)
-
-
-def _draw(p0: float, rng: np.random.Generator) -> int:
-    """Draw a bit with P(0) = p0, never selecting a branch below MIN_BRANCH_PROB."""
-    if p0 < MIN_BRANCH_PROB:
-        return 1
-    if 1.0 - p0 < MIN_BRANCH_PROB:
-        return 0
-    return 0 if rng.random() < p0 else 1
-
-
 def _bare_p0(v: np.ndarray, basis: Basis) -> float:
     """Probability of outcome 0 when a bare qubit is measured in ``basis``."""
     if basis == Basis.Z:
@@ -78,9 +63,10 @@ def _bare_p0(v: np.ndarray, basis: Basis) -> float:
 
 def measure(state: np.ndarray, basis: Basis,
             rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Born-rule measurement with collapse onto the outcome's basis state."""
-    outcome = _draw(_bare_p0(state, basis), rng)
-    return outcome, basis_state(basis, outcome)
+    """Born-rule measurement with collapse onto the outcome's basis state: a
+    layer of one, drawn by ``_draw_bits``."""
+    outcome = int(_draw_bits(np.array([_bare_p0(state, basis)]), rng)[0])
+    return outcome, prepare(_COLLAPSED_CODE[basis, outcome])
 
 
 # Layers of bare protocol states as arrays: a particle is its BB84 code
@@ -98,10 +84,10 @@ _COLLAPSED_CODE = np.array([[0, 1], [2, 3]], dtype=np.int8)  # Z: |0>, |1>; X: |
 
 
 def _draw_bits(p0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Outcome bits (int8) drawn at P(0) = ``p0``, as ``_draw`` draws them
-    one at a time: an outcome its thresholds make certain draws nothing, and
-    the rest share one ``rng.random(k)`` call, which yields the k numbers k
-    ``_draw`` calls would, in order."""
+    """Outcome bits (int8) drawn at P(0) = ``p0``, never selecting a branch
+    below ``MIN_BRANCH_PROB``: an outcome that threshold makes certain draws
+    nothing, and the rest share one ``rng.random(k)`` call in order, outcome 0
+    below P(0)."""
     one = p0 < MIN_BRANCH_PROB
     uncertain = ~(one | (1.0 - p0 < MIN_BRANCH_PROB))
     if uncertain.all():   # as in a generic probed layer: no masks to apply
@@ -135,9 +121,7 @@ class CompositeState:
         if amps.shape != (2 * self.dim_probe,):
             raise ValueError(f"expected {2 * self.dim_probe} amplitudes, got {amps.shape}")
         _check_finite("composite state", amps)
-        norm_sq = float(np.vdot(amps, amps).real)
-        if not abs(norm_sq - 1.0) <= 1e-9:
-            raise ValueError(f"composite state not normalized: |amp|^2 = {norm_sq!r}")
+        _check_normalized(amps.reshape(1, -1))
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -155,8 +139,7 @@ def bb84_rows(d: int) -> np.ndarray:
     """Row i is BB84 code i's state with a d-dimensional probe in |e0>, laid
     out as a ``CompositeState``'s amplitudes: a read-only ``(4, 2d)`` array,
     one per d."""
-    rows = np.zeros((len(BB84_AMPS), 2 * d), dtype=complex)
-    rows[:, [0, d]] = BB84_AMPS
+    rows = np.stack([lift(amps, d).amps for amps in BB84_AMPS])
     rows.setflags(write=False)
     return rows
 
@@ -183,6 +166,15 @@ def _weights(v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", v.conj(), v).real
 
 
+def _check_normalized(rows: np.ndarray) -> None:
+    """Reject a joint row whose squared norm is not 1 within rounding."""
+    norm_sq = _weights(rows)
+    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= 1e-9))
+    if bad.size:
+        raise ValueError(f"composite state not normalized: "
+                         f"|amp|^2 = {float(norm_sq[bad[0]])!r}")
+
+
 def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Left-multiply every row of an ``(N, 2d)`` array of joint amplitudes by
     a unitary on qubit (x) probe, as one matrix product.
@@ -193,11 +185,7 @@ def apply_unitary_batch(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     _check_finite("composite state", rows)
     out = rows @ np.asarray(u, dtype=complex).T
-    norm_sq = _weights(out)
-    bad = np.flatnonzero(~(np.abs(norm_sq - 1.0) <= 1e-9))
-    if bad.size:
-        raise ValueError(f"composite state not normalized: "
-                         f"|amp|^2 = {float(norm_sq[bad[0]])!r}")
+    _check_normalized(out)
     return out
 
 
@@ -242,7 +230,7 @@ def measure_qubit(rows: np.ndarray, bases,
         rows = _x_frame(rows, is_x)
     # Block b of row i is entry 2i + b; both weights of every row in one pass.
     blocks = rows.reshape(2 * k, d)
-    weights = np.einsum("kd,kd->k", blocks.conj(), blocks).real
+    weights = _weights(blocks)
     p0 = weights[::2]
     bits = _draw_bits(p0, rng)
     kept = np.arange(0, 2 * k, 2) + bits   # the drawn block of each row

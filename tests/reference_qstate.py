@@ -45,19 +45,19 @@ def collapse(state: CompositeState, basis: Basis, bit: int) -> CompositeState:
     return CompositeState(v / np.linalg.norm(v), state.dim_probe)
 
 
+def draw(p0: float, rng: np.random.Generator) -> int:
+    """A bit with P(0) = ``p0``.  A branch of weight below ``MIN_BRANCH_PROB``
+    is never drawn, and a draw is made only when both branches are possible:
+    one ``rng.random()``, outcome 0 below P(0)."""
+    if p0 < MIN_BRANCH_PROB:
+        return 1
+    if 1.0 - p0 < MIN_BRANCH_PROB:
+        return 0
+    return 0 if rng.random() < p0 else 1
+
+
 def measure_qubit(state: CompositeState, basis: Basis,
                   rng: np.random.Generator) -> tuple[int, CompositeState]:
-    """Draw an outcome by the Born rule and collapse onto it.
-
-    A branch of weight below ``MIN_BRANCH_PROB`` is never drawn, and a draw
-    is made only when both branches are possible: one ``rng.random()``,
-    outcome 0 below P(0).
-    """
-    p0 = branch_probability(state, basis, 0)
-    if p0 < MIN_BRANCH_PROB:
-        bit = 1
-    elif 1.0 - p0 < MIN_BRANCH_PROB:
-        bit = 0
-    else:
-        bit = 0 if rng.random() < p0 else 1
+    """Draw an outcome by the Born rule (``draw``) and collapse onto it."""
+    bit = draw(branch_probability(state, basis, 0), rng)
     return bit, collapse(state, basis, bit)

@@ -14,7 +14,6 @@ from sqss.adversary import (
     build_attack_plan,
     catalog_ids,
     entangle_measure_interceptors,
-    parse_attack_id,
     resolve_attack,
 )
 from sqss.em_analysis import error_profile, random_pair
@@ -30,7 +29,7 @@ def test_catalog_ids_round_trip():
     ids = catalog_ids()
     assert len(ids) == len(set(ids)) == 23
     for attack_id in ids:
-        spec = parse_attack_id(attack_id)
+        spec = resolve_attack(attack_id[0].upper(), attack_id)
         assert spec.attack_id == attack_id
 
 
@@ -41,7 +40,7 @@ def test_catalog_split_by_protocol():
 
 
 def test_invalid_combinations_rejected():
-    eye = UnitaryPair(first=np.eye(4), second=np.eye(4), probe_dim=2, protocol="A")
+    eye = UnitaryPair(first=np.eye(4), second=np.eye(4), protocol="A")
     with pytest.raises(UnsupportedAttackError):
         AttackSpec("A", "em", pair=None)
     with pytest.raises(UnsupportedAttackError):
@@ -76,33 +75,30 @@ def test_non_canonical_ids_rejected(attack_id):
     """An id is canonical when it is a catalog key; nothing else is read."""
     message = re.escape(f"no catalog attack {attack_id!r}")
     with pytest.raises(UnsupportedAttackError, match=message):
-        parse_attack_id(attack_id)
-    with pytest.raises(UnsupportedAttackError, match=message):
         resolve_attack(attack_id[0].upper(), attack_id)
 
 
 def test_unitary_pair_validation_and_legs():
     eye = np.eye(4)
-    pair_a = UnitaryPair(first=eye, second=eye, probe_dim=2, protocol="A")
+    pair_a = UnitaryPair(first=eye, second=eye, protocol="A")
     assert pair_a.legs == (Leg.ALICE_TO_BOB, Leg.CHARLIE_TO_ALICE)
-    pair_b = UnitaryPair(first=eye, second=eye, probe_dim=2, protocol="B")
+    pair_b = UnitaryPair(first=eye, second=eye, protocol="B")
     assert pair_b.legs == (Leg.BOB_TO_CHARLIE, Leg.CHARLIE_TO_ALICE)
     with pytest.raises(ValueError):
-        UnitaryPair(first=2 * eye, second=eye, probe_dim=2, protocol="A")
-    with pytest.raises(ValueError, match="shape"):
-        UnitaryPair(first=eye, second=eye, probe_dim=3, protocol="A")
+        UnitaryPair(first=2 * eye, second=eye, protocol="A")
     with pytest.raises(ValueError, match="unknown protocol 'C'"):
-        UnitaryPair(first=eye, second=eye, probe_dim=2, protocol="C")
-    # A 0x0 matrix passes check_unitary, and True and 1.0 size a 2x2 one.
-    for probe_dim in (0, True, 1.0):
-        square = np.eye(2 * int(probe_dim))
-        with pytest.raises(ValueError, match="probe_dim"):
-            UnitaryPair(first=square, second=square, probe_dim=probe_dim, protocol="A")
+        UnitaryPair(first=eye, second=eye, protocol="C")
+    assert pair_a.probe_dim == 2
+    # The probe dimension is half the side: the two sides must be equal,
+    # even and not 0 (a 0x0 matrix passes check_unitary).
+    for first, second in ((eye, np.eye(6)), (np.eye(0), np.eye(0)), (np.eye(3), np.eye(3))):
+        with pytest.raises(ValueError, match="shape"):
+            UnitaryPair(first=first, second=second, protocol="A")
 
 
 @pytest.mark.parametrize("name", ["em.bob", "em.7"], ids=["actor", "variant"])
 def test_em_spec_takes_no_actor_or_variant(name):
-    eye = UnitaryPair(first=np.eye(4), second=np.eye(4), probe_dim=2, protocol="A")
+    eye = UnitaryPair(first=np.eye(4), second=np.eye(4), protocol="A")
     with pytest.raises(UnsupportedAttackError, match="takes no UnitaryPair"):
         AttackSpec("A", name, pair=eye)
 
@@ -118,7 +114,7 @@ def test_resolve_attack_maps_every_spelling_of_no_attack_to_none(protocol):
     for attack_id in (None, "none", f"{protocol.lower()}.none"):
         assert resolve_attack(protocol, attack_id) is None
     catalog = catalog_ids(protocol)[0]
-    assert resolve_attack(protocol, catalog) == parse_attack_id(catalog)
+    assert resolve_attack(protocol, catalog) == AttackSpec(protocol, catalog[2:])
 
 
 @pytest.mark.parametrize("protocol, attack_id", [
@@ -130,7 +126,7 @@ def test_resolve_attack_rejects_the_other_protocols_ids(protocol, attack_id):
 
 
 def test_mismatched_protocol_rejected_by_plan():
-    spec = parse_attack_id("a.mr.bob.1")
+    spec = resolve_attack("A", "a.mr.bob.1")
     with pytest.raises(UnsupportedAttackError):
         build_attack_plan(spec, "B", 6)
 
@@ -157,7 +153,7 @@ def _surviving_knowledge(monkeypatch) -> dict:
     monkeypatch.setattr(pb, "build_attack_plan", capture)
 
     for attack_id in catalog_ids():
-        spec = parse_attack_id(attack_id)
+        spec = resolve_attack(attack_id[0].upper(), attack_id)
         if spec.protocol == "A":
             config = ProtocolAConfig(n=10, m=25, thresholds=default_thresholds(1.0))
             report = run_protocol_a(config, spec, 11)
@@ -235,16 +231,16 @@ def test_unaudited_source_is_rejected():
 def test_eve_leg_mapping():
     for variant, leg in ((1, Leg.ALICE_TO_BOB), (2, Leg.BOB_TO_CHARLIE),
                          (3, Leg.CHARLIE_TO_ALICE)):
-        plan = build_attack_plan(parse_attack_id(f"a.mr.eve.{variant}"), "A", 6)
+        plan = build_attack_plan(resolve_attack("A", f"a.mr.eve.{variant}"), "A", 6)
         assert plan.interceptor(leg) is not None
         others = [l for l in Leg if l is not leg]
         assert all(plan.interceptor(l) is None for l in others)
 
 
 def test_targets_match_actor():
-    assert build_attack_plan(parse_attack_id("a.ir.bob"), "A", 6).target == "k_c"
-    assert build_attack_plan(parse_attack_id("a.ir.charlie.1"), "A", 6).target == "k_b"
-    assert build_attack_plan(parse_attack_id("b.mr.eve.3"), "B", 6).target == "both"
+    assert build_attack_plan(resolve_attack("A", "a.ir.bob"), "A", 6).target == "k_c"
+    assert build_attack_plan(resolve_attack("A", "a.ir.charlie.1"), "A", 6).target == "k_b"
+    assert build_attack_plan(resolve_attack("B", "b.mr.eve.3"), "B", 6).target == "both"
 
 
 def test_insider_guesses_are_exact_on_surviving_runs():
@@ -253,7 +249,7 @@ def test_insider_guesses_are_exact_on_surviving_runs():
         ("b.mr.charlie", "B"), ("b.ir.bob", "B"),
     ]
     for attack_id, proto in cases:
-        spec = parse_attack_id(attack_id)
+        spec = resolve_attack(attack_id[0].upper(), attack_id)
         if proto == "A":
             config = ProtocolAConfig(n=20, m=45, thresholds=default_thresholds(1.0))
             report = run_protocol_a(config, spec, 13)

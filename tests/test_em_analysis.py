@@ -13,7 +13,6 @@ from sqss.em_analysis import (
     constrained_search,
     error_profile,
     identity_pair,
-    pair_from_params,
     params_dim,
     params_from_unitary,
     probe_distinguishability,
@@ -78,8 +77,7 @@ def test_bit_copy_pair_quarter_error_full_information():
 def test_probe_only_pair_is_invisible_to_every_check():
     rng = np.random.default_rng(5)
     for mode in ("A", "B"):
-        pair = probe_only_pair(mode, 2, random_unitary(2, rng),
-                               random_unitary(2, rng), 0.3, 1.1)
+        pair = probe_only_pair(mode, random_unitary(2, rng), random_unitary(2, rng), 0.3, 1.1)
         assert error_profile(pair).max_rate <= 1e-12
         assert probe_distinguishability(pair) <= 1e-8
 
@@ -163,8 +161,8 @@ def test_params_unitary_round_trip():
 
 def test_pair_from_params_builds_valid_pair():
     npar = params_dim(2)
-    pair = pair_from_params("B", 2, np.zeros(npar), np.zeros(npar))
-    assert isinstance(pair, UnitaryPair)
+    pair = UnitaryPair(*em_analysis.unitaries_from_params(np.zeros((2, npar)), 2), protocol="B")
+    assert pair.probe_dim == 2
     assert error_profile(pair).max_rate <= 1e-12
 
 
@@ -220,7 +218,7 @@ def test_mode_a_information_skips_a_branch_the_qubit_never_takes():
     so mode A's information skips it and reads 0 rather than the trace
     distance of an empty branch."""
     first = np.eye(4)[:, [2, 1, 3, 0]]   # column j is the image of basis state j
-    pair = UnitaryPair(first=first, second=np.eye(4), probe_dim=2, protocol="A")
+    pair = UnitaryPair(first=first, second=np.eye(4), protocol="A")
     branches, _ = em_analysis._measured_branches(pair)
     assert all(not np.any(eps) for (_, x), (eps, _) in branches.items() if x == 0)
     assert probe_distinguishability(pair) == 0.0
@@ -237,7 +235,7 @@ def test_insert_reorder_checks_blind_to_undone_controlled_rotation():
     u_h = np.block([[np.eye(2), zero], [zero, flip]])
     assert np.array_equal(u_h, np.eye(4)[[0, 1, 3, 2]])
     u_g = u_h.conj().T
-    pair = UnitaryPair(first=u_g, second=u_h, probe_dim=2, protocol="B")
+    pair = UnitaryPair(first=u_g, second=u_h, protocol="B")
     assert error_profile(pair).max_rate <= 1e-12
     verdict = theorem_check(pair)
     assert verdict.zero_error
@@ -264,7 +262,7 @@ def test_bit_copy_pair_matches_the_oracle_outsider_measure_resend(mode, attack_i
     the mode's pair never acts on, so they have no case here."""
     copy = bit_copy_pair(mode, 2)
     if attack_id.endswith(".3"):
-        copy = UnitaryPair(first=np.eye(4), second=copy.first, probe_dim=2, protocol=mode)
+        copy = UnitaryPair(first=np.eye(4), second=copy.first, protocol=mode)
     rates = error_profile(copy, mode).rates
     exact = detection_oracle(mode, attack_id)
     assert rates.keys() == exact.keys()
@@ -325,7 +323,7 @@ def _stencils(events, npar):
 @pytest.mark.parametrize("d", [2, 3])
 def test_stencil_objectives_equal_public_path_evaluations(monkeypatch, mode, d):
     """Every stencil point the search evaluates is the pair of building the
-    point with ``pair_from_params``, and its table reads the same rates and
+    point's halves with ``unitary_from_params``, and its table reads the same rates and
     information as ``error_profile`` and ``probe_distinguishability`` do,
     compared with ``==``.  The penalized objectives of those readings, at
     both penalty weights, give the gradient whose unit step is the first
@@ -349,7 +347,8 @@ def test_stencil_objectives_equal_public_path_evaluations(monkeypatch, mode, d):
                 for event, point in zip(evaluations[2 * k:2 * k + 2],
                                         (theta + bump, theta - bump)):
                     _, pair, rates, info = event
-                    public = pair_from_params(mode, d, point[:npar], point[npar:])
+                    public = UnitaryPair(unitary_from_params(point[:npar], d),
+                                         unitary_from_params(point[npar:], d), mode)
                     assert np.array_equal(pair.first, public.first)
                     assert np.array_equal(pair.second, public.second)
                     assert rates == error_profile(public).rates

@@ -53,8 +53,7 @@ def test_global_phases_and_a_final_probe_unitary_change_nothing(mode, d, seed,
     w = random_unitary(d, np.random.default_rng((seed, 1)))
     moved = UnitaryPair(first=np.exp(1j * phase_first) * pair.first,
                         second=np.exp(1j * phase_second)
-                        * (np.kron(np.eye(2), w) @ pair.second),
-                        probe_dim=d, protocol=mode)
+                        * (np.kron(np.eye(2), w) @ pair.second), protocol=mode)
     before, after = _values(pair), _values(moved)
     for name, value in before.items():
         assert abs(after[name] - value) <= TOL, name

@@ -8,7 +8,7 @@ import pytest
 
 import sqss
 from sqss import harness, protocol_a, protocol_b
-from sqss.adversary import parse_attack_id
+from sqss.adversary import resolve_attack
 from sqss.harness import (
     ConfigError,
     ExperimentAborted,
@@ -150,7 +150,7 @@ def test_config_from_dict_rejects_a_malformed_layout(data, message):
 
 def test_experiment_config_rejects_an_attack_of_the_other_protocol():
     with pytest.raises(ConfigError, match=r"^attack b\.mr\.bob does not match protocol A$"):
-        ExperimentConfig(ProtocolAConfig(n=5, m=12), parse_attack_id("b.mr.bob"),
+        ExperimentConfig(ProtocolAConfig(n=5, m=12), resolve_attack("B", "b.mr.bob"),
                          trials=1, seed=0)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sqss.adversary import parse_attack_id
+from sqss.adversary import resolve_attack
 from sqss.protocol_a import (
     _ALICE_BASIS,
     _CASE_OF,
@@ -55,7 +55,7 @@ def test_a_run_with_no_undisclosed_key_particle_derives_no_key():
     discloses: the run passes every check and still ends without keys, and
     the attack, which targets k_c, scores no payoff."""
     config = ProtocolAConfig(n=3, m=4, thresholds=default_thresholds(1.0))
-    report = run_protocol_a(config, parse_attack_id("a.mr.bob.1"), 1)
+    report = run_protocol_a(config, resolve_attack("A", "a.mr.bob.1"), 1)
     assert all(c.passed for c in report.checks)
     assert report.abort_reason == "no undisclosed key particles remain"
     assert report.keys is None and report.payoff is None
@@ -112,7 +112,7 @@ def test_run_is_deterministic_in_seed():
 def test_measure_resend_aborts_on_strict_threshold():
     thresholds = default_thresholds(0.0)
     config = ProtocolAConfig(n=40, m=90, thresholds=thresholds)
-    attack = parse_attack_id("a.mr.bob.1")
+    attack = resolve_attack("A", "a.mr.bob.1")
     aborted = sum(run_protocol_a(config, attack, seed).aborted for seed in range(10))
     assert aborted == 10
 
@@ -120,7 +120,7 @@ def test_measure_resend_aborts_on_strict_threshold():
 def test_attack_payoff_scored_when_run_survives():
     # generous thresholds let attacked runs through so the guess is scored
     config = ProtocolAConfig(n=30, m=70, thresholds=default_thresholds(1.0))
-    attack = parse_attack_id("a.mr.bob.2")
+    attack = resolve_attack("A", "a.mr.bob.2")
     report = run_protocol_a(config, attack, 5)
     assert not report.aborted
     assert report.payoff["target"] == "k_c"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sqss import runtime
-from sqss.adversary import HonestPartyB, parse_attack_id
+from sqss.adversary import HonestPartyB, resolve_attack
 from sqss.protocol_b import (
     ProtocolBConfig,
     default_thresholds,
@@ -88,7 +88,7 @@ def _assert_malformed_aborts(seed: int) -> None:
     # Thresholds of 1.0: only the malformed announcement can stop the run
     # before the attack's payoff is scored.
     config = ProtocolBConfig(n=8, thresholds=default_thresholds(1.0))
-    attack = parse_attack_id("b.mr.eve.3")
+    attack = resolve_attack("B", "b.mr.eve.3")
     first, again = (run_protocol_b(config, attack, seed) for _ in range(2))
     assert first.aborted and first.abort_reason == "malformed announcement"
     assert first.payoff is None and first.keys is None
@@ -157,14 +157,14 @@ def test_run_is_deterministic_in_seed():
 
 def test_measure_resend_aborts_on_strict_threshold():
     config = ProtocolBConfig(n=40, thresholds=default_thresholds(0.0))
-    attack = parse_attack_id("b.mr.charlie")
+    attack = resolve_attack("B", "b.mr.charlie")
     aborted = sum(run_protocol_b(config, attack, seed).aborted for seed in range(10))
     assert aborted == 10
 
 
 def test_sift_checks_immune_to_measure_resend():
     config = ProtocolBConfig(n=40, thresholds=default_thresholds(1.0))
-    attack = parse_attack_id("b.mr.bob")
+    attack = resolve_attack("B", "b.mr.bob")
     for seed in range(5):
         report = run_protocol_b(config, attack, seed)
         assert report.check("test_b").mismatches == 0
@@ -174,7 +174,7 @@ def test_sift_checks_immune_to_measure_resend():
 
 def test_attack_payoff_scored_when_run_survives():
     config = ProtocolBConfig(n=30, thresholds=default_thresholds(1.0))
-    attack = parse_attack_id("b.ir.charlie")
+    attack = resolve_attack("B", "b.ir.charlie")
     report = run_protocol_b(config, attack, 2)
     assert not report.aborted
     assert report.payoff["target"] == "k_b"

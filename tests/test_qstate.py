@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from reference_qstate import apply_unitary, branch_probability
+from reference_qstate import apply_unitary, branch_probability, draw
 from reference_qstate import measure_qubit as reference_measure_qubit
 
 from sqss.adversary import UnitaryPair
@@ -17,7 +17,6 @@ from sqss.qstate import (
     CompositeState,
     DensityMatrix,
     PrepState,
-    _draw,
     _draw_bits,
     apply_unitary_batch,
     bb84_rows,
@@ -157,7 +156,7 @@ def _eye_with(n, value, scale=1.0):
 
 NON_FINITE_INPUTS = {
     "check_unitary": lambda v: check_unitary(_eye_with(4, v)),
-    "UnitaryPair": lambda v: UnitaryPair(_eye_with(4, v), np.eye(4), 2, "A"),
+    "UnitaryPair": lambda v: UnitaryPair(_eye_with(4, v), np.eye(4), "A"),
     "DensityMatrix": lambda v: DensityMatrix(_eye_with(2, v, 0.5)),
     "CompositeState": lambda v: CompositeState(_eye_with(4, v)[1], 2),
     "apply_unitary_batch": lambda v: apply_unitary_batch(_eye_with(4, v)[:2], np.eye(4)),
@@ -387,12 +386,12 @@ def test_measure_codes_matches_measure_draw_for_draw():
     [0.0, 1.0],
 ], ids=["mixed", "none-certain", "all-certain"])
 def test_draw_bits_draws_as_draw_does(p0):
-    """A layer's bits, int8, and its final RNG state are those of ``_draw``
-    on each P(0) in turn, at and around both ``MIN_BRANCH_PROB``
+    """A layer's bits, int8, and its final RNG state are those of the
+    reference ``draw`` on each P(0) in turn, at and around both ``MIN_BRANCH_PROB``
     thresholds."""
     p0 = np.array(p0)
     ref_rng, rng = np.random.default_rng(62), np.random.default_rng(62)
-    want = [_draw(p, ref_rng) for p in p0.tolist()]
+    want = [draw(p, ref_rng) for p in p0.tolist()]
     bits = _draw_bits(p0, rng)
     assert bits.dtype == np.int8 and bits.tolist() == want
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -301,7 +301,7 @@ def _report_cases():
 def test_report_packing_round_trips(monkeypatch, protocol, kind):
     """A report's checks, keys and digest, rebuilt from its packed bytes, are
     what the runner put in its transcript; ``__dict__`` rebuilds an equal
-    report."""
+    report, and the repr names the seven constructor fields in order."""
     config, attack = _report_cases()[(protocol, kind)]
     run = {"A": run_protocol_a, "B": run_protocol_b}[protocol]
     payloads = []
@@ -320,6 +320,11 @@ def test_report_packing_round_trips(monkeypatch, protocol, kind):
     rebuilt = RunReport(**report.__dict__)
     assert rebuilt == report and rebuilt.__dict__ == report.__dict__
     assert hash(rebuilt) == hash(report)
+    fields = ("protocol", "seed", "checks", "abort_reason", "keys", "payoff", "digest")
+    assert repr(report) == f"RunReport({', '.join(f'{n}={getattr(report, n)!r}' for n in fields)})"
+    assert repr(rebuilt) == repr(report)
+    with pytest.raises(KeyError):
+        report.check("nope")
 
 
 def test_report_rebuilds_with_a_replaced_verdict():
