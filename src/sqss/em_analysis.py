@@ -16,6 +16,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .adversary import UnitaryPair
+from .protocol_a import CHECKS_A
+from .protocol_b import CHECKS_B
 from .qstate import (
     DensityMatrix,
     PrepState,
@@ -56,34 +58,34 @@ def _phase_free_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
-def _measured_branches(pair: UnitaryPair) -> tuple[dict, dict]:
-    """Mode A's table ``(branches, reflected)``.  ``branches[(s, x)]`` is
-    ``(eps, phi)``: the probe branch eps that travels with a measured |x>
-    after the first unitary acts on preparation s (the initial probe state is
-    |e0>), and phi, the second unitary applied to |x> (x) eps, which is eps
-    copied into block x beside a zero block; ordered by s, then x.
-    ``reflected[s]`` is the second unitary applied to the whole state the
-    first left, as when both classical parties reflect."""
+def _measured_branches(first: np.ndarray, second: np.ndarray) -> tuple[dict, dict]:
+    """Mode A's table ``(branches, reflected)`` of the unitaries ``first`` and
+    ``second``, each ``(2d, 2d)``.  ``branches[(s, x)]`` is ``(eps, phi)``:
+    the probe branch eps that travels with a measured |x> after ``first`` acts
+    on preparation s (the initial probe state is |e0>), and phi, ``second``
+    applied to |x> (x) eps, which is eps copied into block x beside a zero
+    block; ordered by s, then x.  ``reflected[s]`` is ``second`` applied to
+    the whole state ``first`` left, as when both classical parties reflect."""
     branches, reflected = {}, {}
-    for s, row in zip(PrepState, bb84_rows(pair.probe_dim)):
-        psi = pair.first @ row
-        reflected[s] = pair.second @ psi
+    for s, row in zip(PrepState, bb84_rows(len(first) // 2)):
+        psi = first @ row
+        reflected[s] = second @ psi
         for x in (0, 1):
             eps = _blocks(psi)[x]
             embedded = np.zeros_like(psi)
             _blocks(embedded)[x] = eps
-            branches[(s, x)] = (eps, pair.second @ embedded)
+            branches[(s, x)] = (eps, second @ embedded)
     return branches, reflected
 
 
-def _chain_states_b(pair: UnitaryPair) -> tuple[dict, dict]:
+def _chain_states_b(first: np.ndarray, second: np.ndarray) -> tuple[dict, dict]:
     """Mode B's state table: the joint state of each preparation after the
     full chain ``second @ first`` (all four preparations), and after the
     return unitary alone (the two Z preparations)."""
-    u_both = pair.second @ pair.first
-    rows = bb84_rows(pair.probe_dim)
+    u_both = second @ first
+    rows = bb84_rows(len(first) // 2)
     return ({s: u_both @ row for s, row in zip(PrepState, rows)},
-            {s: pair.second @ row for s, row in zip(PrepState, rows[:2])})
+            {s: second @ row for s, row in zip(PrepState, rows[:2])})
 
 
 def _z_blocks(states: dict) -> tuple[list, list]:
@@ -112,7 +114,7 @@ def _table(pair: UnitaryPair, mode: Optional[str]) -> tuple[str, "_Mode", tuple]
     if mode != pair.protocol:
         raise ValueError(f"pair is for protocol {pair.protocol}, not {mode}")
     analysis = _MODES[mode]
-    return mode, analysis, analysis.table(pair)
+    return mode, analysis, analysis.table(pair.first, pair.second)
 
 
 def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile:
@@ -143,15 +145,14 @@ def _rates_a(table: tuple[dict, dict]) -> dict:
                    for (_, x), (_, phi) in branches.items()) / len(PrepState)
     # Case 4: both parties reflect, the return unitary acts on the full
     # superposition, and Alice measures in the preparation basis.
-    return {"case1": measured, "case2": measured, "case3": measured,
-            "case4": _prep_basis_error(reflected)}
+    return dict(zip(CHECKS_A, (measured, measured, measured, _prep_basis_error(reflected))))
 
 
 def _rates_b(table: tuple[dict, dict]) -> dict:
     full, ret = table
-    return {"ctrl": _prep_basis_error(full),
-            "test_b": sum(_sq_norm(b) for b in _z_blocks(full)[1]) / 2.0,
-            "test_c": sum(_sq_norm(b) for b in _z_blocks(ret)[1]) / 2.0}
+    return dict(zip(CHECKS_B, (_prep_basis_error(full),
+                               sum(_sq_norm(b) for b in _z_blocks(full)[1]) / 2.0,
+                               sum(_sq_norm(b) for b in _z_blocks(ret)[1]) / 2.0)))
 
 
 def _density(mat: np.ndarray) -> DensityMatrix:
@@ -274,11 +275,11 @@ def _residuals_b(table: tuple[dict, dict]) -> dict:
 
 @dataclass(frozen=True)
 class _Mode:
-    """One mode's analysis: ``table(pair)`` builds what every reader reads,
-    and ``profile``, ``info`` and ``residuals`` map a table onto the check
-    error rates, the probe distinguishability and the zero-error residuals."""
+    """One mode's analysis: ``table(first, second)`` builds what every reader
+    reads, and ``profile``, ``info`` and ``residuals`` map a table onto the
+    check error rates, the probe distinguishability and the zero-error residuals."""
 
-    table: Callable[[UnitaryPair], tuple]
+    table: Callable[[np.ndarray, np.ndarray], tuple]
     profile: Callable[[tuple], dict]
     info: Callable[[tuple], float]
     residuals: Callable[[tuple], dict]
@@ -408,7 +409,7 @@ FEASIBILITY_TOL = 1e-9
 def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
                       iters: int, seed: int) -> None:
     """Reject ``constrained_search`` arguments before any evaluation runs."""
-    if mode not in _MODES:
+    if not isinstance(mode, str) or mode not in _MODES:
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     check_real("epsilon", epsilon)
     for name, value, least in (("restarts", restarts, 1), ("iters", iters, 1),
@@ -434,19 +435,16 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     # O(sqrt(error)) growth of distinguishability around the identity.
     lam = 1e7 if epsilon < 1e-6 else 1e3
 
-    def objective(pair: UnitaryPair) -> tuple[float, float, float]:
-        """The penalized objective, the information and the max error of a
-        pair, read from one build of the mode's table, as in ``theorem_check``."""
-        table = analysis.table(pair)
+    def objective(first: np.ndarray, second: np.ndarray) -> tuple[float, float, float]:
+        """The penalized objective, the information and the max error of two
+        unitaries, read from one build of the mode's table, as in ``theorem_check``."""
+        table = analysis.table(first, second)
         err = max(analysis.profile(table).values())
         info = analysis.info(table)
         return info - lam * max(err - epsilon, 0.0), info, err
 
-    def pair(first: np.ndarray, second: np.ndarray) -> UnitaryPair:
-        return UnitaryPair(first=first, second=second, protocol=mode)
-
     def evaluate(theta) -> tuple[float, float, float]:
-        return objective(pair(*unitaries_from_params(theta.reshape(2, npar), probe_dim)))
+        return objective(*unitaries_from_params(theta.reshape(2, npar), probe_dim))
 
     h = 1e-5
     bumps = h * np.eye(npar)
@@ -456,18 +454,18 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
 
         A stencil point moves one parameter of one unitary, so each half's
         unperturbed unitary (row 0) and its perturbed ones come from one
-        stacked call, and each pair takes the other half's row 0.  Row 0 is
+        stacked call, and each point takes the other half's row 0.  Row 0 is
         bit for bit the half ``theta ± 0.0`` would give, as long as theta holds
         no -0.0: the starts hold none, and the steps cannot make one.
         """
         first, second = (unitaries_from_params(np.vstack([part, part + bumps, part - bumps]),
                                                probe_dim)
                          for part in (theta[:npar], theta[npar:]))
-        stencil = ([(pair(first[k], second[0]), pair(first[npar + k], second[0]))
+        stencil = ([((first[k], second[0]), (first[npar + k], second[0]))
                     for k in range(1, npar + 1)]
-                   + [(pair(first[0], second[k]), pair(first[0], second[npar + k]))
+                   + [((first[0], second[k]), (first[0], second[npar + k]))
                       for k in range(1, npar + 1)])
-        return np.array([(objective(plus)[0] - objective(minus)[0]) / (2 * h)
+        return np.array([(objective(*plus)[0] - objective(*minus)[0]) / (2 * h)
                          for plus, minus in stencil])
 
     # Rank feasible points by the penalized objective, not raw information:

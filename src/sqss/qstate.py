@@ -64,7 +64,9 @@ def _bare_p0(v: np.ndarray, basis: Basis) -> float:
 def measure(state: np.ndarray, basis: Basis,
             rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Born-rule measurement with collapse onto the outcome's basis state: a
-    layer of one, drawn by ``_draw_bits``."""
+    layer of one, drawn by ``_draw_bits``.  ``state`` is checked as a
+    ``CompositeState`` with a one-dimensional probe, which draws nothing."""
+    CompositeState(state, 1)
     outcome = int(_draw_bits(np.array([_bare_p0(state, basis)]), rng)[0])
     return outcome, prepare(_COLLAPSED_CODE[basis, outcome])
 

@@ -1,6 +1,7 @@
 """Tests for the two-unitary probe attack analysis and tradeoff search."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -24,11 +25,11 @@ from sqss.em_analysis import (
     unitary_from_params,
 )
 from sqss.oracle import detection_oracle
-from sqss.qstate import BB84_AMPS, PrepState, bb84_rows
+from sqss.qstate import BB84_AMPS, PrepState, bb84_rows, check_unitary
 
 
 def test_branch_decompose_identity():
-    branches, reflected = em_analysis._measured_branches(identity_pair("A", 2))
+    branches, reflected = em_analysis._measured_branches(np.eye(4), np.eye(4))
     z0 = branches[(PrepState.ZERO, 0)][0]
     assert np.allclose(z0, [1, 0])
     assert np.allclose(branches[(PrepState.ZERO, 1)][0], 0)
@@ -46,7 +47,7 @@ def test_branch_embedding_is_the_kronecker_product(d):
     the identity and, from d = 2, the bit copy) every phi equals the second
     unitary applied to ``np.kron(|x>, eps)``, compared with ``==``."""
     for pair in pin_pairs("A", d):
-        branches, _ = em_analysis._measured_branches(pair)
+        branches, _ = em_analysis._measured_branches(pair.first, pair.second)
         assert len(branches) == 2 * len(PrepState)
         for (_, x), (eps, phi) in branches.items():
             assert np.array_equal(phi, pair.second @ np.kron(BB84_AMPS[x], eps))
@@ -94,17 +95,17 @@ def test_theorem_check_verdicts():
 
 
 def _record_tables(monkeypatch, mode):
-    """Patch mode's entry in ``_MODES`` so its table builder logs each pair
-    it is given; returns the log."""
+    """Patch mode's entry in ``_MODES`` so its table builder logs each
+    ``(first, second)`` it is given; returns the log."""
     entry = em_analysis._MODES[mode]
-    pairs = []
+    calls = []
 
-    def recording(pair):
-        pairs.append(pair)
-        return entry.table(pair)
+    def recording(first, second):
+        calls.append((first, second))
+        return entry.table(first, second)
 
     monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=recording))
-    return pairs
+    return calls
 
 
 def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
@@ -116,7 +117,7 @@ def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
         calls = _record_tables(monkeypatch, mode)
         verdict = theorem_check(pair)
         assert verdict.zero_error and verdict.holds
-        assert calls == [pair]
+        assert calls == [(pair.first, pair.second)]
         # Sharing the table changes no value.
         assert verdict.max_error == error_profile(pair).max_rate
         assert verdict.distinguishability == probe_distinguishability(pair)
@@ -175,23 +176,6 @@ def test_search_rejects_bad_budgets():
         constrained_search("A", 0.1, restarts=0)
 
 
-@pytest.mark.parametrize("bad, message", [
-    ({"iters": 2.5}, "iters must be an integer"),
-    ({"restarts": True, "iters": True}, "restarts must be an integer"),
-    ({"seed": 1.5}, "seed must be an integer"),
-    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
-    ({"epsilon": "0.1"}, "epsilon must be a real number"),
-], ids=["float-iters", "bool-budgets", "float-seed", "negative-seed", "str-epsilon"])
-def test_search_rejects_mistyped_args_before_evaluating(monkeypatch, bad, message):
-    def never(*args, **kwargs):
-        raise AssertionError("the search evaluated a point before checking its args")
-
-    monkeypatch.setattr(em_analysis, "error_profile", never)
-    args = {"epsilon": 0.1, "restarts": 1, "iters": 1, "seed": 0, **bad}
-    with pytest.raises(ValueError, match=message):
-        constrained_search("A", **args)
-
-
 def test_search_zero_budget_mode_a_finds_nothing():
     point = constrained_search("A", 0.0, restarts=2, iters=5, seed=0)
     assert point.max_error <= 1e-9
@@ -219,7 +203,7 @@ def test_mode_a_information_skips_a_branch_the_qubit_never_takes():
     distance of an empty branch."""
     first = np.eye(4)[:, [2, 1, 3, 0]]   # column j is the image of basis state j
     pair = UnitaryPair(first=first, second=np.eye(4), protocol="A")
-    branches, _ = em_analysis._measured_branches(pair)
+    branches, _ = em_analysis._measured_branches(first, np.eye(4))
     assert all(not np.any(eps) for (_, x), (eps, _) in branches.items() if x == 0)
     assert probe_distinguishability(pair) == 0.0
 
@@ -286,7 +270,8 @@ def test_stacked_unitaries_equal_unitary_from_params_row_by_row():
 
 def _record_search(monkeypatch, mode):
     """Log, in order, each stacked unitary build (``("stack", rows)``) and
-    each evaluation (``("eval", pair, rates, info)``) the search makes."""
+    each evaluation (``("eval", (first, second), rates, info)``) the search
+    makes."""
     entry = em_analysis._MODES[mode]
     events = []
     build = em_analysis.unitaries_from_params
@@ -295,9 +280,9 @@ def _record_search(monkeypatch, mode):
         events.append(("stack", np.array(params)))
         return build(params, probe_dim)
 
-    def evaluating(pair):
-        table = entry.table(pair)
-        events.append(("eval", pair, entry.profile(table), entry.info(table)))
+    def evaluating(first, second):
+        table = entry.table(first, second)
+        events.append(("eval", (first, second), entry.profile(table), entry.info(table)))
         return table
 
     monkeypatch.setattr(em_analysis, "unitaries_from_params", stacking)
@@ -328,32 +313,43 @@ def test_stencil_objectives_equal_public_path_evaluations(monkeypatch, mode, d):
     compared with ``==``.  The penalized objectives of those readings, at
     both penalty weights, give the gradient whose unit step is the first
     line-search point, bit for bit.  Three starts give three steps: the
-    identity, the bit copy and a seeded random theta."""
+    identity, the bit copy and a seeded random theta.  Both budgets take
+    their steps at the same three starts, so the public path is read once."""
     npar, h = params_dim(d), 1e-5
     events = _record_search(monkeypatch, mode)
+    runs = {}
     for eps in (0.0, 0.1):
         events.clear()
         constrained_search(mode, eps, probe_dim=d, restarts=3, iters=1, seed=31)
-        stencils = _stencils(events, npar)
-        assert len(stencils) == 3
+        runs[eps] = _stencils(events, npar)
+        assert len(runs[eps]) == 3
+    monkeypatch.undo()
+    public = []   # per start: its theta and each stencil point's public reading
+    for theta, _, _ in runs[0.0]:
+        readings = []
+        public.append((theta, readings))
+        for k in range(2 * npar):
+            bump = np.zeros(2 * npar)
+            bump[k] = h
+            for point in (theta + bump, theta - bump):
+                pair = UnitaryPair(unitary_from_params(point[:npar], d),
+                                   unitary_from_params(point[npar:], d), mode)
+                readings.append((pair, error_profile(pair).rates,
+                                 probe_distinguishability(pair)))
+    for eps, stencils in runs.items():
         lam = 1e7 if eps < 1e-6 else 1e3
         line_searches = 0
-        for theta, evaluations, after in stencils:
+        for (theta, evaluations, after), (start, readings) in zip(stencils, public):
+            assert np.array_equal(theta, start)
             assert [e[0] for e in evaluations] == ["eval"] * (4 * npar)
             objectives = []
-            for k in range(2 * npar):
-                bump = np.zeros(2 * npar)
-                bump[k] = h
-                for event, point in zip(evaluations[2 * k:2 * k + 2],
-                                        (theta + bump, theta - bump)):
-                    _, pair, rates, info = event
-                    public = UnitaryPair(unitary_from_params(point[:npar], d),
-                                         unitary_from_params(point[npar:], d), mode)
-                    assert np.array_equal(pair.first, public.first)
-                    assert np.array_equal(pair.second, public.second)
-                    assert rates == error_profile(public).rates
-                    assert info == probe_distinguishability(public)
-                    objectives.append(info - lam * max(max(rates.values()) - eps, 0.0))
+            for event, (pair, rates, info) in zip(evaluations, readings, strict=True):
+                _, unitaries, event_rates, event_info = event
+                assert np.array_equal(unitaries[0], pair.first)
+                assert np.array_equal(unitaries[1], pair.second)
+                assert event_rates == rates
+                assert event_info == info
+                objectives.append(info - lam * max(max(rates.values()) - eps, 0.0))
             grad = np.array([(objectives[2 * k] - objectives[2 * k + 1]) / (2 * h)
                              for k in range(2 * npar)])
             gnorm = np.linalg.norm(grad)
@@ -407,26 +403,52 @@ def _never_build(monkeypatch):
         monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=never))
 
 
-@pytest.mark.parametrize("bad", [{"iters": 2.5}, {"seed": -1}, {"epsilon": "0.1"}],
-                         ids=["float-iters", "negative-seed", "str-epsilon"])
-def test_search_checks_args_before_building_a_unitary(monkeypatch, bad):
-    """The search reads neither the public ``error_profile`` nor
-    ``probe_distinguishability``; no unitary or table is built before its
-    arguments are checked."""
+@pytest.mark.parametrize("bad, message", [
+    ({"iters": 2.5}, "iters must be an integer"),
+    ({"restarts": True, "iters": True}, "restarts must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"epsilon": "0.1"}, "epsilon must be a real number"),
+], ids=["float-iters", "bool-budgets", "float-seed", "negative-seed", "str-epsilon"])
+def test_search_rejects_mistyped_args_before_evaluating(monkeypatch, bad, message):
+    """In either mode, the search rejects a mistyped argument by name before
+    it builds any unitary or table."""
     _never_build(monkeypatch)
     args = {"epsilon": 0.1, "restarts": 1, "iters": 1, "seed": 0, **bad}
     for mode in ("A", "B"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             constrained_search(mode, **args)
 
 
-@pytest.mark.parametrize("mode", ["C", "a"])
+@pytest.mark.parametrize("mode", ["C", "a", pytest.param(["A"], id="list")])
 def test_search_rejects_an_unknown_mode_up_front(monkeypatch, mode):
     """A mode other than "A" or "B" is rejected by name before any unitary
     or table is built, by the search and by its argument check alike."""
     _never_build(monkeypatch)
-    message = f"mode must be 'A' or 'B', got '{mode}'"
+    message = re.escape(f"mode must be 'A' or 'B', got {mode!r}")
     with pytest.raises(ValueError, match=message):
         constrained_search(mode, 0.1, restarts=1, iters=1)
     with pytest.raises(ValueError, match=message):
         em_analysis.check_search_args(mode, 0.1, 2, 1, 1, 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_stacked_unitary_passes_check_unitary(d):
+    """The search evaluates the rows of ``unitaries_from_params`` without
+    checking them, so every row must pass ``check_unitary``: here on seeded
+    stencil stacks (a centre row, then each parameter bumped up and down) and
+    two-row point stacks, at parameter norms from 0 to 20, about as far as 40
+    line-search steps of at most 0.5 can carry a start."""
+    rng = np.random.default_rng(41)
+    npar = params_dim(d)
+    bumps = 1e-5 * np.eye(npar)
+    for norm in (0.0, 0.5, 5.0, 20.0):
+        part = rng.normal(size=npar)
+        part *= norm / np.linalg.norm(part)
+        points = rng.normal(size=(2, npar))
+        points *= norm / np.linalg.norm(points, axis=1, keepdims=True)
+        for stack in (np.vstack([part, part + bumps, part - bumps]), points):
+            unitaries = em_analysis.unitaries_from_params(stack, d)
+            assert unitaries.shape == (len(stack), 2 * d, 2 * d)
+            for u in unitaries:
+                check_unitary(u)

@@ -112,10 +112,16 @@ def test_repeated_measurement_same_basis_stable():
 
 
 def test_born_rule_statistics_plus_in_z():
-    rng = np.random.default_rng(2)
+    """100 000 |+> measured in Z as one layer give 0 half the time, within
+    4 sigma; the layer's first 1 000 bits are the draws of 1 000 scalar
+    ``measure`` calls from the same seed."""
     n = 100_000
-    zeros = sum(measure(prepare(PrepState.PLUS), Basis.Z, rng)[0] == 0
-                for _ in range(n))
+    bits, _ = measure_codes(np.full(n, PrepState.PLUS, np.int8), Basis.Z,
+                            np.random.default_rng(2))
+    rng = np.random.default_rng(2)
+    assert ([measure(prepare(PrepState.PLUS), Basis.Z, rng)[0] for _ in range(1000)]
+            == bits[:1000].tolist())
+    zeros = n - np.count_nonzero(bits)
     sigma = np.sqrt(0.25 * n)
     assert abs(zeros - n / 2) < 4 * sigma
 
@@ -160,6 +166,7 @@ NON_FINITE_INPUTS = {
     "DensityMatrix": lambda v: DensityMatrix(_eye_with(2, v, 0.5)),
     "CompositeState": lambda v: CompositeState(_eye_with(4, v)[1], 2),
     "apply_unitary_batch": lambda v: apply_unitary_batch(_eye_with(4, v)[:2], np.eye(4)),
+    "measure": lambda v: measure(_eye_with(2, v)[1], Basis.Z, np.random.default_rng(0)),
 }
 
 
@@ -177,6 +184,11 @@ MALFORMED_INPUTS = {
                            r"unitary must be square, got shape \(2, 3\)"),
     "short-composite": (lambda: CompositeState(np.array([1.0, 0.0, 0.0]), 2),
                         r"expected 4 amplitudes, got \(3,\)"),
+    "long-qubit": (lambda: measure(np.array([1.0, 0.0, 0.0]), Basis.Z, np.random.default_rng(0)),
+                   r"expected 2 amplitudes, got \(3,\)"),
+    "unnormalized-qubit": (lambda: measure(np.array([2.0, 0.0]), Basis.X,
+                                           np.random.default_rng(0)),
+                           r"not normalized: \|amp\|\^2 = 4\.0"),
     "non-square-density": (lambda: DensityMatrix(np.ones((2, 3)) / 2),
                            r"density matrix must be square, got \(2, 3\)"),
     "non-hermitian": (lambda: DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]])),
