@@ -420,6 +420,21 @@ def test_search_rejects_mistyped_args_before_evaluating(monkeypatch, bad, messag
             constrained_search(mode, **args)
 
 
+@pytest.mark.parametrize("bad", [{"iters": 2.5}, {"seed": -1}, {"epsilon": "0.1"}],
+                         ids=["float-iters", "negative-seed", "str-epsilon"])
+def test_search_checks_args_before_building_a_unitary(monkeypatch, bad):
+    """The search's argument check is ``check_search_args``: with every
+    unitary and table build failing, the search raises the very message that
+    ``check_search_args`` raises for the same arguments, in either mode."""
+    _never_build(monkeypatch)
+    args = {"epsilon": 0.1, "probe_dim": 2, "restarts": 1, "iters": 1, "seed": 0, **bad}
+    for mode in ("A", "B"):
+        with pytest.raises(ValueError) as expected:
+            em_analysis.check_search_args(mode, **args)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            constrained_search(mode, **args)
+
+
 @pytest.mark.parametrize("mode", ["C", "a", pytest.param(["A"], id="list")])
 def test_search_rejects_an_unknown_mode_up_front(monkeypatch, mode):
     """A mode other than "A" or "B" is rejected by name before any unitary
