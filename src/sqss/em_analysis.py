@@ -9,6 +9,8 @@ search over the error-vs-information tradeoff.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,6 +21,7 @@ from .adversary import UnitaryPair
 from .protocol_a import CHECKS_A
 from .protocol_b import CHECKS_B
 from .qstate import (
+    BB84_AMPS,
     DensityMatrix,
     PrepState,
     bb84_rows,
@@ -26,7 +29,7 @@ from .qstate import (
     prepare,
     trace_distance,
 )
-from .runtime import check_int, check_real
+from .runtime import check_int, check_real, shared_tuple
 
 BRANCH_SKIP_PROB = 1e-12
 
@@ -95,12 +98,42 @@ def _z_blocks(states: dict) -> tuple[list, list]:
     return [b[r] for r, b in enumerate(blocks)], [b[1 - r] for r, b in enumerate(blocks)]
 
 
+class FloatMap(Mapping):
+    """A read-only mapping that reads as the dict of floats it packs: the same
+    repr, order and ``==``, and the same values, bit for bit and of the same
+    types.  It keeps float64 bytes beside one layout, the names and the value
+    types, shared by every map that has the same."""
+
+    __slots__ = ("_layout", "_packed")
+
+    def __init__(self, items: dict):
+        self._layout = shared_tuple((tuple(items), tuple(map(type, items.values()))))
+        self._packed = struct.pack(f"<{len(items)}d", *items.values())
+
+    def _dict(self) -> dict:
+        names, kinds = self._layout
+        values = struct.unpack(f"<{len(names)}d", self._packed)
+        return dict(zip(names, (kind(v) for kind, v in zip(kinds, values))))
+
+    def __getitem__(self, name):
+        return self._dict()[name]
+
+    def __iter__(self):
+        return iter(self._layout[0])
+
+    def __len__(self) -> int:
+        return len(self._layout[0])
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
 @dataclass(frozen=True, slots=True)
 class ErrorProfile:
     """Expected per-check error rates an attack pair induces (exact, no sampling)."""
 
     mode: str
-    rates: dict
+    rates: FloatMap
 
     @property
     def max_rate(self) -> float:
@@ -119,7 +152,7 @@ def _table(pair: UnitaryPair, mode: Optional[str]) -> tuple[str, "_Mode", tuple]
 
 def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile:
     mode, analysis, table = _table(pair, mode)
-    return ErrorProfile(mode=mode, rates=analysis.profile(table))
+    return ErrorProfile(mode=mode, rates=FloatMap(analysis.profile(table)))
 
 
 def _prep_basis_error(finals: dict) -> float:
@@ -167,15 +200,20 @@ def probe_distinguishability(pair: UnitaryPair, mode: Optional[str] = None) -> f
     return analysis.info(table)
 
 
-def _info_a(table: tuple[dict, dict]) -> float:
-    # Conditioning on Bob's result (Case 2 key bits) and on Charlie's (Case 3)
-    # produces the same ensemble: either way the return unitary sees |x> and
-    # the x branch of the probe.
-    branches, _ = table
+def _ensembles_a(branches: dict) -> tuple[list, list]:
+    """Mode A's key-bit ensembles, x = 0 then 1: each one's weight and its
+    unnormalized probe state.  Conditioning on Bob's result (Case 2 key bits)
+    and on Charlie's (Case 3) produces the same ensemble: either way the
+    return unitary sees |x> and the x branch of the probe."""
     weights, rhos = [], []
     for x in (0, 1):
         weights.append(sum(_sq_norm(branches[(s, x)][0]) / len(PrepState) for s in PrepState))
         rhos.append(sum(_probe_outer(branches[(s, x)][1]) / len(PrepState) for s in PrepState))
+    return weights, rhos
+
+
+def _info_a(table: tuple[dict, dict]) -> float:
+    weights, rhos = _ensembles_a(table[0])
     if any(w < BRANCH_SKIP_PROB for w in weights):
         return 0.0
     return trace_distance(_density(rhos[0]), _density(rhos[1]))
@@ -195,13 +233,15 @@ class TheoremVerdict:
     max_error: float
     zero_error: bool
     distinguishability: Optional[float]
-    residuals: dict
+    residuals: FloatMap
     holds: Optional[bool]
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
 
+
+_NO_RESIDUALS = FloatMap({})   # every verdict with a nonzero error shares it
 
 # Tolerances of theorem_check: a check error rate up to ERR_TOL counts as
 # zero; the information and every residual must then be within their own.
@@ -220,12 +260,12 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
     zero_error = max_error <= ERR_TOL
     if not zero_error:
         return TheoremVerdict(mode=mode, max_error=max_error, zero_error=False,
-                              distinguishability=None, residuals={}, holds=None)
+                              distinguishability=None, residuals=_NO_RESIDUALS, holds=None)
     info = analysis.info(table)
     residuals = analysis.residuals(table)
     holds = info <= INFO_TOL and max(residuals.values()) <= RESIDUAL_TOL
     return TheoremVerdict(mode=mode, max_error=max_error, zero_error=True,
-                          distinguishability=info, residuals=residuals, holds=holds)
+                          distinguishability=info, residuals=FloatMap(residuals), holds=holds)
 
 
 def _residuals_a(table: tuple[dict, dict]) -> dict:
@@ -273,20 +313,116 @@ def _residuals_b(table: tuple[dict, dict]) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# Derivatives for the tradeoff search.  A gradient G of f with respect to a
+# matrix or vector M means df = Re tr(G^dagger dM).
+
+
+def _moved(rows: np.ndarray) -> np.ndarray:
+    """Each row ``rows[..., x, :]`` with its block x zeroed: half the
+    gradient of the squared norm of what a Z mismatch reads."""
+    out = rows.reshape(rows.shape[:-1] + (2, -1)).copy()
+    out[..., [0, 1], [0, 1], :] = 0.0
+    return out.reshape(rows.shape)
+
+
+def _prep_error_grad(finals: np.ndarray) -> np.ndarray:
+    """The gradient of ``_prep_basis_error`` with respect to each final
+    state, one row per ``PrepState``: -(|s> (x) kept_s) / 2."""
+    kept = np.einsum("sq,sqi->si", BB84_AMPS.conj(), finals.reshape(4, 2, -1))
+    return -np.einsum("sq,si->sqi", BB84_AMPS, kept).reshape(finals.shape) / 2.0
+
+
+def _distance_grad(states: np.ndarray, r0: np.ndarray, r1: np.ndarray):
+    """The trace distance of ``_density`` r0 and r1, where r_x is c times
+    the sum of the ``_probe_outer`` of the rows ``states[..., x, :]``, and
+    its gradient with respect to each row, divided by c.  It is
+    tr(S (rho0 - rho1)) / 2 for S = sign(rho0 - rho1), and a zero eigenvalue
+    has sign 0, the mean of its one-sided derivatives."""
+    rhos = [_density(r).entries for r in (r0, r1)]
+    eigs, vecs = np.linalg.eigh(rhos[0] - rhos[1])
+    sign = (vecs * np.sign(eigs)) @ vecs.conj().T
+    grads = [side * (sign - np.trace(sign @ rho).real * np.eye(len(sign))) / np.trace(r).real
+             for side, r, rho in ((1.0, r0, rhos[0]), (-1.0, r1, rhos[1]))]
+    blocks = states.reshape(states.shape[:-1] + (2, -1))
+    return (0.5 * float(np.sum(np.abs(eigs))),
+            np.einsum("...xbj,xij->...xbi", blocks, np.array(grads)).reshape(states.shape))
+
+
+def _unitary_grads(first, second, grads, pre, rows, mask=1.0) -> np.ndarray:
+    """Each term's gradients ``(t, 2, 2d, 2d)`` with respect to ``first``
+    and ``second``, from ``grads[t, k]``, its gradient with respect to the
+    table vector second @ pre[k]: pre[k] is mask[k] * (first @ rows[k]), or
+    does not depend on ``first`` where rows[k] is zero."""
+    back = (grads @ second.conj()) * mask
+    return np.stack([np.einsum("tki,kj->tij", back, rows.conj()),
+                     np.einsum("tki,kj->tij", grads, pre.conj())], axis=1)
+
+
+def _derivative_a(first: np.ndarray, second: np.ndarray, table: tuple[dict, dict]):
+    """Mode A's gradients with respect to the two unitaries, of each rate in
+    ``_rates_a`` order and of the information, with the information's value."""
+    branches, reflected = table
+    d = len(first) // 2
+    phi = np.array([p for _, p in branches.values()]).reshape(4, 2, 2 * d)
+    # Per term (the measured rate, case 4, the information), the gradient
+    # with respect to each phi, in (s, x) order, then each reflected state.
+    grads = np.zeros((3, 12, 2 * d), dtype=complex)
+    grads[0, :8] = _moved(phi).reshape(8, -1) / 2.0
+    grads[1, 8:] = _prep_error_grad(np.array(list(reflected.values())))
+    weights, rhos = _ensembles_a(branches)
+    info = 0.0
+    if min(weights) >= BRANCH_SKIP_PROB:
+        info, grad = _distance_grad(phi, *rhos)
+        grads[2, :8] = grad.reshape(8, -1) / len(PrepState)
+    # Each phi's input is psi = first @ row, masked to block x; each
+    # reflected state's is psi.
+    psi = np.array([e for e, _ in branches.values()]).reshape(4, 2 * d)
+    mask = np.concatenate([np.tile(np.repeat(np.eye(2), d, axis=1), (4, 1)), np.ones_like(psi)])
+    rows = bb84_rows(d)
+    unitary = _unitary_grads(first, second, grads, mask * np.concatenate([psi.repeat(2, 0), psi]),
+                             np.concatenate([rows.repeat(2, 0), rows]), mask)
+    return unitary[[0, 0, 0, 1]], [info], unitary[2:]
+
+
+def _derivative_b(first: np.ndarray, second: np.ndarray, table: tuple[dict, dict]):
+    """Mode B's gradients, as ``_derivative_a`` gives them, for
+    ``_rates_b`` and for each of ``_info_b``'s two ensembles."""
+    full, ret = (np.array(list(states.values())) for states in table)
+    rows = bb84_rows(len(first) // 2)
+    # Per term (three rates, two ensembles), the gradient with respect to
+    # each full-chain state, then each return-leg state.
+    grads = np.zeros((5, 6, len(first)), dtype=complex)
+    grads[0, :4] = _prep_error_grad(full)
+    grads[1, :2] = _moved(full[:2])
+    grads[2, 4:] = _moved(ret)
+    infos = []
+    for term, at, states in ((3, 0, full), (4, 4, ret)):
+        info, grads[term, at:at + 2] = _distance_grad(
+            states[:2], *(_probe_outer(v) for v in states[:2]))
+        infos.append(info)
+    unitary = _unitary_grads(first, second, grads, np.concatenate([rows @ first.T, rows[:2]]),
+                             np.concatenate([rows, np.zeros_like(ret)]))
+    return unitary[:3], infos, unitary[3:]
+
+
 @dataclass(frozen=True)
 class _Mode:
     """One mode's analysis: ``table(first, second)`` builds what every reader
     reads, and ``profile``, ``info`` and ``residuals`` map a table onto the
-    check error rates, the probe distinguishability and the zero-error residuals."""
+    check error rates, the probe distinguishability and the zero-error
+    residuals.  ``derivative(first, second, table)`` gives the gradients of
+    the rates and of the information with respect to the two unitaries."""
 
     table: Callable[[np.ndarray, np.ndarray], tuple]
     profile: Callable[[tuple], dict]
     info: Callable[[tuple], float]
     residuals: Callable[[tuple], dict]
+    derivative: Callable[[np.ndarray, np.ndarray, tuple], tuple]
 
 
-_MODES = {"A": _Mode(_measured_branches, _rates_a, _info_a, _residuals_a),
-          "B": _Mode(_chain_states_b, _rates_b, _info_b, _residuals_b)}
+_MODES = {"A": _Mode(_measured_branches, _rates_a, _info_a, _residuals_a, _derivative_a),
+          "B": _Mode(_chain_states_b, _rates_b, _info_b, _residuals_b, _derivative_b)}
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +433,10 @@ def params_dim(probe_dim: int) -> int:
     return (2 * probe_dim) ** 2
 
 
-def unitaries_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
-    """Stacked ``unitary_from_params``: row ``r`` of ``params``, shape
-    ``(n, (2d)^2)``, maps onto ``out[r]`` in U(2d), all in one ``expm`` call.
-    The Hermitian matrix takes its diagonal from the first 2d entries of a row
-    and the real and imaginary parts of its upper triangle, row by row, from
-    the rest."""
+def _hermitians(params: np.ndarray, probe_dim: int) -> np.ndarray:
+    """The Hermitian matrix of each row of ``params``, shape ``(n, (2d)^2)``:
+    its diagonal from the first 2d entries of the row, and the real and
+    imaginary parts of its upper triangle, row by row, from the rest."""
     m = 2 * probe_dim
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != m * m:
@@ -314,7 +448,28 @@ def unitaries_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
     herm[:, diag, diag] = params[:, :m]
     herm[:, rows, cols] = re + 1j * im
     herm[:, cols, rows] = re - 1j * im
-    return expm(1j * herm)
+    return herm
+
+
+def unitaries_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
+    """Stacked ``unitary_from_params``: row ``r`` of ``params``, shape
+    ``(n, (2d)^2)``, maps onto ``out[r]``, the exponential of i times its
+    Hermitian matrix, in U(2d), all in one ``expm`` call."""
+    return expm(1j * _hermitians(params, probe_dim))
+
+
+def _params_gradient(params: np.ndarray, grads: np.ndarray, probe_dim: int) -> np.ndarray:
+    """Chain ``grads[t, r]``, term t's gradient with respect to the unitary
+    U = exp(iH) of row r of ``params``, to that row.  With H = W diag(lam)
+    W^dagger, dU = W (Phi o W^dagger i dH W) W^dagger for Phi_jl =
+    exp(i(lam_j + lam_l)/2) sinc((lam_j - lam_l)/2), finite at equal lam."""
+    lam, w = np.linalg.eigh(_hermitians(params, probe_dim))
+    phi = (np.exp(0.5j * (lam[:, :, None] + lam[:, None, :]))
+           * np.sinc((lam[:, :, None] - lam[:, None, :]) / (2 * np.pi)))
+    w_h = w.conj().swapaxes(-1, -2)
+    mat = w @ (phi.conj() * (w_h @ grads @ w)) @ w_h
+    basis = 1j * _hermitians(np.eye(params.shape[1]), probe_dim)   # i dH/d(param k)
+    return np.einsum("...ij,kij->...k", mat.conj(), basis).real
 
 
 def unitary_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
@@ -406,6 +561,58 @@ class TradeoffPoint:
 FEASIBILITY_TOL = 1e-9
 
 
+def _max_grad(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """The gradient of ``max(values)`` from each value's gradient: over the
+    values that tie for the max, (max + min) / 2 in each coordinate, the mean
+    of the one-sided derivatives."""
+    tied = grads[values == values.max()]
+    return (tied.max(axis=0) + tied.min(axis=0)) / 2.0
+
+
+def _objective(info: float, err: float, epsilon: float) -> tuple[float, float, float]:
+    """The search's penalized objective at information ``info`` and max error
+    ``err``, gain - lam * max(err - epsilon, 0), with the gain's derivative
+    in ``info`` and lam.  A stiff lam keeps the ascent from trading a sliver
+    of feasibility violation for information.  Near a zero-error pair that
+    carries none, information grows like c * sqrt(error), so at epsilon = 0
+    info - lam * error would still peak a sliver off the zero-error set, at
+    c^2 / (4 lam).  There the gain is info squared, which falls below the
+    penalty off that set for any c^2 < lam."""
+    if epsilon < 1e-6:
+        gain, slope, lam = info * info, 2.0 * info, 1e7
+    else:
+        gain, slope, lam = info, 1.0, 1e3
+    return gain - lam * max(err - epsilon, 0.0), slope, lam
+
+
+def _evaluate(analysis: _Mode, theta: np.ndarray, probe_dim: int, epsilon: float) -> tuple:
+    """The objective at theta, its information and its max error, read from
+    one build of the mode's table as in ``theorem_check``, then the two
+    unitaries and the table, which the gradient at theta reads."""
+    first, second = unitaries_from_params(theta.reshape(2, -1), probe_dim)
+    table = analysis.table(first, second)
+    err = max(analysis.profile(table).values())
+    info = analysis.info(table)
+    return _objective(info, err, epsilon)[0], info, err, first, second, table
+
+
+def _objective_gradient(analysis: _Mode, theta: np.ndarray, probe_dim: int,
+                        epsilon: float, point: tuple) -> np.ndarray:
+    """The exact gradient at theta of ``_objective``, from ``point``, what
+    ``_evaluate`` read there.  Where maxima tie (of the rates, of the penalty
+    and zero, or of mode B's two ensembles), each coordinate takes the mean
+    of its one-sided derivatives, the limit a central difference takes."""
+    _, info, err, first, second, table = point
+    rates = np.array(list(analysis.profile(table).values()))
+    rate_grads, infos, info_grads = analysis.derivative(first, second, table)
+    grads = _params_gradient(theta.reshape(2, -1), np.concatenate([rate_grads, info_grads]),
+                             probe_dim).reshape(-1, theta.size)
+    _, slope, lam = _objective(info, err, epsilon)
+    penalty = _max_grad(np.append(rates - epsilon, 0.0),
+                        np.vstack([grads[:len(rates)], np.zeros(theta.size)]))
+    return slope * _max_grad(np.array(infos), grads[len(rates):]) - lam * penalty
+
+
 def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
                       iters: int, seed: int) -> None:
     """Reject ``constrained_search`` arguments before any evaluation runs."""
@@ -423,50 +630,13 @@ def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
 def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
                        restarts: int = 6, iters: int = 40, seed: int = 0) -> TradeoffPoint:
     """Maximize probe distinguishability subject to every check error staying
-    within the budget, by restarted finite-difference ascent on a penalized
+    within the budget, by restarted gradient ascent on a penalized
     objective.  Deliberately simple: used for inequalities with slack only.
     """
     check_search_args(mode, epsilon, probe_dim, restarts, iters, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
     npar = params_dim(probe_dim)
     analysis = _MODES[mode]
-    # A stiff penalty keeps the ascent from trading a sliver of feasibility
-    # violation for information; near epsilon = 0 it must dominate the
-    # O(sqrt(error)) growth of distinguishability around the identity.
-    lam = 1e7 if epsilon < 1e-6 else 1e3
-
-    def objective(first: np.ndarray, second: np.ndarray) -> tuple[float, float, float]:
-        """The penalized objective, the information and the max error of two
-        unitaries, read from one build of the mode's table, as in ``theorem_check``."""
-        table = analysis.table(first, second)
-        err = max(analysis.profile(table).values())
-        info = analysis.info(table)
-        return info - lam * max(err - epsilon, 0.0), info, err
-
-    def evaluate(theta) -> tuple[float, float, float]:
-        return objective(*unitaries_from_params(theta.reshape(2, npar), probe_dim))
-
-    h = 1e-5
-    bumps = h * np.eye(npar)
-
-    def gradient(theta) -> np.ndarray:
-        """The central-difference gradient of the objective at theta.
-
-        A stencil point moves one parameter of one unitary, so each half's
-        unperturbed unitary (row 0) and its perturbed ones come from one
-        stacked call, and each point takes the other half's row 0.  Row 0 is
-        bit for bit the half ``theta ± 0.0`` would give, as long as theta holds
-        no -0.0: the starts hold none, and the steps cannot make one.
-        """
-        first, second = (unitaries_from_params(np.vstack([part, part + bumps, part - bumps]),
-                                               probe_dim)
-                         for part in (theta[:npar], theta[npar:]))
-        stencil = ([((first[k], second[0]), (first[npar + k], second[0]))
-                    for k in range(1, npar + 1)]
-                   + [((first[0], second[k]), (first[0], second[npar + k]))
-                      for k in range(1, npar + 1)])
-        return np.array([(objective(*plus)[0] - objective(*minus)[0]) / (2 * h)
-                         for plus, minus in stencil])
 
     # Rank feasible points by the penalized objective, not raw information:
     # within the feasibility tolerance the information of a near-identity
@@ -475,24 +645,24 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     best = {"info": 0.0, "err": 0.0, "obj": 0.0,
             "theta": np.zeros(2 * npar), "fallback": True}
 
-    def consider(theta, obj, info, err):
+    def consider(theta, obj, info, err, *_):
         if err <= epsilon + FEASIBILITY_TOL and obj > best["obj"]:
             best.update(info=info, err=err, obj=obj, theta=theta.copy(),
                         fallback=False)
 
     bc = bit_copy_pair(mode, probe_dim)
-    starts = [np.zeros(2 * npar),
-              np.concatenate([params_from_unitary(bc.first), params_from_unitary(bc.second)])]
-    while len(starts) < restarts:
-        starts.append(rng.normal(scale=0.5, size=2 * npar))
+    fixed = [np.zeros(2 * npar),
+             np.concatenate([params_from_unitary(bc.first), params_from_unitary(bc.second)])]
 
-    for theta in starts[:restarts]:
-        theta = theta.astype(float).copy()
-        f, info, err = evaluate(theta)
-        consider(theta, f, info, err)
+    for start in range(restarts):
+        # A random start is drawn as its restart begins, so a huge restart
+        # count allocates nothing up front.
+        theta = fixed[start] if start < len(fixed) else rng.normal(scale=0.5, size=2 * npar)
+        point = _evaluate(analysis, theta, probe_dim, epsilon)
+        consider(theta, *point)
         step = 0.25
         for _ in range(iters):
-            grad = gradient(theta)
+            grad = _objective_gradient(analysis, theta, probe_dim, epsilon, point)
             gnorm = np.linalg.norm(grad)
             if gnorm < 1e-12:
                 break
@@ -501,10 +671,10 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
             trial_step = step
             while trial_step > 1e-7:
                 cand = theta + trial_step * direction
-                fc, info, err = evaluate(cand)
-                if fc > f:
-                    theta, f = cand, fc
-                    consider(theta, f, info, err)
+                trial = _evaluate(analysis, cand, probe_dim, epsilon)
+                if trial[0] > point[0]:
+                    theta, point = cand, trial
+                    consider(theta, *point)
                     step = min(trial_step * 2.0, 0.5)
                     improved = True
                     break

@@ -278,9 +278,10 @@ def _field(what: str, value: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _shared_ids(check_ids: tuple) -> tuple:
-    # One tuple per sequence of check ids, shared by every report that has it.
-    return check_ids
+def shared_tuple(items: tuple) -> tuple:
+    """One tuple per sequence of items (check ids, say), shared by every
+    object that keeps one equal to it."""
+    return items
 
 
 def _pack(checks: tuple, keys: Optional[KeyMaterial], digest: bytes) -> bytes:
@@ -338,7 +339,7 @@ class RunReport(_ReportView):
         checks = tuple(checks)
         for name, value in (("protocol", protocol), ("seed", seed),
                             ("abort_reason", abort_reason), ("payoff", payoff),
-                            ("_check_ids", _shared_ids(tuple(c.check_id for c in checks))),
+                            ("_check_ids", shared_tuple(tuple(c.check_id for c in checks))),
                             ("_packed", _pack(checks, keys, digest))):
             object.__setattr__(self, name, value)
 

@@ -10,6 +10,8 @@ from pin_tradeoff import pairs as pin_pairs
 from sqss import em_analysis
 from sqss.adversary import UnitaryPair
 from sqss.em_analysis import (
+    FloatMap,
+    TheoremVerdict,
     bit_copy_pair,
     constrained_search,
     error_profile,
@@ -130,6 +132,66 @@ def test_profiles_and_verdicts_are_slotted_and_frozen():
         assert not hasattr(result, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.mode = "B"
+
+
+def _dict_results(pair):
+    """The dict-backed repr of ``error_profile(pair)`` and the verdict
+    ``theorem_check(pair)`` stands for with its residuals a dict, read from
+    the mode's table."""
+    analysis = em_analysis._MODES[pair.protocol]
+    table = analysis.table(pair.first, pair.second)
+    rates = analysis.profile(table)
+    profile = f"ErrorProfile(mode={pair.protocol!r}, rates={rates!r})"
+    max_error = max(rates.values())
+    if not max_error <= em_analysis.ERR_TOL:
+        return profile, TheoremVerdict(pair.protocol, max_error, False, None, {}, None)
+    info, residuals = analysis.info(table), analysis.residuals(table)
+    holds = info <= em_analysis.INFO_TOL and max(residuals.values()) <= em_analysis.RESIDUAL_TOL
+    return profile, TheoremVerdict(pair.protocol, max_error, True, info, residuals, holds)
+
+
+def _bits(items) -> list:
+    return [(name, type(value), np.float64(value).tobytes()) for name, value in items]
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_packed_results_read_as_the_dicts_they_pack(mode):
+    """On the ``tests/pin_tradeoff.py`` pair set, profiles and verdicts read
+    as their dict-backed layout: the same reprs, rates and residuals equal
+    to the readers' dicts (``==`` both ways, and ``dict()`` of them bit for
+    bit, value types included), and read-only.  All profiles of the mode
+    share one layout and all zero-error verdicts another, and every verdict
+    with an error shares one empty residuals object.  Equality is by value,
+    as a dict's: 0.0 equals -0.0, whose sign the bytes keep."""
+    analysis = em_analysis._MODES[mode]
+    layouts, empties = {"rates": set(), "residuals": set()}, set()
+    for d in (1, 2, 3):
+        for pair in pin_pairs(mode, d):
+            profile, verdict = error_profile(pair), theorem_check(pair)
+            profile_repr, reference = _dict_results(pair)
+            assert repr(profile) == profile_repr
+            assert repr(verdict) == repr(reference) and verdict == reference
+            table = analysis.table(pair.first, pair.second)
+            rates = analysis.profile(table)
+            assert profile.rates == rates and rates == profile.rates
+            assert _bits(dict(profile.rates).items()) == _bits(rates.items())
+            assert verdict.residuals == reference.residuals
+            assert _bits(dict(verdict.residuals).items()) == _bits(reference.residuals.items())
+            for packed in (profile.rates, verdict.residuals):
+                with pytest.raises(TypeError):
+                    packed["case1"] = 0.0
+            layouts["rates"].add(id(profile.rates._layout[0]))
+            if verdict.zero_error:
+                layouts["residuals"].add(id(verdict.residuals._layout[0]))
+            else:
+                empties.add(id(verdict.residuals))
+    assert {name: len(ids) for name, ids in layouts.items()} == {"rates": 1, "residuals": 1}
+    assert len(empties) == 1
+    signed = FloatMap({"probe_state_match": -0.0})
+    assert signed == FloatMap({"probe_state_match": 0.0}) == {"probe_state_match": 0.0}
+    assert _bits(signed.items()) == _bits({"probe_state_match": -0.0}.items())
+    assert (dataclasses.replace(verdict, residuals=signed)
+            == dataclasses.replace(verdict, residuals={"probe_state_match": 0.0}))
 
 
 def test_zero_error_family_satisfies_structure_mode_a():
@@ -270,7 +332,7 @@ def test_stacked_unitaries_equal_unitary_from_params_row_by_row():
 
 def _record_search(monkeypatch, mode):
     """Log, in order, each stacked unitary build (``("stack", rows)``) and
-    each evaluation (``("eval", (first, second), rates, info)``) the search
+    each table build (``("eval", (first, second), rates, info)``) the search
     makes."""
     entry = em_analysis._MODES[mode]
     events = []
@@ -290,88 +352,104 @@ def _record_search(monkeypatch, mode):
     return events
 
 
-def _stencils(events, npar):
-    """Each gradient step's theta, its 4·npar stencil evaluations and the
-    event after them: two stacked builds of 2·npar + 1 rows, then the
-    evaluations they feed."""
-    out = []
-    for i, event in enumerate(events):
-        if event[0] == "stack" and len(event[1]) == 2 * npar + 1:
-            if events[i + 1][0] == "stack":
-                theta = np.concatenate([event[1][0], events[i + 1][1][0]])
-                end = i + 2 + 4 * npar
-                out.append((theta, events[i + 2:end], events[end] if end < len(events) else None))
-    return out
+def _public_objective(mode, theta, d, eps):
+    """The search's penalized objective at theta read along the public path,
+    ``unitary_from_params`` -> ``UnitaryPair`` -> ``error_profile`` and
+    ``probe_distinguishability``, and the pair's max error."""
+    npar = params_dim(d)
+    pair = UnitaryPair(unitary_from_params(theta[:npar], d),
+                       unitary_from_params(theta[npar:], d), mode)
+    err = error_profile(pair).max_rate
+    return em_analysis._objective(probe_distinguishability(pair), err, eps)[0], err
+
+
+def _gradient(analysis, theta, d, eps):
+    point = em_analysis._evaluate(analysis, theta, d, eps)
+    return em_analysis._objective_gradient(analysis, theta, d, eps, point)
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
-@pytest.mark.parametrize("d", [2, 3])
-def test_stencil_objectives_equal_public_path_evaluations(monkeypatch, mode, d):
-    """Every stencil point the search evaluates is the pair of building the
-    point's halves with ``unitary_from_params``, and its table reads the same rates and
-    information as ``error_profile`` and ``probe_distinguishability`` do,
-    compared with ``==``.  The penalized objectives of those readings, at
-    both penalty weights, give the gradient whose unit step is the first
-    line-search point, bit for bit.  Three starts give three steps: the
-    identity, the bit copy and a seeded random theta.  Both budgets take
-    their steps at the same three starts, so the public path is read once."""
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exact_gradient_equals_central_differences_of_the_public_path(mode, d):
+    """On seeded generic theta, where no two distinct rates (nor mode B's two
+    ensembles) tie and the penalty is clearly on or off, the search's exact
+    gradient equals central differences of the public path within 1e-6
+    relative, at both penalty weights.  At theta = 0 it is below the
+    search's 1e-12 stop, so the identity start takes no step."""
+    analysis = em_analysis._MODES[mode]
     npar, h = params_dim(d), 1e-5
-    events = _record_search(monkeypatch, mode)
-    runs = {}
+    rng = np.random.default_rng((43, ord(mode), d))
+    penalty_on = set()
+    for scale in (0.05, 0.6):
+        theta = rng.normal(scale=scale, size=2 * npar)
+        first, second = em_analysis.unitaries_from_params(theta.reshape(2, npar), d)
+        table = analysis.table(first, second)
+        _, infos, _ = analysis.derivative(first, second, table)
+        assert all(np.diff(sorted(set(analysis.profile(table).values()))) > 1e-4)
+        # A one-level probe carries no information in any ensemble.
+        assert all(np.diff(sorted(infos)) > 1e-4) if d > 1 else not any(infos)
+        for eps in (0.0, 0.1):
+            _, err = _public_objective(mode, theta, d, eps)
+            assert abs(err - eps) > 1e-4
+            penalty_on.add(err > eps)
+            grad = _gradient(analysis, theta, d, eps)
+            central = np.array([(_public_objective(mode, theta + bump, d, eps)[0]
+                                 - _public_objective(mode, theta - bump, d, eps)[0]) / (2 * h)
+                                for bump in h * np.eye(2 * npar)])
+            assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(central)
+            identity = _gradient(analysis, np.zeros(2 * npar), d, eps)
+            assert np.linalg.norm(identity) < 1e-12
+    assert penalty_on == {False, True}
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_search_steps_along_the_exact_gradient(monkeypatch, mode):
+    """Each gradient step's first line-search point is theta + 0.25 g/|g|,
+    bit for bit, for the exact gradient g at theta, at both penalty weights.
+    Three starts give three gradients: at the identity, the bit copy and a
+    seeded random theta.  The identity's is below the 1e-12 stop, so that
+    start takes no step."""
+    npar = params_dim(2)
+    events = []
+    gradient, build = em_analysis._objective_gradient, em_analysis.unitaries_from_params
+
+    def stepping(analysis, theta, *args):
+        grad = gradient(analysis, theta, *args)
+        events.append(("grad", theta.copy(), grad))
+        return grad
+
+    def stacking(params, probe_dim):
+        events.append(("stack", np.array(params)))
+        return build(params, probe_dim)
+
+    monkeypatch.setattr(em_analysis, "_objective_gradient", stepping)
+    monkeypatch.setattr(em_analysis, "unitaries_from_params", stacking)
     for eps in (0.0, 0.1):
         events.clear()
-        constrained_search(mode, eps, probe_dim=d, restarts=3, iters=1, seed=31)
-        runs[eps] = _stencils(events, npar)
-        assert len(runs[eps]) == 3
-    monkeypatch.undo()
-    public = []   # per start: its theta and each stencil point's public reading
-    for theta, _, _ in runs[0.0]:
-        readings = []
-        public.append((theta, readings))
-        for k in range(2 * npar):
-            bump = np.zeros(2 * npar)
-            bump[k] = h
-            for point in (theta + bump, theta - bump):
-                pair = UnitaryPair(unitary_from_params(point[:npar], d),
-                                   unitary_from_params(point[npar:], d), mode)
-                readings.append((pair, error_profile(pair).rates,
-                                 probe_distinguishability(pair)))
-    for eps, stencils in runs.items():
-        lam = 1e7 if eps < 1e-6 else 1e3
-        line_searches = 0
-        for (theta, evaluations, after), (start, readings) in zip(stencils, public):
-            assert np.array_equal(theta, start)
-            assert [e[0] for e in evaluations] == ["eval"] * (4 * npar)
-            objectives = []
-            for event, (pair, rates, info) in zip(evaluations, readings, strict=True):
-                _, unitaries, event_rates, event_info = event
-                assert np.array_equal(unitaries[0], pair.first)
-                assert np.array_equal(unitaries[1], pair.second)
-                assert event_rates == rates
-                assert event_info == info
-                objectives.append(info - lam * max(max(rates.values()) - eps, 0.0))
-            grad = np.array([(objectives[2 * k] - objectives[2 * k + 1]) / (2 * h)
-                             for k in range(2 * npar)])
-            gnorm = np.linalg.norm(grad)
-            if gnorm >= 1e-12:
-                # The search leaves a start only on a vanishing gradient.
-                line_searches += 1
-                assert after[0] == "stack" and after[1].shape == (2, npar)
-                assert np.array_equal(after[1].ravel(), theta + 0.25 * (grad / gnorm))
-        assert line_searches >= 1
+        constrained_search(mode, eps, restarts=3, iters=1, seed=31)
+        steps = [(i, event) for i, event in enumerate(events) if event[0] == "grad"]
+        assert len(steps) == 3
+        (_, (_, start, grad)), *stepped = steps
+        assert not np.any(start) and np.linalg.norm(grad) < 1e-12
+        for i, (_, theta, grad) in stepped:
+            after = events[i + 1]
+            assert after[0] == "stack" and after[1].shape == (2, npar)
+            assert np.array_equal(after[1].ravel(), theta + 0.25 * (grad / np.linalg.norm(grad)))
 
 
 def test_search_builds_one_table_per_evaluation(monkeypatch):
     """Each evaluation of the search builds its mode's table once and reads
-    the error and the information from it; a point's pair comes from one
-    2-row stacked call, and each gradient step builds each half's stencil
-    unitaries in one stacked call.  With ``iters=1`` every start takes exactly
-    one gradient step."""
+    the error and the information from it, and each gradient step reads
+    the table of the evaluation at its theta and builds none: every table
+    comes from one 2-row stacked call, the search builds no (2·npar + 1)-row
+    stencil stack, and it calls no public reader.  With ``iters=1`` each of
+    two starts takes one gradient step."""
     npar = params_dim(2)
     for mode in ("A", "B"):
         expected = constrained_search(mode, 0.1, restarts=2, iters=1)
         calls = {name: [] for name in ("unitary_from_params", "error_profile",
-                                       "probe_distinguishability")}
+                                       "probe_distinguishability", "_objective_gradient",
+                                       "_evaluate")}
         for name, log in calls.items():
             def counting(*args, fn=getattr(em_analysis, name), log=log):
                 log.append(args)
@@ -382,15 +460,57 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
         point = constrained_search(mode, 0.1, restarts=2, iters=1)
         monkeypatch.undo()
         assert point == expected
-        steps = 2
+        assert len(calls.pop("_objective_gradient")) == 2
         shapes = [event[1].shape for event in events if event[0] == "stack"]
-        stacked = [shape for shape in shapes if shape != (2, npar)]
-        assert stacked == [(2 * npar + 1, npar)] * (2 * steps)
-        points = len(shapes) - len(stacked)
-        evaluations = [event for event in events if event[0] == "eval"]
-        assert len(evaluations) == points + steps * 4 * npar
+        assert shapes == [(2, npar)] * len(shapes)
+        tables = [event for event in events if event[0] == "eval"]
+        assert len(tables) == len(shapes) == len(calls.pop("_evaluate"))
         assert calls == {"unitary_from_params": [], "error_profile": [],
                          "probe_distinguishability": []}
+
+
+def test_zero_budget_search_in_mode_a_finds_no_information():
+    """At the ``sqss tradeoff`` default budget (restarts 6, iters 40) mode A
+    at epsilon = 0 keeps the fallback, information 0, so its point passes
+    ``theorem_check``: the squared gain of ``_objective`` leaves no sliver
+    beside the zero-error set where the ascent could trade error for
+    information."""
+    point = constrained_search("A", 0.0)
+    assert point.fallback and point.info == 0.0 and point.max_error == 0.0
+    pair = UnitaryPair(*(unitary_from_params(np.array(half), 2) for half in point.params), "A")
+    verdict = theorem_check(pair)
+    assert verdict.zero_error and verdict.holds
+
+
+def test_search_draws_each_random_start_as_its_restart_begins(monkeypatch):
+    """A random start is drawn when its restart begins, so a huge restart
+    count allocates nothing up front: with the first table build raising,
+    a search at ``restarts=10**9`` raises it having drawn no start.  The
+    search's Generator fails after three draws."""
+    class Built(Exception):
+        pass
+
+    draws = []
+    seeded = np.random.default_rng
+
+    class Counting:
+        def __init__(self, *args):
+            self.rng = seeded(*args)
+
+        def normal(self, *args, **kwargs):
+            draws.append(args)
+            assert len(draws) <= 3, "the search drew its random starts up front"
+            return self.rng.normal(*args, **kwargs)
+
+    def build(first, second):
+        raise Built
+
+    monkeypatch.setattr(em_analysis.np.random, "default_rng", Counting)
+    for mode, entry in list(em_analysis._MODES.items()):
+        monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=build))
+        with pytest.raises(Built):
+            constrained_search(mode, 0.1, restarts=10**9)
+    assert draws == []
 
 
 def _never_build(monkeypatch):
@@ -451,9 +571,9 @@ def test_search_rejects_an_unknown_mode_up_front(monkeypatch, mode):
 def test_every_stacked_unitary_passes_check_unitary(d):
     """The search evaluates the rows of ``unitaries_from_params`` without
     checking them, so every row must pass ``check_unitary``: here on seeded
-    stencil stacks (a centre row, then each parameter bumped up and down) and
-    two-row point stacks, at parameter norms from 0 to 20, about as far as 40
-    line-search steps of at most 0.5 can carry a start."""
+    (2·npar + 1)-row stacks (a centre row, then each parameter bumped up and
+    down) and two-row point stacks, at parameter norms from 0 to 20, about as
+    far as 40 line-search steps of at most 0.5 can carry a start."""
     rng = np.random.default_rng(41)
     npar = params_dim(d)
     bumps = 1e-5 * np.eye(npar)
