@@ -9,13 +9,14 @@ search over the error-vs-information tradeoff.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
+import scipy.linalg  # noqa: F401 -- unused, but perfbench's import_times reads it (ROADMAP 1, 11)
 
 from .adversary import UnitaryPair
 from .protocol_a import CHECKS_A
@@ -197,32 +198,34 @@ def probe_distinguishability(pair: UnitaryPair, mode: Optional[str] = None) -> f
     """Maximum trace distance between the attacker's final probe states
     conditioned on the two values of a key bit."""
     _, analysis, table = _table(pair, mode)
-    return analysis.info(table)
+    return _info(analysis.ensembles(table))
 
 
-def _ensembles_a(branches: dict) -> tuple[list, list]:
-    """Mode A's key-bit ensembles, x = 0 then 1: each one's weight and its
-    unnormalized probe state.  Conditioning on Bob's result (Case 2 key bits)
-    and on Charlie's (Case 3) produces the same ensemble: either way the
-    return unitary sees |x> and the x branch of the probe."""
+def _info(ensembles: tuple) -> float:
+    """The largest trace distance within one of ``ensembles``; 0 with none."""
+    return max((trace_distance(*rhos) for rhos in ensembles), default=0.0)
+
+
+def _ensembles_a(table: tuple[dict, dict]) -> tuple:
+    """Mode A's key-bit ensemble, the probe given x = 0 and given x = 1, or
+    none if either weighs under ``BRANCH_SKIP_PROB``.  Conditioning on Bob's
+    result (Case 2 key bits) and on Charlie's (Case 3) produces the same
+    ensemble: either way the return unitary sees |x> and the probe's x branch."""
+    branches = table[0]
     weights, rhos = [], []
     for x in (0, 1):
         weights.append(sum(_sq_norm(branches[(s, x)][0]) / len(PrepState) for s in PrepState))
         rhos.append(sum(_probe_outer(branches[(s, x)][1]) / len(PrepState) for s in PrepState))
-    return weights, rhos
-
-
-def _info_a(table: tuple[dict, dict]) -> float:
-    weights, rhos = _ensembles_a(table[0])
     if any(w < BRANCH_SKIP_PROB for w in weights):
-        return 0.0
-    return trace_distance(_density(rhos[0]), _density(rhos[1]))
+        return ()
+    return ((_density(rhos[0]), _density(rhos[1])),)
 
 
-def _info_b(table: tuple[dict, dict]) -> float:
-    return max(trace_distance(*(_density(_probe_outer(states[s]))
-                                for s in (PrepState.ZERO, PrepState.ONE)))
-               for states in table)
+def _ensembles_b(table: tuple[dict, dict]) -> tuple:
+    """Mode B's ensembles, the probe given each Z preparation after both legs
+    and after the return leg alone."""
+    return tuple(tuple(_density(_probe_outer(states[s])) for s in (PrepState.ZERO, PrepState.ONE))
+                 for states in table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,7 +264,7 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
     if not zero_error:
         return TheoremVerdict(mode=mode, max_error=max_error, zero_error=False,
                               distinguishability=None, residuals=_NO_RESIDUALS, holds=None)
-    info = analysis.info(table)
+    info = _info(analysis.ensembles(table))
     residuals = analysis.residuals(table)
     holds = info <= INFO_TOL and max(residuals.values()) <= RESIDUAL_TOL
     return TheoremVerdict(mode=mode, max_error=max_error, zero_error=True,
@@ -333,17 +336,18 @@ def _prep_error_grad(finals: np.ndarray) -> np.ndarray:
     return -np.einsum("sq,si->sqi", BB84_AMPS, kept).reshape(finals.shape) / 2.0
 
 
-def _distance_grad(states: np.ndarray, r0: np.ndarray, r1: np.ndarray):
-    """The trace distance of ``_density`` r0 and r1, where r_x is c times
-    the sum of the ``_probe_outer`` of the rows ``states[..., x, :]``, and
-    its gradient with respect to each row, divided by c.  It is
+def _distance_grad(states: np.ndarray, rho0: DensityMatrix, rho1: DensityMatrix):
+    """The trace distance of rho0 and rho1, where rho_x is the ``_density``
+    of the sum of the ``_probe_outer`` of the rows ``states[..., x, :]``
+    (times any constant), and its gradient with respect to each row.  It is
     tr(S (rho0 - rho1)) / 2 for S = sign(rho0 - rho1), and a zero eigenvalue
     has sign 0, the mean of its one-sided derivatives."""
-    rhos = [_density(r).entries for r in (r0, r1)]
+    rhos = [rho0.entries, rho1.entries]
     eigs, vecs = np.linalg.eigh(rhos[0] - rhos[1])
     sign = (vecs * np.sign(eigs)) @ vecs.conj().T
-    grads = [side * (sign - np.trace(sign @ rho).real * np.eye(len(sign))) / np.trace(r).real
-             for side, r, rho in ((1.0, r0, rhos[0]), (-1.0, r1, rhos[1]))]
+    traces = np.sum(np.abs(states) ** 2, axis=-1).reshape(-1, 2).sum(axis=0)  # each sum's trace
+    grads = [side * (sign - np.trace(sign @ rho).real * np.eye(len(sign))) / trace
+             for side, trace, rho in zip((1.0, -1.0), traces, rhos)]
     blocks = states.reshape(states.shape[:-1] + (2, -1))
     return (0.5 * float(np.sum(np.abs(eigs))),
             np.einsum("...xbj,xij->...xbi", blocks, np.array(grads)).reshape(states.shape))
@@ -359,9 +363,10 @@ def _unitary_grads(first, second, grads, pre, rows, mask=1.0) -> np.ndarray:
                      np.einsum("tki,kj->tij", grads, pre.conj())], axis=1)
 
 
-def _derivative_a(first: np.ndarray, second: np.ndarray, table: tuple[dict, dict]):
+def _derivative_a(first: np.ndarray, second: np.ndarray, table: tuple, ensembles: tuple):
     """Mode A's gradients with respect to the two unitaries, of each rate in
-    ``_rates_a`` order and of the information, with the information's value."""
+    ``_rates_a`` order and of the information, with the information's value,
+    from their table and ensembles."""
     branches, reflected = table
     d = len(first) // 2
     phi = np.array([p for _, p in branches.values()]).reshape(4, 2, 2 * d)
@@ -370,11 +375,10 @@ def _derivative_a(first: np.ndarray, second: np.ndarray, table: tuple[dict, dict
     grads = np.zeros((3, 12, 2 * d), dtype=complex)
     grads[0, :8] = _moved(phi).reshape(8, -1) / 2.0
     grads[1, 8:] = _prep_error_grad(np.array(list(reflected.values())))
-    weights, rhos = _ensembles_a(branches)
     info = 0.0
-    if min(weights) >= BRANCH_SKIP_PROB:
-        info, grad = _distance_grad(phi, *rhos)
-        grads[2, :8] = grad.reshape(8, -1) / len(PrepState)
+    if ensembles:
+        info, grad = _distance_grad(phi, *ensembles[0])
+        grads[2, :8] = grad.reshape(8, -1)
     # Each phi's input is psi = first @ row, masked to block x; each
     # reflected state's is psi.
     psi = np.array([e for e, _ in branches.values()]).reshape(4, 2 * d)
@@ -385,9 +389,9 @@ def _derivative_a(first: np.ndarray, second: np.ndarray, table: tuple[dict, dict
     return unitary[[0, 0, 0, 1]], [info], unitary[2:]
 
 
-def _derivative_b(first: np.ndarray, second: np.ndarray, table: tuple[dict, dict]):
+def _derivative_b(first: np.ndarray, second: np.ndarray, table: tuple, ensembles: tuple):
     """Mode B's gradients, as ``_derivative_a`` gives them, for
-    ``_rates_b`` and for each of ``_info_b``'s two ensembles."""
+    ``_rates_b`` and for each of ``_ensembles_b``."""
     full, ret = (np.array(list(states.values())) for states in table)
     rows = bb84_rows(len(first) // 2)
     # Per term (three rates, two ensembles), the gradient with respect to
@@ -397,9 +401,8 @@ def _derivative_b(first: np.ndarray, second: np.ndarray, table: tuple[dict, dict
     grads[1, :2] = _moved(full[:2])
     grads[2, 4:] = _moved(ret)
     infos = []
-    for term, at, states in ((3, 0, full), (4, 4, ret)):
-        info, grads[term, at:at + 2] = _distance_grad(
-            states[:2], *(_probe_outer(v) for v in states[:2]))
+    for (term, at, states), rhos in zip(((3, 0, full), (4, 4, ret)), ensembles):
+        info, grads[term, at:at + 2] = _distance_grad(states[:2], *rhos)
         infos.append(info)
     unitary = _unitary_grads(first, second, grads, np.concatenate([rows @ first.T, rows[:2]]),
                              np.concatenate([rows, np.zeros_like(ret)]))
@@ -409,20 +412,21 @@ def _derivative_b(first: np.ndarray, second: np.ndarray, table: tuple[dict, dict
 @dataclass(frozen=True)
 class _Mode:
     """One mode's analysis: ``table(first, second)`` builds what every reader
-    reads, and ``profile``, ``info`` and ``residuals`` map a table onto the
-    check error rates, the probe distinguishability and the zero-error
-    residuals.  ``derivative(first, second, table)`` gives the gradients of
-    the rates and of the information with respect to the two unitaries."""
+    reads; ``profile``, ``ensembles`` and ``residuals`` map a table onto the
+    check error rates, the key-bit ensembles (whose ``_info`` is the probe
+    distinguishability) and the zero-error residuals; ``derivative(first,
+    second, table, ensembles)`` gives the gradients of the rates and of the
+    information with respect to the two unitaries."""
 
     table: Callable[[np.ndarray, np.ndarray], tuple]
     profile: Callable[[tuple], dict]
-    info: Callable[[tuple], float]
+    ensembles: Callable[[tuple], tuple]
     residuals: Callable[[tuple], dict]
-    derivative: Callable[[np.ndarray, np.ndarray, tuple], tuple]
+    derivative: Callable[[np.ndarray, np.ndarray, tuple, tuple], tuple]
 
 
-_MODES = {"A": _Mode(_measured_branches, _rates_a, _info_a, _residuals_a, _derivative_a),
-          "B": _Mode(_chain_states_b, _rates_b, _info_b, _residuals_b, _derivative_b)}
+_MODES = {"A": _Mode(_measured_branches, _rates_a, _ensembles_a, _residuals_a, _derivative_a),
+          "B": _Mode(_chain_states_b, _rates_b, _ensembles_b, _residuals_b, _derivative_b)}
 
 
 # ---------------------------------------------------------------------------
@@ -433,43 +437,50 @@ def params_dim(probe_dim: int) -> int:
     return (2 * probe_dim) ** 2
 
 
-def _hermitians(params: np.ndarray, probe_dim: int) -> np.ndarray:
-    """The Hermitian matrix of each row of ``params``, shape ``(n, (2d)^2)``:
-    its diagonal from the first 2d entries of the row, and the real and
-    imaginary parts of its upper triangle, row by row, from the rest."""
+@functools.cache
+def _basis(probe_dim: int) -> np.ndarray:
+    """Row k is the flattened Hermitian matrix of parameter k alone, a
+    read-only ``(npar, (2d)^2)`` array: the diagonal, then the real and
+    imaginary parts of the upper triangle, row by row."""
+    m = 2 * probe_dim
+    rows, cols = np.triu_indices(m, 1)
+    upper, lower, k = rows * m + cols, cols * m + rows, np.arange(m, m * m, 2)
+    basis = np.zeros((m * m, m * m), dtype=complex)
+    basis[np.arange(m), np.arange(m) * (m + 1)] = 1.0
+    basis[k, upper] = basis[k, lower] = 1.0
+    basis[k + 1, upper], basis[k + 1, lower] = 1j, -1j
+    basis.setflags(write=False)
+    return basis
+
+
+def _exponentials(params: np.ndarray, probe_dim: int) -> tuple:
+    """The unitaries exp(iH) of the Hermitian matrices H of the rows of
+    ``params``, shape ``(n, (2d)^2)``, with lam and W of the one batched
+    ``eigh`` H = W diag(lam) W^dagger, exp(iH) = W diag(exp(i lam)) W^dagger."""
     m = 2 * probe_dim
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != m * m:
         raise ValueError(f"expected rows of {m * m} parameters, got shape {params.shape}")
-    diag = np.arange(m)
-    rows, cols = np.triu_indices(m, 1)
-    re, im = params[:, m::2], params[:, m + 1::2]
-    herm = np.zeros((len(params), m, m), dtype=complex)
-    herm[:, diag, diag] = params[:, :m]
-    herm[:, rows, cols] = re + 1j * im
-    herm[:, cols, rows] = re - 1j * im
-    return herm
+    lam, w = np.linalg.eigh((params @ _basis(probe_dim)).reshape(-1, m, m))
+    return (w * np.exp(1j * lam)[:, None, :]) @ w.conj().swapaxes(-1, -2), lam, w
 
 
 def unitaries_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
     """Stacked ``unitary_from_params``: row ``r`` of ``params``, shape
-    ``(n, (2d)^2)``, maps onto ``out[r]``, the exponential of i times its
-    Hermitian matrix, in U(2d), all in one ``expm`` call."""
-    return expm(1j * _hermitians(params, probe_dim))
+    ``(n, (2d)^2)``, maps onto ``out[r]``, in U(2d)."""
+    return _exponentials(params, probe_dim)[0]
 
 
-def _params_gradient(params: np.ndarray, grads: np.ndarray, probe_dim: int) -> np.ndarray:
-    """Chain ``grads[t, r]``, term t's gradient with respect to the unitary
-    U = exp(iH) of row r of ``params``, to that row.  With H = W diag(lam)
-    W^dagger, dU = W (Phi o W^dagger i dH W) W^dagger for Phi_jl =
+def _params_gradient(lam, w, grads, probe_dim) -> np.ndarray:
+    """Chain ``grads[t, r]``, term t's gradient with respect to U = exp(iH)
+    of parameter row r, to that row, from ``_exponentials``' H = W diag(lam)
+    W^dagger: dU = W (Phi o W^dagger i dH W) W^dagger for Phi_jl =
     exp(i(lam_j + lam_l)/2) sinc((lam_j - lam_l)/2), finite at equal lam."""
-    lam, w = np.linalg.eigh(_hermitians(params, probe_dim))
     phi = (np.exp(0.5j * (lam[:, :, None] + lam[:, None, :]))
            * np.sinc((lam[:, :, None] - lam[:, None, :]) / (2 * np.pi)))
     w_h = w.conj().swapaxes(-1, -2)
     mat = w @ (phi.conj() * (w_h @ grads @ w)) @ w_h
-    basis = 1j * _hermitians(np.eye(params.shape[1]), probe_dim)   # i dH/d(param k)
-    return np.einsum("...ij,kij->...k", mat.conj(), basis).real
+    return (1j * (mat.reshape(mat.shape[:-2] + (-1,)).conj() @ _basis(probe_dim).T)).real
 
 
 def unitary_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
@@ -587,13 +598,13 @@ def _objective(info: float, err: float, epsilon: float) -> tuple[float, float, f
 
 def _evaluate(analysis: _Mode, theta: np.ndarray, probe_dim: int, epsilon: float) -> tuple:
     """The objective at theta, its information and its max error, read from
-    one build of the mode's table as in ``theorem_check``, then the two
-    unitaries and the table, which the gradient at theta reads."""
-    first, second = unitaries_from_params(theta.reshape(2, -1), probe_dim)
-    table = analysis.table(first, second)
-    err = max(analysis.profile(table).values())
-    info = analysis.info(table)
-    return _objective(info, err, epsilon)[0], info, err, first, second, table
+    one build of the mode's table as in ``theorem_check``, then all that the
+    gradient at theta reads: the rates, ensembles, ``_exponentials`` and table."""
+    unitaries, *eigh = _exponentials(theta.reshape(2, -1), probe_dim)
+    table = analysis.table(*unitaries)
+    rates, ensembles = analysis.profile(table), analysis.ensembles(table)
+    info, err = _info(ensembles), max(rates.values())
+    return _objective(info, err, epsilon)[0], info, err, (rates, ensembles, unitaries, eigh, table)
 
 
 def _objective_gradient(analysis: _Mode, theta: np.ndarray, probe_dim: int,
@@ -602,10 +613,10 @@ def _objective_gradient(analysis: _Mode, theta: np.ndarray, probe_dim: int,
     ``_evaluate`` read there.  Where maxima tie (of the rates, of the penalty
     and zero, or of mode B's two ensembles), each coordinate takes the mean
     of its one-sided derivatives, the limit a central difference takes."""
-    _, info, err, first, second, table = point
-    rates = np.array(list(analysis.profile(table).values()))
-    rate_grads, infos, info_grads = analysis.derivative(first, second, table)
-    grads = _params_gradient(theta.reshape(2, -1), np.concatenate([rate_grads, info_grads]),
+    _, info, err, (rates, ensembles, unitaries, eigh, table) = point
+    rates = np.array(list(rates.values()))
+    rate_grads, infos, info_grads = analysis.derivative(*unitaries, table, ensembles)
+    grads = _params_gradient(*eigh, np.concatenate([rate_grads, info_grads]),
                              probe_dim).reshape(-1, theta.size)
     _, slope, lam = _objective(info, err, epsilon)
     penalty = _max_grad(np.append(rates - epsilon, 0.0),
@@ -625,6 +636,17 @@ def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError("epsilon must be in [0, 0.5]")
     check_int("probe_dim", probe_dim, 2)  # for the bit-copy start
+    if probe_dim > 8:  # the gradient's basis has (2d)^4 entries, 1 MB at d = 8
+        raise ValueError(f"probe_dim must be <= 8, got {probe_dim}")
+
+
+@functools.cache
+def _bit_copy_start(probe_dim: int) -> np.ndarray:
+    """``bit_copy_pair``'s parameters, the same in both modes, in one read-only row."""
+    pair = bit_copy_pair("A", probe_dim)
+    theta = np.concatenate([params_from_unitary(pair.first), params_from_unitary(pair.second)])
+    theta.setflags(write=False)
+    return theta
 
 
 def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
@@ -645,14 +667,12 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     best = {"info": 0.0, "err": 0.0, "obj": 0.0,
             "theta": np.zeros(2 * npar), "fallback": True}
 
-    def consider(theta, obj, info, err, *_):
+    def consider(theta, obj, info, err, _):
         if err <= epsilon + FEASIBILITY_TOL and obj > best["obj"]:
             best.update(info=info, err=err, obj=obj, theta=theta.copy(),
                         fallback=False)
 
-    bc = bit_copy_pair(mode, probe_dim)
-    fixed = [np.zeros(2 * npar),
-             np.concatenate([params_from_unitary(bc.first), params_from_unitary(bc.second)])]
+    fixed = [np.zeros(2 * npar), _bit_copy_start(probe_dim)]
 
     for start in range(restarts):
         # A random start is drawn as its restart begins, so a huge restart

@@ -2,8 +2,10 @@
 
     PYTHONPATH=src python3 tests/pin_tradeoff.py
 
-Each search line is one ``constrained_search`` call and the sha256 of
-``repr`` of its ``TradeoffPoint``; the ``all`` line is the sha256 of the
+Each search line is one ``constrained_search`` call, the sha256 of
+``repr`` of its ``TradeoffPoint``, and the ``repr`` of the point's info,
+max_error and fallback, so that a moved line shows how far it moved; the
+``all`` line is the sha256 of the
 ``repr`` of all the points in order.  The ``pairs`` line is the sha256 of the
 ``repr`` of ``error_profile`` (with and without the mode),
 ``probe_distinguishability`` and ``theorem_check`` on a fixed set of pairs:
@@ -59,13 +61,19 @@ def pairs(mode: str, d: int) -> list:
     return out
 
 
+def summary(point) -> str:
+    """The digest of ``point`` and what a reader compares when it moves."""
+    return (f"{sha256(repr(point))} info={point.info!r} max_error={point.max_error!r} "
+            f"fallback={point.fallback!r}")
+
+
 def main() -> None:
     points = []
     for mode, eps, restarts, iters, seed in SEARCHES:
         point = constrained_search(mode, eps, restarts=restarts, iters=iters, seed=seed)
         points.append(point)
         print(f"{mode} eps={eps} restarts={restarts} iters={iters} seed={seed}: "
-              f"{sha256(repr(point))}")
+              f"{summary(point)}")
     print(f"all: {sha256(repr(points))}")
     evaluations = [(error_profile(p), error_profile(p, mode), probe_distinguishability(p),
                     theorem_check(p))
@@ -74,7 +82,7 @@ def main() -> None:
     for mode, eps, restarts, iters in DEFAULT_SEARCHES:
         point = constrained_search(mode, eps, restarts=restarts, iters=iters)
         print(f"default {mode} eps={eps} restarts={restarts} iters={iters}: "
-              f"{sha256(repr(point))}")
+              f"{summary(point)}")
 
 
 if __name__ == "__main__":

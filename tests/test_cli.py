@@ -275,9 +275,12 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, command):
     (["tradeoff", "--mode", "a", "--epsilons", "0.1,abc"],
      "config error: --epsilons item 'abc' is not a number"),
     (["run", "--config", "utf16.json"], "config error: cannot read config utf16.json: "),
+    (["tradeoff", "--mode", "a", "--epsilons", "0.1", "--probe-dim", "64"],
+     "config error: probe_dim must be <= 8, got 64"),
 ], ids=["sweep-size", "sweep-a-size-1", "sweep-a-size-2", "sweep-attack", "tradeoff-epsilon",
         "attack-bench-size", "attack-bench-a-size-2", "sweep-size-not-int",
-        "sweep-sizes-empty", "tradeoff-epsilon-not-number", "run-config-not-utf8"])
+        "sweep-sizes-empty", "tradeoff-epsilon-not-number", "run-config-not-utf8",
+        "tradeoff-probe-dim-64"])
 def test_bad_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command, message):
     """A bad value late in a list is rejected before the first item runs; a
     list item that does not parse is named with its option, and a config

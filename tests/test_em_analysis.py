@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from pin_tradeoff import pairs as pin_pairs
 
 from sqss import em_analysis
@@ -145,7 +146,8 @@ def _dict_results(pair):
     max_error = max(rates.values())
     if not max_error <= em_analysis.ERR_TOL:
         return profile, TheoremVerdict(pair.protocol, max_error, False, None, {}, None)
-    info, residuals = analysis.info(table), analysis.residuals(table)
+    info = em_analysis._info(analysis.ensembles(table))
+    residuals = analysis.residuals(table)
     holds = info <= em_analysis.INFO_TOL and max(residuals.values()) <= em_analysis.RESIDUAL_TOL
     return profile, TheoremVerdict(pair.protocol, max_error, True, info, residuals, holds)
 
@@ -330,13 +332,45 @@ def test_stacked_unitaries_equal_unitary_from_params_row_by_row():
         em_analysis.unitaries_from_params(np.zeros(16), 2)
 
 
+def _expm_reference(row, d):
+    """``scipy.linalg.expm`` of i times the Hermitian matrix of ``row``: its
+    diagonal from the first 2d entries, then the real and imaginary parts of
+    its upper triangle, row by row."""
+    m = 2 * d
+    herm = np.diag(row[:m]).astype(complex)
+    herm[np.triu_indices(m, 1)] = row[m::2] + 1j * row[m + 1::2]
+    return scipy.linalg.expm(1j * (herm + np.triu(herm, 1).conj().T))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eigh_exponential_equals_scipy_expm(d):
+    """``unitaries_from_params`` takes exp(iH) from one ``eigh`` of the
+    stack; it equals ``scipy.linalg.expm``, the path it replaced, within
+    1e-12 on seeded stacks at parameter norms 0 to 20 and on a degenerate
+    spectrum, H a multiple of the identity.  Zero parameters give the
+    identity exactly."""
+    rng = np.random.default_rng((47, d))
+    npar, m = params_dim(d), 2 * d
+    scalar = np.zeros(npar)
+    scalar[:m] = 1.7
+    for norm in (0.0, 0.5, 5.0, 20.0):
+        rows = rng.normal(size=(4, npar))
+        rows *= norm / np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = np.vstack([rows, scalar])
+        for row, u in zip(rows, em_analysis.unitaries_from_params(rows, d)):
+            assert np.abs(u - _expm_reference(row, d)).max() <= 1e-12
+    zero = em_analysis.unitaries_from_params(np.zeros((2, npar)), d)
+    assert np.array_equal(zero, np.broadcast_to(np.eye(m), (2, m, m)))
+
+
 def _record_search(monkeypatch, mode):
-    """Log, in order, each stacked unitary build (``("stack", rows)``) and
-    each table build (``("eval", (first, second), rates, info)``) the search
-    makes."""
+    """Log, in order, each decomposition the search makes, a stacked
+    ``_exponentials`` call (``("stack", rows)``), each table build
+    (``("eval", (first, second), rates, info)``) and each read of a table's
+    rates or ensembles (``("profile",)``, ``("ensembles",)``)."""
     entry = em_analysis._MODES[mode]
     events = []
-    build = em_analysis.unitaries_from_params
+    build = em_analysis._exponentials
 
     def stacking(params, probe_dim):
         events.append(("stack", np.array(params)))
@@ -344,11 +378,19 @@ def _record_search(monkeypatch, mode):
 
     def evaluating(first, second):
         table = entry.table(first, second)
-        events.append(("eval", (first, second), entry.profile(table), entry.info(table)))
+        events.append(("eval", (first, second), entry.profile(table),
+                       em_analysis._info(entry.ensembles(table))))
         return table
 
-    monkeypatch.setattr(em_analysis, "unitaries_from_params", stacking)
-    monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=evaluating))
+    def reading(name):
+        def read(table):
+            events.append((name,))
+            return getattr(entry, name)(table)
+        return read
+
+    monkeypatch.setattr(em_analysis, "_exponentials", stacking)
+    monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(
+        entry, table=evaluating, profile=reading("profile"), ensembles=reading("ensembles")))
     return events
 
 
@@ -384,7 +426,7 @@ def test_exact_gradient_equals_central_differences_of_the_public_path(mode, d):
         theta = rng.normal(scale=scale, size=2 * npar)
         first, second = em_analysis.unitaries_from_params(theta.reshape(2, npar), d)
         table = analysis.table(first, second)
-        _, infos, _ = analysis.derivative(first, second, table)
+        _, infos, _ = analysis.derivative(first, second, table, analysis.ensembles(table))
         assert all(np.diff(sorted(set(analysis.profile(table).values()))) > 1e-4)
         # A one-level probe carries no information in any ensemble.
         assert all(np.diff(sorted(infos)) > 1e-4) if d > 1 else not any(infos)
@@ -411,7 +453,7 @@ def test_search_steps_along_the_exact_gradient(monkeypatch, mode):
     start takes no step."""
     npar = params_dim(2)
     events = []
-    gradient, build = em_analysis._objective_gradient, em_analysis.unitaries_from_params
+    gradient, build = em_analysis._objective_gradient, em_analysis._exponentials
 
     def stepping(analysis, theta, *args):
         grad = gradient(analysis, theta, *args)
@@ -423,7 +465,7 @@ def test_search_steps_along_the_exact_gradient(monkeypatch, mode):
         return build(params, probe_dim)
 
     monkeypatch.setattr(em_analysis, "_objective_gradient", stepping)
-    monkeypatch.setattr(em_analysis, "unitaries_from_params", stacking)
+    monkeypatch.setattr(em_analysis, "_exponentials", stacking)
     for eps in (0.0, 0.1):
         events.clear()
         constrained_search(mode, eps, restarts=3, iters=1, seed=31)
@@ -438,17 +480,22 @@ def test_search_steps_along_the_exact_gradient(monkeypatch, mode):
 
 
 def test_search_builds_one_table_per_evaluation(monkeypatch):
-    """Each evaluation of the search builds its mode's table once and reads
-    the error and the information from it, and each gradient step reads
-    the table of the evaluation at its theta and builds none: every table
-    comes from one 2-row stacked call, the search builds no (2·npar + 1)-row
-    stencil stack, and it calls no public reader.  With ``iters=1`` each of
-    two starts takes one gradient step."""
+    """Each evaluation of the search makes one decomposition, a 2-row
+    ``_exponentials`` call, builds its mode's table once and reads the
+    rates and the ensembles from it once.  Each gradient step reads what
+    the evaluation at its theta read: it makes no decomposition, builds no
+    table, reads no rates or ensembles, and its only ``eigh`` calls are of
+    d x d probe-state differences.  The search calls no public builder or
+    reader, and it builds its parameter basis and its bit-copy start once
+    per probe dimension.  With ``iters=1`` each of two starts takes one
+    gradient step."""
     npar = params_dim(2)
+    em_analysis._basis.cache_clear()
+    em_analysis._bit_copy_start.cache_clear()
     for mode in ("A", "B"):
         expected = constrained_search(mode, 0.1, restarts=2, iters=1)
-        calls = {name: [] for name in ("unitary_from_params", "error_profile",
-                                       "probe_distinguishability", "_objective_gradient",
+        calls = {name: [] for name in ("unitary_from_params", "unitaries_from_params",
+                                       "error_profile", "probe_distinguishability",
                                        "_evaluate")}
         for name, log in calls.items():
             def counting(*args, fn=getattr(em_analysis, name), log=log):
@@ -457,16 +504,41 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
 
             monkeypatch.setattr(em_analysis, name, counting)
         events = _record_search(monkeypatch, mode)
+        gradient, eigh = em_analysis._objective_gradient, np.linalg.eigh
+
+        def stepping(*args):
+            events.append(("grad",))
+            grad = gradient(*args)
+            events.append(("grad end",))
+            return grad
+
+        def decomposing(a):
+            events.append(("eigh", a.shape))
+            return eigh(a)
+
+        monkeypatch.setattr(em_analysis, "_objective_gradient", stepping)
+        monkeypatch.setattr(np.linalg, "eigh", decomposing)
         point = constrained_search(mode, 0.1, restarts=2, iters=1)
         monkeypatch.undo()
         assert point == expected
-        assert len(calls.pop("_objective_gradient")) == 2
-        shapes = [event[1].shape for event in events if event[0] == "stack"]
-        assert shapes == [(2, npar)] * len(shapes)
-        tables = [event for event in events if event[0] == "eval"]
-        assert len(tables) == len(shapes) == len(calls.pop("_evaluate"))
-        assert calls == {"unitary_from_params": [], "error_profile": [],
-                         "probe_distinguishability": []}
+        stepping_now, inside, outside = False, [], []
+        for event in events:
+            if event[0] in ("grad", "grad end"):
+                stepping_now = event[0] == "grad"
+            else:
+                (inside if stepping_now else outside).append(event)
+        assert [event[0] for event in events].count("grad") == 2
+        assert all(event == ("eigh", (2, 2)) for event in inside)
+        assert ([event[0] for event in outside]
+                == ["stack", "eigh", "eval", "profile", "ensembles"] * len(calls["_evaluate"]))
+        assert all(event[1].shape == (2, npar) for event in outside if event[0] == "stack")
+        assert all(event[1] == (2, 4, 4) for event in outside if event[0] == "eigh")
+        assert len(calls.pop("_evaluate")) > 2
+        assert calls == {"unitary_from_params": [], "unitaries_from_params": [],
+                         "error_profile": [], "probe_distinguishability": []}
+    constrained_search("A", 0.1, probe_dim=3, restarts=2, iters=1)
+    assert em_analysis._basis.cache_info().misses == 2
+    assert em_analysis._bit_copy_start.cache_info().misses == 2
 
 
 def test_zero_budget_search_in_mode_a_finds_no_information():
@@ -514,11 +586,12 @@ def test_search_draws_each_random_start_as_its_restart_begins(monkeypatch):
 
 
 def _never_build(monkeypatch):
-    """Make every unitary or table build fail."""
+    """Make every unitary, basis, start or table build fail."""
     def never(*args, **kwargs):
         raise AssertionError("the search built a unitary before checking its args")
 
-    monkeypatch.setattr(em_analysis, "unitaries_from_params", never)
+    for name in ("unitaries_from_params", "_exponentials", "_basis", "_bit_copy_start"):
+        monkeypatch.setattr(em_analysis, name, never)
     for mode, entry in list(em_analysis._MODES.items()):
         monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=never))
 
@@ -529,7 +602,10 @@ def _never_build(monkeypatch):
     ({"seed": 1.5}, "seed must be an integer"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"epsilon": "0.1"}, "epsilon must be a real number"),
-], ids=["float-iters", "bool-budgets", "float-seed", "negative-seed", "str-epsilon"])
+    ({"probe_dim": 9}, "probe_dim must be <= 8, got 9"),
+    ({"probe_dim": 64}, "probe_dim must be <= 8, got 64"),
+], ids=["float-iters", "bool-budgets", "float-seed", "negative-seed", "str-epsilon",
+        "probe-dim-9", "probe-dim-64"])
 def test_search_rejects_mistyped_args_before_evaluating(monkeypatch, bad, message):
     """In either mode, the search rejects a mistyped argument by name before
     it builds any unitary or table."""
@@ -540,8 +616,9 @@ def test_search_rejects_mistyped_args_before_evaluating(monkeypatch, bad, messag
             constrained_search(mode, **args)
 
 
-@pytest.mark.parametrize("bad", [{"iters": 2.5}, {"seed": -1}, {"epsilon": "0.1"}],
-                         ids=["float-iters", "negative-seed", "str-epsilon"])
+@pytest.mark.parametrize("bad", [{"iters": 2.5}, {"seed": -1}, {"epsilon": "0.1"},
+                                 {"probe_dim": 64}],
+                         ids=["float-iters", "negative-seed", "str-epsilon", "probe-dim-64"])
 def test_search_checks_args_before_building_a_unitary(monkeypatch, bad):
     """The search's argument check is ``check_search_args``: with every
     unitary and table build failing, the search raises the very message that
@@ -553,6 +630,13 @@ def test_search_checks_args_before_building_a_unitary(monkeypatch, bad):
             em_analysis.check_search_args(mode, **args)
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             constrained_search(mode, **args)
+
+
+def test_search_takes_probe_dims_up_to_eight():
+    """8 is the largest probe dimension the search takes, and a search there
+    runs: from the bit copy it reaches full information at error 1/4."""
+    point = constrained_search("A", 0.25, probe_dim=8, restarts=2, iters=1)
+    assert point.probe_dim == 8 and not point.fallback and point.info == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("mode", ["C", "a", pytest.param(["A"], id="list")])
