@@ -5,6 +5,13 @@ attack unitaries: expected check error rates, the attacker's probe
 distinguishability conditioned on key bits, residuals of the zero-error
 structure the security argument forces on the unitaries, and a constrained
 search over the error-vs-information tradeoff.
+
+Each mode reads one table, a tuple of arrays of joint qubit-probe vectors
+built once per pair of unitaries: rows follow ``PrepState`` order, and block
+x of a vector (d entries) travels with qubit |x>.  Mode A's table is
+``(psi, phi, reflected)`` (``_measured_branches``), mode B's ``(full, ret)``
+(``_chain_states_b``).  Every rate, ensemble and residual is read from these
+arrays, and so is every gradient.
 """
 
 from __future__ import annotations
@@ -21,15 +28,7 @@ import scipy.linalg  # noqa: F401 -- unused, but perfbench's import_times reads 
 from .adversary import UnitaryPair
 from .protocol_a import CHECKS_A
 from .protocol_b import CHECKS_B
-from .qstate import (
-    BB84_AMPS,
-    DensityMatrix,
-    PrepState,
-    bb84_rows,
-    check_unitary,
-    prepare,
-    trace_distance,
-)
+from .qstate import BB84_AMPS, DensityMatrix, PrepState, bb84_rows, check_unitary, trace_distance
 from .runtime import check_int, check_real, shared_tuple
 
 BRANCH_SKIP_PROB = 1e-12
@@ -37,19 +36,35 @@ BRANCH_SKIP_PROB = 1e-12
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _blocks(vec: np.ndarray) -> np.ndarray:
-    """The probe blocks of a joint vector: row x travels with qubit |x>."""
-    return vec.reshape(2, -1)
+def _blocks(vecs: np.ndarray) -> np.ndarray:
+    """The probe blocks of joint vectors ``(..., 2d)``, as ``(..., 2, d)``."""
+    return vecs.reshape(vecs.shape[:-1] + (2, -1))
 
 
-def _sq_norm(vec: np.ndarray) -> float:
-    return float(np.sum(np.abs(vec) ** 2))
+def _own_blocks(rows: np.ndarray) -> np.ndarray:
+    """Block x of each row ``rows[..., x, :]``: the probe that stays with |x>."""
+    return _blocks(rows)[..., [0, 1], [0, 1], :]
 
 
-def _probe_outer(vec: np.ndarray) -> np.ndarray:
-    """Partial trace over the qubit of |vec><vec| (vec may be unnormalized)."""
-    b0, b1 = _blocks(vec)
-    return np.outer(b0, b0.conj()) + np.outer(b1, b1.conj())
+def _moved(rows: np.ndarray) -> np.ndarray:
+    """Each row ``rows[..., x, :]`` with its block x zeroed: what a Z
+    measurement that should give x reads as a mismatch."""
+    out = _blocks(rows).copy()
+    out[..., [0, 1], [0, 1], :] = 0.0
+    return out.reshape(rows.shape)
+
+
+def _probe_outer(vecs: np.ndarray) -> np.ndarray:
+    """Partial trace over the qubit of |v><v| for each (maybe unnormalized)
+    vector v of ``vecs``, ``(..., 2d)`` onto ``(..., d, d)``."""
+    blocks = _blocks(vecs)
+    return np.einsum("...qi,...qj->...ij", blocks, blocks.conj())
+
+
+def _kept(finals: np.ndarray) -> np.ndarray:
+    """Row s: (<s| (x) 1) finals[s], the probe left with the prepared state
+    s by ``finals[s]``, one final joint state per ``PrepState``."""
+    return np.einsum("sq,sqi->si", BB84_AMPS.conj(), _blocks(finals))
 
 
 def _phase_free_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -62,68 +77,50 @@ def _phase_free_dist(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
-def _measured_branches(first: np.ndarray, second: np.ndarray) -> tuple[dict, dict]:
-    """Mode A's table ``(branches, reflected)`` of the unitaries ``first`` and
-    ``second``, each ``(2d, 2d)``.  ``branches[(s, x)]`` is ``(eps, phi)``:
-    the probe branch eps that travels with a measured |x> after ``first`` acts
-    on preparation s (the initial probe state is |e0>), and phi, ``second``
-    applied to |x> (x) eps, which is eps copied into block x beside a zero
-    block; ordered by s, then x.  ``reflected[s]`` is ``second`` applied to
-    the whole state ``first`` left, as when both classical parties reflect."""
-    branches, reflected = {}, {}
-    for s, row in zip(PrepState, bb84_rows(len(first) // 2)):
-        psi = first @ row
-        reflected[s] = second @ psi
-        for x in (0, 1):
-            eps = _blocks(psi)[x]
-            embedded = np.zeros_like(psi)
-            _blocks(embedded)[x] = eps
-            branches[(s, x)] = (eps, second @ embedded)
-    return branches, reflected
+def _measured_branches(first: np.ndarray, second: np.ndarray) -> tuple:
+    """Mode A's table ``(psi, phi, reflected)`` of the unitaries ``first``
+    and ``second``, each ``(2d, 2d)``.  ``psi[s]`` is preparation s after
+    ``first``; ``phi[s, x]``, ``(4, 2, 2d)``, is ``second`` applied to block
+    x of ``psi[s]`` copied into a zero row, the branch a Z measurement with
+    result x leaves; ``reflected[s]`` is ``second`` applied to all of
+    ``psi[s]``, as when both classical parties reflect."""
+    d = len(first) // 2
+    psi = bb84_rows(d) @ first.T
+    embedded = np.zeros((4, 2, 2, d), dtype=complex)
+    embedded[:, [0, 1], [0, 1]] = _blocks(psi)
+    return psi, embedded.reshape(4, 2, 2 * d) @ second.T, psi @ second.T
 
 
-def _chain_states_b(first: np.ndarray, second: np.ndarray) -> tuple[dict, dict]:
-    """Mode B's state table: the joint state of each preparation after the
-    full chain ``second @ first`` (all four preparations), and after the
-    return unitary alone (the two Z preparations)."""
-    u_both = second @ first
+def _chain_states_b(first: np.ndarray, second: np.ndarray) -> tuple:
+    """Mode B's table ``(full, ret)``: each preparation after the full chain
+    ``second @ first``, ``(4, 2d)``, and each Z preparation after the return
+    unitary alone, ``(2, 2d)``."""
     rows = bb84_rows(len(first) // 2)
-    return ({s: u_both @ row for s, row in zip(PrepState, rows)},
-            {s: second @ row for s, row in zip(PrepState, rows[:2])})
-
-
-def _z_blocks(states: dict) -> tuple[list, list]:
-    """For each Z preparation |r>, in order: the probe block of its state in
-    ``states`` that travels with |r>, and the block moved onto |1-r>."""
-    blocks = [_blocks(states[s]) for s in (PrepState.ZERO, PrepState.ONE)]
-    return [b[r] for r, b in enumerate(blocks)], [b[1 - r] for r, b in enumerate(blocks)]
+    return rows @ (second @ first).T, rows[:2] @ second.T
 
 
 class FloatMap(Mapping):
     """A read-only mapping that reads as the dict of floats it packs: the same
-    repr, order and ``==``, and the same values, bit for bit and of the same
-    types.  It keeps float64 bytes beside one layout, the names and the value
-    types, shared by every map that has the same."""
+    repr, order, ``==`` and values, bit for bit.  It keeps float64 bytes
+    beside its names, one tuple shared by every map with the same."""
 
-    __slots__ = ("_layout", "_packed")
+    __slots__ = ("_names", "_packed")
 
     def __init__(self, items: dict):
-        self._layout = shared_tuple((tuple(items), tuple(map(type, items.values()))))
+        self._names = shared_tuple(tuple(items))
         self._packed = struct.pack(f"<{len(items)}d", *items.values())
 
     def _dict(self) -> dict:
-        names, kinds = self._layout
-        values = struct.unpack(f"<{len(names)}d", self._packed)
-        return dict(zip(names, (kind(v) for kind, v in zip(kinds, values))))
+        return dict(zip(self._names, struct.unpack(f"<{len(self._names)}d", self._packed)))
 
     def __getitem__(self, name):
         return self._dict()[name]
 
     def __iter__(self):
-        return iter(self._layout[0])
+        return iter(self._names)
 
     def __len__(self) -> int:
-        return len(self._layout[0])
+        return len(self._names)
 
     def __repr__(self) -> str:
         return repr(self._dict())
@@ -156,37 +153,30 @@ def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile
     return ErrorProfile(mode=mode, rates=FloatMap(analysis.profile(table)))
 
 
-def _prep_basis_error(finals: dict) -> float:
+def _prep_basis_error(finals: np.ndarray) -> float:
     """Mean probability that a preparation-basis measurement of the qubit in
-    ``finals[s]`` (the final joint state of preparation ``s``, for each of
-    ``PrepState``) does not return the prepared state."""
-    total = 0.0
-    for s, psi in finals.items():
-        sv = prepare(s)
-        b0, b1 = _blocks(psi)
-        kept = sv[0].conjugate() * b0 + sv[1].conjugate() * b1
-        total += 1.0 - _sq_norm(kept)
-    return total / len(PrepState)
+    ``finals[s]`` (the final joint state of preparation s) does not return
+    the prepared state."""
+    return float(np.mean(1.0 - np.sum(np.abs(_kept(finals)) ** 2, axis=-1)))
 
 
-def _rates_a(table: tuple[dict, dict]) -> dict:
-    branches, reflected = table
+def _rates_a(table: tuple) -> dict:
+    _, phi, reflected = table
     # Cases 1-3 share the same physical chain: some classical party holds a
     # Z result x, the return unitary acts on |x> and its probe branch, and a
     # mismatch means Alice's Z outcome flips away from x.  Averaged over the
     # four uniform preparations and the Born-rule branch.
-    measured = sum(_sq_norm(_blocks(phi)[1 - x])
-                   for (_, x), (_, phi) in branches.items()) / len(PrepState)
+    measured = float(np.sum(np.abs(_moved(phi)) ** 2)) / len(PrepState)
     # Case 4: both parties reflect, the return unitary acts on the full
     # superposition, and Alice measures in the preparation basis.
     return dict(zip(CHECKS_A, (measured, measured, measured, _prep_basis_error(reflected))))
 
 
-def _rates_b(table: tuple[dict, dict]) -> dict:
+def _rates_b(table: tuple) -> dict:
     full, ret = table
     return dict(zip(CHECKS_B, (_prep_basis_error(full),
-                               sum(_sq_norm(b) for b in _z_blocks(full)[1]) / 2.0,
-                               sum(_sq_norm(b) for b in _z_blocks(ret)[1]) / 2.0)))
+                               float(np.sum(np.abs(_moved(full[:2])) ** 2)) / 2.0,
+                               float(np.sum(np.abs(_moved(ret)) ** 2)) / 2.0)))
 
 
 def _density(mat: np.ndarray) -> DensityMatrix:
@@ -206,26 +196,23 @@ def _info(ensembles: tuple) -> float:
     return max((trace_distance(*rhos) for rhos in ensembles), default=0.0)
 
 
-def _ensembles_a(table: tuple[dict, dict]) -> tuple:
+def _ensembles_a(table: tuple) -> tuple:
     """Mode A's key-bit ensemble, the probe given x = 0 and given x = 1, or
     none if either weighs under ``BRANCH_SKIP_PROB``.  Conditioning on Bob's
     result (Case 2 key bits) and on Charlie's (Case 3) produces the same
     ensemble: either way the return unitary sees |x> and the probe's x branch."""
-    branches = table[0]
-    weights, rhos = [], []
-    for x in (0, 1):
-        weights.append(sum(_sq_norm(branches[(s, x)][0]) / len(PrepState) for s in PrepState))
-        rhos.append(sum(_probe_outer(branches[(s, x)][1]) / len(PrepState) for s in PrepState))
-    if any(w < BRANCH_SKIP_PROB for w in weights):
+    psi, phi, _ = table
+    weights = np.sum(np.abs(_blocks(psi)) ** 2, axis=(0, 2)) / len(PrepState)
+    if weights.min() < BRANCH_SKIP_PROB:
         return ()
-    return ((_density(rhos[0]), _density(rhos[1])),)
+    rho0, rho1 = _probe_outer(phi).sum(axis=0) / len(PrepState)
+    return ((_density(rho0), _density(rho1)),)
 
 
-def _ensembles_b(table: tuple[dict, dict]) -> tuple:
+def _ensembles_b(table: tuple) -> tuple:
     """Mode B's ensembles, the probe given each Z preparation after both legs
     and after the return leg alone."""
-    return tuple(tuple(_density(_probe_outer(states[s])) for s in (PrepState.ZERO, PrepState.ONE))
-                 for states in table)
+    return tuple(tuple(map(_density, _probe_outer(states[:2]))) for states in table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,47 +258,43 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
                           distinguishability=info, residuals=FloatMap(residuals), holds=holds)
 
 
-def _residuals_a(table: tuple[dict, dict]) -> dict:
-    branches, _ = table
-    # f[(s, x)] is the final probe component that travels with |x>; the rest
-    # of phi is amplitude the second unitary moved onto the other qubit state.
-    f = {}
-    leakage = 0.0
-    for (s, x), (_, phi) in branches.items():
-        b = _blocks(phi)
-        f[(s, x)] = b[x]
-        leakage = max(leakage, float(np.linalg.norm(b[1 - x])))
-    Z0, Z1, P, M = PrepState.ZERO, PrepState.ONE, PrepState.PLUS, PrepState.MINUS
+def _residuals_a(table: tuple) -> dict:
+    psi, phi, _ = table
+    # eps[s, x] is the first unitary's probe branch with |x>, before the
+    # second acts; f[s, x] is the final one, and the rest of phi[s, x] is
+    # amplitude the second unitary moved onto the other qubit state.
+    eps, f = _blocks(psi), _own_blocks(phi)
+    Z0, Z1, P, M = PrepState
+    nrm = np.linalg.norm
+    residuals = {
+        "final_qubit_leakage": nrm(_moved(phi), axis=-1).max(),
+        "cross_branch_initial": max(nrm(eps[Z0, 1]), nrm(eps[Z1, 0])),
+        "cross_branch_final": max(nrm(f[Z0, 1]), nrm(f[Z1, 0])),
+        "plus_branch_match": nrm(f[P, 0] - f[P, 1]),
+        "minus_branch_antimatch": nrm(f[M, 0] + f[M, 1]),
+        "plus_vs_zero_scaling": nrm(f[P, 0] - f[Z0, 0] * _INV_SQRT2),
+        "plus_vs_one_scaling": nrm(f[P, 1] - f[Z1, 1] * _INV_SQRT2),
+        "minus_vs_zero_scaling": nrm(f[M, 0] - f[Z0, 0] * _INV_SQRT2),
+        "minus_vs_one_scaling": nrm(f[M, 1] + f[Z1, 1] * _INV_SQRT2),
+    }
+    return {name: float(value) for name, value in residuals.items()}
+
+
+def _residuals_b(table: tuple) -> dict:
+    full, ret = table
+    # Probe vectors traveling with each Z state after the full chain, and
+    # after the return leg alone.
+    h, g = _own_blocks(full[:2]), _own_blocks(ret)
+    # X-prepared control particles must factorize against the same probe.
+    h_bar = (h[0] + h[1]) / 2.0
+    ctrl = full[2:] - (BB84_AMPS[2:, :, None] * h_bar).reshape(2, -1)
     nrm = np.linalg.norm
     return {
-        "final_qubit_leakage": leakage,
-        # The first unitary's probe branches (eps), before the second acts.
-        "cross_branch_initial": max(nrm(branches[(Z0, 1)][0]), nrm(branches[(Z1, 0)][0])),
-        "cross_branch_final": max(nrm(f[(Z0, 1)]), nrm(f[(Z1, 0)])),
-        "plus_branch_match": nrm(f[(P, 0)] - f[(P, 1)]),
-        "minus_branch_antimatch": nrm(f[(M, 0)] + f[(M, 1)]),
-        "plus_vs_zero_scaling": nrm(f[(P, 0)] - f[(Z0, 0)] * _INV_SQRT2),
-        "plus_vs_one_scaling": nrm(f[(P, 1)] - f[(Z1, 1)] * _INV_SQRT2),
-        "minus_vs_zero_scaling": nrm(f[(M, 0)] - f[(Z0, 0)] * _INV_SQRT2),
-        "minus_vs_one_scaling": nrm(f[(M, 1)] + f[(Z1, 1)] * _INV_SQRT2),
-    }
-
-
-def _residuals_b(table: tuple[dict, dict]) -> dict:
-    full, ret = table
-    # Probe vectors traveling with each Z state after the full chain.
-    h, h_moved = _z_blocks(full)
-    h_bar = (h[0] + h[1]) / 2.0
-    # X-prepared control particles must factorize against the same probe.
-    ctrl_resid = max(float(np.linalg.norm(full[s] - np.outer(prepare(s), h_bar).ravel()))
-                     for s in (PrepState.PLUS, PrepState.MINUS))
-    # Return-leg-only particles: the probe must not depend on the carried bit.
-    g, g_moved = _z_blocks(ret)
-    return {
-        "sift_qubit_leakage": max(float(np.linalg.norm(b)) for b in h_moved),
-        "probe_state_match": float(np.linalg.norm(h[0] - h[1])),
-        "ctrl_factorization": ctrl_resid,
-        "return_leg_leakage": max(float(np.linalg.norm(b)) for b in g_moved),
+        "sift_qubit_leakage": float(nrm(_moved(full[:2]), axis=-1).max()),
+        "probe_state_match": float(nrm(h[0] - h[1])),
+        "ctrl_factorization": float(nrm(ctrl, axis=-1).max()),
+        # Return-leg-only particles: the probe must not depend on the carried bit.
+        "return_leg_leakage": float(nrm(_moved(ret), axis=-1).max()),
         "return_leg_probe_match": _phase_free_dist(g[0], g[1]),
     }
 
@@ -321,19 +304,10 @@ def _residuals_b(table: tuple[dict, dict]) -> dict:
 # matrix or vector M means df = Re tr(G^dagger dM).
 
 
-def _moved(rows: np.ndarray) -> np.ndarray:
-    """Each row ``rows[..., x, :]`` with its block x zeroed: half the
-    gradient of the squared norm of what a Z mismatch reads."""
-    out = rows.reshape(rows.shape[:-1] + (2, -1)).copy()
-    out[..., [0, 1], [0, 1], :] = 0.0
-    return out.reshape(rows.shape)
-
-
 def _prep_error_grad(finals: np.ndarray) -> np.ndarray:
     """The gradient of ``_prep_basis_error`` with respect to each final
     state, one row per ``PrepState``: -(|s> (x) kept_s) / 2."""
-    kept = np.einsum("sq,sqi->si", BB84_AMPS.conj(), finals.reshape(4, 2, -1))
-    return -np.einsum("sq,si->sqi", BB84_AMPS, kept).reshape(finals.shape) / 2.0
+    return -np.einsum("sq,si->sqi", BB84_AMPS, _kept(finals)).reshape(finals.shape) / 2.0
 
 
 def _distance_grad(states: np.ndarray, rho0: DensityMatrix, rho1: DensityMatrix):
@@ -348,9 +322,8 @@ def _distance_grad(states: np.ndarray, rho0: DensityMatrix, rho1: DensityMatrix)
     traces = np.sum(np.abs(states) ** 2, axis=-1).reshape(-1, 2).sum(axis=0)  # each sum's trace
     grads = [side * (sign - np.trace(sign @ rho).real * np.eye(len(sign))) / trace
              for side, trace, rho in zip((1.0, -1.0), traces, rhos)]
-    blocks = states.reshape(states.shape[:-1] + (2, -1))
     return (0.5 * float(np.sum(np.abs(eigs))),
-            np.einsum("...xbj,xij->...xbi", blocks, np.array(grads)).reshape(states.shape))
+            np.einsum("...xbj,xij->...xbi", _blocks(states), np.array(grads)).reshape(states.shape))
 
 
 def _unitary_grads(first, second, grads, pre, rows, mask=1.0) -> np.ndarray:
@@ -367,21 +340,18 @@ def _derivative_a(first: np.ndarray, second: np.ndarray, table: tuple, ensembles
     """Mode A's gradients with respect to the two unitaries, of each rate in
     ``_rates_a`` order and of the information, with the information's value,
     from their table and ensembles."""
-    branches, reflected = table
+    psi, phi, reflected = table
     d = len(first) // 2
-    phi = np.array([p for _, p in branches.values()]).reshape(4, 2, 2 * d)
     # Per term (the measured rate, case 4, the information), the gradient
     # with respect to each phi, in (s, x) order, then each reflected state.
     grads = np.zeros((3, 12, 2 * d), dtype=complex)
     grads[0, :8] = _moved(phi).reshape(8, -1) / 2.0
-    grads[1, 8:] = _prep_error_grad(np.array(list(reflected.values())))
+    grads[1, 8:] = _prep_error_grad(reflected)
     info = 0.0
     if ensembles:
         info, grad = _distance_grad(phi, *ensembles[0])
         grads[2, :8] = grad.reshape(8, -1)
-    # Each phi's input is psi = first @ row, masked to block x; each
-    # reflected state's is psi.
-    psi = np.array([e for e, _ in branches.values()]).reshape(4, 2 * d)
+    # Each phi's input is psi masked to block x; each reflected state's is psi.
     mask = np.concatenate([np.tile(np.repeat(np.eye(2), d, axis=1), (4, 1)), np.ones_like(psi)])
     rows = bb84_rows(d)
     unitary = _unitary_grads(first, second, grads, mask * np.concatenate([psi.repeat(2, 0), psi]),
@@ -392,7 +362,7 @@ def _derivative_a(first: np.ndarray, second: np.ndarray, table: tuple, ensembles
 def _derivative_b(first: np.ndarray, second: np.ndarray, table: tuple, ensembles: tuple):
     """Mode B's gradients, as ``_derivative_a`` gives them, for
     ``_rates_b`` and for each of ``_ensembles_b``."""
-    full, ret = (np.array(list(states.values())) for states in table)
+    full, ret = table
     rows = bb84_rows(len(first) // 2)
     # Per term (three rates, two ensembles), the gradient with respect to
     # each full-chain state, then each return-leg state.
@@ -572,11 +542,12 @@ class TradeoffPoint:
 FEASIBILITY_TOL = 1e-9
 
 
-def _max_grad(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+def _max_grad(values: list, grads: np.ndarray) -> np.ndarray:
     """The gradient of ``max(values)`` from each value's gradient: over the
     values that tie for the max, (max + min) / 2 in each coordinate, the mean
     of the one-sided derivatives."""
-    tied = grads[values == values.max()]
+    top = max(values)
+    tied = grads[[value == top for value in values]]
     return (tied.max(axis=0) + tied.min(axis=0)) / 2.0
 
 
@@ -614,14 +585,13 @@ def _objective_gradient(analysis: _Mode, theta: np.ndarray, probe_dim: int,
     and zero, or of mode B's two ensembles), each coordinate takes the mean
     of its one-sided derivatives, the limit a central difference takes."""
     _, info, err, (rates, ensembles, unitaries, eigh, table) = point
-    rates = np.array(list(rates.values()))
     rate_grads, infos, info_grads = analysis.derivative(*unitaries, table, ensembles)
     grads = _params_gradient(*eigh, np.concatenate([rate_grads, info_grads]),
                              probe_dim).reshape(-1, theta.size)
     _, slope, lam = _objective(info, err, epsilon)
-    penalty = _max_grad(np.append(rates - epsilon, 0.0),
+    penalty = _max_grad([rate - epsilon for rate in rates.values()] + [0.0],
                         np.vstack([grads[:len(rates)], np.zeros(theta.size)]))
-    return slope * _max_grad(np.array(infos), grads[len(rates):]) - lam * penalty
+    return slope * _max_grad(infos, grads[len(rates):]) - lam * penalty
 
 
 def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,

@@ -11,8 +11,10 @@ approximate.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .adversary import resolve_attack
@@ -87,10 +89,11 @@ def triple(b_key, c_key):
     return lambda _prep, env, a: not (a == env[b_key] == env[c_key])
 
 
-def mismatch_probability(steps, final_basis, mismatch, preps) -> Fraction:
-    """Exact probability that the final measurement, in ``final_basis(prep)``,
-    gives an outcome ``mismatch(prep, env, outcome)`` flags, over ``preps`` x
-    ``steps`` x that measurement."""
+def _mismatch_counts(steps, final_basis, mismatch, preps) -> tuple[int, int]:
+    """``(total, depth)`` in lowest terms: the exact probability that the
+    final measurement, in ``final_basis(prep)``, gives an outcome
+    ``mismatch(prep, env, outcome)`` flags, over ``preps`` x ``steps`` x that
+    measurement, is ``total / 2**depth``."""
     codes, k0 = preps
     # At most one halving per step and one for the final measurement.
     depth = k0 + len(steps) + 1
@@ -106,13 +109,13 @@ def mismatch_probability(steps, final_basis, mismatch, preps) -> Fraction:
                     total += 1 << (depth - k)
             else:  # the other basis: each outcome takes one more halving
                 total += (mismatch(prep, env, 0) + mismatch(prep, env, 1)) << (depth - k - 1)
-    return _dyadic(total, depth)
+    shift = (total & -total).bit_length() - 1 if total else depth   # to lowest terms
+    return total >> shift, depth - shift
 
 
-@lru_cache(maxsize=64)
-def _dyadic(total: int, depth: int) -> Fraction:
-    """``total / 2**depth``, one shared ``Fraction`` per value: every call of
-    a check gives the same few, so callers that keep results keep one each."""
+def mismatch_probability(steps, final_basis, mismatch, preps) -> Fraction:
+    """``_mismatch_counts``' probability as a ``Fraction``."""
+    total, depth = _mismatch_counts(steps, final_basis, mismatch, preps)
     return Fraction(total, 1 << depth)
 
 
@@ -191,15 +194,26 @@ PROGRAMS = {
 }
 
 
-def detection_oracle(protocol: str, attack_id: Optional[str]) -> dict[str, Fraction]:
+def detection_oracle(protocol: str, attack_id: Optional[str]) -> Mapping[str, Fraction]:
     """Exact per-check mismatch probabilities for a catalog attack, or zeros
-    for no attack (see ``resolve_attack``).
+    for no attack (see ``resolve_attack``).  Every call enumerates, and equal
+    results are one shared read-only mapping (``_result``).
 
     Entangle-measure attacks are continuous-parameter and handled by the
     numeric analysis module instead.
     """
     spec = resolve_attack(protocol, attack_id)
     if spec is None:
-        return dict.fromkeys(CHECKS_A if protocol == "A" else CHECKS_B, Fraction(0))
-    return {check: mismatch_probability(*program)
-            for check, program in PROGRAMS[spec.attack_id].items()}
+        checks = CHECKS_A if protocol == "A" else CHECKS_B
+        return _result(checks, ((0, 0),) * len(checks))
+    program = PROGRAMS[spec.attack_id]
+    return _result(tuple(program), tuple(_mismatch_counts(*p) for p in program.values()))
+
+
+@cache
+def _result(checks: tuple, counts: tuple) -> Mapping[str, Fraction]:
+    """The read-only mapping of each check onto ``total / 2**depth`` for its
+    ``(total, depth)`` in ``counts``.  The catalog gives few distinct
+    results, so callers that keep results by the thousand keep each once."""
+    return MappingProxyType({check: Fraction(total, 1 << depth)
+                             for check, (total, depth) in zip(checks, counts)})

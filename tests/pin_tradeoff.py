@@ -6,10 +6,10 @@ Each search line is one ``constrained_search`` call, the sha256 of
 ``repr`` of its ``TradeoffPoint``, and the ``repr`` of the point's info,
 max_error and fallback, so that a moved line shows how far it moved; the
 ``all`` line is the sha256 of the
-``repr`` of all the points in order.  The ``pairs`` line is the sha256 of the
-``repr`` of ``error_profile`` (with and without the mode),
-``probe_distinguishability`` and ``theorem_check`` on a fixed set of pairs:
-per mode and probe dimension 1-3, 16 seeded random pairs, 16 seeded
+``repr`` of all the points in order.  Each ``pairs`` line, one per mode and
+probe dimension 1-3, is the sha256 of the ``repr`` of ``error_profile``
+(with and without the mode), ``probe_distinguishability`` and
+``theorem_check`` on a fixed set of pairs: 16 seeded random pairs, 16 seeded
 zero-error pairs, the identity pair and, from dimension 2, the bit-copy pair.
 The ``default`` lines come last, one search per mode at the ``sqss tradeoff``
 default budget (restarts 6, iters 40) and epsilon 0.1, so the lines before
@@ -75,10 +75,12 @@ def main() -> None:
         print(f"{mode} eps={eps} restarts={restarts} iters={iters} seed={seed}: "
               f"{summary(point)}")
     print(f"all: {sha256(repr(points))}")
-    evaluations = [(error_profile(p), error_profile(p, mode), probe_distinguishability(p),
-                    theorem_check(p))
-                   for mode in ("A", "B") for d in (1, 2, 3) for p in pairs(mode, d)]
-    print(f"pairs: {sha256(repr(evaluations))}")
+    for mode in ("A", "B"):
+        for d in (1, 2, 3):
+            evaluations = [(error_profile(p), error_profile(p, mode),
+                            probe_distinguishability(p), theorem_check(p))
+                           for p in pairs(mode, d)]
+            print(f"pairs {mode} d={d}: {sha256(repr(evaluations))}")
     for mode, eps, restarts, iters in DEFAULT_SEARCHES:
         point = constrained_search(mode, eps, restarts=restarts, iters=iters)
         print(f"default {mode} eps={eps} restarts={restarts} iters={iters}: "

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import reference_em_tables
 import scipy.linalg
 from pin_tradeoff import pairs as pin_pairs
 
@@ -32,28 +33,31 @@ from sqss.qstate import BB84_AMPS, PrepState, bb84_rows, check_unitary
 
 
 def test_branch_decompose_identity():
-    branches, reflected = em_analysis._measured_branches(np.eye(4), np.eye(4))
-    z0 = branches[(PrepState.ZERO, 0)][0]
-    assert np.allclose(z0, [1, 0])
-    assert np.allclose(branches[(PrepState.ZERO, 1)][0], 0)
-    plus0 = branches[(PrepState.PLUS, 0)][0]
-    assert np.linalg.norm(plus0) == pytest.approx(1 / np.sqrt(2))
+    psi, phi, reflected = em_analysis._measured_branches(np.eye(4), np.eye(4))
+    assert (psi.shape, phi.shape, reflected.shape) == ((4, 4), (4, 2, 4), (4, 4))
+    eps = psi.reshape(4, 2, 2)   # eps[s, x]: the probe branch with a measured |x>
+    assert np.allclose(eps[PrepState.ZERO, 0], [1, 0])
+    assert np.allclose(eps[PrepState.ZERO, 1], 0)
+    assert np.linalg.norm(eps[PrepState.PLUS, 0]) == pytest.approx(1 / np.sqrt(2))
     # Both parties reflecting leaves every preparation as it was.
-    for s, row in zip(PrepState, bb84_rows(2)):
-        assert np.array_equal(reflected[s], row)
+    assert np.array_equal(reflected, bb84_rows(2))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_branch_embedding_is_the_kronecker_product(d):
-    """Mode A's table builds |x> (x) eps by copying eps into block x.  On the
-    ``tests/pin_tradeoff.py`` pair set (seeded random and zero-error pairs,
-    the identity and, from d = 2, the bit copy) every phi equals the second
-    unitary applied to ``np.kron(|x>, eps)``, compared with ``==``."""
+    """Mode A's table builds each |x> (x) eps by copying eps into block x.
+    On the ``tests/pin_tradeoff.py`` pair set (seeded random and zero-error
+    pairs, the identity and, from d = 2, the bit copy) ``phi`` equals the
+    second unitary applied to ``np.kron(|x>, eps)`` for every (s, x), and
+    ``psi`` and ``reflected`` equal the first unitary applied to each
+    preparation and the second to that, compared with ``==``."""
     for pair in pin_pairs("A", d):
-        branches, _ = em_analysis._measured_branches(pair.first, pair.second)
-        assert len(branches) == 2 * len(PrepState)
-        for (_, x), (eps, phi) in branches.items():
-            assert np.array_equal(phi, pair.second @ np.kron(BB84_AMPS[x], eps))
+        psi, phi, reflected = em_analysis._measured_branches(pair.first, pair.second)
+        assert np.array_equal(psi, bb84_rows(d) @ pair.first.T)
+        assert np.array_equal(reflected, psi @ pair.second.T)
+        kron = np.array([[np.kron(BB84_AMPS[x], eps) for x, eps in enumerate(row.reshape(2, d))]
+                         for row in psi])
+        assert np.array_equal(phi, kron @ pair.second.T)
 
 
 def test_identity_pair_induces_no_error_or_information():
@@ -161,10 +165,10 @@ def test_packed_results_read_as_the_dicts_they_pack(mode):
     """On the ``tests/pin_tradeoff.py`` pair set, profiles and verdicts read
     as their dict-backed layout: the same reprs, rates and residuals equal
     to the readers' dicts (``==`` both ways, and ``dict()`` of them bit for
-    bit, value types included), and read-only.  All profiles of the mode
-    share one layout and all zero-error verdicts another, and every verdict
-    with an error shares one empty residuals object.  Equality is by value,
-    as a dict's: 0.0 equals -0.0, whose sign the bytes keep."""
+    bit), every value a Python ``float``, and read-only.  All profiles of
+    the mode share one names tuple and all zero-error verdicts another, and
+    every verdict with an error shares one empty residuals object.  Equality
+    is by value, as a dict's: 0.0 equals -0.0, whose sign the bytes keep."""
     analysis = em_analysis._MODES[mode]
     layouts, empties = {"rates": set(), "residuals": set()}, set()
     for d in (1, 2, 3):
@@ -179,12 +183,15 @@ def test_packed_results_read_as_the_dicts_they_pack(mode):
             assert _bits(dict(profile.rates).items()) == _bits(rates.items())
             assert verdict.residuals == reference.residuals
             assert _bits(dict(verdict.residuals).items()) == _bits(reference.residuals.items())
+            for value in (*rates.values(), *reference.residuals.values(), verdict.max_error,
+                          *profile.rates.values(), *verdict.residuals.values()):
+                assert type(value) is float
             for packed in (profile.rates, verdict.residuals):
                 with pytest.raises(TypeError):
                     packed["case1"] = 0.0
-            layouts["rates"].add(id(profile.rates._layout[0]))
+            layouts["rates"].add(id(profile.rates._names))
             if verdict.zero_error:
-                layouts["residuals"].add(id(verdict.residuals._layout[0]))
+                layouts["residuals"].add(id(verdict.residuals._names))
             else:
                 empties.add(id(verdict.residuals))
     assert {name: len(ids) for name, ids in layouts.items()} == {"rates": 1, "residuals": 1}
@@ -194,6 +201,26 @@ def test_packed_results_read_as_the_dicts_they_pack(mode):
     assert _bits(signed.items()) == _bits({"probe_state_match": -0.0}.items())
     assert (dataclasses.replace(verdict, residuals=signed)
             == dataclasses.replace(verdict, residuals={"probe_state_match": 0.0}))
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_array_readers_match_the_dict_reference(mode):
+    """On the ``tests/pin_tradeoff.py`` pair set, d = 1-3, every rate, the
+    information and every residual read from the array tables are within
+    1e-12 of the dict tables' in ``tests/reference_em_tables.py``, and
+    ``theorem_check`` finds the same ``zero_error`` and ``holds``."""
+    def close(got, expected):
+        return got.keys() == expected.keys() and all(
+            abs(got[name] - value) <= 1e-12 for name, value in expected.items())
+
+    for d in (1, 2, 3):
+        for pair in pin_pairs(mode, d):
+            rates, info, zero_error, residuals, holds = reference_em_tables.evaluate(pair)
+            verdict = theorem_check(pair)
+            assert close(error_profile(pair).rates, rates)
+            assert abs(probe_distinguishability(pair) - info) <= 1e-12
+            assert (verdict.zero_error, verdict.holds) == (zero_error, holds)
+            assert close(verdict.residuals, residuals or {})
 
 
 def test_zero_error_family_satisfies_structure_mode_a():
@@ -267,8 +294,8 @@ def test_mode_a_information_skips_a_branch_the_qubit_never_takes():
     distance of an empty branch."""
     first = np.eye(4)[:, [2, 1, 3, 0]]   # column j is the image of basis state j
     pair = UnitaryPair(first=first, second=np.eye(4), protocol="A")
-    branches, _ = em_analysis._measured_branches(first, np.eye(4))
-    assert all(not np.any(eps) for (_, x), (eps, _) in branches.items() if x == 0)
+    psi, _, _ = em_analysis._measured_branches(first, np.eye(4))
+    assert not np.any(psi.reshape(4, 2, 2)[:, 0])
     assert probe_distinguishability(pair) == 0.0
 
 

@@ -127,26 +127,34 @@ def test_non_catalog_ids_rejected(protocol, attack_id):
         detection_oracle(protocol, attack_id)
 
 
-def test_every_call_enumerates_into_a_fresh_dict(monkeypatch):
-    calls, enumerate_program = [], oracle.mismatch_probability
+def test_every_call_enumerates_into_a_read_only_result(monkeypatch):
+    """A result is shared, so it is read-only, and a shared result saves no
+    enumeration: every call enumerates each of its checks again."""
+    calls, enumerate_program = [], oracle._mismatch_counts
 
     def counted(*program):
         calls.append(program)
         return enumerate_program(*program)
 
-    monkeypatch.setattr(oracle, "mismatch_probability", counted)
+    monkeypatch.setattr(oracle, "_mismatch_counts", counted)
     first = detection_oracle("A", "a.ir.bob")
-    first["case3"] = Q(7)
+    with pytest.raises(TypeError):
+        first["case3"] = Q(7)
     assert detection_oracle("A", "a.ir.bob")["case3"] == HALF
     assert len(calls) == 2 * len(CHECKS_A)
 
 
-def test_calls_share_their_fractions():
-    """Every call enumerates into a fresh dict, but equal values are one
-    shared ``Fraction``: results kept by the thousand keep each value once."""
-    first, second = detection_oracle("A", "a.ir.bob"), detection_oracle("A", "a.ir.bob")
-    assert first is not second and first == second
-    assert all(first[check] is second[check] for check in first)
+def test_equal_results_are_one_object():
+    """Results are kept by the thousand, so equal results are one shared
+    mapping: over the catalog and the no-attack ids, two calls give the same
+    object exactly when their results are equal, whatever the attack."""
+    ids = catalog_ids() + ["a.none", "b.none"]
+    results = [detection_oracle(aid[0].upper(), aid) for aid in ids]
+    again = [detection_oracle(aid[0].upper(), aid) for aid in ids]
+    assert all(a is b for a, b in zip(results, again))
+    for a in results:
+        for b in results:
+            assert (a is b) == (a == b)
 
 
 def test_results_are_fractions_not_floats():
