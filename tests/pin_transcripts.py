@@ -11,11 +11,15 @@ no RNG draw moved.  The script then prints each run's digest in the current
 layout, as the entries of ``test_harness.PINNED_V2``.  It exits 1 if a v1
 digest or a payoff does not match.
 
-Last come comment lines, one per protocol and probe dimension 1-3: the
-sha256 over the transcript digests of 40 seeded entangle-measure trials.
-Their probe rows carry floats whose last bits depend on the BLAS build, so
-they are compared between two checkouts on one machine, as those of
-``pin_tradeoff.py`` are, and not pinned in a test.
+Then come comment lines, one per ``<p>.none`` and per catalog id: the
+sha256 over the transcript digests of 50 seeded trials at the pinned runs'
+configs.  Each digest covers the run's payoff, so these lines show that no
+attack moved a draw or a guess.  Last come comment lines, one per protocol
+and probe dimension 1-3: the sha256 over the transcript digests of 40
+seeded entangle-measure trials.  Their probe rows carry floats whose last
+bits depend on the BLAS build, so they are compared between two checkouts
+on one machine, as those of ``pin_tradeoff.py`` are, and not pinned in a
+test.
 ``python3 tests/compare_pins.py <other checkout>`` runs this script and the
 other pin scripts against both packages and prints every line that differs.
 """
@@ -28,7 +32,7 @@ import sys
 import numpy as np
 
 from sqss import protocol_a, protocol_b, runtime
-from sqss.adversary import AttackSpec, resolve_attack
+from sqss.adversary import AttackSpec, catalog_ids, resolve_attack
 from sqss.em_analysis import random_pair
 from sqss.runtime import RunReport, transcript_digest
 
@@ -50,7 +54,9 @@ PINNED_RUNS = [
 ]
 
 
-# Trials per protocol and probe dimension in the entangle-measure lines.
+# Trials per attack id in the catalog lines, and per protocol and probe
+# dimension in the entangle-measure lines.
+CATALOG_TRIALS = 50
 EM_TRIALS = 40
 
 
@@ -119,13 +125,12 @@ def v1_digest(payload: dict) -> str:
     return transcript_digest(v1_payload(payload)).hex()
 
 
-def em_trials_digest(mode: str, probe_dim: int) -> str:
+def trials_digest(mode: str, spec, trials: int) -> str:
     """The sha256 over the transcript digests of trials (3, 0), (3, 1), ...
-    of the seeded entangle-measure attack at ``probe_dim``."""
-    spec = _em_spec(mode, probe_dim)
+    of ``spec`` against ``mode``."""
     config, run = _runner(mode)
     sha = hashlib.sha256()
-    for trial in range(EM_TRIALS):
+    for trial in range(trials):
         sha.update(run(config, spec, (3, trial)).transcript_digest.encode())
     return sha.hexdigest()
 
@@ -139,9 +144,13 @@ def main() -> int:
             status = 1
         print(f'    "{attack_id}": "{report.transcript_digest}",')
     for mode in ("A", "B"):
+        for attack_id in (f"{mode.lower()}.none", *catalog_ids(mode)):
+            print(f"    # {attack_id}, {CATALOG_TRIALS} trials: "
+                  f"{trials_digest(mode, resolve_attack(mode, attack_id), CATALOG_TRIALS)}")
+    for mode in ("A", "B"):
         for probe_dim in (1, 2, 3):
             print(f"    # {mode.lower()}.em d={probe_dim}, {EM_TRIALS} trials: "
-                  f"{em_trials_digest(mode, probe_dim)}")
+                  f"{trials_digest(mode, _em_spec(mode, probe_dim), EM_TRIALS)}")
     return status
 
 
