@@ -1,9 +1,12 @@
 """Catalog of adversarial strategies for both circular protocols.
 
-Every attack is one ``CATALOG`` entry: a combination of channel-leg
-interceptors and dishonest-party behavior overrides, with the adversary's
-acquired knowledge tracked explicitly so that attack payoff can be scored
-against the honest parties' actual bits.
+Every attack is one ``CATALOG`` entry: channel-leg interceptors, which alone
+touch particles in flight (bar protocol B's intercept-resend Charlie, whose
+fakes are her insertion step), and party overrides of what a party
+announces, reports or reveals.  The adversary's knowledge is tracked
+explicitly, so that attack payoff can be scored against the honest parties'
+actual bits; a tap at the end of an insider's own incoming leg records
+"own-measurement", any other tap "intercept-measurement".
 
 Attack ids, as configs and the CLI write them, are the ``CATALOG`` keys and
 ``<p>.none`` for no attack; ``resolve_attack`` reads them.
@@ -12,7 +15,7 @@ Attack ids, as configs and the CLI write them, are the ``CATALOG`` keys and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -239,49 +242,33 @@ class RecordingPartyA(_Insider, HonestPartyA):
         self.knowledge.record(positions, self.result[positions], "own-measurement")
 
 
-class MeasureAllPartyA(_Insider, HonestPartyA):
-    """Measure-resend insider: Z-measure every particle at its own step, then
-    fabricate a MEASURE/REFLECT announcement of the honest sizes."""
-
-    def act(self, batch, rng):
-        positions = self._measure_step(batch, np.ones(len(batch), dtype=bool), rng)
-        self.knowledge.record(positions, self.result, "own-measurement")
-
-    def announce(self, rng):
-        self.announced = random_subset(len(self.measured), self.n_measure, rng)
-
-
-class ReflectAllPartyA(MeasureAllPartyA):
-    """Charlie's first measure-resend variant: Z-measure in transit before Bob
-    (done by an interceptor), REFLECT everything at her own step, fabricate the
-    announcement, and report the transit bits when asked for results."""
+class ReflectAllPartyA(_Insider, HonestPartyA):
+    """Measure-resend insider's step, after its leg tap Z-measured every
+    particle: REFLECT everything, fabricate a MEASURE/REFLECT announcement
+    of the honest sizes, and report the tapped bits when asked for results."""
 
     def act(self, batch, rng):
         self._measure_step(batch, np.zeros(len(batch), dtype=bool), rng)
 
+    def announce(self, rng):
+        self.announced = random_subset(len(self.measured), self.n_measure, rng)
+
     def reported_results(self, positions):
         return self.knowledge.recorded[positions]
-
-
-class SwapBackPartyA(_Insider, HonestPartyA):
-    """Charlie's second intercept-resend choice: run her step on the retained
-    genuine particles instead of the ones arriving from Bob."""
-
-    def act(self, batch, rng):
-        # Bob's outgoing particles stay in her hand; the genuine ones go on.
-        batch.states, self.knowledge.retained = self.knowledge.retained.states, batch.copy()
-        super().act(batch, rng)
 
 
 # ---------------------------------------------------------------------------
 # Interceptors
 
 
-def measure_all_interceptor(knowledge: AdversaryKnowledge):
+def measure_all_interceptor(knowledge: AdversaryKnowledge,
+                            source: str = "intercept-measurement"):
+    """Z-measure every particle and record the bits as ``source``:
+    "own-measurement" for an insider's tap at the end of its own incoming
+    leg, "intercept-measurement" for any other tap."""
     def intercept(batch, leg, rng):
         positions = np.arange(len(batch))
-        knowledge.record(positions, batch.measure(positions, Basis.Z, rng),
-                         "intercept-measurement")
+        knowledge.record(positions, batch.measure(positions, Basis.Z, rng), source)
     return intercept
 
 
@@ -301,6 +288,14 @@ def replace_with_fakes_interceptor(knowledge: AdversaryKnowledge):
         knowledge.keep(batch)
         batch.fake(bits)
         knowledge.fake_bits[:len(batch)] = bits
+    return intercept
+
+
+def swap_back_interceptor(knowledge: AdversaryKnowledge):
+    """Send on the genuine particles an earlier leg's fakes replaced, and
+    keep back the ones arriving instead."""
+    def intercept(batch, leg, rng):
+        batch.states, knowledge.retained = knowledge.retained.states, batch.copy()
     return intercept
 
 
@@ -358,35 +353,6 @@ class HonestPartyB:
         return self.prepared_bits[origins]
 
 
-class MeasureResendPartyB(_Insider, HonestPartyB):
-    """Protocol B Charlie measure-resend: Z-measure every incoming particle,
-    resend the found states, then run the honest step."""
-
-    def process(self, batch, rng):
-        positions = np.arange(len(batch))
-        self.knowledge.record(positions, batch.measure(positions, Basis.Z, rng),
-                              "own-measurement")
-        super().process(batch, rng)
-
-
-class InterceptResendPartyB(_Insider, HonestPartyB):
-    """Protocol B Charlie intercept-resend: keep the incoming batch, send a full
-    complement of fresh Z-basis fakes under a fabricated order, and lie about
-    her own TEST particles using the fake bits."""
-
-    def process(self, batch, rng):
-        self.knowledge.keep(batch)
-        self.prepared_bits = rng.integers(2, size=self.n).astype(np.int8)
-        total = len(batch) + self.n
-        bits = rng.integers(2, size=total)
-        self.knowledge.fake_bits[:total] = bits
-        self.order = rng.permutation(total)
-        batch.fake(bits)
-
-    def reveal_prepared(self, final_positions, origins):
-        return self.knowledge.fake_bits[final_positions]
-
-
 class LyingRevealPartyB(_Insider, HonestPartyB):
     """Protocol B Bob intercept-resend: the honest insertion step, but TEST
     reveals quote the fake bits substituted on the return leg."""
@@ -394,6 +360,21 @@ class LyingRevealPartyB(_Insider, HonestPartyB):
     def reveal_prepared(self, final_positions, origins):
         fake = self.knowledge.fake_bits[final_positions]
         return np.where(fake >= 0, fake, super().reveal_prepared(final_positions, origins))
+
+
+class InterceptResendPartyB(LyingRevealPartyB):
+    """Protocol B Charlie intercept-resend: keep the incoming batch, send a full
+    complement of fresh Z-basis fakes under a fabricated order, and lie about
+    her own TEST particles using the fake bits.  Her fakes are her insertion
+    step, so no leg carries them."""
+
+    def process(self, batch, rng):
+        self.knowledge.keep(batch)
+        total = len(batch) + len(self.fresh_particles(rng))
+        bits = rng.integers(2, size=total)
+        self.knowledge.fake_bits[:total] = bits
+        self.order = rng.permutation(total)
+        batch.fake(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +386,15 @@ class CatalogEntry:
     """How the simulator realizes one catalog attack.
 
     ``legs`` maps a channel leg to the interceptor factory placed on it,
-    ``parties`` maps a role to the party class that replaces the honest one,
-    and ``guess`` maps each targeted key ("k_b", "k_c") to the source of the
+    ``parties`` maps a role to the party class that replaces the honest one
+    (in what it announces, reports or reveals only), and ``guess`` maps each targeted key ("k_b", "k_c") to the source of the
     attacker's guesses (see ``AdversaryKnowledge.guess_bits``), or to None
     when the attack learns nothing about it.
 
     Knowledge positions are those of the batch on the leg the attacker acts
     on.  In protocol B they change from leg to leg, as parties insert and
-    reorder particles, and no entry records on two legs.
+    reorder particles, and no entry records on two legs.  A measuring tap
+    records "own-measurement" at the end of the insider's incoming leg.
     """
 
     legs: dict = field(default_factory=dict)
@@ -422,6 +404,7 @@ class CatalogEntry:
 
 A2B, B2C, C2A = LEG_ORDER
 _MEASURE, _FAKES = measure_all_interceptor, replace_with_fakes_interceptor
+_OWN_MEASURE = partial(measure_all_interceptor, source="own-measurement")
 _BOTH_RECORDED = {"k_b": "recorded", "k_c": "recorded"}
 _BOTH_RETAINED = {"k_b": "retained", "k_c": "retained"}
 _NOTHING = {"k_b": None, "k_c": None}
@@ -429,13 +412,15 @@ _NOTHING = {"k_b": None, "k_c": None}
 # In order: the CLI, the benchmark and the oracle tests iterate over it.
 CATALOG: dict[str, CatalogEntry] = {
     # Protocol A.  Insiders after the other party's key-case bits.
-    "a.mr.bob.1": CatalogEntry(parties={"bob": MeasureAllPartyA},
+    "a.mr.bob.1": CatalogEntry(legs={A2B: _OWN_MEASURE},
+                               parties={"bob": ReflectAllPartyA},
                                guess={"k_c": "recorded"}),
     "a.mr.bob.2": CatalogEntry(legs={C2A: _MEASURE}, guess={"k_c": "recorded"}),
     "a.mr.charlie.1": CatalogEntry(legs={A2B: _MEASURE},
                                    parties={"charlie": ReflectAllPartyA},
                                    guess={"k_b": "recorded"}),
-    "a.mr.charlie.2": CatalogEntry(parties={"charlie": MeasureAllPartyA},
+    "a.mr.charlie.2": CatalogEntry(legs={B2C: _OWN_MEASURE},
+                                   parties={"charlie": ReflectAllPartyA},
                                    guess={"k_b": "recorded"}),
     # Retained particles at Case 3 positions are Charlie's collapsed states.
     # Bob's return-leg fakes repeat his own result where he measured.
@@ -443,8 +428,8 @@ CATALOG: dict[str, CatalogEntry] = {
                              guess={"k_c": "retained"}),
     # Bob measured Charlie's fakes, so his bits equal the fake bits.
     "a.ir.charlie.1": CatalogEntry(legs={A2B: _FAKES}, guess={"k_b": "fake"}),
-    "a.ir.charlie.2": CatalogEntry(legs={A2B: _FAKES},
-                                   parties={"charlie": SwapBackPartyA},
+    # Charlie then swaps the genuine particles back in before her step.
+    "a.ir.charlie.2": CatalogEntry(legs={A2B: _FAKES, B2C: swap_back_interceptor},
                                    guess={"k_b": "fake"}),
     # Protocol A outsider on leg 1, 2 or 3.
     "a.mr.eve.1": CatalogEntry(legs={A2B: _MEASURE}, guess=_BOTH_RECORDED),
@@ -457,8 +442,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "a.ir.eve.3": CatalogEntry(legs={C2A: _FAKES}, guess=_BOTH_RETAINED),
     # Protocol B insiders.
     "b.mr.bob": CatalogEntry(legs={C2A: _MEASURE}, guess={"k_c": "recorded"}),
-    "b.mr.charlie": CatalogEntry(parties={"charlie": MeasureResendPartyB},
-                                 guess={"k_b": "recorded"}),
+    "b.mr.charlie": CatalogEntry(legs={B2C: _OWN_MEASURE}, guess={"k_b": "recorded"}),
     "b.ir.bob": CatalogEntry(legs={C2A: _FAKES}, parties={"bob": LyingRevealPartyB},
                              guess={"k_c": "retained"}),
     "b.ir.charlie": CatalogEntry(parties={"charlie": InterceptResendPartyB},

@@ -8,7 +8,6 @@ measurement basis; four security checks gate key derivation K_A = K_B XOR K_C.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,9 +31,9 @@ from .runtime import (
     check_thresholds,
     circulate,
     derive_keys,
+    disclose,
     evaluate_check,
     finish_run,
-    random_subset,
     score_payoff,
     symbol_string,
 )
@@ -66,7 +65,7 @@ class ProtocolAConfig:
 
     def __post_init__(self):
         # A key needs a case-1 particle and two in each of cases 2 and 3 (see
-        # ``_disclose``), and Bob measures n = |case 1| + |case 2| particles.
+        # ``runtime.disclose``), and Bob measures n = |case 1| + |case 2| particles.
         check_int("n", self.n, 3)
         check_int("m", self.m, self.n + 1)
         check_real("check_fraction", self.check_fraction)
@@ -77,18 +76,6 @@ class ProtocolAConfig:
     @property
     def total(self) -> int:
         return self.n + self.m
-
-
-def _disclose(members: np.ndarray, fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Split a case's positions into a disclosed random share and the rest.
-
-    The share is ``ceil(fraction * len)`` positions, but a case of two or
-    more keeps at least one back for the key; for a fraction up to 1/2 the
-    cap never binds.
-    """
-    size = min(math.ceil(fraction * len(members)), max(len(members) - 1, 1))
-    chosen = random_subset(len(members), size, rng)
-    return members[chosen], members[~chosen]
 
 
 def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
@@ -118,8 +105,8 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     alice = np.empty(len(batch), dtype=np.int8)
     alice[order] = batch.measure(order, basis[order], rng)
 
-    disclosed2, withheld2 = _disclose(c2, config.check_fraction, rng)
-    disclosed3, withheld3 = _disclose(c3, config.check_fraction, rng)
+    disclosed2, withheld2 = disclose(c2, config.check_fraction, rng)
+    disclosed3, withheld3 = disclose(c3, config.check_fraction, rng)
 
     def check(check_id, positions, mismatched) -> CheckVerdict:
         return evaluate_check(check_id, len(positions), int(np.count_nonzero(mismatched)),

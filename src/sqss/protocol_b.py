@@ -38,9 +38,9 @@ from .runtime import (
     check_thresholds,
     circulate,
     derive_keys,
+    disclose,
     evaluate_check,
     finish_run,
-    random_subset,
     score_payoff,
     symbol_string,
 )
@@ -61,7 +61,8 @@ class ProtocolBConfig:
         check_real("test_fraction", self.test_fraction)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in (0, 1)")
-        # Each party's n key carriers lose ceil(test_fraction * n) to the test.
+        # Each party's n key carriers lose ceil(test_fraction * n) to the test
+        # (``runtime.disclose``'s cap never binds).
         if math.ceil(self.test_fraction * self.n) >= self.n:
             raise ValueError(f"test_fraction must leave a key particle untested, but "
                              f"ceil({self.test_fraction!r} * {self.n}) tests all {self.n}")
@@ -130,17 +131,13 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     checks: list[CheckVerdict] = [
         evaluate_check("ctrl", n, int(mism_ctrl), config.thresholds["ctrl"])]
 
-    test_counts = math.ceil(config.test_fraction * n)
-
     def run_test(cls: int, party, check_id: str) -> np.ndarray:
-        members = np.flatnonzero(classes == cls)
-        chosen = random_subset(len(members), test_counts, rng)
-        tested = members[chosen]
+        tested, untested = disclose(np.flatnonzero(classes == cls), config.test_fraction, rng)
         mism = np.count_nonzero(outcomes[tested]
                                 != party.reveal_prepared(tested, origins[tested]))
         checks.append(evaluate_check(check_id, len(tested), int(mism),
                                      config.thresholds[check_id]))
-        return members[~chosen]
+        return untested
 
     untested_b = run_test(SIFT_B, bob, "test_b")
     untested_c = run_test(SIFT_C, charlie, "test_c")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -114,6 +115,18 @@ def random_subset(total: int, size: int, rng: np.random.Generator) -> np.ndarray
     chosen = np.zeros(total, dtype=bool)
     chosen[rng.choice(total, size=size, replace=False)] = True
     return chosen
+
+
+def disclose(members: np.ndarray, fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Split a check's positions into a disclosed random share and the rest.
+
+    The share is ``ceil(fraction * len)`` positions, but a set of two or
+    more keeps at least one back for the key; for a fraction up to 1/2 the
+    cap never binds.
+    """
+    size = min(math.ceil(fraction * len(members)), max(len(members) - 1, 1))
+    chosen = random_subset(len(members), size, rng)
+    return members[chosen], members[~chosen]
 
 
 def transmit(batch: ParticleBatch, leg: Leg, interceptor, rng: np.random.Generator) -> None:

@@ -244,8 +244,12 @@ def test_targets_match_actor():
 
 
 def test_insider_guesses_are_exact_on_surviving_runs():
+    """Insiders whose guesses cannot miss: the three ``ReflectAllPartyA``
+    measure-resend insiders among them, whose taps measured every particle
+    that carries their target."""
     cases = [
-        ("a.mr.bob.2", "A"), ("a.ir.charlie.2", "A"),
+        ("a.mr.bob.1", "A"), ("a.mr.bob.2", "A"), ("a.mr.charlie.1", "A"),
+        ("a.mr.charlie.2", "A"), ("a.ir.charlie.2", "A"),
         ("b.mr.charlie", "B"), ("b.ir.bob", "B"),
     ]
     for attack_id, proto in cases:
