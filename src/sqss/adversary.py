@@ -3,10 +3,9 @@
 Every attack is one ``CATALOG`` entry: channel-leg interceptors, which alone
 touch particles in flight (bar protocol B's intercept-resend Charlie, whose
 fakes are her insertion step), and party overrides of what a party
-announces, reports or reveals.  The adversary's knowledge is tracked
-explicitly, so that attack payoff can be scored against the honest parties'
-actual bits; a tap at the end of an insider's own incoming leg records
-"own-measurement", any other tap "intercept-measurement".
+announces, reports or reveals.  Knowledge is tracked explicitly, to score
+payoffs against the honest parties' bits: an insider's tap at the end of its
+own incoming leg records "own-measurement", any other "intercept-measurement".
 
 Attack ids, as configs and the CLI write them, are the ``CATALOG`` keys and
 ``<p>.none`` for no attack; ``resolve_attack`` reads them.
@@ -213,17 +212,12 @@ class HonestPartyA:
         self.measured = self.announced = np.zeros(0, dtype=bool)
         self.result = np.zeros(0, dtype=np.int8)
 
-    def _measure_step(self, batch: ParticleBatch, measured: np.ndarray, rng) -> np.ndarray:
-        """Z-measure the particles ``measured`` marks, in position order;
-        returns their positions."""
-        positions = np.flatnonzero(measured)
-        self.measured = measured
+    def act(self, batch: ParticleBatch, rng):
+        """Z-measure the chosen particles, in position order."""
+        self.measured = random_subset(len(batch), self.n_measure, rng)
+        positions = np.flatnonzero(self.measured)
         self.result = np.full(len(batch), -1, dtype=np.int8)
         self.result[positions] = batch.measure(positions, Basis.Z, rng)
-        return positions
-
-    def act(self, batch: ParticleBatch, rng):
-        self._measure_step(batch, random_subset(len(batch), self.n_measure, rng), rng)
 
     def announce(self, rng):
         self.announced = self.measured
@@ -248,7 +242,8 @@ class ReflectAllPartyA(_Insider, HonestPartyA):
     of the honest sizes, and report the tapped bits when asked for results."""
 
     def act(self, batch, rng):
-        self._measure_step(batch, np.zeros(len(batch), dtype=bool), rng)
+        self.measured = np.zeros(len(batch), dtype=bool)
+        self.result = np.full(len(batch), -1, dtype=np.int8)
 
     def announce(self, rng):
         self.announced = random_subset(len(self.measured), self.n_measure, rng)
@@ -263,9 +258,7 @@ class ReflectAllPartyA(_Insider, HonestPartyA):
 
 def measure_all_interceptor(knowledge: AdversaryKnowledge,
                             source: str = "intercept-measurement"):
-    """Z-measure every particle and record the bits as ``source``:
-    "own-measurement" for an insider's tap at the end of its own incoming
-    leg, "intercept-measurement" for any other tap."""
+    """Z-measure every particle; record the bits as ``source`` (see ``CatalogEntry``)."""
     def intercept(batch, leg, rng):
         positions = np.arange(len(batch))
         knowledge.record(positions, batch.measure(positions, Basis.Z, rng), source)
@@ -386,15 +379,17 @@ class CatalogEntry:
     """How the simulator realizes one catalog attack.
 
     ``legs`` maps a channel leg to the interceptor factory placed on it,
-    ``parties`` maps a role to the party class that replaces the honest one
-    (in what it announces, reports or reveals only), and ``guess`` maps each targeted key ("k_b", "k_c") to the source of the
+    which alone touches particles in flight; a tap at the end of an
+    insider's own incoming leg records "own-measurement", any other tap
+    "intercept-measurement".  ``parties`` maps a role to the party class
+    that replaces the honest one in what it announces, reports or reveals.
+    ``guess`` maps each targeted key ("k_b", "k_c") to the source of the
     attacker's guesses (see ``AdversaryKnowledge.guess_bits``), or to None
     when the attack learns nothing about it.
 
     Knowledge positions are those of the batch on the leg the attacker acts
     on.  In protocol B they change from leg to leg, as parties insert and
-    reorder particles, and no entry records on two legs.  A measuring tap
-    records "own-measurement" at the end of the insider's incoming leg.
+    reorder particles, and no entry records on two legs.
     """
 
     legs: dict = field(default_factory=dict)
