@@ -551,20 +551,22 @@ def _max_grad(values: list, grads: np.ndarray) -> np.ndarray:
     return (tied.max(axis=0) + tied.min(axis=0)) / 2.0
 
 
-def _objective(info: float, err: float, epsilon: float) -> tuple[float, float, float]:
+def _objective(info: float, err: float, epsilon: float) -> tuple[float, float, float, float]:
     """The search's penalized objective at information ``info`` and max error
-    ``err``, gain - lam * max(err - epsilon, 0), with the gain's derivative
-    in ``info`` and lam.  A stiff lam keeps the ascent from trading a sliver
-    of feasibility violation for information.  Near a zero-error pair that
-    carries none, information grows like c * sqrt(error), so at epsilon = 0
-    info - lam * error would still peak a sliver off the zero-error set, at
-    c^2 / (4 lam).  There the gain is info squared, which falls below the
-    penalty off that set for any c^2 < lam."""
+    ``err``, gain - lam * max(err - budget, 0), with the gain's derivative
+    in ``info``, lam and the budget.  A stiff lam keeps the ascent from
+    trading a sliver of feasibility violation for information.  Near a
+    zero-error pair that carries none, information grows like
+    c * sqrt(error), so at epsilon = 0 info - lam * error would still peak a
+    sliver off the zero-error set, at c^2 / (4 lam).  There the gain is info
+    squared, which falls below the penalty off that set for any c^2 < lam,
+    and the budget is epsilon.  Elsewhere it is epsilon + ``FEASIBILITY_TOL``,
+    as in ``consider``: a point the search counts feasible has no penalty."""
     if epsilon < 1e-6:
-        gain, slope, lam = info * info, 2.0 * info, 1e7
+        gain, slope, lam, budget = info * info, 2.0 * info, 1e7, epsilon
     else:
-        gain, slope, lam = info, 1.0, 1e3
-    return gain - lam * max(err - epsilon, 0.0), slope, lam
+        gain, slope, lam, budget = info, 1.0, 1e3, epsilon + FEASIBILITY_TOL
+    return gain - lam * max(err - budget, 0.0), slope, lam, budget
 
 
 def _evaluate(analysis: _Mode, theta: np.ndarray, probe_dim: int, epsilon: float) -> tuple:
@@ -588,8 +590,8 @@ def _objective_gradient(analysis: _Mode, theta: np.ndarray, probe_dim: int,
     rate_grads, infos, info_grads = analysis.derivative(*unitaries, table, ensembles)
     grads = _params_gradient(*eigh, np.concatenate([rate_grads, info_grads]),
                              probe_dim).reshape(-1, theta.size)
-    _, slope, lam = _objective(info, err, epsilon)
-    penalty = _max_grad([rate - epsilon for rate in rates.values()] + [0.0],
+    _, slope, lam, budget = _objective(info, err, epsilon)
+    penalty = _max_grad([rate - budget for rate in rates.values()] + [0.0],
                         np.vstack([grads[:len(rates)], np.zeros(theta.size)]))
     return slope * _max_grad(infos, grads[len(rates):]) - lam * penalty
 

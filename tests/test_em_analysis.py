@@ -472,6 +472,22 @@ def test_exact_gradient_equals_central_differences_of_the_public_path(mode, d):
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
+def test_bit_copy_start_carries_no_penalty_at_a_quarter_budget(mode):
+    """The bit copy's max error is 0.25 plus rounding, which ``consider``
+    counts feasible at epsilon = 0.25, so its penalty there is off: its
+    objective is its information, and its objective and gradient are those
+    at epsilon = 0.5.  Below 1e-6 the budget is epsilon itself, with no
+    tolerance."""
+    analysis = em_analysis._MODES[mode]
+    theta = np.array(em_analysis._bit_copy_start(2))
+    quarter, half = (em_analysis._evaluate(analysis, theta, 2, eps) for eps in (0.25, 0.5))
+    assert abs(quarter[2] - 0.25) <= em_analysis.FEASIBILITY_TOL
+    assert quarter[0] == quarter[1] == half[0]
+    assert np.array_equal(_gradient(analysis, theta, 2, 0.25), _gradient(analysis, theta, 2, 0.5))
+    assert em_analysis._objective(0.0, 1e-10, 0.0)[0] == -1e7 * 1e-10
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
 def test_search_steps_along_the_exact_gradient(monkeypatch, mode):
     """Each gradient step's first line-search point is theta + 0.25 g/|g|,
     bit for bit, for the exact gradient g at theta, at both penalty weights.
