@@ -213,7 +213,7 @@ class HonestPartyA:
         self.result = np.zeros(0, dtype=np.int8)
 
     def act(self, batch: ParticleBatch, rng):
-        """Z-measure the chosen particles, in position order."""
+        """Z-measure a random ``n_measure``-subset, in position order."""
         self.measured = random_subset(len(batch), self.n_measure, rng)
         positions = np.flatnonzero(self.measured)
         self.result = np.full(len(batch), -1, dtype=np.int8)
