@@ -6,12 +6,13 @@ distinguishability conditioned on key bits, residuals of the zero-error
 structure the security argument forces on the unitaries, and a constrained
 search over the error-vs-information tradeoff.
 
-Each mode reads one table, a tuple of arrays of joint qubit-probe vectors
-built once per pair of unitaries: rows follow ``PrepState`` order, and block
-x of a vector (d entries) travels with qubit |x>.  Mode A's table is
-``(psi, phi, reflected)`` (``_measured_branches``), mode B's ``(full, ret)``
-(``_chain_states_b``).  Every rate, ensemble and residual is read from these
-arrays, and so is every gradient.
+Each mode reads one table, a tuple of arrays of joint qubit-probe vectors.
+Tables are stacks, one row per pair of unitaries on axis 0, and every reader
+returns one value per row; the public readers read a stack of one.  Within
+a row, preparations follow ``PrepState`` order, and block x of a vector (d
+entries) travels with qubit |x>.  Mode A's table is ``(psi, phi, reflected)``
+(``_measured_branches``), mode B's ``(full, ret)`` (``_chain_states_b``).
+Every rate, ensemble, residual and gradient is read from these arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.linalg  # noqa: F401 -- unused, but perfbench's import_times reads 
 from .adversary import UnitaryPair
 from .protocol_a import CHECKS_A
 from .protocol_b import CHECKS_B
-from .qstate import BB84_AMPS, DensityMatrix, PrepState, bb84_rows, check_unitary, trace_distance
+from .qstate import BB84_AMPS, DensityMatrix, PrepState, bb84_rows, check_unitary
 from .runtime import check_int, check_real, shared_tuple
 
 BRANCH_SKIP_PROB = 1e-12
@@ -46,12 +47,23 @@ def _own_blocks(rows: np.ndarray) -> np.ndarray:
     return _blocks(rows)[..., [0, 1], [0, 1], :]
 
 
+@functools.cache
+def _masks(probe_dim: int) -> tuple:
+    """Read-only: the ``(2, 2d)`` mask whose row x is 1 on block x, then
+    mode A's mask and BB84 rows of each phi's input (psi masked to block x)
+    in (s, x) order, then of each reflected state's (psi)."""
+    own, rows = np.repeat(np.eye(2), probe_dim, axis=1), bb84_rows(probe_dim)
+    masks = (own, np.concatenate([np.tile(own, (4, 1)), np.ones_like(rows.real)]),
+             np.concatenate([rows.repeat(2, 0), rows]))
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
+
+
 def _moved(rows: np.ndarray) -> np.ndarray:
     """Each row ``rows[..., x, :]`` with its block x zeroed: what a Z
     measurement that should give x reads as a mismatch."""
-    out = _blocks(rows).copy()
-    out[..., [0, 1], [0, 1], :] = 0.0
-    return out.reshape(rows.shape)
+    return rows * _masks(rows.shape[-1] // 2)[0][::-1]
 
 
 def _probe_outer(vecs: np.ndarray) -> np.ndarray:
@@ -62,41 +74,30 @@ def _probe_outer(vecs: np.ndarray) -> np.ndarray:
 
 
 def _kept(finals: np.ndarray) -> np.ndarray:
-    """Row s: (<s| (x) 1) finals[s], the probe left with the prepared state
-    s by ``finals[s]``, one final joint state per ``PrepState``."""
-    return np.einsum("sq,sqi->si", BB84_AMPS.conj(), _blocks(finals))
-
-
-def _phase_free_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between vectors minimized over a global phase.
-
-    Computed as the norm of the difference at the optimal phase rather than
-    via inner products, which would square the achievable precision."""
-    overlap = np.vdot(b, a)
-    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-    return float(np.linalg.norm(a - phase * b))
+    """Entry [..., s]: (<s| (x) 1) finals[..., s], the probe left with the
+    prepared state s by ``finals[..., s]``, one final joint state per ``PrepState``."""
+    return np.einsum("sq,...sqi->...si", BB84_AMPS.conj(), _blocks(finals))
 
 
 def _measured_branches(first: np.ndarray, second: np.ndarray) -> tuple:
     """Mode A's table ``(psi, phi, reflected)`` of the unitaries ``first``
-    and ``second``, each ``(2d, 2d)``.  ``psi[s]`` is preparation s after
-    ``first``; ``phi[s, x]``, ``(4, 2, 2d)``, is ``second`` applied to block
-    x of ``psi[s]`` copied into a zero row, the branch a Z measurement with
-    result x leaves; ``reflected[s]`` is ``second`` applied to all of
-    ``psi[s]``, as when both classical parties reflect."""
-    d = len(first) // 2
-    psi = bb84_rows(d) @ first.T
-    embedded = np.zeros((4, 2, 2, d), dtype=complex)
-    embedded[:, [0, 1], [0, 1]] = _blocks(psi)
-    return psi, embedded.reshape(4, 2, 2 * d) @ second.T, psi @ second.T
+    and ``second``, each ``(R, 2d, 2d)``: ``psi[r, s]`` is preparation s
+    after ``first[r]``; ``phi[r, s, x]`` is ``second[r]`` applied to block x
+    of ``psi[r, s]`` alone, the branch a Z measurement with result x leaves;
+    ``reflected[r, s]`` is ``second[r]`` applied to all of ``psi[r, s]``."""
+    d = first.shape[-1] // 2
+    second_t = second.swapaxes(-1, -2)
+    psi = bb84_rows(d) @ first.swapaxes(-1, -2)
+    phi = (psi[:, :, None] * _masks(d)[0]).reshape(len(psi), 8, 2 * d) @ second_t
+    return psi, phi.reshape(len(psi), 4, 2, 2 * d), psi @ second_t
 
 
 def _chain_states_b(first: np.ndarray, second: np.ndarray) -> tuple:
     """Mode B's table ``(full, ret)``: each preparation after the full chain
-    ``second @ first``, ``(4, 2d)``, and each Z preparation after the return
-    unitary alone, ``(2, 2d)``."""
-    rows = bb84_rows(len(first) // 2)
-    return rows @ (second @ first).T, rows[:2] @ second.T
+    ``second[r] @ first[r]``, ``(R, 4, 2d)``, and each Z preparation after
+    the return unitary alone, ``(R, 2, 2d)``."""
+    rows = bb84_rows(first.shape[-1] // 2)
+    return rows @ (second @ first).swapaxes(-1, -2), rows[:2] @ second.swapaxes(-1, -2)
 
 
 class FloatMap(Mapping):
@@ -140,24 +141,29 @@ class ErrorProfile:
 
 def _table(pair: UnitaryPair, mode: Optional[str]) -> tuple[str, "_Mode", tuple]:
     """The mode (the pair's protocol, which ``mode`` may only repeat), its
-    analysis, and the table of ``pair`` that every reader of that mode reads."""
+    analysis, and the stack-of-one table of ``pair`` that every reader reads."""
     mode = mode or pair.protocol
     if mode != pair.protocol:
         raise ValueError(f"pair is for protocol {pair.protocol}, not {mode}")
     analysis = _MODES[mode]
-    return mode, analysis, analysis.table(pair.first, pair.second)
+    return mode, analysis, analysis.table(pair.first[None], pair.second[None])
+
+
+def _first_row(values: dict) -> dict:
+    """Row 0 of each of a reader's ``(R,)`` arrays, as Python floats."""
+    return {name: value.item(0) for name, value in values.items()}
 
 
 def error_profile(pair: UnitaryPair, mode: Optional[str] = None) -> ErrorProfile:
     mode, analysis, table = _table(pair, mode)
-    return ErrorProfile(mode=mode, rates=FloatMap(analysis.profile(table)))
+    return ErrorProfile(mode=mode, rates=FloatMap(_first_row(analysis.profile(table))))
 
 
-def _prep_basis_error(finals: np.ndarray) -> float:
-    """Mean probability that a preparation-basis measurement of the qubit in
-    ``finals[s]`` (the final joint state of preparation s) does not return
-    the prepared state."""
-    return float(np.mean(1.0 - np.sum(np.abs(_kept(finals)) ** 2, axis=-1)))
+def _prep_basis_error(finals: np.ndarray) -> np.ndarray:
+    """Per row, the mean probability that a preparation-basis measurement of
+    the qubit in ``finals[r, s]`` (the final joint state of preparation s)
+    does not return the prepared state."""
+    return np.sum(1.0 - np.sum(np.abs(_kept(finals)) ** 2, axis=-1), axis=-1) / len(PrepState)
 
 
 def _rates_a(table: tuple) -> dict:
@@ -166,7 +172,7 @@ def _rates_a(table: tuple) -> dict:
     # Z result x, the return unitary acts on |x> and its probe branch, and a
     # mismatch means Alice's Z outcome flips away from x.  Averaged over the
     # four uniform preparations and the Born-rule branch.
-    measured = float(np.sum(np.abs(_moved(phi)) ** 2)) / len(PrepState)
+    measured = np.sum(np.abs(_moved(phi)) ** 2, axis=(1, 2, 3)) / len(PrepState)
     # Case 4: both parties reflect, the return unitary acts on the full
     # superposition, and Alice measures in the preparation basis.
     return dict(zip(CHECKS_A, (measured, measured, measured, _prep_basis_error(reflected))))
@@ -175,44 +181,51 @@ def _rates_a(table: tuple) -> dict:
 def _rates_b(table: tuple) -> dict:
     full, ret = table
     return dict(zip(CHECKS_B, (_prep_basis_error(full),
-                               float(np.sum(np.abs(_moved(full[:2])) ** 2)) / 2.0,
-                               float(np.sum(np.abs(_moved(ret)) ** 2)) / 2.0)))
+                               np.sum(np.abs(_moved(full[:, :2])) ** 2, axis=(1, 2)) / 2.0,
+                               np.sum(np.abs(_moved(ret)) ** 2, axis=(1, 2)) / 2.0)))
 
 
-def _density(mat: np.ndarray) -> DensityMatrix:
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityMatrix(mat / np.trace(mat).real)
+def _densities(mats: np.ndarray) -> np.ndarray:
+    """``mats`` made Hermitian with unit trace, each validated as a ``DensityMatrix``."""
+    mats = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
+    mats = mats / np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
+    for mat in mats.reshape((-1,) + mats.shape[-2:]):
+        DensityMatrix(mat)
+    return mats
 
 
 def probe_distinguishability(pair: UnitaryPair, mode: Optional[str] = None) -> float:
     """Maximum trace distance between the attacker's final probe states
     conditioned on the two values of a key bit."""
     _, analysis, table = _table(pair, mode)
-    return _info(analysis.ensembles(table))
+    return float(_info(analysis.ensembles(table))[0][0])
 
 
-def _info(ensembles: tuple) -> float:
-    """The largest trace distance within one of ``ensembles``; 0 with none."""
-    return max((trace_distance(*rhos) for rhos in ensembles), default=0.0)
+def _info(rhos: np.ndarray) -> tuple:
+    """Per row, the largest trace distance within one of the ensembles
+    ``rhos``; then each one's distance and the eigenpairs of its rho0 - rho1."""
+    eigs, vecs = np.linalg.eigh(rhos[:, :, 0] - rhos[:, :, 1])
+    dists = 0.5 * np.sum(np.abs(eigs), axis=-1)
+    return dists.max(axis=1), dists, eigs, vecs
 
 
 def _ensembles_a(table: tuple) -> tuple:
-    """Mode A's key-bit ensemble, the probe given x = 0 and given x = 1, or
-    none if either weighs under ``BRANCH_SKIP_PROB``.  Conditioning on Bob's
-    result (Case 2 key bits) and on Charlie's (Case 3) produces the same
-    ensemble: either way the return unitary sees |x> and the probe's x branch."""
+    """Mode A's key-bit ensemble per row, ``rhos[r, 0, x]`` the probe given x,
+    I/d for both where either x weighs under ``BRANCH_SKIP_PROB``.  Bob's
+    result (Case 2 key bits) and Charlie's (Case 3) give the same ensemble:
+    either way the return unitary sees |x> and the probe's x branch."""
     psi, phi, _ = table
-    weights = np.sum(np.abs(_blocks(psi)) ** 2, axis=(0, 2)) / len(PrepState)
-    if weights.min() < BRANCH_SKIP_PROB:
-        return ()
-    rho0, rho1 = _probe_outer(phi).sum(axis=0) / len(PrepState)
-    return ((_density(rho0), _density(rho1)),)
+    weights = np.sum(np.abs(_blocks(psi)) ** 2, axis=(1, 3)) / len(PrepState)
+    present = weights.min(axis=1)[:, None, None, None] >= BRANCH_SKIP_PROB
+    sums = np.where(present, _probe_outer(phi).sum(axis=1), np.eye(psi.shape[-1] // 2))
+    return _densities(sums[:, None] / len(PrepState))
 
 
 def _ensembles_b(table: tuple) -> tuple:
-    """Mode B's ensembles, the probe given each Z preparation after both legs
-    and after the return leg alone."""
-    return tuple(tuple(map(_density, _probe_outer(states[:2]))) for states in table)
+    """Mode B's ensembles per row, the probe given each Z preparation after
+    both legs (``rhos[r, 0]``) and after the return leg alone (``rhos[r, 1]``)."""
+    full, ret = table
+    return _densities(_probe_outer(np.stack([full[:, :2], ret], axis=1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,153 +259,153 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
     zero-error condition forces all hold within tolerance."""
     # The mode's table is built once and every check reads it.
     mode, analysis, table = _table(pair, mode)
-    max_error = max(analysis.profile(table).values())
+    max_error = max(_first_row(analysis.profile(table)).values())
     zero_error = max_error <= ERR_TOL
     if not zero_error:
         return TheoremVerdict(mode=mode, max_error=max_error, zero_error=False,
                               distinguishability=None, residuals=_NO_RESIDUALS, holds=None)
-    info = _info(analysis.ensembles(table))
-    residuals = analysis.residuals(table)
+    info = float(_info(analysis.ensembles(table))[0][0])
+    residuals = _first_row(analysis.residuals(table))
     holds = info <= INFO_TOL and max(residuals.values()) <= RESIDUAL_TOL
     return TheoremVerdict(mode=mode, max_error=max_error, zero_error=True,
                           distinguishability=info, residuals=FloatMap(residuals), holds=holds)
 
 
+_norms = functools.partial(np.linalg.norm, axis=-1)
+_RESIDUALS_A = ("final_qubit_leakage", "cross_branch_initial", "cross_branch_final",
+                "plus_branch_match", "minus_branch_antimatch", "plus_vs_zero_scaling",
+                "plus_vs_one_scaling", "minus_vs_zero_scaling", "minus_vs_one_scaling")
+
+
 def _residuals_a(table: tuple) -> dict:
     psi, phi, _ = table
-    # eps[s, x] is the first unitary's probe branch with |x>, before the
-    # second acts; f[s, x] is the final one, and the rest of phi[s, x] is
-    # amplitude the second unitary moved onto the other qubit state.
+    # eps[r, s, x] is the first unitary's probe branch with |x>, before the
+    # second acts; f[r, s, x] is the final one, and the rest of phi[r, s, x]
+    # is amplitude the second unitary moved onto the other qubit state.
     eps, f = _blocks(psi), _own_blocks(phi)
     Z0, Z1, P, M = PrepState
-    nrm = np.linalg.norm
-    residuals = {
-        "final_qubit_leakage": nrm(_moved(phi), axis=-1).max(),
-        "cross_branch_initial": max(nrm(eps[Z0, 1]), nrm(eps[Z1, 0])),
-        "cross_branch_final": max(nrm(f[Z0, 1]), nrm(f[Z1, 0])),
-        "plus_branch_match": nrm(f[P, 0] - f[P, 1]),
-        "minus_branch_antimatch": nrm(f[M, 0] + f[M, 1]),
-        "plus_vs_zero_scaling": nrm(f[P, 0] - f[Z0, 0] * _INV_SQRT2),
-        "plus_vs_one_scaling": nrm(f[P, 1] - f[Z1, 1] * _INV_SQRT2),
-        "minus_vs_zero_scaling": nrm(f[M, 0] - f[Z0, 0] * _INV_SQRT2),
-        "minus_vs_one_scaling": nrm(f[M, 1] + f[Z1, 1] * _INV_SQRT2),
-    }
-    return {name: float(value) for name, value in residuals.items()}
+    scaled = f[:, [Z0, Z1], [0, 1]] * _INV_SQRT2
+    # One norm per vector, in _RESIDUALS_A order: each moved block, then
+    # the cross branches before and after the second unitary.
+    norms = _norms(np.concatenate([
+        _blocks(phi)[:, :, [0, 1], [1, 0]].reshape(len(phi), 8, -1),
+        eps[:, [Z0, Z1], [1, 0]], f[:, [Z0, Z1], [1, 0]],
+        f[:, [P], 0] - f[:, [P], 1], f[:, [M], 0] + f[:, [M], 1],
+        f[:, P] - scaled, f[:, M] - scaled * [[1.0], [-1.0]]], axis=1))
+    return dict(zip(_RESIDUALS_A, (norms[:, :8].max(axis=1), norms[:, 8:10].max(axis=1),
+                                   norms[:, 10:12].max(axis=1), *norms[:, 12:].T)))
 
 
 def _residuals_b(table: tuple) -> dict:
     full, ret = table
     # Probe vectors traveling with each Z state after the full chain, and
     # after the return leg alone.
-    h, g = _own_blocks(full[:2]), _own_blocks(ret)
+    h, g = _own_blocks(full[:, :2]), _own_blocks(ret)
     # X-prepared control particles must factorize against the same probe.
-    h_bar = (h[0] + h[1]) / 2.0
-    ctrl = full[2:] - (BB84_AMPS[2:, :, None] * h_bar).reshape(2, -1)
-    nrm = np.linalg.norm
+    h_bar = (h[:, 0] + h[:, 1]) / 2.0
+    ctrl = full[:, 2:] - (BB84_AMPS[2:, :, None] * h_bar[:, None, None]).reshape(ret.shape)
+    worst = _norms(np.stack([_moved(full[:, :2]), ctrl, _moved(ret)], axis=1)).max(axis=2)
+    overlap = np.sum(g[:, 1].conj() * g[:, 0], axis=-1)
+    phase = np.divide(overlap, np.abs(overlap), out=np.ones_like(overlap), where=overlap != 0)
     return {
-        "sift_qubit_leakage": float(nrm(_moved(full[:2]), axis=-1).max()),
-        "probe_state_match": float(nrm(h[0] - h[1])),
-        "ctrl_factorization": float(nrm(ctrl, axis=-1).max()),
+        "sift_qubit_leakage": worst[:, 0],
+        "probe_state_match": _norms(h[:, 0] - h[:, 1]),
+        "ctrl_factorization": worst[:, 1],
         # Return-leg-only particles: the probe must not depend on the carried bit.
-        "return_leg_leakage": float(nrm(_moved(ret), axis=-1).max()),
-        "return_leg_probe_match": _phase_free_dist(g[0], g[1]),
+        "return_leg_leakage": worst[:, 2],
+        # The norm of the difference at the optimal global phase, not via
+        # inner products, which would square the achievable precision.
+        "return_leg_probe_match": _norms(g[:, 0] - phase[:, None] * g[:, 1]),
     }
 
 
 # ---------------------------------------------------------------------------
 # Derivatives for the tradeoff search.  A gradient G of f with respect to a
-# matrix or vector M means df = Re tr(G^dagger dM).
+# matrix or vector M means df = Re tr(G^dagger dM).  Every array here has one
+# row per pair of unitaries, on axis 0.
 
 
 def _prep_error_grad(finals: np.ndarray) -> np.ndarray:
     """The gradient of ``_prep_basis_error`` with respect to each final
-    state, one row per ``PrepState``: -(|s> (x) kept_s) / 2."""
-    return -np.einsum("sq,si->sqi", BB84_AMPS, _kept(finals)).reshape(finals.shape) / 2.0
+    state, one per ``PrepState``: -(|s> (x) kept_s) / 2."""
+    return -np.einsum("sq,...si->...sqi", BB84_AMPS, _kept(finals)).reshape(finals.shape) / 2.0
 
 
-def _distance_grad(states: np.ndarray, rho0: DensityMatrix, rho1: DensityMatrix):
-    """The trace distance of rho0 and rho1, where rho_x is the ``_density``
-    of the sum of the ``_probe_outer`` of the rows ``states[..., x, :]``
-    (times any constant), and its gradient with respect to each row.  It is
-    tr(S (rho0 - rho1)) / 2 for S = sign(rho0 - rho1), and a zero eigenvalue
-    has sign 0, the mean of its one-sided derivatives."""
-    rhos = [rho0.entries, rho1.entries]
-    eigs, vecs = np.linalg.eigh(rhos[0] - rhos[1])
-    sign = (vecs * np.sign(eigs)) @ vecs.conj().T
-    traces = np.sum(np.abs(states) ** 2, axis=-1).reshape(-1, 2).sum(axis=0)  # each sum's trace
-    grads = [side * (sign - np.trace(sign @ rho).real * np.eye(len(sign))) / trace
-             for side, trace, rho in zip((1.0, -1.0), traces, rhos)]
-    return (0.5 * float(np.sum(np.abs(eigs))),
-            np.einsum("...xbj,xij->...xbi", _blocks(states), np.array(grads)).reshape(states.shape))
+def _distance_grad(states: np.ndarray, rhos: np.ndarray, eigs: np.ndarray, vecs: np.ndarray):
+    """Per row, the gradient with respect to each vector of ``states[r]`` of
+    the trace distance tr(S (rho0 - rho1)) / 2, S = sign(rho0 - rho1) from
+    the eigenpairs given, where rho_x is ``rhos[r, x]``, the ``_densities``
+    of the sum of ``_probe_outer`` of ``states[r, ..., x, :]``.  A zero
+    eigenvalue has sign 0, the mean of its one-sided derivatives."""
+    sign = (vecs * np.sign(eigs)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    # Each sum's trace, then each rho_x's gradient.
+    traces = np.sum(np.abs(states) ** 2, axis=-1).reshape(len(states), -1, 2).sum(axis=1)
+    overlaps = np.trace(sign[:, None] @ rhos, axis1=-2, axis2=-1).real[..., None, None]
+    grads = (np.array([[[1.0]], [[-1.0]]]) * (sign[:, None] - overlaps * np.eye(sign.shape[-1]))
+             / np.maximum(traces, np.finfo(float).tiny)[..., None, None])
+    return np.einsum("r...xbj,rxij->r...xbi", _blocks(states), grads).reshape(states.shape)
 
 
-def _unitary_grads(first, second, grads, pre, rows, mask=1.0) -> np.ndarray:
-    """Each term's gradients ``(t, 2, 2d, 2d)`` with respect to ``first``
-    and ``second``, from ``grads[t, k]``, its gradient with respect to the
-    table vector second @ pre[k]: pre[k] is mask[k] * (first @ rows[k]), or
-    does not depend on ``first`` where rows[k] is zero."""
-    back = (grads @ second.conj()) * mask
-    return np.stack([np.einsum("tki,kj->tij", back, rows.conj()),
-                     np.einsum("tki,kj->tij", grads, pre.conj())], axis=1)
+def _unitary_grads(second, grads, pre, rows, mask=1.0) -> np.ndarray:
+    """Each row's term gradients ``(R, t, 2, 2d, 2d)`` with respect to its two
+    unitaries, from ``grads[r, t, k]``, term t's with respect to the table
+    vector second[r] @ pre[r, k]: pre[r, k] is mask[k] * (first[r] @ rows[k]),
+    or does not depend on the first unitary where rows[k] is zero."""
+    back = (grads @ second.conj()[:, None]) * mask
+    return np.stack([np.einsum("rtki,kj->rtij", back, rows.conj()),
+                     np.einsum("rtki,rkj->rtij", grads, pre.conj())], axis=2)
 
 
-def _derivative_a(first: np.ndarray, second: np.ndarray, table: tuple, ensembles: tuple):
+def _derivative_a(first, second, table: tuple, rhos: np.ndarray, eigs, vecs):
     """Mode A's gradients with respect to the two unitaries, of each rate in
-    ``_rates_a`` order and of the information, with the information's value,
-    from their table and ensembles."""
+    ``_rates_a`` order and of the information, from their table, ensembles
+    and the eigenpairs ``_info`` found."""
     psi, phi, reflected = table
-    d = len(first) // 2
+    d = psi.shape[-1] // 2
     # Per term (the measured rate, case 4, the information), the gradient
     # with respect to each phi, in (s, x) order, then each reflected state.
-    grads = np.zeros((3, 12, 2 * d), dtype=complex)
-    grads[0, :8] = _moved(phi).reshape(8, -1) / 2.0
-    grads[1, 8:] = _prep_error_grad(reflected)
-    info = 0.0
-    if ensembles:
-        info, grad = _distance_grad(phi, *ensembles[0])
-        grads[2, :8] = grad.reshape(8, -1)
-    # Each phi's input is psi masked to block x; each reflected state's is psi.
-    mask = np.concatenate([np.tile(np.repeat(np.eye(2), d, axis=1), (4, 1)), np.ones_like(psi)])
-    rows = bb84_rows(d)
-    unitary = _unitary_grads(first, second, grads, mask * np.concatenate([psi.repeat(2, 0), psi]),
-                             np.concatenate([rows.repeat(2, 0), rows]), mask)
-    return unitary[[0, 0, 0, 1]], [info], unitary[2:]
+    grads = np.zeros((len(psi), 3, 12, 2 * d), dtype=complex)
+    grads[:, 0, :8] = _moved(phi).reshape(len(psi), 8, -1) / 2.0
+    grads[:, 1, 8:] = _prep_error_grad(reflected)
+    grads[:, 2, :8] = _distance_grad(phi, rhos[:, 0], eigs[:, 0], vecs[:, 0]).reshape(-1, 8, 2 * d)
+    _, mask, rows = _masks(d)
+    unitary = _unitary_grads(second, grads, mask * np.concatenate([psi.repeat(2, 1), psi], 1),
+                             rows, mask)
+    return unitary[:, [0, 0, 0, 1]], unitary[:, 2:]
 
 
-def _derivative_b(first: np.ndarray, second: np.ndarray, table: tuple, ensembles: tuple):
+def _derivative_b(first, second, table: tuple, rhos: np.ndarray, eigs, vecs):
     """Mode B's gradients, as ``_derivative_a`` gives them, for
     ``_rates_b`` and for each of ``_ensembles_b``."""
     full, ret = table
-    rows = bb84_rows(len(first) // 2)
+    rows = bb84_rows(first.shape[-1] // 2)
     # Per term (three rates, two ensembles), the gradient with respect to
     # each full-chain state, then each return-leg state.
-    grads = np.zeros((5, 6, len(first)), dtype=complex)
-    grads[0, :4] = _prep_error_grad(full)
-    grads[1, :2] = _moved(full[:2])
-    grads[2, 4:] = _moved(ret)
-    infos = []
-    for (term, at, states), rhos in zip(((3, 0, full), (4, 4, ret)), ensembles):
-        info, grads[term, at:at + 2] = _distance_grad(states[:2], *rhos)
-        infos.append(info)
-    unitary = _unitary_grads(first, second, grads, np.concatenate([rows @ first.T, rows[:2]]),
-                             np.concatenate([rows, np.zeros_like(ret)]))
-    return unitary[:3], infos, unitary[3:]
+    grads = np.zeros((len(full), 5, 6, first.shape[-1]), dtype=complex)
+    grads[:, 0, :4] = _prep_error_grad(full)
+    grads[:, 1, :2] = _moved(full[:, :2])
+    grads[:, 2, 4:] = _moved(ret)
+    for e, (term, at, states) in enumerate(((3, 0, full[:, :2]), (4, 4, ret))):
+        grads[:, term, at:at + 2] = _distance_grad(states, rhos[:, e], eigs[:, e], vecs[:, e])
+    pre = np.concatenate([rows @ first.swapaxes(-1, -2), np.broadcast_to(rows[:2], ret.shape)], 1)
+    unitary = _unitary_grads(second, grads, pre, np.concatenate([rows, np.zeros_like(rows[:2])]))
+    return unitary[:, :3], unitary[:, 3:]
 
 
 @dataclass(frozen=True)
 class _Mode:
-    """One mode's analysis: ``table(first, second)`` builds what every reader
-    reads; ``profile``, ``ensembles`` and ``residuals`` map a table onto the
-    check error rates, the key-bit ensembles (whose ``_info`` is the probe
-    distinguishability) and the zero-error residuals; ``derivative(first,
-    second, table, ensembles)`` gives the gradients of the rates and of the
-    information with respect to the two unitaries."""
+    """One mode's analysis of stacks of pairs: ``table(first, second)``
+    builds what every reader reads; ``profile`` and ``residuals`` map it onto
+    dicts of ``(R,)`` arrays, and ``ensembles`` onto ``(R, E, 2, d, d)``
+    key-bit ensembles; ``derivative(first, second, table, rhos, eigs, vecs)``
+    gives the rates' and each ensemble's information's gradients with respect
+    to the two unitaries, from the eigenpairs ``_info`` found."""
 
     table: Callable[[np.ndarray, np.ndarray], tuple]
     profile: Callable[[tuple], dict]
     ensembles: Callable[[tuple], tuple]
     residuals: Callable[[tuple], dict]
-    derivative: Callable[[np.ndarray, np.ndarray, tuple, tuple], tuple]
+    derivative: Callable[..., tuple]
 
 
 _MODES = {"A": _Mode(_measured_branches, _rates_a, _ensembles_a, _residuals_a, _derivative_a),
@@ -442,12 +455,13 @@ def unitaries_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
 
 
 def _params_gradient(lam, w, grads, probe_dim) -> np.ndarray:
-    """Chain ``grads[t, r]``, term t's gradient with respect to U = exp(iH)
+    """Chain ``grads[..., r, :, :]``, a gradient with respect to U = exp(iH)
     of parameter row r, to that row, from ``_exponentials``' H = W diag(lam)
-    W^dagger: dU = W (Phi o W^dagger i dH W) W^dagger for Phi_jl =
+    W^dagger, ``lam[..., r, :]`` and ``w[..., r, :, :]`` broadcast against
+    ``grads``: dU = W (Phi o W^dagger i dH W) W^dagger for Phi_jl =
     exp(i(lam_j + lam_l)/2) sinc((lam_j - lam_l)/2), finite at equal lam."""
-    phi = (np.exp(0.5j * (lam[:, :, None] + lam[:, None, :]))
-           * np.sinc((lam[:, :, None] - lam[:, None, :]) / (2 * np.pi)))
+    phi = (np.exp(0.5j * (lam[..., :, None] + lam[..., None, :]))
+           * np.sinc((lam[..., :, None] - lam[..., None, :]) / (2 * np.pi)))
     w_h = w.conj().swapaxes(-1, -2)
     mat = w @ (phi.conj() * (w_h @ grads @ w)) @ w_h
     return (1j * (mat.reshape(mat.shape[:-2] + (-1,)).conj() @ _basis(probe_dim).T)).real
@@ -541,59 +555,67 @@ class TradeoffPoint:
 
 FEASIBILITY_TOL = 1e-9
 
-
-def _max_grad(values: list, grads: np.ndarray) -> np.ndarray:
-    """The gradient of ``max(values)`` from each value's gradient: over the
-    values that tie for the max, (max + min) / 2 in each coordinate, the mean
-    of the one-sided derivatives."""
-    top = max(values)
-    tied = grads[[value == top for value in values]]
-    return (tied.max(axis=0) + tied.min(axis=0)) / 2.0
+_BLOCK = 8   # restarts that climb in lockstep, 6 at the CLI's default
 
 
-def _objective(info: float, err: float, epsilon: float) -> tuple[float, float, float, float]:
+def _max_grad(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Per row, the gradient of the max of ``values[r]`` from each value's
+    gradient ``grads[r]``: over the values that tie for the max, (max + min)
+    / 2 in each coordinate, the mean of the one-sided derivatives."""
+    tied = (values == values.max(axis=1, keepdims=True))[..., None]
+    return (np.where(tied, grads, -np.inf).max(axis=1)
+            + np.where(tied, grads, np.inf).min(axis=1)) / 2.0
+
+
+def _objective(info, err, epsilon: float) -> tuple:
     """The search's penalized objective at information ``info`` and max error
-    ``err``, gain - lam * max(err - budget, 0), with the gain's derivative
-    in ``info``, lam and the budget.  A stiff lam keeps the ascent from
-    trading a sliver of feasibility violation for information.  Near a
-    zero-error pair that carries none, information grows like
-    c * sqrt(error), so at epsilon = 0 info - lam * error would still peak a
-    sliver off the zero-error set, at c^2 / (4 lam).  There the gain is info
-    squared, which falls below the penalty off that set for any c^2 < lam,
-    and the budget is epsilon.  Elsewhere it is epsilon + ``FEASIBILITY_TOL``,
-    as in ``consider``: a point the search counts feasible has no penalty."""
+    ``err``, each per row, gain - lam * max(err - budget, 0), with the gain's
+    derivative in ``info``, lam and the budget.  A stiff lam keeps
+    the ascent from trading a sliver of feasibility violation for
+    information.  Near a zero-error pair that carries none, information
+    grows like c * sqrt(error), so at epsilon = 0 info - lam * error would
+    still peak a sliver off the zero-error set, at c^2 / (4 lam).  There the
+    gain is info squared, which falls below the penalty off that set for any
+    c^2 < lam, and the budget is epsilon.  Elsewhere it is epsilon +
+    ``FEASIBILITY_TOL``, as the search's feasibility test: a point the search
+    counts feasible has no penalty."""
     if epsilon < 1e-6:
         gain, slope, lam, budget = info * info, 2.0 * info, 1e7, epsilon
     else:
         gain, slope, lam, budget = info, 1.0, 1e3, epsilon + FEASIBILITY_TOL
-    return gain - lam * max(err - budget, 0.0), slope, lam, budget
+    return gain - lam * np.maximum(err - budget, 0.0), slope, lam, budget
 
 
-def _evaluate(analysis: _Mode, theta: np.ndarray, probe_dim: int, epsilon: float) -> tuple:
-    """The objective at theta, its information and its max error, read from
-    one build of the mode's table as in ``theorem_check``, then all that the
-    gradient at theta reads: the rates, ensembles, ``_exponentials`` and table."""
-    unitaries, *eigh = _exponentials(theta.reshape(2, -1), probe_dim)
-    table = analysis.table(*unitaries)
-    rates, ensembles = analysis.profile(table), analysis.ensembles(table)
-    info, err = _info(ensembles), max(rates.values())
-    return _objective(info, err, epsilon)[0], info, err, (rates, ensembles, unitaries, eigh, table)
+def _evaluate(analysis: _Mode, thetas: np.ndarray, probe_dim: int, epsilon: float) -> tuple:
+    """At each row of ``thetas``, ``(R, 2 npar)``, from one build of the mode's
+    table, as in ``theorem_check``: the objective, information and max error,
+    then all that the gradient there reads.  Each entry has a row per theta."""
+    m = 2 * probe_dim
+    unitaries, lam, w = _exponentials(thetas.reshape(-1, m * m), probe_dim)
+    first, second = unitaries[0::2], unitaries[1::2]
+    table = analysis.table(first, second)
+    rates = np.stack(list(analysis.profile(table).values()), axis=1)
+    rhos = analysis.ensembles(table)
+    (info, dists, eigs, vecs), err = _info(rhos), rates.max(axis=1)
+    return (_objective(info, err, epsilon)[0], info, err, rates, dists, rhos, eigs, vecs,
+            first, second, lam.reshape(-1, 2, m), w.reshape(-1, 2, m, m), *table)
 
 
-def _objective_gradient(analysis: _Mode, theta: np.ndarray, probe_dim: int,
-                        epsilon: float, point: tuple) -> np.ndarray:
-    """The exact gradient at theta of ``_objective``, from ``point``, what
+def _objective_gradient(analysis: _Mode, probe_dim: int, epsilon: float,
+                        point: tuple) -> np.ndarray:
+    """The exact gradient of ``_objective`` at each row of ``point``, what
     ``_evaluate`` read there.  Where maxima tie (of the rates, of the penalty
     and zero, or of mode B's two ensembles), each coordinate takes the mean
     of its one-sided derivatives, the limit a central difference takes."""
-    _, info, err, (rates, ensembles, unitaries, eigh, table) = point
-    rate_grads, infos, info_grads = analysis.derivative(*unitaries, table, ensembles)
-    grads = _params_gradient(*eigh, np.concatenate([rate_grads, info_grads]),
-                             probe_dim).reshape(-1, theta.size)
-    _, slope, lam, budget = _objective(info, err, epsilon)
-    penalty = _max_grad([rate - budget for rate in rates.values()] + [0.0],
-                        np.vstack([grads[:len(rates)], np.zeros(theta.size)]))
-    return slope * _max_grad(infos, grads[len(rates):]) - lam * penalty
+    _, info, err, rates, dists, rhos, eigs, vecs, first, second, lam, w, *table = point
+    rate_grads, info_grads = analysis.derivative(first, second, table, rhos, eigs, vecs)
+    grads = _params_gradient(lam[:, None], w[:, None], np.concatenate([rate_grads, info_grads], 1),
+                             probe_dim).reshape(len(info), -1, 2 * params_dim(probe_dim))
+    _, slope, weight, budget = _objective(info, err, epsilon)
+    penalty = _max_grad(np.concatenate([rates - budget, np.zeros((len(info), 1))], 1),
+                        np.concatenate([grads[:, :rates.shape[1]], np.zeros_like(grads[:, :1])], 1))
+    return (np.reshape(slope, (-1, 1)) * _max_grad(dists, grads[:, rates.shape[1]:])
+            - weight * penalty)
 
 
 def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
@@ -621,61 +643,79 @@ def _bit_copy_start(probe_dim: int) -> np.ndarray:
     return theta
 
 
+def _climb(analysis: _Mode, thetas: np.ndarray, probe_dim: int, epsilon: float,
+           iters: int) -> list:
+    """Climb from each row of ``thetas``, in place and in lockstep, by a
+    restart's rules; return each row's best feasible objective (0 with none)
+    and that point's information, max error and theta."""
+    best = [np.zeros(len(thetas)) for _ in range(3)] + [np.zeros_like(thetas)]
+
+    def consider(rows, obj, info, err):
+        # Rank feasible points by the penalized objective, not raw information:
+        # near the identity, information scales like sqrt(error), so the
+        # max-info feasible iterate would reward tolerance abuse.
+        better = (err <= epsilon + FEASIBILITY_TOL) & (obj > best[0][rows])
+        for kept, value in zip(best, (obj, info, err, thetas[rows])):
+            kept[rows[better]] = value[better]
+
+    rows, step = np.arange(len(thetas)), np.full(len(thetas), 0.25)
+    pieces = [(_evaluate(analysis, thetas, probe_dim, epsilon), rows >= 0)]
+    consider(rows, *pieces[0][0][:3])
+    for _ in range(iters):
+        # The rows that moved, from the line-search rounds they moved in.
+        point = pieces[0][0] if len(pieces) == 1 and pieces[0][1].all() else tuple(
+            np.concatenate(parts) for parts in zip(*([e[kept] for e in p] for p, kept in pieces)))
+        grads = _objective_gradient(analysis, probe_dim, epsilon, point)
+        gnorm = np.linalg.norm(grads, axis=1)
+        climbing = gnorm >= 1e-12
+        rows, obj, direction = rows[climbing], point[0][climbing], grads[climbing]
+        direction, trial_step = direction / gnorm[climbing, None], step[rows]
+        searching, pieces, moved = np.flatnonzero(trial_step > 1e-7), [], []
+        while len(searching):
+            cand = thetas[rows[searching]] + trial_step[searching, None] * direction[searching]
+            trial = _evaluate(analysis, cand, probe_dim, epsilon)
+            gained = trial[0] > obj[searching]
+            done = searching[gained]
+            thetas[rows[done]] = cand[gained]
+            step[rows[done]] = np.minimum(trial_step[done] * 2.0, 0.5)
+            consider(rows[done], *(entry[gained] for entry in trial[:3]))
+            pieces.append((trial, gained))
+            moved.extend(rows[done])
+            searching = searching[~gained]
+            trial_step[searching] /= 2.0
+            searching = searching[trial_step[searching] > 1e-7]
+        rows = np.array(moved, dtype=int)
+        if not len(rows):
+            break
+    return best
+
+
 def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
                        restarts: int = 6, iters: int = 40, seed: int = 0) -> TradeoffPoint:
     """Maximize probe distinguishability subject to every check error staying
     within the budget, by restarted gradient ascent on a penalized
     objective.  Deliberately simple: used for inequalities with slack only.
-    """
+    Restarts climb in lockstep, ``_BLOCK`` at a time.  A restart stops when
+    its gradient norm is below 1e-12 or its line search halves the step to
+    1e-7 without a gain; an accepted step doubles, up to 0.5.  The first
+    restart with the largest best feasible objective gives the point."""
     check_search_args(mode, epsilon, probe_dim, restarts, iters, seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
-    npar = params_dim(probe_dim)
-    analysis = _MODES[mode]
-
-    # Rank feasible points by the penalized objective, not raw information:
-    # within the feasibility tolerance the information of a near-identity
-    # perturbation scales like sqrt(error), so picking the max-info feasible
-    # iterate would reward tolerance abuse rather than genuine tradeoffs.
-    best = {"info": 0.0, "err": 0.0, "obj": 0.0,
-            "theta": np.zeros(2 * npar), "fallback": True}
-
-    def consider(theta, obj, info, err, _):
-        if err <= epsilon + FEASIBILITY_TOL and obj > best["obj"]:
-            best.update(info=info, err=err, obj=obj, theta=theta.copy(),
-                        fallback=False)
-
+    npar, analysis = params_dim(probe_dim), _MODES[mode]
     fixed = [np.zeros(2 * npar), _bit_copy_start(probe_dim)]
-
-    for start in range(restarts):
-        # A random start is drawn as its restart begins, so a huge restart
-        # count allocates nothing up front.
-        theta = fixed[start] if start < len(fixed) else rng.normal(scale=0.5, size=2 * npar)
-        point = _evaluate(analysis, theta, probe_dim, epsilon)
-        consider(theta, *point)
-        step = 0.25
-        for _ in range(iters):
-            grad = _objective_gradient(analysis, theta, probe_dim, epsilon, point)
-            gnorm = np.linalg.norm(grad)
-            if gnorm < 1e-12:
-                break
-            direction = grad / gnorm
-            improved = False
-            trial_step = step
-            while trial_step > 1e-7:
-                cand = theta + trial_step * direction
-                trial = _evaluate(analysis, cand, probe_dim, epsilon)
-                if trial[0] > point[0]:
-                    theta, point = cand, trial
-                    consider(theta, *point)
-                    step = min(trial_step * 2.0, 0.5)
-                    improved = True
-                    break
-                trial_step /= 2.0
-            if not improved:
-                break
-
-    p1, p2 = best["theta"][:npar], best["theta"][npar:]
-    return TradeoffPoint(mode=mode, epsilon=epsilon, info=best["info"],
-                         max_error=best["err"], probe_dim=probe_dim,
-                         params=(tuple(p1), tuple(p2)), restarts=restarts,
-                         iterations=iters, fallback=best["fallback"])
+    rng, best_obj, best = None, 0.0, None
+    for begin in range(0, restarts, _BLOCK):
+        starts = fixed[begin:restarts]
+        drawn = min(_BLOCK, restarts - begin) - len(starts)
+        # A block's random starts are drawn as it begins, so a huge restart
+        # count allocates nothing up front and two restarts build no Generator.
+        if drawn:
+            rng = rng or np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
+            starts = [*starts, *rng.normal(scale=0.5, size=(drawn, 2 * npar))]
+        objs, *points = _climb(analysis, np.array(starts), probe_dim, epsilon, iters)
+        row = int(np.argmax(objs))
+        if objs[row] > best_obj:
+            best_obj, best = objs[row], [entry[row] for entry in points]
+    info, err, theta = best or (0.0, 0.0, np.zeros(2 * npar))
+    return TradeoffPoint(mode=mode, epsilon=epsilon, info=float(info), max_error=float(err),
+                         probe_dim=probe_dim, params=(tuple(theta[:npar]), tuple(theta[npar:])),
+                         restarts=restarts, iterations=iters, fallback=best is None)

@@ -11,9 +11,12 @@ probe dimension 1-3, is the sha256 of the ``repr`` of ``error_profile``
 (with and without the mode), ``probe_distinguishability`` and
 ``theorem_check`` on a fixed set of pairs: 16 seeded random pairs, 16 seeded
 zero-error pairs, the identity pair and, from dimension 2, the bit-copy pair.
-The ``default`` lines come last, one search per mode at the ``sqss tradeoff``
-default budget (restarts 6, iters 40) and epsilon 0.1, so the lines before
-them stay comparable with a checkout that prints none.
+The ``default`` lines come next, one search per mode at the ``sqss tradeoff``
+default budget (restarts 6, iters 40) and epsilon 0.1, and the ``block``
+lines last: one search per mode whose 11 restarts cross the search's block
+of 8 restarts that climb in lockstep, and one at probe dimension 3.  Lines
+are only ever appended, so the earlier ones stay comparable with a checkout
+that prints fewer.
 A change that should leave the analysis bit for bit as it was must print the
 same digests as its parent on the same machine.  The float bits depend on the
 BLAS and LAPACK builds, so the digests are compared between two checkouts on
@@ -44,6 +47,8 @@ SEARCHES = ([(mode, eps, 2, 1, 0) for mode in ("A", "B") for eps in (0.0, 0.05, 
             + [("A", 0.1, 3, 6, 1), ("B", 0.0, 3, 6, 1), ("B", 0.1, 3, 6, 1)])
 # (mode, epsilon, restarts, iters) at the CLI default budget, printed last.
 DEFAULT_SEARCHES = (("A", 0.1, 6, 40), ("B", 0.1, 6, 40))
+# (mode, epsilon, probe_dim, restarts, iters), printed after the default lines.
+BLOCK_SEARCHES = (("A", 0.1, 2, 11, 6), ("B", 0.1, 2, 11, 6), ("A", 0.1, 3, 3, 6))
 PAIRS_PER_KIND = 16
 
 
@@ -84,6 +89,10 @@ def main() -> None:
     for mode, eps, restarts, iters in DEFAULT_SEARCHES:
         point = constrained_search(mode, eps, restarts=restarts, iters=iters)
         print(f"default {mode} eps={eps} restarts={restarts} iters={iters}: "
+              f"{summary(point)}")
+    for mode, eps, d, restarts, iters in BLOCK_SEARCHES:
+        point = constrained_search(mode, eps, probe_dim=d, restarts=restarts, iters=iters)
+        print(f"block {mode} eps={eps} d={d} restarts={restarts} iters={iters}: "
               f"{summary(point)}")
 
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 import reference_em_tables
+import reference_search
 import scipy.linalg
 from pin_tradeoff import pairs as pin_pairs
 
@@ -33,8 +34,9 @@ from sqss.qstate import BB84_AMPS, PrepState, bb84_rows, check_unitary
 
 
 def test_branch_decompose_identity():
-    psi, phi, reflected = em_analysis._measured_branches(np.eye(4), np.eye(4))
-    assert (psi.shape, phi.shape, reflected.shape) == ((4, 4), (4, 2, 4), (4, 4))
+    stacks = em_analysis._measured_branches(np.eye(4)[None], np.eye(4)[None])
+    assert [a.shape for a in stacks] == [(1, 4, 4), (1, 4, 2, 4), (1, 4, 4)]
+    psi, phi, reflected = (a[0] for a in stacks)
     eps = psi.reshape(4, 2, 2)   # eps[s, x]: the probe branch with a measured |x>
     assert np.allclose(eps[PrepState.ZERO, 0], [1, 0])
     assert np.allclose(eps[PrepState.ZERO, 1], 0)
@@ -45,14 +47,17 @@ def test_branch_decompose_identity():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_branch_embedding_is_the_kronecker_product(d):
-    """Mode A's table builds each |x> (x) eps by copying eps into block x.
+    """Mode A's table builds each |x> (x) eps by masking psi to block x.
     On the ``tests/pin_tradeoff.py`` pair set (seeded random and zero-error
-    pairs, the identity and, from d = 2, the bit copy) ``phi`` equals the
-    second unitary applied to ``np.kron(|x>, eps)`` for every (s, x), and
-    ``psi`` and ``reflected`` equal the first unitary applied to each
-    preparation and the second to that, compared with ``==``."""
-    for pair in pin_pairs("A", d):
-        psi, phi, reflected = em_analysis._measured_branches(pair.first, pair.second)
+    pairs, the identity and, from d = 2, the bit copy), built as one stack,
+    each row's ``phi`` equals the second unitary applied to
+    ``np.kron(|x>, eps)`` for every (s, x), and ``psi`` and ``reflected``
+    equal the first unitary applied to each preparation and the second to
+    that, compared with ``==``."""
+    pairs = pin_pairs("A", d)
+    stacks = em_analysis._measured_branches(np.array([pair.first for pair in pairs]),
+                                            np.array([pair.second for pair in pairs]))
+    for pair, psi, phi, reflected in zip(pairs, *stacks):
         assert np.array_equal(psi, bb84_rows(d) @ pair.first.T)
         assert np.array_equal(reflected, psi @ pair.second.T)
         kron = np.array([[np.kron(BB84_AMPS[x], eps) for x, eps in enumerate(row.reshape(2, d))]
@@ -124,7 +129,8 @@ def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
         calls = _record_tables(monkeypatch, mode)
         verdict = theorem_check(pair)
         assert verdict.zero_error and verdict.holds
-        assert calls == [(pair.first, pair.second)]
+        assert len(calls) == 1
+        assert all(np.array_equal(u, [v]) for u, v in zip(calls[0], (pair.first, pair.second)))
         # Sharing the table changes no value.
         assert verdict.max_error == error_profile(pair).max_rate
         assert verdict.distinguishability == probe_distinguishability(pair)
@@ -144,14 +150,14 @@ def _dict_results(pair):
     ``theorem_check(pair)`` stands for with its residuals a dict, read from
     the mode's table."""
     analysis = em_analysis._MODES[pair.protocol]
-    table = analysis.table(pair.first, pair.second)
-    rates = analysis.profile(table)
+    table = analysis.table(pair.first[None], pair.second[None])
+    rates = em_analysis._first_row(analysis.profile(table))
     profile = f"ErrorProfile(mode={pair.protocol!r}, rates={rates!r})"
     max_error = max(rates.values())
     if not max_error <= em_analysis.ERR_TOL:
         return profile, TheoremVerdict(pair.protocol, max_error, False, None, {}, None)
-    info = em_analysis._info(analysis.ensembles(table))
-    residuals = analysis.residuals(table)
+    info = float(em_analysis._info(analysis.ensembles(table))[0][0])
+    residuals = em_analysis._first_row(analysis.residuals(table))
     holds = info <= em_analysis.INFO_TOL and max(residuals.values()) <= em_analysis.RESIDUAL_TOL
     return profile, TheoremVerdict(pair.protocol, max_error, True, info, residuals, holds)
 
@@ -177,8 +183,8 @@ def test_packed_results_read_as_the_dicts_they_pack(mode):
             profile_repr, reference = _dict_results(pair)
             assert repr(profile) == profile_repr
             assert repr(verdict) == repr(reference) and verdict == reference
-            table = analysis.table(pair.first, pair.second)
-            rates = analysis.profile(table)
+            table = analysis.table(pair.first[None], pair.second[None])
+            rates = em_analysis._first_row(analysis.profile(table))
             assert profile.rates == rates and rates == profile.rates
             assert _bits(dict(profile.rates).items()) == _bits(rates.items())
             assert verdict.residuals == reference.residuals
@@ -208,19 +214,37 @@ def test_array_readers_match_the_dict_reference(mode):
     """On the ``tests/pin_tradeoff.py`` pair set, d = 1-3, every rate, the
     information and every residual read from the array tables are within
     1e-12 of the dict tables' in ``tests/reference_em_tables.py``, and
-    ``theorem_check`` finds the same ``zero_error`` and ``holds``."""
+    ``theorem_check`` finds the same ``zero_error`` and ``holds``.  So is
+    every row of one stacked table of each dimension's whole pair set, with
+    ``theorem_check``'s tolerances applied row by row."""
     def close(got, expected):
         return got.keys() == expected.keys() and all(
             abs(got[name] - value) <= 1e-12 for name, value in expected.items())
 
+    analysis = em_analysis._MODES[mode]
     for d in (1, 2, 3):
-        for pair in pin_pairs(mode, d):
+        pairs = pin_pairs(mode, d)
+        table = analysis.table(np.array([p.first for p in pairs]),
+                               np.array([p.second for p in pairs]))
+        stacked = (analysis.profile(table), em_analysis._info(analysis.ensembles(table))[0],
+                   analysis.residuals(table))
+        assert all(len(v) == len(pairs) for v in (*stacked[0].values(), stacked[1],
+                                                 *stacked[2].values()))
+        for r, pair in enumerate(pairs):
             rates, info, zero_error, residuals, holds = reference_em_tables.evaluate(pair)
             verdict = theorem_check(pair)
             assert close(error_profile(pair).rates, rates)
             assert abs(probe_distinguishability(pair) - info) <= 1e-12
             assert (verdict.zero_error, verdict.holds) == (zero_error, holds)
             assert close(verdict.residuals, residuals or {})
+            row_rates, row_residuals = ({name: v[r] for name, v in values.items()}
+                                        for values in (stacked[0], stacked[2]))
+            assert close(row_rates, rates) and abs(stacked[1][r] - info) <= 1e-12
+            assert (max(row_rates.values()) <= em_analysis.ERR_TOL) == zero_error
+            if zero_error:
+                assert close(row_residuals, residuals)
+                assert (stacked[1][r] <= em_analysis.INFO_TOL
+                        and max(row_residuals.values()) <= em_analysis.RESIDUAL_TOL) == holds
 
 
 def test_zero_error_family_satisfies_structure_mode_a():
@@ -294,7 +318,7 @@ def test_mode_a_information_skips_a_branch_the_qubit_never_takes():
     distance of an empty branch."""
     first = np.eye(4)[:, [2, 1, 3, 0]]   # column j is the image of basis state j
     pair = UnitaryPair(first=first, second=np.eye(4), protocol="A")
-    psi, _, _ = em_analysis._measured_branches(first, np.eye(4))
+    psi, _, _ = em_analysis._measured_branches(first[None], np.eye(4)[None])
     assert not np.any(psi.reshape(4, 2, 2)[:, 0])
     assert probe_distinguishability(pair) == 0.0
 
@@ -393,8 +417,8 @@ def test_eigh_exponential_equals_scipy_expm(d):
 def _record_search(monkeypatch, mode):
     """Log, in order, each decomposition the search makes, a stacked
     ``_exponentials`` call (``("stack", rows)``), each table build
-    (``("eval", (first, second), rates, info)``) and each read of a table's
-    rates or ensembles (``("profile",)``, ``("ensembles",)``)."""
+    (``("eval", (first, second))``) and each read of a table's rates or
+    ensembles (``("profile",)``, ``("ensembles",)``)."""
     entry = em_analysis._MODES[mode]
     events = []
     build = em_analysis._exponentials
@@ -404,10 +428,8 @@ def _record_search(monkeypatch, mode):
         return build(params, probe_dim)
 
     def evaluating(first, second):
-        table = entry.table(first, second)
-        events.append(("eval", (first, second), entry.profile(table),
-                       em_analysis._info(entry.ensembles(table))))
-        return table
+        events.append(("eval", (first, second)))
+        return entry.table(first, second)
 
     def reading(name):
         def read(table):
@@ -432,76 +454,83 @@ def _public_objective(mode, theta, d, eps):
     return em_analysis._objective(probe_distinguishability(pair), err, eps)[0], err
 
 
-def _gradient(analysis, theta, d, eps):
-    point = em_analysis._evaluate(analysis, theta, d, eps)
-    return em_analysis._objective_gradient(analysis, theta, d, eps, point)
+def _gradients(analysis, thetas, d, eps):
+    """The search's exact gradient at each row of ``thetas``, from one
+    stacked evaluation."""
+    point = em_analysis._evaluate(analysis, thetas, d, eps)
+    return em_analysis._objective_gradient(analysis, d, eps, point)
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_exact_gradient_equals_central_differences_of_the_public_path(mode, d):
     """On seeded generic theta, where no two distinct rates (nor mode B's two
-    ensembles) tie and the penalty is clearly on or off, the search's exact
-    gradient equals central differences of the public path within 1e-6
-    relative, at both penalty weights.  At theta = 0 it is below the
-    search's 1e-12 stop, so the identity start takes no step."""
+    ensembles) tie and the penalty is clearly on or off, each row of the
+    search's stacked exact gradient equals central differences of the public
+    path within 1e-6 relative, at both penalty weights.  At theta = 0, the
+    stack's last row, it is below the search's 1e-12 stop, so the identity
+    start takes no step."""
     analysis = em_analysis._MODES[mode]
     npar, h = params_dim(d), 1e-5
     rng = np.random.default_rng((43, ord(mode), d))
-    penalty_on = set()
-    for scale in (0.05, 0.6):
-        theta = rng.normal(scale=scale, size=2 * npar)
-        first, second = em_analysis.unitaries_from_params(theta.reshape(2, npar), d)
-        table = analysis.table(first, second)
-        _, infos, _ = analysis.derivative(first, second, table, analysis.ensembles(table))
-        assert all(np.diff(sorted(set(analysis.profile(table).values()))) > 1e-4)
+    thetas = np.array([rng.normal(scale=scale, size=2 * npar) for scale in (0.05, 0.6)]
+                      + [np.zeros(2 * npar)])
+    first, second = em_analysis.unitaries_from_params(thetas[:2].reshape(-1, npar), d).reshape(
+        2, 2, 2 * d, 2 * d).swapaxes(0, 1)
+    table = analysis.table(first, second)
+    _, dists, _, _ = em_analysis._info(analysis.ensembles(table))
+    for r, infos in enumerate(dists):
+        assert all(np.diff(sorted(set(v[r] for v in analysis.profile(table).values()))) > 1e-4)
         # A one-level probe carries no information in any ensemble.
         assert all(np.diff(sorted(infos)) > 1e-4) if d > 1 else not any(infos)
-        for eps in (0.0, 0.1):
+    penalty_on = set()
+    for eps in (0.0, 0.1):
+        grads = _gradients(analysis, thetas, d, eps)
+        assert grads.shape == thetas.shape
+        for theta, grad in zip(thetas[:2], grads):
             _, err = _public_objective(mode, theta, d, eps)
             assert abs(err - eps) > 1e-4
             penalty_on.add(err > eps)
-            grad = _gradient(analysis, theta, d, eps)
             central = np.array([(_public_objective(mode, theta + bump, d, eps)[0]
                                  - _public_objective(mode, theta - bump, d, eps)[0]) / (2 * h)
                                 for bump in h * np.eye(2 * npar)])
             assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(central)
-            identity = _gradient(analysis, np.zeros(2 * npar), d, eps)
-            assert np.linalg.norm(identity) < 1e-12
+        assert np.linalg.norm(grads[2]) < 1e-12
     assert penalty_on == {False, True}
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
 def test_bit_copy_start_carries_no_penalty_at_a_quarter_budget(mode):
-    """The bit copy's max error is 0.25 plus rounding, which ``consider``
+    """The bit copy's max error is 0.25 plus rounding, which the search
     counts feasible at epsilon = 0.25, so its penalty there is off: its
     objective is its information, and its objective and gradient are those
     at epsilon = 0.5.  Below 1e-6 the budget is epsilon itself, with no
     tolerance."""
     analysis = em_analysis._MODES[mode]
-    theta = np.array(em_analysis._bit_copy_start(2))
+    theta = np.array(em_analysis._bit_copy_start(2))[None]
     quarter, half = (em_analysis._evaluate(analysis, theta, 2, eps) for eps in (0.25, 0.5))
-    assert abs(quarter[2] - 0.25) <= em_analysis.FEASIBILITY_TOL
-    assert quarter[0] == quarter[1] == half[0]
-    assert np.array_equal(_gradient(analysis, theta, 2, 0.25), _gradient(analysis, theta, 2, 0.5))
+    assert abs(quarter[2][0] - 0.25) <= em_analysis.FEASIBILITY_TOL
+    assert quarter[0][0] == quarter[1][0] == half[0][0]
+    assert np.array_equal(_gradients(analysis, theta, 2, 0.25), _gradients(analysis, theta, 2, 0.5))
     assert em_analysis._objective(0.0, 1e-10, 0.0)[0] == -1e7 * 1e-10
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
 def test_search_steps_along_the_exact_gradient(monkeypatch, mode):
-    """Each gradient step's first line-search point is theta + 0.25 g/|g|,
-    bit for bit, for the exact gradient g at theta, at both penalty weights.
-    Three starts give three gradients: at the identity, the bit copy and a
-    seeded random theta.  The identity's is below the 1e-12 stop, so that
-    start takes no step."""
+    """Each row's first line-search point is theta + 0.25 g/|g|, bit for
+    bit, for the exact gradient g at theta, at both penalty weights.  Three
+    starts climb in lockstep, so one stacked gradient covers the identity,
+    the bit copy and a seeded random theta.  The identity's is below the
+    1e-12 stop, so that start takes no step, and the first line-search round
+    evaluates the other two rows."""
     npar = params_dim(2)
     events = []
     gradient, build = em_analysis._objective_gradient, em_analysis._exponentials
 
-    def stepping(analysis, theta, *args):
-        grad = gradient(analysis, theta, *args)
-        events.append(("grad", theta.copy(), grad))
-        return grad
+    def stepping(*args):
+        grads = gradient(*args)
+        events.append(("grad", grads))
+        return grads
 
     def stacking(params, probe_dim):
         events.append(("stack", np.array(params)))
@@ -512,29 +541,30 @@ def test_search_steps_along_the_exact_gradient(monkeypatch, mode):
     for eps in (0.0, 0.1):
         events.clear()
         constrained_search(mode, eps, restarts=3, iters=1, seed=31)
-        steps = [(i, event) for i, event in enumerate(events) if event[0] == "grad"]
-        assert len(steps) == 3
-        (_, (_, start, grad)), *stepped = steps
-        assert not np.any(start) and np.linalg.norm(grad) < 1e-12
-        for i, (_, theta, grad) in stepped:
-            after = events[i + 1]
-            assert after[0] == "stack" and after[1].shape == (2, npar)
-            assert np.array_equal(after[1].ravel(), theta + 0.25 * (grad / np.linalg.norm(grad)))
+        assert [event[0] for event in events[:3]] == ["stack", "grad", "stack"]
+        assert [event[0] for event in events].count("grad") == 1
+        (_, starts), (_, grads), (_, first_round) = events[:3]
+        starts = starts.reshape(3, 2 * npar)
+        assert not np.any(starts[0]) and np.linalg.norm(grads[0]) < 1e-12
+        assert grads.shape == (3, 2 * npar) and first_round.shape == (4, npar)
+        norms = np.linalg.norm(grads, axis=1)[1:, None]
+        assert np.array_equal(first_round.reshape(2, -1), starts[1:] + 0.25 * (grads[1:] / norms))
 
 
 def test_search_builds_one_table_per_evaluation(monkeypatch):
-    """Each evaluation of the search makes one decomposition, a 2-row
-    ``_exponentials`` call, builds its mode's table once and reads the
-    rates and the ensembles from it once.  Each gradient step reads what
-    the evaluation at its theta read: it makes no decomposition, builds no
-    table, reads no rates or ensembles, and its only ``eigh`` calls are of
-    d x d probe-state differences.  The search calls no public builder or
-    reader, and it builds its parameter basis and its bit-copy start once
-    per probe dimension.  With ``iters=1`` each of two starts takes one
-    gradient step."""
+    """Each stacked evaluation of the search makes one decomposition, a
+    ``_exponentials`` call of two rows per theta, builds its mode's table of
+    those thetas once, reads the rates and the ensembles from it once, and
+    decomposes each row's ensemble differences in one ``eigh``.  Each
+    stacked gradient reads what the evaluations at its thetas read: it makes
+    no decomposition at all, builds no table, and reads no rates or
+    ensembles.  The search calls no public builder or reader, and it builds
+    its parameter basis, its bit-copy start and its block masks once
+    per probe dimension.  With ``iters=1`` the two starts share one
+    gradient."""
     npar = params_dim(2)
-    em_analysis._basis.cache_clear()
-    em_analysis._bit_copy_start.cache_clear()
+    for cached in (em_analysis._basis, em_analysis._bit_copy_start, em_analysis._masks):
+        cached.cache_clear()
     for mode in ("A", "B"):
         expected = constrained_search(mode, 0.1, restarts=2, iters=1)
         calls = {name: [] for name in ("unitary_from_params", "unitaries_from_params",
@@ -564,24 +594,25 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
         point = constrained_search(mode, 0.1, restarts=2, iters=1)
         monkeypatch.undo()
         assert point == expected
-        stepping_now, inside, outside = False, [], []
-        for event in events:
-            if event[0] in ("grad", "grad end"):
-                stepping_now = event[0] == "grad"
-            else:
-                (inside if stepping_now else outside).append(event)
-        assert [event[0] for event in events].count("grad") == 2
-        assert all(event == ("eigh", (2, 2)) for event in inside)
-        assert ([event[0] for event in outside]
-                == ["stack", "eigh", "eval", "profile", "ensembles"] * len(calls["_evaluate"]))
-        assert all(event[1].shape == (2, npar) for event in outside if event[0] == "stack")
-        assert all(event[1] == (2, 4, 4) for event in outside if event[0] == "eigh")
-        assert len(calls.pop("_evaluate")) > 2
+        assert [event[0] for event in events].count("grad") == 1
+        inside = events[events.index(("grad",)) + 1:events.index(("grad end",))]
+        assert inside == []
+        outside = [event for event in events if event[0] not in ("grad", "grad end")]
+        evaluations = calls.pop("_evaluate")
+        assert [event[0] for event in outside] == (
+            ["stack", "eigh", "eval", "profile", "ensembles", "eigh"] * len(evaluations))
+        for i, (_, thetas, *_) in enumerate(evaluations):
+            stack, unitaries, table, ensembles = (outside[6 * i + k] for k in (0, 1, 2, 5))
+            rows = len(thetas)
+            assert stack[1].shape == (2 * rows, npar) and unitaries[1] == (2 * rows, 4, 4)
+            assert all(len(u) == rows for u in table[1])
+            assert ensembles[1] == (rows, 1 if mode == "A" else 2, 2, 2)
+        assert len(evaluations[0][1]) == 2 and len(evaluations) >= 2
         assert calls == {"unitary_from_params": [], "unitaries_from_params": [],
                          "error_profile": [], "probe_distinguishability": []}
     constrained_search("A", 0.1, probe_dim=3, restarts=2, iters=1)
-    assert em_analysis._basis.cache_info().misses == 2
-    assert em_analysis._bit_copy_start.cache_info().misses == 2
+    for cached in (em_analysis._basis, em_analysis._bit_copy_start, em_analysis._masks):
+        assert cached.cache_info().misses == 2
 
 
 def test_zero_budget_search_in_mode_a_finds_no_information():
@@ -598,34 +629,40 @@ def test_zero_budget_search_in_mode_a_finds_no_information():
 
 
 def test_search_draws_each_random_start_as_its_restart_begins(monkeypatch):
-    """A random start is drawn when its restart begins, so a huge restart
-    count allocates nothing up front: with the first table build raising,
-    a search at ``restarts=10**9`` raises it having drawn no start.  The
-    search's Generator fails after three draws."""
+    """A block's random starts are drawn when the block begins, so a huge
+    restart count allocates nothing up front: with the first table build
+    raising, a search at ``restarts=10**9`` raises it having made at most
+    one draw, of at most ``_BLOCK - 2`` starts (the first block's other two
+    are the identity and the bit copy).  A search of two restarts draws
+    nothing, and builds no Generator."""
     class Built(Exception):
         pass
 
-    draws = []
-    seeded = np.random.default_rng
+    draws, seeded = [], []
+    default_rng = np.random.default_rng
 
     class Counting:
         def __init__(self, *args):
-            self.rng = seeded(*args)
+            seeded.append(args)
+            self.rng = default_rng(*args)
 
         def normal(self, *args, **kwargs):
-            draws.append(args)
-            assert len(draws) <= 3, "the search drew its random starts up front"
+            draws.append(kwargs["size"])
+            assert len(draws) <= 1, "the search drew its random starts up front"
             return self.rng.normal(*args, **kwargs)
 
     def build(first, second):
         raise Built
 
     monkeypatch.setattr(em_analysis.np.random, "default_rng", Counting)
+    for mode in ("A", "B"):
+        constrained_search(mode, 0.1, restarts=2, iters=1)
+    assert seeded == [] and draws == []
     for mode, entry in list(em_analysis._MODES.items()):
         monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=build))
         with pytest.raises(Built):
             constrained_search(mode, 0.1, restarts=10**9)
-    assert draws == []
+        assert len(draws) == 1 and draws.pop()[0] <= em_analysis._BLOCK - 2
 
 
 def _never_build(monkeypatch):
@@ -714,3 +751,29 @@ def test_every_stacked_unitary_passes_check_unitary(d):
             assert unitaries.shape == (len(stack), 2 * d, 2 * d)
             for u in unitaries:
                 check_unitary(u)
+
+
+_BUDGETS = [(1, 1), (2, 1), (3, 6), (em_analysis._BLOCK + 3, 4)]
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_lockstep_search_matches_the_sequential_reference(mode):
+    """On a seeded grid (epsilon 0, 0.05, 0.1 and 0.25; restarts and iters
+    (1, 1), (2, 1), (3, 6) and ``_BLOCK`` + 3 restarts, which cross a block
+    boundary, at 4 iters; all at d = 2, and (3, 6) at d = 3 too; the search
+    takes no d = 1), the lockstep search finds the point that
+    ``tests/reference_search.py``, one restart at a time on stack-of-one
+    kernels, finds: the same fallback flag, and info and max_error within
+    1e-12."""
+    cases = [(eps, d, restarts, iters) for eps in (0.0, 0.05, 0.1, 0.25)
+             for d, restarts, iters in [(2, *budget) for budget in _BUDGETS] + [(3, 3, 6)]]
+    found = set()
+    for eps, d, restarts, iters in cases:
+        got = constrained_search(mode, eps, probe_dim=d, restarts=restarts, iters=iters, seed=3)
+        want = reference_search.constrained_search(mode, eps, probe_dim=d, restarts=restarts,
+                                                   iters=iters, seed=3)
+        assert got.fallback == want.fallback, (eps, d, restarts, iters)
+        assert abs(got.info - want.info) <= 1e-12, (eps, d, restarts, iters)
+        assert abs(got.max_error - want.max_error) <= 1e-12, (eps, d, restarts, iters)
+        found.add(got.fallback)
+    assert found == {False, True}
