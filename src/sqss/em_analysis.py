@@ -338,7 +338,7 @@ def _distance_grad(states: np.ndarray, rhos: np.ndarray, eigs: np.ndarray, vecs:
     of the sum of ``_probe_outer`` of ``states[r, ..., x, :]``.  A zero
     eigenvalue has sign 0, the mean of its one-sided derivatives."""
     sign = (vecs * np.sign(eigs)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    # Each sum's trace, then each rho_x's gradient.
+    # A row that _ensembles_a skips has S = 0 and may have a zero trace.
     traces = np.sum(np.abs(states) ** 2, axis=-1).reshape(len(states), -1, 2).sum(axis=1)
     overlaps = np.trace(sign[:, None] @ rhos, axis1=-2, axis2=-1).real[..., None, None]
     grads = (np.array([[[1.0]], [[-1.0]]]) * (sign[:, None] - overlaps * np.eye(sign.shape[-1]))
@@ -555,7 +555,7 @@ class TradeoffPoint:
 
 FEASIBILITY_TOL = 1e-9
 
-_BLOCK = 8   # restarts that climb in lockstep, 6 at the CLI's default
+_BLOCK = 8   # restarts that climb in lockstep; the CLI's 6 fit in one block
 
 
 def _max_grad(values: np.ndarray, grads: np.ndarray) -> np.ndarray:

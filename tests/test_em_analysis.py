@@ -315,12 +315,17 @@ def test_mode_a_information_skips_a_branch_the_qubit_never_takes():
     """At d = 2 the basis permutation 0 -> 2, 2 -> 3, 3 -> 0 (1 fixed) sends
     every preparation's qubit to |1>: the x = 0 probe branch has no weight,
     so mode A's information skips it and reads 0 rather than the trace
-    distance of an empty branch."""
+    distance of an empty branch, and the information's gradient there is 0
+    (its zero trace is not divided by)."""
     first = np.eye(4)[:, [2, 1, 3, 0]]   # column j is the image of basis state j
     pair = UnitaryPair(first=first, second=np.eye(4), protocol="A")
-    psi, _, _ = em_analysis._measured_branches(first[None], np.eye(4)[None])
-    assert not np.any(psi.reshape(4, 2, 2)[:, 0])
+    table = em_analysis._measured_branches(first[None], np.eye(4)[None])
+    assert not np.any(table[0].reshape(4, 2, 2)[:, 0])
     assert probe_distinguishability(pair) == 0.0
+    rhos = em_analysis._ensembles_a(table)
+    _, _, eigs, vecs = em_analysis._info(rhos)
+    _, info_grads = em_analysis._derivative_a(first[None], np.eye(4)[None], table, rhos, eigs, vecs)
+    assert not np.any(info_grads)
 
 
 def test_insert_reorder_checks_blind_to_undone_controlled_rotation():
