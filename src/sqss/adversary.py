@@ -50,14 +50,14 @@ class UnitaryPair:
     protocol: str  # "A" | "B"
 
     def __post_init__(self):
-        for name in ("first", "second"):
-            u = np.array(getattr(self, name), dtype=complex)
-            check_unitary(u)
+        first, second = (np.array(u, dtype=complex) for u in (self.first, self.second))
+        if first.shape != second.shape or first.ndim != 2 or len(first) % 2 or not len(first):
+            raise ValueError(f"unitaries of shape {first.shape} and {second.shape}: "
+                             f"expected one shape (2d, 2d) with d >= 1")
+        check_unitary(np.stack([first, second]))
+        for name, u in (("first", first), ("second", second)):
             u.setflags(write=False)
             object.__setattr__(self, name, u)
-        if self.first.shape != self.second.shape or len(self.first) % 2 or not len(self.first):
-            raise ValueError(f"unitaries of shape {self.first.shape} and {self.second.shape}: "
-                             f"expected one shape (2d, 2d) with d >= 1")
         if self.protocol not in ("A", "B"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
 

@@ -29,7 +29,7 @@ import scipy.linalg  # noqa: F401 -- unused, but perfbench's import_times reads 
 from .adversary import UnitaryPair
 from .protocol_a import CHECKS_A
 from .protocol_b import CHECKS_B
-from .qstate import BB84_AMPS, DensityMatrix, PrepState, bb84_rows, check_unitary
+from .qstate import BB84_AMPS, PrepState, bb84_rows, check_density_matrices, check_unitary
 from .runtime import check_int, check_real, shared_tuple
 
 BRANCH_SKIP_PROB = 1e-12
@@ -51,10 +51,11 @@ def _own_blocks(rows: np.ndarray) -> np.ndarray:
 def _masks(probe_dim: int) -> tuple:
     """Read-only: the ``(2, 2d)`` mask whose row x is 1 on block x, then
     mode A's mask and BB84 rows of each phi's input (psi masked to block x)
-    in (s, x) order, then of each reflected state's (psi)."""
+    in (s, x) order, then of each reflected state's (psi); then mode B's
+    BB84 rows of each table vector's input, zero for the return-leg states."""
     own, rows = np.repeat(np.eye(2), probe_dim, axis=1), bb84_rows(probe_dim)
     masks = (own, np.concatenate([np.tile(own, (4, 1)), np.ones_like(rows.real)]),
-             np.concatenate([rows.repeat(2, 0), rows]))
+             np.concatenate([rows.repeat(2, 0), rows]), np.concatenate([rows, 0 * rows[:2]]))
     for mask in masks:
         mask.setflags(write=False)
     return masks
@@ -186,11 +187,10 @@ def _rates_b(table: tuple) -> dict:
 
 
 def _densities(mats: np.ndarray) -> np.ndarray:
-    """``mats`` made Hermitian with unit trace, each validated as a ``DensityMatrix``."""
+    """``mats`` made Hermitian with unit trace, validated in one stacked check."""
     mats = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
     mats = mats / np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
-    for mat in mats.reshape((-1,) + mats.shape[-2:]):
-        DensityMatrix(mat)
+    check_density_matrices(mats)
     return mats
 
 
@@ -368,7 +368,7 @@ def _derivative_a(first, second, table: tuple, rhos: np.ndarray, eigs, vecs):
     grads[:, 0, :8] = _moved(phi).reshape(len(psi), 8, -1) / 2.0
     grads[:, 1, 8:] = _prep_error_grad(reflected)
     grads[:, 2, :8] = _distance_grad(phi, rhos[:, 0], eigs[:, 0], vecs[:, 0]).reshape(-1, 8, 2 * d)
-    _, mask, rows = _masks(d)
+    _, mask, rows, _ = _masks(d)
     unitary = _unitary_grads(second, grads, mask * np.concatenate([psi.repeat(2, 1), psi], 1),
                              rows, mask)
     return unitary[:, [0, 0, 0, 1]], unitary[:, 2:]
@@ -378,7 +378,7 @@ def _derivative_b(first, second, table: tuple, rhos: np.ndarray, eigs, vecs):
     """Mode B's gradients, as ``_derivative_a`` gives them, for
     ``_rates_b`` and for each of ``_ensembles_b``."""
     full, ret = table
-    rows = bb84_rows(first.shape[-1] // 2)
+    rows = _masks(first.shape[-1] // 2)[3]
     # Per term (three rates, two ensembles), the gradient with respect to
     # each full-chain state, then each return-leg state.
     grads = np.zeros((len(full), 5, 6, first.shape[-1]), dtype=complex)
@@ -387,8 +387,9 @@ def _derivative_b(first, second, table: tuple, rhos: np.ndarray, eigs, vecs):
     grads[:, 2, 4:] = _moved(ret)
     for e, (term, at, states) in enumerate(((3, 0, full[:, :2]), (4, 4, ret))):
         grads[:, term, at:at + 2] = _distance_grad(states, rhos[:, e], eigs[:, e], vecs[:, e])
-    pre = np.concatenate([rows @ first.swapaxes(-1, -2), np.broadcast_to(rows[:2], ret.shape)], 1)
-    unitary = _unitary_grads(second, grads, pre, np.concatenate([rows, np.zeros_like(rows[:2])]))
+    pre = np.empty((len(full), 6, first.shape[-1]), dtype=complex)
+    pre[:, :4], pre[:, 4:] = rows[:4] @ first.swapaxes(-1, -2), rows[:2]
+    unitary = _unitary_grads(second, grads, pre, rows)
     return unitary[:, :3], unitary[:, 3:]
 
 

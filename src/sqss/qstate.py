@@ -154,11 +154,13 @@ def _check_finite(what: str, a: np.ndarray) -> None:
 
 
 def check_unitary(u: np.ndarray) -> None:
+    """Reject ``u`` unless it is a unitary or a stack ``(..., m, m)`` of them."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-2] != u.shape[-1]:
         raise ValueError(f"unitary must be square, got shape {u.shape}")
     _check_finite("unitary", u)
-    resid = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
+    resid = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]),
+                           axis=(-2, -1)).max(initial=0.0)
     if not resid <= UNITARY_ATOL:
         raise ValueError(f"matrix is not unitary: ||u^H u - I|| = {resid:.3e}")
 
@@ -255,19 +257,28 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        _check_finite("density matrix", m)
-        if not np.linalg.norm(m - m.conj().T) <= DENSITY_ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        tr = np.trace(m)
-        if not abs(tr - 1.0) <= DENSITY_ATOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        eigs = np.linalg.eigvalsh(m)
-        if not eigs.min() >= -DENSITY_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
+        check_density_matrices(m[None])
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", m.shape[0])
+
+
+def check_density_matrices(mats: np.ndarray) -> None:
+    """Reject a stack ``(..., m, m)`` unless each matrix is a density matrix:
+    ``DensityMatrix``'s checks, in its order and with its messages."""
+    mats = np.asarray(mats, dtype=complex)
+    _check_finite("density matrix", mats)
+    if not (np.linalg.norm(mats - mats.conj().swapaxes(-1, -2), axis=(-2, -1))
+            <= DENSITY_ATOL).all():
+        raise ValueError("density matrix is not Hermitian")
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    off = ~(np.abs(tr - 1.0) <= DENSITY_ATOL)
+    if off.any():
+        raise ValueError(f"density matrix trace is {tr[off][0]!r}, expected 1")
+    low = np.linalg.eigvalsh(mats).min(initial=np.inf)
+    if not low >= -DENSITY_ATOL:
+        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

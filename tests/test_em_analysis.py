@@ -136,6 +136,36 @@ def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
         assert verdict.distinguishability == probe_distinguishability(pair)
 
 
+def test_each_reader_and_evaluation_validates_its_ensembles_in_one_check(monkeypatch):
+    """A public reader of the information, and each stacked evaluation of
+    the search, validates all the key-bit density matrices it builds, its
+    whole ``(R, E, 2, d, d)`` ensemble stack, in one
+    ``check_density_matrices`` call; ``error_profile`` reads none.  A fault
+    in the last matrix of a stack is rejected."""
+    checked, check = [], em_analysis.check_density_matrices
+
+    def recording(mats):
+        checked.append(mats.shape)
+        check(mats)
+
+    monkeypatch.setattr(em_analysis, "check_density_matrices", recording)
+    rng = np.random.default_rng(29)
+    for mode, kinds in (("A", 1), ("B", 2)):
+        for read, shapes in ((error_profile, []), (probe_distinguishability, [(1, kinds, 2, 3, 3)]),
+                             (theorem_check, [(1, kinds, 2, 3, 3)])):
+            checked.clear()
+            read(random_zero_error_pair(mode, 3, rng))
+            assert checked == shapes
+        checked.clear()
+        thetas = rng.normal(size=(5, 2 * params_dim(2)))
+        em_analysis._evaluate(em_analysis._MODES[mode], thetas, 2, 0.1)
+        assert checked == [(5, kinds, 2, 2, 2)]
+    mats = np.tile(np.eye(2) / 2, (2, 2, 2, 1, 1))
+    mats[-1, -1, -1] = np.diag([1.5, -0.5])
+    with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+        em_analysis._densities(mats)
+
+
 def test_profiles_and_verdicts_are_slotted_and_frozen():
     """Results are kept by the thousand, so they carry no ``__dict__``."""
     pair = random_zero_error_pair("A", 2, np.random.default_rng(43))

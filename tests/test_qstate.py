@@ -20,6 +20,7 @@ from sqss.qstate import (
     _draw_bits,
     apply_unitary_batch,
     bb84_rows,
+    check_density_matrices,
     check_unitary,
     lift,
     measure,
@@ -162,8 +163,11 @@ def _eye_with(n, value, scale=1.0):
 
 NON_FINITE_INPUTS = {
     "check_unitary": lambda v: check_unitary(_eye_with(4, v)),
+    "check_unitary-stack": lambda v: check_unitary(np.stack([np.eye(4), _eye_with(4, v)])),
     "UnitaryPair": lambda v: UnitaryPair(_eye_with(4, v), np.eye(4), "A"),
     "DensityMatrix": lambda v: DensityMatrix(_eye_with(2, v, 0.5)),
+    "check_density_matrices": lambda v: check_density_matrices(
+        np.stack([np.eye(2) / 2, _eye_with(2, v, 0.5)])),
     "CompositeState": lambda v: CompositeState(_eye_with(4, v)[1], 2),
     "apply_unitary_batch": lambda v: apply_unitary_batch(_eye_with(4, v)[:2], np.eye(4)),
     "measure": lambda v: measure(_eye_with(2, v)[1], Basis.Z, np.random.default_rng(0)),
@@ -207,6 +211,68 @@ def test_malformed_inputs_are_rejected(case):
     build, message = MALFORMED_INPUTS[case]
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# One matrix per DensityMatrix fault, each rejected by one of its four checks.
+DENSITY_FAULTS = {
+    "nan": _eye_with(2, np.nan, 0.5),
+    "non-hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+    "trace-2": np.eye(2),
+    "negative-eigenvalue": np.diag([1.5, -0.5]),
+}
+
+
+def _message(check, arg) -> str:
+    with pytest.raises(ValueError) as raised:
+        check(arg)
+    return str(raised.value)
+
+
+def _random_densities(shape, rng):
+    """Seeded random 2 x 2 density matrices, a stack of ``shape``."""
+    a = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    h = a @ a.conj().swapaxes(-1, -2)
+    return h / np.trace(h, axis1=-2, axis2=-1).real[..., None, None]
+
+
+@pytest.mark.parametrize("fault", DENSITY_FAULTS)
+def test_stacked_density_check_finds_a_fault_in_the_last_matrix(fault):
+    """A fault in the last matrix of a (3, 2, 2, 2) stack of valid density
+    matrices raises what ``DensityMatrix`` raises for that matrix alone."""
+    mats = _random_densities((3, 2), np.random.default_rng(41))
+    check_density_matrices(mats)
+    mats[-1, -1] = DENSITY_FAULTS[fault]
+    assert (_message(check_density_matrices, mats)
+            == _message(DensityMatrix, DENSITY_FAULTS[fault]))
+
+
+@pytest.mark.parametrize("fault", [None, *DENSITY_FAULTS])
+def test_a_stack_of_one_checks_as_a_density_matrix(fault):
+    """``check_density_matrices`` on a stack of one accepts what
+    ``DensityMatrix`` accepts and raises what it raises."""
+    if fault is None:
+        mat = _random_densities((), np.random.default_rng(42))
+        check_density_matrices(mat[None])
+        assert np.array_equal(DensityMatrix(mat).entries, mat)
+    else:
+        mat = DENSITY_FAULTS[fault]
+        assert _message(check_density_matrices, mat[None]) == _message(DensityMatrix, mat)
+
+
+def test_stacked_check_unitary_finds_a_non_unitary_last_member():
+    """``check_unitary`` on a (3, 4, 4) stack of seeded unitaries whose last
+    member is not unitary raises what it raises for that member alone, as
+    does a ``UnitaryPair`` whose second unitary it is; a stack of one
+    checks as its member."""
+    rng = np.random.default_rng(43)
+    stack = np.linalg.qr(rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)))[0]
+    check_unitary(stack)
+    bad = np.diag([1.0, 1.0, 1.0, 2.0])
+    stack[-1] = bad
+    expected = _message(check_unitary, bad)
+    assert expected.startswith("matrix is not unitary")
+    assert _message(check_unitary, stack) == _message(check_unitary, stack[-1:]) == expected
+    assert _message(lambda u: UnitaryPair(np.eye(4), u, "A"), bad) == expected
 
 
 def test_cnot_on_plus_entangles_probe():
