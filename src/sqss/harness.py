@@ -196,8 +196,9 @@ class ExperimentAborted(RuntimeError):
 @functools.lru_cache(maxsize=256, typed=True)
 def trial_seed(seed: int, trial: int) -> tuple[int, int]:
     """The derived seed trial ``trial`` of an experiment seeded ``seed`` runs
-    with.  It is one tuple per derived seed: a sweep runs trial i under
-    every config, and the reports it keeps then share their seed."""
+    with.  It is one tuple per derived seed: the benchmark's mc ops run trial
+    i under every config and keep each report, so the reports share their
+    seed.  ``monte_carlo``, and so a sweep, keeps only the digests."""
     return (seed, trial)
 
 

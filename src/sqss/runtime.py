@@ -333,9 +333,9 @@ class RunReport(_ReportView):
 
     ``payoff`` is None when the run aborted: no key was derived, so there is
     nothing to guess.  ``digest`` is the raw SHA-256 of the transcript and
-    ``transcript_digest`` its hex form.  Reports are often kept by the
-    thousand, so they are small: the digest, the check counts and flags and
-    the key bits are packed into one ``bytes`` beside a shared tuple of
+    ``transcript_digest`` its hex form.  The benchmark's mc ops keep reports
+    by the thousand, so they are small: the digest, the check counts, flags
+    and key bits are packed into one ``bytes`` beside a shared tuple of
     check ids, and ``checks``, ``keys`` and ``digest`` are rebuilt from it
     on access.  A count that does not fit its field raises ``ValueError``.
     """

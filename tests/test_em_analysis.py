@@ -321,20 +321,6 @@ def test_search_rejects_bad_budgets():
         constrained_search("A", 0.1, restarts=0)
 
 
-def test_search_zero_budget_mode_a_finds_nothing():
-    point = constrained_search("A", 0.0, restarts=2, iters=5, seed=0)
-    assert point.max_error <= 1e-9
-    assert point.info <= 1e-6
-
-
-def test_search_quarter_budget_reaches_full_information():
-    for mode in ("A", "B"):
-        point = constrained_search(mode, 0.25, restarts=2, iters=5, seed=0)
-        assert point.max_error <= 0.25 + 1e-9
-        assert point.info == pytest.approx(1.0, abs=1e-6)
-        assert not point.fallback
-
-
 @pytest.mark.parametrize("reader", [error_profile, probe_distinguishability, theorem_check])
 def test_readers_reject_a_mode_other_than_the_pairs_protocol(reader):
     with pytest.raises(ValueError, match="^pair is for protocol A, not B$"):

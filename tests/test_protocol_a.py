@@ -61,19 +61,6 @@ def test_a_run_with_no_undisclosed_key_particle_derives_no_key():
     assert report.keys is None and report.payoff is None
 
 
-def test_honest_run_zero_mismatches_and_key_relation():
-    config = ProtocolAConfig(n=20, m=45)
-    for seed in range(10):
-        report = run_protocol_a(config, None, seed)
-        assert not report.aborted
-        for c in report.checks:
-            assert c.mismatches == 0
-            assert c.passed
-        km = report.keys
-        assert km.k_a == xor_keys(km.k_b, km.k_c)
-        assert report.payoff is None
-
-
 def test_high_check_fraction_still_derives_keys():
     """A fraction whose ceiling covers a whole case still withholds one
     particle of it, so honest runs keep a key."""
