@@ -243,15 +243,15 @@ def test_targets_match_actor():
 
 
 def test_insider_guesses_are_exact_on_surviving_runs():
-    """Insiders whose guesses cannot miss: the three ``ReflectAllPartyA``
-    measure-resend insiders among them, whose taps measured every particle
-    that carries their target."""
+    """Insiders whose guesses cannot miss, each after the other party's
+    share: the three ``ReflectAllPartyA`` measure-resend insiders among
+    them, whose taps measured every particle that carries their target."""
     cases = [
-        ("a.mr.bob.1", "A"), ("a.mr.bob.2", "A"), ("a.mr.charlie.1", "A"),
-        ("a.mr.charlie.2", "A"), ("a.ir.charlie.2", "A"),
-        ("b.mr.charlie", "B"), ("b.ir.bob", "B"),
+        ("a.mr.bob.1", "A", "k_c"), ("a.mr.bob.2", "A", "k_c"), ("a.mr.charlie.1", "A", "k_b"),
+        ("a.mr.charlie.2", "A", "k_b"), ("a.ir.charlie.2", "A", "k_b"),
+        ("b.mr.charlie", "B", "k_b"), ("b.ir.bob", "B", "k_c"),
     ]
-    for attack_id, proto in cases:
+    for attack_id, proto, target in cases:
         spec = resolve_attack(attack_id[0].upper(), attack_id)
         if proto == "A":
             config = ProtocolAConfig(n=20, m=45, thresholds=default_thresholds(1.0))
@@ -260,6 +260,7 @@ def test_insider_guesses_are_exact_on_surviving_runs():
             config = ProtocolBConfig(n=16, thresholds=default_thresholds_b(1.0))
             report = run_protocol_b(config, spec, 13)
         assert not report.aborted
+        assert report.payoff["target"] == target
         assert report.payoff["guessed"] > 0
         assert report.payoff["correct"] == report.payoff["guessed"]
 

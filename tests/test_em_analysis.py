@@ -20,11 +20,7 @@ from sqss.em_analysis import (
     error_profile,
     identity_pair,
     params_dim,
-    params_from_unitary,
     probe_distinguishability,
-    probe_only_pair,
-    random_pair,
-    random_unitary,
     random_zero_error_pair,
     theorem_check,
     unitary_from_params,
@@ -65,45 +61,24 @@ def test_branch_embedding_is_the_kronecker_product(d):
         assert np.array_equal(phi, kron @ pair.second.T)
 
 
-def test_identity_pair_induces_no_error_or_information():
-    for mode in ("A", "B"):
-        pair = identity_pair(mode, 2)
-        assert error_profile(pair).max_rate <= 1e-12
-        assert probe_distinguishability(pair) <= 1e-8
-
-
-def test_bit_copy_pair_quarter_error_full_information():
-    for mode in ("A", "B"):
-        pair = bit_copy_pair(mode, 2)
-        profile = error_profile(pair)
-        if mode == "A":
-            # copying the transit Z bit is invisible to Z-basis checks but
-            # scrambles reflected X-basis particles half the time
-            assert profile.rates["case1"] == pytest.approx(0.0, abs=1e-12)
-            assert profile.rates["case4"] == pytest.approx(0.25)
-        else:
-            assert profile.rates["ctrl"] == pytest.approx(0.25)
-            assert profile.rates["test_b"] == pytest.approx(0.0, abs=1e-12)
-        assert probe_distinguishability(pair) == pytest.approx(1.0)
-
-
-def test_probe_only_pair_is_invisible_to_every_check():
-    rng = np.random.default_rng(5)
-    for mode in ("A", "B"):
-        pair = probe_only_pair(mode, random_unitary(2, rng), random_unitary(2, rng), 0.3, 1.1)
-        assert error_profile(pair).max_rate <= 1e-12
-        assert probe_distinguishability(pair) <= 1e-8
-
-
 def test_theorem_check_verdicts():
-    ident = theorem_check(identity_pair("A", 2))
-    assert ident.zero_error and ident.holds
-    assert ident.max_residual <= 1e-8
+    """In both modes the identity disturbs no check, carries no information
+    and satisfies every structural identity; the bit copy carries full
+    information at error 1/4, so it has no structural verdict."""
+    for mode in ("A", "B"):
+        ident = identity_pair(mode, 2)
+        assert error_profile(ident).max_rate <= 1e-12
+        assert probe_distinguishability(ident) <= 1e-8
+        verdict = theorem_check(ident)
+        assert verdict.zero_error and verdict.holds
+        assert verdict.max_residual <= 1e-8
 
-    noisy = theorem_check(bit_copy_pair("A", 2))
-    assert not noisy.zero_error
-    assert noisy.holds is None
-    assert noisy.max_error == pytest.approx(0.25)
+        copy = bit_copy_pair(mode, 2)
+        assert probe_distinguishability(copy) == pytest.approx(1.0)
+        noisy = theorem_check(copy)
+        assert not noisy.zero_error
+        assert noisy.holds is None
+        assert noisy.max_error == pytest.approx(0.25)
 
 
 def _record_tables(monkeypatch, mode):
@@ -275,50 +250,6 @@ def test_array_readers_match_the_dict_reference(mode):
                 assert close(row_residuals, residuals)
                 assert (stacked[1][r] <= em_analysis.INFO_TOL
                         and max(row_residuals.values()) <= em_analysis.RESIDUAL_TOL) == holds
-
-
-def test_zero_error_family_satisfies_structure_mode_a():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        pair = random_zero_error_pair("A", 2, rng)
-        verdict = theorem_check(pair)
-        assert verdict.zero_error
-        assert verdict.holds
-        assert verdict.distinguishability <= 1e-8
-
-
-def test_random_pairs_are_generically_detectable():
-    rng = np.random.default_rng(23)
-    for mode in ("A", "B"):
-        for _ in range(10):
-            pair = random_pair(mode, 2, rng)
-            assert error_profile(pair).max_rate > 1e-6
-
-
-def test_params_unitary_round_trip():
-    rng = np.random.default_rng(3)
-    for d in (2, 3):
-        u = random_unitary(2 * d, rng)
-        params = params_from_unitary(u)
-        assert params.shape == (params_dim(d),)
-        back = unitary_from_params(params, d)
-        assert np.allclose(back, u, atol=1e-10)
-
-
-def test_pair_from_params_builds_valid_pair():
-    npar = params_dim(2)
-    pair = UnitaryPair(*em_analysis.unitaries_from_params(np.zeros((2, npar)), 2), protocol="B")
-    assert pair.probe_dim == 2
-    assert error_profile(pair).max_rate <= 1e-12
-
-
-def test_search_rejects_bad_budgets():
-    with pytest.raises(ValueError):
-        constrained_search("A", -0.1)
-    with pytest.raises(ValueError):
-        constrained_search("A", 0.6)
-    with pytest.raises(ValueError):
-        constrained_search("A", 0.1, restarts=0)
 
 
 @pytest.mark.parametrize("reader", [error_profile, probe_distinguishability, theorem_check])
@@ -636,19 +567,6 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
         assert cached.cache_info().misses == 2
 
 
-def test_zero_budget_search_in_mode_a_finds_no_information():
-    """At the ``sqss tradeoff`` default budget (restarts 6, iters 40) mode A
-    at epsilon = 0 keeps the fallback, information 0, so its point passes
-    ``theorem_check``: the squared gain of ``_objective`` leaves no sliver
-    beside the zero-error set where the ascent could trade error for
-    information."""
-    point = constrained_search("A", 0.0)
-    assert point.fallback and point.info == 0.0 and point.max_error == 0.0
-    pair = UnitaryPair(*(unitary_from_params(np.array(half), 2) for half in point.params), "A")
-    verdict = theorem_check(pair)
-    assert verdict.zero_error and verdict.holds
-
-
 def test_search_draws_each_random_start_as_its_restart_begins(monkeypatch):
     """A block's random starts are drawn when the block begins, so a huge
     restart count allocates nothing up front: with the first table build
@@ -703,33 +621,24 @@ def _never_build(monkeypatch):
     ({"seed": 1.5}, "seed must be an integer"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"epsilon": "0.1"}, "epsilon must be a real number"),
+    ({"epsilon": -0.1}, "epsilon must be in [0, 0.5]"),
+    ({"epsilon": 0.6}, "epsilon must be in [0, 0.5]"),
+    ({"restarts": 0}, "restarts must be an integer >= 1, got 0"),
     ({"probe_dim": 9}, "probe_dim must be <= 8, got 9"),
     ({"probe_dim": 64}, "probe_dim must be <= 8, got 64"),
 ], ids=["float-iters", "bool-budgets", "float-seed", "negative-seed", "str-epsilon",
-        "probe-dim-9", "probe-dim-64"])
+        "negative-epsilon", "epsilon-above-half", "zero-restarts", "probe-dim-9",
+        "probe-dim-64"])
 def test_search_rejects_mistyped_args_before_evaluating(monkeypatch, bad, message):
-    """In either mode, the search rejects a mistyped argument by name before
-    it builds any unitary or table."""
-    _never_build(monkeypatch)
-    args = {"epsilon": 0.1, "restarts": 1, "iters": 1, "seed": 0, **bad}
-    for mode in ("A", "B"):
-        with pytest.raises(ValueError, match=message):
-            constrained_search(mode, **args)
-
-
-@pytest.mark.parametrize("bad", [{"iters": 2.5}, {"seed": -1}, {"epsilon": "0.1"},
-                                 {"probe_dim": 64}],
-                         ids=["float-iters", "negative-seed", "str-epsilon", "probe-dim-64"])
-def test_search_checks_args_before_building_a_unitary(monkeypatch, bad):
-    """The search's argument check is ``check_search_args``: with every
-    unitary and table build failing, the search raises the very message that
-    ``check_search_args`` raises for the same arguments, in either mode."""
+    """In either mode, the search rejects a mistyped or out-of-range argument
+    by name before it builds any unitary or table, with the very message
+    that its argument check, ``check_search_args``, raises."""
     _never_build(monkeypatch)
     args = {"epsilon": 0.1, "probe_dim": 2, "restarts": 1, "iters": 1, "seed": 0, **bad}
     for mode in ("A", "B"):
-        with pytest.raises(ValueError) as expected:
+        with pytest.raises(ValueError, match=re.escape(message)) as expected:
             em_analysis.check_search_args(mode, **args)
-        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
             constrained_search(mode, **args)
 
 

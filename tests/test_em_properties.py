@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sqss.adversary import UnitaryPair
 from sqss.em_analysis import (
     error_profile,
+    params_dim,
     params_from_unitary,
     probe_distinguishability,
     random_pair,
@@ -65,5 +66,7 @@ def test_params_round_trip_gives_back_the_unitary(mode, d, seed):
     # of the logarithm, so params -> unitary -> params need not return them.
     pair = _pair(mode, d, seed)
     for u in (pair.first, pair.second):
-        back = unitary_from_params(params_from_unitary(u), d)
+        params = params_from_unitary(u)
+        assert params.shape == (params_dim(d),)
+        back = unitary_from_params(params, d)
         assert np.max(np.abs(back - u)) <= 1e-9

@@ -1,15 +1,18 @@
 """No module of the package or of its tests imports a name it never uses,
-and the package defines no name that nothing uses.
+and none defines a name that nothing uses.
 
 No linter ships with the project, so these are the checks:
 - a name bound by ``import``/``from ... import`` must appear somewhere else
   in the module, unless its line carries ``# noqa: F401``;
-- a top-level name a package module defines (a function, a class or an
-  assigned name), and each non-dunder method, property or annotated field
-  (dataclass and NamedTuple fields) of its classes, must appear somewhere
-  under ``src/``, ``tests/`` or ``perfbench/`` other than its own
+- a top-level name a package or test module defines (a function, a class
+  or an assigned name), and each non-dunder method, property or annotated
+  field (dataclass and NamedTuple fields) of its classes, must appear
+  somewhere under ``src/``, ``tests/`` or ``perfbench/`` other than its own
   definition: read as an identifier, as an attribute, or as a whole string
-  constant (as ``getattr`` and the benchmark's tracing name it).
+  constant (as ``getattr`` and the benchmark's tracing name it).  A test
+  module's ``test_*`` functions are left out, since pytest collects them by
+  their prefix, so a folded test cannot leave a helper, a constant or a
+  class behind.
 
 The package's ``__init__.py`` is exempt from both, since it imports to
 re-export.
@@ -46,12 +49,16 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def defined_names(source: str) -> list[tuple[str, str]]:
+def defined_names(tree: ast.Module, test_module: bool = False) -> list[tuple[str, str]]:
     """Top-level names a module defines, each with its classes' non-dunder
     methods, properties and annotated fields labelled ``Class.name`` after
-    it, in order, as (label, name) pairs."""
+    it, in order, as (label, name) pairs.  A test module's ``test_*``
+    functions are left out."""
     names = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
+        if (test_module and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("test_")):
+            continue
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append((node.name, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -74,10 +81,10 @@ def _member(node) -> str | None:
     return None
 
 
-def mentions(source: str) -> set[str]:
+def mentions(tree: ast.Module) -> set[str]:
     """Identifiers read, attribute names and string constants of a module."""
     found = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -89,10 +96,13 @@ def mentions(source: str) -> set[str]:
 
 def dead_names(defining: dict[str, str], sources: list[str]) -> list[str]:
     """``module.name`` for each name a ``defining`` module defines that no
-    source mentions; ``sources`` include the defining modules."""
-    used = set().union(*map(mentions, sources))
+    source mentions; ``sources`` include the defining modules, and a module
+    named ``tests/...`` is a test module.  Each source is parsed once."""
+    trees = {source: ast.parse(source) for source in sources}
+    used = set().union(*map(mentions, trees.values()))
     return [f"{module}.{label}" for module, source in defining.items()
-            for label, name in defined_names(source) if name not in used]
+            for label, name in defined_names(trees[source], module.startswith("tests/"))
+            if name not in used]
 
 
 def test_the_check_sees_unused_and_noqa_imports():
@@ -111,6 +121,8 @@ def test_the_check_sees_dead_names():
               "def used():\n    return LIVE + PAIR\nclass Gone:\n    pass\n")
     other = "import m\nm.used()\ngetattr(m, 'KEY')\n"
     assert dead_names({"m": module}, [module, other]) == ["m.DEAD", "m.LEFT", "m.Gone"]
+    tests = "TEST_CASES = [1]\ndef _helper():\n    pass\ndef test_one():\n    pass\n"
+    assert dead_names({"tests/t": tests}, [tests]) == ["tests/t.TEST_CASES", "tests/t._helper"]
 
 
 def test_the_check_sees_dead_methods():
@@ -134,5 +146,6 @@ def test_the_check_sees_dead_fields():
 def test_package_defines_no_dead_name():
     sources = [p.read_text() for top in ("src", "tests", "perfbench")
                for p in sorted((ROOT / top).rglob("*.py"))]
-    package = {p.stem: p.read_text() for p in MODULES.values() if p.parent.name == "sqss"}
-    assert dead_names(package, sources) == []
+    defining = {module if p.parent.name == "tests" else p.stem: p.read_text()
+                for module, p in MODULES.items()}
+    assert dead_names(defining, sources) == []

@@ -50,6 +50,8 @@ def test_catalog_probabilities_are_pinned(attack_id):
     protocol = attack_id[0].upper()
     checks = CHECKS_A if protocol == "A" else CHECKS_B
     assert detection_oracle(protocol, attack_id) == dict(zip(checks, PINNED[attack_id]))
+    # Every catalog attack disturbs some check.
+    assert max(PINNED[attack_id]) > 0
 
 
 def test_catalog_order_is_stable():
@@ -67,12 +69,6 @@ def test_single_measurement_distributions_exact():
 def test_honest_probabilities_all_zero():
     assert set(detection_oracle("A", None).values()) == {Q(0)}
     assert set(detection_oracle("B", "b.none").values()) == {Q(0)}
-
-
-def test_every_catalog_attack_disturbs_something():
-    for attack_id in catalog_ids():
-        table = detection_oracle(attack_id[0].upper(), attack_id)
-        assert max(table.values()) > 0, attack_id
 
 
 def test_unsupported_requests_rejected():

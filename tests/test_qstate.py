@@ -93,25 +93,6 @@ def test_bb84_rows_are_the_lifted_states(d):
     assert bb84_rows(d) is rows
 
 
-def test_eigenstate_measurement_is_deterministic():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        bit, collapsed = measure(prepare(PrepState.ONE), Basis.Z, rng)
-        assert bit == 1
-        assert collapsed == pytest.approx([0, 1])
-
-
-def test_repeated_measurement_same_basis_stable():
-    rng = np.random.default_rng(1)
-    for s in PrepState:
-        for basis in Basis:
-            state = prepare(s)
-            bit, state = measure(state, basis, rng)
-            for _ in range(5):
-                bit2, state = measure(state, basis, rng)
-                assert bit2 == bit
-
-
 def test_born_rule_statistics_plus_in_z():
     """100 000 |+> measured in Z as one layer give 0 half the time, within
     4 sigma; the layer's first 1 000 bits are the draws of 1 000 scalar
@@ -125,15 +106,6 @@ def test_born_rule_statistics_plus_in_z():
     zeros = n - np.count_nonzero(bits)
     sigma = np.sqrt(0.25 * n)
     assert abs(zeros - n / 2) < 4 * sigma
-
-
-def test_x_outcome_encoding():
-    rng = np.random.default_rng(3)
-    bit, collapsed = measure(prepare(PrepState.PLUS), Basis.X, rng)
-    assert bit == 0
-    assert collapsed == pytest.approx([RT2, RT2])
-    bit, _ = measure(prepare(PrepState.MINUS), Basis.X, rng)
-    assert bit == 1
 
 
 def test_unitary_round_trip_on_random_states():
