@@ -1,7 +1,10 @@
 """Command-line interface for experiments, sweeps, and exact probabilities.
 
 Exit codes: 0 success, 1 an experiment aborted because a trial raised an
-error (the message names the trial and its derived seed), 2 configuration error.
+error (the message names the trial and its derived seed), 2 configuration error,
+an unwritable ``--output`` included; each prints one line, not a traceback.
+Arguments are checked before any work, list options whole: ``sweep`` and
+``attack-bench`` build every config and ``tradeoff`` checks every epsilon.
 """
 
 from __future__ import annotations

@@ -449,12 +449,6 @@ def _exponentials(params: np.ndarray, probe_dim: int) -> tuple:
     return (w * np.exp(1j * lam)[:, None, :]) @ w.conj().swapaxes(-1, -2), lam, w
 
 
-def unitaries_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
-    """Stacked ``unitary_from_params``: row ``r`` of ``params``, shape
-    ``(n, (2d)^2)``, maps onto ``out[r]``, in U(2d)."""
-    return _exponentials(params, probe_dim)[0]
-
-
 def _params_gradient(lam, w, grads, probe_dim) -> np.ndarray:
     """Chain ``grads[..., r, :, :]``, a gradient with respect to U = exp(iH)
     of parameter row r, to that row, from ``_exponentials``' H = W diag(lam)
@@ -470,8 +464,8 @@ def _params_gradient(lam, w, grads, probe_dim) -> np.ndarray:
 
 def unitary_from_params(params: np.ndarray, probe_dim: int) -> np.ndarray:
     """Map a real vector onto U(2d) via the exponential of i times a Hermitian
-    matrix assembled from the vector: row 0 of ``unitaries_from_params``."""
-    return unitaries_from_params(np.reshape(params, (1, -1)), probe_dim)[0]
+    matrix assembled from the vector: row 0 of ``_exponentials``' stack."""
+    return _exponentials(np.reshape(params, (1, -1)), probe_dim)[0][0]
 
 
 def params_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -507,15 +501,6 @@ def bit_copy_pair(mode: str, probe_dim: int) -> UnitaryPair:
     return UnitaryPair(first=u, second=np.eye(m), protocol=mode)
 
 
-def probe_only_pair(mode: str, v: np.ndarray, w: np.ndarray,
-                    phase_first: float = 0.0, phase_second: float = 0.0) -> UnitaryPair:
-    """Zero-error family member: unitaries acting on the probe alone, times
-    global phases."""
-    eye = np.eye(2)
-    return UnitaryPair(first=np.exp(1j * phase_first) * np.kron(eye, v),
-                       second=np.exp(1j * phase_second) * np.kron(eye, w), protocol=mode)
-
-
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
@@ -529,10 +514,11 @@ def random_pair(mode: str, probe_dim: int, rng: np.random.Generator) -> UnitaryP
 
 def random_zero_error_pair(mode: str, probe_dim: int,
                            rng: np.random.Generator) -> UnitaryPair:
-    return probe_only_pair(mode, random_unitary(probe_dim, rng),
-                           random_unitary(probe_dim, rng),
-                           phase_first=float(rng.uniform(0, 2 * np.pi)),
-                           phase_second=float(rng.uniform(0, 2 * np.pi)))
+    """Zero-error family member: random probe-only unitaries times global phases."""
+    v, w = random_unitary(probe_dim, rng), random_unitary(probe_dim, rng)
+    first, second = (np.exp(1j * float(rng.uniform(0, 2 * np.pi))) * np.kron(np.eye(2), u)
+                     for u in (v, w))
+    return UnitaryPair(first=first, second=second, protocol=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +542,7 @@ class TradeoffPoint:
 
 FEASIBILITY_TOL = 1e-9
 
-_BLOCK = 8   # restarts that climb in lockstep; the CLI's 6 fit in one block
+_BLOCK = 8   # restarts climbing in lockstep: the CLI's 6 fit, and rounds keep this size
 
 
 def _max_grad(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -663,7 +649,7 @@ def _climb(analysis: _Mode, thetas: np.ndarray, probe_dim: int, epsilon: float,
     pieces = [(_evaluate(analysis, thetas, probe_dim, epsilon), rows >= 0)]
     consider(rows, *pieces[0][0][:3])
     for _ in range(iters):
-        # The rows that moved, from the line-search rounds they moved in.
+        # The rows that moved, read from the line-search rounds, not evaluated again.
         point = pieces[0][0] if len(pieces) == 1 and pieces[0][1].all() else tuple(
             np.concatenate(parts) for parts in zip(*([e[kept] for e in p] for p, kept in pieces)))
         grads = _objective_gradient(analysis, probe_dim, epsilon, point)
@@ -707,8 +693,9 @@ def constrained_search(mode: str, epsilon: float, probe_dim: int = 2,
     for begin in range(0, restarts, _BLOCK):
         starts = fixed[begin:restarts]
         drawn = min(_BLOCK, restarts - begin) - len(starts)
-        # A block's random starts are drawn as it begins, so a huge restart
-        # count allocates nothing up front and two restarts build no Generator.
+        # A block's random starts are one draw as it begins (the numbers of one
+        # draw per restart), so a huge restart count allocates nothing up front
+        # and two restarts build no Generator.
         if drawn:
             rng = rng or np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
             starts = [*starts, *rng.normal(scale=0.5, size=(drawn, 2 * npar))]

@@ -98,6 +98,7 @@ class ExperimentConfig:
                 "params": dataclasses.asdict(self.protocol_config)}
 
 
+# No "output" key: a report goes where ``--output`` says.
 _TOP_KEYS = {"protocol", "trials", "seed", "attack", "params"}
 
 

@@ -123,7 +123,8 @@ def mismatch_probability(steps, final_basis, mismatch, preps) -> Fraction:
 # Per-check programs (steps, final_basis, mismatch, preps) of every catalog
 # attack, built once and keyed by attack id.  The steps describe the journey
 # through the three legs, attacker interference included, of the particles a
-# check inspects.
+# check inspects.  Written by hand, not read from ``adversary.CATALOG``, so
+# the Monte Carlo acceptance tests compare two independent engines.
 
 _MB, _MC, _ME = measure_z("b"), measure_z("c"), measure_z("e")
 _FAKE_X = substitute_fake(key="x")

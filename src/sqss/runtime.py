@@ -426,7 +426,8 @@ def finish_run(protocol: str, seed, attack_id: str, preps: np.ndarray, checks,
                **layers) -> RunReport:
     """The report of a run that reached its checks, with the digest of its
     transcript: the fields every protocol records, beside the protocol's
-    own ``layers`` (plain JSON data)."""
+    own ``layers`` (plain JSON data), so that it covers every preparation,
+    announcement and measurement, the checks, the keys and the payoff."""
     digest = transcript_digest({
         "schema": TRANSCRIPT_SCHEMA, "protocol": protocol, "seed": seed, "attack": attack_id,
         "prepared": symbol_string(BB84_SYMBOL, preps),

@@ -322,17 +322,18 @@ def test_bit_copy_pair_matches_the_oracle_outsider_measure_resend(mode, attack_i
 
 
 def test_stacked_unitaries_equal_unitary_from_params_row_by_row():
-    """``unitary_from_params`` is row 0 of the stacked builder, so a stack
-    row and the single build of that row are the same matrix, bit for bit."""
+    """``unitary_from_params`` is row 0 of the stacked ``_exponentials``, so
+    a stack row and the single build of that row are the same matrix, bit
+    for bit."""
     rng = np.random.default_rng(29)
     for d in (1, 2, 3):
         rows = rng.normal(scale=0.7, size=(5, params_dim(d)))
-        stack = em_analysis.unitaries_from_params(rows, d)
+        stack = em_analysis._exponentials(rows, d)[0]
         assert stack.shape == (5, 2 * d, 2 * d)
         for row, u in zip(rows, stack):
             assert np.array_equal(u, unitary_from_params(row, d))
     with pytest.raises(ValueError, match="rows of 16 parameters"):
-        em_analysis.unitaries_from_params(np.zeros(16), 2)
+        em_analysis._exponentials(np.zeros(16), 2)
 
 
 def _expm_reference(row, d):
@@ -347,7 +348,7 @@ def _expm_reference(row, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_eigh_exponential_equals_scipy_expm(d):
-    """``unitaries_from_params`` takes exp(iH) from one ``eigh`` of the
+    """``_exponentials`` takes exp(iH) from one ``eigh`` of the
     stack; it equals ``scipy.linalg.expm``, the path it replaced, within
     1e-12 on seeded stacks at parameter norms 0 to 20 and on a degenerate
     spectrum, H a multiple of the identity.  Zero parameters give the
@@ -360,9 +361,9 @@ def test_eigh_exponential_equals_scipy_expm(d):
         rows = rng.normal(size=(4, npar))
         rows *= norm / np.linalg.norm(rows, axis=1, keepdims=True)
         rows = np.vstack([rows, scalar])
-        for row, u in zip(rows, em_analysis.unitaries_from_params(rows, d)):
+        for row, u in zip(rows, em_analysis._exponentials(rows, d)[0]):
             assert np.abs(u - _expm_reference(row, d)).max() <= 1e-12
-    zero = em_analysis.unitaries_from_params(np.zeros((2, npar)), d)
+    zero = em_analysis._exponentials(np.zeros((2, npar)), d)[0]
     assert np.array_equal(zero, np.broadcast_to(np.eye(m), (2, m, m)))
 
 
@@ -427,7 +428,7 @@ def test_exact_gradient_equals_central_differences_of_the_public_path(mode, d):
     rng = np.random.default_rng((43, ord(mode), d))
     thetas = np.array([rng.normal(scale=scale, size=2 * npar) for scale in (0.05, 0.6)]
                       + [np.zeros(2 * npar)])
-    first, second = em_analysis.unitaries_from_params(thetas[:2].reshape(-1, npar), d).reshape(
+    first, second = em_analysis._exponentials(thetas[:2].reshape(-1, npar), d)[0].reshape(
         2, 2, 2 * d, 2 * d).swapaxes(0, 1)
     table = analysis.table(first, second)
     _, dists, _, _ = em_analysis._info(analysis.ensembles(table))
@@ -519,9 +520,8 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
         cached.cache_clear()
     for mode in ("A", "B"):
         expected = constrained_search(mode, 0.1, restarts=2, iters=1)
-        calls = {name: [] for name in ("unitary_from_params", "unitaries_from_params",
-                                       "error_profile", "probe_distinguishability",
-                                       "_evaluate")}
+        calls = {name: [] for name in ("unitary_from_params", "error_profile",
+                                       "probe_distinguishability", "_evaluate")}
         for name, log in calls.items():
             def counting(*args, fn=getattr(em_analysis, name), log=log):
                 log.append(args)
@@ -560,8 +560,8 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
             assert all(len(u) == rows for u in table[1])
             assert ensembles[1] == (rows, 1 if mode == "A" else 2, 2, 2)
         assert len(evaluations[0][1]) == 2 and len(evaluations) >= 2
-        assert calls == {"unitary_from_params": [], "unitaries_from_params": [],
-                         "error_profile": [], "probe_distinguishability": []}
+        assert calls == {"unitary_from_params": [], "error_profile": [],
+                         "probe_distinguishability": []}
     constrained_search("A", 0.1, probe_dim=3, restarts=2, iters=1)
     for cached in (em_analysis._basis, em_analysis._bit_copy_start, em_analysis._masks):
         assert cached.cache_info().misses == 2
@@ -609,7 +609,7 @@ def _never_build(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the search built a unitary before checking its args")
 
-    for name in ("unitaries_from_params", "_exponentials", "_basis", "_bit_copy_start"):
+    for name in ("_exponentials", "_basis", "_bit_copy_start"):
         monkeypatch.setattr(em_analysis, name, never)
     for mode, entry in list(em_analysis._MODES.items()):
         monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=never))
@@ -663,7 +663,7 @@ def test_search_rejects_an_unknown_mode_up_front(monkeypatch, mode):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_every_stacked_unitary_passes_check_unitary(d):
-    """The search evaluates the rows of ``unitaries_from_params`` without
+    """The search evaluates the unitaries of ``_exponentials`` without
     checking them, so every row must pass ``check_unitary``: here on seeded
     (2·npar + 1)-row stacks (a centre row, then each parameter bumped up and
     down) and two-row point stacks, at parameter norms from 0 to 20, about as
@@ -677,7 +677,7 @@ def test_every_stacked_unitary_passes_check_unitary(d):
         points = rng.normal(size=(2, npar))
         points *= norm / np.linalg.norm(points, axis=1, keepdims=True)
         for stack in (np.vstack([part, part + bumps, part - bumps]), points):
-            unitaries = em_analysis.unitaries_from_params(stack, d)
+            unitaries = em_analysis._exponentials(stack, d)[0]
             assert unitaries.shape == (len(stack), 2 * d, 2 * d)
             for u in unitaries:
                 check_unitary(u)

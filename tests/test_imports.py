@@ -12,13 +12,18 @@ No linter ships with the project, so these are the checks:
   constant (as ``getattr`` and the benchmark's tracing name it).  A test
   module's ``test_*`` functions are left out, since pytest collects them by
   their prefix, so a folded test cannot leave a helper, a constant or a
-  class behind.
+  class behind;
+- a backticked span of ``README.md`` names no private (single-underscore)
+  identifier, and a dotted name in one that starts with ``sqss`` or a
+  package module resolves, so README never restates what a refactor moves.
 
 The package's ``__init__.py`` is exempt from both, since it imports to
 re-export.
 """
 
 import ast
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -149,3 +154,24 @@ def test_package_defines_no_dead_name():
     defining = {module if p.parent.name == "tests" else p.stem: p.read_text()
                 for module, p in MODULES.items()}
     assert dead_names(defining, sources) == []
+
+
+# A fenced block, or an inline code span, of README.md.
+_SPAN = re.compile(r"```.*?```|`[^`\n]+`", re.DOTALL)
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def test_readme_cites_only_public_names_that_resolve():
+    spans = [m.group().strip("`") for m in _SPAN.finditer((ROOT / "README.md").read_text())]
+    private = [name for span in spans for name in re.findall(r"\b_\w*", span)
+               if not _is_dunder(name)]
+    assert private == []
+    unresolved = []
+    for span in filter(_DOTTED.fullmatch, spans):
+        head = span.split(".")[0]
+        if head == "sqss" or f"{head}.py" in MODULES:
+            try:
+                pkgutil.resolve_name(span if head == "sqss" else f"sqss.{span}")
+            except (ImportError, AttributeError):
+                unresolved.append(span)
+    assert unresolved == []
