@@ -6,13 +6,14 @@ distinguishability conditioned on key bits, residuals of the zero-error
 structure the security argument forces on the unitaries, and a constrained
 search over the error-vs-information tradeoff.
 
-Each mode reads one table, a tuple of arrays of joint qubit-probe vectors.
-Tables are stacks, one row per pair of unitaries on axis 0, and every reader
-returns one value per row; the public readers read a stack of one.  Within
-a row, preparations follow ``PrepState`` order, and block x of a vector (d
-entries) travels with qubit |x>.  Mode A's table is ``(psi, phi, reflected)``
-(``_measured_branches``), mode B's ``(full, ret)`` (``_chain_states_b``).
-Every rate, ensemble, residual and gradient is read from these arrays.
+Each mode reads one table, ``(pre, post)``, two arrays of joint qubit-probe
+vectors.  Tables are stacks, one row per pair of unitaries on axis 0, and
+every reader returns one value per row; the public readers read a stack of
+one.  A mode declares its vectors' journey (``_Mode.journey``): vector k is
+``pre[k] = mask[k] * (first @ inputs[k]) + fixed[k]`` before the second
+unitary and ``post[k] = second @ pre[k]`` after it, and block x of a vector
+(d entries) travels with qubit |x>.  Every rate, ensemble, residual and
+gradient is read from slices of these arrays that the mode declares.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .runtime import check_int, check_real, shared_tuple
 BRANCH_SKIP_PROB = 1e-12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_OFF_BLOCKS = 1.0 - np.eye(2)[:, :, None]   # [x, b] is 1 where block b does not travel with |x>
 
 
 def _blocks(vecs: np.ndarray) -> np.ndarray:
@@ -47,24 +49,11 @@ def _own_blocks(rows: np.ndarray) -> np.ndarray:
     return _blocks(rows)[..., [0, 1], [0, 1], :]
 
 
-@functools.cache
-def _masks(probe_dim: int) -> tuple:
-    """Read-only: the ``(2, 2d)`` mask whose row x is 1 on block x, then
-    mode A's mask and BB84 rows of each phi's input (psi masked to block x)
-    in (s, x) order, then of each reflected state's (psi); then mode B's
-    BB84 rows of each table vector's input, zero for the return-leg states."""
-    own, rows = np.repeat(np.eye(2), probe_dim, axis=1), bb84_rows(probe_dim)
-    masks = (own, np.concatenate([np.tile(own, (4, 1)), np.ones_like(rows.real)]),
-             np.concatenate([rows.repeat(2, 0), rows]), np.concatenate([rows, 0 * rows[:2]]))
-    for mask in masks:
-        mask.setflags(write=False)
-    return masks
-
-
-def _moved(rows: np.ndarray) -> np.ndarray:
-    """Each row ``rows[..., x, :]`` with its block x zeroed: what a Z
-    measurement that should give x reads as a mismatch."""
-    return rows * _masks(rows.shape[-1] // 2)[0][::-1]
+def _moved(vecs: np.ndarray) -> np.ndarray:
+    """Each of ``vecs``, ``(..., 2n, 2d)`` in (x = 0, 1) pairs, with its
+    block x zeroed: what a Z measurement that should give x reads as a mismatch."""
+    blocks = vecs.reshape(vecs.shape[:-2] + (-1, 2, 2, vecs.shape[-1] // 2))
+    return (blocks * _OFF_BLOCKS).reshape(vecs.shape)
 
 
 def _probe_outer(vecs: np.ndarray) -> np.ndarray:
@@ -78,27 +67,6 @@ def _kept(finals: np.ndarray) -> np.ndarray:
     """Entry [..., s]: (<s| (x) 1) finals[..., s], the probe left with the
     prepared state s by ``finals[..., s]``, one final joint state per ``PrepState``."""
     return np.einsum("sq,...sqi->...si", BB84_AMPS.conj(), _blocks(finals))
-
-
-def _measured_branches(first: np.ndarray, second: np.ndarray) -> tuple:
-    """Mode A's table ``(psi, phi, reflected)`` of the unitaries ``first``
-    and ``second``, each ``(R, 2d, 2d)``: ``psi[r, s]`` is preparation s
-    after ``first[r]``; ``phi[r, s, x]`` is ``second[r]`` applied to block x
-    of ``psi[r, s]`` alone, the branch a Z measurement with result x leaves;
-    ``reflected[r, s]`` is ``second[r]`` applied to all of ``psi[r, s]``."""
-    d = first.shape[-1] // 2
-    second_t = second.swapaxes(-1, -2)
-    psi = bb84_rows(d) @ first.swapaxes(-1, -2)
-    phi = (psi[:, :, None] * _masks(d)[0]).reshape(len(psi), 8, 2 * d) @ second_t
-    return psi, phi.reshape(len(psi), 4, 2, 2 * d), psi @ second_t
-
-
-def _chain_states_b(first: np.ndarray, second: np.ndarray) -> tuple:
-    """Mode B's table ``(full, ret)``: each preparation after the full chain
-    ``second[r] @ first[r]``, ``(R, 4, 2d)``, and each Z preparation after
-    the return unitary alone, ``(R, 2, 2d)``."""
-    rows = bb84_rows(first.shape[-1] // 2)
-    return rows @ (second @ first).swapaxes(-1, -2), rows[:2] @ second.swapaxes(-1, -2)
 
 
 class FloatMap(Mapping):
@@ -167,25 +135,6 @@ def _prep_basis_error(finals: np.ndarray) -> np.ndarray:
     return np.sum(1.0 - np.sum(np.abs(_kept(finals)) ** 2, axis=-1), axis=-1) / len(PrepState)
 
 
-def _rates_a(table: tuple) -> dict:
-    _, phi, reflected = table
-    # Cases 1-3 share the same physical chain: some classical party holds a
-    # Z result x, the return unitary acts on |x> and its probe branch, and a
-    # mismatch means Alice's Z outcome flips away from x.  Averaged over the
-    # four uniform preparations and the Born-rule branch.
-    measured = np.sum(np.abs(_moved(phi)) ** 2, axis=(1, 2, 3)) / len(PrepState)
-    # Case 4: both parties reflect, the return unitary acts on the full
-    # superposition, and Alice measures in the preparation basis.
-    return dict(zip(CHECKS_A, (measured, measured, measured, _prep_basis_error(reflected))))
-
-
-def _rates_b(table: tuple) -> dict:
-    full, ret = table
-    return dict(zip(CHECKS_B, (_prep_basis_error(full),
-                               np.sum(np.abs(_moved(full[:, :2])) ** 2, axis=(1, 2)) / 2.0,
-                               np.sum(np.abs(_moved(ret)) ** 2, axis=(1, 2)) / 2.0)))
-
-
 def _densities(mats: np.ndarray) -> np.ndarray:
     """``mats`` made Hermitian with unit trace, validated in one stacked check."""
     mats = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
@@ -207,25 +156,6 @@ def _info(rhos: np.ndarray) -> tuple:
     eigs, vecs = np.linalg.eigh(rhos[:, :, 0] - rhos[:, :, 1])
     dists = 0.5 * np.sum(np.abs(eigs), axis=-1)
     return dists.max(axis=1), dists, eigs, vecs
-
-
-def _ensembles_a(table: tuple) -> tuple:
-    """Mode A's key-bit ensemble per row, ``rhos[r, 0, x]`` the probe given x,
-    I/d for both where either x weighs under ``BRANCH_SKIP_PROB``.  Bob's
-    result (Case 2 key bits) and Charlie's (Case 3) give the same ensemble:
-    either way the return unitary sees |x> and the probe's x branch."""
-    psi, phi, _ = table
-    weights = np.sum(np.abs(_blocks(psi)) ** 2, axis=(1, 3)) / len(PrepState)
-    present = weights.min(axis=1)[:, None, None, None] >= BRANCH_SKIP_PROB
-    sums = np.where(present, _probe_outer(phi).sum(axis=1), np.eye(psi.shape[-1] // 2))
-    return _densities(sums[:, None] / len(PrepState))
-
-
-def _ensembles_b(table: tuple) -> tuple:
-    """Mode B's ensembles per row, the probe given each Z preparation after
-    both legs (``rhos[r, 0]``) and after the return leg alone (``rhos[r, 1]``)."""
-    full, ret = table
-    return _densities(_probe_outer(np.stack([full[:, :2], ret], axis=1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,7 +208,7 @@ _RESIDUALS_A = ("final_qubit_leakage", "cross_branch_initial", "cross_branch_fin
 
 
 def _residuals_a(table: tuple) -> dict:
-    psi, phi, _ = table
+    psi, phi = table[0][:, 8:], table[1][:, :8].reshape(len(table[1]), 4, 2, -1)
     # eps[r, s, x] is the first unitary's probe branch with |x>, before the
     # second acts; f[r, s, x] is the final one, and the rest of phi[r, s, x]
     # is amplitude the second unitary moved onto the other qubit state.
@@ -297,7 +227,7 @@ def _residuals_a(table: tuple) -> dict:
 
 
 def _residuals_b(table: tuple) -> dict:
-    full, ret = table
+    full, ret = table[1][:, :4], table[1][:, 4:]
     # Probe vectors traveling with each Z state after the full chain, and
     # after the return leg alone.
     h, g = _own_blocks(full[:, :2]), _own_blocks(ret)
@@ -338,7 +268,7 @@ def _distance_grad(states: np.ndarray, rhos: np.ndarray, eigs: np.ndarray, vecs:
     of the sum of ``_probe_outer`` of ``states[r, ..., x, :]``.  A zero
     eigenvalue has sign 0, the mean of its one-sided derivatives."""
     sign = (vecs * np.sign(eigs)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    # A row that _ensembles_a skips has S = 0 and may have a zero trace.
+    # An ensemble that _Mode.ensembles skips has S = 0 and may have a zero trace.
     traces = np.sum(np.abs(states) ** 2, axis=-1).reshape(len(states), -1, 2).sum(axis=1)
     overlaps = np.trace(sign[:, None] @ rhos, axis1=-2, axis2=-1).real[..., None, None]
     grads = (np.array([[[1.0]], [[-1.0]]]) * (sign[:, None] - overlaps * np.eye(sign.shape[-1]))
@@ -346,71 +276,116 @@ def _distance_grad(states: np.ndarray, rhos: np.ndarray, eigs: np.ndarray, vecs:
     return np.einsum("r...xbj,rxij->r...xbi", _blocks(states), grads).reshape(states.shape)
 
 
-def _unitary_grads(second, grads, pre, rows, mask=1.0) -> np.ndarray:
-    """Each row's term gradients ``(R, t, 2, 2d, 2d)`` with respect to its two
-    unitaries, from ``grads[r, t, k]``, term t's with respect to the table
-    vector second[r] @ pre[r, k]: pre[r, k] is mask[k] * (first[r] @ rows[k]),
-    or does not depend on the first unitary where rows[k] is zero."""
-    back = (grads @ second.conj()[:, None]) * mask
-    return np.stack([np.einsum("rtki,kj->rtij", back, rows.conj()),
-                     np.einsum("rtki,rkj->rtij", grads, pre.conj())], axis=2)
+@functools.cache
+def _journey_a(probe_dim: int) -> tuple:
+    """Mode A's vectors: each branch phi[s, x] in (s, x) order, the second
+    unitary applied to block x alone of psi[s], preparation s after the
+    first, as a Z measurement with result x leaves it; then each reflected
+    state, the second unitary applied to all of psi[s]."""
+    journey = (bb84_rows(probe_dim)[[0, 0, 1, 1, 2, 2, 3, 3, 0, 1, 2, 3]],
+               np.repeat(np.vstack([np.tile(np.eye(2), (4, 1)), np.ones((4, 2))]), probe_dim, 1))
+    for part in journey:
+        part.setflags(write=False)
+    return (*journey, None)
 
 
-def _derivative_a(first, second, table: tuple, rhos: np.ndarray, eigs, vecs):
-    """Mode A's gradients with respect to the two unitaries, of each rate in
-    ``_rates_a`` order and of the information, from their table, ensembles
-    and the eigenpairs ``_info`` found."""
-    psi, phi, reflected = table
-    d = psi.shape[-1] // 2
-    # Per term (the measured rate, case 4, the information), the gradient
-    # with respect to each phi, in (s, x) order, then each reflected state.
-    grads = np.zeros((len(psi), 3, 12, 2 * d), dtype=complex)
-    grads[:, 0, :8] = _moved(phi).reshape(len(psi), 8, -1) / 2.0
-    grads[:, 1, 8:] = _prep_error_grad(reflected)
-    grads[:, 2, :8] = _distance_grad(phi, rhos[:, 0], eigs[:, 0], vecs[:, 0]).reshape(-1, 8, 2 * d)
-    _, mask, rows, _ = _masks(d)
-    unitary = _unitary_grads(second, grads, mask * np.concatenate([psi.repeat(2, 1), psi], 1),
-                             rows, mask)
-    return unitary[:, [0, 0, 0, 1]], unitary[:, 2:]
-
-
-def _derivative_b(first, second, table: tuple, rhos: np.ndarray, eigs, vecs):
-    """Mode B's gradients, as ``_derivative_a`` gives them, for
-    ``_rates_b`` and for each of ``_ensembles_b``."""
-    full, ret = table
-    rows = _masks(first.shape[-1] // 2)[3]
-    # Per term (three rates, two ensembles), the gradient with respect to
-    # each full-chain state, then each return-leg state.
-    grads = np.zeros((len(full), 5, 6, first.shape[-1]), dtype=complex)
-    grads[:, 0, :4] = _prep_error_grad(full)
-    grads[:, 1, :2] = _moved(full[:, :2])
-    grads[:, 2, 4:] = _moved(ret)
-    for e, (term, at, states) in enumerate(((3, 0, full[:, :2]), (4, 4, ret))):
-        grads[:, term, at:at + 2] = _distance_grad(states, rhos[:, e], eigs[:, e], vecs[:, e])
-    pre = np.empty((len(full), 6, first.shape[-1]), dtype=complex)
-    pre[:, :4], pre[:, 4:] = rows[:4] @ first.swapaxes(-1, -2), rows[:2]
-    unitary = _unitary_grads(second, grads, pre, rows)
-    return unitary[:, :3], unitary[:, 3:]
+@functools.cache
+def _journey_b(probe_dim: int) -> tuple:
+    """Mode B's vectors: each preparation after both legs, then each Z
+    preparation after the return leg alone."""
+    rows = bb84_rows(probe_dim)
+    journey = (np.concatenate([rows, 0 * rows[:2]]), np.concatenate([0 * rows, rows[:2]]))
+    for part in journey:
+        part.setflags(write=False)
+    return journey[0], None, journey[1]
 
 
 @dataclass(frozen=True)
 class _Mode:
-    """One mode's analysis of stacks of pairs: ``table(first, second)``
-    builds what every reader reads; ``profile`` and ``residuals`` map it onto
-    dicts of ``(R,)`` arrays, and ``ensembles`` onto ``(R, E, 2, d, d)``
-    key-bit ensembles; ``derivative(first, second, table, rhos, eigs, vecs)``
-    gives the rates' and each ensemble's information's gradients with respect
-    to the two unitaries, from the eigenpairs ``_info`` found."""
+    """One mode's analysis, declared as data.  ``journey(d)`` gives its K
+    vectors (module docstring) as read-only ``(inputs, mask, fixed)``, each
+    ``(K, 2d)``; a None mask is all ones, a None ``fixed`` all zeros.  A term ``(kind, vectors,
+    preparations)`` is a mean over preparations of the Z mismatch of a slice
+    of (x = 0, 1) pairs (``"moved"``) or of ``_prep_basis_error`` (``"prep"``).
+    ``checks`` gives each check's term, in the protocol's order.  Each of
+    ``ensemble_vectors`` is a slice of (s, x) pairs whose probes, summed
+    over s, are one key-bit ensemble."""
 
-    table: Callable[[np.ndarray, np.ndarray], tuple]
-    profile: Callable[[tuple], dict]
-    ensembles: Callable[[tuple], tuple]
+    journey: Callable[[int], tuple]
+    terms: tuple
+    checks: tuple
+    ensemble_vectors: tuple
     residuals: Callable[[tuple], dict]
-    derivative: Callable[..., tuple]
+
+    def table(self, first: np.ndarray, second: np.ndarray) -> tuple:
+        """``(pre, post)``, each ``(R, K, 2d)``, of unitaries ``(R, 2d, 2d)``."""
+        inputs, mask, fixed = self.journey(first.shape[-1] // 2)
+        pre = inputs @ first.swapaxes(-1, -2)
+        if mask is not None:
+            pre *= mask
+        if fixed is not None:
+            pre += fixed
+        return pre, pre @ second.swapaxes(-1, -2)
+
+    def profile(self, table: tuple) -> dict:
+        """Each check's rate, an ``(R,)`` array, in the protocol's order."""
+        post = table[1]
+        values = [_prep_basis_error(post[:, vectors]) if kind == "prep"
+                  else np.sum(np.abs(_moved(post[:, vectors])) ** 2, axis=(1, 2)) / preps
+                  for kind, vectors, preps in self.terms]
+        return {check: values[term] for check, term in self.checks}
+
+    def ensembles(self, table: tuple) -> np.ndarray:
+        """``(R, E, 2, d, d)``, ``rhos[r, e, x]`` the probe given x, I/d for
+        both where either x weighs under ``BRANCH_SKIP_PROB``."""
+        post, slices = table[1], self.ensemble_vectors
+        vecs = np.concatenate([post[:, vectors] for vectors in slices], 1).reshape(
+            len(post), len(slices), -1, 2, post.shape[-1])
+        sums = _probe_outer(vecs).sum(axis=2)
+        weights = sums.trace(axis1=-2, axis2=-1).real / vecs.shape[2]   # each x's, mean over s
+        if weights.min() < BRANCH_SKIP_PROB:
+            sums = np.where((weights.min(axis=-1) >= BRANCH_SKIP_PROB)[..., None, None, None],
+                            sums, np.eye(sums.shape[-1]))
+        return _densities(sums)
+
+    def derivative(self, first, second, table: tuple, rhos: np.ndarray, eigs, vecs) -> np.ndarray:
+        """Each term's gradient, then each ensemble's information's, with
+        respect to the two unitaries, ``(R, T + E, 2, 2d, 2d)``."""
+        pre, post = table
+        inputs, mask, _ = self.journey(first.shape[-1] // 2)
+        terms = len(self.terms)
+        grads = np.zeros((len(post), terms + len(self.ensemble_vectors), *post.shape[1:]),
+                         dtype=complex)   # with respect to each vector of post
+        for t, (kind, vectors, preps) in enumerate(self.terms):
+            finals = post[:, vectors]
+            grads[:, t, vectors] = (_prep_error_grad(finals) if kind == "prep"
+                                    else _moved(finals) * (2 / preps))
+        for e, vectors in enumerate(self.ensemble_vectors):
+            states = post[:, vectors].reshape(len(post), -1, 2, post.shape[-1])   # (s, x) pairs
+            grads[:, terms + e, vectors] = _distance_grad(
+                states, rhos[:, e], eigs[:, e], vecs[:, e]).reshape(len(post), -1, post.shape[-1])
+        back = grads @ second.conj()[:, None]
+        if mask is not None:
+            back *= mask
+        return np.stack([np.einsum("rtki,kj->rtij", back, inputs.conj()),
+                         np.einsum("rtki,rkj->rtij", grads, pre.conj())], axis=2)
 
 
-_MODES = {"A": _Mode(_measured_branches, _rates_a, _ensembles_a, _residuals_a, _derivative_a),
-          "B": _Mode(_chain_states_b, _rates_b, _ensembles_b, _residuals_b, _derivative_b)}
+_MODES = {
+    # Cases 1-3: some classical party holds a Z result x, the return unitary
+    # acts on |x> and its probe branch, and Alice's Z outcome may flip from
+    # x.  Case 4: both reflect, and Alice measures in the preparation basis.
+    # Bob's result (Case 2 key bits) and Charlie's (Case 3) give one ensemble.
+    "A": _Mode(_journey_a, terms=(("moved", slice(0, 8), 4), ("prep", slice(8, 12), 4)),
+               checks=tuple(zip(CHECKS_A, (0, 0, 0, 1))), ensemble_vectors=(slice(0, 8),),
+               residuals=_residuals_a),
+    # The ensembles: the probe given each Z preparation after both legs, and
+    # after the return leg alone.
+    "B": _Mode(_journey_b, terms=(("prep", slice(0, 4), 4), ("moved", slice(0, 2), 2),
+                                  ("moved", slice(4, 6), 2)),
+               checks=tuple(zip(CHECKS_B, (0, 1, 2))), ensemble_vectors=(slice(0, 2), slice(4, 6)),
+               residuals=_residuals_b),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +570,15 @@ def _objective_gradient(analysis: _Mode, probe_dim: int, epsilon: float,
     and zero, or of mode B's two ensembles), each coordinate takes the mean
     of its one-sided derivatives, the limit a central difference takes."""
     _, info, err, rates, dists, rhos, eigs, vecs, first, second, lam, w, *table = point
-    rate_grads, info_grads = analysis.derivative(first, second, table, rhos, eigs, vecs)
-    grads = _params_gradient(lam[:, None], w[:, None], np.concatenate([rate_grads, info_grads], 1),
+    grads = _params_gradient(lam[:, None], w[:, None],
+                             analysis.derivative(first, second, table, rhos, eigs, vecs),
                              probe_dim).reshape(len(info), -1, 2 * params_dim(probe_dim))
     _, slope, weight, budget = _objective(info, err, epsilon)
+    # Each check's rate has its term's gradient; the penalty's floor, zero, has none.
     penalty = _max_grad(np.concatenate([rates - budget, np.zeros((len(info), 1))], 1),
-                        np.concatenate([grads[:, :rates.shape[1]], np.zeros_like(grads[:, :1])], 1))
-    return (np.reshape(slope, (-1, 1)) * _max_grad(dists, grads[:, rates.shape[1]:])
+                        np.concatenate([grads[:, [term for _, term in analysis.checks]],
+                                        np.zeros_like(grads[:, :1])], 1))
+    return (np.reshape(slope, (-1, 1)) * _max_grad(dists, grads[:, len(analysis.terms):])
             - weight * penalty)
 
 

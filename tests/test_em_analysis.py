@@ -26,39 +26,45 @@ from sqss.em_analysis import (
     unitary_from_params,
 )
 from sqss.oracle import detection_oracle
+from sqss.protocol_a import CHECKS_A
+from sqss.protocol_b import CHECKS_B
 from sqss.qstate import BB84_AMPS, PrepState, bb84_rows, check_unitary
-
-
-def test_branch_decompose_identity():
-    stacks = em_analysis._measured_branches(np.eye(4)[None], np.eye(4)[None])
-    assert [a.shape for a in stacks] == [(1, 4, 4), (1, 4, 2, 4), (1, 4, 4)]
-    psi, phi, reflected = (a[0] for a in stacks)
-    eps = psi.reshape(4, 2, 2)   # eps[s, x]: the probe branch with a measured |x>
-    assert np.allclose(eps[PrepState.ZERO, 0], [1, 0])
-    assert np.allclose(eps[PrepState.ZERO, 1], 0)
-    assert np.linalg.norm(eps[PrepState.PLUS, 0]) == pytest.approx(1 / np.sqrt(2))
-    # Both parties reflecting leaves every preparation as it was.
-    assert np.array_equal(reflected, bb84_rows(2))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_branch_embedding_is_the_kronecker_product(d):
-    """Mode A's table builds each |x> (x) eps by masking psi to block x.
-    On the ``tests/pin_tradeoff.py`` pair set (seeded random and zero-error
-    pairs, the identity and, from d = 2, the bit copy), built as one stack,
-    each row's ``phi`` equals the second unitary applied to
-    ``np.kron(|x>, eps)`` for every (s, x), and ``psi`` and ``reflected``
-    equal the first unitary applied to each preparation and the second to
-    that, compared with ``==``."""
-    pairs = pin_pairs("A", d)
-    stacks = em_analysis._measured_branches(np.array([pair.first for pair in pairs]),
-                                            np.array([pair.second for pair in pairs]))
-    for pair, psi, phi, reflected in zip(pairs, *stacks):
-        assert np.array_equal(psi, bb84_rows(d) @ pair.first.T)
-        assert np.array_equal(reflected, psi @ pair.second.T)
-        kron = np.array([[np.kron(BB84_AMPS[x], eps) for x, eps in enumerate(row.reshape(2, d))]
-                         for row in psi])
-        assert np.array_equal(phi, kron @ pair.second.T)
+    """Each mode's table follows its journey.  On the ``tests/pin_tradeoff.py``
+    pair set (seeded random and zero-error pairs, the identity and, from
+    d = 2, the bit copy), built as one stack per mode, compared with ``==``:
+    in mode A each branch phi[s, x] equals the second unitary applied to
+    ``np.kron(|x>, eps)``, and psi and the reflected states equal the first
+    unitary applied to each preparation and the second to that.  In mode B
+    the return-leg states are the second unitary applied to the Z
+    preparations, and the full chain is within 1e-15 of ``second @ first``
+    applied to each preparation.  The identity's table of one has a vector
+    per branch and reflected state in mode A, and leaves every preparation
+    as it was in both modes."""
+    rows = bb84_rows(d)
+    for mode in ("A", "B"):
+        pairs = pin_pairs(mode, d)
+        firsts, seconds = (np.array([getattr(pair, leg) for pair in pairs])
+                           for leg in ("first", "second"))
+        pre, post = em_analysis._MODES[mode].table(firsts, seconds)
+        for first, second, pre_row, post_row in zip(firsts, seconds, pre, post):
+            if mode == "A":
+                psi, phi, reflected = pre_row[8:], post_row[:8].reshape(4, 2, 2 * d), post_row[8:]
+                assert np.array_equal(psi, rows @ first.T)
+                assert np.array_equal(reflected, psi @ second.T)
+                kron = np.array([[np.kron(BB84_AMPS[x], eps)
+                                  for x, eps in enumerate(row.reshape(2, d))] for row in psi])
+                assert np.array_equal(phi, kron @ second.T)
+            else:
+                assert np.array_equal(post_row[4:], rows[:2] @ second.T)
+                assert np.abs(post_row[:4] - rows @ (second @ first).T).max() <= 1e-15
+        identity = identity_pair(mode, d)
+        pre, post = em_analysis._MODES[mode].table(identity.first[None], identity.second[None])
+        assert pre.shape == post.shape == (1, 12 if mode == "A" else 6, 2 * d)
+        assert np.array_equal(post[0, 8:] if mode == "A" else post[0, :4], rows)
 
 
 def test_theorem_check_verdicts():
@@ -81,31 +87,31 @@ def test_theorem_check_verdicts():
         assert noisy.max_error == pytest.approx(0.25)
 
 
-def _record_tables(monkeypatch, mode):
-    """Patch mode's entry in ``_MODES`` so its table builder logs each
-    ``(first, second)`` it is given; returns the log."""
-    entry = em_analysis._MODES[mode]
-    calls = []
+def _record_tables(monkeypatch):
+    """Patch ``_Mode.table`` so that each build logs its mode's entry and
+    the ``(first, second)`` it is given; returns the log."""
+    table, calls = em_analysis._Mode.table, []
 
-    def recording(first, second):
-        calls.append((first, second))
-        return entry.table(first, second)
+    def recording(self, first, second):
+        calls.append((self, first, second))
+        return table(self, first, second)
 
-    monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=recording))
+    monkeypatch.setattr(em_analysis._Mode, "table", recording)
     return calls
 
 
 def test_theorem_check_decomposes_the_first_unitary_once(monkeypatch):
     """Each mode builds its table once per theorem_check and every check
-    reads it: the branch table in mode A, the chain states in mode B."""
+    reads it."""
     rng = np.random.default_rng(19)
+    calls = _record_tables(monkeypatch)
     for mode in ("A", "B"):
         pair = random_zero_error_pair(mode, 2, rng)
-        calls = _record_tables(monkeypatch, mode)
+        calls.clear()
         verdict = theorem_check(pair)
         assert verdict.zero_error and verdict.holds
-        assert len(calls) == 1
-        assert all(np.array_equal(u, [v]) for u, v in zip(calls[0], (pair.first, pair.second)))
+        assert len(calls) == 1 and calls[0][0] is em_analysis._MODES[mode]
+        assert all(np.array_equal(u, [v]) for u, v in zip(calls[0][1:], (pair.first, pair.second)))
         # Sharing the table changes no value.
         assert verdict.max_error == error_profile(pair).max_rate
         assert verdict.distinguishability == probe_distinguishability(pair)
@@ -266,13 +272,41 @@ def test_mode_a_information_skips_a_branch_the_qubit_never_takes():
     (its zero trace is not divided by)."""
     first = np.eye(4)[:, [2, 1, 3, 0]]   # column j is the image of basis state j
     pair = UnitaryPair(first=first, second=np.eye(4), protocol="A")
-    table = em_analysis._measured_branches(first[None], np.eye(4)[None])
-    assert not np.any(table[0].reshape(4, 2, 2)[:, 0])
+    analysis = em_analysis._MODES["A"]
+    table = analysis.table(first[None], np.eye(4)[None])
+    assert not np.any(table[0][0, 8:].reshape(4, 2, 2)[:, 0])
     assert probe_distinguishability(pair) == 0.0
-    rhos = em_analysis._ensembles_a(table)
+    rhos = analysis.ensembles(table)
     _, _, eigs, vecs = em_analysis._info(rhos)
-    _, info_grads = em_analysis._derivative_a(first[None], np.eye(4)[None], table, rhos, eigs, vecs)
-    assert not np.any(info_grads)
+    grads = analysis.derivative(first[None], np.eye(4)[None], table, rhos, eigs, vecs)
+    assert not np.any(grads[:, len(analysis.terms):])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mode_declarations_are_well_formed(d):
+    """Each mode's checks are its protocol's, in order, and every term is
+    read by some check.  A ``"prep"`` term spans one vector per
+    preparation, and each ``"moved"`` term and each ensemble spans whole
+    (x = 0, 1) pairs.  Every slice lies inside the mode's journey, whose
+    arrays are read-only."""
+    for mode, checks in (("A", CHECKS_A), ("B", CHECKS_B)):
+        analysis = em_analysis._MODES[mode]
+        assert tuple(check for check, _ in analysis.checks) == checks
+        assert {term for _, term in analysis.checks} == set(range(len(analysis.terms)))
+        inputs, mask, fixed = analysis.journey(d)
+        for part in (inputs, mask, fixed):
+            assert part is None or (part.shape == (len(inputs), 2 * d)
+                                    and not part.flags.writeable)
+        paired = list(analysis.ensemble_vectors)
+        for kind, vectors, preparations in analysis.terms:
+            assert kind in ("moved", "prep")
+            if kind == "prep":
+                assert vectors.stop - vectors.start == preparations == len(PrepState)
+            else:
+                paired.append(vectors)
+        for vectors in (*analysis.ensemble_vectors, *(term[1] for term in analysis.terms)):
+            assert vectors.step is None and 0 <= vectors.start < vectors.stop <= len(inputs)
+        assert all(vectors.start % 2 == vectors.stop % 2 == 0 for vectors in paired)
 
 
 def test_insert_reorder_checks_blind_to_undone_controlled_rotation():
@@ -367,32 +401,33 @@ def test_eigh_exponential_equals_scipy_expm(d):
     assert np.array_equal(zero, np.broadcast_to(np.eye(m), (2, m, m)))
 
 
-def _record_search(monkeypatch, mode):
+def _record_search(monkeypatch):
     """Log, in order, each decomposition the search makes, a stacked
     ``_exponentials`` call (``("stack", rows)``), each table build
     (``("eval", (first, second))``) and each read of a table's rates or
     ensembles (``("profile",)``, ``("ensembles",)``)."""
-    entry = em_analysis._MODES[mode]
     events = []
-    build = em_analysis._exponentials
+    build, table = em_analysis._exponentials, em_analysis._Mode.table
 
     def stacking(params, probe_dim):
         events.append(("stack", np.array(params)))
         return build(params, probe_dim)
 
-    def evaluating(first, second):
+    def evaluating(self, first, second):
         events.append(("eval", (first, second)))
-        return entry.table(first, second)
+        return table(self, first, second)
 
-    def reading(name):
-        def read(table):
+    def reading(name, reader):
+        def read(self, table):
             events.append((name,))
-            return getattr(entry, name)(table)
+            return reader(self, table)
         return read
 
     monkeypatch.setattr(em_analysis, "_exponentials", stacking)
-    monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(
-        entry, table=evaluating, profile=reading("profile"), ensembles=reading("ensembles")))
+    monkeypatch.setattr(em_analysis._Mode, "table", evaluating)
+    for name in ("profile", "ensembles"):
+        reader = getattr(em_analysis._Mode, name)
+        monkeypatch.setattr(em_analysis._Mode, name, reading(name, reader))
     return events
 
 
@@ -512,12 +547,14 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
     stacked gradient reads what the evaluations at its thetas read: it makes
     no decomposition at all, builds no table, and reads no rates or
     ensembles.  The search calls no public builder or reader, and it builds
-    its parameter basis, its bit-copy start and its block masks once
+    its parameter basis, its bit-copy start and each mode's journey once
     per probe dimension.  With ``iters=1`` the two starts share one
     gradient."""
     npar = params_dim(2)
-    for cached in (em_analysis._basis, em_analysis._bit_copy_start, em_analysis._masks):
-        cached.cache_clear()
+    cached = (em_analysis._basis, em_analysis._bit_copy_start,
+              *(analysis.journey for analysis in em_analysis._MODES.values()))
+    for cache in cached:
+        cache.cache_clear()
     for mode in ("A", "B"):
         expected = constrained_search(mode, 0.1, restarts=2, iters=1)
         calls = {name: [] for name in ("unitary_from_params", "error_profile",
@@ -528,7 +565,7 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
                 return fn(*args)
 
             monkeypatch.setattr(em_analysis, name, counting)
-        events = _record_search(monkeypatch, mode)
+        events = _record_search(monkeypatch)
         gradient, eigh = em_analysis._objective_gradient, np.linalg.eigh
 
         def stepping(*args):
@@ -563,8 +600,8 @@ def test_search_builds_one_table_per_evaluation(monkeypatch):
         assert calls == {"unitary_from_params": [], "error_profile": [],
                          "probe_distinguishability": []}
     constrained_search("A", 0.1, probe_dim=3, restarts=2, iters=1)
-    for cached in (em_analysis._basis, em_analysis._bit_copy_start, em_analysis._masks):
-        assert cached.cache_info().misses == 2
+    # Dimensions 2 and 3 for the basis, the start and mode A; 2 for mode B.
+    assert [cache.cache_info().misses for cache in cached] == [2, 2, 2, 1]
 
 
 def test_search_draws_each_random_start_as_its_restart_begins(monkeypatch):
@@ -590,15 +627,15 @@ def test_search_draws_each_random_start_as_its_restart_begins(monkeypatch):
             assert len(draws) <= 1, "the search drew its random starts up front"
             return self.rng.normal(*args, **kwargs)
 
-    def build(first, second):
+    def build(self, first, second):
         raise Built
 
     monkeypatch.setattr(em_analysis.np.random, "default_rng", Counting)
     for mode in ("A", "B"):
         constrained_search(mode, 0.1, restarts=2, iters=1)
     assert seeded == [] and draws == []
-    for mode, entry in list(em_analysis._MODES.items()):
-        monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=build))
+    monkeypatch.setattr(em_analysis._Mode, "table", build)
+    for mode in ("A", "B"):
         with pytest.raises(Built):
             constrained_search(mode, 0.1, restarts=10**9)
         assert len(draws) == 1 and draws.pop()[0] <= em_analysis._BLOCK - 2
@@ -611,8 +648,7 @@ def _never_build(monkeypatch):
 
     for name in ("_exponentials", "_basis", "_bit_copy_start"):
         monkeypatch.setattr(em_analysis, name, never)
-    for mode, entry in list(em_analysis._MODES.items()):
-        monkeypatch.setitem(em_analysis._MODES, mode, dataclasses.replace(entry, table=never))
+    monkeypatch.setattr(em_analysis._Mode, "table", never)
 
 
 @pytest.mark.parametrize("bad, message", [
