@@ -44,11 +44,6 @@ def _blocks(vecs: np.ndarray) -> np.ndarray:
     return vecs.reshape(vecs.shape[:-1] + (2, -1))
 
 
-def _own_blocks(rows: np.ndarray) -> np.ndarray:
-    """Block x of each row ``rows[..., x, :]``: the probe that stays with |x>."""
-    return _blocks(rows)[..., [0, 1], [0, 1], :]
-
-
 def _moved(vecs: np.ndarray) -> np.ndarray:
     """Each of ``vecs``, ``(..., 2n, 2d)`` in (x = 0, 1) pairs, with its
     block x zeroed: what a Z measurement that should give x reads as a mismatch."""
@@ -85,6 +80,12 @@ class FloatMap(Mapping):
 
     def __getitem__(self, name):
         return self._dict()[name]
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
 
     def __iter__(self):
         return iter(self._names)
@@ -132,13 +133,13 @@ def _prep_basis_error(finals: np.ndarray) -> np.ndarray:
     """Per row, the mean probability that a preparation-basis measurement of
     the qubit in ``finals[r, s]`` (the final joint state of preparation s)
     does not return the prepared state."""
-    return np.sum(1.0 - np.sum(np.abs(_kept(finals)) ** 2, axis=-1), axis=-1) / len(PrepState)
+    return (1.0 - (np.abs(_kept(finals)) ** 2).sum(axis=-1)).sum(axis=-1) / len(PrepState)
 
 
 def _densities(mats: np.ndarray) -> np.ndarray:
     """``mats`` made Hermitian with unit trace, validated in one stacked check."""
     mats = (mats + mats.conj().swapaxes(-1, -2)) / 2.0
-    mats = mats / np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
+    mats = mats / mats.trace(axis1=-2, axis2=-1).real[..., None, None]
     check_density_matrices(mats)
     return mats
 
@@ -154,7 +155,7 @@ def _info(rhos: np.ndarray) -> tuple:
     """Per row, the largest trace distance within one of the ensembles
     ``rhos``; then each one's distance and the eigenpairs of its rho0 - rho1."""
     eigs, vecs = np.linalg.eigh(rhos[:, :, 0] - rhos[:, :, 1])
-    dists = 0.5 * np.sum(np.abs(eigs), axis=-1)
+    dists = 0.5 * np.abs(eigs).sum(axis=-1)
     return dists.max(axis=1), dists, eigs, vecs
 
 
@@ -189,7 +190,7 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
     zero-error condition forces all hold within tolerance."""
     # The mode's table is built once and every check reads it.
     mode, analysis, table = _table(pair, mode)
-    max_error = max(_first_row(analysis.profile(table)).values())
+    max_error = max([rate.item(0) for rate in analysis.profile(table).values()])
     zero_error = max_error <= ERR_TOL
     if not zero_error:
         return TheoremVerdict(mode=mode, max_error=max_error, zero_error=False,
@@ -201,41 +202,49 @@ def theorem_check(pair: UnitaryPair, mode: Optional[str] = None) -> TheoremVerdi
                           distinguishability=info, residuals=FloatMap(residuals), holds=holds)
 
 
-_norms = functools.partial(np.linalg.norm, axis=-1)
+def _norms(vecs: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(vecs, axis=-1)'s own formula, the same floats, without its wrapper.
+    return np.sqrt(np.add.reduce((vecs.conj() * vecs).real, axis=-1))
+
+
 _RESIDUALS_A = ("final_qubit_leakage", "cross_branch_initial", "cross_branch_final",
                 "plus_branch_match", "minus_branch_antimatch", "plus_vs_zero_scaling",
                 "plus_vs_one_scaling", "minus_vs_zero_scaling", "minus_vs_one_scaling")
+_Z0, _Z1, _P, _M = PrepState
+# Each identity from plus_branch_match on, f[s, x] - c f[t, y]: rows s, x, t, y; each c.
+_IDENTITIES_A = np.array([(_P, 0, _P, 1), (_M, 0, _M, 1), (_P, 0, _Z0, 0),
+                          (_P, 1, _Z1, 1), (_M, 0, _Z0, 0), (_M, 1, _Z1, 1)]).T
+_IDENTITY_SCALES_A = np.array([1.0, -1.0, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2])[:, None]
 
 
 def _residuals_a(table: tuple) -> dict:
-    psi, phi = table[0][:, 8:], table[1][:, :8].reshape(len(table[1]), 4, 2, -1)
     # eps[r, s, x] is the first unitary's probe branch with |x>, before the
-    # second acts; f[r, s, x] is the final one, and the rest of phi[r, s, x]
-    # is amplitude the second unitary moved onto the other qubit state.
-    eps, f = _blocks(psi), _own_blocks(phi)
-    Z0, Z1, P, M = PrepState
-    scaled = f[:, [Z0, Z1], [0, 1]] * _INV_SQRT2
-    # One norm per vector, in _RESIDUALS_A order: each moved block, then
-    # the cross branches before and after the second unitary.
+    # second acts.  Block b of phi[r, s, x] is blocks[r, s, x, b]: the final
+    # probe f[r, s, x] where b = x, else amplitude the second unitary moved
+    # onto the other qubit state.
+    eps, blocks = _blocks(table[0][:, 8:]), table[1][:, :8].reshape(len(table[1]), 4, 2, 2, -1)
+    s, x, t, y = _IDENTITIES_A
+    # One norm per vector, in _RESIDUALS_A order: each moved block, the cross
+    # branches before and after the second unitary, then each identity.
     norms = _norms(np.concatenate([
-        _blocks(phi)[:, :, [0, 1], [1, 0]].reshape(len(phi), 8, -1),
-        eps[:, [Z0, Z1], [1, 0]], f[:, [Z0, Z1], [1, 0]],
-        f[:, [P], 0] - f[:, [P], 1], f[:, [M], 0] + f[:, [M], 1],
-        f[:, P] - scaled, f[:, M] - scaled * [[1.0], [-1.0]]], axis=1))
+        blocks[:, :, [0, 1], [1, 0]].reshape(len(blocks), 8, -1), eps[:, [_Z0, _Z1], [1, 0]],
+        blocks[:, [_Z0, _Z1], [1, 0], [1, 0]],
+        blocks[:, s, x, x] - _IDENTITY_SCALES_A * blocks[:, t, y, y]], axis=1))
     return dict(zip(_RESIDUALS_A, (norms[:, :8].max(axis=1), norms[:, 8:10].max(axis=1),
                                    norms[:, 10:12].max(axis=1), *norms[:, 12:].T)))
 
 
 def _residuals_b(table: tuple) -> dict:
-    full, ret = table[1][:, :4], table[1][:, 4:]
-    # Probe vectors traveling with each Z state after the full chain, and
-    # after the return leg alone.
-    h, g = _own_blocks(full[:, :2]), _own_blocks(ret)
+    post = table[1]
+    # Probe vectors traveling with each Z state after the full chain (h), and
+    # after the return leg alone (g): block x of each (x = 0, 1) pair's |x>.
+    h, _, g = _blocks(post.reshape(len(post), 3, 2, -1))[:, :, [0, 1], [0, 1]].swapaxes(0, 1)
     # X-prepared control particles must factorize against the same probe.
     h_bar = (h[:, 0] + h[:, 1]) / 2.0
-    ctrl = full[:, 2:] - (BB84_AMPS[2:, :, None] * h_bar[:, None, None]).reshape(ret.shape)
-    worst = _norms(np.stack([_moved(full[:, :2]), ctrl, _moved(ret)], axis=1)).max(axis=2)
-    overlap = np.sum(g[:, 1].conj() * g[:, 0], axis=-1)
+    ctrl = post[:, 2:4] - (BB84_AMPS[2:, :, None] * h_bar[:, None, None]).reshape(len(post), 2, -1)
+    moved = _moved(post)
+    worst = _norms(np.stack([moved[:, :2], ctrl, moved[:, 4:]], axis=1)).max(axis=2)
+    overlap = (g[:, 1].conj() * g[:, 0]).sum(axis=-1)
     phase = np.divide(overlap, np.abs(overlap), out=np.ones_like(overlap), where=overlap != 0)
     return {
         "sift_qubit_leakage": worst[:, 0],
@@ -262,18 +271,19 @@ def _prep_error_grad(finals: np.ndarray) -> np.ndarray:
 
 
 def _distance_grad(states: np.ndarray, rhos: np.ndarray, eigs: np.ndarray, vecs: np.ndarray):
-    """Per row, the gradient with respect to each vector of ``states[r]`` of
-    the trace distance tr(S (rho0 - rho1)) / 2, S = sign(rho0 - rho1) from
-    the eigenpairs given, where rho_x is ``rhos[r, x]``, the ``_densities``
-    of the sum of ``_probe_outer`` of ``states[r, ..., x, :]``.  A zero
-    eigenvalue has sign 0, the mean of its one-sided derivatives."""
-    sign = (vecs * np.sign(eigs)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    """Per row and ensemble, the gradient with respect to each of the (s, x)
+    pairs of vectors ``states[r, e]`` of the trace distance tr(S (rho0 -
+    rho1)) / 2, S = sign(rho0 - rho1) from the eigenpairs given, where rho_x
+    is ``rhos[r, e, x]``, the ``_densities`` of the sum over s of the
+    ``_probe_outer`` of x's.  A zero eigenvalue has sign 0, the mean of its
+    one-sided derivatives."""
+    sign = (vecs * np.sign(eigs)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     # An ensemble that _Mode.ensembles skips has S = 0 and may have a zero trace.
-    traces = np.sum(np.abs(states) ** 2, axis=-1).reshape(len(states), -1, 2).sum(axis=1)
-    overlaps = np.trace(sign[:, None] @ rhos, axis1=-2, axis2=-1).real[..., None, None]
-    grads = (np.array([[[1.0]], [[-1.0]]]) * (sign[:, None] - overlaps * np.eye(sign.shape[-1]))
+    traces = (np.abs(states) ** 2).sum(axis=-1).sum(axis=2)
+    overlaps = (sign[:, :, None] @ rhos).trace(axis1=-2, axis2=-1).real[..., None, None]
+    grads = (np.array([[[1.0]], [[-1.0]]]) * (sign[:, :, None] - overlaps * np.eye(sign.shape[-1]))
              / np.maximum(traces, np.finfo(float).tiny)[..., None, None])
-    return np.einsum("r...xbj,rxij->r...xbi", _blocks(states), grads).reshape(states.shape)
+    return np.einsum("re...xbj,rexij->re...xbi", _blocks(states), grads)
 
 
 @functools.cache
@@ -304,17 +314,18 @@ def _journey_b(probe_dim: int) -> tuple:
 class _Mode:
     """One mode's analysis, declared as data.  ``journey(d)`` gives its K
     vectors (module docstring) as read-only ``(inputs, mask, fixed)``, each
-    ``(K, 2d)``; a None mask is all ones, a None ``fixed`` all zeros.  A term ``(kind, vectors,
-    preparations)`` is a mean over preparations of the Z mismatch of a slice
-    of (x = 0, 1) pairs (``"moved"``) or of ``_prep_basis_error`` (``"prep"``).
-    ``checks`` gives each check's term, in the protocol's order.  Each of
-    ``ensemble_vectors`` is a slice of (s, x) pairs whose probes, summed
-    over s, are one key-bit ensemble."""
+    ``(K, 2d)``; a None ``fixed`` is all zeros, a None mask all ones (each
+    vector a preparation carried by unitaries, of weight 1).  A term ``(kind,
+    vectors, preparations)`` is a mean over preparations of the Z mismatch of
+    a slice of (x = 0, 1) pairs (``"moved"``) or of ``_prep_basis_error``
+    (``"prep"``).  ``checks`` gives each check's term in protocol order, the
+    last T the T terms in order.  Each row of ``ensemble_vectors`` (read-only)
+    indexes (s, x) pairs whose probes, summed over s, are one key-bit ensemble."""
 
     journey: Callable[[int], tuple]
     terms: tuple
     checks: tuple
-    ensemble_vectors: tuple
+    ensemble_vectors: np.ndarray
     residuals: Callable[[tuple], dict]
 
     def table(self, first: np.ndarray, second: np.ndarray) -> tuple:
@@ -330,22 +341,23 @@ class _Mode:
     def profile(self, table: tuple) -> dict:
         """Each check's rate, an ``(R,)`` array, in the protocol's order."""
         post = table[1]
+        moved = np.abs(_moved(post)) ** 2   # every "moved" term's mismatches
         values = [_prep_basis_error(post[:, vectors]) if kind == "prep"
-                  else np.sum(np.abs(_moved(post[:, vectors])) ** 2, axis=(1, 2)) / preps
+                  else moved[:, vectors].sum(axis=(1, 2)) / preps
                   for kind, vectors, preps in self.terms]
         return {check: values[term] for check, term in self.checks}
 
     def ensembles(self, table: tuple) -> np.ndarray:
         """``(R, E, 2, d, d)``, ``rhos[r, e, x]`` the probe given x, I/d for
         both where either x weighs under ``BRANCH_SKIP_PROB``."""
-        post, slices = table[1], self.ensemble_vectors
-        vecs = np.concatenate([post[:, vectors] for vectors in slices], 1).reshape(
-            len(post), len(slices), -1, 2, post.shape[-1])
+        vecs = table[1][:, self.ensemble_vectors]   # (s, x) pairs
+        vecs = vecs.reshape(vecs.shape[:2] + (-1, 2, vecs.shape[-1]))
         sums = _probe_outer(vecs).sum(axis=2)
-        weights = sums.trace(axis1=-2, axis2=-1).real / vecs.shape[2]   # each x's, mean over s
-        if weights.min() < BRANCH_SKIP_PROB:
-            sums = np.where((weights.min(axis=-1) >= BRANCH_SKIP_PROB)[..., None, None, None],
-                            sums, np.eye(sums.shape[-1]))
+        if self.journey(vecs.shape[-1] // 2)[1] is not None:   # else every x weighs 1
+            weights = sums.trace(axis1=-2, axis2=-1).real / vecs.shape[2]   # each x's, mean over s
+            if weights.min() < BRANCH_SKIP_PROB:
+                sums = np.where((weights.min(axis=-1) >= BRANCH_SKIP_PROB)[..., None, None, None],
+                                sums, np.eye(sums.shape[-1]))
         return _densities(sums)
 
     def derivative(self, first, second, table: tuple, rhos: np.ndarray, eigs, vecs) -> np.ndarray:
@@ -356,14 +368,15 @@ class _Mode:
         terms = len(self.terms)
         grads = np.zeros((len(post), terms + len(self.ensemble_vectors), *post.shape[1:]),
                          dtype=complex)   # with respect to each vector of post
+        moved = _moved(post)
         for t, (kind, vectors, preps) in enumerate(self.terms):
-            finals = post[:, vectors]
-            grads[:, t, vectors] = (_prep_error_grad(finals) if kind == "prep"
-                                    else _moved(finals) * (2 / preps))
+            grads[:, t, vectors] = (_prep_error_grad(post[:, vectors]) if kind == "prep"
+                                    else moved[:, vectors] * (2 / preps))
+        states = post[:, self.ensemble_vectors]
+        infos = _distance_grad(states.reshape(states.shape[:2] + (-1, 2, states.shape[-1])),
+                               rhos, eigs, vecs)
         for e, vectors in enumerate(self.ensemble_vectors):
-            states = post[:, vectors].reshape(len(post), -1, 2, post.shape[-1])   # (s, x) pairs
-            grads[:, terms + e, vectors] = _distance_grad(
-                states, rhos[:, e], eigs[:, e], vecs[:, e]).reshape(len(post), -1, post.shape[-1])
+            grads[:, terms + e, vectors] = infos[:, e].reshape(len(post), -1, post.shape[-1])
         back = grads @ second.conj()[:, None]
         if mask is not None:
             back *= mask
@@ -377,13 +390,15 @@ _MODES = {
     # x.  Case 4: both reflect, and Alice measures in the preparation basis.
     # Bob's result (Case 2 key bits) and Charlie's (Case 3) give one ensemble.
     "A": _Mode(_journey_a, terms=(("moved", slice(0, 8), 4), ("prep", slice(8, 12), 4)),
-               checks=tuple(zip(CHECKS_A, (0, 0, 0, 1))), ensemble_vectors=(slice(0, 8),),
+               checks=tuple(zip(CHECKS_A, (0, 0, 0, 1))),
+               ensemble_vectors=np.broadcast_to(np.arange(8), (1, 8)),
                residuals=_residuals_a),
     # The ensembles: the probe given each Z preparation after both legs, and
     # after the return leg alone.
     "B": _Mode(_journey_b, terms=(("prep", slice(0, 4), 4), ("moved", slice(0, 2), 2),
                                   ("moved", slice(4, 6), 2)),
-               checks=tuple(zip(CHECKS_B, (0, 1, 2))), ensemble_vectors=(slice(0, 2), slice(4, 6)),
+               checks=tuple(zip(CHECKS_B, (0, 1, 2))),
+               ensemble_vectors=np.broadcast_to([[0, 1], [4, 5]], (2, 2)),
                residuals=_residuals_b),
 }
 
@@ -574,12 +589,12 @@ def _objective_gradient(analysis: _Mode, probe_dim: int, epsilon: float,
                              analysis.derivative(first, second, table, rhos, eigs, vecs),
                              probe_dim).reshape(len(info), -1, 2 * params_dim(probe_dim))
     _, slope, weight, budget = _objective(info, err, epsilon)
-    # Each check's rate has its term's gradient; the penalty's floor, zero, has none.
-    penalty = _max_grad(np.concatenate([rates - budget, np.zeros((len(info), 1))], 1),
-                        np.concatenate([grads[:, [term for _, term in analysis.checks]],
-                                        np.zeros_like(grads[:, :1])], 1))
-    return (np.reshape(slope, (-1, 1)) * _max_grad(dists, grads[:, len(analysis.terms):])
-            - weight * penalty)
+    # The last T checks' rates are the T terms' (_Mode), and the max over terms is the max over
+    # checks, which share their term's rate and gradient.  The penalty's floor, zero, has none.
+    terms = len(analysis.terms)
+    penalty = _max_grad(np.concatenate([rates[:, -terms:] - budget, np.zeros((len(info), 1))], 1),
+                        np.concatenate([grads[:, :terms], np.zeros_like(grads[:, :1])], 1))
+    return np.reshape(slope, (-1, 1)) * _max_grad(dists, grads[:, terms:]) - weight * penalty
 
 
 def check_search_args(mode: str, epsilon: float, probe_dim: int, restarts: int,
@@ -630,7 +645,7 @@ def _climb(analysis: _Mode, thetas: np.ndarray, probe_dim: int, epsilon: float,
         point = pieces[0][0] if len(pieces) == 1 and pieces[0][1].all() else tuple(
             np.concatenate(parts) for parts in zip(*([e[kept] for e in p] for p, kept in pieces)))
         grads = _objective_gradient(analysis, probe_dim, epsilon, point)
-        gnorm = np.linalg.norm(grads, axis=1)
+        gnorm = _norms(grads)
         climbing = gnorm >= 1e-12
         rows, obj, direction = rows[climbing], point[0][climbing], grads[climbing]
         direction, trial_step = direction / gnorm[climbing, None], step[rows]

@@ -269,10 +269,10 @@ def check_density_matrices(mats: np.ndarray) -> None:
     ``DensityMatrix``'s checks, in its order and with its messages."""
     mats = np.asarray(mats, dtype=complex)
     _check_finite("density matrix", mats)
-    if not (np.linalg.norm(mats - mats.conj().swapaxes(-1, -2), axis=(-2, -1))
-            <= DENSITY_ATOL).all():
+    r = mats - mats.conj().swapaxes(-1, -2)   # norm: np.linalg.norm's formula, no wrapper
+    if not (np.sqrt(np.add.reduce((r.conj() * r).real, axis=(-2, -1))) <= DENSITY_ATOL).all():
         raise ValueError("density matrix is not Hermitian")
-    tr = np.trace(mats, axis1=-2, axis2=-1)
+    tr = mats.trace(axis1=-2, axis2=-1)
     off = ~(np.abs(tr - 1.0) <= DENSITY_ATOL)
     if off.any():
         raise ValueError(f"density matrix trace is {tr[off][0]!r}, expected 1")

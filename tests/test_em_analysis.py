@@ -284,29 +284,36 @@ def test_mode_a_information_skips_a_branch_the_qubit_never_takes():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mode_declarations_are_well_formed(d):
-    """Each mode's checks are its protocol's, in order, and every term is
-    read by some check.  A ``"prep"`` term spans one vector per
-    preparation, and each ``"moved"`` term and each ensemble spans whole
-    (x = 0, 1) pairs.  Every slice lies inside the mode's journey, whose
-    arrays are read-only."""
+    """Each mode's checks are its protocol's, in order, every term is read
+    by some check, and the last T checks read the T terms in order.  A
+    ``"prep"`` term spans one vector per preparation, and each ``"moved"``
+    term spans whole (x = 0, 1) pairs, as each row of the read-only
+    ``ensemble_vectors`` indexes them.  Every index lies inside the mode's
+    journey, whose arrays are read-only."""
     for mode, checks in (("A", CHECKS_A), ("B", CHECKS_B)):
         analysis = em_analysis._MODES[mode]
+        terms = len(analysis.terms)
         assert tuple(check for check, _ in analysis.checks) == checks
-        assert {term for _, term in analysis.checks} == set(range(len(analysis.terms)))
+        assert {term for _, term in analysis.checks} == set(range(terms))
+        assert tuple(term for _, term in analysis.checks[-terms:]) == tuple(range(terms))
         inputs, mask, fixed = analysis.journey(d)
         for part in (inputs, mask, fixed):
             assert part is None or (part.shape == (len(inputs), 2 * d)
                                     and not part.flags.writeable)
-        paired = list(analysis.ensemble_vectors)
+        paired = []
         for kind, vectors, preparations in analysis.terms:
             assert kind in ("moved", "prep")
+            assert vectors.step is None and 0 <= vectors.start < vectors.stop <= len(inputs)
             if kind == "prep":
                 assert vectors.stop - vectors.start == preparations == len(PrepState)
             else:
                 paired.append(vectors)
-        for vectors in (*analysis.ensemble_vectors, *(term[1] for term in analysis.terms)):
-            assert vectors.step is None and 0 <= vectors.start < vectors.stop <= len(inputs)
         assert all(vectors.start % 2 == vectors.stop % 2 == 0 for vectors in paired)
+        ensembles = analysis.ensemble_vectors
+        assert ensembles.ndim == 2 and not ensembles.flags.writeable
+        assert 0 <= ensembles.min() and ensembles.max() < len(inputs)
+        assert not np.any(ensembles[:, ::2] % 2) and np.array_equal(ensembles[:, 1::2],
+                                                                   ensembles[:, ::2] + 1)
 
 
 def test_insert_reorder_checks_blind_to_undone_controlled_rotation():
