@@ -174,13 +174,13 @@ class AdversaryKnowledge:
 
         "recorded" are bits it measured, "fake" the bits of fakes it sent, and
         "retained" Z measurements of the genuine particles it kept back, made
-        now in position order.
+        now in position order as a read-out: nothing reads them after.
         """
         if source == "recorded":
             return self.recorded[positions]
         if source == "fake":
             return self.fake_bits[positions]
-        bits = self.retained.measure(positions, Basis.Z, rng)
+        bits = self.retained.measure(positions, Basis.Z, rng, collapse=False)
         self.record(positions, bits, "retained-measurement")
         return bits
 

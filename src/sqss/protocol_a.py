@@ -98,12 +98,13 @@ def run_protocol_a(config: ProtocolAConfig, attack: Optional[AttackSpec],
     announced_c = charlie.announced.astype(np.intp)
     case = _CASE_OF[announced_b, announced_c]
 
-    # Alice measures case by case, each case in position order.
+    # Alice measures case by case, each case in position order; nothing
+    # reads the batch after, so her measurement is a read-out.
     c1, c2, c3, c4 = members = [np.flatnonzero(case == i) for i in range(4)]
     basis = _ALICE_BASIS[case, preps]
     order = np.concatenate(members)
     alice = np.empty(len(batch), dtype=np.int8)
-    alice[order] = batch.measure(order, basis[order], rng)
+    alice[order] = batch.measure(order, basis[order], rng, collapse=False)
 
     disclosed2, withheld2 = disclose(c2, config.check_fraction, rng)
     disclosed3, withheld3 = disclose(c3, config.check_fraction, rng)

@@ -125,7 +125,7 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     ctrl = np.flatnonzero(classes == CTRL)
     bases = np.zeros(3 * n, dtype=np.int8)
     bases[ctrl] = BASIS_OF_CODE[preps[origins[ctrl]]]
-    outcomes = batch.measure(np.arange(3 * n), bases, rng)
+    outcomes = batch.measure(np.arange(3 * n), bases, rng, collapse=False)
 
     mism_ctrl = np.count_nonzero(outcomes[ctrl] != EXPECTED_OF_CODE[preps[origins[ctrl]]])
     checks: list[CheckVerdict] = [

@@ -211,8 +211,8 @@ def _x_frame(rows: np.ndarray, is_x: np.ndarray) -> np.ndarray:
     return np.where(is_x, (rows @ _hadamard_rows(rows.shape[1] // 2)) * _INV_SQRT2, rows)
 
 
-def measure_qubit(rows: np.ndarray, bases,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def measure_qubit(rows: np.ndarray, bases, rng: np.random.Generator,
+                  collapse: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Measure the qubit of each joint qubit-probe row in order, in
     ``bases`` (0 = Z, 1 = X): one basis index per row, or one for the layer.
 
@@ -221,7 +221,9 @@ def measure_qubit(rows: np.ndarray, bases,
     are those of a projective measurement of each qubit in turn: a certain
     outcome draws nothing, and the rest share one ``rng.random`` call in row
     order.  Returns the bits and the projected, renormalized rows; ``rows``
-    is left as it was.
+    is left as it was.  With ``collapse`` False the measurement is a
+    read-out: the same draws give the same bits, and the rows are None, as
+    no post-measurement row is built.
 
     X rows are mixed into their outcome frame first, so that in every row
     block b is the probe vector that travels with outcome b; the collapsed
@@ -237,6 +239,8 @@ def measure_qubit(rows: np.ndarray, bases,
     weights = _weights(blocks)
     p0 = weights[::2]
     bits = _draw_bits(p0, rng)
+    if not collapse:
+        return bits, None
     kept = np.arange(0, 2 * k, 2) + bits   # the drawn block of each row
     # One divisor per amplitude: a flat division costs less than a broadcast one.
     branch = blocks.take(kept, axis=0).reshape(-1) / np.repeat(np.sqrt(weights[kept]), d)

@@ -94,7 +94,8 @@ class ParticleBatch:
                              f"expected {d}")
         return self.states
 
-    def measure(self, positions, bases, rng: np.random.Generator) -> np.ndarray:
+    def measure(self, positions, bases, rng: np.random.Generator,
+                collapse: bool = True) -> np.ndarray:
         """Measure the distinct particles at ``positions``, in that order, in
         ``bases`` (basis indices, 0 = Z and 1 = X, as a ``qstate.Basis`` is;
         one per position, or one for all) and collapse them.
@@ -103,10 +104,17 @@ class ParticleBatch:
         certain share one ``rng.random`` call in position order, so the
         draws are those of measuring the particles one at a time.  A bare
         batch's layer goes through ``measure_codes``, a probed batch's
-        through one ``measure_qubit`` call on its rows.
+        through one ``measure_qubit`` call on its rows.  With ``collapse``
+        False, for a measurement nothing reads the batch after, the layer
+        is a read-out: it returns the same bits from the same draws and
+        writes nothing to ``states``.
         """
-        kernel = measure_qubit if self.probed else measure_codes
-        bits, self.states[positions] = kernel(self.states[positions], bases, rng)
+        if self.probed:
+            bits, states = measure_qubit(self.states[positions], bases, rng, collapse)
+        else:
+            bits, states = measure_codes(self.states[positions], bases, rng)
+        if collapse:
+            self.states[positions] = states
         return bits
 
 

@@ -83,27 +83,38 @@ def worker() -> None:
     print(json.dumps(times))
 
 
-def block(src: Path) -> dict:
-    """One fresh interpreter's times with ``src`` as the package."""
-    done = subprocess.run([sys.executable, __file__, "--worker"], capture_output=True, text=True,
-                          check=True, env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)})
+def block(src: Path, script: str = __file__, *args: str) -> dict:
+    """One fresh interpreter's times from ``script --worker *args``, with
+    ``src`` as the package."""
+    done = subprocess.run([sys.executable, script, "--worker", *args], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, **ONE_THREAD, "PYTHONPATH": str(src)})
     return json.loads(done.stdout)
 
 
-def compare(other: Path, blocks: int) -> dict:
+def compare(other: Path, blocks: int, run=block) -> dict:
+    """Each name's figures over ``blocks`` alternating blocks of ``run(src)``
+    per side, ``other`` and this checkout's ``SRC``, this side first in odd
+    blocks."""
     runs = {"other": [], "this": []}
     for i in range(blocks):
         for side in (("this", "other") if i % 2 == 0 else ("other", "this")):
-            runs[side].append(block(SRC if side == "this" else other))
+            runs[side].append(run(SRC if side == "this" else other))
     result = {}
     for name in runs["this"][0]:
         other_us, this_us = (1e6 * min(run[name] for run in runs[side])
                              for side in ("other", "this"))
         lower = sum(t[name] < o[name] for t, o in zip(runs["this"], runs["other"]))
-        result[name] = {"other_us": round(other_us, 2), "this_us": round(this_us, 2),
+        result[name] = {"other_us": round(other_us, 4), "this_us": round(this_us, 4),
                         "this_over_other": round(this_us / other_us, 4),
                         "this_lower_in_blocks": f"{lower}/{blocks}"}
     return result
+
+
+def machine() -> dict:
+    """The host's CPU count and its Python, NumPy and platform versions."""
+    return {"cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "platform": platform.platform()}
 
 
 def main(argv: list[str]) -> int:
@@ -123,9 +134,7 @@ def main(argv: list[str]) -> int:
                 "alternating the two sides, BLAS on one thread",
         "other": str(other.parent), "this": str(SRC.parent), "blocks": args.blocks,
         "calls_per_block": CALLS,
-        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "platform": platform.platform()},
-        "kernels": compare(other, args.blocks)}, indent=1))
+        "machine": machine(), "kernels": compare(other, args.blocks)}, indent=1))
     return 0
 
 

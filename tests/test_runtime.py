@@ -13,7 +13,7 @@ from sqss.protocol_a import ProtocolAConfig, run_protocol_a
 from sqss.protocol_a import default_thresholds as default_thresholds_a
 from sqss.protocol_b import ProtocolBConfig, run_protocol_b
 from sqss.protocol_b import default_thresholds as default_thresholds_b
-from sqss.qstate import BB84_AMPS, Basis, CompositeState, lift, measure
+from sqss.qstate import BASIS_OF_CODE, BB84_AMPS, Basis, CompositeState, lift, measure
 from sqss.runtime import (
     CheckVerdict,
     KeyMaterial,
@@ -227,6 +227,37 @@ def test_batch_measure_reads_one_basis_for_the_layer(probed, basis):
         assert np.array_equal(got.states, want.states)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("basis", ["Z", "X", "mixed"])
+@pytest.mark.parametrize("d", [None, 1, 2, 3], ids=["bare", "d1", "d2", "d3"])
+def test_read_out_draws_as_a_collapsing_measurement(d, basis):
+    """A read-out (``collapse=False``) of a layer at scrambled positions
+    gives exactly the bits of a collapsing measurement from the same seed
+    and leaves the Generator in the same state, while ``states`` stays as
+    it was.  Bare codes and lifted BB84 rows measured in their own basis
+    make some outcomes certain; a third of the probed rows are random."""
+    layout = np.random.default_rng(74)
+    n = 40
+    codes = layout.integers(4, size=n).astype(np.int8)
+    states = codes
+    if d is not None:
+        states = ParticleBatch(codes).amplitudes(d)
+        states[::3] = [_random_amps(2 * d, layout) for _ in range(0, n, 3)]
+    positions = layout.permutation(n)[:30]
+    bases = {"Z": Basis.Z, "X": Basis.X,
+             "mixed": layout.integers(2, size=30).astype(np.int8)}[basis]
+    certain = np.isin(positions % 3, (1, 2)) if d else positions >= 0
+    assert (certain & (BASIS_OF_CODE[codes[positions]] == bases)).any()
+    for seed in range(3):
+        read, collapsed = ParticleBatch(states.copy()), ParticleBatch(states.copy())
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bits = read.measure(positions, bases, rng, collapse=False)
+        want = collapsed.measure(positions, bases, ref_rng)
+        assert bits.dtype == want.dtype and np.array_equal(bits, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.array_equal(read.states, states)
+        assert not np.array_equal(collapsed.states, states)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

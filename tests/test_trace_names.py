@@ -72,16 +72,16 @@ def test_probed_layers_reach_the_traced_kernel_once(monkeypatch):
     calls = []
     measure, kernel = runtime.ParticleBatch.measure, runtime.measure_qubit
 
-    def counted_measure(batch, positions, bases, rng):
+    def counted_measure(batch, positions, bases, rng, collapse=True):
         probed = batch.probed
         before = len(calls)
-        bits = measure(batch, positions, bases, rng)
+        bits = measure(batch, positions, bases, rng, collapse)
         layers.append((probed, len(calls) - before))
         return bits
 
-    def counted_kernel(*args):
+    def counted_kernel(*args, **kwargs):
         calls.append(args)
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(runtime.ParticleBatch, "measure", counted_measure)
     monkeypatch.setattr(runtime, "measure_qubit", counted_kernel)
