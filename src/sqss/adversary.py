@@ -20,16 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .qstate import Basis, apply_unitary_batch, bb84_rows, check_unitary
-from .runtime import (
-    CTRL,
-    LEG_ORDER,
-    SIFT_B,
-    SIFT_C,
-    Leg,
-    ParticleBatch,
-    SimulationError,
-    random_subset,
-)
+from .runtime import LEG_ORDER, Leg, ParticleBatch, SimulationError, random_subset
 
 
 class UnsupportedAttackError(ValueError):
@@ -388,8 +379,11 @@ class CatalogEntry:
     when the attack learns nothing about it.
 
     Knowledge positions are those of the batch on the leg the attacker acts
-    on.  In protocol B they change from leg to leg, as parties insert and
-    reorder particles, and no entry records on two legs.
+    on, and a guess reads them at each untested key carrier's position on
+    that leg.  In protocol B they change from leg to leg, as parties insert
+    and reorder particles, and no entry records on two legs.  An entry with
+    no return-leg tap is read through Charlie's published order, and has
+    no k_c source: her insertions never reach it.
     """
 
     legs: dict = field(default_factory=dict)
@@ -453,10 +447,6 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 _NO_ATTACK = CatalogEntry()
-# The key strings by index, and the key each protocol B class carries (-1: none).
-_KEYS = ("k_b", "k_c")
-_KEY_OF_CLASS = np.empty(3, dtype=np.int8)
-_KEY_OF_CLASS[[CTRL, SIFT_B, SIFT_C]] = [-1, _KEYS.index("k_b"), _KEYS.index("k_c")]
 
 
 # ---------------------------------------------------------------------------
@@ -501,48 +491,29 @@ class AttackPlan:
 
     # -- key guessing -------------------------------------------------------
 
-    def _guesses(self, positions: np.ndarray, keys: np.ndarray, rng) -> np.ndarray:
-        """The attacker's bit for each carrier (its position and the index
-        of the key it carries), -1 where it has none.  Carriers whose keys
-        share a guess source are guessed together, in carrier order."""
-        bits = np.full(len(positions), -1, dtype=np.int8)
-        by_source: dict[str, list[int]] = {}
-        for key, source in self.entry.guess.items():
-            if source is not None:
-                by_source.setdefault(source, []).append(_KEYS.index(key))
-        for source, key_ids in by_source.items():
-            mine = np.isin(keys, key_ids)
-            bits[mine] = self.knowledge.guess_bits(source, positions[mine], rng)
-        return bits
-
     def guess_a(self, k_b_positions: np.ndarray, k_c_positions: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
-        """Best guess of the targeted key-case bits, from knowledge alone:
-        the bits at the Case 2 positions that carry k_b, then at the Case 3
-        positions that carry k_c, -1 where there is none."""
-        positions = np.concatenate([k_b_positions, k_c_positions])
-        keys = np.repeat([0, 1], [len(k_b_positions), len(k_c_positions)])
-        return self._guesses(positions, keys, rng)
+        """The attacker's bits for the untested key carriers, given by their
+        knowledge positions: k_b's carriers, then k_c's, each read from the
+        entry's source for that key (``AdversaryKnowledge.guess_bits``), -1
+        where the entry has none."""
+        guesses = []
+        for key, positions in (("k_b", k_b_positions), ("k_c", k_c_positions)):
+            source = self.entry.guess.get(key)
+            guesses.append(np.full(len(positions), -1, dtype=np.int8) if source is None
+                           else self.knowledge.guess_bits(source, positions, rng))
+        return np.concatenate(guesses)
 
-    def guess_b(self, bob_order: np.ndarray, classes: np.ndarray, origins: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-        """Guess the targeted parties' prepared SIFT bits from Bob's published
-        order and the resolved final ``classes`` and ``origins``.
-
-        Returns a ``(2, n)`` array: row 0 holds Bob's bits and row 1
-        Charlie's, each indexed by origin, -1 where there is no guess.
-        """
-        n = len(classes) // 3
+    def guess_b(self, k_b_positions: np.ndarray, k_c_positions: np.ndarray,
+                charlie_order: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """``guess_a`` for the untested key carriers at their final positions.
+        An attack with no return-leg tap saw the particles before Charlie's
+        step, so their positions are mapped through her published order to
+        her input's, where it recorded."""
         if C2A not in self.entry.legs:
-            # Seen before Charlie's step: positions are Bob's output ones,
-            # which his order numbers as ``resolve_orders`` does.
-            classes, origins = np.divmod(bob_order, n)
-        keys = _KEY_OF_CLASS[classes]
-        bits = self._guesses(np.arange(len(keys)), keys, rng)
-        out = np.full((len(_KEYS), n), -1, dtype=np.int8)
-        carriers = keys >= 0
-        out[keys[carriers], origins[carriers]] = bits[carriers]
-        return out
+            k_b_positions = charlie_order[k_b_positions]
+            k_c_positions = charlie_order[k_c_positions]
+        return self.guess_a(k_b_positions, k_c_positions, rng)
 
 
 def build_attack_plan(spec: Optional[AttackSpec], protocol: str, size: int) -> AttackPlan:

@@ -24,9 +24,6 @@ from .qstate import (
 )
 from .runtime import (
     BIT_SYMBOL,
-    CTRL,
-    SIFT_B,
-    SIFT_C,
     CheckVerdict,
     KeyMaterial,
     ParticleBatch,
@@ -46,6 +43,9 @@ from .runtime import (
 )
 
 CHECKS_B = ("ctrl", "test_b", "test_c")
+# Particle classes, in the order of the combined index ``resolve_orders``
+# composes: Alice's CTRL particles, then Bob's and Charlie's insertions.
+CTRL, SIFT_B, SIFT_C = range(3)
 
 default_thresholds = functools.partial(runtime.default_thresholds, CHECKS_B)
 
@@ -153,11 +153,10 @@ def run_protocol_b(config: ProtocolBConfig, attack: Optional[AttackSpec],
     payoff = None
     if reason is None and plan.target is not None:
         # The attacker guesses the untested SIFT bits each party prepared.
-        origins_b, origins_c = origins[untested_b], origins[untested_c]
-        guess_b, guess_c = plan.guess_b(bob_order, classes, origins, rng)
-        payoff = score_payoff(
-            plan.target, np.concatenate([guess_b[origins_b], guess_c[origins_c]]),
-            np.concatenate([bob.prepared_bits[origins_b], charlie.prepared_bits[origins_c]]))
+        truths = np.concatenate([bob.prepared_bits[origins[untested_b]],
+                                 charlie.prepared_bits[origins[untested_c]]])
+        payoff = score_payoff(plan.target,
+                              plan.guess_b(untested_b, untested_c, charlie_order, rng), truths)
 
     return finish_run("B", seed, plan.attack_id, preps, checks, reason, keys, payoff,
                       bob_pub=bob_order.tolist(), charlie_pub=charlie_order.tolist(),

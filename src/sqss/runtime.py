@@ -33,12 +33,6 @@ class ParticleConservationError(SimulationError):
     """An interceptor changed the number of particles in flight."""
 
 
-# Protocol B particle classes, in the order of the combined index
-# ``resolve_orders`` composes: Alice's CTRL particles, then Bob's and
-# Charlie's insertions.
-CTRL, SIFT_B, SIFT_C = range(3)
-
-
 class ParticleBatch:
     """Particles in flight as one array, ``states``; entry ``i`` is position ``i``.
 

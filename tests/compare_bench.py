@@ -13,6 +13,9 @@ shapes and default thresholds of perfbench's mc-catalog workload) and an
 entangle-measure attack by a seeded ``random_pair`` at probe dimension 2
 (perfbench's mc-probe shapes, every threshold 1.0).
 
+Each interpreter first times its ``import sqss.cli``, with NumPy already
+loaded, and the JSON reports it apart, in seconds, under ``startup_s``.
+
 A side's figure is the minimum over its N blocks (default 10).  The JSON on
 stdout gives both sides' figures, this side's over the other's and in how
 many blocks this side was lower, beside both checkouts' commits and the
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -70,7 +74,11 @@ def particles(config) -> int:
 
 
 def worker(trials: int) -> None:
-    """Print the seconds per particle of each row, as JSON."""
+    """Print the seconds ``import sqss.cli`` takes, first thing, and then
+    the seconds per particle of each row, as JSON."""
+    start = time.perf_counter()
+    importlib.import_module("sqss.cli")
+    startup = {"import sqss.cli": time.perf_counter() - start}
     from sqss import harness
 
     times = {}
@@ -79,7 +87,7 @@ def worker(trials: int) -> None:
         start = time.perf_counter()
         harness.monte_carlo(config)
         times[name] = (time.perf_counter() - start) / (trials * particles(config))
-    print(json.dumps(times))
+    print(json.dumps({"startup": startup, "per_particle": times}))
 
 
 def commit(checkout: Path):
@@ -110,17 +118,24 @@ def main(argv: list[str]) -> int:
         if getattr(args, name) < 1:
             print(f"--{name} must be at least 1, got {getattr(args, name)}", file=sys.stderr)
             return 2
+    runs = compare_kernels.alternate(
+        other, args.blocks, lambda src: compare_kernels.block(src, __file__, str(args.trials)))
+
+    def section(key: str, unit: str) -> dict:
+        return compare_kernels.figures(
+            {side: [run[key] for run in side_runs] for side, side_runs in runs.items()}, unit)
+
     print(json.dumps({
         "what": "min over blocks of the seconds per particle of one harness.monte_carlo "
-                "call, in microseconds, in fresh interpreters alternating the two sides, "
-                "BLAS on one thread",
+                "call, in microseconds, and of the wall time of a worker's first "
+                "import sqss.cli, in seconds, in fresh interpreters alternating the two "
+                "sides, BLAS on one thread",
         "other": str(other.parent), "this": str(SRC.parent),
         "commits": {"other": commit(other.parent), "this": commit(SRC.parent)},
         "blocks": args.blocks, "trials_per_block": args.trials, "pair_seed": PAIR_SEED,
         "machine": compare_kernels.machine(),
-        "us_per_particle": compare_kernels.compare(
-            other, args.blocks,
-            lambda src: compare_kernels.block(src, __file__, str(args.trials)))}, indent=1))
+        "startup_s": section("startup", "s"),
+        "us_per_particle": section("per_particle", "us")}, indent=1))
     return 0
 
 

@@ -92,22 +92,30 @@ def block(src: Path, script: str = __file__, *args: str) -> dict:
     return json.loads(done.stdout)
 
 
-def compare(other: Path, blocks: int, run=block) -> dict:
-    """Each name's figures over ``blocks`` alternating blocks of ``run(src)``
-    per side, ``other`` and this checkout's ``SRC``, this side first in odd
-    blocks."""
+def alternate(other: Path, blocks: int, run=block) -> dict:
+    """``run(src)`` in ``blocks`` alternating blocks per side, ``other`` and
+    this checkout's ``SRC``, this side first in odd blocks: each side's
+    results in block order."""
     runs = {"other": [], "this": []}
     for i in range(blocks):
         for side in (("this", "other") if i % 2 == 0 else ("other", "this")):
             runs[side].append(run(SRC if side == "this" else other))
+    return runs
+
+
+def figures(runs: dict, unit: str = "us") -> dict:
+    """Each name's figures from ``alternate``'s runs of seconds per name:
+    both sides' minimum in ``unit`` ("us" or "s"), this side's over the
+    other's, and in how many blocks this side was lower."""
+    scale = {"us": 1e6, "s": 1.0}[unit]
     result = {}
     for name in runs["this"][0]:
-        other_us, this_us = (1e6 * min(run[name] for run in runs[side])
-                             for side in ("other", "this"))
+        other_min, this_min = (scale * min(run[name] for run in runs[side])
+                               for side in ("other", "this"))
         lower = sum(t[name] < o[name] for t, o in zip(runs["this"], runs["other"]))
-        result[name] = {"other_us": round(other_us, 4), "this_us": round(this_us, 4),
-                        "this_over_other": round(this_us / other_us, 4),
-                        "this_lower_in_blocks": f"{lower}/{blocks}"}
+        result[name] = {f"other_{unit}": round(other_min, 4), f"this_{unit}": round(this_min, 4),
+                        "this_over_other": round(this_min / other_min, 4),
+                        "this_lower_in_blocks": f"{lower}/{len(runs['this'])}"}
     return result
 
 
@@ -134,7 +142,7 @@ def main(argv: list[str]) -> int:
                 "alternating the two sides, BLAS on one thread",
         "other": str(other.parent), "this": str(SRC.parent), "blocks": args.blocks,
         "calls_per_block": CALLS,
-        "machine": machine(), "kernels": compare(other, args.blocks)}, indent=1))
+        "machine": machine(), "kernels": figures(alternate(other, args.blocks))}, indent=1))
     return 0
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from sqss.adversary import (
     ALLOWED_SOURCES,
+    CATALOG,
     AdversaryKnowledge,
     AttackSpec,
     UnitaryPair,
@@ -243,26 +244,35 @@ def test_targets_match_actor():
 
 
 def test_insider_guesses_are_exact_on_surviving_runs():
-    """Insiders whose guesses cannot miss, each after the other party's
-    share: the three ``ReflectAllPartyA`` measure-resend insiders among
-    them, whose taps measured every particle that carries their target."""
-    cases = [
-        ("a.mr.bob.1", "A", "k_c"), ("a.mr.bob.2", "A", "k_c"), ("a.mr.charlie.1", "A", "k_b"),
-        ("a.mr.charlie.2", "A", "k_b"), ("a.ir.charlie.2", "A", "k_b"),
-        ("b.mr.charlie", "B", "k_b"), ("b.ir.bob", "B", "k_c"),
-    ]
-    for attack_id, proto, target in cases:
+    """Every catalog attack, insider or outsider, survives at thresholds 1.0
+    and each of its guesses is right.  Each guesses some bits, bar the
+    protocol B leg 1 taps, which see no key carrier.  Protocol B's guesses
+    are read through Charlie's published order where the attack saw the
+    particles before her step."""
+    for attack_id in catalog_ids():
         spec = resolve_attack(attack_id[0].upper(), attack_id)
-        if proto == "A":
+        if spec.protocol == "A":
             config = ProtocolAConfig(n=20, m=45, thresholds=default_thresholds(1.0))
             report = run_protocol_a(config, spec, 13)
         else:
             config = ProtocolBConfig(n=16, thresholds=default_thresholds_b(1.0))
             report = run_protocol_b(config, spec, 13)
-        assert not report.aborted
-        assert report.payoff["target"] == target
-        assert report.payoff["guessed"] > 0
-        assert report.payoff["correct"] == report.payoff["guessed"]
+        payoff = report.payoff
+        blind = attack_id in ("b.mr.eve.1", "b.ir.eve.1")
+        assert not report.aborted, attack_id
+        assert payoff["target"] == build_attack_plan(spec, spec.protocol, 1).target, attack_id
+        assert payoff["correct"] == payoff["guessed"], attack_id
+        assert (payoff["guessed"] > 0) != blind, attack_id
+
+
+def test_protocol_b_attacks_before_charlie_have_no_k_c_source():
+    """``AttackPlan.guess_b`` reads an attack with no return-leg tap through
+    Charlie's order, at her input's positions: her insertions never reach
+    such an attacker, so it has no source for k_c."""
+    for attack_id in catalog_ids("B"):
+        entry = CATALOG[attack_id]
+        if Leg.CHARLIE_TO_ALICE not in entry.legs:
+            assert entry.guess.get("k_c") is None, attack_id
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

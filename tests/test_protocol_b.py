@@ -6,12 +6,14 @@ import pytest
 from sqss import runtime
 from sqss.adversary import HonestPartyB, resolve_attack
 from sqss.protocol_b import (
+    CTRL,
+    SIFT_B,
+    SIFT_C,
     ProtocolBConfig,
     default_thresholds,
     resolve_orders,
     run_protocol_b,
 )
-from sqss.runtime import CTRL, SIFT_B, SIFT_C
 
 
 def test_config_validation():
